@@ -161,6 +161,25 @@ func BenchmarkGammaIEEE118(b *testing.B) {
 	}
 }
 
+// BenchmarkGammaOneShotIEEE118 measures gridmtd.Gamma on the 118-bus
+// system at the same candidate: both bases are built per call, the cost a
+// caller without a held evaluator pays.
+func BenchmarkGammaOneShotIEEE118(b *testing.B) {
+	n := benchCase(b, "ieee118")
+	x := n.Reactances()
+	lo, hi := n.DFACTSBounds()
+	xd := make([]float64, len(lo))
+	for i := range xd {
+		xd[i] = 0.25*lo[i] + 0.75*hi[i]
+	}
+	xNew := n.ExpandDFACTS(xd)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gridmtd.Gamma(n, x, xNew)
+	}
+}
+
 // benchGammaBackend measures one cached candidate-γ evaluation through an
 // explicit γ backend — the unit the γ-backend layer exists to make cheap.
 // The candidate sits at the 75% point of the device box, the same point

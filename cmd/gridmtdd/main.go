@@ -20,6 +20,9 @@
 //	                     ?since=<name> answers the delta against it)
 //	POST /v1/select      planner.SelectRequest  -> planner.SelectResponse
 //	POST /v1/gamma       planner.GammaRequest   -> planner.GammaResponse
+//	                     (core.Gamma's bits: the reference pipeline's below
+//	                     grid.SparseThreshold buses or under -backend dense,
+//	                     within 1e-9 of it otherwise)
 //	POST /v1/daysweep    planner.DaySweepRequest -> planner.DaySweepResponse
 //	POST /v1/placement   planner.PlacementRequest -> planner.PlacementResponse
 //
@@ -366,6 +369,8 @@ func serve[Req any](w http.ResponseWriter, r *http.Request, call func(Req) (any,
 			// deliberately not memoized, so the retry re-enters the queue.
 			status = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", retryAfterSeconds)
+		case errors.Is(err, planner.ErrPanicked):
+			status = http.StatusInternalServerError
 		}
 		writeJSON(w, status, map[string]any{"error": err.Error()})
 		return

@@ -607,7 +607,14 @@ func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
 }
 
 // Gamma returns the subspace separation γ between the measurement matrices
-// at the two reactance settings.
+// at the two reactance settings: the exact path of a GammaEvaluator built
+// for xOld, the same γ engine the selection search runs. Below
+// grid.SparseThreshold buses, or when the resolved grid backend is dense
+// (-backend dense), its float operations are the reference pipeline's and
+// the result is bitwise subspace.Gamma(H(xOld), H(xNew)); otherwise it
+// works on the reduced [p; √2·f] rows with the fast kernels and agrees
+// with the reference within 1e-9. Callers evaluating many xNew against one
+// xOld should hold the evaluator instead, which keeps the xOld basis.
 func Gamma(n *grid.Network, xOld, xNew []float64) float64 {
-	return subspace.Gamma(n.MeasurementMatrix(xOld), n.MeasurementMatrix(xNew))
+	return NewGammaEvaluatorBackend(n, xOld, ExactGamma).GammaExact(xNew)
 }

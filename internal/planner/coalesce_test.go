@@ -246,3 +246,53 @@ func TestAdmissionQueueWaitCounted(t *testing.T) {
 		t.Errorf("admission stats %+v, want 1 queued with >= %v cumulative wait", st, hold/2)
 	}
 }
+
+// TestMemoPanicNotMemoized pins the panic contract: a computation that
+// panics returns ErrPanicked to its leader and to every coalesced joiner,
+// the entry is evicted, and the next identical request recomputes instead
+// of replaying a nil response.
+func TestMemoPanicNotMemoized(t *testing.T) {
+	p := New(Config{})
+	const n = 4
+	release := make(chan struct{})
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	resps := make([]any, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], _, _, errs[i] = p.memo("gamma|panic-test", func() (any, error) {
+				computes.Add(1)
+				<-release
+				panic("kernel blew up")
+			})
+		}(i)
+	}
+	waitFor(t, "1 miss + n-1 coalesced", func() bool {
+		st := p.Stats()
+		return st.ResultMisses == 1 && st.ResultCoalesced == n-1
+	})
+	close(release)
+	wg.Wait()
+	if got := computes.Load(); got != 1 {
+		t.Fatalf("%d computations for %d identical in-flight requests, want 1", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if !errors.Is(errs[i], ErrPanicked) || resps[i] != nil {
+			t.Errorf("caller %d: resp=%v err=%v, want nil and ErrPanicked", i, resps[i], errs[i])
+		}
+	}
+	p.mu.Lock()
+	_, stillThere := p.results["gamma|panic-test"]
+	p.mu.Unlock()
+	if stillThere {
+		t.Error("panicked result left in the memo")
+	}
+	want := &GammaResponse{Case: "retry", Gamma: 0.25}
+	resp, _, source, err := p.memo("gamma|panic-test", func() (any, error) { return want, nil })
+	if err != nil || source != SourceComputed || resp != any(want) {
+		t.Errorf("retry after panic: resp=%v source=%q err=%v, want a fresh computation", resp, source, err)
+	}
+}

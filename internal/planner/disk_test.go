@@ -1,12 +1,14 @@
 package planner
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"gridmtd/internal/grid"
 	"gridmtd/internal/planner/diskcache"
 )
 
@@ -130,5 +132,41 @@ func TestDiskCacheGammaAndPlacementDecode(t *testing.T) {
 	}
 	if g2.Source != SourceDisk || g2.Gamma != g1.Gamma {
 		t.Errorf("gamma disk round-trip: source=%q γ=%v, want disk-served %v", g2.Source, g2.Gamma, g1.Gamma)
+	}
+}
+
+// TestDiskCacheGammaKeyedOnKernel pins the γ kernel version in the disk
+// key: an entry stored under the pre-version key (the same request, the
+// same registry, an older γ pipeline) reads as a miss, is recomputed, and
+// the recomputation is written under the current key for the next start.
+func TestDiskCacheGammaKeyedOnKernel(t *testing.T) {
+	dir := t.TempDir()
+	req := GammaRequest{Case: "case4gs", XNew: []float64{0.1, 0.1, 0.1, 0.1}}
+	stale, err := json.Marshal(&GammaResponse{Case: "case4gs", Gamma: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := openDisk(t, dir)
+	d.Put(req.key()+"|registry:"+grid.RegistryHash(), stale)
+
+	p1 := New(Config{Disk: openDisk(t, dir)})
+	first, err := p1.Gamma(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Source != SourceComputed || first.Gamma == 42 {
+		t.Fatalf("old-key entry served: source=%q γ=%v, want a computation", first.Source, first.Gamma)
+	}
+	if st := p1.Stats(); st.Disk.Writes != 1 {
+		t.Errorf("disk writes = %d after the recomputation, want 1", st.Disk.Writes)
+	}
+
+	p2 := New(Config{Disk: openDisk(t, dir)})
+	second, err := p2.Gamma(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Source != SourceDisk || second.Gamma != first.Gamma {
+		t.Errorf("restart served source=%q γ=%v, want disk-served %v", second.Source, second.Gamma, first.Gamma)
 	}
 }

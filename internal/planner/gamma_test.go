@@ -1,0 +1,128 @@
+package planner
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"gridmtd/internal/core"
+	"gridmtd/internal/grid"
+	"gridmtd/internal/subspace"
+)
+
+// randomSetting draws a D-FACTS setting uniformly from the device box and
+// expands it to a full reactance vector.
+func randomSetting(n *grid.Network, rng *rand.Rand) []float64 {
+	lo, hi := n.DFACTSBounds()
+	xd := make([]float64, len(lo))
+	for i := range xd {
+		xd[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+	}
+	return n.ExpandDFACTS(xd)
+}
+
+// TestGammaServedMatchesSelect pins the one-engine contract on ieee118:
+// /v1/gamma against the nominal reactances answers, bit for bit, the γ a
+// selection with x_old = nominal reports for its own reactances, for the
+// exact and the sketch search backends (the sketch winner is re-checked
+// exactly).
+func TestGammaServedMatchesSelect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ieee118 selections in -short mode")
+	}
+	n, err := grid.CaseByName("ieee118")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{})
+	for _, gb := range []string{"exact", "sketch"} {
+		sel, err := p.Select(SelectRequest{
+			Case: "ieee118", GammaThreshold: 0.05, XOld: n.Reactances(),
+			Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20, GammaBackend: gb,
+		})
+		if err != nil {
+			t.Fatalf("%s select: %v", gb, err)
+		}
+		g, err := p.Gamma(GammaRequest{Case: "ieee118", XNew: sel.Reactances})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(g.Gamma) != math.Float64bits(sel.Gamma) {
+			t.Errorf("%s: /v1/gamma served %v, the selection reported %v", gb, g.Gamma, sel.Gamma)
+		}
+	}
+}
+
+// TestGammaConcurrentDistinctSettings pins the cached nominal evaluator
+// under concurrency (run with -race): 16 goroutines requesting distinct
+// settings on one case share its pooled workspaces and each gets
+// core.Gamma's bits.
+func TestGammaConcurrentDistinctSettings(t *testing.T) {
+	const caseName, workers = "ieee57", 16
+	n, err := grid.CaseByName(caseName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	settings := make([][]float64, workers)
+	for i := range settings {
+		settings[i] = randomSetting(n, rng)
+	}
+	p := New(Config{})
+	got := make([]float64, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := p.Gamma(GammaRequest{Case: caseName, XNew: settings[i]})
+			if err != nil {
+				t.Errorf("worker %d: %v", i, err)
+				return
+			}
+			if resp.Source != SourceComputed {
+				t.Errorf("worker %d: source %q, want a computation", i, resp.Source)
+			}
+			got[i] = resp.Gamma
+		}(i)
+	}
+	wg.Wait()
+	for i, x := range settings {
+		if want := core.Gamma(n, n.Reactances(), x); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("worker %d: served γ %v, core.Gamma %v", i, got[i], want)
+		}
+	}
+}
+
+// TestGammaIgnoresGammaBackendDefault pins that the -gamma process default
+// only steers searches: with the sketch as default, /v1/gamma still serves
+// the exact engine's bits, with and without an explicit x_old.
+func TestGammaIgnoresGammaBackendDefault(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	xOld, xNew := randomSetting(n, rng), randomSetting(n, rng)
+	want := core.Gamma(n, n.Reactances(), xNew)
+	wantExplicit := core.Gamma(n, xOld, xNew)
+
+	subspace.SetDefaultGammaBackend(core.SketchGamma)
+	defer subspace.SetDefaultGammaBackend(core.AutoGamma)
+	p := New(Config{})
+	resp, err := p.Gamma(GammaRequest{Case: "ieee57", XNew: xNew})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(resp.Gamma) != math.Float64bits(want) {
+		t.Errorf("sketch default: served nominal γ %v, exact %v", resp.Gamma, want)
+	}
+	resp, err = p.Gamma(GammaRequest{Case: "ieee57", XOld: xOld, XNew: xNew})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(resp.Gamma) != math.Float64bits(wantExplicit) {
+		t.Errorf("sketch default: served explicit-x_old γ %v, exact %v", resp.Gamma, wantExplicit)
+	}
+}

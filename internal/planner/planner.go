@@ -27,6 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -49,6 +51,10 @@ var ErrUnreachable = errors.New("planner: gamma threshold unreachable within D-F
 // not memoized — an immediate retry (the HTTP layer answers 429 with
 // Retry-After) re-enters the queue.
 var ErrOverloaded = errors.New("planner: overloaded, work queue full; retry later")
+
+// ErrPanicked is returned when a request's computation panicked. Like a
+// shed, the failure is not memoized: an identical retry computes afresh.
+var ErrPanicked = errors.New("planner: computation panicked")
 
 // Config tunes a Planner.
 type Config struct {
@@ -239,6 +245,23 @@ type caseEntry struct {
 	net  *grid.Network
 	err  error
 	elem *list.Element
+
+	// gammaOnce builds gamma, the exact γ engine against the case's nominal
+	// reactances, on the first /v1/gamma request that omits x_old. It lives
+	// and is evicted with the case entry.
+	gammaOnce sync.Once
+	gamma     *core.GammaEvaluator
+}
+
+// nominalGamma returns the case's exact γ evaluator for the nominal x_old.
+// Explicit ExactGamma keeps the -gamma process default from changing the
+// bits /v1/gamma serves; the pooled workspaces make it safe for concurrent
+// requests.
+func (e *caseEntry) nominalGamma() *core.GammaEvaluator {
+	e.gammaOnce.Do(func() {
+		e.gamma = core.NewGammaEvaluatorBackend(e.net, e.net.Reactances(), core.ExactGamma)
+	})
+	return e.gamma
 }
 
 type resultEntry struct {
@@ -284,6 +307,16 @@ func (p *Planner) Stats() Stats {
 // through the LRU. The returned network must never be mutated — the
 // scenario runner keys its engine cache on the pointer.
 func (p *Planner) caseFor(name string, scale float64) (*grid.Network, error) {
+	e, err := p.caseEntryFor(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	return e.net, nil
+}
+
+// caseEntryFor is caseFor returning the LRU entry itself, for callers that
+// also use the per-case engines it holds.
+func (p *Planner) caseEntryFor(name string, scale float64) (*caseEntry, error) {
 	if scale == 0 {
 		scale = 1
 	}
@@ -316,7 +349,10 @@ func (p *Planner) caseFor(name string, scale float64) (*grid.Network, error) {
 		}
 		e.net = n
 	})
-	return e.net, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
 }
 
 // The Source values a served response reports: where its payload came
@@ -392,11 +428,18 @@ func (p *Planner) memo(key string, compute func() (any, error)) (resp any, elaps
 		}
 		func() {
 			defer p.adm.release()
-			e.resp, e.err = compute()
+			e.resp, e.err = runGuarded(compute)
 		}()
 		// elapsed includes the admission queue wait: it is the latency a
 		// client actually observed for the computed request.
 		e.elapsed = time.Since(start)
+		if errors.Is(e.err, ErrPanicked) {
+			// Like a shed: the leader and its coalesced joiners get the
+			// error, and the entry is evicted so the next identical request
+			// recomputes instead of replaying a nil response.
+			p.dropResult(key, e)
+			return
+		}
 		if e.err == nil {
 			if data, merr := json.Marshal(e.resp); merr == nil {
 				p.disk.Put(p.diskKey(key), data)
@@ -407,6 +450,19 @@ func (p *Planner) memo(key string, compute func() (any, error)) (resp any, elaps
 		source = e.source
 	}
 	return e.resp, e.elapsed, source, e.err
+}
+
+// runGuarded runs compute, turning a panic into an ErrPanicked error so
+// the memo entry it fills never holds a nil response without an error.
+// The stack goes to the log: the error a client sees cannot carry it.
+func runGuarded(compute func() (any, error)) (resp any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("planner: computation panicked: %v\n%s", r, debug.Stack())
+			resp, err = nil, fmt.Errorf("%w: %v", ErrPanicked, r)
+		}
+	}()
+	return compute()
 }
 
 // dropResult evicts e from the memo if it is still the entry stored under
@@ -420,11 +476,21 @@ func (p *Planner) dropResult(key string, e *resultEntry) {
 	p.mu.Unlock()
 }
 
+// gammaKernel versions the pipeline behind persisted gamma| entries. A
+// change that alters the bits /v1/gamma serves bumps it, so a cache
+// directory written by an older build reads as misses instead of serving
+// the older pipeline's bits next to the current ones.
+const gammaKernel = "engine-1"
+
 // diskKey extends the bitwise memo key with the case registry content
-// hash: a persistent entry computed against different embedded case data
-// can never serve.
+// hash (a persistent entry computed against different embedded case data
+// can never serve) and, for γ entries, the γ kernel version.
 func (p *Planner) diskKey(key string) string {
-	return key + "|registry:" + grid.RegistryHash()
+	k := key + "|registry:" + grid.RegistryHash()
+	if strings.HasPrefix(key, "gamma|") {
+		k += "|kernel:" + gammaKernel
+	}
+	return k
 }
 
 // decodeResponse unmarshals a disk-cache payload into the response type
@@ -700,7 +766,11 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 // ---- Gamma -----------------------------------------------------------------
 
 // GammaRequest asks for the subspace separation between two reactance
-// settings of a case (XOld empty = the case's nominal reactances).
+// settings of a case (XOld empty = the case's nominal reactances). The
+// served γ is core.Gamma's: bitwise the reference principal-angle pipeline
+// below grid.SparseThreshold buses or under -backend dense, within 1e-9 of
+// it otherwise. Requests without XOld are answered by the case's cached
+// nominal-side evaluator, which gives the same bits.
 type GammaRequest struct {
 	Case string    `json:"case"`
 	XOld []float64 `json:"x_old,omitempty"`
@@ -716,22 +786,28 @@ type GammaResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+func (r GammaRequest) key() string {
+	return fmt.Sprintf("gamma|%s|%v|%v", r.Case, r.XOld, r.XNew)
+}
+
 // Gamma serves one memoized γ evaluation.
 func (p *Planner) Gamma(req GammaRequest) (*GammaResponse, error) {
-	key := fmt.Sprintf("gamma|%s|%v|%v", req.Case, req.XOld, req.XNew)
-	resp, elapsed, source, err := p.memo(key, func() (any, error) {
-		n, err := p.caseFor(req.Case, 1)
+	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
+		ce, err := p.caseEntryFor(req.Case, 1)
 		if err != nil {
 			return nil, err
 		}
-		xOld := req.XOld
-		if len(xOld) == 0 {
-			xOld = n.Reactances()
-		}
-		if len(xOld) != n.L() || len(req.XNew) != n.L() {
+		n := ce.net
+		if (len(req.XOld) != 0 && len(req.XOld) != n.L()) || len(req.XNew) != n.L() {
 			return nil, fmt.Errorf("planner: reactance vectors must have %d entries for case %s", n.L(), req.Case)
 		}
-		return &GammaResponse{Case: req.Case, Gamma: core.Gamma(n, xOld, req.XNew)}, nil
+		var g float64
+		if len(req.XOld) == 0 {
+			g = ce.nominalGamma().GammaExact(req.XNew)
+		} else {
+			g = core.Gamma(n, req.XOld, req.XNew)
+		}
+		return &GammaResponse{Case: req.Case, Gamma: g}, nil
 	})
 	if err != nil {
 		return nil, err
