@@ -94,8 +94,8 @@ type Percentiles struct {
 // ServerWindow condenses the /v1/stats delta into the rates an operator
 // tunes against: how much traffic the memo, the single-flight join and
 // the disk cache absorbed, how hard admission control worked, and how
-// many simplex runs the LP-layer screens (recycled Farkas rays, the
-// dual-bound screen) retired before they started.
+// many simplex runs the recycled-Farkas-ray pre-screen retired before
+// they started.
 type ServerWindow struct {
 	ResultHits      int64   `json:"result_hits"`
 	ResultMisses    int64   `json:"result_misses"`
@@ -107,14 +107,9 @@ type ServerWindow struct {
 	Shed            int64   `json:"shed"`
 	LPSolves        int64   `json:"lp_solves"`
 	LPPrescreenHits int64   `json:"lp_prescreen_hits"`
-	LPBoundProbes   int64   `json:"lp_bound_probes"`
-	LPBoundScreens  int64   `json:"lp_bound_screens"`
 	MemoHitRate     float64 `json:"memo_hit_rate"`
 	CoalesceRate    float64 `json:"coalesce_rate"`
 	DiskHitRate     float64 `json:"disk_hit_rate"`
-	// BoundScreenRate is the fraction of would-be dispatch solves the
-	// dual-bound screen retired: screens / (screens + solves).
-	BoundScreenRate float64 `json:"bound_screen_rate"`
 }
 
 type SLOReport struct {
@@ -433,16 +428,11 @@ func statsWindow(client *http.Client, addr, mark string) *ServerWindow {
 		Shed:            st.Admission.Shed,
 		LPSolves:        int64(st.LP.Solves),
 		LPPrescreenHits: int64(st.LP.PrescreenHits),
-		LPBoundProbes:   int64(st.LP.BoundProbes),
-		LPBoundScreens:  int64(st.LP.BoundScreens),
 	}
 	if served := w.ResultHits + w.ResultMisses + w.ResultCoalesced; served > 0 {
 		w.MemoHitRate = float64(w.ResultHits) / float64(served)
 		w.CoalesceRate = float64(w.ResultCoalesced) / float64(served)
 		w.DiskHitRate = float64(w.DiskHits) / float64(served)
-	}
-	if would := w.LPBoundScreens + w.LPSolves; would > 0 {
-		w.BoundScreenRate = float64(w.LPBoundScreens) / float64(would)
 	}
 	return w
 }

@@ -118,19 +118,11 @@
 // exactly against the candidate's data), and multi-start restarts are
 // screened against the deterministic trajectories' optimum so a losing
 // restart costs one evaluation instead of a local-search budget.
-// Dual-bound screening closes the loop from the other side: each
-// verified warm solve banks its optimal duals, and a candidate LP is
-// probed against those certificates first — by weak duality any stored
-// dual vector prices a certified lower bound on the candidate's optimum
-// in O(m·n) with zero pivots, so a candidate whose bound already clears
-// the search's acceptance threshold is rejected without solving.
-// Screening may only skip solves whose outcome provably cannot change
-// the trajectory's accepted points, so search results stay bitwise
-// identical to the unscreened run. All of these are invisible to the
-// dense/golden path and their traffic is reported by
-// GlobalSolveCacheStats, the lp counters (bound probes/screens
-// included) and /v1/stats (which supports ?mark=/?since= named
-// snapshots for per-request deltas).
+// Every dispatch LP the search does evaluate is an exact solve through
+// the memo. All of these are invisible to the dense/golden path and
+// their traffic is reported by GlobalSolveCacheStats, the lp counters
+// and /v1/stats (which supports ?mark=/?since= named snapshots for
+// per-request deltas).
 //
 // The runnable programs under examples/ walk through the full defender
 // workflow, the cost-effectiveness tradeoff, a 24-hour operating day and

@@ -224,12 +224,9 @@ func FormatLPStats(w io.Writer, s LPStats) {
 		s.Solves, s.WarmSolves, s.ColdSolves, s.Fallbacks)
 	fmt.Fprintf(w, "  warm pivots: %d primal, %d dual (%d steepest-edge, %d bound flips); basis exchanges: %d eta updates, %d refactorizations\n",
 		s.PrimalPivots, s.DualPivots, s.SEPivots, s.BoundFlips, s.EtaUpdates, s.Refactorizations)
-	fmt.Fprintf(w, "  pricing-weight resets: %d; sparse working-matrix factorizations: %d\n",
-		s.WeightResets, s.SparseFactors)
+	fmt.Fprintf(w, "  pricing-weight resets: %d\n", s.WeightResets)
 	fmt.Fprintf(w, "  infeasibility: %d certified by full solves, %d pre-screened by recycled Farkas rays (%d ray probes)\n",
 		s.InfeasibleSolves, s.PrescreenHits, s.PrescreenProbes)
-	fmt.Fprintf(w, "  dual-bound screen: %d solves skipped with certified bounds (%d probes)\n",
-		s.BoundScreens, s.BoundProbes)
 }
 
 // FormatSolveCacheStats writes the one-line human rendering of the

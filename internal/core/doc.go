@@ -57,7 +57,7 @@
 // restarts on the sparse path: the deterministic initial points search
 // first and fix a bar, and each random restart earns its Nelder-Mead
 // budget only by beating that bar at its start point, cutting a cold
-// ieee300 selection from 179 to 88 full dispatch solves (PERF.md, PR 8).
+// ieee300 selection from 179 to 90 full dispatch solves (PERF.md).
 // The bar is fixed at a stage barrier, so outcomes are identical for
 // every worker count. Dense engines build no memo and dense call sites
 // never screen; the golden suite is byte-identical by construction.

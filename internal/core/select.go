@@ -192,7 +192,7 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 	// selected MTD is identical for every worker count. The driver-level
 	// objective is built by the same factory, so there is exactly one
 	// definition.
-	newWorker := func() (optimize.Objective, optimize.ThresholdEval, func()) {
+	newWorker := func() (optimize.Objective, func()) {
 		gs := eng.gamma.NewSession()
 		gs.CarryWarmStarts()
 		ds := eng.dispatch.NewSession()
@@ -227,43 +227,17 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 			// historical Penalized objective bitwise.
 			costUB := eng.dispatch.CostUpperBound()
 			gammaCons := cons[0]
-			obj := func(xd []float64) float64 {
+			return func(xd []float64) float64 {
 				viol := gammaCons(xd)
 				if viol <= 0 {
 					return costOf(xd)
 				}
 				return cfg.PenaltyMu*viol*viol + costUB
-			}
-			// Threshold-aware evaluation (the dual-bound screen): same
-			// composite, same γ-first evaluation order, but a γ-feasible
-			// point's dispatch solve may stop at a certified weak-duality
-			// bound above the threshold. The screen is valid only below
-			// the infeasibility sentinel: the composite maps dispatch
-			// errors to exactly InfeasibleObjective, so "LP cost >
-			// threshold" implies "composite > threshold" only when
-			// threshold < InfeasibleObjective; at or above it the
-			// evaluation runs exact. Every solve goes through the shared
-			// SolveCache from the seed basis, so a skipped solve is a
-			// skipped pure computation — no other evaluation changes.
-			te := func(xd []float64, threshold float64) (float64, bool) {
-				viol := gammaCons(xd)
-				if viol > 0 {
-					return cfg.PenaltyMu*viol*viol + costUB, false
-				}
-				if threshold < optimize.InfeasibleObjective {
-					cost, screened, err := ds.CostOrBound(n.ExpandDFACTS(xd), threshold)
-					if err != nil {
-						return optimize.InfeasibleObjective, false
-					}
-					return cost, screened
-				}
-				return costOf(xd), false
-			}
-			return obj, te, reset
+			}, reset
 		}
-		return optimize.Penalized(costOf, cons, cfg.PenaltyMu), nil, reset
+		return optimize.Penalized(costOf, cons, cfg.PenaltyMu), reset
 	}
-	obj, _, _ := newWorker()
+	obj, _ := newWorker()
 
 	lo, hi := n.DFACTSBounds()
 	box := optimize.Bounds{Lower: lo, Upper: hi}
@@ -284,14 +258,8 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 		// point already beats the best initial-point optimum — every
 		// skipped restart saves a full Nelder-Mead budget of dispatch
 		// LPs. Dense path keeps the historical every-start search.
-		ScreenRestarts:    eng.dispatch.Backend() == grid.SparseBackend,
-		NewWorkerScreened: newWorker,
-		// Dual-bound screening inside the local searches (sparse path
-		// only — newWorker returns a nil ThresholdEval on the dense
-		// path, which keeps the historical exact NelderMead bitwise).
-		ScreenedLocal: func(f optimize.Objective, screen optimize.ThresholdEval, x0 []float64) (*optimize.Result, error) {
-			return optimize.NelderMead(f, x0, optimize.NMConfig{MaxEvals: cfg.MaxEvals, Screen: screen})
-		},
+		ScreenRestarts:     eng.dispatch.Backend() == grid.SparseBackend,
+		NewWorkerObjective: newWorker,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: problem (4) search: %w", err)
@@ -398,7 +366,7 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		}
 	}
 
-	newWorkerObj := func() (optimize.Objective, func()) {
+	newWorker := func() (optimize.Objective, func()) {
 		gs := eng.gamma.NewSession()
 		gs.CarryWarmStarts()
 		// The carried Lanczos warm start is scoped to one local search, same
@@ -406,7 +374,7 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		// count.
 		return func(xd []float64) float64 { return -gs.GammaDFACTS(xd) }, gs.ResetWarmStart
 	}
-	obj, _ := newWorkerObj()
+	obj, _ := newWorker()
 	local := func(f optimize.Objective, x0 []float64) (*optimize.Result, error) {
 		return optimize.NelderMead(f, x0, optimize.NMConfig{MaxEvals: cfg.MaxEvals})
 	}
@@ -415,7 +383,7 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		Seed:               cfg.Seed,
 		InitialPoints:      [][]float64{bestX},
 		Parallelism:        cfg.Parallelism,
-		NewWorkerObjective: newWorkerObj,
+		NewWorkerObjective: newWorker,
 	})
 	if err != nil {
 		return nil, err

@@ -19,20 +19,13 @@
 // a feasibility/optimality certificate, falling back to the flat solver
 // on any doubt.
 //
-// The revised solver also answers questions about an LP without solving
-// it. Recycled Farkas rays (prescreen.go) certify infeasibility of
-// perturbed candidates before any pivoting, with the rays held in a
+// The revised solver can also answer one question about an LP without
+// solving it. Recycled Farkas rays (prescreen.go) certify infeasibility
+// of perturbed candidates before any pivoting, with the rays held in a
 // structural-cause index so distinct failure modes screen concurrently.
-// Dual-bound screening (dualbound.go) works on the feasible side: each
-// verified optimal basis banks its dual solution, and
-// DualBoundExceeds prices a candidate problem's data against those
-// certificates — by weak duality every stored dual vector yields an
-// exact lower bound on the candidate's optimum in O(m·n) with zero
-// pivots, so search layers can reject candidates whose bound already
-// clears their acceptance threshold. Both screens trust only
-// certificates re-evaluated against the candidate's exact data with
-// conservative margins: float error can weaken a screen (a missed
-// skip), never produce a wrong verdict.
+// A ray is trusted only after it is re-evaluated against the candidate's
+// exact data with a conservative margin: float error can weaken the
+// screen (a missed skip), never produce a wrong verdict.
 package lp
 
 import (

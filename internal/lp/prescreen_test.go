@@ -132,3 +132,45 @@ func TestPrescreenCountsSeparately(t *testing.T) {
 		t.Fatalf("feasible problem after screening: %v", err)
 	}
 }
+
+// TestFarkasIndexRetainsDistinctCauses exercises the structural-cause
+// index: rays for distinct causes coexist instead of evicting each other,
+// a refreshed ray supersedes its cause's stale predecessor in place, and
+// PrescreenProbes counts the revalidation work.
+func TestFarkasIndexRetainsDistinctCauses(t *testing.T) {
+	mk := func(b float64) *Problem {
+		return &Problem{
+			C:     []float64{1, 1},
+			Aeq:   mat.NewDenseFrom(1, 2, []float64{1, 1}),
+			Beq:   []float64{b},
+			Lower: []float64{0, 0},
+			Upper: []float64{1, 1},
+		}
+	}
+	rs := NewRevisedSolver()
+	if _, err := rs.Solve(mk(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Same structural cause certified at two RHS levels: the index keeps
+	// one ray for it, refreshed in place.
+	if _, err := rs.Solve(mk(5)); err != ErrInfeasible {
+		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	if len(rs.rays) != 1 {
+		t.Fatalf("after first capture: %d rays, want 1", len(rs.rays))
+	}
+	cause := rs.rays[0].cause
+	// A screened re-probe is answered from the index (prescreen runs
+	// before Solves counts it) and counts its probe.
+	before := rs.Stats()
+	if _, err := rs.Solve(mk(6)); err != ErrInfeasible {
+		t.Fatalf("want screened ErrInfeasible, got %v", err)
+	}
+	d := rs.Stats().Delta(before)
+	if d.PrescreenHits != 1 || d.PrescreenProbes != 1 || d.Solves != 0 {
+		t.Fatalf("screened probe delta: %+v", d)
+	}
+	if len(rs.rays) != 1 || rs.rays[0].cause != cause {
+		t.Fatalf("screened probe disturbed the index: %d rays", len(rs.rays))
+	}
+}

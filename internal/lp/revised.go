@@ -65,9 +65,6 @@ type RevisedStats struct {
 	// breakpoints into one basis exchange; each absorbed breakpoint is one
 	// flip).
 	BoundFlips int
-	// SparseFactors counts working-matrix refactorizations routed through
-	// the sparse LU (density-gated; see SetSparseLU).
-	SparseFactors int
 	// PrescreenHits counts Solve calls answered by the Farkas-ray
 	// pre-screen: a recycled infeasibility certificate, revalidated
 	// exactly against the call's own problem data, proved the problem
@@ -83,14 +80,6 @@ type RevisedStats struct {
 	// in a certified ErrInfeasible — the pre-screen's remaining misses;
 	// each is also a ray-capture opportunity.
 	InfeasibleSolves int
-	// BoundProbes counts DualBoundExceeds calls: incumbent-basis
-	// weak-duality bound evaluations run instead of (potentially) a full
-	// solve.
-	BoundProbes int
-	// BoundScreens counts the probes that certified the candidate's
-	// optimal cost above the caller's threshold — each one a simplex run
-	// the search skipped. Screened probes never touch Solves.
-	BoundScreens int
 }
 
 // PricingRule selects how the dual simplex picks its leaving row (and
@@ -195,22 +184,12 @@ type RevisedSolver struct {
 	isBasicCol  []bool // length n
 	w           mat.Dense
 	lu          mat.LU
-	// Sparse working-matrix route: enabled by SetSparseLU, taken per
-	// refactorization when the working matrix passes the density gate,
-	// with the dense LU as the pivot-failure fallback.
-	sparseLUOn   bool
-	sparseActive bool
-	slu          mat.SparseLU
 	// abasic is the contiguous gather of the basic structural columns over
 	// the inactive rows, rebuilt at each refactorization:
 	// abasic[t*k+b] = A[inactiveRows[t], basicStruct[b]]. The ftran/btran
 	// inactive-row sweeps run on these contiguous k-vectors instead of
 	// indexed gathers through the problem's row views.
 	abasic []float64
-	// factorHook, when non-nil, observes every working matrix right after
-	// it is assembled — a testing seam for capturing the real working
-	// matrices a workload factors.
-	factorHook func(w *mat.Dense)
 	// Product-form eta file: basis B = B₀·E₁·…·E_t where B₀ is the frozen
 	// factorization above and each Eᵢ is the identity with basis position
 	// etaPos[i] replaced by the column etaBuf[i·m:(i+1)·m] (m = nEq+nUb).
@@ -240,11 +219,6 @@ type RevisedSolver struct {
 	// validity.
 	rays                []farkasRay
 	rayScratch, rayCand []float64
-	// Dual-bound certificates (see dualbound.go): recent verified optimal
-	// dual solutions, MRU-ordered. Like the Farkas index they survive
-	// Invalidate — a weak-duality bound is recomputed exactly against
-	// each candidate's own data, so certificate origin never matters.
-	certs []dualCert
 	// Scratch vectors sized to the working dimension k, m or nTot.
 	rhs, sol, yAct, colAct, alpha []float64
 	col, posv, pi                 []float64
@@ -331,51 +305,6 @@ func (s *RevisedSolver) effMaxUpdates() int {
 // SetPricing selects the dual pricing rule. PriceAuto (the zero value)
 // resolves to steepest-edge — the warm-path default.
 func (s *RevisedSolver) SetPricing(r PricingRule) { s.pricing = r }
-
-// SetSparseLU enables the sparse working-matrix factorization route. Each
-// refactorization then measures the working matrix's density and factors
-// through mat.SparseLU when it is sparse enough to win
-// (≤ sparseLUMaxDensity nonzeros at dimension ≥ sparseLUMinDim); a sparse
-// pivot failure falls back to the dense LU within the same
-// refactorization, so enabling the route never changes which problems
-// solve. Dispatch LPs condense the grid through dense PTDF rows, so their
-// working matrices typically fail the gate and stay dense — the route
-// pays off for structurally sparse constraint systems.
-func (s *RevisedSolver) SetSparseLU(on bool) { s.sparseLUOn = on }
-
-// SetFactorHook installs a callback observing every working matrix right
-// after assembly, before it is factored. Testing seam: the sparse-LU suite
-// uses it to capture the actual working matrices of real selections. A nil
-// hook disables it.
-func (s *RevisedSolver) SetFactorHook(h func(w *mat.Dense)) { s.factorHook = h }
-
-const (
-	// sparseLUMinDim is the smallest working dimension worth the sparse
-	// factorization's symbolic overhead.
-	sparseLUMinDim = 32
-	// sparseLUMaxDensity routes matrices with at most this nonzero
-	// fraction to the sparse LU.
-	sparseLUMaxDensity = 0.25
-)
-
-// wSolveInto solves W·x = b through whichever factorization the last
-// refactorization produced.
-func (s *RevisedSolver) wSolveInto(dst, b []float64) {
-	if s.sparseActive {
-		s.slu.SolveInto(dst, b)
-		return
-	}
-	s.lu.SolveInto(dst, b)
-}
-
-// wSolveTransposeInto solves Wᵀ·x = b through the active factorization.
-func (s *RevisedSolver) wSolveTransposeInto(dst, b []float64) {
-	if s.sparseActive {
-		s.slu.SolveTransposeInto(dst, b)
-		return
-	}
-	s.lu.SolveTransposeInto(dst, b)
-}
 
 func (s *RevisedSolver) effPricing() PricingRule {
 	if s.pricing == PriceAuto {
@@ -659,11 +588,6 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	if !s.verify(p) {
 		return nil, errWarmFallback
 	}
-	// The verified optimum's dual solution is a reusable weak-duality
-	// bound certificate for future candidates (see dualbound.go). The
-	// loops above only accept on a fresh factorization, so
-	// s.yAct/s.activeRows still describe the final basis exactly.
-	s.captureDualCert()
 	xOut := make([]float64, n)
 	copy(xOut, s.x[:n])
 	return &Solution{X: xOut, Objective: mat.Dot(p.C, xOut), Status: StatusOptimal}, nil
@@ -812,31 +736,15 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 
 	s.w.ReuseAs(k, k)
 	wd := s.w.RawData()
-	nnz := 0
 	for a, r := range s.activeRows {
 		rv := s.rowView(p, r)
 		row := wd[a*k : (a+1)*k]
 		for b, j := range s.basicStruct {
 			row[b] = rv[j]
-			if rv[j] != 0 {
-				nnz++
-			}
 		}
-	}
-	s.sparseActive = false
-	if s.factorHook != nil && k > 0 {
-		s.factorHook(&s.w)
 	}
 	if k == 0 {
 		return nil
-	}
-	if s.sparseLUOn && k >= sparseLUMinDim && nnz <= int(sparseLUMaxDensity*float64(k*k)) {
-		if s.slu.Reset(&s.w) == nil {
-			s.sparseActive = true
-			s.stats.SparseFactors++
-			return nil
-		}
-		// Sparse pivot failure: fall through to the dense factorization.
 	}
 	return s.lu.Reset(&s.w)
 }
@@ -881,7 +789,7 @@ func (s *RevisedSolver) computeX(p *Problem) {
 		s.rhs[a] = sum
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.rhs)
+		s.lu.SolveInto(s.sol, s.rhs)
 		for b, j := range s.basicStruct {
 			s.x[j] = s.sol[b]
 		}
@@ -910,7 +818,7 @@ func (s *RevisedSolver) computeDualsAndReducedCosts(p *Problem) {
 		s.rhs[b] = s.c[j]
 	}
 	if k > 0 {
-		s.wSolveTransposeInto(s.yAct, s.rhs)
+		s.lu.SolveTransposeInto(s.yAct, s.rhs)
 	}
 	copy(s.d[:n], s.c[:n])
 	for i := 0; i < nUb; i++ {
@@ -1020,7 +928,7 @@ func (s *RevisedSolver) ftran(p *Problem, q int) []float64 {
 		}
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.colAct)
+		s.lu.SolveInto(s.sol, s.colAct)
 	}
 	s.col = growF(s.col, m)
 	copy(s.col, s.sol[:k])
@@ -1092,7 +1000,7 @@ func (s *RevisedSolver) btranUnit(p *Problem, pos int) []float64 {
 			mat.AxpyVec(-pr, s.abasic[t*k:(t+1)*k], s.rhs[:k])
 		}
 		s.yAct = growF(s.yAct, k)
-		s.wSolveTransposeInto(s.yAct, s.rhs)
+		s.lu.SolveTransposeInto(s.yAct, s.rhs)
 		for a, r := range s.activeRows {
 			s.pi[r] = s.yAct[a]
 		}
@@ -1641,7 +1549,7 @@ func (s *RevisedSolver) ftranRows(p *Problem, col []float64) []float64 {
 		s.colAct[a] = col[r]
 	}
 	if k > 0 {
-		s.wSolveInto(s.sol, s.colAct)
+		s.lu.SolveInto(s.sol, s.colAct)
 	}
 	s.fcol = growF(s.fcol, m)
 	copy(s.fcol, s.sol[:k])

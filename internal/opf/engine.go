@@ -170,12 +170,6 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 		}
 		if e.warm {
 			w.rsolver = lp.NewRevisedSolver()
-			// Density-gated sparse working-matrix factorization: the
-			// dispatch LP's PTDF-condensed working matrices are usually
-			// dense and keep the dense LU, but the gate costs one nnz
-			// count per refactorization and wins when a case's rating
-			// pattern leaves the working matrix sparse.
-			w.rsolver.SetSparseLU(true)
 		} else {
 			w.solver = lp.NewSolver()
 		}
@@ -435,37 +429,6 @@ func (e *DispatchEngine) computeEntry(ent *solveEntry, w *dispatchWorkspace, x [
 	return first
 }
 
-// computeEntryPrepared is computeEntry for a caller that already built
-// the candidate's LP on its own workspace (the dual-bound probe path):
-// on a miss it finishes the pure from-seed solve of that problem instead
-// of rebuilding it. The caller must have built prob via buildProblem on w
-// AFTER w.dropWarmStart(), so the solve below starts from the seed basis
-// with no warm state — bitwise the solve computeEntry would run.
-func (e *DispatchEngine) computeEntryPrepared(ent *solveEntry, w *dispatchWorkspace, prob *lp.Problem, perr error) (first bool) {
-	ent.once.Do(func() {
-		first = true
-		if perr != nil {
-			ent.err = perr
-			return
-		}
-		if !w.rsolver.HasBasis() {
-			w.rsolver.InstallBasis(e.seedBasis())
-		}
-		sol, err := w.rsolver.Solve(prob)
-		if err != nil {
-			if errors.Is(err, lp.ErrInfeasible) {
-				ent.err = ErrInfeasible
-			} else {
-				ent.err = fmt.Errorf("opf: %w", err)
-			}
-			return
-		}
-		ent.obj = sol.Objective
-		ent.x = append([]float64(nil), sol.X...)
-	})
-	return first
-}
-
 // countSolveLookup attributes one cache lookup to the process-wide
 // counters: a lookup that found a computed entry is a hit, anything else
 // (created the entry, or did/shared the computation) is a miss.
@@ -584,54 +547,6 @@ func (s *DispatchSession) Cost(x []float64) (float64, error) {
 		return 0, err
 	}
 	return sol.Objective, nil
-}
-
-// CostOrBound is Cost with a dual-bound screen in front of the solve: if
-// the session solver's incumbent dual certificates prove (by weak
-// duality, on the candidate's freshly built data) that the dispatch cost
-// at x must exceed threshold, it returns that certified lower bound with
-// screened=true — zero simplex iterations, no cache entry, no trace in
-// the solve-cache economics. Otherwise it behaves exactly like Cost:
-// cached hits are served as usual, and a miss finishes the identical pure
-// from-seed solve on the LP the probe already built. A screened return is
-// NOT the dispatch cost — only a certificate that the true cost is above
-// threshold; callers may use it solely for decisions whose outcome is
-// already fixed by "cost > threshold". A +Inf threshold skips the probe
-// (the result is then always exact). Dense-path engines never screen.
-func (s *DispatchSession) CostOrBound(x []float64, threshold float64) (cost float64, screened bool, err error) {
-	e := s.e
-	if e.cache == nil {
-		c, err := s.Cost(x)
-		return c, false, err
-	}
-	key := e.solveKey(x)
-	if ent, ok := e.cache.peek(key); ok {
-		first := e.computeEntry(ent, s.w, x)
-		countSolveLookup(first, true)
-		if ent.err != nil {
-			return 0, false, ent.err
-		}
-		return ent.obj, false, nil
-	}
-	// Miss: build the candidate LP once, probe it, and on an inconclusive
-	// probe reuse the build for the solve. dropWarmStart first so the LP
-	// and a subsequent solve are the same pure from-seed computation
-	// computeEntry would run.
-	w := s.w
-	w.dropWarmStart()
-	prob, perr := e.buildProblem(w, x)
-	if perr == nil {
-		if bound, hit := w.rsolver.DualBoundExceeds(prob, threshold); hit {
-			return bound, true, nil
-		}
-	}
-	ent, existed := e.cache.entry(key)
-	first := e.computeEntryPrepared(ent, w, prob, perr)
-	countSolveLookup(first, existed)
-	if ent.err != nil {
-		return 0, false, ent.err
-	}
-	return ent.obj, false, nil
 }
 
 // Solve is DispatchEngine.Solve on the session's private workspace.

@@ -15,15 +15,6 @@ import (
 // Objective is a function to be minimized.
 type Objective func(x []float64) float64
 
-// ThresholdEval evaluates an objective that can certify "above threshold"
-// without computing exactly. When screened is true, f is a certified
-// LOWER BOUND on the true objective with f > threshold — NOT the
-// objective value; when screened is false, f is the exact objective.
-// A +Inf threshold must disable screening (the result is then exact).
-// Implementations must guarantee the bound: a screened verdict may only
-// be issued when the true objective provably exceeds the threshold.
-type ThresholdEval func(x []float64, threshold float64) (f float64, screened bool)
-
 // Result reports the outcome of a minimization.
 type Result struct {
 	X         []float64 // best point found
@@ -45,21 +36,6 @@ type NMConfig struct {
 	TolX float64
 	// MaxEvals bounds objective evaluations (default 200 * dim).
 	MaxEvals int
-	// Screen, when non-nil, replaces plain objective evaluations with a
-	// threshold-aware evaluator (the dual-bound screen). Reflection,
-	// expansion and contraction points are probed against the tightest
-	// value they must beat to be stored in the simplex; a screened verdict
-	// substitutes the certified bound for the exact value, which is safe
-	// because every comparison that point faces is against values at or
-	// below the probe threshold — the point loses them all either way,
-	// lands in the same branch, and the bound is never stored in the
-	// simplex. All other evaluations (initial simplex, shrink, convergence
-	// state) run through Screen with a +Inf threshold and are therefore
-	// exact.
-	// Every probe counts as one evaluation, so MaxEvals cutoffs are
-	// unchanged; the whole trajectory — and the Result — is bitwise
-	// identical to the unscreened run.
-	Screen ThresholdEval
 }
 
 func (c NMConfig) withDefaults(dim int) NMConfig {
@@ -95,21 +71,6 @@ func NelderMead(f Objective, x0 []float64, cfg NMConfig) (*Result, error) {
 	evals := 0
 	eval := func(x []float64) float64 {
 		evals++
-		if cfg.Screen != nil {
-			v, _ := cfg.Screen(x, math.Inf(1))
-			return v
-		}
-		return f(x)
-	}
-	// probe is eval with a screening threshold: the returned value is
-	// either exact or a certified lower bound strictly above threshold
-	// (see NMConfig.Screen for why substituting the bound is safe).
-	probe := func(x []float64, threshold float64) float64 {
-		evals++
-		if cfg.Screen != nil {
-			v, _ := cfg.Screen(x, threshold)
-			return v
-		}
 		return f(x)
 	}
 
@@ -165,21 +126,14 @@ func NelderMead(f Objective, x0 []float64, cfg NMConfig) (*Result, error) {
 			return x
 		}
 
-		// Reflection. The reflected point enters the simplex only if it
-		// beats at least the second-worst vertex, and every comparison it
-		// faces is against values ≤ worst.f — so worst.f is the screening
-		// threshold: a screened fr (bound > worst.f) loses every
-		// comparison below exactly as the unknown exact value would.
+		// Reflection.
 		xr := lerp(-1)
-		fr := probe(xr, worst.f)
+		fr := eval(xr)
 		switch {
 		case fr < best.f:
-			// Expansion. The expanded point is kept only if it beats fr
-			// (which is exact here — a screened fr cannot be < best.f);
-			// otherwise xr is stored and fe discarded, so fr is the
-			// screening threshold.
+			// Expansion.
 			xe := lerp(-2)
-			fe := probe(xe, fr)
+			fe := eval(xe)
 			if fe < fr {
 				simplex[n] = vertex{x: xe, f: fe}
 			} else {
@@ -195,11 +149,7 @@ func NelderMead(f Objective, x0 []float64, cfg NMConfig) (*Result, error) {
 			} else {
 				xc = lerp(0.5)
 			}
-			// The contraction point is stored only if it beats
-			// min(fr, worst.f); a screened fr > worst.f leaves that
-			// threshold at worst.f, the same value the unscreened run
-			// would use (its exact fr ≥ the bound > worst.f too).
-			fc := probe(xc, math.Min(fr, worst.f))
+			fc := eval(xc)
 			if fc < math.Min(fr, worst.f) {
 				simplex[n] = vertex{x: xc, f: fc}
 			} else {

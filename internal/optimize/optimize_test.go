@@ -167,6 +167,8 @@ func TestMultiStartFindsGlobalMin(t *testing.T) {
 
 func TestMultiStartUsesInitialPoints(t *testing.T) {
 	// Count runs to ensure the deterministic initial point is included.
+	// The local solver records into a shared slice, so the run is serial:
+	// the start order it checks is the serial loop's.
 	var starts [][]float64
 	local := func(f Objective, x0 []float64) (*Result, error) {
 		starts = append(starts, append([]float64(nil), x0...))
@@ -176,6 +178,7 @@ func TestMultiStartUsesInitialPoints(t *testing.T) {
 	_, err := MultiStart(sphere, box, local, MSConfig{
 		Starts:        3,
 		InitialPoints: [][]float64{{0.25}},
+		Parallelism:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

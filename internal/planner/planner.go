@@ -169,11 +169,8 @@ type LPStats struct {
 	WeightResets     int `json:"weight_resets"`
 	EtaUpdates       int `json:"eta_updates"`
 	Refactorizations int `json:"refactorizations"`
-	SparseFactors    int `json:"sparse_factors"`
 	PrescreenHits    int `json:"prescreen_hits"`
 	PrescreenProbes  int `json:"prescreen_probes"`
-	BoundProbes      int `json:"bound_probes"`
-	BoundScreens     int `json:"bound_screens"`
 	InfeasibleSolves int `json:"infeasible_solves"`
 }
 
@@ -191,11 +188,8 @@ func (s LPStats) Delta(since LPStats) LPStats {
 		WeightResets:     s.WeightResets - since.WeightResets,
 		EtaUpdates:       s.EtaUpdates - since.EtaUpdates,
 		Refactorizations: s.Refactorizations - since.Refactorizations,
-		SparseFactors:    s.SparseFactors - since.SparseFactors,
 		PrescreenHits:    s.PrescreenHits - since.PrescreenHits,
 		PrescreenProbes:  s.PrescreenProbes - since.PrescreenProbes,
-		BoundProbes:      s.BoundProbes - since.BoundProbes,
-		BoundScreens:     s.BoundScreens - since.BoundScreens,
 		InfeasibleSolves: s.InfeasibleSolves - since.InfeasibleSolves,
 	}
 }
@@ -216,11 +210,8 @@ func lpStatsSnapshot() LPStats {
 		WeightResets:     g.WeightResets,
 		EtaUpdates:       g.EtaUpdates,
 		Refactorizations: g.Refactorizations,
-		SparseFactors:    g.SparseFactors,
 		PrescreenHits:    g.PrescreenHits,
 		PrescreenProbes:  g.PrescreenProbes,
-		BoundProbes:      g.BoundProbes,
-		BoundScreens:     g.BoundScreens,
 		InfeasibleSolves: g.InfeasibleSolves,
 	}
 }

@@ -51,9 +51,8 @@ func TestColdSelectLatencyBudget(t *testing.T) {
 // coldSelect300Budget is 2x the best cold ieee300 selection recorded in
 // PERF.md's PR 8 table (~0.89 s on the 1-core reference box, down from
 // ~1.2 s at PR 7 via the dispatch-solve memo, the Farkas pre-screen and
-// the screened restarts). A regression in any stage — PR 7's pricing,
-// sparse LU and estimator reuse, or PR 8's solve-volume cuts — lands
-// well above this line.
+// the screened restarts). A regression in any stage — the pricing, the
+// estimator reuse or the solve-volume cuts — lands well above this line.
 const coldSelect300Budget = 1800 * time.Millisecond
 
 // TestColdSelect300LatencyBudget holds the cold 300-bus planner selection
@@ -84,7 +83,7 @@ func TestColdSelect300LatencyBudget(t *testing.T) {
 	t.Logf("cold ieee300 selection: best %v (budget %v)", best, coldSelect300Budget)
 	if best > coldSelect300Budget {
 		t.Errorf("cold ieee300 selection took %v, budget %v — a PR 7/PR 8 stage "+
-			"(pricing, sparse LU, estimator reuse, solve memo, pre-screen, "+
+			"(pricing, estimator reuse, solve memo, pre-screen, "+
 			"restart screen) has regressed", best, coldSelect300Budget)
 	}
 }

@@ -1,6 +1,7 @@
 package gridmtd_test
 
 import (
+	"fmt"
 	"testing"
 
 	"gridmtd/internal/lp"
@@ -9,91 +10,86 @@ import (
 )
 
 // coldSelect300SolveCeiling bounds the number of full dispatch LP solves
-// one cold ieee300 planner selection may execute. PR 7 measured 179; the
-// PR 8 memo + Farkas pre-screen + lazy-penalty skip land well below 90
-// (see PERF.md's PR 8 table), and a regression in any of the three —
-// cache keys that stop matching, a pre-screen that stops certifying, a
-// skip that stops firing — pushes the count back toward 179 and trips
-// this ceiling long before the latency budget notices.
-//
-// PR 10's dual-bound screen probes this trajectory 31 times but never
-// fires: ieee300's line limits don't bind at this operating point, so
-// the landscape is flat and every probed candidate either genuinely
-// improves the threshold or ties it exactly (ties sit inside the
-// certification margin and must solve — screening them would trade
-// exactness for two solves). The measured floor stays 88 = the number
-// of distinct accepted-trajectory points; see PERF.md's PR 10 section
-// for the full solve-site breakdown and the ieee118 contrast, where
-// limits bind and the screen retires solves.
+// one cold ieee300 planner selection may execute. Without the solve memo,
+// the Farkas pre-screen and the lazy-penalty skip it ran 179 (PERF.md);
+// with them it runs 90, the number of distinct points the search scores.
+// A regression in any of the three — cache keys that stop matching, a
+// pre-screen that stops certifying, a skip that stops firing — pushes
+// the count back toward 179 and trips this ceiling long before the
+// latency budget notices. The ceiling equals the measured count, so any
+// extra solve fails it.
 const coldSelect300SolveCeiling = 90
 
 // coldSelect118SolveCeiling bounds the cold ieee118 selection the same
-// way. ieee118's calibrated branch ratings BIND, so this is the case
-// that exercises the dual-bound screen end to end: PR 10 measured 65
-// solves with 13 bound probes and 2 certified screens on the benchmark
-// request. The ceiling also guards the screen's soundness economics: a
-// screen that silently stopped firing shows up here as +screens solves.
+// way. ieee118's calibrated branch ratings bind, so its landscape has
+// real gradients; the benchmark request measures 67 solves.
 const coldSelect118SolveCeiling = 70
 
-// TestColdSelect300SolveBudget runs one cold ieee300 selection and
-// asserts the per-request delta of the process-global solve counters
+// coldSelect runs req on a fresh planner and returns its response and
+// the per-request delta of the process-global solve counters
 // (lp.RevisedStats.Delta — root-package tests run sequentially, so no
 // other selection contributes to the window).
+func coldSelect(t *testing.T, req planner.SelectRequest) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
+	t.Helper()
+	lpBefore := lp.GlobalRevisedStats()
+	scBefore := opf.GlobalSolveCacheStats()
+	p := planner.New(planner.Config{})
+	resp, err := p.Select(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, lp.GlobalRevisedStats().Delta(lpBefore), opf.GlobalSolveCacheStats().Delta(scBefore)
+}
+
+// checkPinned asserts the selection's reported cost and γ at the
+// precision the benchmark pins them.
+func checkPinned(t *testing.T, resp *planner.SelectResponse, cost, gamma string) {
+	t.Helper()
+	if got := fmt.Sprintf("%.2f", resp.CostPerHour); got != cost {
+		t.Errorf("selection cost %s $/h, pinned %s", got, cost)
+	}
+	if got := fmt.Sprintf("%.4f", resp.Gamma); got != gamma {
+		t.Errorf("selection γ %s, pinned %s", got, gamma)
+	}
+}
+
+// TestColdSelect300SolveBudget runs one cold ieee300 selection, asserts
+// its solve count against the ceiling and pins its answer.
 func TestColdSelect300SolveBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping solve-budget assertion in -short mode")
 	}
-	req := planner.SelectRequest{
+	resp, d, sc := coldSelect(t, planner.SelectRequest{
 		Case: "ieee300", GammaThreshold: 0.05,
 		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
 		GammaBackend: "sketch",
-	}
-	lpBefore := lp.GlobalRevisedStats()
-	scBefore := opf.GlobalSolveCacheStats()
-	p := planner.New(planner.Config{})
-	if _, err := p.Select(req); err != nil {
-		t.Fatal(err)
-	}
-	d := lp.GlobalRevisedStats().Delta(lpBefore)
-	sc := opf.GlobalSolveCacheStats()
-	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, %d bound probes / %d screens, cache %d hits / %d misses)",
-		d.Solves, d.PrescreenHits, d.BoundProbes, d.BoundScreens,
-		sc.Hits-scBefore.Hits, sc.Misses-scBefore.Misses)
+	})
+	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, cache %d hits / %d misses)",
+		d.Solves, d.PrescreenHits, sc.Hits, sc.Misses)
 	if d.Solves > coldSelect300SolveCeiling {
 		t.Errorf("cold ieee300 selection ran %d full dispatch solves, ceiling %d — "+
 			"the solve memo, Farkas pre-screen or lazy-penalty skip has regressed",
 			d.Solves, coldSelect300SolveCeiling)
 	}
+	checkPinned(t, resp, "842862.33", "0.0671")
 }
 
 // TestColdSelect118SolveBudget is the binding-limits counterpart: the
-// benchmark ieee118 selection must stay under its solve ceiling AND the
-// dual-bound screen must actually fire on it (this is the case whose
-// landscape has real gradients for the screen to cut).
+// benchmark ieee118 selection must stay under its solve ceiling and
+// return the pinned answer.
 func TestColdSelect118SolveBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping solve-budget assertion in -short mode")
 	}
-	req := planner.SelectRequest{
+	resp, d, _ := coldSelect(t, planner.SelectRequest{
 		Case: "ieee118", GammaThreshold: 0.05,
 		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
 		GammaBackend: "sketch",
-	}
-	lpBefore := lp.GlobalRevisedStats()
-	p := planner.New(planner.Config{})
-	if _, err := p.Select(req); err != nil {
-		t.Fatal(err)
-	}
-	d := lp.GlobalRevisedStats().Delta(lpBefore)
-	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits, %d bound probes / %d screens)",
-		d.Solves, d.PrescreenHits, d.BoundProbes, d.BoundScreens)
+	})
+	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits)", d.Solves, d.PrescreenHits)
 	if d.Solves > coldSelect118SolveCeiling {
 		t.Errorf("cold ieee118 selection ran %d full dispatch solves, ceiling %d",
 			d.Solves, coldSelect118SolveCeiling)
 	}
-	if d.BoundScreens == 0 {
-		t.Errorf("cold ieee118 selection fired 0 dual-bound screens (%d probes) — "+
-			"the screen has stopped cutting solves on the binding-limits case",
-			d.BoundProbes)
-	}
+	checkPinned(t, resp, "139226.02", "0.0987")
 }
