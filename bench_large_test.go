@@ -143,8 +143,9 @@ func BenchmarkBFactorPTDF118Dense(b *testing.B)  { benchBFactor(b, "ieee118", gr
 func BenchmarkBFactorPTDF118Sparse(b *testing.B) { benchBFactor(b, "ieee118", grid.SparseBackend) }
 
 // BenchmarkGammaIEEE118 measures one cached candidate-γ evaluation on the
-// 118-bus system — the other half of the large-case selection cost (the
-// 117-state Gram-Schmidt + Jacobi SVD is insensitive to the B backend).
+// 118-bus system: the exact engine's rank-|S| update over the 12 changed
+// D-FACTS branches, an s×s eigenproblem against the cached x_old basis
+// (the 117-column Gram-Schmidt it replaces is the fallback).
 func BenchmarkGammaIEEE118(b *testing.B) {
 	n := benchCase(b, "ieee118")
 	x := n.Reactances()

@@ -504,6 +504,46 @@ func TestGammaEndpoint(t *testing.T) {
 	}
 }
 
+// TestInvalidReactancesUnprocessable pins the HTTP side of reactance
+// validation: a zero or negative reactance in /v1/gamma's x_new or x_old
+// or in /v1/select's x_old answers 422, and none of them reaches the memo.
+func TestInvalidReactancesUnprocessable(t *testing.T) {
+	srv := testServer(t)
+	x := []float64{0.1, 0.1, 0.1, 0.1} // case4gs has four branches
+	for _, v := range []float64{0, -0.05} {
+		bad := append([]float64(nil), x...)
+		bad[2] = v
+		for path, body := range map[string]any{
+			"/v1/gamma x_new":  planner.GammaRequest{Case: "case4gs", XNew: bad},
+			"/v1/gamma x_old":  planner.GammaRequest{Case: "case4gs", XOld: bad, XNew: x},
+			"/v1/select x_old": planner.SelectRequest{Case: "case4gs", GammaThreshold: 0.05, XOld: bad},
+		} {
+			var resp struct {
+				Error string `json:"error"`
+			}
+			url := srv.URL + strings.Fields(path)[0]
+			if code := postJSON(t, url, body, &resp); code != http.StatusUnprocessableEntity {
+				t.Errorf("%s = %v: status %d, want 422", path, v, code)
+			}
+			if !strings.Contains(resp.Error, "positive and finite") {
+				t.Errorf("%s = %v: error %q does not name the rule", path, v, resp.Error)
+			}
+		}
+	}
+	r, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var st planner.Stats
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ResultMisses != 0 {
+		t.Errorf("rejected requests reached the memo: %d result misses", st.ResultMisses)
+	}
+}
+
 // TestStatsMarkSince pins the snapshot/delta mechanism: mark a named
 // snapshot, run one computed selection, and the ?since= delta reports the
 // per-window increments — an LP solve, a result miss, an admission grant,

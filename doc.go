@@ -80,9 +80,13 @@
 // seam, via the -gamma flag, Scenario.GammaBackend or a planner request's
 // gamma_backend field):
 //
-//   - exact (the default): the reference principal-angle pipeline —
-//     bitwise-reproducible below the 50-bus sparse threshold, the
-//     multi-accumulator fast kernels above it (1e-9 agreement).
+//   - exact (the default): bitwise the reference principal-angle
+//     pipeline below the 50-bus sparse threshold. Above it, a candidate
+//     that changes s branches (the D-FACTS lines) is a rank-s update of
+//     H(x_old), and γ comes from an s×s eigenproblem over the cached
+//     x_old basis instead of a fresh Gram-Schmidt of the candidate; it
+//     falls back to the multi-accumulator Gram-Schmidt when the update
+//     cannot certify its value (1e-9 agreement either way).
 //   - sparse: CSC-aware Gram-Schmidt over the reduced measurement rows,
 //     skipping structural zeros via topology-fixed column supports; agrees
 //     with exact to 1e-9 rad.

@@ -130,8 +130,8 @@ func ParseBackend(s string) (Backend, error) { return grid.ParseBackend(s) }
 func SetDefaultBackend(b Backend) { grid.SetDefaultBackend(b) }
 
 // GammaBackend names a γ-evaluation strategy: exact (the reference
-// principal-angle pipeline, bitwise below the sparse threshold and
-// fast-kernel 1e-9 above it), sparse (CSC-aware Gram-Schmidt skipping
+// principal-angle pipeline, bitwise below the sparse threshold; above it
+// the rank-|S| update over the changed branches, 1e-9), sparse (CSC-aware Gram-Schmidt skipping
 // structural zeros, 1e-9 agreement) or sketch (sparse-Gram Cholesky plus
 // seeded randomized Lanczos under a documented error bound with automatic
 // exact fallback). Selected through the same seam pattern as Backend.
@@ -422,7 +422,8 @@ func TuneGammaThreshold(n *Network, xOld, zOld []float64, cfg TuneConfig) (*MTDS
 // principal angle between the two measurement column spaces, computed by
 // the same exact γ engine as the selection search. It is bitwise the
 // reference principal-angle pipeline below grid.SparseThreshold buses or
-// under the dense backend, and within 1e-9 of it otherwise.
+// under the dense backend; otherwise it is the rank-|S| update over the
+// branches whose reactance differs, within 1e-9 of the reference.
 func Gamma(n *Network, xOld, xNew []float64) float64 {
 	return core.Gamma(n, xOld, xNew)
 }

@@ -133,20 +133,21 @@ func (r *EffectivenessResult) EtaAt(delta float64) (float64, error) {
 // AttackSet is a batch of pre-crafted stealthy attacks, reusable across
 // many candidate perturbations (the paper's Figs. 6-8 evaluate the same
 // 1000-attack set against every MTD). The attacks are packed into one
-// contiguous backing array (see attack.Batch), and the orthonormal basis
-// of the crafting matrix H_old — which every γ evaluation against the set
-// needs — is computed once on first use and cached.
+// contiguous backing array (see attack.Batch). Every γ evaluation against
+// the set goes through one exact GammaEvaluator for the crafting
+// configuration x_old, so it is prepared once and an evaluation's γ is
+// the same bits core.Gamma and /v1/gamma serve.
 type AttackSet struct {
 	// Batch holds the crafted attacks a = H_old·c, one per row.
 	Batch *attack.Batch
 	// HOld is the measurement matrix the attacks were crafted against.
 	HOld *mat.Dense
 
-	// fast selects the large-case γ kernels and the reduced γ-equivalent
-	// measurement representation (set by SampleAttacks when the network is
-	// at or above grid.SparseThreshold buses; zero-value AttackSets keep
-	// the bitwise-exact path).
-	fast bool
+	// fast selects the large-case estimator path (set by SampleAttacks
+	// when the network is at or above grid.SparseThreshold buses and the
+	// grid backend is not forced dense).
+	fast  bool
+	gamma *GammaEvaluator // exact γ against x_old
 
 	// sketch is the sparse-Gram screening evaluator for the analytic
 	// residual path, built by SampleAttacks when the configured γ backend
@@ -156,16 +157,6 @@ type AttackSet struct {
 	sketch *subspace.SketchEvaluator
 	anorm  []float64
 	skPool sync.Pool // *subspace.SketchSession for the screening chunks
-
-	basisOnce sync.Once
-	basisOld  *subspace.Basis
-	pool      sync.Pool // *evalWorkspace, reused across EvaluateAttacks calls
-}
-
-// evalWorkspace carries the per-evaluation scratch of EvaluateAttacks.
-type evalWorkspace struct {
-	ht *mat.Dense // candidate Hᵀ for the γ computation
-	ws subspace.Workspace
 }
 
 // Len returns the number of attacks in the set.
@@ -178,17 +169,6 @@ func (s *AttackSet) Len() int {
 
 // At materializes attack i as a standalone vector (copies).
 func (s *AttackSet) At(i int) *attack.Vector { return s.Batch.At(i) }
-
-// oldBasis returns the cached orthonormal basis of Col(HOld). Fast sets
-// (SampleAttacks on a ≥-threshold network) precompute it in the reduced
-// γ-equivalent representation; this lazy path serves the exact one.
-func (s *AttackSet) oldBasis() *subspace.Basis {
-	s.basisOnce.Do(func() {
-		ht := mat.TransposeInto(mat.NewDense(s.HOld.Cols(), s.HOld.Rows()), s.HOld)
-		s.basisOld = subspace.ComputeBasisT(ht, 0)
-	})
-	return s.basisOld
-}
 
 // SampleAttacks draws cfg.NumAttacks random stealthy attacks against the
 // configuration xOld with operating measurements zOld.
@@ -207,18 +187,11 @@ func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfi
 		Batch: batch,
 		HOld:  hOld,
 		// Same backend-resolved seam as NewGammaEvaluator: -backend dense
-		// keeps the bitwise γ path even on large cases.
+		// keeps the bitwise path even on large cases.
 		fast: grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend,
-	}
-	if set.fast {
-		// Precompute the H_old basis in the reduced γ-equivalent
-		// representation while the network is at hand (the lazy oldBasis
-		// path only has the full matrix).
-		set.basisOnce.Do(func() {
-			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-			n.MeasurementMatrixTGammaInto(xOld, ht)
-			set.basisOld = subspace.ComputeBasisTFast(ht, 0)
-		})
+		// Explicit ExactGamma: the -gamma process default steers searches,
+		// never the reported γ.
+		gamma: NewGammaEvaluatorBackend(n, xOld, ExactGamma),
 	}
 	if subspace.EffectiveGammaBackend(cfg.GammaBackend) == SketchGamma {
 		// Screening machinery for the analytic residual path. A failed
@@ -256,7 +229,6 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 		return nil, errors.New("core: empty attack set")
 	}
 	useSketch := set.sketch != nil && !cfg.MonteCarlo && !cfg.ReportProbs
-	var hNew *mat.Dense
 	var est *se.Estimator
 	// ensureEst builds the dense QR estimator on demand: always on the
 	// exact path, lazily on the sketched path (only if a screening band
@@ -273,10 +245,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 				est = e
 				return est, nil
 			}
-			if hNew == nil {
-				hNew = n.MeasurementMatrix(xNew)
-			}
-			e, err := se.NewEstimator(hNew)
+			e, err := se.NewEstimator(n.MeasurementMatrix(xNew))
 			if err != nil {
 				return nil, fmt.Errorf("core: post-MTD estimator: %w", err)
 			}
@@ -392,28 +361,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 		}
 	}
 
-	// γ against the cached basis of H_old; the candidate side reuses the
-	// pooled workspace. Fast sets evaluate in the reduced γ-equivalent
-	// representation (identical angles, 38% fewer reduction rows).
-	w, _ := set.pool.Get().(*evalWorkspace)
-	if w == nil {
-		cols := n.M()
-		if set.fast {
-			cols = n.GammaAmbient()
-		}
-		w = &evalWorkspace{ht: mat.NewDense(n.N()-1, cols)}
-		w.ws.Fast = set.fast
-	}
-	if set.fast {
-		n.MeasurementMatrixTGammaInto(xNew, w.ht)
-	} else {
-		if hNew == nil {
-			hNew = n.MeasurementMatrix(xNew)
-		}
-		mat.TransposeInto(w.ht, hNew)
-	}
-	gamma := w.ws.GammaBases(set.oldBasis(), w.ws.BasisT(w.ht, 0))
-	set.pool.Put(w)
+	gamma := set.gamma.GammaExact(xNew)
 
 	return &EffectivenessResult{
 		Gamma:                gamma,
@@ -611,10 +559,12 @@ func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
 // for xOld, the same γ engine the selection search runs. Below
 // grid.SparseThreshold buses, or when the resolved grid backend is dense
 // (-backend dense), its float operations are the reference pipeline's and
-// the result is bitwise subspace.Gamma(H(xOld), H(xNew)); otherwise it
-// works on the reduced [p; √2·f] rows with the fast kernels and agrees
-// with the reference within 1e-9. Callers evaluating many xNew against one
-// xOld should hold the evaluator instead, which keeps the xOld basis.
+// the result is bitwise subspace.Gamma(H(xOld), H(xNew)). Otherwise it is
+// the rank-|S| update kernel's answer over the branches whose reactance
+// differs between xOld and xNew (the Gram-Schmidt on the reduced
+// [p; √2·f] rows when the kernel declines), within 1e-9 of the reference.
+// A call pays for the xOld basis, which dominates it; callers evaluating
+// many xNew against one xOld should hold the evaluator instead.
 func Gamma(n *grid.Network, xOld, xNew []float64) float64 {
 	return NewGammaEvaluatorBackend(n, xOld, ExactGamma).GammaExact(xNew)
 }

@@ -35,13 +35,20 @@ const (
 // The candidate-side strategy is the pluggable γ-backend layer
 // (subspace.GammaBackend, selected like grid.BFactorizer's seam):
 //
-//   - ExactGamma (the default): the reference principal-angle pipeline.
-//     Below grid.SparseThreshold buses every float operation matches the
-//     uncached subspace.Gamma bitwise; at or above it the
-//     multi-accumulator/blocked kernels and the reduced [p; √2·f]
-//     representation run under the 1e-9-agreement contract, following the
-//     resolved grid backend (-backend dense keeps the bitwise path even on
-//     large cases).
+//   - ExactGamma (the default). Below grid.SparseThreshold buses, or when
+//     the resolved grid backend is dense (-backend dense), it runs the
+//     reference principal-angle pipeline and every float operation
+//     matches the uncached subspace.Gamma bitwise. At or above the
+//     threshold it answers from the rank-|S| update kernel
+//     (subspace.UpdateEvaluator): a candidate that changes s branches
+//     (the D-FACTS lines) is a rank-s update of H(x_old), and tan²γ is
+//     the largest eigenvalue of an s×s problem built from the cached
+//     x_old basis, so no candidate basis is formed. It agrees with the
+//     reference within 1e-9. When the kernel declines (more changed
+//     branches than it is cheaper for, or an ill-conditioned s×s system
+//     near γ = π/2) the evaluation falls back to the fast-kernel
+//     Gram-Schmidt on the reduced [p; √2·f] rows, under the same
+//     contract.
 //   - SparseGamma: CSC-aware Gram-Schmidt over the reduced rows, skipping
 //     structural zeros via topology-fixed column supports. 1e-9 agreement
 //     with the exact evaluator.
@@ -58,14 +65,18 @@ type GammaEvaluator struct {
 	qOld    *subspace.Basis
 	basisBk subspace.BasisBackend     // candidate orthonormalizer (exact/sparse)
 	sketch  *subspace.SketchEvaluator // non-nil iff backend == SketchGamma
-	pool    sync.Pool                 // *gammaWorkspace
+	// update is the exact path's rank-|S| kernel: set on the fast family
+	// (exact and sketch backends) when H(x_old) has full column rank.
+	update *subspace.UpdateEvaluator
+	pool   sync.Pool // *gammaWorkspace
 }
 
 type gammaWorkspace struct {
-	ht     *mat.Dense // candidate Hᵀ, (N-1)×M (or reduced (N-1)×(N+L))
+	ht     *mat.Dense // candidate Hᵀ, allocated on first Gram-Schmidt use
 	ws     subspace.Workspace
 	xFull  []float64 // expanded reactance buffer, length L
-	d      []float64 // sketch: candidate diagonal 1/x_l, length L
+	d      []float64 // candidate diagonal 1/x_l, length L
+	upd    subspace.UpdateWorkspace
 	sketch *subspace.SketchSession
 }
 
@@ -90,13 +101,12 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 	// contract.
 	fast := grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend
 	e := &GammaEvaluator{n: n, backend: gb, fast: fast}
+	dOld := invInto(make([]float64, n.L()), xOld)
 
 	switch gb {
 	case SketchGamma:
 		et, g := n.GammaSketchOperands()
-		d := make([]float64, n.L())
-		invInto(d, xOld)
-		sk, err := subspace.NewSketchEvaluator(et, g, d, subspace.SketchConfig{Seed: 1})
+		sk, err := subspace.NewSketchEvaluator(et, g, dOld, subspace.SketchConfig{Seed: 1})
 		if err != nil {
 			e.backend = ExactGamma
 		} else {
@@ -122,6 +132,14 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
 			n.MeasurementMatrixTGammaInto(xOld, ht)
 			e.qOld = subspace.ComputeBasisTFast(ht, 0)
+			// The update kernel folds H(x_old) = Q·R through R⁻¹, so it
+			// needs full column rank; otherwise every evaluation takes
+			// the Gram-Schmidt path.
+			if e.qOld.Dim() == n.N()-1 {
+				if u, err := subspace.NewUpdateEvaluator(n.GammaColumnFactor(), dOld, e.qOld); err == nil {
+					e.update = u
+				}
+			}
 		} else {
 			ht := mat.NewDense(n.N()-1, n.M())
 			n.MeasurementMatrixTInto(xOld, ht)
@@ -130,20 +148,15 @@ func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, gb GammaBackend) 
 	}
 
 	e.pool.New = func() any {
-		cols := n.M()
-		if e.exactReduced() || e.backend == SparseGamma {
-			cols = n.GammaAmbient()
-		}
 		w := &gammaWorkspace{
-			ht:    mat.NewDense(n.N()-1, cols),
 			xFull: make([]float64, n.L()),
+			d:     make([]float64, n.L()),
 		}
 		switch e.backend {
 		case SparseGamma:
 			w.ws.Backend = e.basisBk
 		case SketchGamma:
 			w.ws.Fast = e.fast
-			w.d = make([]float64, n.L())
 			w.sketch = e.sketch.NewSession()
 		default:
 			w.ws.Fast = e.fast
@@ -159,6 +172,20 @@ func (e *GammaEvaluator) Backend() GammaBackend { return e.backend }
 // exactReduced reports whether the exact path (primary or fallback) works
 // in the reduced representation.
 func (e *GammaEvaluator) exactReduced() bool { return e.fast }
+
+// candidateT returns the workspace's candidate Hᵀ buffer, allocating it on
+// first use: (N−1)×(N+L) for the reduced representation, (N−1)×M
+// otherwise. Evaluations the update kernel answers never touch it.
+func (e *GammaEvaluator) candidateT(w *gammaWorkspace) *mat.Dense {
+	if w.ht == nil {
+		cols := e.n.M()
+		if e.exactReduced() || e.backend == SparseGamma {
+			cols = e.n.GammaAmbient()
+		}
+		w.ht = mat.NewDense(e.n.N()-1, cols)
+	}
+	return w.ht
+}
 
 // invInto fills d with 1/x.
 func invInto(d, x []float64) []float64 {
@@ -227,25 +254,40 @@ func (e *GammaEvaluator) gamma(w *gammaWorkspace, x []float64) float64 {
 		}
 		return e.exactGamma(w, x) // automatic exact fallback
 	case SparseGamma:
-		e.n.MeasurementMatrixTGammaInto(x, w.ht)
-		qNew := w.ws.BasisT(w.ht, 0)
+		ht := e.n.MeasurementMatrixTGammaInto(x, e.candidateT(w))
+		qNew := w.ws.BasisT(ht, 0)
 		return w.ws.GammaBases(e.qOld, qNew)
 	default:
 		return e.exactGamma(w, x)
 	}
 }
 
-// exactGamma is the reference candidate evaluation (the pre-backend-layer
-// path): dense MGS on the bitwise or fast kernel family per the grid seam.
+// exactGamma is the exact candidate evaluation: the rank-|S| update kernel
+// when the evaluator has one and it accepts the candidate, the
+// Gram-Schmidt path otherwise.
 func (e *GammaEvaluator) exactGamma(w *gammaWorkspace, x []float64) float64 {
+	if e.update != nil {
+		if g, ok := e.update.Gamma(&w.upd, invInto(w.d, x)); ok {
+			return g
+		}
+	}
+	return e.gramSchmidtGamma(w, x)
+}
+
+// gramSchmidtGamma is the reference candidate evaluation (the
+// pre-backend-layer path): dense MGS on the bitwise or fast kernel family
+// per the grid seam. It is the bitwise tier's only path and the update
+// kernel's fallback.
+func (e *GammaEvaluator) gramSchmidtGamma(w *gammaWorkspace, x []float64) float64 {
 	saved := w.ws.Backend
 	w.ws.Backend = nil // exact path honors ws.Fast
+	ht := e.candidateT(w)
 	if e.exactReduced() {
-		e.n.MeasurementMatrixTGammaInto(x, w.ht)
+		e.n.MeasurementMatrixTGammaInto(x, ht)
 	} else {
-		e.n.MeasurementMatrixTInto(x, w.ht)
+		e.n.MeasurementMatrixTInto(x, ht)
 	}
-	qNew := w.ws.BasisT(w.ht, 0)
+	qNew := w.ws.BasisT(ht, 0)
 	g := w.ws.GammaBases(e.qOld, qNew)
 	w.ws.Backend = saved
 	return g

@@ -67,3 +67,22 @@ func (n *Network) GammaSketchOperands() (et, g *mat.CSC) {
 	g = mat.NewCSCFromTriplets(nl, nl, gis, gjs, gvs)
 	return et, g
 }
+
+// GammaColumnFactor returns the left factor Ĉ = [A; √2·I] ((N+L)×L, CSC)
+// of the reduced representation B(x) = Ĉ·D(x)·E described at
+// GammaSketchOperands: column l holds branch l's +1 on its from bus, −1 on
+// its to bus and √2 on its flow row N+l, in the row order of
+// MeasurementMatrixTGammaInto. GammaSketchOperands' G is ĈᵀĈ. The rank-|S|
+// γ update kernel projects these columns onto the x_old basis.
+func (n *Network) GammaColumnFactor() *mat.CSC {
+	nb, nl := n.N(), n.L()
+	is := make([]int, 0, 3*nl)
+	js := make([]int, 0, 3*nl)
+	vs := make([]float64, 0, 3*nl)
+	for l, br := range n.Branches {
+		is = append(is, br.From-1, br.To-1, nb+l)
+		js = append(js, l, l, l)
+		vs = append(vs, 1, -1, math.Sqrt2)
+	}
+	return mat.NewCSCFromTriplets(nb+nl, nl, is, js, vs)
+}

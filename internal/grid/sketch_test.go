@@ -76,3 +76,45 @@ func TestGammaSketchOperandsIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestGammaColumnFactor pins Ĉ: Ĉ·D(x)·E reproduces
+// MeasurementMatrixTGammaInto's matrix bit for bit, and ĈᵀĈ is
+// GammaSketchOperands' Gram kernel.
+func TestGammaColumnFactor(t *testing.T) {
+	for _, name := range []string{"case4gs", "ieee57"} {
+		n, err := CaseByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := n.GammaColumnFactor().Dense()
+		et, g := n.GammaSketchOperands()
+		e := et.Dense()
+		x := n.Reactances()
+		ht := n.MeasurementMatrixTGammaInto(x, mat.NewDense(n.N()-1, n.GammaAmbient()))
+		for col := 0; col < n.N()-1; col++ {
+			for r := 0; r < n.GammaAmbient(); r++ {
+				var v float64
+				for l := 0; l < n.L(); l++ {
+					if w := c.At(r, l) * e.At(col, l); w != 0 {
+						v += w * (1 / x[l])
+					}
+				}
+				if v != ht.At(col, r) {
+					t.Fatalf("%s: (Ĉ·D·E)[%d,%d] = %v, reduced matrix %v", name, r, col, v, ht.At(col, r))
+				}
+			}
+		}
+		gd := g.Dense()
+		for a := 0; a < n.L(); a++ {
+			for b := 0; b < n.L(); b++ {
+				var v float64
+				for r := 0; r < n.GammaAmbient(); r++ {
+					v += c.At(r, a) * c.At(r, b)
+				}
+				if math.Abs(v-gd.At(a, b)) > 1e-15 {
+					t.Fatalf("%s: (ĈᵀĈ)[%d,%d] = %v, G %v", name, a, b, v, gd.At(a, b))
+				}
+			}
+		}
+	}
+}

@@ -546,6 +546,47 @@ func (c *SparseChol) SolveInto(dst, b []float64) []float64 {
 	return dst
 }
 
+// SolveRowsInto solves A·X = B in place for nrhs right-hand sides stored
+// row-major: x is n×nrhs, row i holding entry i of every right-hand side.
+// Each elimination step is one contiguous axpy across the right-hand
+// sides, which makes a block of them far cheaper than nrhs SolveInto
+// calls. scratch must have length n·nrhs.
+func (c *SparseChol) SolveRowsInto(x []float64, nrhs int, scratch []float64) {
+	n, m := c.n, nrhs
+	if len(x) != n*m || len(scratch) != n*m {
+		panic(ErrShape)
+	}
+	y := scratch
+	for k := 0; k < n; k++ {
+		copy(y[k*m:(k+1)*m], x[c.p[k]*m:(c.p[k]+1)*m])
+	}
+	// Forward: L·Z = Y.
+	for j := 0; j < n; j++ {
+		yj := y[j*m : (j+1)*m]
+		d := c.lx[c.lp[j]]
+		for i := range yj {
+			yj[i] /= d
+		}
+		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+			AxpyFast(-c.lx[p], yj, y[c.li[p]*m:(c.li[p]+1)*m])
+		}
+	}
+	// Backward: Lᵀ·W = Z.
+	for j := n - 1; j >= 0; j-- {
+		yj := y[j*m : (j+1)*m]
+		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+			AxpyFast(-c.lx[p], y[c.li[p]*m:(c.li[p]+1)*m], yj)
+		}
+		d := c.lx[c.lp[j]]
+		for i := range yj {
+			yj[i] /= d
+		}
+	}
+	for k := 0; k < n; k++ {
+		copy(x[c.p[k]*m:(c.p[k]+1)*m], y[k*m:(k+1)*m])
+	}
+}
+
 // FillIn returns the number of stored entries of the factor L, a direct
 // measure of how well the ordering contained fill.
 func (c *SparseChol) FillIn() int { return len(c.li) }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -124,5 +125,49 @@ func TestGammaIgnoresGammaBackendDefault(t *testing.T) {
 	}
 	if math.Float64bits(resp.Gamma) != math.Float64bits(wantExplicit) {
 		t.Errorf("sketch default: served explicit-x_old γ %v, exact %v", resp.Gamma, wantExplicit)
+	}
+}
+
+// TestGammaRejectsInvalidReactances pins input validation: a reactance
+// that is zero, negative, NaN or infinite, in /v1/gamma's x_old or x_new
+// or in a selection's x_old, returns ErrInvalidReactance before the memo,
+// so nothing is memoized or written to disk.
+func TestGammaRejectsInvalidReactances(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{Disk: openDisk(t, t.TempDir())})
+	l := n.DFACTSIndices()[0]
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"zero", 0}, {"negative", -0.05}, {"NaN", math.NaN()}, {"+Inf", math.Inf(1)},
+	} {
+		bad := n.Reactances()
+		bad[l] = tc.v
+		reqs := map[string]func() error{
+			"gamma x_new": func() error {
+				_, err := p.Gamma(GammaRequest{Case: "ieee57", XNew: bad})
+				return err
+			},
+			"gamma x_old": func() error {
+				_, err := p.Gamma(GammaRequest{Case: "ieee57", XOld: bad, XNew: n.Reactances()})
+				return err
+			},
+			"select x_old": func() error {
+				_, err := p.Select(SelectRequest{Case: "ieee57", GammaThreshold: 0.05, XOld: bad, Starts: 1, Seed: 1})
+				return err
+			},
+		}
+		for field, call := range reqs {
+			if err := call(); !errors.Is(err, ErrInvalidReactance) {
+				t.Errorf("%s %s: error %v, want ErrInvalidReactance", tc.name, field, err)
+			}
+		}
+	}
+	if st := p.Stats(); st.ResultMisses != 0 || st.Disk.Writes != 0 {
+		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes", st.ResultMisses, st.Disk.Writes)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -55,6 +56,21 @@ var ErrOverloaded = errors.New("planner: overloaded, work queue full; retry late
 // ErrPanicked is returned when a request's computation panicked. Like a
 // shed, the failure is not memoized: an identical retry computes afresh.
 var ErrPanicked = errors.New("planner: computation panicked")
+
+// ErrInvalidReactance is returned for a reactance vector with an entry
+// that is not a positive finite number. The request is rejected before
+// the memo, so nothing is computed, memoized or written to disk.
+var ErrInvalidReactance = errors.New("planner: reactances must be positive and finite")
+
+// checkReactances rejects any entry of x that is ≤ 0, NaN or infinite.
+func checkReactances(field string, x []float64) error {
+	for i, v := range x {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("%w: %s[%d] = %v", ErrInvalidReactance, field, i, v)
+		}
+	}
+	return nil
+}
 
 // Config tunes a Planner.
 type Config struct {
@@ -471,7 +487,7 @@ func (p *Planner) dropResult(key string, e *resultEntry) {
 // change that alters the bits /v1/gamma serves bumps it, so a cache
 // directory written by an older build reads as misses instead of serving
 // the older pipeline's bits next to the current ones.
-const gammaKernel = "engine-1"
+const gammaKernel = "engine-2"
 
 // diskKey extends the bitwise memo key with the case registry content
 // hash (a persistent entry computed against different embedded case data
@@ -520,7 +536,8 @@ type SelectRequest struct {
 	// is unreachable (or is the request itself when GammaThreshold is 0).
 	MaxGamma  bool    `json:"max_gamma,omitempty"`
 	LoadScale float64 `json:"load_scale,omitempty"`
-	// XOld optionally fixes the attacker-known reactance vector.
+	// XOld optionally fixes the attacker-known reactance vector; every
+	// entry must be positive and finite (ErrInvalidReactance otherwise).
 	XOld     []float64 `json:"x_old,omitempty"`
 	Starts   int       `json:"starts,omitempty"`
 	MaxEvals int       `json:"max_evals,omitempty"`
@@ -582,6 +599,9 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
 	req.GammaBackend = subspace.EffectiveGammaBackend(gb).String()
+	if err := checkReactances("x_old", req.XOld); err != nil {
+		return nil, err
+	}
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
 		return p.computeSelect(req, gb)
 	})
@@ -757,11 +777,14 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 // ---- Gamma -----------------------------------------------------------------
 
 // GammaRequest asks for the subspace separation between two reactance
-// settings of a case (XOld empty = the case's nominal reactances). The
-// served γ is core.Gamma's: bitwise the reference principal-angle pipeline
-// below grid.SparseThreshold buses or under -backend dense, within 1e-9 of
-// it otherwise. Requests without XOld are answered by the case's cached
-// nominal-side evaluator, which gives the same bits.
+// settings of a case (XOld empty = the case's nominal reactances); every
+// entry must be positive and finite. The served γ is core.Gamma's: bitwise
+// the reference principal-angle pipeline below grid.SparseThreshold buses
+// or under -backend dense; otherwise the rank-|S| update kernel's answer
+// from an s×s problem over the branches whose reactance differs from
+// x_old, within 1e-9 of the reference. Requests without XOld are answered
+// by the case's cached nominal-side evaluator, which gives the same bits
+// and keeps the x_old preparation out of the request.
 type GammaRequest struct {
 	Case string    `json:"case"`
 	XOld []float64 `json:"x_old,omitempty"`
@@ -781,8 +804,16 @@ func (r GammaRequest) key() string {
 	return fmt.Sprintf("gamma|%s|%v|%v", r.Case, r.XOld, r.XNew)
 }
 
-// Gamma serves one memoized γ evaluation.
+// Gamma serves one memoized γ evaluation. Reactances that are not
+// positive and finite are rejected with ErrInvalidReactance before the
+// memo.
 func (p *Planner) Gamma(req GammaRequest) (*GammaResponse, error) {
+	if err := checkReactances("x_old", req.XOld); err != nil {
+		return nil, err
+	}
+	if err := checkReactances("x_new", req.XNew); err != nil {
+		return nil, err
+	}
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
 		ce, err := p.caseEntryFor(req.Case, 1)
 		if err != nil {

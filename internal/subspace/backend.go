@@ -21,11 +21,12 @@ const (
 	// reproducibility contracts, so auto never silently picks an
 	// approximate evaluator.
 	AutoGamma GammaBackend = iota
-	// ExactGamma is the reference evaluator: dense modified Gram-Schmidt and
-	// the full principal-angle machinery. Below grid.SparseThreshold buses it
-	// performs the historical bitwise float sequence; at or above it the
-	// multi-accumulator/blocked kernels run under the 1e-9-agreement
-	// contract (the two paths that predate the backend layer).
+	// ExactGamma is the reference evaluator. Below grid.SparseThreshold
+	// buses it is dense modified Gram-Schmidt and the full principal-angle
+	// machinery, the historical bitwise float sequence. At or above it the
+	// rank-|S| update kernel (UpdateEvaluator) answers from the changed
+	// branches, with the multi-accumulator/blocked Gram-Schmidt as its
+	// fallback, under the 1e-9-agreement contract.
 	ExactGamma
 	// SparseGamma is the CSC-aware Gram-Schmidt over the reduced [p; √2·f]
 	// rows: structural zeros are skipped via per-column support lists, so
@@ -62,7 +63,7 @@ func (b GammaBackend) String() string {
 func GammaBackends() []struct{ Name, Desc string } {
 	return []struct{ Name, Desc string }{
 		{"auto", "process default (-gamma flag), exact when none is set"},
-		{"exact", "reference evaluator: bitwise below the sparse threshold, fast kernels above (1e-9)"},
+		{"exact", "reference evaluator: bitwise below the sparse threshold, rank-|S| update above (1e-9)"},
 		{"sparse", "CSC-aware Gram-Schmidt skipping structural zeros (1e-9 agreement)"},
 		{"sketch", "sparse-Gram Cholesky + seeded randomized Lanczos; documented error bound, exact fallback"},
 	}
