@@ -181,11 +181,10 @@ func BenchmarkGammaOneShotIEEE118(b *testing.B) {
 	}
 }
 
-// benchGammaBackend measures one cached candidate-γ evaluation through an
-// explicit γ backend — the unit the γ-backend layer exists to make cheap.
-// The candidate sits at the 75% point of the device box, the same point
-// BenchmarkGammaIEEE118 uses.
-func benchGammaBackend(b *testing.B, caseName string, gb gridmtd.GammaBackend) {
+// benchGammaBackend measures one cached candidate-γ evaluation through the
+// exact evaluator's rank-|S| kernel. The candidate sits at the 75% point of
+// the device box, the same point BenchmarkGammaIEEE118 uses.
+func benchGammaBackend(b *testing.B, caseName string) {
 	n := benchCase(b, caseName)
 	x := n.Reactances()
 	lo, hi := n.DFACTSBounds()
@@ -193,10 +192,7 @@ func benchGammaBackend(b *testing.B, caseName string, gb gridmtd.GammaBackend) {
 	for i := range xd {
 		xd[i] = 0.25*lo[i] + 0.75*hi[i]
 	}
-	ev := gridmtd.NewGammaEvaluatorBackend(n, x, gb)
-	if got := ev.Backend(); got != gridmtd.EffectiveGammaBackend(gb) {
-		b.Fatalf("evaluator degraded to the %v backend", got)
-	}
+	ev := gridmtd.NewGammaEvaluator(n, x)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -204,31 +200,16 @@ func benchGammaBackend(b *testing.B, caseName string, gb gridmtd.GammaBackend) {
 	}
 }
 
-func BenchmarkGammaBackend118Exact(b *testing.B) {
-	benchGammaBackend(b, "ieee118", gridmtd.GammaExact)
-}
-func BenchmarkGammaBackend118Sparse(b *testing.B) {
-	benchGammaBackend(b, "ieee118", gridmtd.GammaSparse)
-}
-func BenchmarkGammaBackend118Sketch(b *testing.B) {
-	benchGammaBackend(b, "ieee118", gridmtd.GammaSketch)
-}
-func BenchmarkGammaBackend300Exact(b *testing.B) {
-	benchGammaBackend(b, "ieee300", gridmtd.GammaExact)
-}
-func BenchmarkGammaBackend300Sparse(b *testing.B) {
-	benchGammaBackend(b, "ieee300", gridmtd.GammaSparse)
-}
-func BenchmarkGammaBackend300Sketch(b *testing.B) {
-	benchGammaBackend(b, "ieee300", gridmtd.GammaSketch)
-}
+func BenchmarkGammaBackend118Exact(b *testing.B) { benchGammaBackend(b, "ieee118") }
+func BenchmarkGammaBackend300Exact(b *testing.B) { benchGammaBackend(b, "ieee300") }
 
 // benchColdSelect measures one cold planner selection — a fresh planner
 // per iteration, so nothing is memoized and the measured time is the full
-// request: case build, baseline OPF, multi-start search (sketch-γ guided),
-// attack sampling/evaluation and the exact γ/η' reporting. This is the
-// end-to-end latency PERF.md's cold-selection table records, at the CI
-// smoke point (γ_th 0.05, 1 start, 30 evals, 20 attacks, sketch γ).
+// request: case build, baseline OPF, multi-start search, attack
+// sampling/evaluation and the γ/η' reporting. This is the end-to-end
+// latency PERF.md's cold-selection table records, at the CI smoke point
+// (γ_th 0.05, 1 start, 30 evals, 20 attacks, "sketch" γ alias, as the
+// cold-118 benchmark workload sends it).
 func benchColdSelect(b *testing.B, caseName string) {
 	req := planner.SelectRequest{
 		Case: caseName, GammaThreshold: 0.05,
@@ -249,9 +230,9 @@ func BenchmarkColdSelect118(b *testing.B) { benchColdSelect(b, "ieee118") }
 func BenchmarkColdSelect300(b *testing.B) { benchColdSelect(b, "ieee300") }
 
 // BenchmarkAttackEval118 measures one η'(δ) evaluation of a 200-attack set
-// on the 118-bus system through the sketched screening path (sparse-Gram
-// residuals with exact re-checks near the decision thresholds) — the
-// per-selection attack-evaluation unit the sketch accelerates.
+// on the 118-bus system through the rank-|S| residual kernel (estimator
+// re-checks only near the decision thresholds) — the per-selection
+// attack-evaluation unit.
 func BenchmarkAttackEval118(b *testing.B) {
 	n := benchCase(b, "ieee118")
 	xOld := n.Reactances()
@@ -259,7 +240,7 @@ func BenchmarkAttackEval118(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := gridmtd.EffectivenessConfig{NumAttacks: 200, Seed: 7, GammaBackend: gridmtd.GammaSketch}
+	cfg := gridmtd.EffectivenessConfig{NumAttacks: 200, Seed: 7}
 	set, err := gridmtd.SampleAttacks(n, xOld, zOld, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	gridmtdd [-addr 127.0.0.1:8642] [-backend auto] [-gamma auto] [-parallel 0] [-timeout 2m]
+//	gridmtdd [-addr 127.0.0.1:8642] [-backend auto] [-parallel 0] [-timeout 2m]
 //	         [-max-inflight 0] [-queue-depth 0] [-disk-cache DIR] [-disk-cache-mb 256]
 //	gridmtdd -route shard1:8643,shard2:8644 [-addr 127.0.0.1:8642] [-timeout 2m]
 //
@@ -79,9 +79,9 @@
 //	  '{"case":"ieee57","gamma_threshold":0.05,"starts":2,"max_evals":40,"seed":1,"attacks":50}'
 //
 // answers with the γ / η'(δ) / cost row `mtdscan -case ieee57 -from 0.05
-// -to 0.05` prints (the CI daemon-smoke job diffs the two). Adding
-// "gamma_backend":"sketch" runs the same search on the sketched γ probe —
-// the served γ/η' values stay exact (see the planner's tolerance contract).
+// -to 0.05` prints (the CI daemon-smoke job diffs the two). A request's
+// "gamma_backend" may name auto, exact, sparse or sketch: every name is an
+// alias of the exact γ evaluator, and an unknown one gets a 400.
 package main
 
 import (
@@ -113,7 +113,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8642", "listen address")
 		backend     = flag.String("backend", "auto", "linear-algebra backend: auto, dense or sparse")
-		gammaBk     = flag.String("gamma", "auto", "default γ-evaluation backend: auto, exact, sparse or sketch (requests may override per call)")
 		parallel    = flag.Int("parallel", 0, "per-request search parallelism (0 = all cores); results are identical for any setting")
 		maxCases    = flag.Int("cases", 8, "case LRU capacity ((case, load-scale) entries)")
 		maxResults  = flag.Int("results", 256, "response memo capacity")
@@ -153,12 +152,6 @@ func main() {
 	// The process default drives the γ-kernel seam; the planner config
 	// drives the dispatch engines. One daemon = one backend contract.
 	gridmtd.SetDefaultBackend(b)
-	gb, err := gridmtd.ParseGammaBackend(*gammaBk)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Requests without an explicit gamma_backend resolve to this default.
-	gridmtd.SetDefaultGammaBackend(gb)
 	if *parallel > 0 {
 		runtime.GOMAXPROCS(*parallel)
 	}
@@ -189,7 +182,7 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
-	log.Printf("serving MTD planner on %s (backend %s, gamma %s, request timeout %s)", *addr, *backend, *gammaBk, *timeout)
+	log.Printf("serving MTD planner on %s (backend %s, request timeout %s)", *addr, *backend, *timeout)
 	if err := serveUntilSignal(srv, ln, stop); err != nil {
 		log.Fatal(err)
 	}

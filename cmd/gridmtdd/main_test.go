@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gridmtd"
 	"gridmtd/internal/planner"
 	"gridmtd/internal/planner/diskcache"
 )
@@ -158,8 +159,11 @@ func TestStatsServesLPCounters(t *testing.T) {
 // end to end: two selections that differ only in a memo-key field (the
 // attack budget) land on the same x_new, so the second request misses the
 // response memo but serves its η′ evaluation from the runner's shared
-// per-network estimator cache instead of refactorizing H'. The /v1/stats
-// estimators block is the observable.
+// per-network estimator cache instead of refactorizing H'. The requests
+// give an x_old that differs from the case's reactances on 40 lines, so
+// x_new changes more lines than the rank-|S| residual kernel takes and
+// the evaluation needs an estimator. The /v1/stats estimators block is the
+// observable.
 func TestRepeatSelectionHitsEstimatorCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two ieee57 selections")
@@ -190,8 +194,19 @@ func TestRepeatSelectionHitsEstimatorCache(t *testing.T) {
 	}
 	// ieee57 is the smallest case the sparse (fast) evaluation path — and
 	// with it the estimator cache — serves.
+	n, err := gridmtd.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xOld := n.Reactances()
+	for l, changed := 0, 0; changed < 40; l++ {
+		if !n.Branches[l].HasDFACTS {
+			xOld[l] *= 1.1
+			changed++
+		}
+	}
 	req := planner.SelectRequest{
-		Case: "ieee57", GammaThreshold: 0.05, Starts: 1, Seed: 3, Attacks: 40,
+		Case: "ieee57", GammaThreshold: 0.05, XOld: xOld, Starts: 1, Seed: 3, Attacks: 40,
 	}
 	_, m0 := estStats()
 	var first planner.SelectResponse
@@ -228,6 +243,19 @@ func TestErrorStatuses(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/v1/select",
 		planner.SelectRequest{Case: "ieee14", GammaThreshold: 5, Starts: 2, Seed: 1, Attacks: 50}, nil); code != http.StatusConflict {
 		t.Errorf("unreachable threshold status %d, want 409", code)
+	}
+	// Unknown γ-backend name: unprocessable, naming every accepted alias.
+	var bad struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, srv.URL+"/v1/select",
+		planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.1, GammaBackend: "bogus"}, &bad); code != http.StatusUnprocessableEntity {
+		t.Errorf("unknown gamma_backend status %d, want 422", code)
+	}
+	for _, name := range []string{"auto", "exact", "sparse", "sketch"} {
+		if !strings.Contains(bad.Error, name) {
+			t.Errorf("unknown gamma_backend error %q does not name %q", bad.Error, name)
+		}
 	}
 	// Malformed body: bad request.
 	resp, err := http.Post(srv.URL+"/v1/select", "application/json", bytes.NewReader([]byte("{")))

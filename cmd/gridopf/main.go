@@ -42,12 +42,11 @@ func run(args []string, w io.Writer) error {
 		starts   = fs.Int("starts", 8, "multi-start budget for the D-FACTS search")
 		seed     = fs.Int64("seed", 1, "random seed")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
-		gammaBk  = fs.String("gamma", "auto", "γ-evaluation backend: auto, exact, sparse or sketch ('list' describes them)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if handled, err := gridmtd.ResolveCommonFlags(w, *caseName, *backend, *gammaBk); handled || err != nil {
+	if handled, err := gridmtd.ResolveCommonFlags(w, *caseName, *backend); handled || err != nil {
 		return err
 	}
 

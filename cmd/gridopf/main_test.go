@@ -9,7 +9,7 @@ import (
 )
 
 // TestListingsMatchSharedRenderers pins the flag-dedup contract: the
-// -case/-backend/-gamma "list" outputs are byte-identical to the shared
+// -case/-backend "list" outputs are byte-identical to the shared
 // facade renderers (and therefore to every other command's listings).
 func TestListingsMatchSharedRenderers(t *testing.T) {
 	for _, tc := range []struct {
@@ -18,7 +18,6 @@ func TestListingsMatchSharedRenderers(t *testing.T) {
 	}{
 		{"-case", func(b *bytes.Buffer) { gridmtd.FormatCases(b) }},
 		{"-backend", func(b *bytes.Buffer) { gridmtd.FormatBackends(b) }},
-		{"-gamma", func(b *bytes.Buffer) { gridmtd.FormatGammaBackends(b) }},
 	} {
 		var got, want bytes.Buffer
 		if err := run([]string{tc.flag, "list"}, &got); err != nil {
@@ -42,15 +41,6 @@ func TestBadFlagErrorsListChoices(t *testing.T) {
 	for _, want := range []string{"auto", "dense", "sparse"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("backend flag error %q does not list %q", err, want)
-		}
-	}
-	err = run([]string{"-gamma", "bogus"}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("expected error for unknown gamma backend")
-	}
-	for _, want := range []string{"auto", "exact", "sparse", "sketch"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("gamma flag error %q does not list %q", err, want)
 		}
 	}
 }

@@ -53,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		out      = fs.String("out", "", "also write the output to this file")
 		parallel = fs.Int("parallel", 0, "worker parallelism for the multi-start searches and η' sweeps (0 = all cores, 1 = serial); results are identical for any setting")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
-		gammaBk  = fs.String("gamma", "auto", "γ-evaluation backend: auto, exact, sparse or sketch ('list' describes them)")
 		verbose  = fs.Bool("v", false, "append the process-wide dispatch-LP solver counters after the run")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
@@ -61,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if handled, err := gridmtd.ResolveCommonFlags(stdout, *caseName, *backend, *gammaBk); handled || err != nil {
+	if handled, err := gridmtd.ResolveCommonFlags(stdout, *caseName, *backend); handled || err != nil {
 		return err
 	}
 

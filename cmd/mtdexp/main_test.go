@@ -52,7 +52,6 @@ func TestListingsMatchSharedRenderers(t *testing.T) {
 	}{
 		{"-case", func(b *bytes.Buffer) { gridmtd.FormatCases(b) }},
 		{"-backend", func(b *bytes.Buffer) { gridmtd.FormatBackends(b) }},
-		{"-gamma", func(b *bytes.Buffer) { gridmtd.FormatGammaBackends(b) }},
 	} {
 		var got, want bytes.Buffer
 		if err := run([]string{tc.flag, "list"}, &got); err != nil {

@@ -11,8 +11,6 @@
 //	mtdscan -case ieee118 -from 0.05 -to 0.30 -attacks 200
 //	mtdscan -case ieee30 -scale 0.9 -sigma 0.0005 -attacks 500
 //	mtdscan -case ieee118 -backend dense -parallel 1
-//	mtdscan -case ieee118 -gamma sketch
-//	mtdscan -gamma list
 //	mtdscan -case ieee14 -csv frontier.csv
 package main
 
@@ -53,13 +51,12 @@ func run(args []string, w io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		parallel = fs.Int("parallel", 0, "worker parallelism for the selection searches (0 = all cores, 1 = serial); results are identical for any setting")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
-		gammaBk  = fs.String("gamma", "auto", "γ-evaluation backend: auto, exact, sparse or sketch ('list' describes them)")
 		csvPath  = fs.String("csv", "", "also write the frontier to this CSV file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if handled, err := gridmtd.ResolveCommonFlags(w, *caseName, *backend, *gammaBk); handled || err != nil {
+	if handled, err := gridmtd.ResolveCommonFlags(w, *caseName, *backend); handled || err != nil {
 		return err
 	}
 	if *step <= 0 || *to < *from {

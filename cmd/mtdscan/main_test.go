@@ -36,20 +36,11 @@ func TestRunCaseList(t *testing.T) {
 	}
 }
 
-// TestBackendDiscoverability pins the "-gamma list"/"-backend list"
-// surface and the requirement that a bad flag value's error names every
-// valid choice (mirroring "-case list").
+// TestBackendDiscoverability pins the "-backend list" surface and the
+// requirement that a bad flag value's error names every valid choice
+// (mirroring "-case list").
 func TestBackendDiscoverability(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-gamma", "list"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"auto", "exact", "sparse", "sketch"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("gamma backend list missing %s:\n%s", want, buf.String())
-		}
-	}
-	buf.Reset()
 	if err := run([]string{"-backend", "list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +50,7 @@ func TestBackendDiscoverability(t *testing.T) {
 		}
 	}
 
-	err := run([]string{"-gamma", "bogus"}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("expected error for unknown gamma backend")
-	}
-	for _, want := range []string{"auto", "exact", "sparse", "sketch"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("gamma flag error %q does not list %q", err, want)
-		}
-	}
-	err = run([]string{"-backend", "bogus"}, &bytes.Buffer{})
+	err := run([]string{"-backend", "bogus"}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("expected error for unknown backend")
 	}
@@ -89,7 +71,6 @@ func TestListingsMatchSharedRenderers(t *testing.T) {
 	}{
 		{"-case", func(b *bytes.Buffer) { gridmtd.FormatCases(b) }},
 		{"-backend", func(b *bytes.Buffer) { gridmtd.FormatBackends(b) }},
-		{"-gamma", func(b *bytes.Buffer) { gridmtd.FormatGammaBackends(b) }},
 	} {
 		var got, want bytes.Buffer
 		if err := run([]string{tc.flag, "list"}, &got); err != nil {

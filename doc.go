@@ -72,38 +72,23 @@
 // deterministic mixed workload against either form and gates on SLOs
 // (latency percentiles, shed rate, 5xx budget) for CI.
 //
-// # γ backends
+// # γ evaluation
 //
 // γ evaluation — the largest principal angle between measurement column
-// spaces, the hot path of every selection search — runs on a pluggable
-// backend layer (GammaBackend, selected like the linear-algebra Backend
-// seam, via the -gamma flag, Scenario.GammaBackend or a planner request's
-// gamma_backend field):
-//
-//   - exact (the default): bitwise the reference principal-angle
-//     pipeline below the 50-bus sparse threshold. Above it, a candidate
-//     that changes s branches (the D-FACTS lines) is a rank-s update of
-//     H(x_old), and γ comes from an s×s eigenproblem over the cached
-//     x_old basis instead of a fresh Gram-Schmidt of the candidate; it
-//     falls back to the multi-accumulator Gram-Schmidt when the update
-//     cannot certify its value (1e-9 agreement either way).
-//   - sparse: CSC-aware Gram-Schmidt over the reduced measurement rows,
-//     skipping structural zeros via topology-fixed column supports; agrees
-//     with exact to 1e-9 rad.
-//   - sketch: no basis is formed at all — candidate Gram matrices revalue
-//     a fixed sparse pattern (Eᵀ·D·G·D·E), orthonormality lives implicitly
-//     in their sparse Cholesky factors, and sin²γ comes from a seeded
-//     Lanczos iteration. ~30× per candidate at 118 buses and ~100× at 300
-//     (PERF.md), under a documented 1e-6 error bound (measured ≤ 1e-12)
-//     with automatic exact fallback near the rank cutoff.
-//
-// Approximate backends only ever guide searches: SelectMTD/MaxGamma
-// re-check the winning candidate exactly, and the placement study
-// re-checks each greedy round's winner, so every reported γ is exact.
-// Attack-set evaluation follows the same contract — residuals are
-// screened through the sparse-Gram sketch and re-checked exactly near
-// every detection threshold, so reported η′(δ) is exact. "-gamma list"
-// (and "-backend list") on the commands describe the choices.
+// spaces, the hot path of every selection search — has one exact path.
+// Below the 50-bus sparse threshold (or under -backend dense) it is
+// bitwise the reference principal-angle pipeline. Above it, a candidate
+// that changes s branches (the D-FACTS lines) is a rank-s update of
+// H(x_old), and γ comes from an s×s eigenproblem over the cached x_old
+// basis instead of a fresh Gram-Schmidt of the candidate; it falls back
+// to the multi-accumulator Gram-Schmidt when the update cannot certify its
+// value (1e-9 agreement either way). The same s×s blocks score each
+// attack a = H_old·c exactly: its residual under H(x′) is ‖P·b‖ for the
+// angle differences b of c across the changed branches, so the η′(δ)
+// evaluation builds no post-MTD estimator, re-checking with one only the
+// attacks within 1e-9 of a detection threshold. A planner request's
+// gamma_backend and Scenario.GammaBackend still accept "auto", "exact",
+// "sparse" and "sketch", all as names of this one path.
 //
 // Underneath, the dispatch LP runs a bounded-variable revised simplex
 // with product-form (eta-file) factorization updates, a deterministic

@@ -129,43 +129,6 @@ func ParseBackend(s string) (Backend, error) { return grid.ParseBackend(s) }
 // -backend flag, so dense-vs-sparse A/B runs need no code edits.
 func SetDefaultBackend(b Backend) { grid.SetDefaultBackend(b) }
 
-// GammaBackend names a γ-evaluation strategy: exact (the reference
-// principal-angle pipeline, bitwise below the sparse threshold; above it
-// the rank-|S| update over the changed branches, 1e-9), sparse (CSC-aware Gram-Schmidt skipping
-// structural zeros, 1e-9 agreement) or sketch (sparse-Gram Cholesky plus
-// seeded randomized Lanczos under a documented error bound with automatic
-// exact fallback). Selected through the same seam pattern as Backend.
-type GammaBackend = core.GammaBackend
-
-// γ-backend choices for NewGammaEvaluatorBackend and SetDefaultGammaBackend.
-const (
-	GammaAuto   = core.AutoGamma
-	GammaExact  = core.ExactGamma
-	GammaSparse = core.SparseGamma
-	GammaSketch = core.SketchGamma
-)
-
-// ParseGammaBackend parses a -gamma flag value ("auto", "exact", "sparse",
-// "sketch"); the error for an unknown value lists every valid choice.
-func ParseGammaBackend(s string) (GammaBackend, error) { return subspace.ParseGammaBackend(s) }
-
-// SetDefaultGammaBackend overrides what the automatic γ-backend choice
-// resolves to for every γ engine constructed afterwards — the hook behind
-// the cmds' -gamma flag, so backend A/B runs need no code edits.
-func SetDefaultGammaBackend(b GammaBackend) { subspace.SetDefaultGammaBackend(b) }
-
-// EffectiveGammaBackend resolves a possibly-auto γ-backend choice: the
-// process default first, then exact.
-func EffectiveGammaBackend(b GammaBackend) GammaBackend { return subspace.EffectiveGammaBackend(b) }
-
-// FormatGammaBackends writes the γ-backend listing to w, one line per
-// backend — the shared renderer behind every command's "-gamma list".
-func FormatGammaBackends(w io.Writer) {
-	for _, gb := range subspace.GammaBackends() {
-		fmt.Fprintf(w, "%-8s %s\n", gb.Name, gb.Desc)
-	}
-}
-
 // FormatBackends writes the linear-algebra backend listing to w — the
 // renderer behind "-backend list".
 func FormatBackends(w io.Writer) {
@@ -175,13 +138,13 @@ func FormatBackends(w io.Writer) {
 }
 
 // ResolveCommonFlags implements the CLI contract every command's
-// -case/-backend/-gamma trio shares: a "list" value (case-insensitive, in
-// that precedence order) prints the matching registry listing to w and
-// reports handled=true, otherwise the backend values are parsed and
-// installed as the process defaults. The three commands delegating here
-// (mtdexp, mtdscan, gridopf) therefore print byte-identical listings; the
-// cmd tests pin that.
-func ResolveCommonFlags(w io.Writer, caseName, backend, gamma string) (handled bool, err error) {
+// -case/-backend pair shares: a "list" value (case-insensitive, in that
+// precedence order) prints the matching registry listing to w and reports
+// handled=true, otherwise the backend value is parsed and installed as the
+// process default. The three commands delegating here (mtdexp, mtdscan,
+// gridopf) therefore print byte-identical listings; the cmd tests pin
+// that.
+func ResolveCommonFlags(w io.Writer, caseName, backend string) (handled bool, err error) {
 	if strings.EqualFold(caseName, "list") {
 		FormatCases(w)
 		return true, nil
@@ -190,20 +153,11 @@ func ResolveCommonFlags(w io.Writer, caseName, backend, gamma string) (handled b
 		FormatBackends(w)
 		return true, nil
 	}
-	if strings.EqualFold(gamma, "list") {
-		FormatGammaBackends(w)
-		return true, nil
-	}
 	b, err := ParseBackend(backend)
 	if err != nil {
 		return false, err
 	}
 	SetDefaultBackend(b)
-	gb, err := ParseGammaBackend(gamma)
-	if err != nil {
-		return false, err
-	}
-	SetDefaultGammaBackend(gb)
 	return false, nil
 }
 
@@ -440,13 +394,6 @@ type GammaEvaluator = core.GammaEvaluator
 // reactance vector xOld.
 func NewGammaEvaluator(n *Network, xOld []float64) *GammaEvaluator {
 	return core.NewGammaEvaluator(n, xOld)
-}
-
-// NewGammaEvaluatorBackend is NewGammaEvaluator with an explicit γ-backend
-// choice (see GammaBackend; the evaluator's Backend method reports what
-// actually serves).
-func NewGammaEvaluatorBackend(n *Network, xOld []float64, gb GammaBackend) *GammaEvaluator {
-	return core.NewGammaEvaluatorBackend(n, xOld, gb)
 }
 
 // PrincipalAngles returns all principal angles between the column spaces

@@ -29,13 +29,20 @@
 //     increase), and TuneGammaThreshold: the numerical procedure that picks
 //     the smallest γ_th achieving a target effectiveness.
 //
-// # Estimator caching
+// # Attack residuals and estimator caching
 //
-// Evaluating η'(δ) needs the post-MTD state estimator (a QR factorization
-// of H'), which dominates large-case evaluation cost. EstimatorCache
-// memoizes estimators per network with a bitwise key over the candidate
-// reactance vector: two x_new vectors share an entry only when every
-// float64 is identical, so a hit can never change a result. There is no
+// Evaluating η'(δ) needs each attack's residual under H', the component of
+// a = H_t·c outside Col(H'). On fast (sparse-backend) attack sets the
+// analytic path takes it from the rank-|S| γ kernel: with b the angle
+// differences of c across the s changed branches, the residual is ‖P·b‖
+// for an s×s-derived P, exact to about 1e-13 relative and built with no
+// post-MTD estimator. Only attacks within 1e-9 of a decision threshold,
+// candidates the kernel declines, Monte Carlo, ReportProbs and the
+// small-case dense path use the estimator (a QR factorization of H').
+// EstimatorCache memoizes those estimators per network with a bitwise key
+// over the candidate reactance vector: two x_new vectors share an entry
+// only when every float64 is identical, so a hit can never change a
+// result. There is no
 // staleness-based invalidation — networks resolved from the case registry
 // are immutable, so an entry is invalidated only by LRU eviction (capacity
 // pressure) or by keying against a different *grid.Network pointer, which

@@ -63,18 +63,15 @@ type EffectivenessConfig struct {
 	// identical for every setting. The Monte Carlo path is inherently
 	// sequential (one noise stream) and ignores it.
 	Parallelism int
-	// GammaBackend selects the attack-screening strategy (AutoGamma
-	// resolves through the process default, exact when none is set). Under
-	// SketchGamma the analytic path screens the per-attack residuals
-	// through the sparse-Gram sketch and re-evaluates
-	// only the attacks near a decision threshold exactly, so every reported
-	// η′(δ) row is identical to the exact path's. Monte Carlo and
-	// ReportProbs evaluations always take the exact path.
+	// GammaBackend is accepted for compatibility and ignored: every γ
+	// backend name is an alias of the exact evaluator (see GammaBackend).
 	GammaBackend GammaBackend
 	// Estimators optionally memoizes the post-MTD estimator per candidate
 	// x_new (see EstimatorCache). Only fast attack sets (large-case sparse
-	// backend) consult it — the small-case path keeps its historical
-	// bitwise construction; nil keeps the historical behavior everywhere.
+	// backend) consult it, when they need an estimator at all: Monte Carlo,
+	// ReportProbs, an attack on a residual re-check band, or a candidate
+	// the residual kernel declines. The small-case path keeps its
+	// historical bitwise construction; nil keeps it everywhere.
 	Estimators *EstimatorCache `json:"-"`
 }
 
@@ -136,27 +133,19 @@ func (r *EffectivenessResult) EtaAt(delta float64) (float64, error) {
 // contiguous backing array (see attack.Batch). Every γ evaluation against
 // the set goes through one exact GammaEvaluator for the crafting
 // configuration x_old, so it is prepared once and an evaluation's γ is
-// the same bits core.Gamma and /v1/gamma serve.
+// the same bits core.Gamma and /v1/gamma serve; on fast sets that
+// evaluator's rank-|S| kernel also scores the attack residuals.
 type AttackSet struct {
 	// Batch holds the crafted attacks a = H_old·c, one per row.
 	Batch *attack.Batch
 	// HOld is the measurement matrix the attacks were crafted against.
 	HOld *mat.Dense
 
-	// fast selects the large-case estimator path (set by SampleAttacks
-	// when the network is at or above grid.SparseThreshold buses and the
-	// grid backend is not forced dense).
+	// fast selects the large-case path (set by SampleAttacks when the
+	// network is at or above grid.SparseThreshold buses and the grid
+	// backend is not forced dense).
 	fast  bool
 	gamma *GammaEvaluator // exact γ against x_old
-
-	// sketch is the sparse-Gram screening evaluator for the analytic
-	// residual path, built by SampleAttacks when the configured γ backend
-	// resolves to SketchGamma (nil otherwise — zero-value and exact sets
-	// evaluate exactly throughout). anorm caches ‖a‖ per attack, the
-	// candidate-independent half of the screened residual identity.
-	sketch *subspace.SketchEvaluator
-	anorm  []float64
-	skPool sync.Pool // *subspace.SketchSession for the screening chunks
 }
 
 // Len returns the number of attacks in the set.
@@ -183,58 +172,44 @@ func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfi
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	set := &AttackSet{
+	return &AttackSet{
 		Batch: batch,
 		HOld:  hOld,
 		// Same backend-resolved seam as NewGammaEvaluator: -backend dense
 		// keeps the bitwise path even on large cases.
-		fast: grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend,
-		// Explicit ExactGamma: the -gamma process default steers searches,
-		// never the reported γ.
-		gamma: NewGammaEvaluatorBackend(n, xOld, ExactGamma),
-	}
-	if subspace.EffectiveGammaBackend(cfg.GammaBackend) == SketchGamma {
-		// Screening machinery for the analytic residual path. A failed
-		// construction (rank-deficient x_old Gram matrix) silently keeps the
-		// exact path — the same degrade rule as the γ engine.
-		et, g := n.GammaSketchOperands()
-		dOld := make([]float64, n.L())
-		if sk, err := subspace.NewSketchEvaluator(et, g, invInto(dOld, xOld), subspace.SketchConfig{Seed: 1}); err == nil {
-			set.sketch = sk
-			set.anorm = make([]float64, batch.Len())
-			for k := range set.anorm {
-				set.anorm[k] = mat.Norm2(batch.A(k))
-			}
-		}
-	}
-	return set, nil
+		fast:  grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend,
+		gamma: NewGammaEvaluator(n, xOld),
+	}, nil
 }
 
 // EvaluateAttacks computes the effectiveness of the perturbation xNew
 // against a pre-crafted attack set. The analytic path scores the attacks
 // in parallel chunks (cfg.Parallelism workers); every number it produces
-// is bitwise identical to the historical sequential evaluation.
+// is identical for every worker count.
 //
-// When the set carries the sketch machinery (SampleAttacks under a
-// SketchGamma effectiveness config) and the evaluation is analytic without
-// per-attack probabilities, the residuals are screened through the
-// sparse-Gram identity ‖(I−Γ′)a‖² = ‖a‖² − ‖L₂⁻¹P₂(M₁₂ᵀc)‖² instead of the
-// dense QR; any attack whose screened residual lands inside a tolerance
-// band around a decision threshold (a δ noncentrality threshold or the
-// undetectability cutoff) is re-evaluated exactly, so the reported η′(δ)
-// rows and UndetectableFraction are identical to the exact path's.
+// On a fast set the analytic path without per-attack probabilities scores
+// each attack a = H_old·c exactly from the rank-|S| kernel of the set's γ
+// evaluator (subspace.ResidualMap): ‖(I−Γ′)a‖ = ‖P·b‖, with b the angle
+// differences of c across the changed branches, and no post-MTD estimator
+// is built. An attack within recheckBand of a decision threshold (a δ
+// noncentrality threshold or the 1e-8·‖a‖ undetectability cutoff) is
+// re-scored with the estimator, so η′(δ) and UndetectableFraction are the
+// estimator path's. Monte Carlo, ReportProbs, the small-case and dense
+// paths, and candidates the kernel declines keep the estimator throughout.
 func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg EffectivenessConfig) (*EffectivenessResult, error) {
 	cfg = cfg.withDefaults()
 	if set.Len() == 0 {
 		return nil, errors.New("core: empty attack set")
 	}
-	useSketch := set.sketch != nil && !cfg.MonteCarlo && !cfg.ReportProbs
+	var resid *subspace.ResidualMap
+	if set.fast && !cfg.MonteCarlo && !cfg.ReportProbs {
+		resid = set.gamma.residuals(xNew)
+	}
 	var est *se.Estimator
-	// ensureEst builds the dense QR estimator on demand: always on the
-	// exact path, lazily on the sketched path (only if a screening band
-	// triggers an exact re-check). Fast sets with a cache take the memoized
-	// rank-structured build (1e-9-agreement contract); the bitwise dense
-	// path never does.
+	// ensureEst builds the post-MTD estimator on demand: up front unless
+	// the kernel scores the attacks, lazily for its re-checks otherwise.
+	// Fast sets with a cache take the memoized rank-structured build
+	// (1e-9-agreement contract); the bitwise dense path never does.
 	ensureEst := func() (*se.Estimator, error) {
 		if est == nil {
 			if set.fast && cfg.Estimators != nil {
@@ -254,7 +229,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 		return est, nil
 	}
 	var bdd *se.BDD
-	if useSketch {
+	if resid != nil {
 		b, err := se.NewBDDForDOF(n.M()-(n.N()-1), cfg.Sigma, cfg.Alpha)
 		if err != nil {
 			return nil, fmt.Errorf("core: post-MTD BDD: %w", err)
@@ -290,42 +265,20 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 			eta[i] = stat.FractionAtLeast(probs, d)
 		}
 	} else {
-		// Fast analytic path: P'_D(a) ≥ δ iff the residual component
-		// ‖(I−Γ')a‖ meets the noncentrality threshold σ·sqrt(λ_δ).
 		x := (bdd.Tau / bdd.Sigma) * (bdd.Tau / bdd.Sigma)
 		dof := float64(bdd.DOF)
-		raThresh := make([]float64, len(cfg.Deltas))
-		for i, d := range cfg.Deltas {
-			if d >= 1 {
-				raThresh[i] = math.Inf(1)
-				continue
-			}
-			lambda, err := lambdaForSFCached(dof, x, d)
-			if err != nil {
-				return nil, fmt.Errorf("core: inverting detection probability: %w", err)
-			}
-			raThresh[i] = bdd.Sigma * math.Sqrt(lambda)
+		raThresh, err := residualThresholds(bdd, cfg.Deltas)
+		if err != nil {
+			return nil, err
 		}
 		ras := make([]float64, numAtt)
 		if cfg.ReportProbs {
 			probs = make([]float64, numAtt)
 		}
-		sketchDone := false
-		if useSketch {
-			ok, err := set.screenedResiduals(n, xNew, cfg.Parallelism, raThresh, ras, &undetectable, ensureEst)
-			if err != nil {
-				return nil, err
-			}
-			sketchDone = ok
-			// ok=false (a candidate Gram matrix within roundoff of rank
-			// deficiency) falls through to the exact loop below.
-		}
-		if !sketchDone {
-			if _, err := ensureEst(); err != nil {
-				return nil, err
-			}
-			var firstErr error
-			undetectable, firstErr = forEachAttackChunk(numAtt, cfg.Parallelism, func(from, to int) (int, error) {
+		if resid != nil {
+			undetectable, err = set.kernelResiduals(n, resid, raThresh, ras, cfg.Parallelism, ensureEst)
+		} else {
+			undetectable, err = forEachAttackChunk(numAtt, cfg.Parallelism, func(from, to int) (int, error) {
 				var ws se.ResidualWorkspace
 				undet := 0
 				for k := from; k < to; k++ {
@@ -346,9 +299,9 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 				}
 				return undet, nil
 			})
-			if firstErr != nil {
-				return nil, firstErr
-			}
+		}
+		if err != nil {
+			return nil, err
 		}
 		for i, thresh := range raThresh {
 			cnt := 0
@@ -372,83 +325,79 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 	}, nil
 }
 
-// errSketchRankDeficient signals that the screening session could not
-// factor a candidate Gram matrix; the caller falls back to the exact loop.
-var errSketchRankDeficient = errors.New("core: sketch candidate rank-deficient")
-
-// screenBand is the relative half-width of the exact-re-check band around
-// every residual decision threshold. The sparse-Gram residual identity is
-// accurate to roughly κ(M₂₂)·ε ≲ 1e-10 relative, so a 1e-6 band certifies
-// every out-of-band decision with orders of magnitude to spare while
-// re-checking only the measure-small set of genuinely near-threshold
-// attacks.
-const screenBand = 1e-6
-
-// screenedResiduals fills ras with the per-attack residuals under the
-// candidate xNew through the sparse-Gram screen, re-evaluating exactly any
-// attack whose screened value cannot certify a decision: a squared
-// residual within screenBand of a δ noncentrality threshold, or small
-// enough (≤ 1e-10·‖a‖², which subsumes cancellation noise and the
-// 1e-8·‖a‖ undetectability cutoff) that the subtraction identity has lost
-// its precision. It also counts the undetectable attacks, with the exact
-// path's cutoff semantics. ok=false (with a nil error) means a candidate
-// Gram matrix was rank-deficient and the caller must run the exact loop.
-func (s *AttackSet) screenedResiduals(n *grid.Network, xNew []float64, parallelism int, raThresh, ras []float64, undetectable *int, ensureEst func() (*se.Estimator, error)) (ok bool, err error) {
-	numAtt := s.Len()
-	d := invInto(make([]float64, n.L()), xNew)
-	ras2 := make([]float64, numAtt)
-	_, chunkErr := forEachAttackChunk(numAtt, parallelism, func(from, to int) (int, error) {
-		ss, _ := s.skPool.Get().(*subspace.SketchSession)
-		if ss == nil {
-			ss = s.sketch.NewSession()
+// residualThresholds returns, per δ, the residual ‖(I−Γ′)a‖ at which an
+// attack's analytic detection probability reaches δ: P′_D(a) ≥ δ iff the
+// residual meets the noncentrality threshold σ·sqrt(λ_δ) (+Inf for δ ≥ 1).
+func residualThresholds(bdd *se.BDD, deltas []float64) ([]float64, error) {
+	x := (bdd.Tau / bdd.Sigma) * (bdd.Tau / bdd.Sigma)
+	th := make([]float64, len(deltas))
+	for i, d := range deltas {
+		if d >= 1 {
+			th[i] = math.Inf(1)
+			continue
 		}
-		defer s.skPool.Put(ss)
-		if !ss.PrepareCandidate(d) {
-			return 0, errSketchRankDeficient
+		lambda, err := lambdaForSFCached(float64(bdd.DOF), x, d)
+		if err != nil {
+			return nil, fmt.Errorf("core: inverting detection probability: %w", err)
 		}
-		for k := from; k < to; k++ {
-			ras2[k] = ss.ResidualSq(s.Batch.C(k), s.anorm[k]*s.anorm[k])
-		}
-		return 0, nil
-	})
-	if chunkErr != nil {
-		if errors.Is(chunkErr, errSketchRankDeficient) {
-			return false, nil
-		}
-		return false, chunkErr
+		th[i] = bdd.Sigma * math.Sqrt(lambda)
 	}
-	var ws se.ResidualWorkspace
-	undet := 0
-	for k := 0; k < numAtt; k++ {
-		na := s.anorm[k]
-		r2 := ras2[k]
-		recheck := r2 <= 1e-10*na*na
-		if !recheck {
+	return th, nil
+}
+
+// recheckBand is the relative half-width of the band around each residual
+// decision threshold inside which a kernel residual is re-scored with the
+// estimator. The kernel agrees with the estimator to about 1e-13
+// relative, so decisions outside the band are the estimator's.
+const recheckBand = 1e-9
+
+// kernelResiduals fills ras with every attack's residual under the
+// candidate of resid and returns the number of undetectable attacks. An
+// attack within recheckBand of a threshold in raThresh or of its
+// undetectability cutoff 1e-8·‖a‖ is re-scored with the estimator.
+func (s *AttackSet) kernelResiduals(n *grid.Network, resid *subspace.ResidualMap, raThresh, ras []float64, parallelism int, ensureEst func() (*se.Estimator, error)) (int, error) {
+	numAtt := s.Len()
+	branches := resid.Branches()
+	recheck := make([]bool, numAtt)
+	undet, _ := forEachAttackChunk(numAtt, parallelism, func(from, to int) (int, error) {
+		b := make([]float64, len(branches))
+		undet := 0
+		for k := from; k < to; k++ {
+			ra := resid.Norm(n.BranchAngleDiffsInto(b, branches, s.Batch.C(k)))
+			ras[k] = ra
+			cut := 1e-8 * mat.Norm2(s.Batch.A(k))
+			if math.Abs(ra-cut) <= recheckBand*cut {
+				recheck[k] = true
+				continue
+			}
 			for _, th := range raThresh {
-				if !math.IsInf(th, 1) && math.Abs(r2-th*th) <= screenBand*(na*na+th*th) {
-					recheck = true
+				if !math.IsInf(th, 1) && math.Abs(ra-th) <= recheckBand*th {
+					recheck[k] = true
 					break
 				}
 			}
-		}
-		switch {
-		case recheck:
-			est, err := ensureEst()
-			if err != nil {
-				return false, err
+			if !recheck[k] && ra <= cut {
+				undet++
 			}
-			ras[k] = est.ResidualWS(&ws, s.Batch.A(k))
-		case r2 > 0:
-			ras[k] = math.Sqrt(r2)
-		default:
-			ras[k] = 0
 		}
-		if ras[k] <= 1e-8*na {
+		return undet, nil
+	})
+	var ws se.ResidualWorkspace
+	for k, again := range recheck {
+		if !again {
+			continue
+		}
+		est, err := ensureEst()
+		if err != nil {
+			return 0, err
+		}
+		a := s.Batch.A(k)
+		ras[k] = est.ResidualWS(&ws, a)
+		if ras[k] <= 1e-8*mat.Norm2(a) {
 			undet++
 		}
 	}
-	*undetectable = undet
-	return true, nil
+	return undet, nil
 }
 
 // lambdaKey identifies one noncentrality inversion.
@@ -566,5 +515,5 @@ func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
 // A call pays for the xOld basis, which dominates it; callers evaluating
 // many xNew against one xOld should hold the evaluator instead.
 func Gamma(n *grid.Network, xOld, xNew []float64) float64 {
-	return NewGammaEvaluatorBackend(n, xOld, ExactGamma).GammaExact(xNew)
+	return NewGammaEvaluator(n, xOld).Gamma(xNew)
 }

@@ -94,9 +94,10 @@ func TestEstimatorCacheHitMissEvict(t *testing.T) {
 }
 
 // TestEvaluateAttacksWithEstimatorCache is the end-to-end agreement bar on
-// a fast (sparse-backend) set: injecting the cache must leave η′(δ), the
-// undetectable fraction and γ within 1e-9 of the uncached path, and repeat
-// evaluations of the same candidate must hit the cache.
+// a fast (sparse-backend) set under ReportProbs, which takes the estimator
+// rather than the residual kernel: injecting the cache must leave η′(δ),
+// the undetectable fraction and γ within 1e-9 of the uncached path, and
+// repeat evaluations of the same candidate must hit the cache.
 func TestEvaluateAttacksWithEstimatorCache(t *testing.T) {
 	n, err := grid.CaseByName("ieee118")
 	if err != nil {
@@ -107,7 +108,7 @@ func TestEvaluateAttacksWithEstimatorCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := EffectivenessConfig{NumAttacks: 100, Seed: 5}
+	cfg := EffectivenessConfig{NumAttacks: 100, Seed: 5, ReportProbs: true}
 	set, err := SampleAttacks(n, xOld, zOld, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -47,108 +47,43 @@ func backendTestPoints(n *grid.Network) [][]float64 {
 	return append(pts, xd)
 }
 
-// TestGammaSparseBackendAgreement pins the sparse backend's contract: the
-// CSC-aware Gram-Schmidt must agree with the exact evaluator to 1e-9 rad
-// (cosine scale near γ = 0, where acos amplifies sub-ulp noise).
-func TestGammaSparseBackendAgreement(t *testing.T) {
+// checkAliasIsExact pins that an evaluator built under the alias gb is the
+// exact evaluator: bitwise-equal γ at every test point, pooled and through
+// a session.
+func checkAliasIsExact(t *testing.T, gb GammaBackend) {
+	t.Helper()
 	for _, name := range backendTestCases(t) {
 		n, err := grid.CaseByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		xOld := n.Reactances()
-		exact := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
-		sparse := NewGammaEvaluatorBackend(n, xOld, SparseGamma)
-		if sparse.Backend() != SparseGamma {
-			t.Fatalf("%s: sparse evaluator reports backend %v", name, sparse.Backend())
-		}
+		exact := NewGammaEvaluator(n, xOld)
+		alias := NewGammaEvaluatorBackend(n, xOld, gb)
 		for pi, xd := range backendTestPoints(n) {
 			x := n.ExpandDFACTS(xd)
-			ge, gs := exact.Gamma(x), sparse.Gamma(x)
-			if ge < 1e-6 {
-				if math.Abs(math.Cos(gs)-math.Cos(ge)) > 1e-12 {
-					t.Errorf("%s point %d: near-zero γ disagrees: sparse %.3g vs exact %.3g", name, pi, gs, ge)
+			ge := exact.Gamma(x)
+			for _, g := range []float64{alias.Gamma(x), alias.NewSession().Gamma(x)} {
+				if math.Float64bits(g) != math.Float64bits(ge) {
+					t.Errorf("%s point %d: %v alias γ %.17g vs exact %.17g", name, pi, gb, g, ge)
 				}
-				continue
-			}
-			if math.Abs(gs-ge) > 1e-9 {
-				t.Errorf("%s point %d: sparse γ %.15g vs exact %.15g (|Δ| = %.3g)", name, pi, gs, ge, math.Abs(gs-ge))
 			}
 		}
 	}
 }
 
-// sketchGammaBound is the documented sketch error contract:
-// |γ_sketch − γ_exact| ≤ sketchGammaBound · max(1, γ_exact) whenever the
-// sketch serves the evaluation (evaluations it refuses fall back to the
-// exact path and are exact by construction). PERF.md records the measured
-// margins behind the bound.
-const sketchGammaBound = 1e-6
+// TestGammaSparseBackendAgreement: the sparse name is an alias of the
+// exact evaluator.
+func TestGammaSparseBackendAgreement(t *testing.T) { checkAliasIsExact(t, SparseGamma) }
 
-// TestGammaSketchBackendAgreement pins the sketch contract across the
-// registered cases at fixed seeds: the documented relative-error bound,
-// exact behavior of the automatic fallback, and the property that γ values
-// are reproducible per seed.
-func TestGammaSketchBackendAgreement(t *testing.T) {
-	for _, name := range backendTestCases(t) {
-		n, err := grid.CaseByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xOld := n.Reactances()
-		exact := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
-		sketch := NewGammaEvaluatorBackend(n, xOld, SketchGamma)
-		if sketch.Backend() != SketchGamma {
-			t.Fatalf("%s: sketch evaluator degraded to %v", name, sketch.Backend())
-		}
-		for pi, xd := range backendTestPoints(n) {
-			x := n.ExpandDFACTS(xd)
-			ge, gk := exact.Gamma(x), sketch.Gamma(x)
-			if math.Abs(gk-ge) > sketchGammaBound*math.Max(1, ge) {
-				t.Errorf("%s point %d: sketch γ %.15g vs exact %.15g (|Δ| = %.3g beyond the documented bound)",
-					name, pi, gk, ge, math.Abs(gk-ge))
-			}
-			// Determinism per seed: the same evaluation twice, and through a
-			// fresh session, must reproduce bit-for-bit.
-			if again := sketch.Gamma(x); again != gk {
-				t.Errorf("%s point %d: repeated sketch γ drifted: %v vs %v", name, pi, again, gk)
-			}
-			if sess := sketch.NewSession().Gamma(x); sess != gk {
-				t.Errorf("%s point %d: session sketch γ %v != pooled %v", name, pi, sess, gk)
-			}
-		}
-		// GammaExact must serve the exact value regardless of backend: the
-		// winner re-check SelectMTD applies.
-		x := n.ExpandDFACTS(backendTestPoints(n)[3])
-		if ge, gx := exact.Gamma(x), sketch.GammaExact(x); gx != ge {
-			t.Errorf("%s: GammaExact %.15g != exact evaluator %.15g", name, gx, ge)
-		}
-	}
-}
-
-// TestGammaSketchSeedDeterminism pins that two independently-built sketch
-// evaluators produce identical values (the seed, not construction order or
-// memory layout, is the only randomness source).
-func TestGammaSketchSeedDeterminism(t *testing.T) {
-	n, err := grid.CaseByName("ieee57")
-	if err != nil {
-		t.Fatal(err)
-	}
-	xOld := n.Reactances()
-	a := NewGammaEvaluatorBackend(n, xOld, SketchGamma)
-	b := NewGammaEvaluatorBackend(n, xOld, SketchGamma)
-	for pi, xd := range backendTestPoints(n) {
-		ga, gb := a.GammaDFACTS(xd), b.GammaDFACTS(xd)
-		if ga != gb {
-			t.Fatalf("point %d: independently-built sketch evaluators disagree: %v vs %v", pi, ga, gb)
-		}
-	}
-}
+// TestGammaSketchBackendAgreement: the sketch name is an alias of the
+// exact evaluator.
+func TestGammaSketchBackendAgreement(t *testing.T) { checkAliasIsExact(t, SketchGamma) }
 
 // TestSketchWorkerCountInvariant is the determinism-across-worker-counts
-// test for the sketch backend: a full MaxGamma search (corner poll fanned
-// across workers + parallel multi-start, all γ evaluations through the
-// sketch) must return the identical Selection for any worker count.
+// test for engines built under the sketch alias: a full MaxGamma search
+// (corner poll fanned across workers + parallel multi-start) must return
+// the identical Selection for any worker count.
 func TestSketchWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("57-bus searches take a second")
@@ -188,10 +123,10 @@ func TestSketchWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestSelectMTDSketchReportsExactGamma pins the tolerance contract: a
-// sketch-guided selection's reported γ must be the exact evaluator's value
-// at the selected reactances, and must clear the threshold under the
-// standard GammaTol.
+// TestSelectMTDSketchReportsExactGamma pins the alias contract end to
+// end: a selection on engines built under the sketch alias reports the
+// exact evaluator's γ at the selected reactances, clearing the threshold
+// under the standard GammaTol.
 func TestSelectMTDSketchReportsExactGamma(t *testing.T) {
 	if testing.Short() {
 		t.Skip("57-bus selection takes a second")
@@ -217,7 +152,7 @@ func TestSelectMTDSketchReportsExactGamma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
+	exact := NewGammaEvaluator(n, xOld)
 	if want := exact.Gamma(sel.Reactances); sel.Gamma != want {
 		t.Fatalf("reported γ %.15g is not the exact value %.15g", sel.Gamma, want)
 	}
@@ -226,9 +161,9 @@ func TestSelectMTDSketchReportsExactGamma(t *testing.T) {
 	}
 }
 
-// TestGammaBackendParseAndResolve covers the flag-facing surface: parse
-// round-trips, the discoverability error listing every valid value, and
-// the auto resolution rule (process default, exact when none).
+// TestGammaBackendParseAndResolve covers the request-facing surface:
+// parse round-trips of every alias and the error listing every valid
+// value.
 func TestGammaBackendParseAndResolve(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -251,16 +186,5 @@ func TestGammaBackendParseAndResolve(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("parse error %q does not list the valid value %q", err, name)
 		}
-	}
-	if got := subspace.EffectiveGammaBackend(AutoGamma); got != ExactGamma {
-		t.Errorf("auto resolves to %v with no default set, want exact", got)
-	}
-	subspace.SetDefaultGammaBackend(SketchGamma)
-	if got := subspace.EffectiveGammaBackend(AutoGamma); got != SketchGamma {
-		t.Errorf("auto resolves to %v under a sketch default", got)
-	}
-	subspace.SetDefaultGammaBackend(AutoGamma)
-	if got := subspace.EffectiveGammaBackend(AutoGamma); got != ExactGamma {
-		t.Errorf("auto resolves to %v after restoring the default", got)
 	}
 }

@@ -133,17 +133,15 @@ func NewEngines(n *grid.Network, xOld []float64) (*Engines, error) {
 }
 
 // NewEnginesShared builds the evaluator bundle around an existing dispatch
-// engine for the same network (which must have been constructed for n),
-// with the default γ backend.
+// engine for the same network (which must have been constructed for n).
 func NewEnginesShared(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine) *Engines {
-	return NewEnginesSharedBackend(n, xOld, dispatch, AutoGamma)
+	return &Engines{gamma: NewGammaEvaluator(n, xOld), dispatch: dispatch}
 }
 
-// NewEnginesSharedBackend is NewEnginesShared with an explicit γ-backend
-// choice — the hook the scenario layer and the planner service thread
-// their per-spec/per-request GammaBackend through.
-func NewEnginesSharedBackend(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine, gb GammaBackend) *Engines {
-	return &Engines{gamma: NewGammaEvaluatorBackend(n, xOld, gb), dispatch: dispatch}
+// NewEnginesSharedBackend is NewEnginesShared for callers that carry a
+// γ-backend name; every name is an alias of the exact evaluator.
+func NewEnginesSharedBackend(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine, _ GammaBackend) *Engines {
+	return NewEnginesShared(n, xOld, dispatch)
 }
 
 // Dispatch exposes the bundle's dispatch-OPF engine.
@@ -186,15 +184,13 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 	}
 
 	// Each multi-start worker gets its own engine sessions (no pool churn
-	// per evaluation) and two kinds of per-worker warm state: the sparse
-	// path's warm LP basis and, on the sketch backend, the carried Lanczos
-	// warm start. The reset hook scopes both to one local search, so the
+	// per evaluation) and, on the sparse path, its own warm LP basis. The
+	// reset hook scopes the warm basis to one local search, so the
 	// selected MTD is identical for every worker count. The driver-level
 	// objective is built by the same factory, so there is exactly one
 	// definition.
 	newWorker := func() (optimize.Objective, func()) {
 		gs := eng.gamma.NewSession()
-		gs.CarryWarmStarts()
 		ds := eng.dispatch.NewSession()
 		costOf := func(xd []float64) float64 {
 			cost, err := ds.Cost(n.ExpandDFACTS(xd))
@@ -206,10 +202,7 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 		cons := []optimize.Constraint{
 			func(xd []float64) float64 { return cfg.GammaThreshold - gs.GammaDFACTS(xd) },
 		}
-		reset := func() {
-			ds.ResetWarmStart()
-			gs.ResetWarmStart()
-		}
+		reset := ds.ResetWarmStart
 		if eng.dispatch.Backend() == grid.SparseBackend {
 			// Lazy-penalty skip (sparse path only): evaluate the γ
 			// constraint first and skip the dispatch solve entirely at
@@ -265,12 +258,7 @@ func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) 
 		return nil, fmt.Errorf("core: problem (4) search: %w", err)
 	}
 
-	// Tolerance contract: an approximate γ backend may guide the search,
-	// but the winner is validated — and reported — through the exact
-	// evaluator, so GammaTol keeps its historical meaning (search slack,
-	// not search slack plus sketch error). For exact and sparse backends
-	// GammaDFACTSExact is the regular evaluation.
-	gamma := eng.gamma.GammaDFACTSExact(best.X)
+	gamma := eng.gamma.GammaDFACTS(best.X)
 	if gamma < cfg.GammaThreshold-cfg.GammaTol {
 		return nil, fmt.Errorf("%w: best γ %.4f < threshold %.4f", ErrConstraintUnreachable, gamma, cfg.GammaThreshold)
 	}
@@ -368,11 +356,7 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 
 	newWorker := func() (optimize.Objective, func()) {
 		gs := eng.gamma.NewSession()
-		gs.CarryWarmStarts()
-		// The carried Lanczos warm start is scoped to one local search, same
-		// as selectMTD: reset keeps the search identical for every worker
-		// count.
-		return func(xd []float64) float64 { return -gs.GammaDFACTS(xd) }, gs.ResetWarmStart
+		return func(xd []float64) float64 { return -gs.GammaDFACTS(xd) }, nil
 	}
 	obj, _ := newWorker()
 	local := func(f optimize.Objective, x0 []float64) (*optimize.Result, error) {
@@ -392,14 +376,6 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		bestG = g
 		bestX = res.X
 	}
-	// Same tolerance contract as selectMTD: the reported γ (and the backoff
-	// ladder's thresholds, which are fractions of it) come from the exact
-	// evaluator even when an approximate backend guided the corner poll and
-	// the local searches.
-	if eng.gamma.Backend() == SketchGamma {
-		bestG = eng.gamma.GammaDFACTSExact(bestX)
-	}
-
 	baselineCost := cfg.BaselineCost
 	if baselineCost <= 0 {
 		baselineCost, err = NoMTDCost(n, cfg.Starts, cfg.Seed)
@@ -443,10 +419,8 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 // bestCorner evaluates γ at all 2^d corners of the D-FACTS box, splitting
 // the masks across workers, and returns the best value with the lowest
 // achieving mask. newGammaOf builds one γ evaluator per worker chunk
-// (engine affinity); the chunk sessions never opt into warm-start carrying
-// — the chunk partition depends on the worker count, so a carried state
-// would break the worker-count invariance — and γ evaluation is otherwise
-// stateless, so the winner is independent of the worker count.
+// (engine affinity); γ evaluation is stateless, so the winner is
+// independent of the worker count.
 func bestCorner(newGammaOf func() func([]float64) float64, lo, hi []float64, d, parallelism int) (float64, int) {
 	total := 1 << d
 	workers := parallelism

@@ -6,10 +6,10 @@ import (
 	"gridmtd/internal/mat"
 )
 
-// GammaSketchOperands returns the topology-fixed operands of the γ-sketch
-// backend's structural factorization. In the reduced γ-equivalent
-// representation (see MeasurementMatrixTGammaInto) every candidate column
-// matrix factors as B(x) = Ĉ·D(x)·E with
+// GammaSketchOperands returns the topology-fixed operands of the
+// structural factorization the rank-|S| γ kernel works in. In the reduced
+// γ-equivalent representation (see MeasurementMatrixTGammaInto) every
+// candidate column matrix factors as B(x) = Ĉ·D(x)·E with
 //
 //	Ĉ = [A; √2·I]  ((N+L)×L, A the full bus-branch incidence),
 //	D(x) = diag(1/x_l),
@@ -17,9 +17,11 @@ import (
 //
 // so B(x₁)ᵀB(x₂) = Eᵀ·D₁·G·D₂·E with the sparse Gram kernel
 // G = ĈᵀĈ = AᵀA + 2I. The method returns Eᵀ in CSC form ((N−1)×L: column l
-// holds branch l's ±1 reduced-incidence entries — the row-contiguous layout
-// the sketch's scatter wants) and G (L×L). Both depend only on the
-// topology; one pair serves every reactance vector of the network.
+// holds branch l's ±1 reduced-incidence entries) and G (L×L). Both depend
+// only on the topology; one pair serves every reactance vector of the
+// network. The kernel itself takes Ĉ (GammaColumnFactor) and forms G;
+// these operands let the factorization be checked against the dense
+// matrices.
 func (n *Network) GammaSketchOperands() (et, g *mat.CSC) {
 	nb1 := n.N() - 1
 	s := n.SlackBus - 1
@@ -85,4 +87,22 @@ func (n *Network) GammaColumnFactor() *mat.CSC {
 		vs = append(vs, 1, -1, math.Sqrt2)
 	}
 	return mat.NewCSCFromTriplets(nb+nl, nl, is, js, vs)
+}
+
+// BranchAngleDiffsInto writes θ_from − θ_to across each listed branch into
+// dst (the rows E_l·θ of the reduced representation) and returns it, for a
+// slack-reduced state vector θ whose slack angle is 0.
+func (n *Network) BranchAngleDiffsInto(dst []float64, branches []int, theta []float64) []float64 {
+	s := n.SlackBus - 1
+	for i, l := range branches {
+		var v float64
+		if c := reducedColIndex(n.Branches[l].From-1, s); c >= 0 {
+			v = theta[c]
+		}
+		if c := reducedColIndex(n.Branches[l].To-1, s); c >= 0 {
+			v -= theta[c]
+		}
+		dst[i] = v
+	}
+	return dst
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGammaSketchOperandsIdentity verifies the structural factorization the
-// sketch backend rests on: for any two reactance vectors, the sparse
+// rank-|S| γ kernel rests on: for any two reactance vectors, the sparse
 // quadratic form Eᵀ·D₁·G·D₂·E must reproduce the Gram matrix of the
 // reduced [p; √2·f] representation's columns — i.e. the same inner
 // products the exact γ pipeline reduces over.

@@ -216,7 +216,7 @@ type RevisedSolver struct {
 	// The index survives Invalidate on purpose — rays are never trusted
 	// from storage, only after exact revalidation against the current
 	// problem's data, so dropping the warm basis has no bearing on their
-	// validity.
+	// validity. DropRays empties it.
 	rays                []farkasRay
 	rayScratch, rayCand []float64
 	// Scratch vectors sized to the working dimension k, m or nTot.
@@ -243,6 +243,12 @@ func (s *RevisedSolver) Stats() RevisedStats { return s.stats }
 // a pure function of the problem (crash-basis warm route, flat tableau
 // when that fails) with no memory of previous solves.
 func (s *RevisedSolver) Invalidate() { s.hasBasis = false }
+
+// DropRays empties the Farkas-ray index. Stored rays never change a
+// verdict, only how many solves it takes to reach one, so drivers that
+// need solve counts independent of how their work is split across solvers
+// drop the index at the same boundaries as the warm basis.
+func (s *RevisedSolver) DropRays() { s.rays = s.rays[:0] }
 
 // HasBasis reports whether a warm basis is loaded (from a previous solve
 // or InstallBasis).

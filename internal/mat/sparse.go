@@ -83,7 +83,7 @@ func (m *CSC) NNZ() int { return len(m.rowIdx) }
 func (m *CSC) Values() []float64 { return m.values }
 
 // ColPtr returns the column pointer slice (length Cols+1). Callers must
-// treat it as read-only: it is the pattern, shared by clones.
+// treat it as read-only: it is the pattern.
 func (m *CSC) ColPtr() []int { return m.colPtr }
 
 // RowIdx returns the row index slice (length NNZ, ascending within each
@@ -127,36 +127,6 @@ func (m *CSC) MulVecInto(dst, x []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// MulVecTransposeInto computes mᵀ*x into dst (length Cols) and returns
-// dst. With CSC storage the transposed product reads each column's entries
-// contiguously, so no transposed copy is ever materialized.
-func (m *CSC) MulVecTransposeInto(dst, x []float64) []float64 {
-	if len(x) != m.rows || len(dst) != m.cols {
-		panic(ErrShape)
-	}
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			s += m.values[p] * x[m.rowIdx[p]]
-		}
-		dst[j] = s
-	}
-	return dst
-}
-
-// Clone returns a deep copy of the matrix. The pattern slices are copied
-// too, so the clone's Values may be revalued independently.
-func (m *CSC) Clone() *CSC {
-	out := &CSC{
-		rows:   m.rows,
-		cols:   m.cols,
-		colPtr: append([]int(nil), m.colPtr...),
-		rowIdx: append([]int(nil), m.rowIdx...),
-		values: append([]float64(nil), m.values...),
-	}
-	return out
 }
 
 // Dense materializes m as a dense matrix (tests and debugging).
@@ -265,7 +235,7 @@ type SparseChol struct {
 	x    []float64
 	s    []int
 	cfin []int
-	y, z []float64 // solve scratch
+	y    []float64 // solve scratch
 }
 
 // NewSparseChol analyzes and factors the symmetric positive definite matrix
@@ -328,7 +298,6 @@ func NewSparseChol(a *CSC) (*SparseChol, error) {
 	c.lx = make([]float64, c.lp[n])
 	c.cfin = make([]int, n)
 	c.y = make([]float64, n)
-	c.z = make([]float64, n)
 
 	if err := c.factor(); err != nil {
 		return nil, err
@@ -590,83 +559,3 @@ func (c *SparseChol) SolveRowsInto(x []float64, nrhs int, scratch []float64) {
 // FillIn returns the number of stored entries of the factor L, a direct
 // measure of how well the ordering contained fill.
 func (c *SparseChol) FillIn() int { return len(c.li) }
-
-// Clone returns an independently-usable copy of the factorization: the
-// numeric factor, the permuted values and every scratch buffer are copied,
-// while the immutable symbolic structure (ordering, elimination tree,
-// pattern pointers) is shared. A clone may Refactor and solve concurrently
-// with the original — this is what gives per-worker γ-sketch sessions their
-// own Cholesky state without redoing the symbolic analysis.
-func (c *SparseChol) Clone() *SparseChol {
-	out := &SparseChol{
-		n:      c.n,
-		p:      c.p,
-		pinv:   c.pinv,
-		cp:     c.cp,
-		ci:     c.ci,
-		amap:   c.amap,
-		parent: c.parent,
-		lp:     c.lp,
-		cx:     append([]float64(nil), c.cx...),
-		li:     append([]int(nil), c.li...),
-		lx:     append([]float64(nil), c.lx...),
-		w:      make([]int, c.n),
-		x:      make([]float64, c.n),
-		s:      make([]int, c.n),
-		cfin:   make([]int, c.n),
-		y:      make([]float64, c.n),
-		z:      make([]float64, c.n),
-	}
-	return out
-}
-
-// HalfSolveInto writes y = L⁻¹·(P·b) into dst and returns it: the forward
-// half of SolveInto, exposed for callers that work with the factor itself
-// (the γ-sketch evaluator's implicit orthonormalization, where the columns
-// of B·Pᵀ·L⁻ᵀ are orthonormal whenever L·Lᵀ = P·(BᵀB)·Pᵀ). dst must not
-// alias b.
-func (c *SparseChol) HalfSolveInto(dst, b []float64) []float64 {
-	n := c.n
-	if len(b) != n || len(dst) != n {
-		panic(ErrShape)
-	}
-	for k := 0; k < n; k++ {
-		dst[k] = b[c.p[k]]
-	}
-	for j := 0; j < n; j++ {
-		yj := dst[j] / c.lx[c.lp[j]]
-		dst[j] = yj
-		if yj == 0 {
-			continue
-		}
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			dst[c.li[p]] -= c.lx[p] * yj
-		}
-	}
-	return dst
-}
-
-// HalfSolveTransposeInto writes y = Pᵀ·L⁻ᵀ·b into dst and returns it: the
-// backward half of SolveInto (SolveInto(dst, b) ≡
-// HalfSolveTransposeInto(dst, HalfSolveInto(scratch, b))). It uses the
-// factorization's solve scratch, so it shares SolveInto's concurrency rule:
-// one goroutine per SparseChol (clones for the rest). dst must not alias b.
-func (c *SparseChol) HalfSolveTransposeInto(dst, b []float64) []float64 {
-	n := c.n
-	if len(b) != n || len(dst) != n {
-		panic(ErrShape)
-	}
-	z := c.z
-	copy(z, b)
-	for j := n - 1; j >= 0; j-- {
-		s := z[j]
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			s -= c.lx[p] * z[c.li[p]]
-		}
-		z[j] = s / c.lx[c.lp[j]]
-	}
-	for k := 0; k < n; k++ {
-		dst[c.p[k]] = z[k]
-	}
-	return dst
-}

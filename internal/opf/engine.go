@@ -557,15 +557,18 @@ func (s *DispatchSession) Solve(x []float64) (*Result, error) {
 	return s.e.solve(s.w, x)
 }
 
-// ResetWarmStart drops the session's warm LP basis (a no-op on the dense
-// path): the next solve starts from the engine's fixed seed basis (cold
-// when the engine has none). Deterministic drivers call it at their
+// ResetWarmStart drops the session's warm LP basis and its Farkas-ray
+// index (a no-op on the dense path): the next solve starts from the
+// engine's fixed seed basis (cold when the engine has none) with no
+// recycled certificates. Deterministic drivers call it at their
 // reproducibility boundaries — one local search per warm scope; because
-// the seed is a pure function of the network, the post-reset state is
-// identical however starts are distributed across workers.
+// the seed is a pure function of the network, the post-reset state, and
+// with it the search's solve and pre-screen counts, are identical however
+// starts are distributed across workers.
 func (s *DispatchSession) ResetWarmStart() {
 	if s.w.rsolver != nil {
 		s.w.rsolver.Invalidate()
+		s.w.rsolver.DropRays()
 	}
 }
 

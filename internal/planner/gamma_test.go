@@ -9,7 +9,6 @@ import (
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
-	"gridmtd/internal/subspace"
 )
 
 // randomSetting draws a D-FACTS setting uniformly from the device box and
@@ -25,9 +24,8 @@ func randomSetting(n *grid.Network, rng *rand.Rand) []float64 {
 
 // TestGammaServedMatchesSelect pins the one-engine contract on ieee118:
 // /v1/gamma against the nominal reactances answers, bit for bit, the γ a
-// selection with x_old = nominal reports for its own reactances, for the
-// exact and the sketch search backends (the sketch winner is re-checked
-// exactly).
+// selection with x_old = nominal reports for its own reactances, whether
+// the request names the exact backend or its sketch alias.
 func TestGammaServedMatchesSelect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ieee118 selections in -short mode")
@@ -93,38 +91,6 @@ func TestGammaConcurrentDistinctSettings(t *testing.T) {
 		if want := core.Gamma(n, n.Reactances(), x); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Errorf("worker %d: served γ %v, core.Gamma %v", i, got[i], want)
 		}
-	}
-}
-
-// TestGammaIgnoresGammaBackendDefault pins that the -gamma process default
-// only steers searches: with the sketch as default, /v1/gamma still serves
-// the exact engine's bits, with and without an explicit x_old.
-func TestGammaIgnoresGammaBackendDefault(t *testing.T) {
-	n, err := grid.CaseByName("ieee57")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	xOld, xNew := randomSetting(n, rng), randomSetting(n, rng)
-	want := core.Gamma(n, n.Reactances(), xNew)
-	wantExplicit := core.Gamma(n, xOld, xNew)
-
-	subspace.SetDefaultGammaBackend(core.SketchGamma)
-	defer subspace.SetDefaultGammaBackend(core.AutoGamma)
-	p := New(Config{})
-	resp, err := p.Gamma(GammaRequest{Case: "ieee57", XNew: xNew})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(resp.Gamma) != math.Float64bits(want) {
-		t.Errorf("sketch default: served nominal γ %v, exact %v", resp.Gamma, want)
-	}
-	resp, err = p.Gamma(GammaRequest{Case: "ieee57", XOld: xOld, XNew: xNew})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(resp.Gamma) != math.Float64bits(wantExplicit) {
-		t.Errorf("sketch default: served explicit-x_old γ %v, exact %v", resp.Gamma, wantExplicit)
 	}
 }
 

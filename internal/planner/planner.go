@@ -110,8 +110,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts cache traffic and which γ backend served the computed
-// (non-memoized) selection-style requests.
+// Stats counts cache traffic and the γ-backend names selection-style
+// requests sent.
 type Stats struct {
 	CaseHits     int64 `json:"case_hits"`
 	CaseMisses   int64 `json:"case_misses"`
@@ -122,7 +122,9 @@ type Stats struct {
 	// memo entry or computing themselves.
 	ResultCoalesced int64 `json:"result_coalesced"`
 	// GammaExactServed / GammaSparseServed / GammaSketchServed count
-	// computed requests by the γ backend that served their searches.
+	// answered select and placement requests by the γ-backend name they
+	// asked for ("" and "auto" count as exact). Every name is an alias of
+	// the exact evaluator, so they show only what clients send.
 	GammaExactServed  int64 `json:"gamma_exact_served"`
 	GammaSparseServed int64 `json:"gamma_sparse_served"`
 	GammaSketchServed int64 `json:"gamma_sketch_served"`
@@ -261,12 +263,10 @@ type caseEntry struct {
 }
 
 // nominalGamma returns the case's exact γ evaluator for the nominal x_old.
-// Explicit ExactGamma keeps the -gamma process default from changing the
-// bits /v1/gamma serves; the pooled workspaces make it safe for concurrent
-// requests.
+// The pooled workspaces make it safe for concurrent requests.
 func (e *caseEntry) nominalGamma() *core.GammaEvaluator {
 	e.gammaOnce.Do(func() {
-		e.gamma = core.NewGammaEvaluatorBackend(e.net, e.net.Reactances(), core.ExactGamma)
+		e.gamma = core.NewGammaEvaluator(e.net, e.net.Reactances())
 	})
 	return e.gamma
 }
@@ -545,9 +545,9 @@ type SelectRequest struct {
 	Attacks  int       `json:"attacks,omitempty"`
 	Sigma    float64   `json:"sigma,omitempty"`
 	Alpha    float64   `json:"alpha,omitempty"`
-	// GammaBackend selects the γ-evaluation backend of the search ("auto",
-	// "exact", "sparse" or "sketch"; empty = auto). Approximate backends
-	// only guide the search — the served γ and η' values are exact.
+	// GammaBackend names a γ backend ("auto", "exact", "sparse" or
+	// "sketch"; empty = auto). Every name is an alias of the exact
+	// evaluator; an unknown name is rejected.
 	GammaBackend string `json:"gamma_backend,omitempty"`
 }
 
@@ -564,8 +564,7 @@ type SelectResponse struct {
 	Undetectable     float64   `json:"undetectable"`
 	Reactances       []float64 `json:"reactances"`
 	MaxGammaFallback bool      `json:"max_gamma_fallback,omitempty"`
-	// GammaBackend reports which γ backend served the search (the resolved
-	// value: "exact", "sparse" or "sketch").
+	// GammaBackend reports the γ evaluator that served: always "exact".
 	GammaBackend string `json:"gamma_backend"`
 	// CacheHit reports whether any cache served (memo, coalesced in-flight
 	// computation, or disk); Source names which ("computed", "memo",
@@ -591,23 +590,20 @@ func (r SelectRequest) withDefaults() SelectRequest {
 // Select serves one memoized selection request.
 func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 	req = req.withDefaults()
-	// Parse (and normalize) the γ backend before the memo: a bad value
-	// never occupies an LRU slot, and every spelling of one backend
-	// ("", "auto", "Exact", ...) that resolves identically shares one key.
-	gb, err := subspace.ParseGammaBackend(req.GammaBackend)
+	gb, err := parseGammaAlias(&req.GammaBackend)
 	if err != nil {
-		return nil, fmt.Errorf("planner: %w", err)
+		return nil, err
 	}
-	req.GammaBackend = subspace.EffectiveGammaBackend(gb).String()
 	if err := checkReactances("x_old", req.XOld); err != nil {
 		return nil, err
 	}
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
-		return p.computeSelect(req, gb)
+		return p.computeSelect(req)
 	})
 	if err != nil {
 		return nil, err
 	}
+	p.countGammaServed(gb)
 	out := *(resp.(*SelectResponse))
 	out.CacheHit = source != SourceComputed
 	out.Source = source
@@ -615,23 +611,21 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 	return &out, nil
 }
 
-func (p *Planner) computeSelect(req SelectRequest, gb core.GammaBackend) (*SelectResponse, error) {
+func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 	n, err := p.caseFor(req.Case, req.LoadScale)
 	if err != nil {
 		return nil, err
 	}
 	effCfg := core.EffectivenessConfig{
 		NumAttacks: req.Attacks, Sigma: req.Sigma, Alpha: req.Alpha, Seed: req.Seed,
-		GammaBackend: gb,
 	}
 	if len(req.XOld) > 0 {
-		return p.selectExplicitXOld(req, n, gb, effCfg)
+		return p.selectExplicitXOld(req, n, effCfg)
 	}
 	spec := scenario.Spec{
 		Kind:            scenario.GammaSweep,
 		Net:             n,
 		Backend:         p.cfg.Backend,
-		GammaBackend:    gb,
 		GammaGrid:       []float64{req.GammaThreshold},
 		CapWithMaxGamma: req.MaxGamma,
 		SelectStarts:    req.Starts,
@@ -658,12 +652,6 @@ func (p *Planner) computeSelect(req SelectRequest, gb core.GammaBackend) (*Selec
 		}
 		return nil, fmt.Errorf("planner: no operable design on %s (max-γ corner infeasible)", req.Case)
 	}
-	// The runner reports the backend that actually served the search (a
-	// sketch request whose old-side Gram matrix defeats the construction
-	// degrades to exact) — that, not the requested value, is what the
-	// response and the served-backend counters record.
-	served := res.GammaBackendUsed
-	p.countGammaServed(served)
 	row := res.Rows[len(res.Rows)-1]
 	return &SelectResponse{
 		Case:             req.Case,
@@ -677,17 +665,27 @@ func (p *Planner) computeSelect(req SelectRequest, gb core.GammaBackend) (*Selec
 		Undetectable:     row.Undetectable,
 		Reactances:       row.Reactances,
 		MaxGammaFallback: req.MaxGamma && row.GammaTarget == 0,
-		GammaBackend:     served.String(),
+		GammaBackend:     core.ExactGamma.String(),
 	}, nil
 }
 
-// countGammaServed records which γ backend actually served a computed
-// request (called only after a successful computation, with the engine's
-// resolved backend).
+// parseGammaAlias parses a request's γ-backend name before the memo, so a
+// bad value never occupies an LRU slot, and rewrites it to "exact": every
+// name is an alias of the exact evaluator, so all spellings share one key.
+func parseGammaAlias(name *string) (core.GammaBackend, error) {
+	gb, err := subspace.ParseGammaBackend(*name)
+	if err != nil {
+		return gb, fmt.Errorf("planner: %w", err)
+	}
+	*name = core.ExactGamma.String()
+	return gb, nil
+}
+
+// countGammaServed records the γ-backend name of an answered request.
 func (p *Planner) countGammaServed(gb core.GammaBackend) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch subspace.EffectiveGammaBackend(gb) {
+	switch gb {
 	case core.SparseGamma:
 		p.stats.GammaSparseServed++
 	case core.SketchGamma:
@@ -701,7 +699,7 @@ func (p *Planner) countGammaServed(gb core.GammaBackend) {
 // the planner works directly on the shared engines (the setpoint hash —
 // case, scale, x_old — keys the γ engine, the dispatch engine comes from
 // the runner's cache).
-func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core.GammaBackend, effCfg core.EffectivenessConfig) (*SelectResponse, error) {
+func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg core.EffectivenessConfig) (*SelectResponse, error) {
 	if len(req.XOld) != n.L() {
 		return nil, fmt.Errorf("planner: x_old has %d entries, case %s has %d branches", len(req.XOld), req.Case, n.L())
 	}
@@ -715,7 +713,7 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 	if err != nil {
 		return nil, err
 	}
-	engines := core.NewEnginesSharedBackend(n, req.XOld, eng, gb)
+	engines := core.NewEnginesShared(n, req.XOld, eng)
 	selCfg := core.SelectConfig{
 		GammaThreshold: req.GammaThreshold,
 		Starts:         req.Starts,
@@ -756,8 +754,6 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 	if err != nil {
 		return nil, err
 	}
-	served := engines.Gamma().Backend()
-	p.countGammaServed(served)
 	return &SelectResponse{
 		Case:             req.Case,
 		GammaThreshold:   req.GammaThreshold,
@@ -770,7 +766,7 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, gb core
 		Undetectable:     eff.UndetectableFraction,
 		Reactances:       sel.Reactances,
 		MaxGammaFallback: fellBack,
-		GammaBackend:     served.String(),
+		GammaBackend:     core.ExactGamma.String(),
 	}, nil
 }
 
@@ -969,10 +965,9 @@ type PlacementRequest struct {
 	Case    string `json:"case"`
 	Devices int    `json:"devices,omitempty"`
 	Pool    []int  `json:"pool,omitempty"`
-	// AllBranches widens the pool to every branch of the case; pair it
-	// with GammaBackend "sketch" so the L-wide probe rounds stay cheap
-	// (each round's winner is re-checked exactly either way).
-	AllBranches  bool   `json:"all_branches,omitempty"`
+	// AllBranches widens the pool to every branch of the case.
+	AllBranches bool `json:"all_branches,omitempty"`
+	// GammaBackend names a γ backend, as in SelectRequest.
 	GammaBackend string `json:"gamma_backend,omitempty"`
 }
 
@@ -996,13 +991,10 @@ type PlacementResponse struct {
 
 // Placement serves one memoized placement study.
 func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
-	// Same pre-memo parse/normalization as Select: bad values never enter
-	// the LRU, equivalent spellings share one key.
-	gb, err := subspace.ParseGammaBackend(req.GammaBackend)
+	gb, err := parseGammaAlias(&req.GammaBackend)
 	if err != nil {
-		return nil, fmt.Errorf("planner: %w", err)
+		return nil, err
 	}
-	req.GammaBackend = subspace.EffectiveGammaBackend(gb).String()
 	key := fmt.Sprintf("placement|%s|%d|%v|%v|%s", req.Case, req.Devices, req.Pool, req.AllBranches, req.GammaBackend)
 	resp, elapsed, source, err := p.memo(key, func() (any, error) {
 		n, err := p.caseFor(req.Case, 1)
@@ -1010,10 +1002,9 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 			return nil, err
 		}
 		res, err := p.runner.Run(scenario.Spec{
-			Kind:         scenario.Placement,
-			Net:          n,
-			Backend:      p.cfg.Backend,
-			GammaBackend: gb,
+			Kind:    scenario.Placement,
+			Net:     n,
+			Backend: p.cfg.Backend,
 			Placement: scenario.PlacementSpec{
 				Devices: req.Devices, Pool: req.Pool, AllBranches: req.AllBranches,
 			},
@@ -1022,7 +1013,6 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.countGammaServed(res.GammaBackendUsed)
 		out := &PlacementResponse{Case: req.Case}
 		for _, r := range res.Rows {
 			out.Rounds = append(out.Rounds, PlacementRound{
@@ -1038,6 +1028,7 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.countGammaServed(gb)
 	out := *(resp.(*PlacementResponse))
 	out.CacheHit = source != SourceComputed
 	out.Source = source

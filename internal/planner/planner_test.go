@@ -2,6 +2,7 @@ package planner
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -60,47 +61,57 @@ func TestSelectMemoized(t *testing.T) {
 	}
 }
 
-// TestSelectGammaBackendNormalizedAndReported pins the γ-backend request
-// surface: equivalent spellings share one memo entry, the response reports
-// the backend that served (not the raw request string), a bogus value is
-// rejected before it can occupy an LRU slot, and the served counters move.
+// TestSelectGammaBackendNormalizedAndReported pins the γ-backend alias
+// contract on ieee118: "", "exact", "sparse" and "sketch" all name the
+// exact evaluator, so the same request under each gives the same γ, cost
+// and η′ bits from one memo entry, reports "exact", and bumps the served
+// counter of the name it sent. A bogus name is rejected before it can
+// occupy an LRU slot and counts nowhere.
 func TestSelectGammaBackendNormalizedAndReported(t *testing.T) {
 	p := New(Config{})
-	req := quickSelect(0.1)
-	req.GammaBackend = "Sketch"
-	first, err := p.Select(req)
-	if err != nil {
-		t.Fatal(err)
+	req := SelectRequest{
+		Case: "ieee118", GammaThreshold: 0.05,
+		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
 	}
-	if first.GammaBackend != "sketch" {
-		t.Errorf("served backend %q, want sketch", first.GammaBackend)
-	}
-	req.GammaBackend = "sketch"
-	second, err := p.Select(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.CacheHit {
-		t.Error("normalized spelling missed the memo")
-	}
-	// "auto" and "" and "exact" all resolve to exact under the default and
-	// must share one key: the second spelling is a hit.
-	req.GammaBackend = "auto"
-	if r, err := p.Select(req); err != nil || r.CacheHit {
-		t.Errorf("auto spelling: err=%v hit=%v (want fresh compute)", err, r.CacheHit)
-	}
-	req.GammaBackend = "exact"
-	if r, err := p.Select(req); err != nil || !r.CacheHit {
-		t.Errorf("exact spelling after auto: err=%v, cache hit=%v (want hit)", err, r)
+	var first *SelectResponse
+	for _, name := range []string{"", "exact", "sparse", "Sketch"} {
+		req.GammaBackend = name
+		resp, err := p.Select(req)
+		if err != nil {
+			t.Fatalf("gamma_backend %q: %v", name, err)
+		}
+		if resp.GammaBackend != "exact" {
+			t.Errorf("gamma_backend %q: served by %q, want exact", name, resp.GammaBackend)
+		}
+		if first == nil {
+			first = resp
+			continue
+		}
+		if !resp.CacheHit {
+			t.Errorf("gamma_backend %q missed the memo", name)
+		}
+		same := math.Float64bits(resp.Gamma) == math.Float64bits(first.Gamma) &&
+			math.Float64bits(resp.CostPerHour) == math.Float64bits(first.CostPerHour) &&
+			len(resp.Eta) == len(first.Eta)
+		for i := 0; same && i < len(resp.Eta); i++ {
+			same = math.Float64bits(resp.Eta[i]) == math.Float64bits(first.Eta[i])
+		}
+		if !same {
+			t.Errorf("gamma_backend %q: γ %v cost %v η′ %v, want %v / %v / %v",
+				name, resp.Gamma, resp.CostPerHour, resp.Eta, first.Gamma, first.CostPerHour, first.Eta)
+		}
 	}
 	req.GammaBackend = "bogus"
 	if _, err := p.Select(req); err == nil {
 		t.Error("bogus gamma backend accepted")
 	}
 	st := p.Stats()
-	if st.GammaSketchServed != 1 || st.GammaExactServed != 1 {
-		t.Errorf("served counters sketch=%d exact=%d, want 1/1 (memo hits and errors must not count)",
-			st.GammaSketchServed, st.GammaExactServed)
+	if st.ResultMisses != 1 || st.ResultHits != 3 {
+		t.Errorf("memo misses=%d hits=%d, want one entry serving all four names", st.ResultMisses, st.ResultHits)
+	}
+	if st.GammaExactServed != 2 || st.GammaSparseServed != 1 || st.GammaSketchServed != 1 {
+		t.Errorf("served counters exact=%d sparse=%d sketch=%d, want 2/1/1 (errors must not count)",
+			st.GammaExactServed, st.GammaSparseServed, st.GammaSketchServed)
 	}
 }
 

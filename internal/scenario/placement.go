@@ -85,7 +85,7 @@ func (st *execState) setupPlacement() error {
 	}
 	x := n.Reactances()
 	st.pl = &placementState{
-		eval:     core.NewGammaEvaluatorBackend(n, x, st.spec.GammaBackend),
+		eval:     core.NewGammaEvaluator(n, x),
 		xNominal: x,
 		pool:     pool,
 		lo:       lo,
@@ -94,7 +94,6 @@ func (st *execState) setupPlacement() error {
 	if cost, err := eng.Cost(x); err == nil {
 		st.pl.baseCost, st.pl.baseOK = cost, true
 	}
-	st.res.GammaBackendUsed = st.pl.eval.Backend()
 	return nil
 }
 
@@ -209,12 +208,8 @@ func (st *execState) placementRound(round int) error {
 			xBest[br] = pl.lo[br]
 		}
 	}
-	// The greedy ranking ran on the (possibly approximate) probe backend;
-	// the recorded γ is the exact evaluator's value at the winning corner,
-	// so the frontier the study reports never inherits a probe error bound.
-	// On the exact backend GammaExact is the probe evaluation itself.
 	row := Row{
-		Gamma:      pl.eval.GammaExact(xBest),
+		Gamma:      probes[best].gamma,
 		ProbeGamma: probes[best].gamma,
 		Devices:    make([]int, len(pl.chosen)),
 		Reactances: xBest,

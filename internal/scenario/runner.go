@@ -56,11 +56,6 @@ func (r *Runner) RunBatch(b *Batch) (*Result, error) {
 		return nil, err
 	}
 	st := &execState{spec: b.Spec, r: r, n: n, owned: owned, res: &Result{}}
-	if st.spec.Effectiveness.GammaBackend == core.AutoGamma {
-		// The attack-evaluation screen follows the sweep's γ backend unless
-		// the spec pins it explicitly: one -gamma flag selects both sides.
-		st.spec.Effectiveness.GammaBackend = st.spec.GammaBackend
-	}
 	if s := b.Spec.LoadScale; s != 0 && s != 1 {
 		st.ensureOwned()
 		st.n.ScaleLoads(s)
@@ -298,8 +293,7 @@ func (st *execState) setupGammaSweep() error {
 	if err != nil {
 		return err
 	}
-	st.engines = core.NewEnginesSharedBackend(st.n, st.xOld, st.eng, st.spec.GammaBackend)
-	st.res.GammaBackendUsed = st.engines.Gamma().Backend()
+	st.engines = core.NewEnginesShared(st.n, st.xOld, st.eng)
 	return nil
 }
 
@@ -412,7 +406,6 @@ func (st *execState) runDay() error {
 		OPFStarts:         spec.OPFStarts,
 		Warmup:            spec.Warmup,
 		PersistReactances: spec.PersistReactances,
-		GammaBackend:      spec.GammaBackend,
 		Seed:              spec.Seed,
 	})
 	if err != nil {
@@ -515,8 +508,7 @@ func (st *execState) learnProbe() error {
 		return err
 	}
 	x := st.n.Reactances()
-	engines := core.NewEnginesSharedBackend(st.n, x, eng, st.spec.GammaBackend)
-	st.res.GammaBackendUsed = engines.Gamma().Backend()
+	engines := core.NewEnginesShared(st.n, x, eng)
 	sel, err := core.MaxGammaWith(engines, st.n, x, core.MaxGammaConfig{
 		Starts:       st.spec.ProbeStarts,
 		Seed:         st.spec.ProbeSeed,

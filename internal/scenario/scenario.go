@@ -80,10 +80,9 @@ type PlacementSpec struct {
 	// AllBranches widens the pool to every branch of the case — the
 	// deployment-design question ("where should devices go, given none are
 	// installed yet") rather than the subset question. A wide pool
-	// multiplies the probe count by L/12, which is what the cheap
-	// sketched-γ probe (Spec.GammaBackend = sketch) exists for; each
-	// round's winner is re-checked exactly, so the recorded frontier does
-	// not inherit the probe's error bound. Ignored when Pool is set.
+	// multiplies the probe count by L/12; each probe is one rank-|S| γ
+	// evaluation over the subset's s ≤ 12 branches. Ignored when Pool is
+	// set.
 	AllBranches bool
 	// EtaMax is the relative reactance range assumed for pool branches
 	// that do not already carry a device (default 0.5, the paper's ηmax).
@@ -113,12 +112,8 @@ type Spec struct {
 	// (grid.SetDefaultBackend), which the commands configure from -backend.
 	Backend grid.Backend
 
-	// GammaBackend optionally forces the γ-evaluation backend of the
-	// study's selection searches and placement probes (exact / sparse /
-	// sketch; auto follows the -gamma process default, exact when none is
-	// set). Approximate backends only ever guide searches: reported γ
-	// values stay exact (see core.SelectMTD's tolerance contract and the
-	// placement rows' exact winner re-check).
+	// GammaBackend is accepted and ignored: every γ-backend name is an
+	// alias of the exact evaluator (see core.GammaBackend).
 	GammaBackend core.GammaBackend
 
 	// LoadScale, when set (≠ 0 and ≠ 1), multiplies every bus load before
@@ -222,9 +217,9 @@ type Row struct {
 	// Devices is a Placement round's chosen deployment (sorted 1-based
 	// branch numbers); CostKnown reports whether CostIncrease could be
 	// evaluated at the round's best corner (the corner dispatch can be
-	// infeasible under calibrated ratings). Gamma is always the exact
-	// evaluator's value at the winning corner; ProbeGamma is the probe
-	// backend's value there (equal to Gamma on the exact backend).
+	// infeasible under calibrated ratings). Gamma is the exact γ at the
+	// winning corner; ProbeGamma repeats it for the placement responses
+	// that report both.
 	Devices    []int
 	CostKnown  bool
 	ProbeGamma float64
@@ -256,11 +251,6 @@ type Result struct {
 	ExhaustedAt float64
 	// Learning carries the Learning workload's terminal state.
 	Learning *LearningInfo
-	// GammaBackendUsed is the γ backend that actually served the study's
-	// searches/probes (a sketch request degrades to exact when the old
-	// side's Gram matrix defeats the sketch construction). Zero
-	// (AutoGamma) for kinds that build no γ engine in the runner.
-	GammaBackendUsed core.GammaBackend
 }
 
 // Validate checks the Spec for structural errors before any computation

@@ -72,11 +72,6 @@ type DayConfig struct {
 	// paper's Fig. 11 shows. Off by default (the paper's apparent
 	// protocol); see EXPERIMENTS.md for the ablation.
 	PersistReactances bool
-	// GammaBackend selects the γ-evaluation backend of the hourly tuning
-	// searches (auto = the -gamma process default, exact when none is
-	// set). The recorded angles and effectiveness stay exact regardless:
-	// approximate backends only guide the inner searches.
-	GammaBackend core.GammaBackend
 	// Seed seeds the hourly solvers.
 	Seed int64
 }
@@ -170,7 +165,7 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 		tuneCfg.Select.BaselineCost = noMTD.CostPerHour
 		tuneCfg.Select.Seed = cfg.Seed + int64(h)
 		tuneCfg.Effectiveness.Seed = cfg.Seed + int64(h)
-		sel, eff, err := core.TuneGammaThresholdWith(core.NewEnginesSharedBackend(net, xOld, engine, cfg.GammaBackend), net, xOld, zOld, tuneCfg)
+		sel, eff, err := core.TuneGammaThresholdWith(core.NewEnginesShared(net, xOld, engine), net, xOld, zOld, tuneCfg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d MTD selection: %w", h, err)
 		}

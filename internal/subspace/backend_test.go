@@ -1,136 +1,39 @@
 package subspace
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"gridmtd/internal/mat"
 )
 
-// randomSparseT builds a rows×cols transposed matrix whose rows carry a
-// random, fixed-pattern support of the given size — the shape the sparse
-// backend is built for.
-func randomSparseT(rng *rand.Rand, rows, cols, supportSize int) *mat.Dense {
-	at := mat.NewDense(rows, cols)
-	for j := 0; j < rows; j++ {
-		seen := map[int]bool{}
-		for len(seen) < supportSize {
-			idx := rng.Intn(cols)
-			if seen[idx] {
-				continue
-			}
-			seen[idx] = true
-			v := rng.NormFloat64()
-			for v == 0 {
-				v = rng.NormFloat64()
-			}
-			at.Set(j, idx, v)
-		}
-	}
-	return at
-}
-
-// TestSparseBackendMatchesExact: the support-tracking Gram-Schmidt must
-// reproduce the exact backend's γ to 1e-9 on random sparse inputs, rank
-// decisions included.
-func TestSparseBackendMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		m := 20 + rng.Intn(40)
-		ka := 2 + rng.Intn(8)
-		kb := 2 + rng.Intn(8)
-		supp := 2 + rng.Intn(5)
-		atA := randomSparseT(rng, ka, m, supp)
-		atB := randomSparseT(rng, kb, m, supp)
-
-		qaE := ComputeBasisT(atA.Clone(), 0)
-		qbE := ComputeBasisT(atB.Clone(), 0)
-		var wsE Workspace
-		gE := wsE.GammaBases(qaE, qbE)
-
-		sbA := NewSparseBasisBackend(atA)
-		sbB := NewSparseBasisBackend(atB)
-		var qaS, qbS Basis
-		sbA.basisT(&qaS, atA, 0)
-		sbB.basisT(&qbS, atB, 0)
-		if qaS.Dim() != qaE.Dim() || qbS.Dim() != qbE.Dim() {
-			t.Fatalf("trial %d: sparse ranks (%d, %d) vs exact (%d, %d)",
-				trial, qaS.Dim(), qbS.Dim(), qaE.Dim(), qbE.Dim())
-		}
-		wsS := Workspace{Backend: sbA}
-		gS := wsS.GammaBases(&qaS, &qbS)
-		if math.Abs(math.Cos(gS)-math.Cos(gE)) > 1e-11 {
-			t.Fatalf("trial %d: sparse γ %.15g vs exact %.15g", trial, gS, gE)
-		}
-	}
-}
-
-// TestSparseBackendWorkspaceReuse: a workspace reused across calls (and a
-// staging slot dirtied by a rejected candidate) must not leak stale values
-// into later bases.
-func TestSparseBackendWorkspaceReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// A rank-deficient input: duplicate rows force rejections, dirtying
-	// staging slots.
-	at := randomSparseT(rng, 4, 30, 3)
-	at.SetRow(2, at.RowView(1)) // duplicate → rejected in GS
-	sb := NewSparseBasisBackend(at)
-	var b Basis
-	sb.basisT(&b, at, 0)
-	if b.Dim() != 3 {
-		t.Fatalf("rank %d, want 3 (one duplicate row)", b.Dim())
-	}
-	first := append([]float64(nil), b.vecs[:b.Dim()*b.Ambient()]...)
-	// Re-run on the same workspace: identical output.
-	sb.basisT(&b, at, 0)
-	for i, v := range b.vecs[:b.Dim()*b.Ambient()] {
-		if v != first[i] {
-			t.Fatalf("entry %d drifted across workspace reuse: %v vs %v", i, v, first[i])
-		}
-	}
-	// Support invariants: every vector zero outside its recorded support.
-	for i := 0; i < b.Dim(); i++ {
-		sup := map[int]bool{}
-		for _, idx := range b.support(i) {
-			sup[idx] = true
-		}
-		for idx, v := range b.vec(i) {
-			if v != 0 && !sup[idx] {
-				t.Fatalf("vector %d has value %v outside its support at %d", i, v, idx)
-			}
-		}
-	}
-}
-
-// TestExactBackendIsDefault: a zero-value workspace must behave exactly as
-// before the backend layer (serial kernels), and the Fast toggle must keep
-// selecting the fast family — the two pre-layer paths are the exact
-// backend's two faces.
+// TestExactBackendIsDefault: a zero-value workspace must orthonormalize
+// with the bitwise serial kernels of ComputeBasisT, and the Fast toggle
+// must select the multi-accumulator family of ComputeBasisTFast — the
+// exact evaluator's two faces.
 func TestExactBackendIsDefault(t *testing.T) {
-	var ws Workspace
-	if got := ws.backend().Backend(); got != ExactGamma {
-		t.Fatalf("zero-value workspace backend %v, want exact", got)
-	}
-	if ws.backend().fastKernels() {
-		t.Fatal("zero-value workspace selects fast kernels")
-	}
-	ws.Fast = true
-	if !ws.backend().fastKernels() {
-		t.Fatal("Fast workspace does not select fast kernels")
-	}
 	rng := rand.New(rand.NewSource(3))
-	at := randomSparseT(rng, 5, 12, 4)
-	legacy := ComputeBasisT(at.Clone(), 0)
-	var ws2 Workspace
-	got := ws2.BasisT(at, 0)
-	if got.Dim() != legacy.Dim() {
-		t.Fatalf("dispatched rank %d vs legacy %d", got.Dim(), legacy.Dim())
+	at := mat.NewDense(5, 12)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 12; j++ {
+			at.Set(i, j, rng.NormFloat64())
+		}
 	}
-	for i := 0; i < got.Dim(); i++ {
-		for j, v := range got.vec(i) {
-			if v != legacy.vec(i)[j] {
-				t.Fatalf("vector %d entry %d: %v vs legacy %v", i, j, v, legacy.vec(i)[j])
+	for _, fast := range []bool{false, true} {
+		want := ComputeBasisT(at, 0)
+		if fast {
+			want = ComputeBasisTFast(at, 0)
+		}
+		ws := Workspace{Fast: fast}
+		got := ws.BasisT(at, 0)
+		if got.Dim() != want.Dim() {
+			t.Fatalf("fast=%v: workspace rank %d vs %d", fast, got.Dim(), want.Dim())
+		}
+		for i := 0; i < got.Dim(); i++ {
+			for j, v := range got.vec(i) {
+				if v != want.vec(i)[j] {
+					t.Fatalf("fast=%v: vector %d entry %d: %v vs %v", fast, i, j, v, want.vec(i)[j])
+				}
 			}
 		}
 	}

@@ -20,24 +20,6 @@ type Basis struct {
 	ambient int // dimension of the space the vectors live in
 	k       int // number of basis vectors (the numerical rank)
 	vecs    []float64
-
-	// Support tracking, populated only by the sparse backend: union holds
-	// the structural-nonzero indices in first-seen order, prefix[i] the
-	// union length when basis vector i was accepted (vector i is exactly
-	// zero beyond that prefix), and mask is the membership scratch. Dense
-	// backends reset prefix so stale support info is never trusted.
-	union  []int
-	prefix []int
-	mask   []bool
-}
-
-// support returns the index set basis vector i is supported on, or nil when
-// the basis carries no support information (dense backends).
-func (b *Basis) support(i int) []int {
-	if len(b.prefix) != b.k {
-		return nil
-	}
-	return b.union[:b.prefix[i]]
 }
 
 // Dim returns the number of basis vectors (the subspace dimension).
@@ -93,7 +75,6 @@ func computeBasisT(dst *Basis, at *mat.Dense, tol float64) {
 	cols, m := at.Rows(), at.Cols() // at is (columns of A) × (ambient dim)
 	dst.ambient = m
 	dst.k = 0
-	dst.prefix = dst.prefix[:0] // dense basis: no support info
 	if cap(dst.vecs) < cols*m {
 		dst.vecs = make([]float64, cols*m)
 	}
@@ -141,7 +122,6 @@ func computeBasisTFast(dst *Basis, at *mat.Dense, tol float64) {
 	cols, m := at.Rows(), at.Cols()
 	dst.ambient = m
 	dst.k = 0
-	dst.prefix = dst.prefix[:0] // dense basis: no support info
 	if cap(dst.vecs) < cols*m {
 		dst.vecs = make([]float64, cols*m)
 	}
@@ -187,34 +167,23 @@ func computeBasisTFast(dst *Basis, at *mat.Dense, tol float64) {
 // must stay false on the sub-threshold dense path whose outputs are
 // bitwise contracts; the ≥ grid.SparseThreshold path sets it and carries a
 // 1e-9-agreement contract instead.
-//
-// Backend, when non-nil, overrides the Fast toggle with an explicit
-// BasisBackend (the γ-backend layer's dispatch point): the orthonormalizer
-// comes from the backend, and the cross-Gram/σ_min kernel family follows
-// its fastKernels contract. A nil Backend is the exact backend honoring
-// Fast, which keeps every pre-layer caller byte-identical.
 type Workspace struct {
-	Fast    bool
-	Backend BasisBackend
-	basis   Basis
-	cross   *mat.Dense
-	svd     mat.SVDWorkspace
-	angles  []float64
-}
-
-// backend resolves the workspace's effective basis backend.
-func (ws *Workspace) backend() BasisBackend {
-	if ws.Backend != nil {
-		return ws.Backend
-	}
-	return exactBasisBackend{fast: ws.Fast}
+	Fast   bool
+	basis  Basis
+	cross  *mat.Dense
+	svd    mat.SVDWorkspace
+	angles []float64
 }
 
 // BasisT computes the orthonormal basis of the matrix given in transposed
 // layout (see ComputeBasisT) into the workspace and returns it. The result
 // is overwritten by the next BasisT call on the same workspace.
 func (ws *Workspace) BasisT(at *mat.Dense, tol float64) *Basis {
-	ws.backend().basisT(&ws.basis, at, tol)
+	if ws.Fast {
+		computeBasisTFast(&ws.basis, at, tol)
+	} else {
+		computeBasisT(&ws.basis, at, tol)
+	}
 	return &ws.basis
 }
 
@@ -229,7 +198,7 @@ func (ws *Workspace) PrincipalAnglesBases(qa, qb *Basis) []float64 {
 	}
 	ws.buildCross(qa, qb)
 	var sv []float64
-	if ws.backend().fastKernels() {
+	if ws.Fast {
 		sv = ws.svd.SingularValuesFast(ws.cross)
 	} else {
 		sv = ws.svd.SingularValues(ws.cross)
@@ -257,11 +226,11 @@ func (ws *Workspace) buildCross(qa, qb *Basis) {
 	if ws.cross == nil || ws.cross.Rows() != ra.Dim() || ws.cross.Cols() != rb.Dim() {
 		ws.cross = mat.NewDense(ra.Dim(), rb.Dim())
 	}
-	if ws.backend().fastKernels() {
+	if ws.Fast {
 		for i := 0; i < ra.Dim(); i++ {
 			row := ws.cross.RowView(i)
 			for j := 0; j < rb.Dim(); j++ {
-				row[j] = crossDot(ra, i, rb, j)
+				row[j] = mat.DotFast(ra.vec(i), rb.vec(j))
 			}
 		}
 	} else {
@@ -272,27 +241,6 @@ func (ws *Workspace) buildCross(qa, qb *Basis) {
 			}
 		}
 	}
-}
-
-// crossDot is one cross-Gram entry on the fast-kernel path. When either
-// basis carries support information the reduction iterates the shorter
-// support (entries outside a vector's support are exact zeros); otherwise
-// it is the multi-accumulator dense kernel.
-func crossDot(qa *Basis, i int, qb *Basis, j int) float64 {
-	sa, sb := qa.support(i), qb.support(j)
-	sup := sa
-	if sa == nil || (sb != nil && len(sb) < len(sa)) {
-		sup = sb
-	}
-	if sup == nil {
-		return mat.DotFast(qa.vec(i), qb.vec(j))
-	}
-	av, bv := qa.vec(i), qb.vec(j)
-	var s float64
-	for _, idx := range sup {
-		s += av[idx] * bv[idx]
-	}
-	return s
 }
 
 func clampCos(s float64) float64 {
@@ -314,7 +262,7 @@ func (ws *Workspace) GammaBases(qa, qb *Basis) float64 {
 	if qa.Dim() == 0 || qb.Dim() == 0 {
 		return 0
 	}
-	if ws.backend().fastKernels() {
+	if ws.Fast {
 		ws.buildCross(qa, qb)
 		s := ws.svd.SmallestSingularValueFast(ws.cross)
 		// The bisection works on the squared spectrum, so σ below ~1e-7

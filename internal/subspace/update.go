@@ -9,7 +9,7 @@ import (
 
 // The update kernel computes the exact γ of a candidate that differs from
 // the old configuration on few branches, without orthonormalizing the
-// candidate. In the reduced representation (see SketchEvaluator)
+// candidate. In the reduced representation (see grid.GammaSketchOperands)
 //
 //	B(x) = Ĉ·D(x)·E,   D(x) = diag(d),  d_l = 1/x_l,
 //
@@ -167,14 +167,16 @@ func gramCSC(c *mat.CSC) *mat.CSC {
 // row returns row l of an L×k array.
 func (u *UpdateEvaluator) row(a []float64, l int) []float64 { return a[l*u.k : (l+1)*u.k] }
 
-// UpdateWorkspace is the per-goroutine scratch of UpdateEvaluator.Gamma.
-// The zero value is ready to use; buffers grow to the largest |S| seen.
+// UpdateWorkspace is the per-goroutine scratch of UpdateEvaluator.Gamma
+// and UpdateEvaluator.Residuals. The zero value is ready to use; buffers
+// grow to the largest |S| seen.
 type UpdateWorkspace struct {
 	idx, perm                []int
 	delta, col, unit         []float64 // length s
 	t, tinv, gy, a, w, kk, m mat.Dense // s×s
 	lu                       mat.LU
 	diag, off, hv, hp        []float64 // tridiagonalization, length s
+	maxG                     float64   // largest diagonal entry of G_SS
 }
 
 func (ws *UpdateWorkspace) grow(s int) {
@@ -187,12 +189,12 @@ func (ws *UpdateWorkspace) grow(s int) {
 	}
 }
 
-// Gamma returns γ(old, candidate) for the candidate diagonal d (1/x_l).
-// A candidate equal to the old side returns 0. ok=false means the kernel
-// cannot certify the value (too many changed branches, or an
-// ill-conditioned T near γ = π/2); the caller must evaluate through the
-// Gram-Schmidt path instead.
-func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64, ok bool) {
+// prepare collects the changed branches S of the candidate diagonal d
+// into ws.idx/ws.delta and, when S is non-empty, forms the s×s blocks
+// both evaluations share: ws.tinv = T⁻¹, ws.gy = Y_S·Y_Sᵀ and
+// ws.kk = K = G_SS − U_SᵀU_S. ok=false means the kernel declines (more
+// changed branches than it is cheaper for, or an ill-conditioned T).
+func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok bool) {
 	if len(d) != u.l {
 		panic("subspace: update diagonal length mismatch")
 	}
@@ -203,12 +205,12 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 			ws.delta = append(ws.delta, v-u.dOld[l])
 		}
 	}
-	s := len(ws.idx)
+	s = len(ws.idx)
 	if s == 0 {
 		return 0, true
 	}
 	if s > u.maxRank {
-		return 0, false
+		return s, false
 	}
 	ws.grow(s)
 	idx, delta := ws.idx, ws.delta
@@ -234,6 +236,7 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 		}
 		maxG = math.Max(maxG, gv[u.g.Pos(la, la)])
 	}
+	ws.maxG = maxG
 
 	// T = I + Y_S·U_S·Δ, accepted only when its inverse does not amplify
 	// the rounding of its entries past updateMaxCond.
@@ -242,7 +245,7 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 		t[a*s+a]++
 	}
 	if ws.lu.Reset(&ws.t) != nil {
-		return 0, false
+		return s, false
 	}
 	tinv := ws.tinv.ReuseAs(s, s).RawData()
 	unit, col := ws.unit[:s], ws.col[:s]
@@ -256,9 +259,20 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 			tinv[i*s+j] = v
 		}
 	}
-	if !((1+mNorm)*norm1(tinv, s) <= updateMaxCond) {
-		return 0, false
+	return s, (1+mNorm)*norm1(tinv, s) <= updateMaxCond
+}
+
+// Gamma returns γ(old, candidate) for the candidate diagonal d (1/x_l).
+// A candidate equal to the old side returns 0. ok=false means the kernel
+// cannot certify the value (too many changed branches, or an
+// ill-conditioned T near γ = π/2); the caller must evaluate through the
+// Gram-Schmidt path instead.
+func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64, ok bool) {
+	s, ok := u.prepare(ws, d)
+	if s == 0 || !ok {
+		return 0, ok
 	}
+	delta, tinv, kk := ws.delta, ws.tinv.RawData(), ws.kk.RawData()
 
 	// Z·Zᵀ = Δ·T⁻¹·(Y_S·Y_Sᵀ)·T⁻ᵀ·Δ, symmetrized across the two triangles.
 	a1 := mat.MulInto(ws.a.ReuseAs(s, s), &ws.tinv, &ws.gy).RawData()
@@ -277,7 +291,7 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 
 	// K = F·Fᵀ by rank-revealing Cholesky, then tan²γ = λ_max(Fᵀ·W·F).
 	perm := ws.perm[:s]
-	r := pivotedCholesky(kk, perm, s, updatePivotTol*maxG)
+	r := pivotedCholesky(kk, perm, s, updatePivotTol*ws.maxG)
 	if r == 0 {
 		return 0, true
 	}
@@ -314,6 +328,117 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 		return 0, false
 	}
 	return math.Atan(math.Sqrt(lam)), true
+}
+
+// ResidualMap is the exact residual operator of one candidate: for a
+// direction c of the old side, the component of B_old·c orthogonal to
+// Col(B_new) has norm ‖P·b‖, where b = E_S·c holds the s angle
+// differences of c across the changed branches. Because
+// B_old·c = B_new·c − Ĉ_S·Δ·b, that component is the one of −Ĉ_S·Δ·b,
+// and splitting Ĉ_S into its parts in and orthogonal to Col(B_old)
+// reduces its squared norm to bᵀ·M·b with
+//
+//	M = (I + A·Y_S·Y_Sᵀ)⁻¹·A,  A = Nᵀ·K·N,  N = (I + Δ·Y_S·U_S)⁻¹·Δ = Δ·T⁻¹.
+//
+// With K = F·Fᵀ (the rank-revealing Cholesky Gamma uses) and Φ = Fᵀ·N,
+// M = Φᵀ·(I + Φ·Y_S·Y_Sᵀ·Φᵀ)⁻¹·Φ, whose middle factor is symmetric with
+// eigenvalues ≥ 1; P = L⁻¹·Φ for its Cholesky factor L. Nothing is
+// subtracted, so ‖P·b‖ keeps its relative accuracy down to zero. A
+// ResidualMap is immutable and safe for concurrent use.
+type ResidualMap struct {
+	branches []int     // S, ascending
+	p        []float64 // r×s row-major
+	r        int
+}
+
+// Branches returns the changed branches S in the order Norm expects b.
+func (m *ResidualMap) Branches() []int { return m.branches }
+
+// Norm returns ‖P·b‖ for the angle differences b (length |S|).
+func (m *ResidualMap) Norm(b []float64) float64 {
+	s := len(m.branches)
+	var sq float64
+	for i := 0; i < m.r; i++ {
+		v := mat.Dot(m.p[i*s:(i+1)*s], b)
+		sq += v * v
+	}
+	return math.Sqrt(sq)
+}
+
+// Residuals returns the residual operator of the candidate diagonal d
+// (1/x_l), under the same decline rule as Gamma: ok=false means the caller
+// must compute residuals another way. A candidate equal to the old side
+// returns an operator with no branches, whose residuals are all zero.
+func (u *UpdateEvaluator) Residuals(ws *UpdateWorkspace, d []float64) (*ResidualMap, bool) {
+	s, ok := u.prepare(ws, d)
+	if !ok {
+		return nil, false
+	}
+	m := &ResidualMap{branches: append([]int(nil), ws.idx...)}
+	if s == 0 {
+		return m, true
+	}
+	delta, tinv, kk, gy := ws.delta, ws.tinv.RawData(), ws.kk.RawData(), ws.gy.RawData()
+	perm := ws.perm[:s]
+	r := pivotedCholesky(kk, perm, s, updatePivotTol*ws.maxG)
+	if r == 0 {
+		return m, true
+	}
+	// Φ = Fᵀ·Δ·T⁻¹ (r×s), where row perm[i] of F is row i of K's factor.
+	phi := make([]float64, r*s)
+	for j := 0; j < r; j++ {
+		for b := 0; b < s; b++ {
+			var x float64
+			for i := j; i < s; i++ {
+				x += kk[i*s+j] * delta[perm[i]] * tinv[perm[i]*s+b]
+			}
+			phi[j*s+b] = x
+		}
+	}
+	// C = I + Φ·(Y_S·Y_Sᵀ)·Φᵀ, through X = Φ·Y_S·Y_Sᵀ (r×s), symmetrized.
+	x := ws.a.ReuseAs(r, s).RawData()
+	for j := 0; j < r; j++ {
+		for b := 0; b < s; b++ {
+			x[j*s+b] = mat.Dot(phi[j*s:(j+1)*s], gy[b*s:(b+1)*s])
+		}
+	}
+	c := ws.m.ReuseAs(r, r).RawData()
+	for i := 0; i < r; i++ {
+		for j := 0; j <= i; j++ {
+			v := 0.5 * (mat.Dot(x[i*s:(i+1)*s], phi[j*s:(j+1)*s]) + mat.Dot(x[j*s:(j+1)*s], phi[i*s:(i+1)*s]))
+			if i == j {
+				v++
+			}
+			c[i*r+j], c[j*r+i] = v, v
+		}
+	}
+	// C = L·Lᵀ (C ⪰ I, so no pivot can vanish), then P = L⁻¹·Φ in place.
+	for j := 0; j < r; j++ {
+		for i := j; i < r; i++ {
+			v := c[i*r+j]
+			for k := 0; k < j; k++ {
+				v -= c[i*r+k] * c[j*r+k]
+			}
+			if i == j {
+				if !(v > 0) {
+					return nil, false
+				}
+				v = math.Sqrt(v)
+			} else {
+				v /= c[j*r+j]
+			}
+			c[i*r+j] = v
+		}
+		row := phi[j*s : (j+1)*s]
+		for k := 0; k < j; k++ {
+			mat.AxpyVec(-c[j*r+k], phi[k*s:(k+1)*s], row)
+		}
+		for b := range row {
+			row[b] /= c[j*r+j]
+		}
+	}
+	m.p, m.r = phi, r
+	return m, true
 }
 
 // norm1 is the maximum absolute column sum of the n×n row-major matrix a.
@@ -420,4 +545,61 @@ func maxEigSym(a []float64, n int, diag, off, v, p []float64) float64 {
 	}
 	diag[n-1] = a[n*n-1]
 	return tridiagMaxEig(diag, off[:n-1])
+}
+
+// tridiagMaxEig returns the largest eigenvalue of the symmetric
+// tridiagonal matrix with diagonal d and off-diagonal e (len(e) =
+// len(d)−1) by Sturm bisection — the same LDLᵀ sign-count recurrence the
+// σ_min kernel uses, aimed at the other end of the spectrum.
+func tridiagMaxEig(d, e []float64) float64 {
+	n := len(d)
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		return d[0]
+	}
+	countBelow := func(t float64) int {
+		cnt := 0
+		q := 1.0
+		for i := 0; i < n; i++ {
+			var esq float64
+			if i > 0 {
+				esq = e[i-1] * e[i-1]
+			}
+			q = d[i] - t - esq/q
+			if q < 0 {
+				cnt++
+			}
+			if q == 0 {
+				q = 1e-300
+			}
+		}
+		return cnt
+	}
+	lo, hi := d[0], d[0]
+	for i := 0; i < n; i++ {
+		r := 0.0
+		if i > 0 {
+			r += math.Abs(e[i-1])
+		}
+		if i < n-1 {
+			r += math.Abs(e[i])
+		}
+		if d[i]-r < lo {
+			lo = d[i] - r
+		}
+		if d[i]+r > hi {
+			hi = d[i] + r
+		}
+	}
+	for iter := 0; iter < 200 && hi-lo > 1e-15*(1+math.Abs(hi)); iter++ {
+		mid := 0.5 * (lo + hi)
+		if countBelow(mid) >= n {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }

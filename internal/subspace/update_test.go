@@ -43,9 +43,11 @@ func invOf(x []float64) []float64 {
 
 // checkUpdateAgrees evaluates x through the kernel, requires it to accept,
 // and compares with the uncached reference on the full measurement
-// matrices: within 1e-9 rad, or 1e-12 on the cosine scale when γ < 1e-6.
+// matrices: γ within 1e-9 rad, or 1e-12 on the cosine scale when
+// γ < 1e-6, and the residuals checkResidualsAgree compares.
 func checkUpdateAgrees(t *testing.T, n *grid.Network, u *UpdateEvaluator, ws *UpdateWorkspace, xOld, x []float64, label string) {
 	t.Helper()
+	checkResidualsAgree(t, n, u, ws, xOld, x, label)
 	got, ok := u.Gamma(ws, invOf(x))
 	if !ok {
 		t.Fatalf("%s: update kernel declined", label)
@@ -59,6 +61,39 @@ func checkUpdateAgrees(t *testing.T, n *grid.Network, u *UpdateEvaluator, ws *Up
 	}
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("%s: γ %.15g vs reference %.15g (|Δ| = %.3g)", label, got, want, math.Abs(got-want))
+	}
+}
+
+// checkResidualsAgree scores four seeded directions c through the
+// kernel's residual operator and compares ‖P·E_S·c‖ with the component of
+// H_old·c orthogonal to Col(H_new), projected out through an orthonormal
+// basis of the full H_new: within 1e-9 relative, plus 1e-12·‖H_old·c‖ for
+// residuals at rounding level (a changed bridge alone leaves them all 0).
+func checkResidualsAgree(t *testing.T, n *grid.Network, u *UpdateEvaluator, ws *UpdateWorkspace, xOld, x []float64, label string) {
+	t.Helper()
+	m, ok := u.Residuals(ws, invOf(x))
+	if !ok {
+		t.Fatalf("%s: residual kernel declined", label)
+	}
+	hOld := n.MeasurementMatrix(xOld)
+	qNew := ComputeBasis(n.MeasurementMatrix(x), 0)
+	rng := rand.New(rand.NewSource(1))
+	c := make([]float64, hOld.Cols())
+	b := make([]float64, len(m.Branches()))
+	for trial := 0; trial < 4; trial++ {
+		for i := range c {
+			c[i] = rng.NormFloat64()
+		}
+		a := mat.MulVec(hOld, c)
+		r := append([]float64(nil), a...)
+		for i := 0; i < qNew.Dim(); i++ {
+			mat.AxpyVec(-mat.Dot(qNew.vec(i), a), qNew.vec(i), r)
+		}
+		want := mat.Norm2(r)
+		got := m.Norm(n.BranchAngleDiffsInto(b, m.Branches(), c))
+		if math.Abs(got-want) > 1e-9*want+1e-12*mat.Norm2(a) {
+			t.Errorf("%s direction %d: residual %.17g vs reference %.17g", label, trial, got, want)
+		}
 	}
 }
 
@@ -244,10 +279,16 @@ func TestGammaUpdateDeclines(t *testing.T) {
 	if _, ok := u.Gamma(&ws, d); ok {
 		t.Errorf("every branch changed (s = %d > %d): kernel accepted", len(d), u.maxRank)
 	}
+	if _, ok := u.Residuals(&ws, d); ok {
+		t.Errorf("every branch changed (s = %d > %d): residual kernel accepted", len(d), u.maxRank)
+	}
 	l := bridges(n)[0]
 	d = invOf(n.Reactances())
 	d[l] = 0
 	if g, ok := u.Gamma(&ws, d); ok {
 		t.Errorf("bridge %d removed: kernel accepted γ %v", l, g)
+	}
+	if _, ok := u.Residuals(&ws, d); ok {
+		t.Errorf("bridge %d removed: residual kernel accepted", l)
 	}
 }

@@ -15,7 +15,7 @@ import (
 const coldSelectBudget = 280 * time.Millisecond
 
 // TestColdSelectLatencyBudget holds the cold 118-bus planner selection —
-// fresh planner, nothing memoized, sketch-γ backend — under its recorded
+// fresh planner, nothing memoized, "sketch" γ alias — under its recorded
 // latency budget. Best-of-three so a single scheduler hiccup on a shared
 // runner doesn't fail the build.
 func TestColdSelectLatencyBudget(t *testing.T) {

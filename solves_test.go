@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gridmtd/internal/core"
 	"gridmtd/internal/lp"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/planner"
@@ -12,7 +13,10 @@ import (
 // coldSelect300SolveCeiling bounds the number of full dispatch LP solves
 // one cold ieee300 planner selection may execute. Without the solve memo,
 // the Farkas pre-screen and the lazy-penalty skip it ran 179 (PERF.md);
-// with them it runs 90, the number of distinct points the search scores.
+// with them it runs 90, the number of distinct points the search scores,
+// on any number of cores: each local search starts with an empty
+// Farkas-ray index, so no search's pre-screen depends on which searches
+// shared its worker.
 // A regression in any of the three — cache keys that stop matching, a
 // pre-screen that stops certifying, a skip that stops firing — pushes
 // the count back toward 179 and trips this ceiling long before the
@@ -25,18 +29,26 @@ const coldSelect300SolveCeiling = 90
 // real gradients; the benchmark request measures 67 solves.
 const coldSelect118SolveCeiling = 70
 
-// coldSelect runs req on a fresh planner and returns its response and
-// the per-request delta of the process-global solve counters
+// coldSelect runs req on a fresh planner with the given search
+// parallelism (0 = GOMAXPROCS) and returns its response and the
+// per-request delta of the process-global solve counters
 // (lp.RevisedStats.Delta — root-package tests run sequentially, so no
-// other selection contributes to the window).
-func coldSelect(t *testing.T, req planner.SelectRequest) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
+// other selection contributes to the window). It fails the test if the
+// selection built a post-MTD estimator: the rank-|S| residual kernel
+// scores the attacks of both pinned requests.
+func coldSelect(t *testing.T, req planner.SelectRequest, parallelism int) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
 	t.Helper()
 	lpBefore := lp.GlobalRevisedStats()
 	scBefore := opf.GlobalSolveCacheStats()
-	p := planner.New(planner.Config{})
+	estBefore := core.GlobalEstimatorCacheStats()
+	p := planner.New(planner.Config{Parallelism: parallelism})
 	resp, err := p.Select(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if est := core.GlobalEstimatorCacheStats(); est.FastBuilds != estBefore.FastBuilds || est.FullQRs != estBefore.FullQRs {
+		t.Errorf("%s selection built estimators: %d fast builds, %d full QRs",
+			req.Case, est.FastBuilds-estBefore.FastBuilds, est.FullQRs-estBefore.FullQRs)
 	}
 	return resp, lp.GlobalRevisedStats().Delta(lpBefore), opf.GlobalSolveCacheStats().Delta(scBefore)
 }
@@ -53,17 +65,20 @@ func checkPinned(t *testing.T, resp *planner.SelectResponse, cost, gamma string)
 	}
 }
 
+// coldSelect300Request is the pinned ieee300 benchmark request.
+var coldSelect300Request = planner.SelectRequest{
+	Case: "ieee300", GammaThreshold: 0.05,
+	Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
+	GammaBackend: "sketch",
+}
+
 // TestColdSelect300SolveBudget runs one cold ieee300 selection, asserts
 // its solve count against the ceiling and pins its answer.
 func TestColdSelect300SolveBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping solve-budget assertion in -short mode")
 	}
-	resp, d, sc := coldSelect(t, planner.SelectRequest{
-		Case: "ieee300", GammaThreshold: 0.05,
-		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
-		GammaBackend: "sketch",
-	})
+	resp, d, sc := coldSelect(t, coldSelect300Request, 0)
 	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, cache %d hits / %d misses)",
 		d.Solves, d.PrescreenHits, sc.Hits, sc.Misses)
 	if d.Solves > coldSelect300SolveCeiling {
@@ -85,11 +100,26 @@ func TestColdSelect118SolveBudget(t *testing.T) {
 		Case: "ieee118", GammaThreshold: 0.05,
 		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
 		GammaBackend: "sketch",
-	})
+	}, 0)
 	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits)", d.Solves, d.PrescreenHits)
 	if d.Solves > coldSelect118SolveCeiling {
 		t.Errorf("cold ieee118 selection ran %d full dispatch solves, ceiling %d",
 			d.Solves, coldSelect118SolveCeiling)
 	}
 	checkPinned(t, resp, "139226.02", "0.0987")
+}
+
+// TestColdSelect300SolvesIndependentOfWorkers pins that the pinned
+// ieee300 selection runs the same full solves and pre-screen hits whether
+// its local searches share one worker or run on four.
+func TestColdSelect300SolvesIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two ieee300 selections")
+	}
+	_, serial, _ := coldSelect(t, coldSelect300Request, 1)
+	_, parallel, _ := coldSelect(t, coldSelect300Request, 4)
+	if serial.Solves != parallel.Solves || serial.PrescreenHits != parallel.PrescreenHits {
+		t.Errorf("1 worker: %d solves (%d pre-screen hits); 4 workers: %d solves (%d pre-screen hits)",
+			serial.Solves, serial.PrescreenHits, parallel.Solves, parallel.PrescreenHits)
+	}
 }
