@@ -81,7 +81,8 @@
 // answers with the γ / η'(δ) / cost row `mtdscan -case ieee57 -from 0.05
 // -to 0.05` prints (the CI daemon-smoke job diffs the two). A request's
 // "gamma_backend" may name auto, exact, sparse or sketch: every name is an
-// alias of the exact γ evaluator, and an unknown one gets a 400.
+// alias of the exact γ evaluator, and an unknown one gets a 422, as does
+// an "attacks" above planner.MaxAttacks (10,000).
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -155,45 +156,33 @@ func TestStatsServesLPCounters(t *testing.T) {
 	}
 }
 
-// TestRepeatSelectionHitsEstimatorCache pins the estimator-reuse contract
-// end to end: two selections that differ only in a memo-key field (the
-// attack budget) land on the same x_new, so the second request misses the
-// response memo but serves its η′ evaluation from the runner's shared
-// per-network estimator cache instead of refactorizing H'. The requests
-// give an x_old that differs from the case's reactances on 40 lines, so
-// x_new changes more lines than the rank-|S| residual kernel takes and
-// the evaluation needs an estimator. The /v1/stats estimators block is the
-// observable.
-func TestRepeatSelectionHitsEstimatorCache(t *testing.T) {
+// TestExplicitXOldSelectionEstimatorBuilds pins the estimator accounting
+// end to end. The requests give an x_old that differs from ieee57's
+// reactances on 40 lines off the D-FACTS set, so x_new changes more lines
+// than the rank-|S| residual kernel takes and η′ needs the post-MTD
+// estimator. Estimators are not memoized: each computed request adds
+// exactly one miss and one full QR to the /v1/stats estimators block, and
+// hits and fast builds stay 0. Two requests that differ only in the attack
+// budget compute the same design, whose bits are recorded below (the
+// memoized-estimator implementation served the same bits); repeating the
+// second is a memo hit and builds nothing.
+func TestExplicitXOldSelectionEstimatorBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two ieee57 selections")
 	}
 	srv := testServer(t)
-	estStats := func() (hits, misses int64) {
+	stats := func() planner.Stats {
 		resp, err := http.Get(srv.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var stats struct {
-			Estimators *struct {
-				Hits       *int64 `json:"hits"`
-				Misses     *int64 `json:"misses"`
-				FastBuilds *int64 `json:"fast_builds"`
-				FullQRs    *int64 `json:"full_qrs"`
-			} `json:"estimators"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		var s planner.Stats
+		if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 			t.Fatal(err)
 		}
-		e := stats.Estimators
-		if e == nil || e.Hits == nil || e.Misses == nil || e.FastBuilds == nil || e.FullQRs == nil {
-			t.Fatal("stats response missing the estimators counter block")
-		}
-		return *e.Hits, *e.Misses
+		return s
 	}
-	// ieee57 is the smallest case the sparse (fast) evaluation path — and
-	// with it the estimator cache — serves.
 	n, err := gridmtd.CaseByName("ieee57")
 	if err != nil {
 		t.Fatal(err)
@@ -208,27 +197,29 @@ func TestRepeatSelectionHitsEstimatorCache(t *testing.T) {
 	req := planner.SelectRequest{
 		Case: "ieee57", GammaThreshold: 0.05, XOld: xOld, Starts: 1, Seed: 3, Attacks: 40,
 	}
-	_, m0 := estStats()
-	var first planner.SelectResponse
-	if code := postJSON(t, srv.URL+"/v1/select", req, &first); code != http.StatusOK {
-		t.Fatalf("first select status %d", code)
-	}
-	h1, m1 := estStats()
-	if m1 == m0 {
-		t.Fatalf("first selection never consulted the estimator cache (misses %d -> %d)", m0, m1)
-	}
-	// Same search seed, different attack budget: new memo key, same x_new.
-	req.Attacks = 60
-	var second planner.SelectResponse
-	if code := postJSON(t, srv.URL+"/v1/select", req, &second); code != http.StatusOK {
-		t.Fatalf("second select status %d", code)
-	}
-	if second.CacheHit {
-		t.Fatal("second request hit the response memo; the estimator cache was never exercised")
-	}
-	h2, _ := estStats()
-	if h2 == h1 {
-		t.Fatalf("repeat selection rebuilt its estimator instead of hitting the cache (hits %d -> %d)", h1, h2)
+	for _, tc := range []struct {
+		attacks int
+		builds  int
+		source  string
+	}{{40, 1, planner.SourceComputed}, {60, 1, planner.SourceComputed}, {60, 0, planner.SourceMemo}} {
+		req.Attacks = tc.attacks
+		before := stats()
+		var resp planner.SelectResponse
+		if code := postJSON(t, srv.URL+"/v1/select", req, &resp); code != http.StatusOK {
+			t.Fatalf("attacks=%d: select status %d", tc.attacks, code)
+		}
+		if d := stats().Delta(before).Estimators; d.Hits != 0 || d.FastBuilds != 0 || d.Misses != tc.builds || d.FullQRs != tc.builds {
+			t.Errorf("attacks=%d (%s): estimators delta %+v, want %d misses and full QRs, no hits or fast builds",
+				tc.attacks, resp.Source, d, tc.builds)
+		}
+		if resp.Source != tc.source {
+			t.Errorf("attacks=%d: source %q, want %q", tc.attacks, resp.Source, tc.source)
+		}
+		if math.Float64bits(resp.Gamma) != 0x3fbd7aeca741d650 || math.Float64bits(resp.CostPerHour) != 0x40e520833333332f ||
+			resp.CostIncrease != 0 || resp.Undetectable != 0 || !reflect.DeepEqual(resp.Eta, []float64{0, 0, 0, 0}) {
+			t.Errorf("attacks=%d: γ=%v cost=%v cost_increase=%v undetectable=%v η′=%v; want the recorded γ=0.11515692790438803 cost=43268.09999999997 and zeros",
+				tc.attacks, resp.Gamma, resp.CostPerHour, resp.CostIncrease, resp.Undetectable, resp.Eta)
+		}
 	}
 }
 
@@ -256,6 +247,21 @@ func TestErrorStatuses(t *testing.T) {
 		if !strings.Contains(bad.Error, name) {
 			t.Errorf("unknown gamma_backend error %q does not name %q", bad.Error, name)
 		}
+	}
+	// An attack budget past planner.MaxAttacks: unprocessable, rejected
+	// before any sampling, and the daemon keeps serving.
+	if code := postJSON(t, srv.URL+"/v1/select",
+		planner.SelectRequest{Case: "ieee118", Attacks: 2000000000}, nil); code != http.StatusUnprocessableEntity {
+		t.Errorf("select with 2e9 attacks status %d, want 422", code)
+	}
+	if code := postJSON(t, srv.URL+"/v1/daysweep",
+		planner.DaySweepRequest{Case: "ieee118", Attacks: 2000000000}, nil); code != http.StatusUnprocessableEntity {
+		t.Errorf("day sweep with 2e9 attacks status %d, want 422", code)
+	}
+	if h, err := http.Get(srv.URL + "/healthz"); err != nil {
+		t.Errorf("healthz after oversized requests: %v", err)
+	} else if h.Body.Close(); h.StatusCode != http.StatusOK {
+		t.Errorf("healthz after oversized requests: status %d", h.StatusCode)
 	}
 	// Malformed body: bad request.
 	resp, err := http.Post(srv.URL+"/v1/select", "application/json", bytes.NewReader([]byte("{")))

@@ -86,7 +86,9 @@
 // attack a = H_old·c exactly: its residual under H(x′) is ‖P·b‖ for the
 // angle differences b of c across the changed branches, so the η′(δ)
 // evaluation builds no post-MTD estimator, re-checking with one only the
-// attacks within 1e-9 of a detection threshold. A planner request's
+// attacks within 1e-9 of a detection threshold. The x_old side is
+// prepared once per selection: the search borrows the attack set's γ
+// evaluator instead of building its own. A planner request's
 // gamma_backend and Scenario.GammaBackend still accept "auto", "exact",
 // "sparse" and "sketch", all as names of this one path.
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gridmtd/internal/grid"
@@ -94,8 +95,6 @@ func TestSketchedAttackEvalAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached := cfg
-		cached.Estimators = NewEstimatorCache(n, 0)
 		var ws se.ResidualWorkspace
 		for ci, xNew := range kernelCandidates(n, 32, 1) {
 			resid := set.gamma.residuals(xNew)
@@ -128,7 +127,7 @@ func TestSketchedAttackEvalAgreement(t *testing.T) {
 			}
 			var res *EffectivenessResult
 			d := estStatsDelta(func() {
-				res, err = EvaluateAttacks(n, set, xNew, cached)
+				res, err = EvaluateAttacks(n, set, xNew, cfg)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +142,57 @@ func TestSketchedAttackEvalAgreement(t *testing.T) {
 			}
 			if want := float64(wantUndet) / float64(set.Len()); res.UndetectableFraction != want {
 				t.Errorf("%s candidate %d: undetectable fraction %v, QR path %v", name, ci, res.UndetectableFraction, want)
+			}
+		}
+	}
+}
+
+// estStatsDelta returns the estimator counter increments fn causes.
+func estStatsDelta(fn func()) EstimatorCacheStats {
+	before := GlobalEstimatorCacheStats()
+	fn()
+	return GlobalEstimatorCacheStats().Delta(before)
+}
+
+// TestEvaluateAttacksWithEstimatorCache pins that EffectivenessConfig's
+// Estimators field is accepted and ignored: on a fast (sparse-backend)
+// set under ReportProbs, which takes the estimator rather than the
+// residual kernel, evaluations with a cache return the bits of one
+// without, and each builds exactly one estimator (one miss, one full QR,
+// no hits or fast builds), repeats included.
+func TestEvaluateAttacksWithEstimatorCache(t *testing.T) {
+	n, err := grid.CaseByName("ieee118")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xOld := n.Reactances()
+	zOld, err := OperatingMeasurements(n, xOld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := EffectivenessConfig{NumAttacks: 100, Seed: 5, ReportProbs: true}
+	set, err := SampleAttacks(n, xOld, zOld, cfg)
+	if err != nil || !set.fast {
+		t.Fatalf("ieee118 attack set: fast=%v, error %v", set != nil && set.fast, err)
+	}
+	cached := cfg
+	cached.Estimators = NewEstimatorCache(n, 0)
+	for pi, xd := range backendTestPoints(n) {
+		xNew := n.ExpandDFACTS(xd)
+		var want *EffectivenessResult
+		for run, c := range []EffectivenessConfig{cfg, cached, cached} {
+			var got *EffectivenessResult
+			d := estStatsDelta(func() { got, err = EvaluateAttacks(n, set, xNew, c) })
+			if err != nil {
+				t.Fatalf("point %d run %d: %v", pi, run, err)
+			}
+			if d != (EstimatorCacheStats{Misses: 1, FullQRs: 1}) {
+				t.Errorf("point %d run %d: estimator counters %+v, want one miss and one full QR", pi, run, d)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("point %d run %d: result with a cache %+v, without %+v", pi, run, got, want)
 			}
 		}
 	}
@@ -213,7 +263,7 @@ func TestCarriedWarmStartDeterminism(t *testing.T) {
 	var ref *Selection
 	for run := 0; run < 2; run++ {
 		for _, par := range []int{1, 4} {
-			sel, err := SelectMTDWith(NewEnginesShared(n, xOld, de), n, xOld, SelectConfig{
+			sel, err := SelectMTDWith(NewEnginesShared(NewGammaEvaluator(n, xOld), de), n, xOld, SelectConfig{
 				GammaThreshold: 0.05,
 				Starts:         2,
 				MaxEvals:       30,

@@ -29,7 +29,7 @@
 //     increase), and TuneGammaThreshold: the numerical procedure that picks
 //     the smallest γ_th achieving a target effectiveness.
 //
-// # Attack residuals and estimator caching
+// # Attack residuals and the x_old evaluator
 //
 // Evaluating η'(δ) needs each attack's residual under H', the component of
 // a = H_t·c outside Col(H'). On fast (sparse-backend) attack sets the
@@ -38,20 +38,15 @@
 // for an s×s-derived P, exact to about 1e-13 relative and built with no
 // post-MTD estimator. Only attacks within 1e-9 of a decision threshold,
 // candidates the kernel declines, Monte Carlo, ReportProbs and the
-// small-case dense path use the estimator (a QR factorization of H').
-// EstimatorCache memoizes those estimators per network with a bitwise key
-// over the candidate reactance vector: two x_new vectors share an entry
-// only when every float64 is identical, so a hit can never change a
-// result. There is no
-// staleness-based invalidation — networks resolved from the case registry
-// are immutable, so an entry is invalidated only by LRU eviction (capacity
-// pressure) or by keying against a different *grid.Network pointer, which
-// bypasses the cache entirely. Misses build through se.Factory, which
-// re-orthogonalizes only the D-FACTS-adjacent state columns and falls back
-// to the full QR whenever its stable-column premise fails bitwise.
-// EffectivenessConfig.Estimators opts an evaluation in; only fast
-// (sparse-backend) attack sets consult it, keeping the small-case dense
-// path byte-identical.
+// small-case dense path build the estimator (a QR factorization of H'),
+// fresh for each evaluation; GlobalEstimatorCacheStats counts the builds
+// on fast sets.
+//
+// The x_old side — the basis of H(x_old) and the kernel's blocks — is
+// prepared once per attack set, in SampleAttacks. A selection that also
+// scores attacks shares that evaluator with its search
+// (NewEnginesShared(set.Gamma(), dispatch)), so every selection, tuning
+// run and day-sweep hour prepares x_old exactly once.
 //
 // # Solve memoization and restart screening
 //

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gridmtd/internal/attack"
 	"gridmtd/internal/dcflow"
@@ -66,12 +67,10 @@ type EffectivenessConfig struct {
 	// GammaBackend is accepted for compatibility and ignored: every γ
 	// backend name is an alias of the exact evaluator (see GammaBackend).
 	GammaBackend GammaBackend
-	// Estimators optionally memoizes the post-MTD estimator per candidate
-	// x_new (see EstimatorCache). Only fast attack sets (large-case sparse
-	// backend) consult it, when they need an estimator at all: Monte Carlo,
-	// ReportProbs, an attack on a residual re-check band, or a candidate
-	// the residual kernel declines. The small-case path keeps its
-	// historical bitwise construction; nil keeps it everywhere.
+	// Estimators is accepted for compatibility and ignored: an evaluation
+	// that needs the post-MTD estimator (Monte Carlo, ReportProbs, an
+	// attack on a residual re-check band, a candidate the residual kernel
+	// declines, the small-case path) builds it with se.NewEstimator.
 	Estimators *EstimatorCache `json:"-"`
 }
 
@@ -96,6 +95,49 @@ func (c EffectivenessConfig) withDefaults() EffectivenessConfig {
 	}
 	return c
 }
+
+// estBuilds counts post-MTD estimator builds on fast attack sets
+// process-wide, mirroring the lp package's global revised-simplex
+// counters: lock-free increments on the serving path, one snapshot call
+// for /v1/stats.
+var estBuilds atomic.Int64
+
+// EstimatorCacheStats is a snapshot of the process-wide estimator
+// counters, served as the /v1/stats "estimators" block.
+type EstimatorCacheStats struct {
+	// Hits is always 0: no estimator is memoized.
+	Hits int `json:"hits"`
+	// Misses counts post-MTD estimator builds on fast attack sets.
+	Misses int `json:"misses"`
+	// FastBuilds is always 0: every build is a full QR.
+	FastBuilds int `json:"fast_builds"`
+	// FullQRs equals Misses.
+	FullQRs int `json:"full_qrs"`
+}
+
+// Delta returns the field-wise counter increments s − since, for
+// per-request assertions against the cumulative process-wide counters.
+func (s EstimatorCacheStats) Delta(since EstimatorCacheStats) EstimatorCacheStats {
+	return EstimatorCacheStats{
+		Hits:       s.Hits - since.Hits,
+		Misses:     s.Misses - since.Misses,
+		FastBuilds: s.FastBuilds - since.FastBuilds,
+		FullQRs:    s.FullQRs - since.FullQRs,
+	}
+}
+
+// GlobalEstimatorCacheStats returns the process-wide estimator counters.
+func GlobalEstimatorCacheStats() EstimatorCacheStats {
+	b := int(estBuilds.Load())
+	return EstimatorCacheStats{Misses: b, FullQRs: b}
+}
+
+// EstimatorCache is accepted for compatibility and holds nothing: post-MTD
+// estimators are no longer memoized (see EffectivenessConfig.Estimators).
+type EstimatorCache struct{}
+
+// NewEstimatorCache returns an EstimatorCache; both arguments are ignored.
+func NewEstimatorCache(*grid.Network, int) *EstimatorCache { return &EstimatorCache{} }
 
 // EffectivenessResult reports the MTD quality metrics for one perturbation.
 type EffectivenessResult struct {
@@ -182,6 +224,11 @@ func SampleAttacks(n *grid.Network, xOld, zOld []float64, cfg EffectivenessConfi
 	}, nil
 }
 
+// Gamma returns the set's exact γ evaluator against the crafting
+// configuration x_old. A selection against the same x_old shares it
+// (NewEnginesShared), so x_old is prepared once.
+func (s *AttackSet) Gamma() *GammaEvaluator { return s.gamma }
+
 // EvaluateAttacks computes the effectiveness of the perturbation xNew
 // against a pre-crafted attack set. The analytic path scores the attacks
 // in parallel chunks (cfg.Parallelism workers); every number it produces
@@ -208,17 +255,11 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 	var est *se.Estimator
 	// ensureEst builds the post-MTD estimator on demand: up front unless
 	// the kernel scores the attacks, lazily for its re-checks otherwise.
-	// Fast sets with a cache take the memoized rank-structured build
-	// (1e-9-agreement contract); the bitwise dense path never does.
+	// Builds on fast sets are counted (GlobalEstimatorCacheStats).
 	ensureEst := func() (*se.Estimator, error) {
 		if est == nil {
-			if set.fast && cfg.Estimators != nil {
-				e, err := cfg.Estimators.Get(n, xNew)
-				if err != nil {
-					return nil, fmt.Errorf("core: post-MTD estimator: %w", err)
-				}
-				est = e
-				return est, nil
+			if set.fast {
+				estBuilds.Add(1)
 			}
 			e, err := se.NewEstimator(n.MeasurementMatrix(xNew))
 			if err != nil {

@@ -103,71 +103,55 @@ func NoMTDCost(n *grid.Network, starts int, seed int64) (float64, error) {
 // hourly MTD it reflects loads one interval old, while cost is evaluated at
 // the current loads, exactly as in Section VI.
 func SelectMTD(n *grid.Network, xOld []float64, cfg SelectConfig) (*Selection, error) {
-	eng, err := newEngines(n, xOld)
+	de, err := newDispatchEngine(n)
 	if err != nil {
 		return nil, err
 	}
-	return selectMTD(n, xOld, cfg, eng)
+	return SelectMTDWith(NewEnginesShared(NewGammaEvaluator(n, xOld), de), n, xOld, cfg)
 }
 
 // Engines bundles the cached evaluators one pre-perturbation configuration
 // needs: the γ-evaluation engine keyed by x_old and the dispatch-OPF
 // engine. Callers running several searches against the same x_old (the
-// γ-threshold bisection, a γ sweep, the planner service) build them once
-// via NewEngines; batched drivers that already hold a dispatch engine for
-// the case share it via NewEnginesShared, so only the (x_old-keyed) γ side
-// is rebuilt per configuration.
+// γ-threshold bisection, a γ sweep, the planner service) build the bundle
+// once. A caller that also evaluates attacks against x_old passes the
+// attack set's evaluator (AttackSet.Gamma), so x_old is prepared once; a
+// batched driver passes the dispatch engine it already holds for the case.
 type Engines struct {
 	gamma    *GammaEvaluator
 	dispatch *opf.DispatchEngine
 }
 
-// NewEngines builds the evaluator bundle for the pre-perturbation
-// reactance vector xOld, constructing a fresh dispatch engine.
-func NewEngines(n *grid.Network, xOld []float64) (*Engines, error) {
+// NewEnginesShared bundles a γ evaluator keyed by x_old with a dispatch
+// engine built for the same network.
+func NewEnginesShared(gamma *GammaEvaluator, dispatch *opf.DispatchEngine) *Engines {
+	return &Engines{gamma: gamma, dispatch: dispatch}
+}
+
+// NewEnginesSharedBackend builds a fresh γ evaluator for xOld and bundles
+// it with dispatch; the γ-backend name is ignored (every name is an alias
+// of the exact evaluator).
+func NewEnginesSharedBackend(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine, _ GammaBackend) *Engines {
+	return NewEnginesShared(NewGammaEvaluator(n, xOld), dispatch)
+}
+
+// newDispatchEngine builds the dispatch-OPF engine of the one-shot entry
+// points (SelectMTD, MaxGamma, TuneGammaThreshold).
+func newDispatchEngine(n *grid.Network) (*opf.DispatchEngine, error) {
 	de, err := opf.NewDispatchEngine(n)
 	if err != nil {
 		return nil, fmt.Errorf("core: dispatch engine: %w", err)
 	}
-	return NewEnginesShared(n, xOld, de), nil
+	return de, nil
 }
-
-// NewEnginesShared builds the evaluator bundle around an existing dispatch
-// engine for the same network (which must have been constructed for n).
-func NewEnginesShared(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine) *Engines {
-	return &Engines{gamma: NewGammaEvaluator(n, xOld), dispatch: dispatch}
-}
-
-// NewEnginesSharedBackend is NewEnginesShared for callers that carry a
-// γ-backend name; every name is an alias of the exact evaluator.
-func NewEnginesSharedBackend(n *grid.Network, xOld []float64, dispatch *opf.DispatchEngine, _ GammaBackend) *Engines {
-	return NewEnginesShared(n, xOld, dispatch)
-}
-
-// Dispatch exposes the bundle's dispatch-OPF engine.
-func (e *Engines) Dispatch() *opf.DispatchEngine { return e.dispatch }
 
 // Gamma exposes the bundle's γ evaluator (keyed by the xOld the bundle was
 // built for).
 func (e *Engines) Gamma() *GammaEvaluator { return e.gamma }
 
-func newEngines(n *grid.Network, xOld []float64) (*Engines, error) {
-	return NewEngines(n, xOld)
-}
-
 // SelectMTDWith is SelectMTD against a pre-built evaluator bundle (whose γ
 // engine must be keyed by the same xOld).
 func SelectMTDWith(eng *Engines, n *grid.Network, xOld []float64, cfg SelectConfig) (*Selection, error) {
-	return selectMTD(n, xOld, cfg, eng)
-}
-
-// MaxGammaWith is MaxGamma against a pre-built evaluator bundle.
-func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaConfig) (*Selection, error) {
-	return maxGamma(n, xOld, cfg, eng)
-}
-
-// selectMTD is SelectMTD against pre-built engines.
-func selectMTD(n *grid.Network, xOld []float64, cfg SelectConfig, eng *Engines) (*Selection, error) {
 	idx := n.DFACTSIndices()
 	if len(idx) == 0 {
 		return nil, ErrNoDFACTS
@@ -307,15 +291,15 @@ type MaxGammaConfig struct {
 // threshold the cost-minimizing problem (4) can satisfy, i.e. the best the
 // hardware AND the network constraints allow.
 func MaxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig) (*Selection, error) {
-	eng, err := newEngines(n, xOld)
+	de, err := newDispatchEngine(n)
 	if err != nil {
 		return nil, err
 	}
-	return maxGamma(n, xOld, cfg, eng)
+	return MaxGammaWith(NewEnginesShared(NewGammaEvaluator(n, xOld), de), n, xOld, cfg)
 }
 
-// maxGamma is MaxGamma against pre-built engines.
-func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines) (*Selection, error) {
+// MaxGammaWith is MaxGamma against a pre-built evaluator bundle.
+func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaConfig) (*Selection, error) {
 	idx := n.DFACTSIndices()
 	if len(idx) == 0 {
 		return nil, ErrNoDFACTS
@@ -390,14 +374,14 @@ func maxGamma(n *grid.Network, xOld []float64, cfg MaxGammaConfig, eng *Engines)
 		// ladder of γ thresholds below it; the first level problem (4) can
 		// satisfy is the best operable design.
 		for _, frac := range []float64{0.95, 0.85, 0.75, 0.65, 0.55, 0.45} {
-			sel, serr := selectMTD(n, xOld, SelectConfig{
+			sel, serr := SelectMTDWith(eng, n, xOld, SelectConfig{
 				GammaThreshold: frac * bestG,
 				Starts:         cfg.Starts,
 				MaxEvals:       cfg.MaxEvals,
 				Seed:           cfg.Seed,
 				BaselineCost:   baselineCost,
 				Parallelism:    cfg.Parallelism,
-			}, eng)
+			})
 			if serr == nil {
 				return sel, nil
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gridmtd/internal/grid"
+	"gridmtd/internal/opf"
 )
 
 // TuneConfig controls TuneGammaThreshold.
@@ -45,30 +46,31 @@ func (c TuneConfig) withDefaults() TuneConfig {
 // returned with its (best achievable) effectiveness and no error, matching
 // the paper's "as effective as the hardware allows" fallback.
 func TuneGammaThreshold(n *grid.Network, xOld, zOld []float64, cfg TuneConfig) (*Selection, *EffectivenessResult, error) {
-	eng, err := newEngines(n, xOld)
+	de, err := newDispatchEngine(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	return TuneGammaThresholdWith(eng, n, xOld, zOld, cfg)
+	return TuneGammaThresholdWith(de, n, xOld, zOld, cfg)
 }
 
 // TuneGammaThresholdWith is TuneGammaThreshold against a pre-built
-// evaluator bundle (γ engine keyed by xOld). Day sweeps build the dispatch
-// engine once per day and pass an hourly NewEnginesShared bundle here, so
-// only the γ side is rebuilt as the attacker's knowledge moves.
-func TuneGammaThresholdWith(eng *Engines, n *grid.Network, xOld, zOld []float64, cfg TuneConfig) (*Selection, *EffectivenessResult, error) {
+// dispatch engine for n. Day sweeps build the dispatch engine once per day
+// and pass it here every hour, so only the x_old side is rebuilt as the
+// attacker's knowledge moves.
+func TuneGammaThresholdWith(dispatch *opf.DispatchEngine, n *grid.Network, xOld, zOld []float64, cfg TuneConfig) (*Selection, *EffectivenessResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.Effectiveness.Deltas = []float64{cfg.TargetDelta}
 
-	// The cached evaluators — the γ engine (keyed by xOld), the dispatch
-	// engine, and the attack set — are built once. Every bisection
-	// iteration reuses them; the attack sampler is reseeded per
-	// Effectiveness call in the uncached path, so hoisting it out of the
-	// loop reproduces exactly the same attacks.
+	// The cached evaluators — the attack set, its γ engine (keyed by xOld)
+	// and the dispatch engine — are built once. Every bisection iteration
+	// reuses them; the attack sampler is reseeded per Effectiveness call
+	// in the uncached path, so hoisting it out of the loop reproduces
+	// exactly the same attacks.
 	attacks, err := SampleAttacks(n, xOld, zOld, cfg.Effectiveness)
 	if err != nil {
 		return nil, nil, err
 	}
+	eng := NewEnginesShared(attacks.Gamma(), dispatch)
 	evalEta := func(sel *Selection) (*EffectivenessResult, float64, error) {
 		eff, err := EvaluateAttacks(n, attacks, sel.Reactances, cfg.Effectiveness)
 		if err != nil {
@@ -88,12 +90,12 @@ func TuneGammaThresholdWith(eng *Engines, n *grid.Network, xOld, zOld []float64,
 	}
 
 	// Probe the achievable range.
-	maxSel, err := maxGamma(n, xOld, MaxGammaConfig{
+	maxSel, err := MaxGammaWith(eng, n, xOld, MaxGammaConfig{
 		Starts:       cfg.Select.Starts,
 		Seed:         cfg.Select.Seed,
 		BaselineCost: cfg.Select.BaselineCost,
 		Parallelism:  cfg.Select.Parallelism,
-	}, eng)
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: probing max gamma: %w", err)
 	}
@@ -115,7 +117,7 @@ func TuneGammaThresholdWith(eng *Engines, n *grid.Network, xOld, zOld []float64,
 		sCfg := cfg.Select
 		sCfg.GammaThreshold = mid
 		sCfg.WarmStarts = warm
-		sel, err := selectMTD(n, xOld, sCfg, eng)
+		sel, err := SelectMTDWith(eng, n, xOld, sCfg)
 		if err != nil {
 			// Threshold unreachable at this level (or OPF infeasible):
 			// treat as "needs larger γ_th" being impossible — tighten from

@@ -79,7 +79,7 @@ func RunImpact(cfg ImpactConfig) (*ImpactResult, error) {
 		return nil, err
 	}
 
-	sel, eff, err := core.TuneGammaThresholdWith(core.NewEnginesShared(n, pre.Reactances, engine), n, pre.Reactances, z, core.TuneConfig{
+	sel, eff, err := core.TuneGammaThresholdWith(engine, n, pre.Reactances, z, core.TuneConfig{
 		TargetDelta:   0.9,
 		TargetEta:     0.9,
 		Iterations:    4,

@@ -324,34 +324,6 @@ func (n *Network) DFACTSIndices() []int {
 	return idx
 }
 
-// DFACTSStateColumns returns the sorted slack-reduced state columns that a
-// D-FACTS reactance change can touch: the columns of the buses incident to
-// a D-FACTS branch. Every other column of the measurement matrix H(x) is
-// bitwise identical across all D-FACTS settings (MeasurementMatrixInto
-// writes a column only from the branches incident to its bus), which is
-// the structural fact the estimator fast-build path relies on.
-func (n *Network) DFACTSStateColumns() []int {
-	touched := make([]bool, n.N()-1)
-	for _, br := range n.Branches {
-		if !br.HasDFACTS {
-			continue
-		}
-		if c := n.reducedCol(br.From - 1); c >= 0 {
-			touched[c] = true
-		}
-		if c := n.reducedCol(br.To - 1); c >= 0 {
-			touched[c] = true
-		}
-	}
-	var cols []int
-	for c, t := range touched {
-		if t {
-			cols = append(cols, c)
-		}
-	}
-	return cols
-}
-
 // DFACTSBounds returns the reactance bounds for the D-FACTS branches, in
 // the order of DFACTSIndices.
 func (n *Network) DFACTSBounds() (lo, hi []float64) {

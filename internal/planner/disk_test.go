@@ -170,3 +170,38 @@ func TestDiskCacheGammaKeyedOnKernel(t *testing.T) {
 		t.Errorf("restart served source=%q γ=%v, want disk-served %v", second.Source, second.Gamma, first.Gamma)
 	}
 }
+
+// TestDiskCacheEmptyPayloadRecomputed pins that a disk entry whose key
+// verifies but whose payload names another case — null, {} or a foreign
+// case — is never served: the planner recomputes and the write-through
+// replaces the entry, which a restarted planner then serves.
+func TestDiskCacheEmptyPayloadRecomputed(t *testing.T) {
+	req := quickSelect(0.1).withDefaults()
+	req.GammaBackend = "exact" // the memo key Select stores under
+	ref, err := New(Config{}).Select(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{`null`, `{}`, `{"case":"ieee57","gamma":1}`} {
+		dir := t.TempDir()
+		p0 := New(Config{})
+		openDisk(t, dir).Put(p0.diskKey(req.key()), []byte(payload))
+		p1 := New(Config{Disk: openDisk(t, dir)})
+		first, err := p1.Select(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Source != SourceComputed || first.Case != "ieee14" || first.Gamma != ref.Gamma {
+			t.Fatalf("payload %s: served source=%q case=%q γ=%v, want a computation of γ=%v",
+				payload, first.Source, first.Case, first.Gamma, ref.Gamma)
+		}
+		second, err := New(Config{Disk: openDisk(t, dir)}).Select(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Source != SourceDisk || second.Gamma != ref.Gamma || second.CostPerHour != ref.CostPerHour {
+			t.Errorf("payload %s: restart served source=%q γ=%v cost=%v, want the rewritten entry",
+				payload, second.Source, second.Gamma, second.CostPerHour)
+		}
+	}
+}

@@ -137,3 +137,25 @@ func TestGammaRejectsInvalidReactances(t *testing.T) {
 		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes", st.ResultMisses, st.Disk.Writes)
 	}
 }
+
+// TestRejectsTooManyAttacks pins the attack bound: a select or day-sweep
+// request with more than MaxAttacks attacks returns ErrTooManyAttacks
+// before the memo, so nothing is sampled, memoized or written to disk,
+// while MaxAttacks itself is served.
+func TestRejectsTooManyAttacks(t *testing.T) {
+	p := New(Config{Disk: openDisk(t, t.TempDir())})
+	if _, err := p.Select(SelectRequest{Case: "ieee118", GammaThreshold: 0.05, Attacks: 2000000000}); !errors.Is(err, ErrTooManyAttacks) {
+		t.Errorf("select with 2e9 attacks: error %v, want ErrTooManyAttacks", err)
+	}
+	if _, err := p.DaySweep(DaySweepRequest{Case: "ieee118", Attacks: MaxAttacks + 1}); !errors.Is(err, ErrTooManyAttacks) {
+		t.Errorf("day sweep with %d attacks: error %v, want ErrTooManyAttacks", MaxAttacks+1, err)
+	}
+	if st := p.Stats(); st.ResultMisses != 0 || st.Disk.Writes != 0 {
+		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes", st.ResultMisses, st.Disk.Writes)
+	}
+	req := quickSelect(0.1)
+	req.Attacks = MaxAttacks
+	if _, err := p.Select(req); err != nil {
+		t.Errorf("select with MaxAttacks attacks: %v", err)
+	}
+}

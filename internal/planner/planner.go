@@ -72,6 +72,25 @@ func checkReactances(field string, x []float64) error {
 	return nil
 }
 
+// MaxAttacks bounds the attacks field of select and day-sweep requests:
+// ten times the paper's 1,000-attack protocol. Each sampled attack holds
+// a measurement-length vector (about 4 KB on ieee118), and running out of
+// memory is a fatal runtime error that kills the daemon rather than
+// failing the request.
+const MaxAttacks = 10000
+
+// ErrTooManyAttacks is returned for a request whose attacks field exceeds
+// MaxAttacks. Like ErrInvalidReactance it is raised before the memo.
+var ErrTooManyAttacks = fmt.Errorf("planner: attacks must be at most %d", MaxAttacks)
+
+// checkAttacks rejects an attack count above MaxAttacks.
+func checkAttacks(n int) error {
+	if n > MaxAttacks {
+		return fmt.Errorf("%w: got %d", ErrTooManyAttacks, n)
+	}
+	return nil
+}
+
 // Config tunes a Planner.
 type Config struct {
 	// Backend forces the dispatch engines' linear-algebra backend
@@ -133,10 +152,11 @@ type Stats struct {
 	// Warm-path health (eta updates vs refactorizations, fallback rate)
 	// is the production-observable face of the dispatch-solve cost.
 	LP LPStats `json:"lp"`
-	// Estimators is the process-wide estimator-cache snapshot
-	// (core.GlobalEstimatorCacheStats): how many state-estimator rebuilds
-	// repeat selections avoided, and how many of the remaining builds the
-	// rank-structured fast path served instead of a full QR.
+	// Estimators is the process-wide estimator snapshot
+	// (core.GlobalEstimatorCacheStats): Misses and FullQRs both count the
+	// post-MTD estimators built for attack evaluation on large cases (each
+	// a full QR). Hits and FastBuilds always read 0; the keys stay so the
+	// block keeps its shape.
 	Estimators core.EstimatorCacheStats `json:"estimators"`
 	// SolveCache is the process-wide dispatch-solve memo snapshot
 	// (opf.GlobalSolveCacheStats): how many dispatch LPs the bitwise
@@ -421,7 +441,8 @@ func (p *Planner) memo(key string, compute func() (any, error)) (resp any, elaps
 				return
 			}
 			// The envelope key verified but the payload didn't decode (a
-			// response-schema change): fall through and recompute; the
+			// response-schema change) or names another case (a null or
+			// empty payload): fall through and recompute; the
 			// write-through below overwrites the stale entry.
 		}
 		if aerr := p.adm.acquire(); aerr != nil {
@@ -501,7 +522,9 @@ func (p *Planner) diskKey(key string) string {
 }
 
 // decodeResponse unmarshals a disk-cache payload into the response type
-// its memo-key prefix names.
+// its memo-key prefix names. A payload whose case is not the key's (a
+// null or empty payload decodes to case "") is rejected, so it is
+// recomputed instead of served.
 func decodeResponse(key string, data []byte) (any, error) {
 	var v any
 	switch {
@@ -518,6 +541,11 @@ func decodeResponse(key string, data []byte) (any, error) {
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return nil, err
+	}
+	var got struct{ Case string }
+	_ = json.Unmarshal(data, &got) // cannot fail: data decoded into a struct above
+	if keyCase := strings.Split(key, "|")[1]; got.Case != keyCase {
+		return nil, fmt.Errorf("planner: cached payload is for case %q, key names %q", got.Case, keyCase)
 	}
 	return v, nil
 }
@@ -595,6 +623,9 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 		return nil, err
 	}
 	if err := checkReactances("x_old", req.XOld); err != nil {
+		return nil, err
+	}
+	if err := checkAttacks(req.Attacks); err != nil {
 		return nil, err
 	}
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
@@ -696,9 +727,10 @@ func (p *Planner) countGammaServed(gb core.GammaBackend) {
 }
 
 // selectExplicitXOld serves a request whose attacker knowledge is given:
-// the planner works directly on the shared engines (the setpoint hash —
-// case, scale, x_old — keys the γ engine, the dispatch engine comes from
-// the runner's cache).
+// the planner samples the attacks against x_old first and the search
+// shares their γ evaluator, so x_old is prepared once; the dispatch engine
+// comes from the runner's cache. The attack sampler is seeded from the
+// request alone, so sampling before the search changes no result.
 func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg core.EffectivenessConfig) (*SelectResponse, error) {
 	if len(req.XOld) != n.L() {
 		return nil, fmt.Errorf("planner: x_old has %d entries, case %s has %d branches", len(req.XOld), req.Case, n.L())
@@ -713,7 +745,15 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg 
 	if err != nil {
 		return nil, err
 	}
-	engines := core.NewEnginesShared(n, req.XOld, eng)
+	zOld, err := core.OperatingMeasurements(n, req.XOld)
+	if err != nil {
+		return nil, err
+	}
+	attacks, err := core.SampleAttacks(n, req.XOld, zOld, effCfg)
+	if err != nil {
+		return nil, err
+	}
+	engines := core.NewEnginesShared(attacks.Gamma(), eng)
 	selCfg := core.SelectConfig{
 		GammaThreshold: req.GammaThreshold,
 		Starts:         req.Starts,
@@ -737,19 +777,6 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg 
 	if err != nil {
 		return nil, err
 	}
-	zOld, err := core.OperatingMeasurements(n, req.XOld)
-	if err != nil {
-		return nil, err
-	}
-	attacks, err := core.SampleAttacks(n, req.XOld, zOld, effCfg)
-	if err != nil {
-		return nil, err
-	}
-	// The runner's shared per-network estimator cache memoizes the post-MTD
-	// QR across requests against this case (and rank-structured-rebuilds it
-	// on a miss) — the network pointer comes from the planner's case LRU,
-	// so the key is effectively (case, load scale, x_new).
-	effCfg.Estimators = p.runner.EstimatorCache(n)
 	eff, err := core.EvaluateAttacks(n, attacks, sel.Reactances, effCfg)
 	if err != nil {
 		return nil, err
@@ -903,6 +930,9 @@ func (r DaySweepRequest) withDefaults() DaySweepRequest {
 // DaySweep serves one memoized day sweep.
 func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 	req = req.withDefaults()
+	if err := checkAttacks(req.Attacks); err != nil {
+		return nil, err
+	}
 	key := fmt.Sprintf("day|%s|%v|%g|%g|%g|%d|%d|%d|%d|%d",
 		req.Case, req.Hours, req.PeakLoadMW, req.TargetDelta, req.TargetEta,
 		req.Iterations, req.Attacks, req.Starts, req.OPFStarts, req.Seed)

@@ -28,11 +28,9 @@ const maxCachedEngines = 16
 //
 // The zero value is ready to use.
 type Runner struct {
-	mu        sync.Mutex
-	engines   map[*grid.Network]*opf.DispatchEngine
-	order     []*grid.Network
-	estCaches map[*grid.Network]*core.EstimatorCache
-	estOrder  []*grid.Network
+	mu      sync.Mutex
+	engines map[*grid.Network]*opf.DispatchEngine
+	order   []*grid.Network
 }
 
 // NewRunner returns an empty Runner.
@@ -114,30 +112,6 @@ func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend, cacheable
 	return e, nil
 }
 
-// EstimatorCache returns the runner's shared per-network estimator cache
-// for the caller-owned network n (built on first use, cached by pointer,
-// same lifetime policy as DispatchEngine). The planner injects it into the
-// effectiveness config of explicit-x_old selections so repeated candidate
-// evaluations against one case reuse their post-MTD QR factorizations.
-func (r *Runner) EstimatorCache(n *grid.Network) *core.EstimatorCache {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.estCaches[n]; ok {
-		return c
-	}
-	c := core.NewEstimatorCache(n, 0)
-	if r.estCaches == nil {
-		r.estCaches = make(map[*grid.Network]*core.EstimatorCache)
-	}
-	if len(r.estOrder) >= maxCachedEngines {
-		delete(r.estCaches, r.estOrder[0])
-		r.estOrder = r.estOrder[1:]
-	}
-	r.estCaches[n] = c
-	r.estOrder = append(r.estOrder, n)
-	return c
-}
-
 // execState is the shared state a batch's units thread through: the
 // network (private clone when mutated), the shared engines, the attacker's
 // knowledge, the warm-start chain and the accumulating result.
@@ -149,7 +123,6 @@ type execState struct {
 
 	eng     *opf.DispatchEngine
 	engines *core.Engines
-	estc    *core.EstimatorCache
 	pre     *opf.Result
 	xOld    []float64
 	zOld    []float64
@@ -183,23 +156,6 @@ func (st *execState) engineFor() (*opf.DispatchEngine, error) {
 	}
 	st.eng = e
 	return e, nil
-}
-
-// effectivenessCfg resolves the spec's effectiveness config with the
-// runner's estimator cache injected: the shared per-network cache for
-// caller-owned networks, a batch-private one for mutated clones (whose
-// pointer must not pin an entry in the runner after the batch ends).
-func (st *execState) effectivenessCfg() core.EffectivenessConfig {
-	if st.estc == nil {
-		if st.owned {
-			st.estc = core.NewEstimatorCache(st.n, 0)
-		} else {
-			st.estc = st.r.EstimatorCache(st.n)
-		}
-	}
-	cfg := st.spec.Effectiveness
-	cfg.Estimators = st.estc
-	return cfg
 }
 
 // opfStarts resolves the problem-(1) budget (defaulting to the selection
@@ -293,7 +249,8 @@ func (st *execState) setupGammaSweep() error {
 	if err != nil {
 		return err
 	}
-	st.engines = core.NewEnginesShared(st.n, st.xOld, st.eng)
+	// The search shares the attack set's x_old evaluator.
+	st.engines = core.NewEnginesShared(st.attacks.Gamma(), st.eng)
 	return nil
 }
 
@@ -353,7 +310,7 @@ func (st *execState) sweepCap() error {
 // records the sweep row, chaining its setting as the next point's warm
 // start.
 func (st *execState) appendSelection(sel *core.Selection, target float64) error {
-	eff, err := core.EvaluateAttacks(st.n, st.attacks, sel.Reactances, st.effectivenessCfg())
+	eff, err := core.EvaluateAttacks(st.n, st.attacks, sel.Reactances, st.spec.Effectiveness)
 	if err != nil {
 		return err
 	}
@@ -465,7 +422,7 @@ func (st *execState) randomKey(trial int) error {
 	if err != nil {
 		return err
 	}
-	eff, err := core.EvaluateAttacks(st.n, st.attacks, xRand, st.effectivenessCfg())
+	eff, err := core.EvaluateAttacks(st.n, st.attacks, xRand, st.spec.Effectiveness)
 	if err != nil {
 		return err
 	}
@@ -508,7 +465,7 @@ func (st *execState) learnProbe() error {
 		return err
 	}
 	x := st.n.Reactances()
-	engines := core.NewEnginesShared(st.n, x, eng)
+	engines := core.NewEnginesShared(core.NewGammaEvaluator(st.n, x), eng)
 	sel, err := core.MaxGammaWith(engines, st.n, x, core.MaxGammaConfig{
 		Starts:       st.spec.ProbeStarts,
 		Seed:         st.spec.ProbeSeed,

@@ -239,3 +239,30 @@ func TestRunnerEngineReuse(t *testing.T) {
 		t.Error("scenario run did not reuse the cached engine")
 	}
 }
+
+// TestGammaSweepSharesAttackEvaluator pins the one-x_old-preparation
+// contract: the γ sweep's search engines hold the attack set's own γ
+// evaluator, on the small-case (dense) and large-case (fast) paths, with
+// fresh and one-hour-stale attacker knowledge.
+func TestGammaSweepSharesAttackEvaluator(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hour  int
+		stale bool
+	}{{"ieee14", 0, false}, {"ieee57", 0, false}, {"ieee14", 3, true}} {
+		spec := sweepSpec(tc.name, 1)
+		spec.Hour, spec.StaleAttacker = tc.hour, tc.stale
+		n, owned, err := spec.network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &execState{spec: spec, r: NewRunner(), n: n, owned: owned, res: &Result{}}
+		if err := st.setupGammaSweep(); err != nil {
+			t.Fatalf("%s hour %d: %v", tc.name, tc.hour, err)
+		}
+		if g := st.attacks.Gamma(); g == nil || st.engines.Gamma() != g {
+			t.Errorf("%s hour %d: search evaluator %p, attack set's %p; want one shared evaluator",
+				tc.name, tc.hour, st.engines.Gamma(), g)
+		}
+	}
+}

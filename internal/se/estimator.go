@@ -28,11 +28,6 @@ type Estimator struct {
 	qt *mat.Dense // Qᵀ (n×M), rows contiguous for the batch residual path
 	r  *mat.Dense // R factor (n×n upper triangular)
 	lu *mat.LU    // factorization of R for state recovery
-	// perm maps factor column k to the column of h it orthogonalized
-	// (Factory builds factor H·P with the volatile columns trailing; nil
-	// means identity). Only Estimate needs it — every residual quantity
-	// depends on Col(H) alone, which a column permutation preserves.
-	perm []int
 }
 
 // NewEstimator builds an estimator for measurement matrix h (M×n, M >= n,
@@ -70,17 +65,7 @@ func (e *Estimator) Estimate(z []float64) []float64 {
 		panic("se: measurement vector length mismatch")
 	}
 	qtz := mat.MulVecT(e.q, z)
-	sol := e.lu.Solve(qtz)
-	if e.perm == nil {
-		return sol
-	}
-	// The factorization is of H·P; undo the column permutation so the
-	// returned state vector is in h's column order.
-	out := make([]float64, len(sol))
-	for k, j := range e.perm {
-		out[j] = sol[k]
-	}
-	return out
+	return e.lu.Solve(qtz)
 }
 
 // ResidualVector returns z − Hθ̂ = (I − Γ)z without forming the projector.

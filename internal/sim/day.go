@@ -165,7 +165,7 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 		tuneCfg.Select.BaselineCost = noMTD.CostPerHour
 		tuneCfg.Select.Seed = cfg.Seed + int64(h)
 		tuneCfg.Effectiveness.Seed = cfg.Seed + int64(h)
-		sel, eff, err := core.TuneGammaThresholdWith(core.NewEnginesShared(net, xOld, engine), net, xOld, zOld, tuneCfg)
+		sel, eff, err := core.TuneGammaThresholdWith(engine, net, xOld, zOld, tuneCfg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d MTD selection: %w", h, err)
 		}

@@ -52,7 +52,8 @@ func TestColdSelectLatencyBudget(t *testing.T) {
 // PERF.md's PR 8 table (~0.89 s on the 1-core reference box, down from
 // ~1.2 s at PR 7 via the dispatch-solve memo, the Farkas pre-screen and
 // the screened restarts). A regression in any stage — the pricing, the
-// estimator reuse or the solve-volume cuts — lands well above this line.
+// attack-residual kernel, the single x_old preparation or the
+// solve-volume cuts — lands well above this line.
 const coldSelect300Budget = 1800 * time.Millisecond
 
 // TestColdSelect300LatencyBudget holds the cold 300-bus planner selection
@@ -83,7 +84,7 @@ func TestColdSelect300LatencyBudget(t *testing.T) {
 	t.Logf("cold ieee300 selection: best %v (budget %v)", best, coldSelect300Budget)
 	if best > coldSelect300Budget {
 		t.Errorf("cold ieee300 selection took %v, budget %v — a PR 7/PR 8 stage "+
-			"(pricing, estimator reuse, solve memo, pre-screen, "+
+			"(pricing, attack-residual kernel, solve memo, pre-screen, "+
 			"restart screen) has regressed", best, coldSelect300Budget)
 	}
 }
