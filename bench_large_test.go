@@ -144,8 +144,9 @@ func BenchmarkBFactorPTDF118Sparse(b *testing.B) { benchBFactor(b, "ieee118", gr
 
 // BenchmarkGammaIEEE118 measures one cached candidate-γ evaluation on the
 // 118-bus system: the exact engine's rank-|S| update over the 12 changed
-// D-FACTS branches, an s×s eigenproblem against the cached x_old basis
-// (the 117-column Gram-Schmidt it replaces is the fallback).
+// D-FACTS branches, an s×s eigenproblem over Gram blocks gathered from
+// the x_old side (the 117-column Gram-Schmidt it replaces is the
+// fallback).
 func BenchmarkGammaIEEE118(b *testing.B) {
 	n := benchCase(b, "ieee118")
 	x := n.Reactances()
@@ -202,6 +203,48 @@ func benchGammaBackend(b *testing.B, caseName string) {
 
 func BenchmarkGammaBackend118Exact(b *testing.B) { benchGammaBackend(b, "ieee118") }
 func BenchmarkGammaBackend300Exact(b *testing.B) { benchGammaBackend(b, "ieee300") }
+
+// benchGammaEvaluatorBuild measures the x_old preparation of the exact γ
+// evaluator: the sparse Cholesky of H(x_old)ᵀH(x_old) and the blocked
+// solves that form the kernel's Gram blocks over the D-FACTS lines.
+func benchGammaEvaluatorBuild(b *testing.B, caseName string) {
+	n := benchCase(b, caseName)
+	x := n.Reactances()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gridmtd.NewGammaEvaluator(n, x)
+	}
+}
+
+func BenchmarkGammaEvaluatorBuild118(b *testing.B) { benchGammaEvaluatorBuild(b, "ieee118") }
+func BenchmarkGammaEvaluatorBuild300(b *testing.B) { benchGammaEvaluatorBuild(b, "ieee300") }
+
+// BenchmarkDispatchBuild118 measures one dispatch-LP build on the 118-bus
+// system at the 75% point of the D-FACTS box: the B_r refactorization, one
+// blocked solve for the generator PTDF columns and the load flow, and the
+// inequality rows written from the block.
+func BenchmarkDispatchBuild118(b *testing.B) {
+	n := benchCase(b, "ieee118")
+	eng, err := opf.NewDispatchEngine(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := eng.NewSession()
+	lo, hi := n.DFACTSBounds()
+	xd := make([]float64, len(lo))
+	for i := range xd {
+		xd[i] = 0.25*lo[i] + 0.75*hi[i]
+	}
+	x := n.ExpandDFACTS(xd)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.BuildProblem(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchColdSelect measures one cold planner selection — a fresh planner
 // per iteration, so nothing is memoized and the measured time is the full

@@ -82,7 +82,10 @@
 // -to 0.05` prints (the CI daemon-smoke job diffs the two). A request's
 // "gamma_backend" may name auto, exact, sparse or sketch: every name is an
 // alias of the exact γ evaluator, and an unknown one gets a 422, as does
-// an "attacks" above planner.MaxAttacks (10,000).
+// an "attacks" above planner.MaxAttacks (10,000), a budget above its
+// planner bound ("starts" and "opf_starts" 64, "max_evals" 100,000,
+// "iterations" 100, 24 "hours"), or a negative "load_scale" or
+// "peak_load_mw".
 package main
 
 import (

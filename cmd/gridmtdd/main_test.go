@@ -258,6 +258,25 @@ func TestErrorStatuses(t *testing.T) {
 		planner.DaySweepRequest{Case: "ieee118", Attacks: 2000000000}, nil); code != http.StatusUnprocessableEntity {
 		t.Errorf("day sweep with 2e9 attacks status %d, want 422", code)
 	}
+	// A negative load, or a budget past its planner bound: unprocessable,
+	// rejected before the memo.
+	for _, tc := range []struct {
+		name, path string
+		req        any
+	}{
+		{"select load_scale -1", "/v1/select", planner.SelectRequest{Case: "ieee118", GammaThreshold: 0.05, LoadScale: -1}},
+		{"day sweep peak_load_mw -1", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", PeakLoadMW: -1}},
+		{"select starts", "/v1/select", planner.SelectRequest{Case: "ieee118", Starts: planner.MaxStarts + 1}},
+		{"select max_evals", "/v1/select", planner.SelectRequest{Case: "ieee118", MaxEvals: 2000000000}},
+		{"day sweep iterations", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", Iterations: 2000000000}},
+		{"day sweep starts", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", Starts: planner.MaxStarts + 1}},
+		{"day sweep opf_starts", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", OPFStarts: planner.MaxStarts + 1}},
+		{"day sweep hours", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", Hours: make([]int, planner.MaxHours+1)}},
+	} {
+		if code := postJSON(t, srv.URL+tc.path, tc.req, nil); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", tc.name, code)
+		}
+	}
 	if h, err := http.Get(srv.URL + "/healthz"); err != nil {
 		t.Errorf("healthz after oversized requests: %v", err)
 	} else if h.Body.Close(); h.StatusCode != http.StatusOK {

@@ -42,8 +42,10 @@
 // fresh for each evaluation; GlobalEstimatorCacheStats counts the builds
 // on fast sets.
 //
-// The x_old side — the basis of H(x_old) and the kernel's blocks — is
-// prepared once per attack set, in SampleAttacks. A selection that also
+// The x_old side — one sparse Cholesky of H(x_old)ᵀH(x_old) and the
+// kernel's s×s Gram blocks over the D-FACTS lines, formed by blocked
+// solves; no basis of H(x_old) unless the kernel declines — is prepared
+// once per attack set, in SampleAttacks. A selection that also
 // scores attacks shares that evaluator with its search
 // (NewEnginesShared(set.Gamma(), dispatch)), so every selection, tuning
 // run and day-sweep hour prepares x_old exactly once.

@@ -553,8 +553,11 @@ func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
 // the rank-|S| update kernel's answer over the branches whose reactance
 // differs between xOld and xNew (the Gram-Schmidt on the reduced
 // [p; √2·f] rows when the kernel declines), within 1e-9 of the reference.
-// A call pays for the xOld basis, which dominates it; callers evaluating
-// many xNew against one xOld should hold the evaluator instead.
+// A call pays for the xOld side: on the kernel path one sparse Cholesky
+// of H(xOld)ᵀH(xOld) and the blocked solves over the D-FACTS lines (plus
+// s more solves when xNew changes lines off them), which dominate it;
+// callers evaluating many xNew against one xOld should hold the
+// evaluator instead.
 func Gamma(n *grid.Network, xOld, xNew []float64) float64 {
 	return NewGammaEvaluator(n, xOld).Gamma(xNew)
 }

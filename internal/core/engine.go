@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/mat"
@@ -38,20 +39,25 @@ const (
 // At or above the threshold it answers from the rank-|S| update kernel
 // (subspace.UpdateEvaluator): a candidate that changes s branches (the
 // D-FACTS lines) is a rank-s update of H(x_old), and tan²γ is the largest
-// eigenvalue of an s×s problem built from the cached x_old basis, so no
-// candidate basis is formed. It agrees with the reference within 1e-9.
-// When the kernel declines (more changed branches than it is cheaper for,
-// or an ill-conditioned s×s system near γ = π/2) the evaluation falls
-// back to the fast-kernel Gram-Schmidt on the reduced [p; √2·f] rows,
-// under the same contract.
+// eigenvalue of an s×s problem built from three s×s Gram blocks of the
+// changed lines. The x_old side is one sparse Cholesky of H(x_old)ᵀH(x_old)
+// and a few dozen blocked solves, and no basis of either side is formed.
+// It agrees with the reference within 1e-9. When the kernel declines (more
+// changed branches than it is cheaper for, or an ill-conditioned s×s
+// system near γ = π/2), or H(x_old) fails the factorization's rank test,
+// the evaluation falls back to the fast-kernel Gram-Schmidt on the reduced
+// [p; √2·f] rows, under the same contract; only then is the x_old basis
+// built, once.
 type GammaEvaluator struct {
 	n    *grid.Network
+	xOld []float64
 	fast bool // large-case kernel family (the grid-backend seam)
-	qOld *subspace.Basis
 	// update is the rank-|S| kernel: set on the fast family when H(x_old)
-	// has full column rank.
-	update *subspace.UpdateEvaluator
-	pool   sync.Pool // *gammaWorkspace
+	// passes the kernel's rank test.
+	update    *subspace.UpdateEvaluator
+	basisOnce sync.Once
+	qOld      *subspace.Basis // the x_old basis, built by basis()
+	pool      sync.Pool       // *gammaWorkspace
 }
 
 type gammaWorkspace struct {
@@ -62,6 +68,15 @@ type gammaWorkspace struct {
 	upd   subspace.UpdateWorkspace
 }
 
+// basisBuilds counts the x_old bases built process-wide (GammaBasisBuilds).
+var basisBuilds atomic.Uint64
+
+// GammaBasisBuilds returns how many x_old Gram-Schmidt bases GammaEvaluators
+// have built in this process: one per evaluator on the bitwise tier, and
+// on the fast family only when the update kernel is unavailable or
+// declines a candidate.
+func GammaBasisBuilds() uint64 { return basisBuilds.Load() }
+
 // NewGammaEvaluator builds an evaluator for the pre-perturbation reactance
 // vector xOld (full length-L vector).
 func NewGammaEvaluator(n *grid.Network, xOld []float64) *GammaEvaluator {
@@ -70,27 +85,12 @@ func NewGammaEvaluator(n *grid.Network, xOld []float64) *GammaEvaluator {
 	// bitwise path end to end and a sparse-forced run gets the whole fast
 	// family — γ and LP always sit on the same side of the contract.
 	fast := grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend
-	e := &GammaEvaluator{n: n, fast: fast}
+	e := &GammaEvaluator{n: n, xOld: append([]float64(nil), xOld...), fast: fast}
 	if fast {
-		// The fast path works in the reduced γ-equivalent representation
-		// (flow block once, √2-weighted): identical angles from 38% fewer
-		// reduction rows — see Network.MeasurementMatrixTGammaInto.
-		ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-		n.MeasurementMatrixTGammaInto(xOld, ht)
-		e.qOld = subspace.ComputeBasisTFast(ht, 0)
-		// The update kernel folds H(x_old) = Q·R through R⁻¹, so it needs
-		// full column rank; otherwise every evaluation takes the
-		// Gram-Schmidt path.
-		if e.qOld.Dim() == n.N()-1 {
-			dOld := invInto(make([]float64, n.L()), xOld)
-			if u, err := subspace.NewUpdateEvaluator(n.GammaColumnFactor(), dOld, e.qOld); err == nil {
-				e.update = u
-			}
+		dOld := invInto(make([]float64, n.L()), xOld)
+		if u, err := subspace.NewUpdateEvaluator(n.GammaColumnFactor(), n.GammaIncidenceT(), dOld, n.DFACTSIndices()); err == nil {
+			e.update = u
 		}
-	} else {
-		ht := mat.NewDense(n.N()-1, n.M())
-		n.MeasurementMatrixTInto(xOld, ht)
-		e.qOld = subspace.ComputeBasisT(ht, 0)
 	}
 	e.pool.New = func() any {
 		return &gammaWorkspace{
@@ -100,6 +100,27 @@ func NewGammaEvaluator(n *grid.Network, xOld []float64) *GammaEvaluator {
 		}
 	}
 	return e
+}
+
+// basis returns the x_old basis of the Gram-Schmidt path, building it on
+// first use: the fast family orthonormalizes the reduced [p; √2·f] rows
+// (identical angles from 38% fewer rows — see
+// Network.MeasurementMatrixTGammaInto), the bitwise tier the full H.
+func (e *GammaEvaluator) basis() *subspace.Basis {
+	e.basisOnce.Do(func() {
+		basisBuilds.Add(1)
+		n := e.n
+		if e.fast {
+			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
+			n.MeasurementMatrixTGammaInto(e.xOld, ht)
+			e.qOld = subspace.ComputeBasisTFast(ht, 0)
+		} else {
+			ht := mat.NewDense(n.N()-1, n.M())
+			n.MeasurementMatrixTInto(e.xOld, ht)
+			e.qOld = subspace.ComputeBasisT(ht, 0)
+		}
+	})
+	return e.qOld
 }
 
 // NewGammaEvaluatorBackend is NewGammaEvaluator for callers that carry a
@@ -180,7 +201,7 @@ func (e *GammaEvaluator) gramSchmidtGamma(w *gammaWorkspace, x []float64) float6
 		e.n.MeasurementMatrixTInto(x, ht)
 	}
 	qNew := w.ws.BasisT(ht, 0)
-	return w.ws.GammaBases(e.qOld, qNew)
+	return w.ws.GammaBases(e.basis(), qNew)
 }
 
 // residuals returns the update kernel's attack-residual operator for the

@@ -237,3 +237,49 @@ func TestAttackSetAccessors(t *testing.T) {
 		t.Fatal("At returned a view into the batch")
 	}
 }
+
+// TestGammaBasisBuiltOnlyOnFallback pins when an evaluator builds its
+// x_old Gram-Schmidt basis: never while the update kernel answers, once
+// when it declines a candidate (however many it declines), and once on
+// the bitwise tier.
+func TestGammaBasisBuiltOnlyOnFallback(t *testing.T) {
+	n, err := grid.CaseByName("ieee118")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := GammaBasisBuilds()
+	ev := NewGammaEvaluator(n, n.Reactances())
+	for _, xd := range randomDFACTS(n, 9, 4) {
+		ev.GammaDFACTS(xd)
+	}
+	if b := GammaBasisBuilds() - before; b != 0 {
+		t.Fatalf("kernel-served D-FACTS candidates built %d bases, want 0", b)
+	}
+	every := n.Reactances()
+	for l := range every {
+		every[l] *= 1.05
+	}
+	ev.Gamma(every)
+	every[0] *= 1.1
+	ev.Gamma(every)
+	if b := GammaBasisBuilds() - before; b != 1 {
+		t.Fatalf("two declined candidates built %d bases, want 1", b)
+	}
+
+	small, err := grid.CaseByName("ieee14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = GammaBasisBuilds()
+	dense := NewGammaEvaluator(small, small.Reactances())
+	if b := GammaBasisBuilds() - before; b != 0 {
+		t.Fatalf("bitwise-tier evaluator built %d bases before its first evaluation", b)
+	}
+	x := small.Reactances()
+	x[small.DFACTSIndices()[0]] *= 1.1
+	dense.Gamma(x)
+	dense.Gamma(x)
+	if b := GammaBasisBuilds() - before; b != 1 {
+		t.Fatalf("bitwise tier built %d bases over two evaluations, want 1", b)
+	}
+}

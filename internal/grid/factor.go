@@ -126,16 +126,19 @@ type BFactorizer interface {
 	PTDFInto(dst *mat.Dense) error
 }
 
-// PTDFColser is the optional fast-path seam for callers that read only a
-// few PTDF columns (the dispatch LP touches the generator buses, not all
-// N-1): PTDFColsInto fills dst row i with column cols[i] of the PTDF —
-// dst(i, l) = PTDF(l, cols[i]) — paying one solve per requested column
-// instead of one per bus. Values agree with PTDFInto to factorization
-// roundoff, not bitwise (the full build reads the symmetric counterpart
-// of each inverse entry), so the dense backend — whose PTDF is a bitwise
-// historical contract — deliberately does not implement it.
-type PTDFColser interface {
-	PTDFColsInto(dst *mat.Dense, cols []int) error
+// BlockSolver is the optional fast-path seam for callers that solve many
+// right-hand sides against one factorization (the dispatch LP needs the
+// generator buses' PTDF columns and one load flow, not all N-1 inverse
+// columns): SolveRowsInto solves B_r·X = B in place for nrhs right-hand
+// sides stored row-major in x ((N−1)×nrhs, row i holding entry i of every
+// right-hand side), one contiguous axpy per elimination step; scratch has
+// the length of x. Each column gets the bits SolveInto gives it. PTDF
+// values built from it agree with PTDFInto to factorization roundoff, not
+// bitwise (the full build reads the symmetric counterpart of each inverse
+// entry), so the dense backend — whose PTDF is a bitwise historical
+// contract — deliberately does not implement it.
+type BlockSolver interface {
+	SolveRowsInto(x []float64, nrhs int, scratch []float64) error
 }
 
 // NewBFactorizer returns the AutoBackend factorizer for the network.
@@ -270,7 +273,6 @@ type sparseBFactorizer struct {
 	// (dcflow) never pay for it.
 	invT *mat.Dense // row j = B_r⁻¹·e_j (B_r is symmetric)
 	ecol []float64
-	ccol []float64 // PTDFColsInto: one inverse column at a time
 }
 
 func newSparseBFactorizer(n *Network) *sparseBFactorizer {
@@ -406,42 +408,11 @@ func (f *sparseBFactorizer) PTDFInto(dst *mat.Dense) error {
 	return nil
 }
 
-// PTDFColsInto implements PTDFColser: dst row i gets PTDF column cols[i]
-// (length-L branch profile), one triangular-solve pair per requested
-// column. With B_r symmetric, B_r⁻¹·e_j is both column and row j of the
-// inverse, so PTDF(l, j) = (1/x_l)·((B_r⁻¹e_j)[ri] − (B_r⁻¹e_j)[rj]).
-func (f *sparseBFactorizer) PTDFColsInto(dst *mat.Dense, cols []int) error {
+// SolveRowsInto implements BlockSolver.
+func (f *sparseBFactorizer) SolveRowsInto(x []float64, nrhs int, scratch []float64) error {
 	if !f.ok {
 		return errNotFactored
 	}
-	nb1 := f.n.N() - 1
-	if f.ccol == nil {
-		f.ccol = make([]float64, nb1)
-	}
-	if f.ecol == nil {
-		f.ecol = make([]float64, nb1)
-	}
-	s := f.n.SlackBus - 1
-	for i, j := range cols {
-		for k := range f.ecol {
-			f.ecol[k] = 0
-		}
-		f.ecol[j] = 1
-		f.chol.SolveInto(f.ccol, f.ecol)
-		row := dst.RowView(i)
-		for l, br := range f.n.Branches {
-			y := 1 / f.x[l]
-			ri := reducedColIndex(br.From-1, s)
-			rj := reducedColIndex(br.To-1, s)
-			switch {
-			case ri >= 0 && rj >= 0:
-				row[l] = y * (f.ccol[ri] - f.ccol[rj])
-			case ri >= 0:
-				row[l] = y * f.ccol[ri]
-			default:
-				row[l] = -y * f.ccol[rj]
-			}
-		}
-	}
+	f.chol.SolveRowsInto(x, nrhs, scratch)
 	return nil
 }

@@ -106,21 +106,23 @@ func TestDenseSparsePTDFAgree(t *testing.T) {
 	}
 }
 
-// TestSparsePTDFColsAgree checks the partial-column fast path against the
-// full sparse PTDF on every case: each requested column must match its
-// counterpart to factorization roundoff (the two read symmetric entries
-// of the same inverse), and the dense backend must not advertise the
-// interface — its full build is a bitwise historical contract.
+// TestSparsePTDFColsAgree checks the blocked fast path on every case: a
+// block of unit columns plus one random right-hand side must give each
+// column the bits SolveInto gives it, the PTDF columns built from the
+// block must match the full sparse PTDF to factorization roundoff (the
+// two read symmetric entries of the same inverse), and the dense backend
+// must not advertise the interface — its full build is a bitwise
+// historical contract.
 func TestSparsePTDFColsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range allCases(t) {
-		if _, ok := NewBFactorizerBackend(n, DenseBackend).(PTDFColser); ok {
-			t.Fatalf("%s: dense factorizer claims PTDFColser", n.Name)
+		if _, ok := NewBFactorizerBackend(n, DenseBackend).(BlockSolver); ok {
+			t.Fatalf("%s: dense factorizer claims BlockSolver", n.Name)
 		}
 		sparse := NewBFactorizerBackend(n, SparseBackend)
-		pc, ok := sparse.(PTDFColser)
+		bs, ok := sparse.(BlockSolver)
 		if !ok {
-			t.Fatalf("%s: sparse factorizer does not implement PTDFColser", n.Name)
+			t.Fatalf("%s: sparse factorizer does not implement BlockSolver", n.Name)
 		}
 		x := perturbedReactances(n, rng)
 		if err := sparse.Reset(x); err != nil {
@@ -132,17 +134,48 @@ func TestSparsePTDFColsAgree(t *testing.T) {
 		}
 		nb1 := n.N() - 1
 		cols := []int{0, nb1 / 2, nb1 - 1}
-		part := mat.NewDense(len(cols), n.L())
-		if err := pc.PTDFColsInto(part, cols); err != nil {
+		m := len(cols) + 1
+		rhs := make([][]float64, m)
+		blk := make([]float64, nb1*m)
+		for j := range rhs {
+			rhs[j] = make([]float64, nb1)
+			if j < len(cols) {
+				rhs[j][cols[j]] = 1
+			} else {
+				for i := range rhs[j] {
+					rhs[j][i] = rng.NormFloat64()
+				}
+			}
+			for i, v := range rhs[j] {
+				blk[i*m+j] = v
+			}
+		}
+		if err := bs.SolveRowsInto(blk, m, make([]float64, len(blk))); err != nil {
 			t.Fatal(err)
 		}
-		for i, j := range cols {
-			row := part.RowView(i)
-			for l := 0; l < n.L(); l++ {
-				want := full.At(l, j)
-				if diff := math.Abs(row[l] - want); diff > 1e-10*(1+math.Abs(want)) {
-					t.Fatalf("%s: PTDF column %d branch %d: full %g cols %g",
-						n.Name, j, l, want, row[l])
+		one := make([]float64, nb1)
+		for j := range rhs {
+			sparse.SolveInto(one, rhs[j])
+			for i, v := range one {
+				if math.Float64bits(blk[i*m+j]) != math.Float64bits(v) {
+					t.Fatalf("%s: column %d entry %d: block %v, SolveInto %v", n.Name, j, i, blk[i*m+j], v)
+				}
+			}
+		}
+		s := n.SlackBus - 1
+		for j, c := range cols {
+			for l, br := range n.Branches {
+				var got float64
+				if ri := reducedColIndex(br.From-1, s); ri >= 0 {
+					got += blk[ri*m+j]
+				}
+				if rj := reducedColIndex(br.To-1, s); rj >= 0 {
+					got -= blk[rj*m+j]
+				}
+				got /= x[l]
+				want := full.At(l, c)
+				if diff := math.Abs(got - want); diff > 1e-10*(1+math.Abs(want)) {
+					t.Fatalf("%s: PTDF column %d branch %d: full %g block %g", n.Name, c, l, want, got)
 				}
 			}
 		}

@@ -19,26 +19,12 @@ import (
 // G = ĈᵀĈ = AᵀA + 2I. The method returns Eᵀ in CSC form ((N−1)×L: column l
 // holds branch l's ±1 reduced-incidence entries) and G (L×L). Both depend
 // only on the topology; one pair serves every reactance vector of the
-// network. The kernel itself takes Ĉ (GammaColumnFactor) and forms G;
-// these operands let the factorization be checked against the dense
-// matrices.
+// network. The kernel itself takes Ĉ (GammaColumnFactor) and Eᵀ
+// (GammaIncidenceT); these operands let the factorization be checked
+// against the dense matrices.
 func (n *Network) GammaSketchOperands() (et, g *mat.CSC) {
-	nb1 := n.N() - 1
-	s := n.SlackBus - 1
 	nl := n.L()
-
-	// Eᵀ: entry (reducedCol(bus), branch) = ±1.
-	var eis, ejs []int
-	var evs []float64
-	for l, br := range n.Branches {
-		if c := reducedColIndex(br.From-1, s); c >= 0 {
-			eis, ejs, evs = append(eis, c), append(ejs, l), append(evs, 1)
-		}
-		if c := reducedColIndex(br.To-1, s); c >= 0 {
-			eis, ejs, evs = append(eis, c), append(ejs, l), append(evs, -1)
-		}
-	}
-	et = mat.NewCSCFromTriplets(nb1, nl, eis, ejs, evs)
+	et = n.GammaIncidenceT()
 
 	// G = AᵀA + 2I: (AᵀA)_{lm} sums a_bl·a_bm over the buses both branches
 	// touch (full incidence, slack included), and the 2I is the √2-scaled
@@ -70,12 +56,32 @@ func (n *Network) GammaSketchOperands() (et, g *mat.CSC) {
 	return et, g
 }
 
+// GammaIncidenceT returns Eᵀ ((N−1)×L, CSC), the right factor of the
+// reduced representation B(x) = Ĉ·D(x)·E described at
+// GammaSketchOperands: column l holds branch l's +1 at its from bus and
+// −1 at its to bus, in slack-reduced bus order, skipping the slack.
+func (n *Network) GammaIncidenceT() *mat.CSC {
+	s := n.SlackBus - 1
+	is := make([]int, 0, 2*n.L())
+	js := make([]int, 0, 2*n.L())
+	vs := make([]float64, 0, 2*n.L())
+	for l, br := range n.Branches {
+		if c := reducedColIndex(br.From-1, s); c >= 0 {
+			is, js, vs = append(is, c), append(js, l), append(vs, 1)
+		}
+		if c := reducedColIndex(br.To-1, s); c >= 0 {
+			is, js, vs = append(is, c), append(js, l), append(vs, -1)
+		}
+	}
+	return mat.NewCSCFromTriplets(n.N()-1, n.L(), is, js, vs)
+}
+
 // GammaColumnFactor returns the left factor Ĉ = [A; √2·I] ((N+L)×L, CSC)
 // of the reduced representation B(x) = Ĉ·D(x)·E described at
 // GammaSketchOperands: column l holds branch l's +1 on its from bus, −1 on
 // its to bus and √2 on its flow row N+l, in the row order of
 // MeasurementMatrixTGammaInto. GammaSketchOperands' G is ĈᵀĈ. The rank-|S|
-// γ update kernel projects these columns onto the x_old basis.
+// γ update kernel fits these columns by least squares on H(x_old).
 func (n *Network) GammaColumnFactor() *mat.CSC {
 	nb, nl := n.N(), n.L()
 	is := make([]int, 0, 3*nl)

@@ -36,20 +36,38 @@ func NewCSCFromTriplets(r, c int, is, js []int, vs []float64) *CSC {
 		i, j int
 		v    float64
 	}
-	entries := make([]entry, len(is))
+	// Stable counting sort by column, then a stable insertion sort by row
+	// within each column: the (j, i) order with ties in input order, in
+	// linear time for the few-entries-per-column patterns this package
+	// assembles.
+	colStart := make([]int, c+1)
 	for k := range is {
 		if is[k] < 0 || is[k] >= r || js[k] < 0 || js[k] >= c {
 			panic(fmt.Sprintf("mat: triplet (%d, %d) out of range for %d x %d matrix", is[k], js[k], r, c))
 		}
-		entries[k] = entry{is[k], js[k], vs[k]}
+		colStart[js[k]+1]++
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		if entries[a].j != entries[b].j {
-			return entries[a].j < entries[b].j
+	for j := 0; j < c; j++ {
+		colStart[j+1] += colStart[j]
+	}
+	entries := make([]entry, len(is))
+	next := append([]int(nil), colStart[:c]...)
+	for k := range is {
+		entries[next[js[k]]] = entry{is[k], js[k], vs[k]}
+		next[js[k]]++
+	}
+	for j := 0; j < c; j++ {
+		col := entries[colStart[j]:colStart[j+1]]
+		for a := 1; a < len(col); a++ {
+			for b := a; b > 0 && col[b].i < col[b-1].i; b-- {
+				col[b], col[b-1] = col[b-1], col[b]
+			}
 		}
-		return entries[a].i < entries[b].i
-	})
-	m := &CSC{rows: r, cols: c, colPtr: make([]int, c+1)}
+	}
+	m := &CSC{
+		rows: r, cols: c, colPtr: make([]int, c+1),
+		rowIdx: make([]int, 0, len(entries)), values: make([]float64, 0, len(entries)),
+	}
 	for k := 0; k < len(entries); {
 		e := entries[k]
 		v := e.v
@@ -66,6 +84,67 @@ func NewCSCFromTriplets(r, c int, is, js []int, vs []float64) *CSC {
 		m.colPtr[j+1] += m.colPtr[j]
 	}
 	return m
+}
+
+// Transpose returns Mᵀ in CSC form: a counting sort of M's entries by row.
+func (m *CSC) Transpose() *CSC {
+	t := &CSC{
+		rows: m.cols, cols: m.rows, colPtr: make([]int, m.rows+1),
+		rowIdx: make([]int, len(m.rowIdx)), values: make([]float64, len(m.values)),
+	}
+	for _, r := range m.rowIdx {
+		t.colPtr[r+1]++
+	}
+	for r := 0; r < m.rows; r++ {
+		t.colPtr[r+1] += t.colPtr[r]
+	}
+	next := append([]int(nil), t.colPtr[:m.rows]...)
+	for j := 0; j < m.cols; j++ {
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			q := next[m.rowIdx[p]]
+			t.rowIdx[q], t.values[q] = j, m.values[p]
+			next[m.rowIdx[p]]++
+		}
+	}
+	return t
+}
+
+// MulCSC returns the sparse product A·B by Gustavson's algorithm: column j
+// of the product accumulates A's columns scaled by the entries of B's
+// column j, in the order they are stored. Every stored product entry is a
+// structural nonzero of A·B, even where it sums to zero.
+func MulCSC(a, b *CSC) *CSC {
+	if a.cols != b.rows {
+		panic(ErrShape)
+	}
+	out := &CSC{rows: a.rows, cols: b.cols, colPtr: make([]int, b.cols+1)}
+	acc := make([]float64, a.rows)
+	mark := make([]int, a.rows)
+	for i := range mark {
+		mark[i] = -1
+	}
+	var touched []int
+	for j := 0; j < b.cols; j++ {
+		touched = touched[:0]
+		for p := b.colPtr[j]; p < b.colPtr[j+1]; p++ {
+			k, bv := b.rowIdx[p], b.values[p]
+			for q := a.colPtr[k]; q < a.colPtr[k+1]; q++ {
+				i := a.rowIdx[q]
+				if mark[i] != j {
+					mark[i], acc[i] = j, 0
+					touched = append(touched, i)
+				}
+				acc[i] += a.values[q] * bv
+			}
+		}
+		sort.Ints(touched)
+		for _, i := range touched {
+			out.rowIdx = append(out.rowIdx, i)
+			out.values = append(out.values, acc[i])
+		}
+		out.colPtr[j+1] = len(out.rowIdx)
+	}
+	return out
 }
 
 // Rows returns the number of rows.
@@ -154,8 +233,9 @@ func MinDegreeOrder(n int, adj [][]int) []int {
 	// largest supported cases (IEEE 300) make this a ~90 KB scratch.
 	nb := make([][]bool, n)
 	deg := make([]int, n)
+	cells := make([]bool, n*n)
 	for i := 0; i < n; i++ {
-		nb[i] = make([]bool, n)
+		nb[i] = cells[i*n : (i+1)*n]
 	}
 	for i, row := range adj {
 		for _, j := range row {
@@ -174,6 +254,7 @@ func MinDegreeOrder(n int, adj [][]int) []int {
 	}
 	eliminated := make([]bool, n)
 	order := make([]int, 0, n)
+	var nbrs []int
 	for len(order) < n {
 		best, bestDeg := -1, n+1
 		for i := 0; i < n; i++ {
@@ -182,20 +263,21 @@ func MinDegreeOrder(n int, adj [][]int) []int {
 			}
 		}
 		// Connect the eliminated vertex's remaining neighbors into a clique.
-		var nbrs []int
-		for j := 0; j < n; j++ {
-			if nb[best][j] && !eliminated[j] {
+		nbrs = nbrs[:0]
+		for j, adjacent := range nb[best] {
+			if adjacent && !eliminated[j] {
 				nbrs = append(nbrs, j)
 			}
 		}
 		for _, a := range nbrs {
-			if nb[a][best] {
-				nb[a][best] = false
+			row := nb[a]
+			if row[best] {
+				row[best] = false
 				deg[a]--
 			}
 			for _, b := range nbrs {
-				if a != b && !nb[a][b] {
-					nb[a][b] = true
+				if a != b && !row[b] {
+					row[b] = true
 					deg[a]++
 				}
 			}
@@ -249,15 +331,11 @@ func NewSparseChol(a *CSC) (*SparseChol, error) {
 	n := a.rows
 	c := &SparseChol{n: n}
 
-	// Fill-reducing order from the symmetric pattern.
+	// Fill-reducing order from the symmetric pattern: column j's row
+	// indices are vertex j's neighbors (MinDegreeOrder skips the diagonal).
 	adj := make([][]int, n)
-	for j := 0; j < n; j++ {
-		for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
-			i := a.rowIdx[p]
-			if i != j {
-				adj[j] = append(adj[j], i)
-			}
-		}
+	for j := range adj {
+		adj[j] = a.rowIdx[a.colPtr[j]:a.colPtr[j+1]]
 	}
 	c.p = MinDegreeOrder(n, adj)
 	c.pinv = make([]int, n)
@@ -313,7 +391,7 @@ func (c *SparseChol) buildPermuted(a *CSC) {
 		i, j, apos int
 		v          float64
 	}
-	var entries []centry
+	entries := make([]centry, 0, a.NNZ())
 	for j := 0; j < n; j++ {
 		for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
 			i := a.rowIdx[p]
@@ -326,27 +404,38 @@ func (c *SparseChol) buildPermuted(a *CSC) {
 			entries = append(entries, centry{pi, pj, p, a.values[p]})
 		}
 	}
-	sort.Slice(entries, func(x, y int) bool {
-		if entries[x].j != entries[y].j {
-			return entries[x].j < entries[y].j
-		}
-		return entries[x].i < entries[y].i
-	})
+	// Bucket by column, then order each column by row (the pattern has no
+	// duplicates, so the order is unique).
 	c.cp = make([]int, n+1)
-	c.ci = c.ci[:0]
-	c.cx = c.cx[:0]
-	c.amap = make([]int, a.NNZ())
-	for i := range c.amap {
-		c.amap[i] = -1
-	}
 	for _, e := range entries {
-		c.amap[e.apos] = len(c.ci)
-		c.ci = append(c.ci, e.i)
-		c.cx = append(c.cx, e.v)
 		c.cp[e.j+1]++
 	}
 	for j := 0; j < n; j++ {
 		c.cp[j+1] += c.cp[j]
+	}
+	sorted := make([]centry, len(entries))
+	next := append([]int(nil), c.cp[:n]...)
+	for _, e := range entries {
+		sorted[next[e.j]] = e
+		next[e.j]++
+	}
+	for j := 0; j < n; j++ {
+		col := sorted[c.cp[j]:c.cp[j+1]]
+		for a := 1; a < len(col); a++ {
+			for b := a; b > 0 && col[b].i < col[b-1].i; b-- {
+				col[b], col[b-1] = col[b-1], col[b]
+			}
+		}
+	}
+	c.ci = make([]int, len(sorted))
+	c.cx = make([]float64, len(sorted))
+	c.amap = make([]int, a.NNZ())
+	for i := range c.amap {
+		c.amap[i] = -1
+	}
+	for q, e := range sorted {
+		c.amap[e.apos] = q
+		c.ci[q], c.cx[q] = e.i, e.v
 	}
 }
 

@@ -45,10 +45,11 @@ type DispatchEngine struct {
 	backend grid.Backend
 	warm    bool // sparse path: warm-started revised simplex
 	nG      int
-	redIdx  []int // reduced state column per generator bus, -1 at slack
-	uCols   []int // distinct non-slack entries of redIdx, first-seen order
-	giCol   []int // generator → row of the partial PTDF (uCols), -1 at slack
-	limRow  []int // branch indices with finite flow limits
+	redIdx  []int    // reduced state column per generator bus, -1 at slack
+	uCols   []int    // distinct non-slack entries of redIdx, first-seen order
+	giCol   []int    // generator → column of the PTDF block (uCols), -1 at slack
+	limRow  []int    // branch indices with finite flow limits
+	limEnds [][2]int // reduced from/to bus of each limRow branch, -1 at slack
 	cost    []float64
 	genLo   []float64
 	genHi   []float64
@@ -78,11 +79,11 @@ type DispatchEngine struct {
 type dispatchWorkspace struct {
 	bf      grid.BFactorizer
 	ptdf    *mat.Dense // L×(N-1); full-PTDF path only
-	pg      *mat.Dense // partial-PTDF path: generator columns, len(uCols)×L
-	theta   []float64  // partial-PTDF path: B_r⁻¹·redLoad
+	f0      []float64  // full-PTDF path: flows of the load-only injection
+	blk     []float64  // block path: B_r⁻¹·[e_uCols, redLoad], (N-1)×(len(uCols)+1)
+	blkTmp  []float64  // block path: solve scratch
 	loads   []float64  // bus loads (MW)
 	redLoad []float64  // slack-reduced loads
-	f0      []float64  // flows of the load-only injection
 	aub     *mat.Dense
 	bub     []float64
 	solver  *lp.Solver        // dense path: historical flat tableau
@@ -138,9 +139,11 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 			e.giCol[gi] = row
 		}
 	}
+	s := n.SlackBus - 1
 	for l, br := range n.Branches {
 		if !math.IsInf(br.LimitMW, 1) {
 			e.limRow = append(e.limRow, l)
+			e.limEnds = append(e.limEnds, [2]int{reducedBusIndex(br.From-1, s), reducedBusIndex(br.To-1, s)})
 		}
 	}
 	e.cost = n.GenCosts()
@@ -152,21 +155,19 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 			bf:       grid.NewBFactorizerBackend(n, e.backend),
 			loads:    make([]float64, nb),
 			redLoad:  make([]float64, nb-1),
-			f0:       make([]float64, nl),
 			bub:      make([]float64, 2*len(e.limRow)),
 			inj:      make([]float64, nb),
 			pRed:     make([]float64, nb-1),
 			thetaRed: make([]float64, nb-1),
 		}
-		if _, ok := w.bf.(grid.PTDFColser); ok {
-			// Partial-PTDF path: only the generator columns and one
-			// load-flow solve are needed, never the full L×(N-1) matrix.
-			w.theta = make([]float64, nb-1)
-			if len(e.uCols) > 0 {
-				w.pg = mat.NewDense(len(e.uCols), nl)
-			}
+		if _, ok := w.bf.(grid.BlockSolver); ok {
+			// Block path: only the generator columns and one load flow
+			// are needed, never the full L×(N-1) matrix.
+			w.blk = make([]float64, (nb-1)*(len(e.uCols)+1))
+			w.blkTmp = make([]float64, len(w.blk))
 		} else {
 			w.ptdf = mat.NewDense(nl, nb-1)
+			w.f0 = make([]float64, nl)
 		}
 		if e.warm {
 			w.rsolver = lp.NewRevisedSolver()
@@ -237,31 +238,26 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 	}
 	reduceInto(w.redLoad, w.loads, s)
 
-	// Load flows f0 and the generator PTDF columns. The LP never reads
-	// any other part of the PTDF, so a backend that can deliver single
-	// columns (PTDFColser) pays one solve per distinct generator bus plus
-	// one for the loads — instead of all N-1 inverse columns. The dense
+	// Load flows and the generator PTDF columns. The LP never reads any
+	// other part of the PTDF, so a backend that solves blocks
+	// (BlockSolver) pays one blocked solve for the distinct generator
+	// buses and the loads — instead of all N-1 inverse columns. The dense
 	// path keeps the full historical build (its bitwise contract).
-	pc, fast := w.bf.(grid.PTDFColser)
+	bs, fast := w.bf.(grid.BlockSolver)
+	u := len(e.uCols)
+	m := u + 1
 	if fast {
-		w.bf.SolveInto(w.theta, w.redLoad)
-		for l, br := range n.Branches {
-			ri := reducedBusIndex(br.From-1, s)
-			rj := reducedBusIndex(br.To-1, s)
-			y := 1 / x[l]
-			switch {
-			case ri >= 0 && rj >= 0:
-				w.f0[l] = y * (w.theta[ri] - w.theta[rj])
-			case ri >= 0:
-				w.f0[l] = y * w.theta[ri]
-			default:
-				w.f0[l] = -y * w.theta[rj]
-			}
+		for i := range w.blk {
+			w.blk[i] = 0
 		}
-		if w.pg != nil {
-			if err := pc.PTDFColsInto(w.pg, e.uCols); err != nil {
-				return nil, fmt.Errorf("opf: PTDF: %w", err)
-			}
+		for j, c := range e.uCols {
+			w.blk[c*m+j] = 1
+		}
+		for i, v := range w.redLoad {
+			w.blk[i*m+u] = v
+		}
+		if err := bs.SolveRowsInto(w.blk, m, w.blkTmp); err != nil {
+			return nil, fmt.Errorf("opf: PTDF: %w", err)
 		}
 	} else {
 		if err := w.bf.PTDFInto(w.ptdf); err != nil {
@@ -274,35 +270,46 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 	// unlimited branches. S maps dispatch to flows — column g is the PTDF
 	// column of the generator's reduced bus index (zero if it sits at
 	// slack), identical to applying the PTDF to the unit injection — and
-	// its rows land straight in Aub without a dense intermediate.
+	// its rows land straight in Aub without a dense intermediate. On the
+	// block path branch l's row is (1/x_l)·(X[ri] − X[rj]) over the
+	// solved block X, the loads' column giving f0.
 	nR := len(e.limRow)
-	if nR > 0 {
-		for k, l := range e.limRow {
-			pos := w.aub.RowView(k)
-			neg := w.aub.RowView(nR + k)
-			if fast {
-				for gi := 0; gi < e.nG; gi++ {
-					v := 0.0
-					if r := e.giCol[gi]; r >= 0 {
-						v = w.pg.RowView(r)[l]
-					}
-					pos[gi] = v
-					neg[gi] = -v
-				}
-			} else {
-				pr := w.ptdf.RowView(l)
-				for gi := 0; gi < e.nG; gi++ {
-					v := 0.0
-					if ri := e.redIdx[gi]; ri >= 0 {
-						v = pr[ri]
-					}
-					pos[gi] = v
-					neg[gi] = -v
-				}
+	for k, l := range e.limRow {
+		pos := w.aub.RowView(k)
+		neg := w.aub.RowView(nR + k)
+		var f0 float64
+		if fast {
+			y := 1 / x[l]
+			var ra, rb []float64
+			if ri := e.limEnds[k][0]; ri >= 0 {
+				ra = w.blk[ri*m : (ri+1)*m]
 			}
-			w.bub[k] = n.Branches[l].LimitMW + w.f0[l]
-			w.bub[nR+k] = n.Branches[l].LimitMW - w.f0[l]
+			if rj := e.limEnds[k][1]; rj >= 0 {
+				rb = w.blk[rj*m : (rj+1)*m]
+			}
+			for gi := 0; gi < e.nG; gi++ {
+				v := 0.0
+				if c := e.giCol[gi]; c >= 0 {
+					v = ptdfEntry(y, ra, rb, c)
+				}
+				pos[gi] = v
+				neg[gi] = -v
+			}
+			f0 = ptdfEntry(y, ra, rb, u)
+		} else {
+			pr := w.ptdf.RowView(l)
+			for gi := 0; gi < e.nG; gi++ {
+				v := 0.0
+				if ri := e.redIdx[gi]; ri >= 0 {
+					v = pr[ri]
+				}
+				pos[gi] = v
+				neg[gi] = -v
+			}
+			f0 = w.f0[l]
 		}
+		w.bub[k] = n.Branches[l].LimitMW + f0
+		w.bub[nR+k] = n.Branches[l].LimitMW - f0
 	}
 
 	prob := &lp.Problem{
@@ -557,6 +564,14 @@ func (s *DispatchSession) Solve(x []float64) (*Result, error) {
 	return s.e.solve(s.w, x)
 }
 
+// BuildProblem assembles the dispatch LP for reactances x on the
+// session's workspace without solving it: the per-candidate build every
+// solve starts with. The Problem aliases the workspace and is valid until
+// the session's next call.
+func (s *DispatchSession) BuildProblem(x []float64) (*lp.Problem, error) {
+	return s.e.buildProblem(s.w, x)
+}
+
 // ResetWarmStart drops the session's warm LP basis and its Farkas-ray
 // index (a no-op on the dense path): the next solve starts from the
 // engine's fixed seed basis (cold when the engine has none) with no
@@ -579,6 +594,19 @@ func (s *DispatchSession) LPStats() lp.RevisedStats {
 		return lp.RevisedStats{}
 	}
 	return s.w.rsolver.Stats()
+}
+
+// ptdfEntry returns y·(ra[c] − rb[c]), the flow on a branch of admittance
+// y from column c of a solved block whose rows ra and rb are the branch's
+// reduced end buses; a nil row is the slack end and its term is omitted.
+func ptdfEntry(y float64, ra, rb []float64, c int) float64 {
+	switch {
+	case ra == nil:
+		return -y * rb[c]
+	case rb == nil:
+		return y * ra[c]
+	}
+	return y * (ra[c] - rb[c])
 }
 
 // reducedBusIndex maps a 0-based bus index to its slack-reduced state

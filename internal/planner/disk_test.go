@@ -205,3 +205,34 @@ func TestDiskCacheEmptyPayloadRecomputed(t *testing.T) {
 		}
 	}
 }
+
+// TestDiskCachePipelineVersioned pins the pipeline version on every
+// persisted entry kind: a select entry and a gamma entry stored under the
+// keys the previous pipeline wrote (select| with no version, gamma| with
+// kernel:engine-2) read as misses and are recomputed, not served.
+func TestDiskCachePipelineVersioned(t *testing.T) {
+	dir := t.TempDir()
+	sel := quickSelect(0.1).withDefaults()
+	sel.GammaBackend = "exact" // the memo key Select stores under
+	gam := GammaRequest{Case: "case4gs", XNew: []float64{0.1, 0.1, 0.1, 0.1}}
+	d := openDisk(t, dir)
+	old := "|registry:" + grid.RegistryHash()
+	d.Put(sel.key()+old, []byte(`{"case":"ieee14","gamma":42}`))
+	d.Put(gam.key()+old+"|kernel:engine-2", []byte(`{"case":"case4gs","gamma":42}`))
+
+	p := New(Config{Disk: openDisk(t, dir)})
+	s, err := p.Select(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Source != SourceComputed || s.Gamma == 42 {
+		t.Errorf("old-pipeline select entry served: source=%q γ=%v", s.Source, s.Gamma)
+	}
+	g, err := p.Gamma(gam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Source != SourceComputed || g.Gamma == 42 {
+		t.Errorf("old-pipeline gamma entry served: source=%q γ=%v", g.Source, g.Gamma)
+	}
+}

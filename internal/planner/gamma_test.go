@@ -159,3 +159,60 @@ func TestRejectsTooManyAttacks(t *testing.T) {
 		t.Errorf("select with MaxAttacks attacks: %v", err)
 	}
 }
+
+// TestRejectsInvalidLoad pins load validation: a select load_scale or a
+// day-sweep peak_load_mw that is negative, NaN or infinite returns
+// ErrInvalidLoad before the memo and the case cache, so nothing is
+// computed, memoized, written to disk or given a case-LRU slot.
+func TestRejectsInvalidLoad(t *testing.T) {
+	p := New(Config{Disk: openDisk(t, t.TempDir())})
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := p.Select(SelectRequest{Case: "ieee57", GammaThreshold: 0.05, LoadScale: v}); !errors.Is(err, ErrInvalidLoad) {
+			t.Errorf("select load_scale %v: error %v, want ErrInvalidLoad", v, err)
+		}
+		if _, err := p.DaySweep(DaySweepRequest{Case: "ieee57", PeakLoadMW: v}); !errors.Is(err, ErrInvalidLoad) {
+			t.Errorf("day sweep peak_load_mw %v: error %v, want ErrInvalidLoad", v, err)
+		}
+	}
+	if st := p.Stats(); st.ResultMisses != 0 || st.Disk.Writes != 0 || st.CaseMisses != 0 {
+		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes, %d case misses",
+			st.ResultMisses, st.Disk.Writes, st.CaseMisses)
+	}
+}
+
+// TestRejectsOversizedBudgets pins the budget bounds: each of select
+// starts and max_evals, and day-sweep iterations, starts, opf_starts and
+// hours, one past its bound returns ErrBudgetTooLarge before the memo,
+// while the bound itself passes validation.
+func TestRejectsOversizedBudgets(t *testing.T) {
+	p := New(Config{Disk: openDisk(t, t.TempDir())})
+	sel := SelectRequest{Case: "ieee57", GammaThreshold: 0.05}
+	day := DaySweepRequest{Case: "ieee57"}
+	tooMany := make([]int, MaxHours+1)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"select starts", func() error { r := sel; r.Starts = MaxStarts + 1; _, err := p.Select(r); return err }},
+		{"select max_evals", func() error { r := sel; r.MaxEvals = MaxEvals + 1; _, err := p.Select(r); return err }},
+		{"day iterations", func() error { r := day; r.Iterations = MaxIterations + 1; _, err := p.DaySweep(r); return err }},
+		{"day starts", func() error { r := day; r.Starts = MaxStarts + 1; _, err := p.DaySweep(r); return err }},
+		{"day opf_starts", func() error { r := day; r.OPFStarts = MaxStarts + 1; _, err := p.DaySweep(r); return err }},
+		{"day hours", func() error { r := day; r.Hours = tooMany; _, err := p.DaySweep(r); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrBudgetTooLarge) {
+			t.Errorf("%s past its bound: error %v, want ErrBudgetTooLarge", tc.name, err)
+		}
+	}
+	if st := p.Stats(); st.ResultMisses != 0 || st.Disk.Writes != 0 {
+		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes", st.ResultMisses, st.Disk.Writes)
+	}
+	for _, err := range []error{
+		checkBudget("starts", MaxStarts, MaxStarts), checkBudget("max_evals", MaxEvals, MaxEvals),
+		checkBudget("iterations", MaxIterations, MaxIterations), checkBudget("hours", MaxHours, MaxHours),
+	} {
+		if err != nil {
+			t.Errorf("a budget at its bound was rejected: %v", err)
+		}
+	}
+}

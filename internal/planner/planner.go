@@ -91,6 +91,47 @@ func checkAttacks(n int) error {
 	return nil
 }
 
+// Bounds on the other work budgets of select and day-sweep requests, far
+// above the service defaults and the paper's protocol. A request past one
+// gets ErrBudgetTooLarge before the memo, as an attack count past
+// MaxAttacks gets ErrTooManyAttacks.
+const (
+	// MaxStarts bounds select starts and day-sweep starts and opf_starts.
+	MaxStarts = 64
+	// MaxEvals bounds select max_evals.
+	MaxEvals = 100000
+	// MaxIterations bounds day-sweep iterations (γ_th tuning rounds).
+	MaxIterations = 100
+	// MaxHours bounds the number of day-sweep hours: one operating day.
+	MaxHours = 24
+)
+
+// ErrBudgetTooLarge is returned for a request whose starts, max_evals,
+// iterations, opf_starts or number of hours exceeds its bound above.
+var ErrBudgetTooLarge = errors.New("planner: request budget too large")
+
+// checkBudget rejects a budget field above max.
+func checkBudget(field string, v, max int) error {
+	if v > max {
+		return fmt.Errorf("%w: %s = %d, at most %d", ErrBudgetTooLarge, field, v, max)
+	}
+	return nil
+}
+
+// ErrInvalidLoad is returned for a select load_scale that is negative,
+// NaN or infinite, or a day-sweep peak_load_mw that is negative, NaN or
+// infinite (0 asks for the default in both). Like ErrInvalidReactance it
+// is raised before the memo and the case cache.
+var ErrInvalidLoad = errors.New("planner: load must be a positive finite number")
+
+// checkLoad rejects a negative or non-finite load field; 0 is unset.
+func checkLoad(field string, v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: %s = %v", ErrInvalidLoad, field, v)
+	}
+	return nil
+}
+
 // Config tunes a Planner.
 type Config struct {
 	// Backend forces the dispatch engines' linear-algebra backend
@@ -504,21 +545,18 @@ func (p *Planner) dropResult(key string, e *resultEntry) {
 	p.mu.Unlock()
 }
 
-// gammaKernel versions the pipeline behind persisted gamma| entries. A
-// change that alters the bits /v1/gamma serves bumps it, so a cache
-// directory written by an older build reads as misses instead of serving
-// the older pipeline's bits next to the current ones.
-const gammaKernel = "engine-2"
+// pipelineVersion versions the computation behind every persisted entry
+// (select, gamma, day-sweep and placement alike). A change that alters
+// the bits any endpoint serves bumps it, so a cache directory written by
+// an older build reads as misses instead of serving the older pipeline's
+// bits next to the current ones.
+const pipelineVersion = "engine-3"
 
 // diskKey extends the bitwise memo key with the case registry content
 // hash (a persistent entry computed against different embedded case data
-// can never serve) and, for γ entries, the γ kernel version.
+// can never serve) and the pipeline version.
 func (p *Planner) diskKey(key string) string {
-	k := key + "|registry:" + grid.RegistryHash()
-	if strings.HasPrefix(key, "gamma|") {
-		k += "|kernel:" + gammaKernel
-	}
-	return k
+	return key + "|registry:" + grid.RegistryHash() + "|pipeline:" + pipelineVersion
 }
 
 // decodeResponse unmarshals a disk-cache payload into the response type
@@ -625,7 +663,8 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 	if err := checkReactances("x_old", req.XOld); err != nil {
 		return nil, err
 	}
-	if err := checkAttacks(req.Attacks); err != nil {
+	if err := errors.Join(checkAttacks(req.Attacks), checkLoad("load_scale", req.LoadScale),
+		checkBudget("starts", req.Starts, MaxStarts), checkBudget("max_evals", req.MaxEvals, MaxEvals)); err != nil {
 		return nil, err
 	}
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
@@ -930,7 +969,9 @@ func (r DaySweepRequest) withDefaults() DaySweepRequest {
 // DaySweep serves one memoized day sweep.
 func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 	req = req.withDefaults()
-	if err := checkAttacks(req.Attacks); err != nil {
+	if err := errors.Join(checkAttacks(req.Attacks), checkLoad("peak_load_mw", req.PeakLoadMW),
+		checkBudget("iterations", req.Iterations, MaxIterations), checkBudget("starts", req.Starts, MaxStarts),
+		checkBudget("opf_starts", req.OPFStarts, MaxStarts), checkBudget("hours", len(req.Hours), MaxHours)); err != nil {
 		return nil, err
 	}
 	key := fmt.Sprintf("day|%s|%v|%g|%g|%g|%d|%d|%d|%d|%d",

@@ -8,8 +8,8 @@ import (
 )
 
 // The update kernel computes the exact γ of a candidate that differs from
-// the old configuration on few branches, without orthonormalizing the
-// candidate. In the reduced representation (see grid.GammaSketchOperands)
+// the old configuration on few branches, without orthonormalizing either
+// side. In the reduced representation (see grid.GammaSketchOperands)
 //
 //	B(x) = Ĉ·D(x)·E,   D(x) = diag(d),  d_l = 1/x_l,
 //
@@ -18,44 +18,55 @@ import (
 //
 //	B_new = B_old + Ĉ_S·Δ·E_S,   Δ = diag(d_new − d_old) on S.
 //
-// With B_old = Q·R (Q the cached k-column x_old basis), P = Q·Qᵀ, U = QᵀĈ
-// and Y = E·R⁻¹, every candidate column splits into its component in
-// Col(B_old), Q·(R + U_S·Δ·E_S)·v, and its orthogonal residual,
-// (I − P)·Ĉ_S·Δ·E_S·v. The largest principal angle is the worst ratio of
-// the two, and the Woodbury identity folds the k×k inverse into an s×s one:
+// Let H = B_oldᵀB_old, P the orthogonal projector onto Col(B_old) and
+// V_S = H⁻¹·B_oldᵀ·Ĉ_S the least-squares coefficients of Ĉ_S on B_old,
+// with residuals R_S = Ĉ_S − B_old·V_S = (I − P)·Ĉ_S. Every candidate
+// column B_new·v splits into its component in Col(B_old),
+// B_old·(I + V_S·Δ·E_S)·v, and its orthogonal residual R_S·Δ·E_S·v. The
+// largest principal angle is the worst ratio of the two, and the Woodbury
+// identity folds the k×k inverse into an s×s one:
 //
-//	tan²γ = λ_max(Zᵀ·K·Z),  Z = Δ·(I + Y_S·U_S·Δ)⁻¹·Y_S,
-//	                        K = Ĉ_SᵀĈ_S − U_SᵀU_S = G_SS − U_SᵀU_S,
+//	tan²γ = λ_max(Fᵀ·Δ·T⁻¹·W_SS·T⁻ᵀ·Δ·F),   T = I + N_SS·Δ,   K = F·Fᵀ,
 //
-// which equals λ_max(Fᵀ·(Z·Zᵀ)·F) for any factor K = F·Fᵀ: every matrix
-// the evaluation touches is s×s, plus the s² length-k dot products that
-// form them. Y never needs R: Y·R = E because P leaves Col(B_old) fixed,
-// so Y = D_old⁻¹·G⁻¹·Uᵀ with one sparse Cholesky of the well-conditioned
-// G = ĈᵀĈ = AᵀA + 2I (forming the k×k normal matrix instead would square
-// B_old's conditioning).
+// over three s×s Gram blocks of S:
+//
+//	N_SS = E_S·V_S = (E·H⁻¹·B_oldᵀ·Ĉ)_SS,
+//	W_SS = (E·H⁻¹·Eᵀ)_SS,
+//	K    = R_SᵀR_S = (Ĉᵀ·(I − P)·Ĉ)_SS.
+//
+// Forming them takes one sparse Cholesky of H and 2s solves in two
+// blocks, W = H⁻¹·E_Sᵀ and V_S, where V_S gets one step of corrected
+// semi-normal-equation refinement (CSNE, Björck): V_S += H⁻¹·B_oldᵀ·R_S,
+// then R_S is recomputed. That gives V_S and R_S least-squares (QR-grade)
+// accuracy although H squares B_old's conditioning, and K is a sum of
+// squares of the residuals, so nothing cancels in it. The evaluator forms
+// the blocks over the D-FACTS set D once at construction, and a candidate
+// with S ⊆ D only gathers sub-blocks; any other S runs the same block
+// routine on the fly. A column of a block solve never mixes with another
+// column, so both routes give the same bits.
 //
 // Both s×s factors may be singular: K has a zero column when a changed
-// branch is a bridge (its column of Ĉ lies in Col(B_old)), and Z·Zᵀ has
+// branch is a bridge (its column of Ĉ lies in Col(B_old)), and W_SS has
 // rank < s when the changed branches close a cycle. The kernel therefore
 // factors K by a pivoted, rank-revealing Cholesky and never needs a
-// positive-definite factorization. The only matrix it inverts is
-// T = I + Y_S·U_S·Δ, which is singular exactly when a candidate direction
-// is orthogonal to Col(B_old) (γ = π/2) or B_new loses rank; an
-// ill-conditioned T, or more changed branches than the kernel is cheaper
-// for, reports ok=false and the caller runs the Gram-Schmidt evaluation.
+// positive-definite factorization. The only matrix it inverts is T, which
+// is singular exactly when a candidate direction is orthogonal to
+// Col(B_old) (γ = π/2) or B_new loses rank; an ill-conditioned T, or more
+// changed branches than the kernel is cheaper for, reports ok=false and
+// the caller runs the Gram-Schmidt evaluation.
 
-// updateMaxCond bounds (1 + ‖Y_S·U_S·Δ‖₁)·‖T⁻¹‖₁, the factor by which
-// T = I + Y_S·U_S·Δ amplifies the rounding of its own entries (T's own
-// norm would miss cancellation: a 1×1 T of 1e-16 has condition number 1).
-// Z carries a relative error of about that factor times ε, and γ moves by
-// at most a quarter of the relative error of tan²γ, so 1e6 keeps the
-// kernel two orders inside the 1e-9 agreement contract.
+// updateMaxCond bounds (1 + ‖N_SS·Δ‖₁)·‖T⁻¹‖₁, the factor by which
+// T = I + N_SS·Δ amplifies the rounding of its own entries (T's own norm
+// would miss cancellation: a 1×1 T of 1e-16 has condition number 1).
+// The evaluation carries a relative error of about that factor times ε,
+// and γ moves by at most a quarter of the relative error of tan²γ, so 1e6
+// keeps the kernel two orders inside the 1e-9 agreement contract.
 const updateMaxCond = 1e6
 
-// updatePivotTol scales the largest diagonal entry of G_SS into the
-// pivot threshold of K's rank-revealing Cholesky: K's entries cancel
-// G_SS against U_SᵀU_S and carry an absolute error near √k·ε·max G_ll,
-// so smaller pivots are rounding noise of an exactly singular direction.
+// updatePivotTol scales the largest diagonal entry of G_SS = ‖ĉ_l‖² into
+// the pivot threshold of K's rank-revealing Cholesky: a residual norm²
+// below 1e-14·‖ĉ_l‖² is rounding noise of a column that lies in
+// Col(B_old).
 const updatePivotTol = 1e-14
 
 // UpdateEvaluator evaluates γ(old, candidate) by the rank-|S| update
@@ -65,107 +76,200 @@ type UpdateEvaluator struct {
 	k, l    int
 	maxRank int // most changed branches it takes: k/2, past which its s³ work rivals a Gram-Schmidt
 	dOld    []float64
-	g       *mat.CSC
-	ut      []float64 // L×k row-major: row l is Qᵀ·ĉ_l (column l of U)
-	y       []float64 // L×k row-major: row l of Y = E·R⁻¹
+	c, et   *mat.CSC        // Ĉ ((N+L)×L) and Eᵀ ((N−1)×L)
+	cn2     []float64       // ‖ĉ_l‖², the diagonal of G = ĈᵀĈ
+	b       *mat.CSC        // B_old = Ĉ·D_old·E
+	h       *mat.SparseChol // H = B_oldᵀB_old
+	dPos    []int           // branch → its index in D, or −1
+	nd      int             // |D|
+	nD, wD  []float64       // N_DD and W_DD, |D|×|D| row-major
+	kD      []float64       // K over D
 }
 
 // NewUpdateEvaluator prepares the update kernel for a fixed old side from
-// the topology operand c = Ĉ ((N+L)×L, sparse columns), the old diagonal
-// dOld (1/x_l) and qOld, an orthonormal basis of Col(Ĉ·D_old·E) with one
-// vector per column of E (full column rank; callers check qOld.Dim()
-// against E). It forms G = ĈᵀĈ, factors it once (sparse Cholesky) and
-// solves for k right-hand sides in one block, keeping two L×k arrays, U
-// and Y.
-func NewUpdateEvaluator(c *mat.CSC, dOld []float64, qOld *Basis) (*UpdateEvaluator, error) {
-	k, l := qOld.Dim(), c.Cols()
-	if c.Rows() != qOld.Ambient() || len(dOld) != l {
+// the topology operands c = Ĉ ((N+L)×L) and et = Eᵀ ((N−1)×L), the old
+// diagonal dOld (1/x_l) and the branch set dSet (the D-FACTS lines) whose
+// blocks it forms up front. It factors H = B_oldᵀB_old by sparse
+// Cholesky; an error means B_old fails the factorization's rank test (or
+// dOld is not positive and finite) and the kernel is unavailable.
+func NewUpdateEvaluator(c, et *mat.CSC, dOld []float64, dSet []int) (*UpdateEvaluator, error) {
+	k, l := et.Rows(), c.Cols()
+	if et.Cols() != l || len(dOld) != l {
 		return nil, errors.New("subspace: update operand shapes disagree")
 	}
-	g := gramCSC(c)
-	u := &UpdateEvaluator{
-		k: k, l: l, maxRank: k / 2,
-		dOld: append([]float64(nil), dOld...),
-		g:    g,
-		ut:   make([]float64, l*k),
-		y:    make([]float64, l*k),
-	}
-	cp, ci, cv := c.ColPtr(), c.RowIdx(), c.Values()
-	for i := 0; i < k; i++ {
-		q := qOld.vec(i)
-		for j := 0; j < l; j++ {
-			var s float64
-			for p := cp[j]; p < cp[j+1]; p++ {
-				s += q[ci[p]] * cv[p]
-			}
-			u.ut[j*k+i] = s
+	for _, v := range dOld {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, errors.New("subspace: old admittances must be positive and finite")
 		}
 	}
-	chol, err := mat.NewSparseChol(g)
+	de := et.Transpose() // E, then D_old·E
+	ri, rv := de.RowIdx(), de.Values()
+	for p := range rv {
+		rv[p] *= dOld[ri[p]]
+	}
+	b := mat.MulCSC(c, de)
+	h, err := mat.NewSparseChol(mat.MulCSC(b.Transpose(), b))
 	if err != nil {
 		return nil, err
 	}
-	copy(u.y, u.ut)
-	chol.SolveRowsInto(u.y, k, make([]float64, l*k))
-	for j := 0; j < l; j++ {
-		row := u.row(u.y, j)
-		for i := range row {
-			row[i] /= dOld[j]
+	u := &UpdateEvaluator{
+		k: k, l: l, maxRank: k / 2,
+		dOld: append([]float64(nil), dOld...),
+		c:    c, et: et, b: b,
+		cn2:  make([]float64, l),
+		h:    h,
+		dPos: make([]int, l),
+		nd:   len(dSet),
+	}
+	cp, cv := c.ColPtr(), c.Values()
+	for j := range u.cn2 {
+		for p := cp[j]; p < cp[j+1]; p++ {
+			u.cn2[j] += cv[p] * cv[p]
 		}
 	}
+	for i := range u.dPos {
+		u.dPos[i] = -1
+	}
+	for i, la := range dSet {
+		u.dPos[la] = i
+	}
+	nd := u.nd
+	u.nD, u.wD, u.kD = make([]float64, nd*nd), make([]float64, nd*nd), make([]float64, nd*nd)
+	var bs blockScratch
+	u.blocks(&bs, dSet, u.nD, u.wD, u.kD)
 	return u, nil
 }
 
-// gramCSC returns CᵀC for a sparse C, each column accumulated over the
-// rows it touches (C's nonzeros regrouped by row).
-func gramCSC(c *mat.CSC) *mat.CSC {
-	nr, nc := c.Rows(), c.Cols()
-	cp, ci, cv := c.ColPtr(), c.RowIdx(), c.Values()
-	rp := make([]int, nr+1)
-	for _, r := range ci {
-		rp[r+1]++
-	}
-	for r := 0; r < nr; r++ {
-		rp[r+1] += rp[r]
-	}
-	rc, rv := make([]int, len(ci)), make([]float64, len(ci))
-	next := append([]int(nil), rp[:nr]...)
-	for j := 0; j < nc; j++ {
-		for p := cp[j]; p < cp[j+1]; p++ {
-			r := ci[p]
-			rc[next[r]], rv[next[r]] = j, cv[p]
-			next[r]++
-		}
-	}
-	var is, js, touched []int
-	var vs []float64
-	acc := make([]float64, nc)
-	mark := make([]int, nc)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for j := 0; j < nc; j++ {
-		touched = touched[:0]
-		for p := cp[j]; p < cp[j+1]; p++ {
-			r, v := ci[p], cv[p]
-			for q := rp[r]; q < rp[r+1]; q++ {
-				i := rc[q]
-				if mark[i] != j {
-					mark[i], acc[i] = j, 0
-					touched = append(touched, i)
-				}
-				acc[i] += rv[q] * v
-			}
-		}
-		for _, i := range touched {
-			is, js, vs = append(is, i), append(js, j), append(vs, acc[i])
-		}
-	}
-	return mat.NewCSCFromTriplets(nc, nc, is, js, vs)
+// blockScratch holds the row-major k×s and (N+L)×s arrays of one block
+// evaluation; buffers grow to the largest s seen.
+type blockScratch struct {
+	w, v, dv, tmp, r []float64
+	rt               []float64 // R_S column by column, s×(N+L)
 }
 
-// row returns row l of an L×k array.
-func (u *UpdateEvaluator) row(a []float64, l int) []float64 { return a[l*u.k : (l+1)*u.k] }
+// grown returns a zeroed length-n slice, reusing a's storage when it is
+// large enough.
+func grown(a []float64, n int) []float64 {
+	if cap(a) < n {
+		return make([]float64, n)
+	}
+	a = a[:n]
+	for i := range a {
+		a[i] = 0
+	}
+	return a
+}
+
+// blocks writes the s×s blocks N_SS, W_SS and K of the branch set idx
+// (row-major) into nSS, wSS and kk. Every k×s array is row-major, so each
+// step of a block solve, and each sparse product, is one contiguous axpy
+// across the s right-hand sides.
+func (u *UpdateEvaluator) blocks(bs *blockScratch, idx []int, nSS, wSS, kk []float64) {
+	s, k, m := len(idx), u.k, u.c.Rows()
+	if s == 0 {
+		return
+	}
+	ep, ei, ev := u.et.ColPtr(), u.et.RowIdx(), u.et.Values()
+	bs.tmp = grown(bs.tmp, k*s)
+
+	// W = H⁻¹·E_Sᵀ, then W_SS = E_S·W.
+	bs.w = grown(bs.w, k*s)
+	for a, la := range idx {
+		for p := ep[la]; p < ep[la+1]; p++ {
+			bs.w[ei[p]*s+a] = ev[p]
+		}
+	}
+	u.h.SolveRowsInto(bs.w, s, bs.tmp)
+	u.rowsE(idx, bs.w, wSS)
+	for a := 0; a < s; a++ {
+		for b := 0; b < a; b++ {
+			v := 0.5 * (wSS[a*s+b] + wSS[b*s+a])
+			wSS[a*s+b], wSS[b*s+a] = v, v
+		}
+	}
+
+	// V_S = H⁻¹·B_oldᵀ·Ĉ_S, one CSNE correction V_S += H⁻¹·B_oldᵀ·R_S, and
+	// the residuals R_S = Ĉ_S − B_old·V_S.
+	bs.r = grown(bs.r, m*s)
+	u.scatterC(bs.r, idx)
+	bs.v = grown(bs.v, k*s)
+	u.mulBT(bs.v, bs.r, s)
+	u.h.SolveRowsInto(bs.v, s, bs.tmp)
+	u.residualsInto(grown(bs.r, m*s), idx, bs.v)
+	bs.dv = grown(bs.dv, k*s)
+	u.mulBT(bs.dv, bs.r, s)
+	u.h.SolveRowsInto(bs.dv, s, bs.tmp)
+	mat.AxpyFast(1, bs.dv, bs.v)
+	u.residualsInto(grown(bs.r, m*s), idx, bs.v)
+	u.rowsE(idx, bs.v, nSS)
+
+	// K = R_SᵀR_S, one dot product per pair over R_S's columns.
+	bs.rt = grown(bs.rt, m*s)
+	for r := 0; r < m; r++ {
+		for a, v := range bs.r[r*s : (r+1)*s] {
+			bs.rt[a*m+r] = v
+		}
+	}
+	for a := 0; a < s; a++ {
+		ra := bs.rt[a*m : (a+1)*m]
+		for b := 0; b <= a; b++ {
+			kk[a*s+b] = mat.DotFast(ra, bs.rt[b*m:(b+1)*m])
+			kk[b*s+a] = kk[a*s+b]
+		}
+	}
+}
+
+// rowsE writes E_S·X into dst (s×s row-major) for a k×s row-major X.
+func (u *UpdateEvaluator) rowsE(idx []int, x, dst []float64) {
+	s := len(idx)
+	ep, ei, ev := u.et.ColPtr(), u.et.RowIdx(), u.et.Values()
+	for a, la := range idx {
+		row := dst[a*s : (a+1)*s]
+		for i := range row {
+			row[i] = 0
+		}
+		for p := ep[la]; p < ep[la+1]; p++ {
+			mat.AxpyFast(ev[p], x[ei[p]*s:(ei[p]+1)*s], row)
+		}
+	}
+}
+
+// scatterC writes Ĉ_S into the zeroed (N+L)×s row-major r.
+func (u *UpdateEvaluator) scatterC(r []float64, idx []int) {
+	s := len(idx)
+	cp, ci, cv := u.c.ColPtr(), u.c.RowIdx(), u.c.Values()
+	for a, la := range idx {
+		for p := cp[la]; p < cp[la+1]; p++ {
+			r[ci[p]*s+a] = cv[p]
+		}
+	}
+}
+
+// mulBT writes B_oldᵀ·R into the zeroed k×s row-major dst for an
+// (N+L)×s row-major R.
+func (u *UpdateEvaluator) mulBT(dst, r []float64, s int) {
+	bp, bi, bv := u.b.ColPtr(), u.b.RowIdx(), u.b.Values()
+	for i := 0; i < u.k; i++ {
+		row := dst[i*s : (i+1)*s]
+		for p := bp[i]; p < bp[i+1]; p++ {
+			mat.AxpyFast(bv[p], r[bi[p]*s:(bi[p]+1)*s], row)
+		}
+	}
+}
+
+// residualsInto writes R_S = Ĉ_S − B_old·V_S into the zeroed (N+L)×s
+// row-major r.
+func (u *UpdateEvaluator) residualsInto(r []float64, idx []int, v []float64) {
+	s := len(idx)
+	u.scatterC(r, idx)
+	bp, bi, bv := u.b.ColPtr(), u.b.RowIdx(), u.b.Values()
+	for i := 0; i < u.k; i++ {
+		vi := v[i*s : (i+1)*s]
+		for p := bp[i]; p < bp[i+1]; p++ {
+			mat.AxpyFast(-bv[p], vi, r[bi[p]*s:(bi[p]+1)*s])
+		}
+	}
+}
 
 // UpdateWorkspace is the per-goroutine scratch of UpdateEvaluator.Gamma
 // and UpdateEvaluator.Residuals. The zero value is ready to use; buffers
@@ -175,8 +279,9 @@ type UpdateWorkspace struct {
 	delta, col, unit         []float64 // length s
 	t, tinv, gy, a, w, kk, m mat.Dense // s×s
 	lu                       mat.LU
-	diag, off, hv, hp        []float64 // tridiagonalization, length s
-	maxG                     float64   // largest diagonal entry of G_SS
+	diag, off, hv, hp        []float64    // tridiagonalization, length s
+	maxG                     float64      // largest diagonal entry of G_SS
+	bs                       blockScratch // blocks of an S outside D
 }
 
 func (ws *UpdateWorkspace) grow(s int) {
@@ -191,18 +296,21 @@ func (ws *UpdateWorkspace) grow(s int) {
 
 // prepare collects the changed branches S of the candidate diagonal d
 // into ws.idx/ws.delta and, when S is non-empty, forms the s×s blocks
-// both evaluations share: ws.tinv = T⁻¹, ws.gy = Y_S·Y_Sᵀ and
-// ws.kk = K = G_SS − U_SᵀU_S. ok=false means the kernel declines (more
-// changed branches than it is cheaper for, or an ill-conditioned T).
+// both evaluations share: ws.tinv = T⁻¹, ws.gy = W_SS and ws.kk = K.
+// S ⊆ D gathers them from the blocks formed at construction; any other S
+// forms them on the fly. ok=false means the kernel declines (more changed
+// branches than it is cheaper for, or an ill-conditioned T).
 func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok bool) {
 	if len(d) != u.l {
 		panic("subspace: update diagonal length mismatch")
 	}
 	ws.idx, ws.delta = ws.idx[:0], ws.delta[:0]
+	inD := true
 	for l, v := range d {
 		if v != u.dOld[l] {
 			ws.idx = append(ws.idx, l)
 			ws.delta = append(ws.delta, v-u.dOld[l])
+			inD = inD && u.dPos[l] >= 0
 		}
 	}
 	s = len(ws.idx)
@@ -217,28 +325,28 @@ func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok b
 	t := ws.t.ReuseAs(s, s).RawData()
 	gy := ws.gy.ReuseAs(s, s).RawData()
 	kk := ws.kk.ReuseAs(s, s).RawData()
-	gv := u.g.Values()
+	if inD {
+		nd := u.nd
+		for a, la := range idx {
+			ia := u.dPos[la] * nd
+			for b, lb := range idx {
+				ib := u.dPos[lb]
+				t[a*s+b], gy[a*s+b], kk[a*s+b] = u.nD[ia+ib], u.wD[ia+ib], u.kD[ia+ib]
+			}
+		}
+	} else {
+		u.blocks(&ws.bs, idx, t, gy, kk)
+	}
 	var maxG float64
 	for a, la := range idx {
-		ya, ua := u.row(u.y, la), u.row(u.ut, la)
-		for b, lb := range idx {
-			t[a*s+b] = mat.DotFast(ya, u.row(u.ut, lb)) * delta[b]
+		for b := range idx {
+			t[a*s+b] *= delta[b]
 		}
-		for b, lb := range idx[:a+1] {
-			gab := 0.0
-			if p := u.g.Pos(la, lb); p >= 0 {
-				gab = gv[p]
-			}
-			gy[a*s+b] = mat.DotFast(ya, u.row(u.y, lb))
-			gy[b*s+a] = gy[a*s+b]
-			kk[a*s+b] = gab - mat.DotFast(ua, u.row(u.ut, lb))
-			kk[b*s+a] = kk[a*s+b]
-		}
-		maxG = math.Max(maxG, gv[u.g.Pos(la, la)])
+		maxG = math.Max(maxG, u.cn2[la])
 	}
 	ws.maxG = maxG
 
-	// T = I + Y_S·U_S·Δ, accepted only when its inverse does not amplify
+	// T = I + N_SS·Δ, accepted only when its inverse does not amplify
 	// the rounding of its entries past updateMaxCond.
 	mNorm := norm1(t, s)
 	for a := 0; a < s; a++ {
@@ -274,7 +382,7 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 	}
 	delta, tinv, kk := ws.delta, ws.tinv.RawData(), ws.kk.RawData()
 
-	// Z·Zᵀ = Δ·T⁻¹·(Y_S·Y_Sᵀ)·T⁻ᵀ·Δ, symmetrized across the two triangles.
+	// Δ·T⁻¹·W_SS·T⁻ᵀ·Δ, symmetrized across the two triangles.
 	a1 := mat.MulInto(ws.a.ReuseAs(s, s), &ws.tinv, &ws.gy).RawData()
 	w := ws.w.ReuseAs(s, s).RawData()
 	for a := 0; a < s; a++ {
@@ -338,10 +446,10 @@ func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64
 // and splitting Ĉ_S into its parts in and orthogonal to Col(B_old)
 // reduces its squared norm to bᵀ·M·b with
 //
-//	M = (I + A·Y_S·Y_Sᵀ)⁻¹·A,  A = Nᵀ·K·N,  N = (I + Δ·Y_S·U_S)⁻¹·Δ = Δ·T⁻¹.
+//	M = (I + A·W_SS)⁻¹·A,  A = Ψᵀ·K·Ψ,  Ψ = (I + Δ·N_SS)⁻¹·Δ = Δ·T⁻¹.
 //
-// With K = F·Fᵀ (the rank-revealing Cholesky Gamma uses) and Φ = Fᵀ·N,
-// M = Φᵀ·(I + Φ·Y_S·Y_Sᵀ·Φᵀ)⁻¹·Φ, whose middle factor is symmetric with
+// With K = F·Fᵀ (the rank-revealing Cholesky Gamma uses) and Φ = Fᵀ·Ψ,
+// M = Φᵀ·(I + Φ·W_SS·Φᵀ)⁻¹·Φ, whose middle factor is symmetric with
 // eigenvalues ≥ 1; P = L⁻¹·Φ for its Cholesky factor L. Nothing is
 // subtracted, so ‖P·b‖ keeps its relative accuracy down to zero. A
 // ResidualMap is immutable and safe for concurrent use.
@@ -395,7 +503,7 @@ func (u *UpdateEvaluator) Residuals(ws *UpdateWorkspace, d []float64) (*Residual
 			phi[j*s+b] = x
 		}
 	}
-	// C = I + Φ·(Y_S·Y_Sᵀ)·Φᵀ, through X = Φ·Y_S·Y_Sᵀ (r×s), symmetrized.
+	// C = I + Φ·W_SS·Φᵀ, through X = Φ·W_SS (r×s), symmetrized.
 	x := ws.a.ReuseAs(r, s).RawData()
 	for j := 0; j < r; j++ {
 		for b := 0; b < s; b++ {

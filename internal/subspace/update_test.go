@@ -9,10 +9,9 @@ import (
 	"gridmtd/internal/mat"
 )
 
-// updateFixture prepares the update kernel for case name at x_old and
-// returns it with the network and the fast Gram-Schmidt x_old basis the
-// kernel was built from.
-func updateFixture(t *testing.T, name string, xOld []float64) (*grid.Network, *UpdateEvaluator, *Basis) {
+// updateFixture prepares the update kernel for case name at x_old over
+// its D-FACTS lines and returns it with the network.
+func updateFixture(t *testing.T, name string, xOld []float64) (*grid.Network, *UpdateEvaluator) {
 	t.Helper()
 	n, err := grid.CaseByName(name)
 	if err != nil {
@@ -21,16 +20,11 @@ func updateFixture(t *testing.T, name string, xOld []float64) (*grid.Network, *U
 	if xOld == nil {
 		xOld = n.Reactances()
 	}
-	ht := n.MeasurementMatrixTGammaInto(xOld, mat.NewDense(n.N()-1, n.GammaAmbient()))
-	qOld := ComputeBasisTFast(ht, 0)
-	if qOld.Dim() != n.N()-1 {
-		t.Fatalf("%s: x_old basis has rank %d, want %d", name, qOld.Dim(), n.N()-1)
-	}
-	u, err := NewUpdateEvaluator(n.GammaColumnFactor(), invOf(xOld), qOld)
+	u, err := NewUpdateEvaluator(n.GammaColumnFactor(), n.GammaIncidenceT(), invOf(xOld), n.DFACTSIndices())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, u, qOld
+	return n, u
 }
 
 func invOf(x []float64) []float64 {
@@ -105,7 +99,7 @@ func TestGammaUpdateMatchesReference(t *testing.T) {
 		cases = append(cases, "ieee118")
 	}
 	for _, name := range cases {
-		n, u, _ := updateFixture(t, name, nil)
+		n, u := updateFixture(t, name, nil)
 		xOld := n.Reactances()
 		rng := rand.New(rand.NewSource(1))
 		lo, hi := n.DFACTSBounds()
@@ -123,7 +117,7 @@ func TestGammaUpdateMatchesReference(t *testing.T) {
 // TestGammaUpdateNoChange pins s = 0: the old configuration itself has
 // γ = 0 exactly.
 func TestGammaUpdateNoChange(t *testing.T) {
-	n, u, _ := updateFixture(t, "ieee57", nil)
+	n, u := updateFixture(t, "ieee57", nil)
 	var ws UpdateWorkspace
 	if g, ok := u.Gamma(&ws, invOf(n.Reactances())); !ok || g != 0 {
 		t.Fatalf("unchanged candidate: γ %v, ok %v; want 0, true", g, ok)
@@ -163,12 +157,12 @@ func bridges(n *grid.Network) []int {
 }
 
 // TestGammaUpdateBridge covers a changed set containing a bridge, whose
-// column of Ĉ lies in Col(H_old) so K = G_SS − U_SᵀU_S has a zero column:
+// column of Ĉ lies in Col(H_old) so K = R_SᵀR_S has a zero column:
 // the rank-revealing factorization must drop it. A bridge alone leaves the
 // column space unchanged (γ = 0); with the D-FACTS lines it must agree
 // with the reference.
 func TestGammaUpdateBridge(t *testing.T) {
-	n, u, qOld := updateFixture(t, "ieee57", nil)
+	n, u := updateFixture(t, "ieee57", nil)
 	br := bridges(n)
 	if len(br) == 0 {
 		t.Fatal("ieee57 has no bridge")
@@ -176,12 +170,11 @@ func TestGammaUpdateBridge(t *testing.T) {
 	l := br[0]
 	// The premise: K's diagonal entry for the bridge, ‖(I − P)·ĉ_l‖², is
 	// rounding noise against G_ll.
-	var uu float64
-	for _, v := range u.row(u.ut, l) {
-		uu += v * v
-	}
-	if gll := u.g.Values()[u.g.Pos(l, l)]; math.Abs(gll-uu) > 1e-12*gll {
-		t.Fatalf("bridge %d: K_ll = %.3g, expected 0 (G_ll %.3g); basis dim %d", l, gll-uu, gll, qOld.Dim())
+	var bs blockScratch
+	nSS, wSS, kk := make([]float64, 1), make([]float64, 1), make([]float64, 1)
+	u.blocks(&bs, []int{l}, nSS, wSS, kk)
+	if gll := u.cn2[l]; kk[0] > 1e-12*gll {
+		t.Fatalf("bridge %d: K_ll = %.3g, expected 0 (G_ll %.3g)", l, kk[0], gll)
 	}
 	xOld := n.Reactances()
 	var ws UpdateWorkspace
@@ -244,7 +237,7 @@ func cycleThrough(n *grid.Network, l int) []int {
 // incidence rows E_S are linearly dependent, so Z·Zᵀ is singular. The
 // kernel factors only K and must still agree with the reference.
 func TestGammaUpdateCycle(t *testing.T) {
-	n, u, _ := updateFixture(t, "ieee57", nil)
+	n, u := updateFixture(t, "ieee57", nil)
 	xOld := n.Reactances()
 	var ws UpdateWorkspace
 	found := 0
@@ -267,10 +260,11 @@ func TestGammaUpdateCycle(t *testing.T) {
 
 // TestGammaUpdateDeclines pins the two ok=false exits: more changed
 // branches than the kernel takes, and a singular T (a bridge set to zero
-// admittance leaves H_new rank-deficient, so R + U_S·Δ·E_S = Qᵀ·H_new is
-// singular; T is 1×1 here, where T's own condition number would be 1).
+// admittance leaves H_new rank-deficient, so T = I + N_SS·Δ, whose
+// determinant is that of H_old⁺·H_new, is singular; T is 1×1 here, where
+// T's own condition number would be 1).
 func TestGammaUpdateDeclines(t *testing.T) {
-	n, u, _ := updateFixture(t, "ieee57", nil)
+	n, u := updateFixture(t, "ieee57", nil)
 	var ws UpdateWorkspace
 	d := invOf(n.Reactances())
 	for i := range d {
@@ -290,5 +284,32 @@ func TestGammaUpdateDeclines(t *testing.T) {
 	}
 	if _, ok := u.Residuals(&ws, d); ok {
 		t.Errorf("bridge %d removed: residual kernel accepted", l)
+	}
+}
+
+// TestGammaUpdateBlocksGatherBitwise pins the two routes to a changed
+// set's blocks: for S ⊆ D, the blocks the block routine forms on the fly
+// for S are bitwise the sub-blocks gathered from the ones formed over D
+// at construction, because no column of a block solve mixes with another.
+func TestGammaUpdateBlocksGatherBitwise(t *testing.T) {
+	n, u := updateFixture(t, "ieee118", nil)
+	d := n.DFACTSIndices()
+	sub := []int{d[1], d[4], d[5], d[9]}
+	s := len(sub)
+	nSS, wSS, kk := make([]float64, s*s), make([]float64, s*s), make([]float64, s*s)
+	var bs blockScratch
+	u.blocks(&bs, sub, nSS, wSS, kk)
+	for a, la := range sub {
+		for b, lb := range sub {
+			i := u.dPos[la]*u.nd + u.dPos[lb]
+			for _, blk := range []struct {
+				name       string
+				got, whole []float64
+			}{{"N", nSS, u.nD}, {"W", wSS, u.wD}, {"K", kk, u.kD}} {
+				if math.Float64bits(blk.got[a*s+b]) != math.Float64bits(blk.whole[i]) {
+					t.Errorf("%s(%d, %d): on the fly %v, gathered %v", blk.name, la, lb, blk.got[a*s+b], blk.whole[i])
+				}
+			}
+		}
 	}
 }

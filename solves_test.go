@@ -34,17 +34,22 @@ const coldSelect118SolveCeiling = 70
 // per-request delta of the process-global solve counters
 // (lp.RevisedStats.Delta — root-package tests run sequentially, so no
 // other selection contributes to the window). It fails the test if the
-// selection built a post-MTD estimator: the rank-|S| residual kernel
-// scores the attacks of both pinned requests.
+// selection built a post-MTD estimator or an x_old Gram-Schmidt basis:
+// the rank-|S| kernel, prepared from blocked sparse solves, answers every
+// γ and scores every attack of both pinned requests.
 func coldSelect(t *testing.T, req planner.SelectRequest, parallelism int) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
 	t.Helper()
 	lpBefore := lp.GlobalRevisedStats()
 	scBefore := opf.GlobalSolveCacheStats()
 	estBefore := core.GlobalEstimatorCacheStats()
+	basesBefore := core.GammaBasisBuilds()
 	p := planner.New(planner.Config{Parallelism: parallelism})
 	resp, err := p.Select(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b := core.GammaBasisBuilds() - basesBefore; b != 0 {
+		t.Errorf("%s selection built %d x_old Gram-Schmidt bases, want 0", req.Case, b)
 	}
 	if est := core.GlobalEstimatorCacheStats(); est.FastBuilds != estBefore.FastBuilds || est.FullQRs != estBefore.FullQRs {
 		t.Errorf("%s selection built estimators: %d fast builds, %d full QRs",
