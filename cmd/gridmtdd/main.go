@@ -84,8 +84,10 @@
 // alias of the exact γ evaluator, and an unknown one gets a 422, as does
 // an "attacks" above planner.MaxAttacks (10,000), a budget above its
 // planner bound ("starts" and "opf_starts" 64, "max_evals" 100,000,
-// "iterations" 100, 24 "hours"), or a negative "load_scale" or
-// "peak_load_mw".
+// "iterations" 100, 24 "hours"), a negative "load_scale" or
+// "peak_load_mw", an "alpha" outside (0, 1), a negative "sigma", or a
+// negative count ("starts", "attacks", "max_evals", "iterations",
+// "opf_starts", "devices"); 0 asks for the default in each.
 package main
 
 import (

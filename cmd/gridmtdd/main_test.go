@@ -258,8 +258,8 @@ func TestErrorStatuses(t *testing.T) {
 		planner.DaySweepRequest{Case: "ieee118", Attacks: 2000000000}, nil); code != http.StatusUnprocessableEntity {
 		t.Errorf("day sweep with 2e9 attacks status %d, want 422", code)
 	}
-	// A negative load, or a budget past its planner bound: unprocessable,
-	// rejected before the memo.
+	// A negative load, a budget past its planner bound, or a statistic or
+	// count outside its domain: unprocessable, rejected before the memo.
 	for _, tc := range []struct {
 		name, path string
 		req        any
@@ -272,6 +272,17 @@ func TestErrorStatuses(t *testing.T) {
 		{"day sweep starts", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", Starts: planner.MaxStarts + 1}},
 		{"day sweep opf_starts", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", OPFStarts: planner.MaxStarts + 1}},
 		{"day sweep hours", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee118", Hours: make([]int, planner.MaxHours+1)}},
+		{"select alpha -0.5", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, Alpha: -0.5}},
+		{"select alpha 2", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, Alpha: 2}},
+		{"select sigma -1", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, Sigma: -1}},
+		{"select attacks -5", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, Attacks: -5}},
+		{"select starts -1", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, Starts: -1}},
+		{"select max_evals -10", "/v1/select", planner.SelectRequest{Case: "ieee14", GammaThreshold: 0.05, MaxEvals: -10}},
+		{"day sweep iterations -3", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee14", Iterations: -3}},
+		{"day sweep attacks -1", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee14", Attacks: -1}},
+		{"day sweep starts -1", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee14", Starts: -1}},
+		{"day sweep opf_starts -1", "/v1/daysweep", planner.DaySweepRequest{Case: "ieee14", OPFStarts: -1}},
+		{"placement devices -3", "/v1/placement", planner.PlacementRequest{Case: "ieee14", Devices: -3}},
 	} {
 		if code := postJSON(t, srv.URL+tc.path, tc.req, nil); code != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status %d, want 422", tc.name, code)

@@ -115,7 +115,11 @@
 // the memo. All of these are invisible to the dense/golden path and
 // their traffic is reported by GlobalSolveCacheStats, the lp counters
 // and /v1/stats (which supports ?mark=/?since= named snapshots for
-// per-request deltas).
+// per-request deltas). Each counter set is declared once, as the
+// JSON-tagged struct /v1/stats serves (lp.RevisedStats is the "lp"
+// block itself); internal/metrics differences and sums any of them field
+// by field, so adding a counter touches its field, its increment and the
+// planner's golden key list.
 //
 // The runnable programs under examples/ walk through the full defender
 // workflow, the cost-effectiveness tradeoff, a 24-hour operating day and

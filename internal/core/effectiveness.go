@@ -7,12 +7,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"gridmtd/internal/attack"
 	"gridmtd/internal/dcflow"
 	"gridmtd/internal/grid"
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/se"
 	"gridmtd/internal/stat"
@@ -96,11 +96,10 @@ func (c EffectivenessConfig) withDefaults() EffectivenessConfig {
 	return c
 }
 
-// estBuilds counts post-MTD estimator builds on fast attack sets
-// process-wide, mirroring the lp package's global revised-simplex
-// counters: lock-free increments on the serving path, one snapshot call
-// for /v1/stats.
-var estBuilds atomic.Int64
+// estStats counts post-MTD estimator builds on fast attack sets
+// process-wide, like the lp package's global revised-simplex counters:
+// one snapshot call for /v1/stats.
+var estStats metrics.Sum[EstimatorCacheStats]
 
 // EstimatorCacheStats is a snapshot of the process-wide estimator
 // counters, served as the /v1/stats "estimators" block.
@@ -118,19 +117,11 @@ type EstimatorCacheStats struct {
 // Delta returns the field-wise counter increments s − since, for
 // per-request assertions against the cumulative process-wide counters.
 func (s EstimatorCacheStats) Delta(since EstimatorCacheStats) EstimatorCacheStats {
-	return EstimatorCacheStats{
-		Hits:       s.Hits - since.Hits,
-		Misses:     s.Misses - since.Misses,
-		FastBuilds: s.FastBuilds - since.FastBuilds,
-		FullQRs:    s.FullQRs - since.FullQRs,
-	}
+	return metrics.Delta(s, since)
 }
 
 // GlobalEstimatorCacheStats returns the process-wide estimator counters.
-func GlobalEstimatorCacheStats() EstimatorCacheStats {
-	b := int(estBuilds.Load())
-	return EstimatorCacheStats{Misses: b, FullQRs: b}
-}
+func GlobalEstimatorCacheStats() EstimatorCacheStats { return estStats.Load() }
 
 // EstimatorCache is accepted for compatibility and holds nothing: post-MTD
 // estimators are no longer memoized (see EffectivenessConfig.Estimators).
@@ -259,7 +250,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 	ensureEst := func() (*se.Estimator, error) {
 		if est == nil {
 			if set.fast {
-				estBuilds.Add(1)
+				estStats.Add(EstimatorCacheStats{Misses: 1, FullQRs: 1})
 			}
 			e, err := se.NewEstimator(n.MeasurementMatrix(xNew))
 			if err != nil {

@@ -379,15 +379,6 @@ func (n *Network) ExpandDFACTSInto(xD, dst []float64) []float64 {
 	return dst
 }
 
-// BranchLimitsMW returns the flow limit vector in MW.
-func (n *Network) BranchLimitsMW() []float64 {
-	f := make([]float64, len(n.Branches))
-	for i, br := range n.Branches {
-		f[i] = br.LimitMW
-	}
-	return f
-}
-
 // GenCosts returns the linear cost coefficients of the generators.
 func (n *Network) GenCosts() []float64 {
 	c := make([]float64, len(n.Gens))

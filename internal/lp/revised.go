@@ -31,55 +31,56 @@ type WarmSolver interface {
 
 // RevisedStats counts what the revised solver actually did — tests assert
 // the warm path is exercised and PERF.md reports pivot counts from it.
+// The JSON tags and field order are the /v1/stats "lp" block's.
 type RevisedStats struct {
 	// Solves is the total number of Solve calls.
-	Solves int
+	Solves int `json:"solves"`
 	// WarmSolves counts solves completed by the revised warm path.
-	WarmSolves int
+	WarmSolves int `json:"warm_solves"`
 	// ColdSolves counts solves delegated to the flat tableau solver
 	// (first solve, structural change, or fallback).
-	ColdSolves int
+	ColdSolves int `json:"cold_solves"`
 	// Fallbacks counts warm attempts abandoned mid-flight (singular or
 	// stalled basis, failed verification) that then re-solved cold.
-	Fallbacks int
+	Fallbacks int `json:"fallbacks"`
 	// PrimalPivots and DualPivots count warm-path simplex pivots.
-	PrimalPivots int
-	DualPivots   int
-	// EtaUpdates counts basis exchanges absorbed by a product-form eta
-	// update instead of a refactorization.
-	EtaUpdates int
-	// Refactorizations counts working-matrix refactorizations: one per
-	// warm attempt, plus every eta-file collapse (cap reached, spike
-	// retry, or the exact re-derivation before an answer is accepted).
-	Refactorizations int
+	PrimalPivots int `json:"primal_pivots"`
+	DualPivots   int `json:"dual_pivots"`
 	// SEPivots counts the dual pivots whose leaving row was chosen by the
 	// Devex-weighted steepest-edge rule (as opposed to Bland scans, either
 	// because the rule was configured or as the anti-cycling fallback).
-	SEPivots int
-	// WeightResets counts steepest-edge reference-weight resets: the Devex
-	// weights restart at 1 on every refactorization, so this tracks
-	// Refactorizations while steepest-edge pricing is active.
-	WeightResets int
+	SEPivots int `json:"se_pivots"`
 	// BoundFlips counts nonbasic bound flips applied by the dual
 	// bound-flipping ratio test (long-step dual pivots absorb several
 	// breakpoints into one basis exchange; each absorbed breakpoint is one
 	// flip).
-	BoundFlips int
+	BoundFlips int `json:"bound_flips"`
+	// WeightResets counts steepest-edge reference-weight resets: the Devex
+	// weights restart at 1 on every refactorization, so this tracks
+	// Refactorizations while steepest-edge pricing is active.
+	WeightResets int `json:"weight_resets"`
+	// EtaUpdates counts basis exchanges absorbed by a product-form eta
+	// update instead of a refactorization.
+	EtaUpdates int `json:"eta_updates"`
+	// Refactorizations counts working-matrix refactorizations: one per
+	// warm attempt, plus every eta-file collapse (cap reached, spike
+	// retry, or the exact re-derivation before an answer is accepted).
+	Refactorizations int `json:"refactorizations"`
 	// PrescreenHits counts Solve calls answered by the Farkas-ray
 	// pre-screen: a recycled infeasibility certificate, revalidated
 	// exactly against the call's own problem data, proved the problem
 	// infeasible before any simplex work. Pre-screened calls are NOT
 	// counted in Solves — Solves remains the number of full dispatch
 	// solves actually run.
-	PrescreenHits int
+	PrescreenHits int `json:"prescreen_hits"`
 	// PrescreenProbes counts individual stored-ray revalidations run by
 	// the pre-screen (the structural-cause index's per-miss work;
 	// PrescreenHits/PrescreenProbes is its precision).
-	PrescreenProbes int
+	PrescreenProbes int `json:"prescreen_probes"`
 	// InfeasibleSolves counts full solves (counted in Solves) that ended
 	// in a certified ErrInfeasible — the pre-screen's remaining misses;
 	// each is also a ray-capture opportunity.
-	InfeasibleSolves int
+	InfeasibleSolves int `json:"infeasible_solves"`
 }
 
 // PricingRule selects how the dual simplex picks its leaving row (and
@@ -87,24 +88,21 @@ type RevisedStats struct {
 type PricingRule int8
 
 const (
-	// PriceAuto resolves to PriceSteepestEdge — the warm-path default.
-	PriceAuto PricingRule = iota
+	// PriceSteepestEdge, the zero value and the warm-path rule, picks the
+	// leaving row maximizing violation²/β via Devex reference weights β
+	// approximating the dual steepest-edge norms ‖B⁻ᵀe_i‖², with the
+	// bound-flipping ratio test. Weights reset to 1 at every
+	// refactorization, so the pivot-path heuristic never outlives the
+	// factorization it was accumulated against; answers are still only
+	// accepted on freshly re-derived numbers, keeping the 1e-9 warm/cold
+	// agreement contract and the Farkas-certificate trust rule unchanged.
+	PriceSteepestEdge PricingRule = iota
 	// PriceBland is the historical rule: smallest-index violated basic
 	// variable, smallest-ratio entering column with index tie-breaks, no
-	// bound flips. It is the anti-cycling reference the agreement tests
-	// compare against.
+	// bound flips. It is the anti-cycling fallback every solve switches to
+	// past half its iteration budget, and the reference the agreement
+	// tests compare against.
 	PriceBland
-	// PriceDantzig picks the most-violated basic variable (largest bound
-	// violation, unweighted) with the bound-flipping ratio test.
-	PriceDantzig
-	// PriceSteepestEdge picks the leaving row maximizing violation²/β via
-	// Devex reference weights β approximating the dual steepest-edge norms
-	// ‖B⁻ᵀe_i‖². Weights reset to 1 at every refactorization, so the
-	// pivot-path heuristic never outlives the factorization it was
-	// accumulated against; answers are still only accepted on freshly
-	// re-derived numbers, keeping the 1e-9 warm/cold agreement contract
-	// and the Farkas-certificate trust rule unchanged.
-	PriceSteepestEdge
 )
 
 // Variable statuses of the bounded-variable revised simplex. Slack
@@ -134,6 +132,9 @@ const (
 	// instead.
 	spikeAbs = 1e-11
 	spikeRel = 1e-8
+	// singularRel is the pivot floor, relative to the working matrix's
+	// largest entry, below which a factorization counts as singular.
+	singularRel = 1e-12
 )
 
 // RevisedSolver is a bounded-variable revised-simplex solver with
@@ -308,16 +309,8 @@ func (s *RevisedSolver) effMaxUpdates() int {
 	return s.maxUpdates
 }
 
-// SetPricing selects the dual pricing rule. PriceAuto (the zero value)
-// resolves to steepest-edge — the warm-path default.
+// SetPricing selects the dual pricing rule (default PriceSteepestEdge).
 func (s *RevisedSolver) SetPricing(r PricingRule) { s.pricing = r }
-
-func (s *RevisedSolver) effPricing() PricingRule {
-	if s.pricing == PriceAuto {
-		return PriceSteepestEdge
-	}
-	return s.pricing
-}
 
 // Solve solves the problem, warm-starting from the previous optimal basis
 // when one is available and structurally compatible. The error contract is
@@ -715,7 +708,7 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 	s.etaPos = s.etaPos[:0]
 	s.etaBuf = s.etaBuf[:0]
 	s.stats.Refactorizations++
-	if s.effPricing() == PriceSteepestEdge {
+	if s.pricing == PriceSteepestEdge {
 		// Devex reference framework restart: the weights approximate dual
 		// steepest-edge norms relative to the factorization they were
 		// accumulated against, so every refactorization re-references them
@@ -742,17 +735,28 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 
 	s.w.ReuseAs(k, k)
 	wd := s.w.RawData()
+	var wMax float64
 	for a, r := range s.activeRows {
 		rv := s.rowView(p, r)
 		row := wd[a*k : (a+1)*k]
 		for b, j := range s.basicStruct {
 			row[b] = rv[j]
+			wMax = math.Max(wMax, math.Abs(rv[j]))
 		}
 	}
 	if k == 0 {
 		return nil
 	}
-	return s.lu.Reset(&s.w)
+	if err := s.lu.Reset(&s.w); err != nil {
+		return err
+	}
+	// A W that is singular in all but rounding (redundant equality rows
+	// give one) still factors, but its solves are noise that can pass
+	// verification; treat it as singular.
+	if s.lu.MinAbsPivot() <= singularRel*wMax {
+		return mat.ErrSingular
+	}
+	return nil
 }
 
 // refresh refactors the working matrix from the current statuses and
@@ -1256,13 +1260,12 @@ func (s *RevisedSolver) primalLoop(p *Problem) error {
 func (s *RevisedSolver) dualLoop(p *Problem) error {
 	nTot := s.sigN + s.sigUb
 	m := s.sigEq + s.sigUb
-	rule := s.effPricing()
 	for iter := 0; iter < warmMaxIter; iter++ {
 		// Past half the iteration budget the loop abandons the weighted
-		// rules for Bland's — the anti-cycling guarantee the pricing
-		// heuristics lack. The selection rule only steers the pivot path;
+		// rule for Bland's — the anti-cycling guarantee the pricing
+		// heuristic lacks. The selection rule only steers the pivot path;
 		// the answer is still accepted only on freshly re-derived numbers.
-		bland := rule == PriceBland || iter >= warmMaxIter/2
+		bland := s.pricing == PriceBland || iter >= warmMaxIter/2
 
 		// Leaving variable.
 		leave := -1
@@ -1285,8 +1288,8 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				}
 			}
 		} else {
-			// Most-violated row, violation²/β-weighted under steepest-edge,
-			// with a deterministic smallest-variable tie-break.
+			// Most-violated row by violation²/β, with a deterministic
+			// smallest-variable tie-break.
 			best := 0.0
 			for b := 0; b < m; b++ {
 				j := s.varAt[b]
@@ -1300,10 +1303,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				default:
 					continue
 				}
-				score := v
-				if rule == PriceSteepestEdge {
-					score = v * v / s.dw[b]
-				}
+				score := v * v / s.dw[b]
 				if leave < 0 || score > best || (score == best && j < leave) {
 					best, leave, belowLower, viol = score, j, bl, v
 				}
@@ -1430,7 +1430,6 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				s.applyFlips(p)
 			}
 		}
-		useSE := !bland && rule == PriceSteepestEdge
 		w := s.ftran(p, enter)
 		if s.effMaxUpdates() == 0 || etaSpike(w, pos) {
 			if len(s.etaPos) > 0 {
@@ -1440,7 +1439,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 				continue
 			}
 			s.stats.DualPivots++
-			if useSE {
+			if !bland {
 				s.stats.SEPivots++
 			}
 			s.status[enter] = stBasic
@@ -1462,7 +1461,7 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 		}
 		delta := (s.x[leave] - bound) / w[pos]
 		s.stats.DualPivots++
-		if useSE {
+		if !bland {
 			s.stats.SEPivots++
 			s.devexUpdate(w, pos, m)
 		}

@@ -55,10 +55,6 @@ func (m *Dense) ReuseAs(r, c int) *Dense {
 	return m
 }
 
-// NewReusableDense returns an r×c matrix like NewDense; it exists to make
-// workspace-construction sites self-documenting.
-func NewReusableDense(r, c int) *Dense { return NewDense(r, c) }
-
 // MulInto computes a*b into dst and returns dst. dst must be a.Rows()×
 // b.Cols() and must not alias a or b. The accumulation order matches Mul,
 // so the result is bitwise identical.

@@ -174,6 +174,19 @@ func (f *LU) Det() float64 {
 	return d
 }
 
+// MinAbsPivot returns the smallest |U_kk| of the factorization (+Inf for
+// a 0×0 matrix). Partial pivoting keeps every multiplier at most 1 in
+// magnitude, so a pivot at rounding level against the matrix's largest
+// entry means the matrix is singular in all but rounding.
+func (f *LU) MinAbsPivot() float64 {
+	n := f.lu.rows
+	m := math.Inf(1)
+	for i := 0; i < n; i++ {
+		m = math.Min(m, math.Abs(f.lu.data[i*n+i]))
+	}
+	return m
+}
+
 // Solve returns x with a*x = b for square a, factoring a once.
 func Solve(a *Dense, b []float64) ([]float64, error) {
 	f, err := ComputeLU(a)

@@ -644,7 +644,3 @@ func (c *SparseChol) SolveRowsInto(x []float64, nrhs int, scratch []float64) {
 		copy(x[c.p[k]*m:(c.p[k]+1)*m], y[k*m:(k+1)*m])
 	}
 }
-
-// FillIn returns the number of stored entries of the factor L, a direct
-// measure of how well the ordering contained fill.
-func (c *SparseChol) FillIn() int { return len(c.li) }

@@ -441,9 +441,9 @@ func (e *DispatchEngine) computeEntry(ent *solveEntry, w *dispatchWorkspace, x [
 // (created the entry, or did/shared the computation) is a miss.
 func countSolveLookup(first, existed bool) {
 	if first || !existed {
-		solveGlobal.misses.Add(1)
+		solveGlobal.Add(SolveCacheStats{Misses: 1})
 	} else {
-		solveGlobal.hits.Add(1)
+		solveGlobal.Add(SolveCacheStats{Hits: 1})
 	}
 }
 

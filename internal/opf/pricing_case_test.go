@@ -11,11 +11,11 @@ import (
 )
 
 // pricingAgreeCase drives two warm revised solvers — dual steepest-edge
-// and Dantzig pricing — through the same perturbed-reactance dispatch-LP
+// and Bland pricing — through the same perturbed-reactance dispatch-LP
 // walk of a registered case, cross-checking both against a fresh flat
 // tableau solve: 1e-9 objective agreement and identical feasibility
 // verdicts regardless of the pivot order the pricing rule picks.
-func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (seStats, dzStats lp.RevisedStats) {
+func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (seStats, blStats lp.RevisedStats) {
 	t.Helper()
 	n, err := grid.CaseByName(caseName)
 	if err != nil {
@@ -26,10 +26,10 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 		t.Fatal(err)
 	}
 	seW := eng.pool.New().(*dispatchWorkspace)
-	dzW := eng.pool.New().(*dispatchWorkspace)
+	blW := eng.pool.New().(*dispatchWorkspace)
 	refW := eng.pool.New().(*dispatchWorkspace)
 	seW.rsolver.SetPricing(lp.PriceSteepestEdge)
-	dzW.rsolver.SetPricing(lp.PriceDantzig)
+	blW.rsolver.SetPricing(lp.PriceBland)
 	coldSolver := lp.NewSolver()
 
 	rng := rand.New(rand.NewSource(17))
@@ -62,18 +62,18 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 			return sol.Objective, nil
 		}
 		seObj, seErr := solveWith(seW)
-		dzObj, dzErr := solveWith(dzW)
+		blObj, blErr := solveWith(blW)
 		refProb, err := eng.buildProblem(refW, x)
 		if err != nil {
 			t.Fatalf("trial %d: build (ref): %v", trial, err)
 		}
 		refSol, refErr := coldSolver.Solve(refProb)
-		if (seErr == nil) != (refErr == nil) || (dzErr == nil) != (refErr == nil) {
-			t.Fatalf("trial %d: verdicts disagree: se=%v dantzig=%v flat=%v", trial, seErr, dzErr, refErr)
+		if (seErr == nil) != (refErr == nil) || (blErr == nil) != (refErr == nil) {
+			t.Fatalf("trial %d: verdicts disagree: se=%v bland=%v flat=%v", trial, seErr, blErr, refErr)
 		}
 		if refErr != nil {
-			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(dzErr, lp.ErrInfeasible) {
-				t.Fatalf("trial %d: unexpected errors se=%v dantzig=%v", trial, seErr, dzErr)
+			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(blErr, lp.ErrInfeasible) {
+				t.Fatalf("trial %d: unexpected errors se=%v bland=%v", trial, seErr, blErr)
 			}
 			continue
 		}
@@ -82,19 +82,19 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 		if d := math.Abs(seObj - refSol.Objective); d > 1e-9*scale {
 			t.Fatalf("trial %d: steepest-edge %.15g vs flat %.15g (diff %.3g)", trial, seObj, refSol.Objective, d)
 		}
-		if d := math.Abs(dzObj - refSol.Objective); d > 1e-9*scale {
-			t.Fatalf("trial %d: dantzig %.15g vs flat %.15g (diff %.3g)", trial, dzObj, refSol.Objective, d)
+		if d := math.Abs(blObj - refSol.Objective); d > 1e-9*scale {
+			t.Fatalf("trial %d: bland %.15g vs flat %.15g (diff %.3g)", trial, blObj, refSol.Objective, d)
 		}
 	}
-	seStats, dzStats = seW.rsolver.Stats(), dzW.rsolver.Stats()
+	seStats, blStats = seW.rsolver.Stats(), blW.rsolver.Stats()
 	if seStats.SEPivots == 0 {
 		t.Fatalf("%s: steepest-edge pricing never engaged: %+v", caseName, seStats)
 	}
-	if dzStats.SEPivots != 0 {
-		t.Fatalf("%s: Dantzig solver recorded steepest-edge pivots: %+v", caseName, dzStats)
+	if blStats.SEPivots != 0 {
+		t.Fatalf("%s: Bland solver recorded steepest-edge pivots: %+v", caseName, blStats)
 	}
-	t.Logf("%s: %d/%d feasible; SE %+v; Dantzig %+v", caseName, checked, count, seStats, dzStats)
-	return seStats, dzStats
+	t.Logf("%s: %d/%d feasible; SE %+v; Bland %+v", caseName, checked, count, seStats, blStats)
+	return seStats, blStats
 }
 
 // TestPricingAgreeIEEE57 cross-checks 100 perturbed-reactance dispatch LPs
@@ -134,11 +134,9 @@ func TestPricingInfeasibleCertificateIEEE300(t *testing.T) {
 	}
 	ws := map[string]*dispatchWorkspace{
 		"steepest-edge": eng.pool.New().(*dispatchWorkspace),
-		"dantzig":       eng.pool.New().(*dispatchWorkspace),
 		"bland":         eng.pool.New().(*dispatchWorkspace),
 	}
 	ws["steepest-edge"].rsolver.SetPricing(lp.PriceSteepestEdge)
-	ws["dantzig"].rsolver.SetPricing(lp.PriceDantzig)
 	ws["bland"].rsolver.SetPricing(lp.PriceBland)
 	lo, hi := n.DFACTSBounds()
 	point := func(f float64) []float64 {
@@ -163,23 +161,19 @@ func TestPricingInfeasibleCertificateIEEE300(t *testing.T) {
 	for _, f := range []float64{0.0, 0.2, 0.5, 0.75, 1.0} {
 		x := point(f)
 		seObj, seErr := verdict(ws["steepest-edge"], x)
-		dzObj, dzErr := verdict(ws["dantzig"], x)
 		blObj, blErr := verdict(ws["bland"], x)
-		if (seErr == nil) != (dzErr == nil) || (seErr == nil) != (blErr == nil) {
-			t.Fatalf("f=%g: verdicts disagree: se=%v dantzig=%v bland=%v", f, seErr, dzErr, blErr)
+		if (seErr == nil) != (blErr == nil) {
+			t.Fatalf("f=%g: verdicts disagree: se=%v bland=%v", f, seErr, blErr)
 		}
 		if seErr != nil {
-			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(dzErr, lp.ErrInfeasible) || !errors.Is(blErr, lp.ErrInfeasible) {
-				t.Fatalf("f=%g: non-certificate errors: se=%v dantzig=%v bland=%v", f, seErr, dzErr, blErr)
+			if !errors.Is(seErr, lp.ErrInfeasible) || !errors.Is(blErr, lp.ErrInfeasible) {
+				t.Fatalf("f=%g: non-certificate errors: se=%v bland=%v", f, seErr, blErr)
 			}
 			infeasibleSeen++
 			continue
 		}
 		feasibleSeen++
 		scale := 1 + math.Abs(seObj)
-		if d := math.Abs(dzObj - seObj); d > 1e-9*scale {
-			t.Fatalf("f=%g: dantzig %.15g vs steepest-edge %.15g", f, dzObj, seObj)
-		}
 		if d := math.Abs(blObj - seObj); d > 1e-9*scale {
 			t.Fatalf("f=%g: bland %.15g vs steepest-edge %.15g", f, blObj, seObj)
 		}

@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"math"
 	"sync"
-	"sync/atomic"
+
+	"gridmtd/internal/metrics"
 )
 
 // defaultSolveCacheCap bounds a SolveCache's LRU. Each entry holds the
@@ -14,13 +15,10 @@ import (
 // per network.
 const defaultSolveCacheCap = 1024
 
-// solveGlobal aggregates dispatch-solve-cache traffic process-wide,
-// mirroring the lp package's global revised-simplex counters: lock-free
-// increments on the serving path, one snapshot for /v1/stats and
-// mtdexp -v.
-var solveGlobal struct {
-	hits, misses atomic.Int64
-}
+// solveGlobal aggregates dispatch-solve-cache traffic process-wide, like
+// the lp package's global revised-simplex counters: one snapshot for
+// /v1/stats and mtdexp -v.
+var solveGlobal metrics.Sum[SolveCacheStats]
 
 // SolveCacheStats is a snapshot of the process-wide dispatch-solve-cache
 // counters.
@@ -35,17 +33,10 @@ type SolveCacheStats struct {
 
 // Delta returns the field-wise counter increments s − since, for
 // per-request assertions against the cumulative process-wide counters.
-func (s SolveCacheStats) Delta(since SolveCacheStats) SolveCacheStats {
-	return SolveCacheStats{Hits: s.Hits - since.Hits, Misses: s.Misses - since.Misses}
-}
+func (s SolveCacheStats) Delta(since SolveCacheStats) SolveCacheStats { return metrics.Delta(s, since) }
 
 // GlobalSolveCacheStats returns the process-wide cache counters.
-func GlobalSolveCacheStats() SolveCacheStats {
-	return SolveCacheStats{
-		Hits:   int(solveGlobal.hits.Load()),
-		Misses: int(solveGlobal.misses.Load()),
-	}
-}
+func GlobalSolveCacheStats() SolveCacheStats { return solveGlobal.Load() }
 
 // SolveCache memoizes dispatch-LP results per (bus loads, reactance
 // vector) for one engine. The key is the exact bit pattern of both, so a

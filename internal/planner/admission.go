@@ -2,8 +2,9 @@ package planner
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"gridmtd/internal/metrics"
 )
 
 // AdmissionStats counts the bounded work queue's traffic. Queue wait is
@@ -23,14 +24,7 @@ type AdmissionStats struct {
 }
 
 // Delta returns the field-wise counter increments s − since.
-func (s AdmissionStats) Delta(since AdmissionStats) AdmissionStats {
-	return AdmissionStats{
-		Admitted:        s.Admitted - since.Admitted,
-		Queued:          s.Queued - since.Queued,
-		Shed:            s.Shed - since.Shed,
-		QueueWaitMicros: s.QueueWaitMicros - since.QueueWaitMicros,
-	}
-}
+func (s AdmissionStats) Delta(since AdmissionStats) AdmissionStats { return metrics.Delta(s, since) }
 
 // admission is the planner's bounded work queue: a counting semaphore of
 // worker slots plus a cap on how many computations may wait for one.
@@ -44,7 +38,7 @@ type admission struct {
 	mu      sync.Mutex
 	waiting int
 
-	admitted, queued, shed, waitMicros atomic.Int64
+	counts metrics.Sum[AdmissionStats]
 }
 
 // newAdmission builds the queue; maxInflight <= 0 disables admission
@@ -69,28 +63,27 @@ func (a *admission) acquire() error {
 	}
 	select {
 	case a.sem <- struct{}{}:
-		a.admitted.Add(1)
+		a.counts.Add(AdmissionStats{Admitted: 1})
 		return nil
 	default:
 	}
 	a.mu.Lock()
 	if a.waiting >= a.depth {
 		a.mu.Unlock()
-		a.shed.Add(1)
+		a.counts.Add(AdmissionStats{Shed: 1})
 		return ErrOverloaded
 	}
 	a.waiting++
 	a.mu.Unlock()
 	// Counted at queue entry, not exit, so /v1/stats shows the waiter
 	// while it waits.
-	a.queued.Add(1)
+	a.counts.Add(AdmissionStats{Queued: 1})
 	start := time.Now()
 	a.sem <- struct{}{}
 	a.mu.Lock()
 	a.waiting--
 	a.mu.Unlock()
-	a.waitMicros.Add(time.Since(start).Microseconds())
-	a.admitted.Add(1)
+	a.counts.Add(AdmissionStats{Admitted: 1, QueueWaitMicros: time.Since(start).Microseconds()})
 	return nil
 }
 
@@ -106,10 +99,5 @@ func (a *admission) stats() AdmissionStats {
 	if a == nil {
 		return AdmissionStats{}
 	}
-	return AdmissionStats{
-		Admitted:        a.admitted.Load(),
-		Queued:          a.queued.Load(),
-		Shed:            a.shed.Load(),
-		QueueWaitMicros: a.waitMicros.Load(),
-	}
+	return a.counts.Load()
 }

@@ -35,8 +35,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"gridmtd/internal/metrics"
 )
 
 // tmpPrefix marks in-progress writes; Open removes any leftovers.
@@ -69,25 +70,14 @@ type Stats struct {
 	// entries); the cache degrades to a no-op rather than failing requests.
 	Errors int64 `json:"errors"`
 	// Entries and Bytes describe the current resident set.
-	Entries int64 `json:"entries"`
-	Bytes   int64 `json:"bytes"`
+	Entries int64 `json:"entries" metrics:"gauge"`
+	Bytes   int64 `json:"bytes" metrics:"gauge"`
 }
 
 // Delta returns the counter increments between an earlier snapshot and
 // this one (field-wise s − since). The gauge fields (Entries, Bytes) are
 // copied from the newer snapshot rather than differenced.
-func (s Stats) Delta(since Stats) Stats {
-	return Stats{
-		Hits:      s.Hits - since.Hits,
-		Misses:    s.Misses - since.Misses,
-		Writes:    s.Writes - since.Writes,
-		Evictions: s.Evictions - since.Evictions,
-		Corrupt:   s.Corrupt - since.Corrupt,
-		Errors:    s.Errors - since.Errors,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-	}
-}
+func (s Stats) Delta(since Stats) Stats { return metrics.Delta(s, since) }
 
 // envelope is the on-disk entry format: the full logical key for
 // post-hash verification plus the cached JSON payload.
@@ -101,7 +91,8 @@ type Cache struct {
 	dir      string
 	maxBytes int64
 
-	hits, misses, writes, evictions, corrupt, errs atomic.Int64
+	// counts sums the traffic counters; the gauges are filled in by Stats.
+	counts metrics.Sum[Stats]
 
 	mu    sync.Mutex
 	index map[string]*list.Element // filename -> lru node
@@ -158,7 +149,7 @@ func Open(cfg Config) (*Cache, error) {
 		}
 		info, err := de.Info()
 		if err != nil {
-			c.errs.Add(1)
+			c.counts.Add(Stats{Errors: 1})
 			continue
 		}
 		found = append(found, onDisk{name, info.Size(), info.ModTime()})
@@ -194,7 +185,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
+		c.counts.Add(Stats{Misses: 1})
 		return nil, false
 	}
 	raw, err := os.ReadFile(filepath.Join(c.dir, name))
@@ -202,8 +193,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		// Indexed but unreadable (evicted by a racing writer, torn disk):
 		// drop it from the index and miss.
 		c.dropEntry(name)
-		c.corrupt.Add(1)
-		c.misses.Add(1)
+		c.counts.Add(Stats{Corrupt: 1, Misses: 1})
 		return nil, false
 	}
 	var env envelope
@@ -211,15 +201,14 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		// Corrupt entry (partial write that still renamed, bit rot) or a
 		// SHA-256 collision: delete, count, miss — never fatal, never wrong.
 		c.removeFile(name)
-		c.corrupt.Add(1)
-		c.misses.Add(1)
+		c.counts.Add(Stats{Corrupt: 1, Misses: 1})
 		return nil, false
 	}
 	// Persist the access order across restarts (best effort): Open rebuilds
 	// recency from mtimes.
 	now := time.Now()
 	os.Chtimes(filepath.Join(c.dir, name), now, now)
-	c.hits.Add(1)
+	c.counts.Add(Stats{Hits: 1})
 	return env.Data, true
 }
 
@@ -232,13 +221,13 @@ func (c *Cache) Put(key string, payload []byte) {
 	}
 	raw, err := json.Marshal(envelope{Key: key, Data: payload})
 	if err != nil {
-		c.errs.Add(1)
+		c.counts.Add(Stats{Errors: 1})
 		return
 	}
 	name := fileName(key)
 	tmp, err := os.CreateTemp(c.dir, tmpPrefix+"*")
 	if err != nil {
-		c.errs.Add(1)
+		c.counts.Add(Stats{Errors: 1})
 		return
 	}
 	tmpName := tmp.Name()
@@ -254,10 +243,10 @@ func (c *Cache) Put(key string, payload []byte) {
 	}
 	if werr != nil {
 		os.Remove(tmpName)
-		c.errs.Add(1)
+		c.counts.Add(Stats{Errors: 1})
 		return
 	}
-	c.writes.Add(1)
+	c.counts.Add(Stats{Writes: 1})
 	c.mu.Lock()
 	if el, ok := c.index[name]; ok {
 		c.bytes += int64(len(raw)) - el.Value.(lruEntry).size
@@ -281,7 +270,7 @@ func (c *Cache) enforceCapLocked() {
 		delete(c.index, e.name)
 		c.bytes -= e.size
 		os.Remove(filepath.Join(c.dir, e.name))
-		c.evictions.Add(1)
+		c.counts.Add(Stats{Evictions: 1})
 	}
 }
 
@@ -308,17 +297,9 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	s := c.counts.Load()
 	c.mu.Lock()
-	entries, bytes := int64(c.lru.Len()), c.bytes
+	s.Entries, s.Bytes = int64(c.lru.Len()), c.bytes
 	c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Writes:    c.writes.Load(),
-		Evictions: c.evictions.Load(),
-		Corrupt:   c.corrupt.Load(),
-		Errors:    c.errs.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
-	}
+	return s
 }

@@ -216,3 +216,47 @@ func TestRejectsOversizedBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsOutOfDomain pins the domain checks: an alpha outside (0, 1),
+// a negative or non-finite sigma, and a negative count return
+// ErrOutOfDomain before the memo, while 0 (unset) and in-domain values
+// pass validation.
+func TestRejectsOutOfDomain(t *testing.T) {
+	p := New(Config{Disk: openDisk(t, t.TempDir())})
+	sel := SelectRequest{Case: "ieee57", GammaThreshold: 0.05}
+	day := DaySweepRequest{Case: "ieee57"}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"select alpha -0.5", func() error { r := sel; r.Alpha = -0.5; _, err := p.Select(r); return err }},
+		{"select alpha 1", func() error { r := sel; r.Alpha = 1; _, err := p.Select(r); return err }},
+		{"select alpha 2", func() error { r := sel; r.Alpha = 2; _, err := p.Select(r); return err }},
+		{"select alpha NaN", func() error { r := sel; r.Alpha = math.NaN(); _, err := p.Select(r); return err }},
+		{"select sigma -1", func() error { r := sel; r.Sigma = -1; _, err := p.Select(r); return err }},
+		{"select sigma +Inf", func() error { r := sel; r.Sigma = math.Inf(1); _, err := p.Select(r); return err }},
+		{"select sigma NaN", func() error { r := sel; r.Sigma = math.NaN(); _, err := p.Select(r); return err }},
+		{"select starts", func() error { r := sel; r.Starts = -1; _, err := p.Select(r); return err }},
+		{"select attacks", func() error { r := sel; r.Attacks = -5; _, err := p.Select(r); return err }},
+		{"select max_evals", func() error { r := sel; r.MaxEvals = -10; _, err := p.Select(r); return err }},
+		{"day iterations", func() error { r := day; r.Iterations = -3; _, err := p.DaySweep(r); return err }},
+		{"day attacks", func() error { r := day; r.Attacks = -1; _, err := p.DaySweep(r); return err }},
+		{"day starts", func() error { r := day; r.Starts = -1; _, err := p.DaySweep(r); return err }},
+		{"day opf_starts", func() error { r := day; r.OPFStarts = -1; _, err := p.DaySweep(r); return err }},
+		{"placement devices", func() error {
+			_, err := p.Placement(PlacementRequest{Case: "ieee57", Devices: -3})
+			return err
+		}},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrOutOfDomain) {
+			t.Errorf("%s: error %v, want ErrOutOfDomain", tc.name, err)
+		}
+	}
+	if st := p.Stats(); st.ResultMisses != 0 || st.Disk.Writes != 0 || st.CaseMisses != 0 {
+		t.Errorf("rejected requests reached the memo: %d misses, %d disk writes, %d case misses",
+			st.ResultMisses, st.Disk.Writes, st.CaseMisses)
+	}
+	if err := errors.Join(checkStatistics(0, 0), checkStatistics(0.0015, 5e-4), checkCount("attacks", 0)); err != nil {
+		t.Errorf("an in-domain value was rejected: %v", err)
+	}
+}

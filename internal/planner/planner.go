@@ -37,6 +37,7 @@ import (
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/planner/diskcache"
 	"gridmtd/internal/scenario"
@@ -132,6 +133,34 @@ func checkLoad(field string, v float64) error {
 	return nil
 }
 
+// ErrOutOfDomain is returned for a request field outside its domain: an
+// alpha outside (0, 1), a sigma that is negative or not finite, or a
+// negative starts, attacks, max_evals, iterations, opf_starts or devices
+// (0 asks for the default in each). Like ErrInvalidLoad it is raised
+// before the memo, so a bad value neither computes nor takes a memo key.
+var ErrOutOfDomain = errors.New("planner: request field out of domain")
+
+// checkCount rejects a negative count field; 0 is unset.
+func checkCount(field string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("%w: %s = %d, must be at least 0", ErrOutOfDomain, field, v)
+	}
+	return nil
+}
+
+// checkStatistics rejects a sigma that is not 0 or a positive finite
+// number, and an alpha that is not 0 or in (0, 1).
+func checkStatistics(sigma, alpha float64) error {
+	var errs []error
+	if !(sigma == 0 || sigma > 0 && !math.IsInf(sigma, 1)) {
+		errs = append(errs, fmt.Errorf("%w: sigma = %v, must be positive and finite", ErrOutOfDomain, sigma))
+	}
+	if !(alpha == 0 || alpha > 0 && alpha < 1) {
+		errs = append(errs, fmt.Errorf("%w: alpha = %v, must be in (0, 1)", ErrOutOfDomain, alpha))
+	}
+	return errors.Join(errs...)
+}
+
 // Config tunes a Planner.
 type Config struct {
 	// Backend forces the dispatch engines' linear-algebra backend
@@ -192,7 +221,7 @@ type Stats struct {
 	// (lp.GlobalRevisedStats) taken when the Stats call was answered.
 	// Warm-path health (eta updates vs refactorizations, fallback rate)
 	// is the production-observable face of the dispatch-solve cost.
-	LP LPStats `json:"lp"`
+	LP lp.RevisedStats `json:"lp"`
 	// Estimators is the process-wide estimator snapshot
 	// (core.GlobalEstimatorCacheStats): Misses and FullQRs both count the
 	// post-MTD estimators built for attack evaluation on large cases (each
@@ -212,88 +241,11 @@ type Stats struct {
 }
 
 // Delta returns the counter increments between an earlier Stats snapshot
-// and this one (field-wise s − since). The process-global counters served
-// by /v1/stats are cumulative; tests, CI and dashboards diff two
-// snapshots with it instead of racing absolute values. The γ-backend
-// label is copied from the newer snapshot.
-func (s Stats) Delta(since Stats) Stats {
-	return Stats{
-		CaseHits:          s.CaseHits - since.CaseHits,
-		CaseMisses:        s.CaseMisses - since.CaseMisses,
-		ResultHits:        s.ResultHits - since.ResultHits,
-		ResultMisses:      s.ResultMisses - since.ResultMisses,
-		ResultCoalesced:   s.ResultCoalesced - since.ResultCoalesced,
-		GammaExactServed:  s.GammaExactServed - since.GammaExactServed,
-		GammaSparseServed: s.GammaSparseServed - since.GammaSparseServed,
-		GammaSketchServed: s.GammaSketchServed - since.GammaSketchServed,
-		LP:                s.LP.Delta(since.LP),
-		Estimators:        s.Estimators.Delta(since.Estimators),
-		SolveCache:        s.SolveCache.Delta(since.SolveCache),
-		Admission:         s.Admission.Delta(since.Admission),
-		Disk:              s.Disk.Delta(since.Disk),
-	}
-}
-
-// LPStats mirrors lp.RevisedStats with the JSON field names /v1/stats
-// serves. See lp.RevisedStats for the counters' precise meanings.
-type LPStats struct {
-	Solves           int `json:"solves"`
-	WarmSolves       int `json:"warm_solves"`
-	ColdSolves       int `json:"cold_solves"`
-	Fallbacks        int `json:"fallbacks"`
-	PrimalPivots     int `json:"primal_pivots"`
-	DualPivots       int `json:"dual_pivots"`
-	SEPivots         int `json:"se_pivots"`
-	BoundFlips       int `json:"bound_flips"`
-	WeightResets     int `json:"weight_resets"`
-	EtaUpdates       int `json:"eta_updates"`
-	Refactorizations int `json:"refactorizations"`
-	PrescreenHits    int `json:"prescreen_hits"`
-	PrescreenProbes  int `json:"prescreen_probes"`
-	InfeasibleSolves int `json:"infeasible_solves"`
-}
-
-// Delta returns the field-wise counter increments s − since.
-func (s LPStats) Delta(since LPStats) LPStats {
-	return LPStats{
-		Solves:           s.Solves - since.Solves,
-		WarmSolves:       s.WarmSolves - since.WarmSolves,
-		ColdSolves:       s.ColdSolves - since.ColdSolves,
-		Fallbacks:        s.Fallbacks - since.Fallbacks,
-		PrimalPivots:     s.PrimalPivots - since.PrimalPivots,
-		DualPivots:       s.DualPivots - since.DualPivots,
-		SEPivots:         s.SEPivots - since.SEPivots,
-		BoundFlips:       s.BoundFlips - since.BoundFlips,
-		WeightResets:     s.WeightResets - since.WeightResets,
-		EtaUpdates:       s.EtaUpdates - since.EtaUpdates,
-		Refactorizations: s.Refactorizations - since.Refactorizations,
-		PrescreenHits:    s.PrescreenHits - since.PrescreenHits,
-		PrescreenProbes:  s.PrescreenProbes - since.PrescreenProbes,
-		InfeasibleSolves: s.InfeasibleSolves - since.InfeasibleSolves,
-	}
-}
-
-// lpStatsSnapshot converts the process-wide lp counters into the
-// JSON-tagged mirror.
-func lpStatsSnapshot() LPStats {
-	g := lp.GlobalRevisedStats()
-	return LPStats{
-		Solves:           g.Solves,
-		WarmSolves:       g.WarmSolves,
-		ColdSolves:       g.ColdSolves,
-		Fallbacks:        g.Fallbacks,
-		PrimalPivots:     g.PrimalPivots,
-		DualPivots:       g.DualPivots,
-		SEPivots:         g.SEPivots,
-		BoundFlips:       g.BoundFlips,
-		WeightResets:     g.WeightResets,
-		EtaUpdates:       g.EtaUpdates,
-		Refactorizations: g.Refactorizations,
-		PrescreenHits:    g.PrescreenHits,
-		PrescreenProbes:  g.PrescreenProbes,
-		InfeasibleSolves: g.InfeasibleSolves,
-	}
-}
+// and this one (field-wise s − since; the disk cache's gauges are copied
+// from the newer snapshot). The process-global counters served by
+// /v1/stats are cumulative; tests, CI and dashboards diff two snapshots
+// with it instead of racing absolute values.
+func (s Stats) Delta(since Stats) Stats { return metrics.Delta(s, since) }
 
 // Planner is the long-running selection service. Safe for concurrent use.
 type Planner struct {
@@ -363,7 +315,7 @@ func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	s := p.stats
 	p.mu.Unlock()
-	s.LP = lpStatsSnapshot()
+	s.LP = lp.GlobalRevisedStats()
 	s.Estimators = core.GlobalEstimatorCacheStats()
 	s.SolveCache = opf.GlobalSolveCacheStats()
 	s.Admission = p.adm.stats()
@@ -655,7 +607,6 @@ func (r SelectRequest) withDefaults() SelectRequest {
 
 // Select serves one memoized selection request.
 func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
-	req = req.withDefaults()
 	gb, err := parseGammaAlias(&req.GammaBackend)
 	if err != nil {
 		return nil, err
@@ -664,9 +615,12 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 		return nil, err
 	}
 	if err := errors.Join(checkAttacks(req.Attacks), checkLoad("load_scale", req.LoadScale),
-		checkBudget("starts", req.Starts, MaxStarts), checkBudget("max_evals", req.MaxEvals, MaxEvals)); err != nil {
+		checkBudget("starts", req.Starts, MaxStarts), checkBudget("max_evals", req.MaxEvals, MaxEvals),
+		checkCount("starts", req.Starts), checkCount("attacks", req.Attacks), checkCount("max_evals", req.MaxEvals),
+		checkStatistics(req.Sigma, req.Alpha)); err != nil {
 		return nil, err
 	}
+	req = req.withDefaults()
 	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
 		return p.computeSelect(req)
 	})
@@ -968,12 +922,14 @@ func (r DaySweepRequest) withDefaults() DaySweepRequest {
 
 // DaySweep serves one memoized day sweep.
 func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
-	req = req.withDefaults()
 	if err := errors.Join(checkAttacks(req.Attacks), checkLoad("peak_load_mw", req.PeakLoadMW),
 		checkBudget("iterations", req.Iterations, MaxIterations), checkBudget("starts", req.Starts, MaxStarts),
-		checkBudget("opf_starts", req.OPFStarts, MaxStarts), checkBudget("hours", len(req.Hours), MaxHours)); err != nil {
+		checkBudget("opf_starts", req.OPFStarts, MaxStarts), checkBudget("hours", len(req.Hours), MaxHours),
+		checkCount("iterations", req.Iterations), checkCount("attacks", req.Attacks),
+		checkCount("starts", req.Starts), checkCount("opf_starts", req.OPFStarts)); err != nil {
 		return nil, err
 	}
+	req = req.withDefaults()
 	key := fmt.Sprintf("day|%s|%v|%g|%g|%g|%d|%d|%d|%d|%d",
 		req.Case, req.Hours, req.PeakLoadMW, req.TargetDelta, req.TargetEta,
 		req.Iterations, req.Attacks, req.Starts, req.OPFStarts, req.Seed)
@@ -1064,6 +1020,9 @@ type PlacementResponse struct {
 func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 	gb, err := parseGammaAlias(&req.GammaBackend)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCount("devices", req.Devices); err != nil {
 		return nil, err
 	}
 	key := fmt.Sprintf("placement|%s|%d|%v|%v|%s", req.Case, req.Devices, req.Pool, req.AllBranches, req.GammaBackend)
