@@ -303,6 +303,60 @@ func BenchmarkAttackEval118(b *testing.B) {
 	}
 }
 
+// BenchmarkOperatingMeasurements118 measures the operating measurement
+// vector z_old of an ieee118 selection. "engine" is the form a selection
+// runs: the baseline OPF's own engine at its optimum, a solve-memo hit
+// plus the verifying power flow. "fresh" is the (n, x) form, which builds
+// a dispatch engine (and its seed LP) and solves the dispatch LP first.
+func BenchmarkOperatingMeasurements118(b *testing.B) {
+	n := benchCase(b, "ieee118")
+	eng, err := opf.NewDispatchEngine(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre, err := opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{Starts: 1, MaxEvals: 30, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := pre.Reactances
+	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.OperatingMeasurementsWith(eng, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.OperatingMeasurements(n, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSampleAttacks300 measures drawing a 200-attack set on the
+// 300-bus system: H(x_old), the sparse products a = H·c and the attack
+// set's x_old γ evaluator.
+func BenchmarkSampleAttacks300(b *testing.B) {
+	n := benchCase(b, "ieee300")
+	xOld := n.Reactances()
+	zOld, err := core.OperatingMeasurements(n, xOld)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := gridmtd.EffectivenessConfig{NumAttacks: 200, Seed: 7}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := gridmtd.SampleAttacks(n, xOld, zOld, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSelectMTDIEEE118Quick measures the quick-mode 118-bus selection
 // (1 start, 30 evaluations) — the CI smoke's workload.
 func BenchmarkSelectMTDIEEE118Quick(b *testing.B) {

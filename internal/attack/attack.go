@@ -42,15 +42,18 @@ func Craft(h *mat.Dense, c []float64) *Vector {
 func Random(rng *rand.Rand, h *mat.Dense, z []float64, ratio float64) (*Vector, error) {
 	c := make([]float64, h.Cols())
 	a := make([]float64, h.Rows())
-	if err := randomInto(rng, h, z, ratio, c, a); err != nil {
+	if err := randomInto(rng, mat.NewCSCFromDense(h), z, ratio, c, a); err != nil {
 		return nil, err
 	}
 	return &Vector{C: c, A: a}, nil
 }
 
 // randomInto draws one random attack into the provided state and
-// measurement slices, consuming the generator exactly as Random does.
-func randomInto(rng *rand.Rand, h *mat.Dense, z []float64, ratio float64, c, a []float64) error {
+// measurement slices, consuming the generator exactly as Random does. h is
+// the measurement matrix's nonzeros: a = H·c sums only them, in the dense
+// product's order, so a has mat.MulVecInto's bits at a fraction of its
+// cost (H has a handful of nonzeros per row).
+func randomInto(rng *rand.Rand, h *mat.CSC, z []float64, ratio float64, c, a []float64) error {
 	if ratio <= 0 {
 		return errors.New("attack: ratio must be positive")
 	}
@@ -61,7 +64,7 @@ func randomInto(rng *rand.Rand, h *mat.Dense, z []float64, ratio float64, c, a [
 	for i := range c {
 		c[i] = rng.NormFloat64()
 	}
-	mat.MulVecInto(a, h, c)
+	h.MulVecInto(a, c)
 	aNorm := mat.Norm1(a)
 	if aNorm == 0 {
 		return errors.New("attack: degenerate attack direction")
@@ -97,8 +100,9 @@ func NewBatch(count, states, measurements int) *Batch {
 // would, so the attacks are bitwise identical to the unpacked path.
 func RandomBatch(rng *rand.Rand, h *mat.Dense, z []float64, ratio float64, count int) (*Batch, error) {
 	b := NewBatch(count, h.Cols(), h.Rows())
+	hs := mat.NewCSCFromDense(h)
 	for k := 0; k < count; k++ {
-		if err := randomInto(rng, h, z, ratio, b.c.RowView(k), b.a.RowView(k)); err != nil {
+		if err := randomInto(rng, hs, z, ratio, b.c.RowView(k), b.a.RowView(k)); err != nil {
 			return nil, fmt.Errorf("attack: sampling attack %d: %w", k, err)
 		}
 	}

@@ -256,3 +256,43 @@ func testZ(m int) []float64 {
 	}
 	return z
 }
+
+// TestRandomBatchSparseMatchesDense pins the sparse draw a = H·c to the
+// dense row-by-row product (mat.MulVecInto) bitwise on the large cases,
+// where H is mostly zeros: the same generator stream, the same scaling,
+// the same C and A bits.
+func TestRandomBatchSparseMatchesDense(t *testing.T) {
+	for _, name := range []string{"ieee57", "ieee118", "ieee300"} {
+		n, err := grid.CaseByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := n.MeasurementMatrix(n.Reactances())
+		z := testZ(h.Rows())
+		const k, ratio = 40, 0.08
+		batch, err := RandomBatch(rand.New(rand.NewSource(20)), h, z, ratio, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(20))
+		c := make([]float64, h.Cols())
+		a := make([]float64, h.Rows())
+		for i := 0; i < k; i++ {
+			for j := range c {
+				c[j] = rng.NormFloat64()
+			}
+			mat.MulVecInto(a, h, c)
+			scale := ratio * mat.Norm1(z) / mat.Norm1(a)
+			for j, v := range c {
+				if got := batch.C(i)[j]; math.Float64bits(got) != math.Float64bits(scale*v) {
+					t.Fatalf("%s attack %d: C[%d] = %v, dense path %v", name, i, j, got, scale*v)
+				}
+			}
+			for j, v := range a {
+				if got := batch.A(i)[j]; math.Float64bits(got) != math.Float64bits(scale*v) {
+					t.Fatalf("%s attack %d: A[%d] = %v, dense path %v", name, i, j, got, scale*v)
+				}
+			}
+		}
+	}
+}

@@ -65,4 +65,12 @@
 // The bar is fixed at a stage barrier, so outcomes are identical for
 // every worker count. Dense engines build no memo and dense call sites
 // never screen; the golden suite is byte-identical by construction.
+//
+// A selection runs on one dispatch engine. The operating measurements
+// z_old that scale the attacks come from the engine the baseline OPF ran
+// on (OperatingMeasurementsWith): at the baseline's optimum its Solve is
+// a memo hit, and z is built from that Result's dispatch and verifying
+// power flow, with the bits of a fresh engine plus a separate DC power
+// flow. A cold ieee300 selection runs 88 full solves this way, ieee118
+// 65.
 package core

@@ -521,18 +521,32 @@ func Effectiveness(n *grid.Network, xOld, xNew, zOld []float64, cfg Effectivenes
 // OperatingMeasurements solves the dispatch OPF at reactances x and returns
 // the noiseless measurement vector z = [p; f; −f] (per-unit) of the
 // resulting operating point. This is the z against which attack magnitudes
-// are scaled.
+// are scaled. It builds a dispatch engine for the one solve; callers that
+// hold the engine the operating point came from use
+// OperatingMeasurementsWith, which gives the same bits on an engine of the
+// size-picked backend (and that backend's bits on any other).
 func OperatingMeasurements(n *grid.Network, x []float64) ([]float64, error) {
-	res, err := opf.SolveDispatch(n, x)
+	eng, err := opf.NewDispatchEngine(n)
 	if err != nil {
 		return nil, fmt.Errorf("core: operating point: %w", err)
 	}
-	inj := n.InjectionsMW(res.DispatchMW)
-	fl, err := dcflow.Solve(n, x, inj)
+	return OperatingMeasurementsWith(eng, x)
+}
+
+// OperatingMeasurementsWith is OperatingMeasurements on an existing
+// dispatch engine. z comes from the engine's own Result: the dispatch's
+// injections and the flows of its verifying DC power flow, which are the
+// bits dcflow.Solve gives for that dispatch. On the sparse path the
+// dispatch is a memo hit whenever the engine has already solved x (a
+// baseline OPF at its optimum always has), so no LP and no second
+// factorizer run.
+func OperatingMeasurementsWith(eng *opf.DispatchEngine, x []float64) ([]float64, error) {
+	res, err := eng.Solve(x)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: operating point: %w", err)
 	}
-	return dcflow.Measurements(n, inj, fl), nil
+	n := eng.Network()
+	return dcflow.Measurements(n, n.InjectionsMW(res.DispatchMW), &dcflow.Result{ThetaRad: res.ThetaRad, FlowsMW: res.FlowsMW}), nil
 }
 
 // Gamma returns the subspace separation γ between the measurement matrices

@@ -149,10 +149,82 @@ func NewBFactorizer(n *Network) BFactorizer {
 // NewBFactorizerBackend returns a factorizer with an explicit backend
 // choice (benchmarks and the dense/sparse agreement tests).
 func NewBFactorizerBackend(n *Network, b Backend) BFactorizer {
-	if EffectiveBackend(n, b) == SparseBackend {
-		return newSparseBFactorizer(n)
+	return AnalyzeB(n, b).NewFactorizer()
+}
+
+// BAnalysis is the reactance-independent part of factoring B_r for one
+// network: on the sparse backend, B_r's pattern, where each branch's
+// contributions land in it and the symbolic Cholesky analysis (ordering,
+// elimination tree, pattern of L); the dense backend has none. It is
+// read-only once built, so one analysis serves every factorizer of a
+// dispatch engine, from any goroutine, and each factorizer only refactors.
+type BAnalysis struct {
+	n       *Network
+	backend Backend
+	// Sparse backend only.
+	pattern *mat.CSC // B_r's pattern; its values are never read
+	// slots maps each branch to the storage positions of its up-to-four
+	// contributions to B_r: (ri,ri), (rj,rj), (ri,rj), (rj,ri); -1 marks a
+	// contribution that falls on the slack row/column.
+	slots [][4]int
+	sym   *mat.CholSymbolic
+}
+
+// AnalyzeB analyzes B_r's structure for the network under the resolved
+// backend choice b. It reads only the topology, so it cannot fail.
+func AnalyzeB(n *Network, b Backend) *BAnalysis {
+	a := &BAnalysis{n: n, backend: EffectiveBackend(n, b)}
+	if a.backend != SparseBackend {
+		return a
 	}
-	return newDenseBFactorizer(n)
+	nb1 := n.N() - 1
+	s := n.SlackBus - 1
+	var is, js []int
+	for _, br := range n.Branches {
+		ri := reducedColIndex(br.From-1, s)
+		rj := reducedColIndex(br.To-1, s)
+		if ri >= 0 {
+			is, js = append(is, ri), append(js, ri)
+		}
+		if rj >= 0 {
+			is, js = append(is, rj), append(js, rj)
+		}
+		if ri >= 0 && rj >= 0 {
+			is, js = append(is, ri, rj), append(js, rj, ri)
+		}
+	}
+	a.pattern = mat.NewCSCFromTriplets(nb1, nb1, is, js, make([]float64, len(is)))
+	a.slots = make([][4]int, n.L())
+	for l, br := range n.Branches {
+		ri := reducedColIndex(br.From-1, s)
+		rj := reducedColIndex(br.To-1, s)
+		slot := [4]int{-1, -1, -1, -1}
+		if ri >= 0 {
+			slot[0] = a.pattern.Pos(ri, ri)
+		}
+		if rj >= 0 {
+			slot[1] = a.pattern.Pos(rj, rj)
+		}
+		if ri >= 0 && rj >= 0 {
+			slot[2] = a.pattern.Pos(ri, rj)
+			slot[3] = a.pattern.Pos(rj, ri)
+		}
+		a.slots[l] = slot
+	}
+	a.sym = mat.AnalyzeSparseChol(a.pattern)
+	return a
+}
+
+// Backend reports the resolved backend (DenseBackend or SparseBackend).
+func (a *BAnalysis) Backend() Backend { return a.backend }
+
+// NewFactorizer returns a factorizer that shares the analysis; it owns
+// only its numeric storage and scratch.
+func (a *BAnalysis) NewFactorizer() BFactorizer {
+	if a.backend == SparseBackend {
+		return newSparseBFactorizer(a)
+	}
+	return newDenseBFactorizer(a.n)
 }
 
 // errNotFactored is returned when PTDFInto runs before a successful Reset.
@@ -260,68 +332,30 @@ func (f *denseBFactorizer) PTDFInto(dst *mat.Dense) error {
 // ---- Sparse backend -------------------------------------------------------
 
 type sparseBFactorizer struct {
-	n   *Network
-	x   []float64
-	csc *mat.CSC
-	// slots maps each branch to the storage positions of its up-to-four
-	// contributions to B_r: (ri,ri), (rj,rj), (ri,rj), (rj,ri); -1 marks a
-	// contribution that falls on the slack row/column.
-	slots [][4]int
-	chol  *mat.SparseChol
-	ok    bool
+	a    *BAnalysis
+	x    []float64
+	csc  *mat.CSC // B_r at x: the analysis's pattern, this factorizer's values
+	chol *mat.SparseChol
+	ok   bool
 	// PTDF scratch, allocated on first PTDFInto — solve-only callers
 	// (dcflow) never pay for it.
 	invT *mat.Dense // row j = B_r⁻¹·e_j (B_r is symmetric)
 	ecol []float64
 }
 
-func newSparseBFactorizer(n *Network) *sparseBFactorizer {
-	nb1 := n.N() - 1
-	s := n.SlackBus - 1
-	var is, js []int
-	for _, br := range n.Branches {
-		ri := reducedColIndex(br.From-1, s)
-		rj := reducedColIndex(br.To-1, s)
-		if ri >= 0 {
-			is, js = append(is, ri), append(js, ri)
-		}
-		if rj >= 0 {
-			is, js = append(is, rj), append(js, rj)
-		}
-		if ri >= 0 && rj >= 0 {
-			is, js = append(is, ri, rj), append(js, rj, ri)
-		}
-	}
-	csc := mat.NewCSCFromTriplets(nb1, nb1, is, js, make([]float64, len(is)))
-	slots := make([][4]int, n.L())
-	for l, br := range n.Branches {
-		ri := reducedColIndex(br.From-1, s)
-		rj := reducedColIndex(br.To-1, s)
-		slot := [4]int{-1, -1, -1, -1}
-		if ri >= 0 {
-			slot[0] = csc.Pos(ri, ri)
-		}
-		if rj >= 0 {
-			slot[1] = csc.Pos(rj, rj)
-		}
-		if ri >= 0 && rj >= 0 {
-			slot[2] = csc.Pos(ri, rj)
-			slot[3] = csc.Pos(rj, ri)
-		}
-		slots[l] = slot
-	}
+func newSparseBFactorizer(a *BAnalysis) *sparseBFactorizer {
 	return &sparseBFactorizer{
-		n:     n,
-		x:     make([]float64, n.L()),
-		csc:   csc,
-		slots: slots,
+		a:    a,
+		x:    make([]float64, a.n.L()),
+		csc:  a.pattern.SharePattern(),
+		chol: a.sym.NewFactor(),
 	}
 }
 
 func (f *sparseBFactorizer) Backend() Backend { return SparseBackend }
 
 func (f *sparseBFactorizer) Reset(x []float64) error {
-	if len(x) != f.n.L() {
+	if len(x) != f.a.n.L() {
 		panic("grid: reactance vector length mismatch")
 	}
 	copy(f.x, x)
@@ -329,9 +363,9 @@ func (f *sparseBFactorizer) Reset(x []float64) error {
 	for i := range vals {
 		vals[i] = 0
 	}
-	for l := range f.n.Branches {
+	for l := range f.a.n.Branches {
 		y := 1 / x[l]
-		s := f.slots[l]
+		s := f.a.slots[l]
 		if s[0] >= 0 {
 			vals[s[0]] += y
 		}
@@ -343,13 +377,7 @@ func (f *sparseBFactorizer) Reset(x []float64) error {
 			vals[s[3]] -= y
 		}
 	}
-	var err error
-	if f.chol == nil {
-		f.chol, err = mat.NewSparseChol(f.csc)
-	} else {
-		err = f.chol.Refactor(f.csc)
-	}
-	if err != nil {
+	if err := f.chol.Refactor(f.csc); err != nil {
 		f.ok = false
 		return fmt.Errorf("grid: sparse susceptance factorization: %w", err)
 	}
@@ -370,7 +398,8 @@ func (f *sparseBFactorizer) PTDFInto(dst *mat.Dense) error {
 	// a scaled difference of two inverse rows:
 	//   PTDF(l, :) = (1/x_l)·(B_r⁻¹(ri, :) − B_r⁻¹(rj, :)).
 	// This skips the dense L×(N-1)×(N-1) multiplication entirely.
-	nb1 := f.n.N() - 1
+	n := f.a.n
+	nb1 := n.N() - 1
 	if f.invT == nil {
 		f.invT = mat.NewDense(nb1, nb1)
 		f.ecol = make([]float64, nb1)
@@ -382,11 +411,11 @@ func (f *sparseBFactorizer) PTDFInto(dst *mat.Dense) error {
 		f.ecol[j] = 1
 		f.chol.SolveInto(f.invT.RowView(j), f.ecol)
 	}
-	for l := range f.n.Branches {
+	for l := range n.Branches {
 		y := 1 / f.x[l]
 		row := dst.RowView(l)
-		ri := reducedColIndex(f.n.Branches[l].From-1, f.n.SlackBus-1)
-		rj := reducedColIndex(f.n.Branches[l].To-1, f.n.SlackBus-1)
+		ri := reducedColIndex(n.Branches[l].From-1, n.SlackBus-1)
+		rj := reducedColIndex(n.Branches[l].To-1, n.SlackBus-1)
 		switch {
 		case ri >= 0 && rj >= 0:
 			ra, rb := f.invT.RowView(ri), f.invT.RowView(rj)

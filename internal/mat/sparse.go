@@ -86,6 +86,30 @@ func NewCSCFromTriplets(r, c int, is, js []int, vs []float64) *CSC {
 	return m
 }
 
+// NewCSCFromDense returns the nonzero entries of d in CSC form.
+func NewCSCFromDense(d *Dense) *CSC {
+	nnz := 0
+	for _, v := range d.data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	m := &CSC{
+		rows: d.rows, cols: d.cols, colPtr: make([]int, d.cols+1),
+		rowIdx: make([]int, 0, nnz), values: make([]float64, 0, nnz),
+	}
+	for j := 0; j < d.cols; j++ {
+		for i := 0; i < d.rows; i++ {
+			if v := d.data[i*d.cols+j]; v != 0 {
+				m.rowIdx = append(m.rowIdx, i)
+				m.values = append(m.values, v)
+			}
+		}
+		m.colPtr[j+1] = len(m.rowIdx)
+	}
+	return m
+}
+
 // Transpose returns Mᵀ in CSC form: a counting sort of M's entries by row.
 func (m *CSC) Transpose() *CSC {
 	t := &CSC{
@@ -147,6 +171,12 @@ func MulCSC(a, b *CSC) *CSC {
 	return out
 }
 
+// SharePattern returns a matrix with m's pattern, shared read-only, and a
+// zeroed value slice of its own.
+func (m *CSC) SharePattern() *CSC {
+	return &CSC{rows: m.rows, cols: m.cols, colPtr: m.colPtr, rowIdx: m.rowIdx, values: make([]float64, len(m.values))}
+}
+
 // Rows returns the number of rows.
 func (m *CSC) Rows() int { return m.rows }
 
@@ -188,7 +218,11 @@ func (m *CSC) Pos(i, j int) int {
 	return -1
 }
 
-// MulVecInto computes m*x into dst (length Rows) and returns dst.
+// MulVecInto computes m*x into dst (length Rows) and returns dst. Each
+// entry sums its row's products in column order, skipping zeros of x. For
+// finite x it gives the bits of the dense row-by-row product
+// (mat.MulVecInto) of the same matrix: every term it skips is an exact
+// zero, and adding one to a sum that starts at +0 changes nothing.
 func (m *CSC) MulVecInto(dst, x []float64) []float64 {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(ErrShape)
@@ -288,29 +322,43 @@ func MinDegreeOrder(n int, adj [][]int) []int {
 	return order
 }
 
-// SparseChol is a sparse Cholesky factorization of a symmetric positive
-// definite matrix A with a fill-reducing permutation: P·A·Pᵀ = L·Lᵀ. The
-// symbolic analysis (ordering, elimination tree, pattern of L) runs once at
-// construction; Refactor revalues the numeric factors for a matrix with the
-// identical pattern, which is the per-candidate operation of the MTD
-// searches (the reactances change every candidate, the topology never
-// does).
-type SparseChol struct {
+// CholSymbolic is the value-independent half of a sparse Cholesky
+// factorization: the fill-reducing order, the permuted upper-triangle
+// pattern with its map from the source matrix, the elimination tree and
+// the complete pattern of L. It depends only on the sparsity pattern, so
+// one analysis serves every matrix with that pattern (the reactances of an
+// MTD search change every candidate, the topology never does). It is
+// immutable after AnalyzeSparseChol returns and safe to share between
+// goroutines; each SparseChol built from it owns its numeric storage.
+type CholSymbolic struct {
 	n    int
 	p    []int // p[k] = original index of the k-th pivot
 	pinv []int // pinv[i] = position of original index i in the pivot order
 
 	// Permuted matrix C = P·A·Pᵀ, upper triangle (column-major), with a map
-	// from A's storage positions to C's so Refactor is a gather + factor.
+	// from A's storage positions to C's so a refactorization is a gather +
+	// factor.
 	cp, ci []int
-	cx     []float64
 	amap   []int // A storage position -> C storage position (-1: lower-triangle duplicate folded elsewhere)
 
 	parent []int // elimination tree of C
 
-	// Factor L (unit structure: diagonal entry first in each column).
+	// Pattern of L: diagonal entry first in each column, then the rows in
+	// the order the up-looking factorization appends them.
 	lp, li []int
-	lx     []float64
+}
+
+// SparseChol is a sparse Cholesky factorization of a symmetric positive
+// definite matrix A with a fill-reducing permutation: P·A·Pᵀ = L·Lᵀ. Its
+// symbolic analysis (CholSymbolic) may be shared with other factorizations
+// of the same pattern; Refactor revalues the numeric factors for a matrix
+// with the identical pattern, which is the per-candidate operation of the
+// MTD searches. A SparseChol is not safe for concurrent use.
+type SparseChol struct {
+	*CholSymbolic
+
+	cx []float64 // values of C, in ci's order
+	lx []float64 // values of L, in li's order
 
 	// Scratch.
 	w    []int
@@ -325,11 +373,21 @@ type SparseChol struct {
 // returns ErrNotPositiveDefinite (an ErrSingular) when a pivot is
 // non-positive.
 func NewSparseChol(a *CSC) (*SparseChol, error) {
+	c := AnalyzeSparseChol(a).NewFactor()
+	if err := c.Refactor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// AnalyzeSparseChol runs the symbolic analysis of the symmetric pattern of
+// a (both triangles stored); a's values are not read.
+func AnalyzeSparseChol(a *CSC) *CholSymbolic {
 	if a.rows != a.cols {
 		panic("mat: sparse Cholesky requires a square matrix")
 	}
 	n := a.rows
-	c := &SparseChol{n: n}
+	c := &CholSymbolic{n: n}
 
 	// Fill-reducing order from the symmetric pattern: column j's row
 	// indices are vertex j's neighbors (MinDegreeOrder skips the diagonal).
@@ -349,23 +407,16 @@ func NewSparseChol(a *CSC) (*SparseChol, error) {
 	// Elimination tree of C (upper-triangle CSC).
 	c.parent = etree(n, c.cp, c.ci)
 
-	// Column counts of L via ereach over each row, then allocate L.
-	c.w = make([]int, n)
-	c.s = make([]int, n)
-	c.x = make([]float64, n)
+	// Column counts of L via ereach over each row, then the pattern itself
+	// in the order factor fills the values: row k's entries land in the
+	// columns ereach(k) visits, after each column's diagonal.
+	w, s := make([]int, n), make([]int, n)
 	counts := make([]int, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
 	for k := 0; k < n; k++ {
 		counts[k]++ // diagonal
-		for p := c.cp[k]; p < c.cp[k+1]; p++ {
-			i := c.ci[p]
-			for t := i; t != -1 && t < k && mark[t] != k; t = c.parent[t] {
-				counts[t]++ // L(k, t) below the diagonal of column t
-				mark[t] = k
-			}
+		top := c.ereach(k, w, s)
+		for _, i := range s[top:] {
+			counts[i]++ // L(k, i) below the diagonal of column i
 		}
 	}
 	c.lp = make([]int, n+1)
@@ -373,24 +424,43 @@ func NewSparseChol(a *CSC) (*SparseChol, error) {
 		c.lp[k+1] = c.lp[k] + counts[k]
 	}
 	c.li = make([]int, c.lp[n])
-	c.lx = make([]float64, c.lp[n])
-	c.cfin = make([]int, n)
-	c.y = make([]float64, n)
-
-	if err := c.factor(); err != nil {
-		return nil, err
+	cfin := append([]int(nil), c.lp[:n]...)
+	for i := range w {
+		w[i] = 0
 	}
-	return c, nil
+	for k := 0; k < n; k++ {
+		c.li[cfin[k]] = k
+		cfin[k]++
+		top := c.ereach(k, w, s)
+		for _, i := range s[top:] {
+			c.li[cfin[i]] = k
+			cfin[i]++
+		}
+	}
+	return c
+}
+
+// NewFactor returns a factorization that shares the analysis and owns
+// fresh numeric storage. It holds no factor until its first Refactor.
+func (c *CholSymbolic) NewFactor() *SparseChol {
+	n := c.n
+	return &SparseChol{
+		CholSymbolic: c,
+		cx:           make([]float64, len(c.ci)),
+		lx:           make([]float64, c.lp[n]),
+		w:            make([]int, n),
+		x:            make([]float64, n),
+		s:            make([]int, n),
+		cfin:         make([]int, n),
+		y:            make([]float64, n),
+	}
 }
 
 // buildPermuted constructs the upper triangle of C = P·A·Pᵀ and the A→C
-// position map used by Refactor.
-func (c *SparseChol) buildPermuted(a *CSC) {
+// position map used by Refactor. Only a's pattern is read.
+func (c *CholSymbolic) buildPermuted(a *CSC) {
 	n := c.n
-	type centry struct {
-		i, j, apos int
-		v          float64
-	}
+	type centry struct{ i, j, apos int }
 	entries := make([]centry, 0, a.NNZ())
 	for j := 0; j < n; j++ {
 		for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
@@ -401,7 +471,7 @@ func (c *SparseChol) buildPermuted(a *CSC) {
 				// value (A is symmetric), so skip it in the map.
 				continue
 			}
-			entries = append(entries, centry{pi, pj, p, a.values[p]})
+			entries = append(entries, centry{pi, pj, p})
 		}
 	}
 	// Bucket by column, then order each column by row (the pattern has no
@@ -428,14 +498,13 @@ func (c *SparseChol) buildPermuted(a *CSC) {
 		}
 	}
 	c.ci = make([]int, len(sorted))
-	c.cx = make([]float64, len(sorted))
 	c.amap = make([]int, a.NNZ())
 	for i := range c.amap {
 		c.amap[i] = -1
 	}
 	for q, e := range sorted {
 		c.amap[e.apos] = q
-		c.ci[q], c.cx[q] = e.i, e.v
+		c.ci[q] = e.i
 	}
 }
 
@@ -465,11 +534,11 @@ func etree(n int, cp, ci []int) []int {
 // ereach computes the nonzero pattern of row k of L: the nodes reachable
 // from the pattern of C(:, k) by walking up the elimination tree, in
 // topological (descending-from-k) order. The result is written into
-// c.s[top:n] and top is returned. c.w is the visited marker, keyed by k+1.
-func (c *SparseChol) ereach(k int) int {
+// s[top:n] and top is returned. w is the visited marker, keyed by k+1.
+func (c *CholSymbolic) ereach(k int, w, s []int) int {
 	top := c.n
 	mark := k + 1
-	c.w[k] = mark
+	w[k] = mark
 	for p := c.cp[k]; p < c.cp[k+1]; p++ {
 		i := c.ci[p]
 		if i > k {
@@ -477,15 +546,15 @@ func (c *SparseChol) ereach(k int) int {
 		}
 		// Walk up the etree until a visited node, stacking the path.
 		lenPath := 0
-		for ; i != -1 && c.w[i] != mark; i = c.parent[i] {
-			c.s[lenPath] = i
+		for ; i != -1 && w[i] != mark; i = c.parent[i] {
+			s[lenPath] = i
 			lenPath++
-			c.w[i] = mark
+			w[i] = mark
 		}
 		for lenPath > 0 {
 			lenPath--
 			top--
-			c.s[top] = c.s[lenPath]
+			s[top] = s[lenPath]
 		}
 	}
 	return top
@@ -516,7 +585,7 @@ func (c *SparseChol) factor() error {
 		c.cfin[k] = c.lp[k]
 	}
 	for k := 0; k < n; k++ {
-		top := c.ereach(k)
+		top := c.ereach(k, c.w, c.s)
 		// Scatter the upper triangle of column k of C.
 		d := 0.0
 		for p := c.cp[k]; p < c.cp[k+1]; p++ {
@@ -536,24 +605,19 @@ func (c *SparseChol) factor() error {
 				c.x[c.li[p]] -= c.lx[p] * lki
 			}
 			d -= lki * lki
-			q := c.cfin[i]
+			c.lx[c.cfin[i]] = lki // L(k, i): li already holds k here
 			c.cfin[i]++
-			c.li[q] = k
-			c.lx[q] = lki
 		}
 		if d <= pivTol {
 			return ErrNotPositiveDefinite
 		}
-		q := c.cfin[k]
+		c.lx[c.cfin[k]] = math.Sqrt(d)
 		c.cfin[k]++
-		c.li[q] = k
-		c.lx[q] = math.Sqrt(d)
 	}
 	return nil
 }
 
-// Refactor revalues the factorization for a matrix with the identical
-// sparsity pattern as the one the factorization was built from (same
+// Refactor factors a matrix with the analyzed sparsity pattern (same
 // triplet coordinates; only the values differ). This is the per-candidate
 // hot path: no ordering, no symbolic analysis, no allocation.
 func (c *SparseChol) Refactor(a *CSC) error {

@@ -179,3 +179,109 @@ func TestSparseCholSolveAliasing(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedAnalysisMatchesFreshFactor pins the split between symbolic
+// analysis and numeric factor: a factorization sharing another one's
+// analysis and refactored at new values solves with the bits of a
+// factorization analyzed from scratch at those values, one right-hand
+// side at a time and in blocks.
+func TestSharedAnalysisMatchesFreshFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 10; trial++ {
+		n := 5 + rng.Intn(80)
+		is, js, vs := randomSPDTriplets(rng, n, 3*n)
+		ref, err := NewSparseChol(NewCSCFromTriplets(n, n, is, js, vs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vs {
+			vs[i] *= 0.5 + rng.Float64()
+		}
+		// Keep the scaled matrix diagonally dominant.
+		for k := range vs {
+			if is[k] == js[k] {
+				vs[k] += 4 * float64(n)
+			}
+		}
+		a := NewCSCFromTriplets(n, n, is, js, vs)
+		shared := ref.CholSymbolic.NewFactor()
+		if err := shared.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewSparseChol(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		got := shared.SolveInto(make([]float64, n), b)
+		want := fresh.SolveInto(make([]float64, n), b)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: shared-analysis solve x[%d] = %v, fresh %v", trial, i, got[i], want[i])
+			}
+		}
+		const m = 3
+		x := make([]float64, n*m)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		xs := append([]float64(nil), x...)
+		shared.SolveRowsInto(xs, m, make([]float64, n*m))
+		fresh.SolveRowsInto(x, m, make([]float64, n*m))
+		for i := range x {
+			if math.Float64bits(xs[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("trial %d: shared-analysis block solve entry %d = %v, fresh %v", trial, i, xs[i], x[i])
+			}
+		}
+	}
+}
+
+// TestSolveRowsMatchesSolveInto pins the block solve's contract with a
+// block laid out like the dispatch LP's, a dense column beside unit
+// columns: every column gets the bits SolveInto gives it alone.
+func TestSolveRowsMatchesSolveInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 10; trial++ {
+		n := 5 + rng.Intn(80)
+		is, js, vs := randomSPDTriplets(rng, n, 3*n)
+		chol, err := NewSparseChol(NewCSCFromTriplets(n, n, is, js, vs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var units []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				units = append(units, i)
+			}
+		}
+		m := len(units) + 1
+		dense := make([]float64, n)
+		for i := range dense {
+			dense[i] = rng.NormFloat64()
+		}
+		x := make([]float64, n*m)
+		for i, v := range dense {
+			x[i*m] = v
+		}
+		for j, c := range units {
+			x[c*m+1+j] = 1
+		}
+		chol.SolveRowsInto(x, m, make([]float64, n*m))
+		for j := 0; j < m; j++ {
+			rhs := dense
+			if j > 0 {
+				rhs = make([]float64, n)
+				rhs[units[j-1]] = 1
+			}
+			want := chol.SolveInto(make([]float64, n), rhs)
+			for i, w := range want {
+				if got := x[i*m+j]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("trial %d: column %d entry %d = %v, SolveInto %v", trial, j, i, got, w)
+				}
+			}
+		}
+	}
+}

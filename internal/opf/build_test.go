@@ -3,6 +3,7 @@ package opf
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gridmtd/internal/grid"
@@ -115,4 +116,93 @@ func TestBlockBuildMatchesPerColumn(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedAnalysisConcurrentBuilds runs 8 goroutines, each holding a
+// session on one shared ieee118 engine and one shared ieee300 engine, so
+// every workspace's factorizer refactors against the engine's one B_r
+// analysis at the same time (the race detector checks that the analysis
+// is only read). Each build must equal, bitwise, the per-column build from
+// a freshly analyzed factorizer at the same seeded D-FACTS setting.
+func TestSharedAnalysisConcurrentBuilds(t *testing.T) {
+	const workers, trials = 8, 2
+	type ref struct {
+		x   []float64
+		aub *mat.Dense
+		bub []float64
+	}
+	var engines []*DispatchEngine
+	var refs [][][]ref // engine × worker × trial
+	for ci, name := range []string{"ieee118", "ieee300"} {
+		n, err := grid.CaseByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewDispatchEngineBackend(n, grid.SparseBackend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+		lo, hi := n.DFACTSBounds()
+		perWorker := make([][]ref, workers)
+		for w := range perWorker {
+			rng := rand.New(rand.NewSource(int64(100*ci + w)))
+			for trial := 0; trial < trials; trial++ {
+				xd := make([]float64, len(lo))
+				for j := range xd {
+					xd[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+				}
+				x := n.ExpandDFACTS(xd)
+				aub, bub := perColumnInputs(t, e, x)
+				perWorker[w] = append(perWorker[w], ref{x, aub, bub})
+			}
+		}
+		refs = append(refs, perWorker)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for ei, e := range engines {
+				sess := e.NewSession()
+				for trial, r := range refs[ei][w] {
+					prob, err := sess.BuildProblem(r.x)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !equalBits(prob.Aub, r.aub) || !equalBitsVec(prob.Bub, r.bub) {
+						t.Errorf("%s worker %d trial %d: build differs from a fresh factorizer's",
+							e.n.Name, w, trial)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func equalBits(a, b *mat.Dense) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i := 0; i < a.Rows(); i++ {
+		if !equalBitsVec(a.RowView(i), b.RowView(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalBitsVec(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -18,8 +18,12 @@ import (
 // branches, the bus-to-reduced-column map) and keeps per-goroutine
 // workspaces for everything that does (the reduced-susceptance factorizer,
 // the PTDF, the LP tableau), so the per-candidate cost of the problem-(4)
-// search drops to the unavoidable factorization + simplex work. The
-// susceptance factorization goes through the pluggable grid.BFactorizer:
+// search drops to the unavoidable factorization + simplex work. B_r's
+// topology-only analysis (grid.BAnalysis: on the sparse backend the
+// fill-reducing order, elimination tree and pattern of L) runs once, at
+// construction, and every workspace's factorizer shares it and only
+// refactors. The susceptance factorization goes through the pluggable
+// grid.BFactorizer:
 // below grid.SparseThreshold buses the dense backend performs exactly the
 // historical arithmetic (costs and dispatches bitwise identical to
 // SolveDispatch); at or above it the sparse Cholesky backend takes over
@@ -43,7 +47,8 @@ import (
 type DispatchEngine struct {
 	n       *grid.Network
 	backend grid.Backend
-	warm    bool // sparse path: warm-started revised simplex
+	bAn     *grid.BAnalysis // B_r's symbolic analysis, shared by every workspace's factorizer
+	warm    bool            // sparse path: warm-started revised simplex
 	nG      int
 	redIdx  []int    // reduced state column per generator bus, -1 at slack
 	uCols   []int    // distinct non-slack entries of redIdx, first-seen order
@@ -82,6 +87,7 @@ type dispatchWorkspace struct {
 	f0      []float64  // full-PTDF path: flows of the load-only injection
 	blk     []float64  // block path: B_r⁻¹·[e_uCols, redLoad], (N-1)×(len(uCols)+1)
 	blkTmp  []float64  // block path: solve scratch
+	blkRow  []float64  // block path: one branch's flows over the block's columns
 	loads   []float64  // bus loads (MW)
 	redLoad []float64  // slack-reduced loads
 	aub     *mat.Dense
@@ -109,13 +115,16 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 	if len(n.Gens) == 0 {
 		return nil, errors.New("opf: network has no generators")
 	}
-	// Snapshot the backend resolution (including any process-wide default
-	// override) at construction, so lazily created pool workspaces always
-	// match the engine's warm/dense mode.
-	eff := grid.EffectiveBackend(n, backend)
+	// Analyze B_r once (and with it snapshot the backend resolution,
+	// including any process-wide default override), so lazily created
+	// pool workspaces share one symbolic factorization and always match
+	// the engine's warm/dense mode.
+	bAn := grid.AnalyzeB(n, backend)
+	eff := bAn.Backend()
 	e := &DispatchEngine{
 		n:       n,
 		backend: eff,
+		bAn:     bAn,
 		warm:    eff == grid.SparseBackend,
 		nG:      len(n.Gens),
 	}
@@ -152,7 +161,7 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 	nb, nl := n.N(), n.L()
 	e.pool.New = func() any {
 		w := &dispatchWorkspace{
-			bf:       grid.NewBFactorizerBackend(n, e.backend),
+			bf:       bAn.NewFactorizer(),
 			loads:    make([]float64, nb),
 			redLoad:  make([]float64, nb-1),
 			bub:      make([]float64, 2*len(e.limRow)),
@@ -165,6 +174,7 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 			// are needed, never the full L×(N-1) matrix.
 			w.blk = make([]float64, (nb-1)*(len(e.uCols)+1))
 			w.blkTmp = make([]float64, len(w.blk))
+			w.blkRow = make([]float64, len(e.uCols)+1)
 		} else {
 			w.ptdf = mat.NewDense(nl, nb-1)
 			w.f0 = make([]float64, nl)
@@ -187,6 +197,9 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 
 // Backend reports the resolved factorization backend the engine runs on.
 func (e *DispatchEngine) Backend() grid.Backend { return e.backend }
+
+// Network returns the network the engine solves.
+func (e *DispatchEngine) Network() *grid.Network { return e.n }
 
 // prepare builds the dispatch LP for reactances x into the workspace and
 // solves it. It mirrors SolveDispatch step for step on the dense path; the
@@ -271,31 +284,26 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 	// column of the generator's reduced bus index (zero if it sits at
 	// slack), identical to applying the PTDF to the unit injection — and
 	// its rows land straight in Aub without a dense intermediate. On the
-	// block path branch l's row is (1/x_l)·(X[ri] − X[rj]) over the
-	// solved block X, the loads' column giving f0.
+	// block path branch l's flows over the solved block X are one pass
+	// (1/x_l)·(X[ri] − X[rj]): the generators gather their columns and
+	// the loads' column gives f0.
 	nR := len(e.limRow)
 	for k, l := range e.limRow {
 		pos := w.aub.RowView(k)
 		neg := w.aub.RowView(nR + k)
 		var f0 float64
 		if fast {
-			y := 1 / x[l]
-			var ra, rb []float64
-			if ri := e.limEnds[k][0]; ri >= 0 {
-				ra = w.blk[ri*m : (ri+1)*m]
-			}
-			if rj := e.limEnds[k][1]; rj >= 0 {
-				rb = w.blk[rj*m : (rj+1)*m]
-			}
-			for gi := 0; gi < e.nG; gi++ {
+			row := w.blkRow
+			branchFlowsInto(row, 1/x[l], w.blk, m, e.limEnds[k])
+			for gi, c := range e.giCol {
 				v := 0.0
-				if c := e.giCol[gi]; c >= 0 {
-					v = ptdfEntry(y, ra, rb, c)
+				if c >= 0 {
+					v = row[c]
 				}
 				pos[gi] = v
 				neg[gi] = -v
 			}
-			f0 = ptdfEntry(y, ra, rb, u)
+			f0 = row[u]
 		} else {
 			pr := w.ptdf.RowView(l)
 			for gi := 0; gi < e.nG; gi++ {
@@ -596,17 +604,27 @@ func (s *DispatchSession) LPStats() lp.RevisedStats {
 	return s.w.rsolver.Stats()
 }
 
-// ptdfEntry returns y·(ra[c] − rb[c]), the flow on a branch of admittance
-// y from column c of a solved block whose rows ra and rb are the branch's
-// reduced end buses; a nil row is the slack end and its term is omitted.
-func ptdfEntry(y float64, ra, rb []float64, c int) float64 {
+// branchFlowsInto writes y·(X[ri] − X[rj]) into dst: the flows on a branch
+// of admittance y for every column of the row-major block X (m columns),
+// whose rows ri and rj are the branch's reduced end buses. A -1 end is the
+// slack bus and its term is omitted.
+func branchFlowsInto(dst []float64, y float64, blk []float64, m int, ends [2]int) {
+	ri, rj := ends[0], ends[1]
 	switch {
-	case ra == nil:
-		return -y * rb[c]
-	case rb == nil:
-		return y * ra[c]
+	case ri < 0:
+		for c, v := range blk[rj*m : (rj+1)*m] {
+			dst[c] = -y * v
+		}
+	case rj < 0:
+		for c, v := range blk[ri*m : (ri+1)*m] {
+			dst[c] = y * v
+		}
+	default:
+		rb := blk[rj*m : (rj+1)*m]
+		for c, v := range blk[ri*m : (ri+1)*m] {
+			dst[c] = y * (v - rb[c])
+		}
 	}
-	return y * (ra[c] - rb[c])
 }
 
 // reducedBusIndex maps a 0-based bus index to its slack-reduced state

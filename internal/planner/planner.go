@@ -738,7 +738,7 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg 
 	if err != nil {
 		return nil, err
 	}
-	zOld, err := core.OperatingMeasurements(n, req.XOld)
+	zOld, err := core.OperatingMeasurementsWith(eng, req.XOld)
 	if err != nil {
 		return nil, err
 	}

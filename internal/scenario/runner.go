@@ -208,7 +208,7 @@ func (st *execState) setupGammaSweep() error {
 			if err != nil {
 				return fmt.Errorf("scenario: previous-hour OPF: %w", err)
 			}
-			st.zOld, err = core.OperatingMeasurements(st.n, prev.Reactances)
+			st.zOld, err = core.OperatingMeasurementsWith(eng, prev.Reactances)
 			if err != nil {
 				return err
 			}
@@ -239,7 +239,7 @@ func (st *execState) setupGammaSweep() error {
 	if st.xOld == nil {
 		var err error
 		st.xOld = st.pre.Reactances
-		st.zOld, err = core.OperatingMeasurements(st.n, st.xOld)
+		st.zOld, err = core.OperatingMeasurementsWith(st.eng, st.xOld)
 		if err != nil {
 			return err
 		}
@@ -403,7 +403,7 @@ func (st *execState) setupRandomKeys() error {
 		return fmt.Errorf("scenario: pre-perturbation OPF: %w", err)
 	}
 	st.xOld = st.pre.Reactances
-	st.zOld, err = core.OperatingMeasurements(st.n, st.xOld)
+	st.zOld, err = core.OperatingMeasurementsWith(eng, st.xOld)
 	if err != nil {
 		return err
 	}

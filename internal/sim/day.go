@@ -149,7 +149,7 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d no-MTD OPF: %w", h, err)
 		}
-		zNow, err := core.OperatingMeasurements(net, noMTD.Reactances)
+		zNow, err := core.OperatingMeasurementsWith(engine, noMTD.Reactances)
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d operating point: %w", h, err)
 		}
