@@ -145,7 +145,7 @@ func BenchmarkBFactorPTDF118Sparse(b *testing.B) { benchBFactor(b, "ieee118", gr
 // BenchmarkGammaIEEE118 measures one cached candidate-γ evaluation on the
 // 118-bus system: the exact engine's rank-|S| update over the 12 changed
 // D-FACTS branches, an s×s eigenproblem over Gram blocks gathered from
-// the x_old side (the 117-column Gram-Schmidt it replaces is the
+// the x_old side (the reference Gram-Schmidt on the full H is the
 // fallback).
 func BenchmarkGammaIEEE118(b *testing.B) {
 	n := benchCase(b, "ieee118")
@@ -219,6 +219,34 @@ func benchGammaEvaluatorBuild(b *testing.B, caseName string) {
 
 func BenchmarkGammaEvaluatorBuild118(b *testing.B) { benchGammaEvaluatorBuild(b, "ieee118") }
 func BenchmarkGammaEvaluatorBuild300(b *testing.B) { benchGammaEvaluatorBuild(b, "ieee300") }
+
+// BenchmarkGammaExplicitXOld300 measures one candidate γ on the 300-bus
+// system against an attacker-known x_old that is not a D-FACTS setting of
+// the case: its first N/2+1 lines off the D-FACTS set scaled by 1.1. The
+// candidate, the 75% point of the device box, changes those 151 lines and
+// the 12 D-FACTS lines; the evaluator formed the kernel's blocks over
+// them at construction, so the evaluation only gathers sub-blocks.
+func BenchmarkGammaExplicitXOld300(b *testing.B) {
+	n := benchCase(b, "ieee300")
+	xOld := n.Reactances()
+	for l, changed := 0, 0; changed < n.N()/2+1; l++ {
+		if !n.Branches[l].HasDFACTS {
+			xOld[l] *= 1.1
+			changed++
+		}
+	}
+	lo, hi := n.DFACTSBounds()
+	xd := make([]float64, len(lo))
+	for i := range xd {
+		xd[i] = 0.25*lo[i] + 0.75*hi[i]
+	}
+	ev := gridmtd.NewGammaEvaluator(n, xOld)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev.GammaDFACTS(xd)
+	}
+}
 
 // BenchmarkDispatchBuild118 measures one dispatch-LP build on the 118-bus
 // system at the 75% point of the D-FACTS box: the B_r refactorization, one

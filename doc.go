@@ -78,21 +78,24 @@
 // spaces, the hot path of every selection search — has one exact path.
 // Below the 50-bus sparse threshold (or under -backend dense) it is
 // bitwise the reference principal-angle pipeline. Above it, a candidate
-// that changes s branches (the D-FACTS lines) is a rank-s update of
-// H(x_old), and γ comes from an s×s eigenproblem over three s×s Gram
-// blocks of the changed lines instead of a Gram-Schmidt of either side.
-// The x_old side is one sparse Cholesky of H(x_old)ᵀH(x_old) and a few
-// dozen blocked solves (about 0.4 ms on ieee118); the kernel falls back
-// to the multi-accumulator Gram-Schmidt, building the x_old basis then,
-// when the update cannot certify its value (1e-9 agreement either way). The same s×s blocks score each
-// attack a = H_old·c exactly: its residual under H(x′) is ‖P·b‖ for the
-// angle differences b of c across the changed branches, so the η′(δ)
-// evaluation builds no post-MTD estimator, re-checking with one only the
-// attacks within 1e-9 of a detection threshold. The x_old side is
-// prepared once per selection: the search borrows the attack set's γ
-// evaluator instead of building its own. A planner request's
-// gamma_backend and Scenario.GammaBackend still accept "auto", "exact",
-// "sparse" and "sketch", all as names of this one path.
+// that changes s branches is a rank-s update of H(x_old), and γ comes
+// from an s×s eigenproblem over three s×s Gram blocks of the changed
+// lines instead of a Gram-Schmidt of either side. The x_old side is one
+// sparse Cholesky of H(x_old)ᵀH(x_old) and the blocks over D ∪ F, formed
+// by blocked solves (about 0.4 ms on ieee118 for the nominal x_old): D is
+// the D-FACTS set and F the lines off it where an explicit x_old differs
+// from the case, so every D-FACTS candidate only gathers sub-blocks. The
+// kernel falls back to the reference Gram-Schmidt, building the x_old
+// basis then, only when the update cannot certify its value (an
+// ill-conditioned s×s system near γ = π/2; 1e-9 agreement either way).
+// The same s×s blocks score each attack a = H_old·c exactly: its residual
+// under H(x′) is ‖P·b‖ for the angle differences b of c across the
+// changed branches, so the η′(δ) evaluation builds no post-MTD estimator,
+// re-checking with one only the attacks within 1e-9 of a detection
+// threshold. The x_old side is prepared once per selection: the search
+// borrows the attack set's γ evaluator instead of building its own. A
+// planner request's gamma_backend and Scenario.GammaBackend still accept
+// "auto", "exact", "sparse" and "sketch", all as names of this one path.
 //
 // Underneath, the dispatch LP runs a bounded-variable revised simplex
 // with product-form (eta-file) factorization updates, a deterministic

@@ -110,7 +110,7 @@ func Measurements(n *Network, injectionsMW []float64, pf *PowerFlow) []float64 {
 // factorization and the dispatch LP: the dense backend is the historical,
 // bitwise-reproducible path; the sparse backend (automatic at or above
 // grid.SparseThreshold buses) adds the sparse Cholesky factorization, the
-// warm-started revised simplex and the multi-accumulator γ kernels under a
+// warm-started revised simplex and the rank-|S| γ kernel under a
 // 1e-9-agreement contract.
 type Backend = grid.Backend
 
@@ -384,7 +384,7 @@ func Gamma(n *Network, xOld, xNew []float64) float64 {
 
 // GammaEvaluator evaluates γ(H(xOld), H(x')) for many candidate
 // perturbations against one fixed pre-perturbation configuration. It
-// orthonormalizes H(xOld) once at construction and reuses per-goroutine
+// prepares the xOld side once at construction and reuses per-goroutine
 // workspaces, so each evaluation costs only the candidate-side work; the
 // values are bitwise identical to Gamma. It is safe for concurrent use —
 // the parallel multi-start selection shares one evaluator across workers.

@@ -32,20 +32,21 @@
 // # Attack residuals and the x_old evaluator
 //
 // Evaluating η'(δ) needs each attack's residual under H', the component of
-// a = H_t·c outside Col(H'). On fast (sparse-backend) attack sets the
-// analytic path takes it from the rank-|S| γ kernel: with b the angle
-// differences of c across the s changed branches, the residual is ‖P·b‖
-// for an s×s-derived P, exact to about 1e-13 relative and built with no
-// post-MTD estimator. Only attacks within 1e-9 of a decision threshold,
-// candidates the kernel declines, Monte Carlo, ReportProbs and the
-// small-case dense path build the estimator (a QR factorization of H'),
-// fresh for each evaluation; GlobalEstimatorCacheStats counts the builds
-// on fast sets.
+// a = H_t·c outside Col(H'). On sparse-backend attack sets the analytic
+// path takes it from the rank-|S| γ kernel: with b the angle differences
+// of c across the s changed branches, the residual is ‖P·b‖ for an
+// s×s-derived P, exact to about 1e-13 relative and built with no post-MTD
+// estimator. Only attacks within 1e-9 of a decision threshold, candidates
+// the kernel declines (an ill-conditioned T near γ = π/2), Monte Carlo,
+// ReportProbs and the small-case dense path build the estimator (a QR
+// factorization of H'), fresh for each evaluation;
+// GlobalEstimatorCacheStats counts the builds on sparse-backend sets.
 //
 // The x_old side — one sparse Cholesky of H(x_old)ᵀH(x_old) and the
-// kernel's s×s Gram blocks over the D-FACTS lines, formed by blocked
-// solves; no basis of H(x_old) unless the kernel declines — is prepared
-// once per attack set, in SampleAttacks. A selection that also
+// kernel's Gram blocks over D ∪ F, formed by blocked solves, where D is
+// the D-FACTS set and F the lines off it on which an explicit x_old
+// differs from the case; no basis of H(x_old) unless the kernel declines
+// — is prepared once per attack set, in SampleAttacks. A selection that also
 // scores attacks shares that evaluator with its search
 // (NewEnginesShared(set.Gamma(), dispatch)), so every selection, tuning
 // run and day-sweep hour prepares x_old exactly once.

@@ -556,13 +556,13 @@ func OperatingMeasurementsWith(eng *opf.DispatchEngine, x []float64) ([]float64,
 // (-backend dense), its float operations are the reference pipeline's and
 // the result is bitwise subspace.Gamma(H(xOld), H(xNew)). Otherwise it is
 // the rank-|S| update kernel's answer over the branches whose reactance
-// differs between xOld and xNew (the Gram-Schmidt on the reduced
-// [p; √2·f] rows when the kernel declines), within 1e-9 of the reference.
-// A call pays for the xOld side: on the kernel path one sparse Cholesky
-// of H(xOld)ᵀH(xOld) and the blocked solves over the D-FACTS lines (plus
-// s more solves when xNew changes lines off them), which dominate it;
-// callers evaluating many xNew against one xOld should hold the
-// evaluator instead.
+// differs between xOld and xNew (the reference Gram-Schmidt when the
+// kernel declines), within 1e-9 of the reference. A call pays for the
+// xOld side: on the kernel path one sparse Cholesky of H(xOld)ᵀH(xOld)
+// and the blocked solves over D ∪ F (the D-FACTS lines and the lines off
+// them where xOld differs from the case; plus s more solves when xNew
+// changes lines outside that set), which dominate it; callers evaluating
+// many xNew against one xOld should hold the evaluator instead.
 func Gamma(n *grid.Network, xOld, xNew []float64) float64 {
 	return NewGammaEvaluator(n, xOld).Gamma(xNew)
 }

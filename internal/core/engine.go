@@ -37,22 +37,23 @@ const (
 // dense (-backend dense), it runs the reference principal-angle pipeline
 // and every float operation matches the uncached subspace.Gamma bitwise.
 // At or above the threshold it answers from the rank-|S| update kernel
-// (subspace.UpdateEvaluator): a candidate that changes s branches (the
-// D-FACTS lines) is a rank-s update of H(x_old), and tan²γ is the largest
-// eigenvalue of an s×s problem built from three s×s Gram blocks of the
-// changed lines. The x_old side is one sparse Cholesky of H(x_old)ᵀH(x_old)
-// and a few dozen blocked solves, and no basis of either side is formed.
-// It agrees with the reference within 1e-9. When the kernel declines (more
-// changed branches than it is cheaper for, or an ill-conditioned s×s
-// system near γ = π/2), or H(x_old) fails the factorization's rank test,
-// the evaluation falls back to the fast-kernel Gram-Schmidt on the reduced
-// [p; √2·f] rows, under the same contract; only then is the x_old basis
-// built, once.
+// (subspace.UpdateEvaluator): a candidate that changes s branches is a
+// rank-s update of H(x_old), and tan²γ is the largest eigenvalue of an
+// s×s problem built from three s×s Gram blocks of the changed lines. The
+// x_old side is one sparse Cholesky of H(x_old)ᵀH(x_old) and the blocks
+// over D ∪ F, formed by blocked solves: D is the D-FACTS set and F the
+// lines off it where x_old differs from the network's own reactance.
+// Every candidate ExpandDFACTS builds changes only lines in D ∪ F, so it
+// only gathers sub-blocks; no basis of either side is formed. It agrees
+// with the reference within 1e-9. When the kernel declines (an
+// ill-conditioned s×s system near γ = π/2), or H(x_old) fails the
+// factorization's rank test, the evaluation falls back to the reference
+// Gram-Schmidt on the full H, under the same contract; only then is the
+// x_old basis built, once.
 type GammaEvaluator struct {
 	n    *grid.Network
 	xOld []float64
-	fast bool // large-case kernel family (the grid-backend seam)
-	// update is the rank-|S| kernel: set on the fast family when H(x_old)
+	// update is the rank-|S| kernel: set on the sparse tier when H(x_old)
 	// passes the kernel's rank test.
 	update    *subspace.UpdateEvaluator
 	basisOnce sync.Once
@@ -73,28 +74,26 @@ var basisBuilds atomic.Uint64
 
 // GammaBasisBuilds returns how many x_old Gram-Schmidt bases GammaEvaluators
 // have built in this process: one per evaluator on the bitwise tier, and
-// on the fast family only when the update kernel is unavailable or
+// on the sparse tier only when the update kernel is unavailable or
 // declines a candidate.
 func GammaBasisBuilds() uint64 { return basisBuilds.Load() }
 
 // NewGammaEvaluator builds an evaluator for the pre-perturbation reactance
 // vector xOld (full length-L vector).
 func NewGammaEvaluator(n *grid.Network, xOld []float64) *GammaEvaluator {
-	// The kernel family follows the resolved grid backend (including the
+	e := &GammaEvaluator{n: n, xOld: append([]float64(nil), xOld...)}
+	// The kernel follows the resolved grid backend (including the
 	// -backend process default), so a dense-forced run is the historical
-	// bitwise path end to end and a sparse-forced run gets the whole fast
-	// family — γ and LP always sit on the same side of the contract.
-	fast := grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend
-	e := &GammaEvaluator{n: n, xOld: append([]float64(nil), xOld...), fast: fast}
-	if fast {
+	// bitwise path end to end — γ and LP always sit on the same side of
+	// the contract.
+	if grid.EffectiveBackend(n, grid.AutoBackend) == grid.SparseBackend {
 		dOld := invInto(make([]float64, n.L()), xOld)
-		if u, err := subspace.NewUpdateEvaluator(n.GammaColumnFactor(), n.GammaIncidenceT(), dOld, n.DFACTSIndices()); err == nil {
+		if u, err := subspace.NewUpdateEvaluator(n.GammaColumnFactor(), n.GammaIncidenceT(), dOld, blockSet(n, xOld)); err == nil {
 			e.update = u
 		}
 	}
 	e.pool.New = func() any {
 		return &gammaWorkspace{
-			ws:    subspace.Workspace{Fast: fast},
 			xFull: make([]float64, n.L()),
 			d:     make([]float64, n.L()),
 		}
@@ -102,23 +101,29 @@ func NewGammaEvaluator(n *grid.Network, xOld []float64) *GammaEvaluator {
 	return e
 }
 
+// blockSet returns D ∪ F, the lines whose kernel blocks the evaluator
+// forms up front: the D-FACTS lines D, then the lines F off D where xOld
+// differs from the network's own reactance. F is empty whenever xOld is a
+// D-FACTS setting of the network (every problem-(1) solve), so the block
+// set is then exactly D.
+func blockSet(n *grid.Network, xOld []float64) []int {
+	set := n.DFACTSIndices()
+	for l, br := range n.Branches {
+		if !br.HasDFACTS && xOld[l] != br.X {
+			set = append(set, l)
+		}
+	}
+	return set
+}
+
 // basis returns the x_old basis of the Gram-Schmidt path, building it on
-// first use: the fast family orthonormalizes the reduced [p; √2·f] rows
-// (identical angles from 38% fewer rows — see
-// Network.MeasurementMatrixTGammaInto), the bitwise tier the full H.
+// first use.
 func (e *GammaEvaluator) basis() *subspace.Basis {
 	e.basisOnce.Do(func() {
 		basisBuilds.Add(1)
-		n := e.n
-		if e.fast {
-			ht := mat.NewDense(n.N()-1, n.GammaAmbient())
-			n.MeasurementMatrixTGammaInto(e.xOld, ht)
-			e.qOld = subspace.ComputeBasisTFast(ht, 0)
-		} else {
-			ht := mat.NewDense(n.N()-1, n.M())
-			n.MeasurementMatrixTInto(e.xOld, ht)
-			e.qOld = subspace.ComputeBasisT(ht, 0)
-		}
+		ht := mat.NewDense(e.n.N()-1, e.n.M())
+		e.n.MeasurementMatrixTInto(e.xOld, ht)
+		e.qOld = subspace.ComputeBasisT(ht, 0)
 	})
 	return e.qOld
 }
@@ -127,20 +132,6 @@ func (e *GammaEvaluator) basis() *subspace.Basis {
 // γ-backend name: every name is an alias of the exact evaluator.
 func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, _ GammaBackend) *GammaEvaluator {
 	return NewGammaEvaluator(n, xOld)
-}
-
-// candidateT returns the workspace's candidate Hᵀ buffer, allocating it on
-// first use: (N−1)×(N+L) for the reduced representation, (N−1)×M
-// otherwise. Evaluations the update kernel answers never touch it.
-func (e *GammaEvaluator) candidateT(w *gammaWorkspace) *mat.Dense {
-	if w.ht == nil {
-		cols := e.n.M()
-		if e.fast {
-			cols = e.n.GammaAmbient()
-		}
-		w.ht = mat.NewDense(e.n.N()-1, cols)
-	}
-	return w.ht
 }
 
 // invInto fills d with 1/x.
@@ -190,17 +181,15 @@ func (e *GammaEvaluator) gamma(w *gammaWorkspace, x []float64) float64 {
 	return e.gramSchmidtGamma(w, x)
 }
 
-// gramSchmidtGamma is the reference candidate evaluation: dense MGS on the
-// bitwise or fast kernel family per the grid seam. It is the bitwise
+// gramSchmidtGamma is the reference candidate evaluation: dense MGS on
+// the full H and the principal angles of the two bases. It is the bitwise
 // tier's only path and the update kernel's fallback.
 func (e *GammaEvaluator) gramSchmidtGamma(w *gammaWorkspace, x []float64) float64 {
-	ht := e.candidateT(w)
-	if e.fast {
-		e.n.MeasurementMatrixTGammaInto(x, ht)
-	} else {
-		e.n.MeasurementMatrixTInto(x, ht)
+	if w.ht == nil {
+		w.ht = mat.NewDense(e.n.N()-1, e.n.M())
 	}
-	qNew := w.ws.BasisT(ht, 0)
+	e.n.MeasurementMatrixTInto(x, w.ht)
+	qNew := w.ws.BasisT(w.ht, 0)
 	return w.ws.GammaBases(e.basis(), qNew)
 }
 

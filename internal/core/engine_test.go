@@ -239,9 +239,9 @@ func TestAttackSetAccessors(t *testing.T) {
 }
 
 // TestGammaBasisBuiltOnlyOnFallback pins when an evaluator builds its
-// x_old Gram-Schmidt basis: never while the update kernel answers, once
-// when it declines a candidate (however many it declines), and once on
-// the bitwise tier.
+// x_old Gram-Schmidt basis: never while the update kernel answers, for a
+// nominal or an explicit x_old, once when it declines a candidate
+// (however many it declines), and once on the bitwise tier.
 func TestGammaBasisBuiltOnlyOnFallback(t *testing.T) {
 	n, err := grid.CaseByName("ieee118")
 	if err != nil {
@@ -255,13 +255,18 @@ func TestGammaBasisBuiltOnlyOnFallback(t *testing.T) {
 	if b := GammaBasisBuilds() - before; b != 0 {
 		t.Fatalf("kernel-served D-FACTS candidates built %d bases, want 0", b)
 	}
-	every := n.Reactances()
-	for l := range every {
-		every[l] *= 1.05
+	explicit := NewGammaEvaluator(n, offDFACTSXOld(n))
+	for _, xd := range randomDFACTS(n, 9, 2) {
+		explicit.GammaDFACTS(xd)
 	}
-	ev.Gamma(every)
-	every[0] *= 1.1
-	ev.Gamma(every)
+	if b := GammaBasisBuilds() - before; b != 0 {
+		t.Fatalf("kernel-served candidates against an explicit x_old built %d bases, want 0", b)
+	}
+	declined := n.ExpandDFACTS(randomDFACTS(n, 9, 1)[0])
+	declined[bridgeLine(t, n)] *= 1e6
+	ev.Gamma(declined)
+	declined[n.DFACTSIndices()[0]] *= 1.01
+	ev.Gamma(declined)
 	if b := GammaBasisBuilds() - before; b != 1 {
 		t.Fatalf("two declined candidates built %d bases, want 1", b)
 	}

@@ -10,47 +10,70 @@ import (
 	"gridmtd/internal/se"
 )
 
-// FuzzGammaKernelPrep draws an ieee57 x_old (a global scale times a
-// per-line factor on a seeded third of the lines), a candidate that moves
-// the D-FACTS lines in mask to seeded points of their device box and
-// offD further lines off the D-FACTS set (so the kernel forms its blocks
-// on the fly), and an attack seed. Whenever the kernel prepared from the
-// blocked sparse solves accepts the candidate, its γ must agree with the
-// Gram-Schmidt reference within 1e-9, and every attack's residual
-// decisions must equal the se.NewEstimator QR's. Run it with
+// FuzzGammaKernelPrep draws an ieee57 x_old, a candidate and an attack
+// seed. With nf = 0, x_old is a global scale times a per-line factor on a
+// seeded third of the lines, so F (the lines off the D-FACTS set D where
+// x_old differs from the case) is every line off D; otherwise it is the
+// case's reactances scaled on nf%64 seeded lines off D, which are then F.
+// The candidate starts from x_old, or, when fromCase is set, from the
+// case's reactances as every ExpandDFACTS candidate does, so that it
+// changes all of F. It then moves the D-FACTS lines in mask to seeded
+// points of their device box and offD%64 further lines off D (lines
+// outside D ∪ F make the kernel form its blocks on the fly). Whenever the
+// kernel prepared from the blocked sparse solves accepts the candidate,
+// its γ must agree with the Gram-Schmidt reference within 1e-9, and every
+// attack's residual decisions must equal the se.NewEstimator QR's. Run it
+// with
 //
 //	go test -fuzz FuzzGammaKernelPrep -fuzztime 20s ./internal/core
 func FuzzGammaKernelPrep(f *testing.F) {
-	f.Add(int64(1), uint16(0xfff), uint8(0), int64(7))
+	f.Add(int64(1), uint16(0xfff), uint8(0), int64(7), uint8(0), false)
 	var (
 		once sync.Once
 		n    *grid.Network
 		err  error
 	)
-	f.Fuzz(func(t *testing.T, xOldSeed int64, mask uint16, offD uint8, attackSeed int64) {
+	f.Fuzz(func(t *testing.T, xOldSeed int64, mask uint16, offD uint8, attackSeed int64, nf uint8, fromCase bool) {
 		once.Do(func() { n, err = grid.CaseByName("ieee57") })
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(xOldSeed))
+		inD := make(map[int]bool)
+		for _, l := range n.DFACTSIndices() {
+			inD[l] = true
+		}
+		var off []int // the lines off D
+		for l := range n.Branches {
+			if !inD[l] {
+				off = append(off, l)
+			}
+		}
 		xOld := n.Reactances()
-		scale := 0.8 + 0.4*rng.Float64()
-		for l := range xOld {
-			xOld[l] *= scale
-			if rng.Intn(3) == 0 {
-				xOld[l] *= 0.7 + 0.6*rng.Float64()
+		if nf%64 == 0 {
+			scale := 0.8 + 0.4*rng.Float64()
+			for l := range xOld {
+				xOld[l] *= scale
+				if rng.Intn(3) == 0 {
+					xOld[l] *= 0.7 + 0.6*rng.Float64()
+				}
+			}
+		} else {
+			for _, i := range rng.Perm(len(off))[:min(int(nf%64), len(off))] {
+				xOld[off[i]] *= 0.7 + 0.6*rng.Float64()
 			}
 		}
 		x := append([]float64(nil), xOld...)
+		if fromCase {
+			x = n.Reactances()
+		}
 		lo, hi := n.DFACTSBounds()
-		inD := make(map[int]bool)
 		for i, l := range n.DFACTSIndices() {
-			inD[l] = true
 			if mask&(1<<i) != 0 {
 				x[l] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 			}
 		}
-		for moved := 0; moved < int(offD%16); {
+		for moved := 0; moved < int(offD%64); {
 			if l := rng.Intn(n.L()); !inD[l] {
 				x[l] *= 0.8 + 0.4*rng.Float64()
 				moved++

@@ -11,31 +11,47 @@ import (
 )
 
 // FuzzKernelResidualDecisions draws ieee57 D-FACTS settings (the lines in
-// mask move to a seeded point of their device box, the rest stay nominal)
-// and attack seeds, and requires every attack's decisions on the
-// residual-kernel path — one per δ threshold plus the undetectability
-// flag, after the path's estimator re-checks — to equal the ones the
-// se.NewEstimator QR residuals give. Run it with
+// mask move to a seeded point of their device box, the rest stay at the
+// case's reactances) and attack seeds, against an x_old that is the case
+// itself (nf%64 = 0) or the case with its first nf%64 lines off the
+// D-FACTS set scaled by 1.1, an attacker-known configuration every
+// setting differs from on those lines too. It requires every attack's
+// decisions on the residual-kernel path — one per δ threshold plus the
+// undetectability flag, after the path's estimator re-checks — to equal
+// the ones the se.NewEstimator QR residuals give. Run it with
 //
 //	go test -fuzz FuzzKernelResidualDecisions -fuzztime 20s ./internal/core
 func FuzzKernelResidualDecisions(f *testing.F) {
-	f.Add(int64(1), uint16(0xfff), int64(7))
+	f.Add(int64(1), uint16(0xfff), int64(7), uint8(0))
 	var (
 		once sync.Once
 		n    *grid.Network
-		zOld []float64
+		zNom []float64
 		err  error
 	)
-	f.Fuzz(func(t *testing.T, settingSeed int64, mask uint16, attackSeed int64) {
+	f.Fuzz(func(t *testing.T, settingSeed int64, mask uint16, attackSeed int64, nf uint8) {
 		once.Do(func() {
 			if n, err = grid.CaseByName("ieee57"); err == nil {
-				zOld, err = OperatingMeasurements(n, n.Reactances())
+				zNom, err = OperatingMeasurements(n, n.Reactances())
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		xOld := n.Reactances()
+		xOld, zOld := n.Reactances(), zNom
+		if nf%64 != 0 {
+			for l, changed := 0, 0; l < n.L() && changed < int(nf%64); l++ {
+				if !n.Branches[l].HasDFACTS {
+					xOld[l] *= 1.1
+					changed++
+				}
+			}
+			z, err := OperatingMeasurements(n, xOld)
+			if err != nil {
+				t.Skip("no operating point at this x_old")
+			}
+			zOld = z
+		}
 		cfg := EffectivenessConfig{NumAttacks: 50, Seed: attackSeed}.withDefaults()
 		set, err := SampleAttacks(n, xOld, zOld, cfg)
 		if err != nil {

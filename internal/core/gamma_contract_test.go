@@ -25,7 +25,7 @@ func TestGammaBitwiseBelowThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n.N() >= grid.SparseThreshold {
-			t.Fatalf("%s unexpectedly at or above the fast-kernel threshold", name)
+			t.Fatalf("%s unexpectedly at or above the sparse threshold", name)
 		}
 		xOld := n.Reactances()
 		for i, xd := range backendTestPoints(n) {
@@ -60,9 +60,9 @@ func TestGammaBitwiseUnderDenseBackend(t *testing.T) {
 }
 
 // TestGammaAgreesAboveThreshold pins the upper tier: at or above the
-// threshold Gamma runs the fast kernels on the reduced rows and agrees
-// with the reference within 1e-9 rad (cosine scale near γ = 0, where acos
-// turns sub-ulp singular-value noise into ~1e-8 angle noise).
+// threshold Gamma runs the rank-|S| kernel and agrees with the reference
+// within 1e-9 rad (cosine scale near γ = 0, where acos turns sub-ulp
+// singular-value noise into ~1e-8 angle noise).
 func TestGammaAgreesAboveThreshold(t *testing.T) {
 	cases := []string{"ieee57"}
 	if !testing.Short() {

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"gridmtd/internal/grid"
+	"gridmtd/internal/opf"
 )
 
 // randomDFACTS draws count seeded D-FACTS settings uniformly from the
@@ -85,10 +87,16 @@ func TestGammaUpdateAgreesWithReference(t *testing.T) {
 	}
 }
 
-// TestGammaUpdateExplicitXOld covers an attacker-known configuration that
-// is not nominal: x_old differs from the nominal reactances on 40 random
-// branches, and the candidate differs from x_old on 40 others (s = 40,
-// within the kernel's k/2 = 58 on ieee118).
+// TestGammaUpdateExplicitXOld covers attacker-known configurations that
+// are not a D-FACTS setting of the case. First, on ieee118, x_old differs
+// from the nominal reactances on 40 random branches, and the candidate
+// differs from x_old on 40 others, so S lies outside the block set.
+// Second, on ieee57, ieee118 and ieee300, x_old scales N/2+1 lines off
+// the D-FACTS set by 1.1, and the candidates are D-FACTS settings of the
+// case: each changes more than k/2 branches, all of them inside D ∪ F, so
+// the kernel gathers its blocks. Every candidate must be served by the
+// kernel and agree with the reference. Under the race detector ieee300
+// runs one point.
 func TestGammaUpdateExplicitXOld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ieee118 reference pipeline in -short mode")
@@ -114,11 +122,107 @@ func TestGammaUpdateExplicitXOld(t *testing.T) {
 		}
 		checkGammaAgrees(t, "explicit x_old", ev.GammaExact(x), referenceGamma(n, xOld, x))
 	}
+
+	for _, name := range []string{"ieee57", "ieee118", "ieee300"} {
+		n, err := grid.CaseByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xOld := offDFACTSXOld(n)
+		ev := NewGammaEvaluator(n, xOld)
+		pts := randomDFACTS(n, 11, 3)
+		if name == "ieee300" && raceEnabled {
+			pts = pts[:1]
+		}
+		for i, xd := range pts {
+			x := n.ExpandDFACTS(xd)
+			if !servedByUpdate(ev, x) {
+				t.Errorf("%s point %d: update kernel declined a D-FACTS setting against x_old off the D-FACTS set", name, i)
+			}
+			checkGammaAgrees(t, name+" x_old off D", ev.GammaDFACTS(xd), referenceGamma(n, xOld, x))
+		}
+	}
 }
 
-// TestGammaUpdateForcedFallback pins the decline path: a candidate that
-// changes every branch is more than the kernel takes, and the exact path
-// must then return the Gram-Schmidt evaluation's bits.
+// offDFACTSXOld returns the case's reactances scaled by 1.1 on its first
+// N/2+1 lines off the D-FACTS set: an attacker-known configuration that
+// every D-FACTS setting of the case differs from on more than k/2 lines.
+func offDFACTSXOld(n *grid.Network) []float64 {
+	x := n.Reactances()
+	for l, changed := 0, 0; changed < n.N()/2+1; l++ {
+		if !n.Branches[l].HasDFACTS {
+			x[l] *= 1.1
+			changed++
+		}
+	}
+	return x
+}
+
+// TestGammaBlockSet pins the evaluator's block set: exactly D, in D's
+// order, for an x_old from a problem-(1) solve, and D followed by the
+// changed lines off D for an explicit one.
+func TestGammaBlockSet(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opf.SolveDFACTS(n, opf.DFACTSConfig{Starts: 1, Seed: 3, MaxEvals: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := blockSet(n, res.Reactances), n.DFACTSIndices(); !reflect.DeepEqual(got, want) {
+		t.Errorf("problem-(1) x_old: block set %v, want D = %v", got, want)
+	}
+	xOld := offDFACTSXOld(n)
+	want := n.DFACTSIndices()
+	for l, br := range n.Branches {
+		if xOld[l] != br.X {
+			want = append(want, l)
+		}
+	}
+	if got := blockSet(n, xOld); !reflect.DeepEqual(got, want) || len(got) != len(n.DFACTSIndices())+n.N()/2+1 {
+		t.Errorf("explicit x_old: block set %v, want %v", got, want)
+	}
+}
+
+// bridgeLine returns the first line whose removal disconnects the
+// network: a bridge, whose column of Ĉ lies in Col(B_old).
+func bridgeLine(t *testing.T, n *grid.Network) int {
+	t.Helper()
+	for skip := range n.Branches {
+		adj := make([][]int, n.N())
+		for l, br := range n.Branches {
+			if l != skip {
+				adj[br.From-1] = append(adj[br.From-1], br.To-1)
+				adj[br.To-1] = append(adj[br.To-1], br.From-1)
+			}
+		}
+		seen := make([]bool, n.N())
+		stack, reached := []int{0}, 1
+		seen[0] = true
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range adj[b] {
+				if !seen[c] {
+					seen[c] = true
+					reached++
+					stack = append(stack, c)
+				}
+			}
+		}
+		if reached < n.N() {
+			return skip
+		}
+	}
+	t.Fatalf("%s has no bridge", n.Name)
+	return -1
+}
+
+// TestGammaUpdateForcedFallback pins the decline path: a bridge whose
+// reactance grows a millionfold leaves H(x′) nearly rank-deficient, so
+// T = I + N_SS·Δ is ill-conditioned and the kernel declines, and the exact
+// path must then return the Gram-Schmidt evaluation's bits.
 func TestGammaUpdateForcedFallback(t *testing.T) {
 	n, err := grid.CaseByName("ieee57")
 	if err != nil {
@@ -126,12 +230,10 @@ func TestGammaUpdateForcedFallback(t *testing.T) {
 	}
 	xOld := n.Reactances()
 	ev := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
-	x := append([]float64(nil), xOld...)
-	for l := range x {
-		x[l] *= 1 + 0.2*float64(l%7)/7 + 0.01
-	}
+	x := n.ExpandDFACTS(randomDFACTS(n, 2, 1)[0])
+	x[bridgeLine(t, n)] *= 1e6
 	if servedByUpdate(ev, x) {
-		t.Fatal("update kernel accepted a candidate that changes every branch")
+		t.Fatal("update kernel accepted an ill-conditioned T")
 	}
 	w := ev.pool.New().(*gammaWorkspace)
 	want := ev.gramSchmidtGamma(w, x)

@@ -10,11 +10,10 @@ import (
 	"gridmtd/internal/subspace"
 )
 
-// TestGammaFastKernelsAgree pins the large-case γ contract: the evaluator
-// (which selects the multi-accumulator/blocked kernels at or above
-// grid.SparseThreshold buses) must agree with the exact uncached
-// subspace.Gamma to 1e-9 radians.
-func TestGammaFastKernelsAgree(t *testing.T) {
+// TestGammaLargeCasesAgree pins the large-case γ contract: the evaluator
+// (the rank-|S| kernel at or above grid.SparseThreshold buses) must agree
+// with the exact uncached subspace.Gamma to 1e-9 radians.
+func TestGammaLargeCasesAgree(t *testing.T) {
 	cases := []string{"ieee57"}
 	if !testing.Short() {
 		cases = append(cases, "ieee118")
@@ -25,7 +24,7 @@ func TestGammaFastKernelsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n.N() < grid.SparseThreshold {
-			t.Fatalf("%s unexpectedly below the fast-kernel threshold", name)
+			t.Fatalf("%s unexpectedly below the sparse threshold", name)
 		}
 		xOld := n.Reactances()
 		ev := NewGammaEvaluator(n, xOld)
@@ -36,20 +35,20 @@ func TestGammaFastKernelsAgree(t *testing.T) {
 				xd[i] = lo[i] + frac*(hi[i]-lo[i])
 			}
 			xNew := n.ExpandDFACTS(xd)
-			fast := ev.Gamma(xNew)
+			got := ev.Gamma(xNew)
 			exact := subspace.Gamma(n.MeasurementMatrix(xOld), n.MeasurementMatrix(xNew))
 			// Near γ = 0 (the box midpoint is x_old itself) acos turns
 			// sub-ulp singular-value noise into ~1e-8 angle noise, so the
 			// agreement check moves to the well-conditioned cosine scale
 			// there.
 			if exact < 1e-6 {
-				if math.Abs(math.Cos(fast)-math.Cos(exact)) > 1e-12 {
-					t.Fatalf("%s frac %.2f: near-zero γ disagrees: fast %.3g vs exact %.3g", name, frac, fast, exact)
+				if math.Abs(math.Cos(got)-math.Cos(exact)) > 1e-12 {
+					t.Fatalf("%s frac %.2f: near-zero γ disagrees: evaluator %.3g vs exact %.3g", name, frac, got, exact)
 				}
 				continue
 			}
-			if math.Abs(fast-exact) > 1e-9 {
-				t.Fatalf("%s frac %.2f: fast γ %.15g vs exact %.15g", name, frac, fast, exact)
+			if math.Abs(got-exact) > 1e-9 {
+				t.Fatalf("%s frac %.2f: evaluator γ %.15g vs exact %.15g", name, frac, got, exact)
 			}
 		}
 	}
@@ -149,8 +148,8 @@ func TestSelectMTDIEEE118SparseSmoke(t *testing.T) {
 
 // TestIEEE300SparseSmoke is the 300-bus scaling smoke: the registry's
 // largest case must resolve to the sparse backend, dispatch at its
-// calibrated ratings, and evaluate γ through the fast kernels at a device
-// corner. (A full 300-bus selection costs ~1 s per candidate — the
+// calibrated ratings, and evaluate γ through the rank-|S| kernel at a
+// device corner. (A full 300-bus selection costs ~1 s per candidate — the
 // selection machinery itself is smoked at 118 buses; this keeps the
 // registry's largest case exercising the sparse dispatch and γ paths in
 // seconds.)
@@ -187,7 +186,7 @@ func TestIEEE300SparseSmoke(t *testing.T) {
 	if cornerCost < res.CostPerHour {
 		t.Fatalf("corner cost %.1f below the nominal optimum %.1f", cornerCost, res.CostPerHour)
 	}
-	// The fast-kernel γ at the corner must clear the smoke threshold (the
+	// The kernel's γ at the corner must clear the smoke threshold (the
 	// 12-device deployment reaches ~0.16 rad) and agree with itself across
 	// evaluator and session paths.
 	ev := NewGammaEvaluator(n, n.Reactances())

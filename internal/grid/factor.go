@@ -43,9 +43,9 @@ func (b Backend) String() string {
 // 4/14/30-bus cases are pinned to the dense path anyway: their experiment
 // outputs are bitwise-reproducibility contracts and only the dense backend
 // performs the historical float operations. The same threshold keys every
-// other dense/fast seam: the warm-started revised simplex and the
-// multi-accumulator γ kernels engage only on the ≥-threshold path, which
-// carries a 1e-9-agreement contract instead of the bitwise one.
+// other dense/sparse seam: the warm-started revised simplex and the
+// rank-|S| γ kernel engage only on the ≥-threshold path, which carries a
+// 1e-9-agreement contract instead of the bitwise one.
 const SparseThreshold = 50
 
 // defaultBackend is the process-wide AutoBackend override, settable from
@@ -70,7 +70,7 @@ func Backends() []struct{ Name, Desc string } {
 	return []struct{ Name, Desc string }{
 		{"auto", "dense below the sparse threshold (50 buses), sparse at or above it"},
 		{"dense", "historical dense LU path, bitwise-reproducible outputs"},
-		{"sparse", "CSC + min-degree + sparse Cholesky, warm simplex, fast γ kernels (1e-9)"},
+		{"sparse", "CSC + min-degree + sparse Cholesky, warm simplex, rank-|S| γ kernel (1e-9)"},
 	}
 }
 

@@ -118,3 +118,86 @@ func TestGammaColumnFactor(t *testing.T) {
 		}
 	}
 }
+
+// GammaSketchOperands returns Eᵀ (GammaIncidenceT) and the sparse Gram
+// kernel G = ĈᵀĈ = AᵀA + 2I (L×L) of the factorization B(x) = Ĉ·D(x)·E
+// that GammaColumnFactor describes, so B(x₁)ᵀB(x₂) = Eᵀ·D₁·G·D₂·E. The
+// tests check the factorization against the dense matrices through it.
+func (n *Network) GammaSketchOperands() (et, g *mat.CSC) {
+	nl := n.L()
+	et = n.GammaIncidenceT()
+
+	// G = AᵀA + 2I: (AᵀA)_{lm} sums a_bl·a_bm over the buses both branches
+	// touch (full incidence, slack included), and the 2I is the √2-scaled
+	// flow block's contribution.
+	inc := make([][]int, n.N())      // incident branches per bus
+	sign := make([][]float64, n.N()) // ±1 orientation per incidence
+	for l, br := range n.Branches {
+		inc[br.From-1] = append(inc[br.From-1], l)
+		sign[br.From-1] = append(sign[br.From-1], 1)
+		inc[br.To-1] = append(inc[br.To-1], l)
+		sign[br.To-1] = append(sign[br.To-1], -1)
+	}
+	var gis, gjs []int
+	var gvs []float64
+	for b := range inc {
+		for i, li := range inc[b] {
+			for j, lj := range inc[b] {
+				gis, gjs = append(gis, li), append(gjs, lj)
+				gvs = append(gvs, sign[b][i]*sign[b][j])
+			}
+		}
+	}
+	sqrt2sq := math.Sqrt2 * math.Sqrt2 // the flow rows carry √2 exactly as built
+	for l := 0; l < nl; l++ {
+		gis, gjs = append(gis, l), append(gjs, l)
+		gvs = append(gvs, sqrt2sq)
+	}
+	g = mat.NewCSCFromTriplets(nl, nl, gis, gjs, gvs)
+	return et, g
+}
+
+// GammaAmbient returns the row count of the reduced γ-equivalent
+// measurement representation built by MeasurementMatrixTGammaInto: N + L.
+func (n *Network) GammaAmbient() int { return n.N() + n.L() }
+
+// MeasurementMatrixTGammaInto builds the transposed reduced γ-equivalent
+// measurement matrix into the preallocated (N-1)×(N+L) buffer: the
+// injection block of Hᵀ followed by the flow block scaled by √2. The full
+// measurement matrix stacks the flow rows twice (z = [p; f; −f], the
+// reverse-flow block being the exact negation of the forward one), so for
+// any two columns ⟨h_a, h_b⟩ = ⟨p_a, p_b⟩ + 2⟨f_a, f_b⟩ — exactly the
+// inner product of the reduced columns [p; √2·f]. Principal angles (and
+// hence γ) depend on the column sets only through these inner products, so
+// the reduced representation yields mathematically identical angles while
+// cutting every Gram-Schmidt and cross-Gram reduction from N+2L to N+L
+// rows. The √2 scaling rounds each flow entry once. The tests build it to
+// check the factorization GammaColumnFactor describes against a dense
+// matrix.
+func (n *Network) MeasurementMatrixTGammaInto(x []float64, ht *mat.Dense) *mat.Dense {
+	if len(x) != n.L() {
+		panic("grid: reactance vector length mismatch")
+	}
+	nb, nl := n.N(), n.L()
+	if ht.Rows() != nb-1 || ht.Cols() != nb+nl {
+		panic("grid: reduced gamma measurement matrix buffer has wrong shape")
+	}
+	ht.Zero()
+	for l, br := range n.Branches {
+		y := 1 / x[l]
+		ys := y * math.Sqrt2
+		i, j := br.From-1, br.To-1
+		ci, cj := n.reducedCol(i), n.reducedCol(j)
+		if ci >= 0 {
+			ht.Add(ci, i, y)
+			ht.Add(ci, j, -y)
+			ht.Set(ci, nb+l, ys)
+		}
+		if cj >= 0 {
+			ht.Add(cj, j, y)
+			ht.Add(cj, i, -y)
+			ht.Set(cj, nb+l, -ys)
+		}
+	}
+	return ht
+}

@@ -1,10 +1,6 @@
 package grid
 
-import (
-	"math"
-
-	"gridmtd/internal/mat"
-)
+import "gridmtd/internal/mat"
 
 // Incidence returns the N×L branch-bus incidence matrix A with
 // A[i][l] = +1 if branch l starts at bus i+1, -1 if it ends there.
@@ -179,51 +175,6 @@ func (n *Network) MeasurementMatrixTInto(x []float64, ht *mat.Dense) *mat.Dense 
 		if cj >= 0 {
 			ht.Set(cj, nb+l, -y)
 			ht.Set(cj, nb+nl+l, y)
-		}
-	}
-	return ht
-}
-
-// GammaAmbient returns the row count of the reduced γ-equivalent
-// measurement representation built by MeasurementMatrixTGammaInto: N + L.
-func (n *Network) GammaAmbient() int { return n.N() + n.L() }
-
-// MeasurementMatrixTGammaInto builds the transposed reduced γ-equivalent
-// measurement matrix into the preallocated (N-1)×(N+L) buffer: the
-// injection block of Hᵀ followed by the flow block scaled by √2. The full
-// measurement matrix stacks the flow rows twice (z = [p; f; −f], the
-// reverse-flow block being the exact negation of the forward one), so for
-// any two columns ⟨h_a, h_b⟩ = ⟨p_a, p_b⟩ + 2⟨f_a, f_b⟩ — exactly the
-// inner product of the reduced columns [p; √2·f]. Principal angles (and
-// hence γ) depend on the column sets only through these inner products, so
-// the reduced representation yields mathematically identical angles while
-// cutting every Gram-Schmidt and cross-Gram reduction from N+2L to N+L
-// rows. The √2 scaling rounds each flow entry once, which is why this
-// builder serves only the large-case fast-kernel path (1e-9-agreement
-// contract), not the bitwise dense path.
-func (n *Network) MeasurementMatrixTGammaInto(x []float64, ht *mat.Dense) *mat.Dense {
-	if len(x) != n.L() {
-		panic("grid: reactance vector length mismatch")
-	}
-	nb, nl := n.N(), n.L()
-	if ht.Rows() != nb-1 || ht.Cols() != nb+nl {
-		panic("grid: reduced gamma measurement matrix buffer has wrong shape")
-	}
-	ht.Zero()
-	for l, br := range n.Branches {
-		y := 1 / x[l]
-		ys := y * math.Sqrt2
-		i, j := br.From-1, br.To-1
-		ci, cj := n.reducedCol(i), n.reducedCol(j)
-		if ci >= 0 {
-			ht.Add(ci, i, y)
-			ht.Add(ci, j, -y)
-			ht.Set(ci, nb+l, ys)
-		}
-		if cj >= 0 {
-			ht.Add(cj, j, y)
-			ht.Add(cj, i, -y)
-			ht.Set(cj, nb+l, -ys)
 		}
 	}
 	return ht

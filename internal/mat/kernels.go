@@ -1,15 +1,16 @@
 package mat
 
-// Multi-accumulator reduction kernels for the large-case (≥ 57-bus) hot
-// paths. The historical Dot/Norm2/AxpyVec loops carry one serial
-// floating-point dependency chain, which makes them latency-bound; these
-// variants split the reduction across four independent accumulators so the
-// CPU can overlap the multiply-adds. Splitting the chain changes the
-// summation order, so the results differ from the serial kernels in the
-// last bits — callers on the sub-threshold dense path, whose experiment
-// outputs are bitwise-reproducibility contracts, must keep using Dot,
-// Norm2 and AxpyVec. The large-case path carries a 1e-9-agreement contract
-// instead (see PERF.md), which these kernels satisfy with room to spare.
+// Unrolled kernels for the sparse-tier hot paths (the rank-|S| γ update
+// kernel and the sparse triangular solves). The historical Dot loop
+// carries one serial floating-point dependency chain, which makes it
+// latency-bound; DotFast splits the reduction across independent
+// accumulators so the CPU can overlap the multiply-adds. Splitting the
+// chain changes the summation order, so its results differ from Dot in
+// the last bits — callers on the sub-threshold dense path, whose
+// experiment outputs are bitwise-reproducibility contracts, must keep
+// using Dot and AxpyVec. The sparse tier carries a 1e-9-agreement
+// contract instead (see PERF.md), which these kernels satisfy with room
+// to spare.
 
 // DotFast returns the inner product of x and y using eight accumulators
 // (measured on the CI-class Xeon: ~1.45× over the serial loop at the
@@ -37,35 +38,11 @@ func DotFast(x, y []float64) float64 {
 	return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
 }
 
-// Norm2SqFast returns the squared Euclidean norm of x using eight
-// accumulators. Unlike Norm2 it does not rescale against overflow or
-// underflow: it is meant for the O(1)-magnitude vectors of the
-// measurement-matrix kernels.
-func Norm2SqFast(x []float64) float64 {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
-	for len(x) >= 8 {
-		s0 += x[0] * x[0]
-		s1 += x[1] * x[1]
-		s2 += x[2] * x[2]
-		s3 += x[3] * x[3]
-		s4 += x[4] * x[4]
-		s5 += x[5] * x[5]
-		s6 += x[6] * x[6]
-		s7 += x[7] * x[7]
-		x = x[8:]
-	}
-	for _, v := range x {
-		s0 += v * v
-	}
-	return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
-}
-
 // AxpyFast adds alpha*x to y in place with a four-way unrolled loop. The
 // stores are independent, so the unroll exists to amortize loop overhead
 // and keep the load/store pipeline full rather than to break a dependency
 // chain; the element results are identical to AxpyVec (each y[i] is
-// updated by exactly one fused expression), but it is grouped with the
-// fast kernels because callers select the whole family together.
+// updated by exactly one fused expression).
 func AxpyFast(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(ErrShape)
@@ -80,49 +57,5 @@ func AxpyFast(alpha float64, x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += alpha * v
-	}
-}
-
-// dot3Fast returns (x·x, y·y, x·y) in one fused pass with two accumulators
-// per product — the Gram entries of a Jacobi column pair.
-func dot3Fast(x, y []float64) (xx, yy, xy float64) {
-	var xx0, xx1, yy0, yy1, xy0, xy1 float64
-	for len(x) >= 2 {
-		a0, a1 := x[0], x[1]
-		b0, b1 := y[0], y[1]
-		xx0 += a0 * a0
-		xx1 += a1 * a1
-		yy0 += b0 * b0
-		yy1 += b1 * b1
-		xy0 += a0 * b0
-		xy1 += a1 * b1
-		x = x[2:]
-		y = y[2:]
-	}
-	if len(x) == 1 {
-		xx0 += x[0] * x[0]
-		yy0 += y[0] * y[0]
-		xy0 += x[0] * y[0]
-	}
-	return xx0 + xx1, yy0 + yy1, xy0 + xy1
-}
-
-// rotateFast applies the Jacobi rotation (c, s) to the column pair (x, y)
-// in place with a two-way unrolled loop.
-func rotateFast(x, y []float64, c, s float64) {
-	for len(x) >= 2 {
-		x0, x1 := x[0], x[1]
-		y0, y1 := y[0], y[1]
-		x[0] = c*x0 - s*y0
-		y[0] = s*x0 + c*y0
-		x[1] = c*x1 - s*y1
-		y[1] = s*x1 + c*y1
-		x = x[2:]
-		y = y[2:]
-	}
-	if len(x) == 1 {
-		x0, y0 := x[0], y[0]
-		x[0] = c*x0 - s*y0
-		y[0] = s*x0 + c*y0
 	}
 }

@@ -25,18 +25,6 @@ func TestDotFastAgrees(t *testing.T) {
 	}
 }
 
-func TestNorm2SqFastAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 3, 4, 9, 117} {
-		x := randVec(rng, n)
-		got := Norm2SqFast(x)
-		want := Norm2(x)
-		if math.Abs(math.Sqrt(got)-want) > 1e-12*(1+want) {
-			t.Fatalf("n=%d: sqrt(Norm2SqFast) %.17g vs Norm2 %.17g", n, math.Sqrt(got), want)
-		}
-	}
-}
-
 func TestAxpyFastAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 3, 4, 9, 117} {
@@ -49,79 +37,6 @@ func TestAxpyFastAgrees(t *testing.T) {
 			// Element results are identical expressions; require exactness.
 			if y1[i] != y2[i] {
 				t.Fatalf("n=%d: AxpyFast[%d] = %v, AxpyVec = %v", n, i, y2[i], y1[i])
-			}
-		}
-	}
-}
-
-// TestSmallestSingularValueFastAgrees compares the tridiagonal-bisection
-// σ_min kernel against the full Jacobi spectrum, including the clustered
-// near-identity matrices the γ evaluation actually produces (cross-Gram of
-// two nearby orthonormal bases has every singular value near 1).
-func TestSmallestSingularValueFastAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	var ws, ref SVDWorkspace
-	check := func(name string, a *Dense) {
-		t.Helper()
-		sv := ref.SingularValues(a)
-		want := sv[len(sv)-1]
-		got := ws.SmallestSingularValueFast(a)
-		if math.Abs(got-want) > 1e-8*(1+want) {
-			t.Fatalf("%s: σ_min = %.15g, want %.15g", name, got, want)
-		}
-	}
-	for _, dims := range [][2]int{{1, 1}, {4, 2}, {9, 9}, {40, 33}, {117, 117}} {
-		m, n := dims[0], dims[1]
-		a := NewDense(m, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, 2*rng.Float64()-1)
-			}
-		}
-		check("random", a)
-	}
-	// Near-identity with a clustered spectrum: I + small symmetric noise.
-	n := 60
-	a := Identity(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Add(i, j, 0.01*(2*rng.Float64()-1))
-		}
-	}
-	check("near-identity", a)
-	// Exactly repeated singular values (block diagonal of equal scalings).
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = 0.95
-	}
-	d[n-1] = 0.93
-	d[n-2] = 0.93
-	check("repeated", Diagonal(d))
-}
-
-// TestSingularValuesFastAgrees compares the blocked multi-accumulator
-// Jacobi kernel with the exact one across shapes that cover the blocked
-// sweep's corner cases (blocks smaller, equal and larger than the column
-// count).
-func TestSingularValuesFastAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var ws, wsFast SVDWorkspace
-	for _, dims := range [][2]int{{1, 1}, {5, 3}, {8, 8}, {17, 9}, {40, 33}, {117, 117}} {
-		m, n := dims[0], dims[1]
-		a := NewDense(m, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, 2*rng.Float64()-1)
-			}
-		}
-		want := ws.SingularValues(a)
-		got := wsFast.SingularValuesFast(a)
-		if len(got) != len(want) {
-			t.Fatalf("%dx%d: %d singular values, want %d", m, n, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-10*(1+want[i]) {
-				t.Fatalf("%dx%d: sv[%d] = %.15g, want %.15g", m, n, i, got[i], want[i])
 			}
 		}
 	}

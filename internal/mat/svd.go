@@ -127,11 +127,6 @@ type SVDWorkspace struct {
 	sv    []float64
 	norm2 []float64 // cached column squared norms
 	nval  []bool    // norm2[j] matches the current column j
-	// Smallest-singular-value scratch (gram matrix, tridiagonal, vectors).
-	g       []float64
-	diag    []float64
-	offdiag []float64
-	hv      []float64
 }
 
 // SingularValues computes the singular values of a (rows >= cols required)
@@ -277,324 +272,4 @@ func (ws *SVDWorkspace) SingularValues(a *Dense) []float64 {
 	// Descending order, as ComputeSVD reports.
 	sort.Sort(sort.Reverse(sort.Float64Slice(sv)))
 	return sv
-}
-
-// SingularValuesFast computes the singular values of a (rows >= cols
-// required) in descending order with the large-case kernels: the one-sided
-// Jacobi sweep walks column pairs in cache-sized blocks, the 2×2 Gram
-// entries use the fused multi-accumulator reduction, the rotation loop is
-// unrolled, and column squared norms are memoized across untouched pairs.
-// The rotation sequence and summation orders differ from SingularValues,
-// so the results agree with it only to rounding (well inside 1e-9
-// relative) — large-case callers only; the dense sub-threshold path must
-// keep using SingularValues.
-func (ws *SVDWorkspace) SingularValuesFast(a *Dense) []float64 {
-	m, n := a.rows, a.cols
-	if m < n {
-		panic("mat: SingularValues requires rows >= cols")
-	}
-	if n == 0 {
-		return nil
-	}
-	// Transposed (column-contiguous) working copy, as SingularValues uses.
-	if cap(ws.u) < m*n {
-		ws.u = make([]float64, m*n)
-	}
-	ut := ws.u[:m*n]
-	for i := 0; i < m; i++ {
-		arow := a.data[i*n : (i+1)*n]
-		for j, v := range arow {
-			ut[j*m+i] = v
-		}
-	}
-
-	if cap(ws.norm2) < n {
-		ws.norm2 = make([]float64, n)
-		ws.nval = make([]bool, n)
-	}
-	norm2 := ws.norm2[:n]
-	nval := ws.nval[:n]
-	for j := range nval {
-		nval[j] = false
-	}
-
-	const maxSweeps = 60
-	const eps = 1e-15
-	const eps2 = eps * eps
-	// Block size: 2*blk columns must fit in L1 alongside the scalar state.
-	// At 117 rows a column is ~1 KB, so 8-column blocks keep the working
-	// set around 16 KB.
-	const blk = 8
-
-	// rotatePair orthogonalizes columns p and q, returning their Gram
-	// off-diagonal contribution to the sweep's convergence measure.
-	rotatePair := func(p, q int) float64 {
-		colP := ut[p*m : (p+1)*m]
-		colQ := ut[q*m : (q+1)*m]
-		var app, aqq, apq float64
-		switch {
-		case nval[p] && nval[q]:
-			app, aqq = norm2[p], norm2[q]
-			apq = DotFast(colP, colQ)
-		case nval[p]:
-			app = norm2[p]
-			aqq, apq = Norm2SqFast(colQ), DotFast(colP, colQ)
-			norm2[q], nval[q] = aqq, true
-		case nval[q]:
-			aqq = norm2[q]
-			app, apq = Norm2SqFast(colP), DotFast(colP, colQ)
-			norm2[p], nval[p] = app, true
-		default:
-			app, aqq, apq = dot3Fast(colP, colQ)
-			norm2[p], nval[p] = app, true
-			norm2[q], nval[q] = aqq, true
-		}
-		if apq*apq <= eps2*(app*aqq) {
-			return 0
-		}
-		nval[p] = false
-		nval[q] = false
-		tau := (aqq - app) / (2 * apq)
-		var t float64
-		if tau >= 0 {
-			t = 1 / (tau + math.Sqrt(1+tau*tau))
-		} else {
-			t = -1 / (-tau + math.Sqrt(1+tau*tau))
-		}
-		c := 1 / math.Sqrt(1+t*t)
-		s := c * t
-		rotateFast(colP, colQ, c, s)
-		return apq * apq
-	}
-
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for pb := 0; pb < n; pb += blk {
-			pe := pb + blk
-			if pe > n {
-				pe = n
-			}
-			// Diagonal block: pairs inside [pb, pe).
-			for p := pb; p < pe-1; p++ {
-				for q := p + 1; q < pe; q++ {
-					off += rotatePair(p, q)
-				}
-			}
-			// Off-diagonal blocks: [pb, pe) × [qb, qe). Each unordered
-			// pair is visited exactly once per sweep, so this is a cyclic
-			// ordering and the one-sided Jacobi convergence argument
-			// applies unchanged.
-			for qb := pe; qb < n; qb += blk {
-				qe := qb + blk
-				if qe > n {
-					qe = n
-				}
-				for p := pb; p < pe; p++ {
-					for q := qb; q < qe; q++ {
-						off += rotatePair(p, q)
-					}
-				}
-			}
-		}
-		if off == 0 {
-			break
-		}
-	}
-
-	if cap(ws.sv) < n {
-		ws.sv = make([]float64, n)
-	}
-	sv := ws.sv[:n]
-	for j := 0; j < n; j++ {
-		sv[j] = math.Sqrt(Norm2SqFast(ut[j*m : (j+1)*m]))
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(sv)))
-	return sv
-}
-
-// SmallestSingularValueFast returns σ_min(a) (rows >= cols required)
-// without computing the rest of the spectrum: it forms the Gram matrix
-// G = aᵀa with the multi-accumulator kernels, Householder-tridiagonalizes
-// it, and bisects for the smallest eigenvalue with Sturm counts —
-// O(cols³/3) instead of the Jacobi sweep's many passes. The γ evaluation
-// needs exactly this value (cos of the largest principal angle), and on
-// the 117-state cross-Gram matrices it replaces ~9 ms of Jacobi sweeps
-// with well under 1 ms. Squaring halves the precision of tiny singular
-// values (σ below ~1e-8 come back with ~1e-8 absolute error), which the
-// large-case 1e-9 γ contract absorbs at its acos conditioning; the exact
-// Jacobi path remains for spectrum callers and the dense path.
-func (ws *SVDWorkspace) SmallestSingularValueFast(a *Dense) float64 {
-	m, n := a.rows, a.cols
-	if m < n {
-		panic("mat: SmallestSingularValueFast requires rows >= cols")
-	}
-	if n == 0 {
-		return 0
-	}
-	// G = aᵀa, built column-contiguous from a's rows (a is row-major, so
-	// column j of a is strided; go through the transposed copy like the
-	// Jacobi kernel to keep the reductions streaming).
-	if cap(ws.u) < m*n {
-		ws.u = make([]float64, m*n)
-	}
-	at := ws.u[:m*n]
-	for i := 0; i < m; i++ {
-		arow := a.data[i*n : (i+1)*n]
-		for j, v := range arow {
-			at[j*m+i] = v
-		}
-	}
-	if cap(ws.g) < n*n {
-		ws.g = make([]float64, n*n)
-	}
-	g := ws.g[:n*n]
-	for i := 0; i < n; i++ {
-		ci := at[i*m : (i+1)*m]
-		g[i*n+i] = Norm2SqFast(ci)
-		for j := i + 1; j < n; j++ {
-			v := DotFast(ci, at[j*m:(j+1)*m])
-			g[i*n+j] = v
-			g[j*n+i] = v
-		}
-	}
-
-	// Householder tridiagonalization: for each column k annihilate the
-	// entries below the first subdiagonal with H = I − 2vvᵀ applied from
-	// both sides (G ← G − 2vqᵀ − 2qvᵀ with p = Gv, q = p − (vᵀp)v).
-	if cap(ws.diag) < n {
-		ws.diag = make([]float64, n)
-		ws.offdiag = make([]float64, n)
-	}
-	d := ws.diag[:n]
-	e := ws.offdiag[:n]
-	ws.hv = growSlice(ws.hv, 2*n)
-	v := ws.hv[:n]
-	p := ws.hv[n : 2*n]
-	for k := 0; k < n-2; k++ {
-		// Householder vector for G[k+1:, k].
-		var norm2 float64
-		for i := k + 1; i < n; i++ {
-			norm2 += g[i*n+k] * g[i*n+k]
-		}
-		sub := math.Sqrt(norm2)
-		if sub == 0 {
-			e[k] = 0
-			continue
-		}
-		x0 := g[(k+1)*n+k]
-		alpha := -math.Copysign(sub, x0)
-		var vn2 float64
-		for i := k + 1; i < n; i++ {
-			v[i] = g[i*n+k]
-		}
-		v[k+1] -= alpha
-		for i := k + 1; i < n; i++ {
-			vn2 += v[i] * v[i]
-		}
-		if vn2 == 0 {
-			e[k] = alpha
-			continue
-		}
-		inv := 1 / math.Sqrt(vn2)
-		for i := k + 1; i < n; i++ {
-			v[i] *= inv
-		}
-		// p = G v over the trailing block, beta = vᵀ p, q = p − beta v.
-		var beta float64
-		for i := k + 1; i < n; i++ {
-			row := g[i*n:]
-			var s float64
-			for j := k + 1; j < n; j++ {
-				s += row[j] * v[j]
-			}
-			p[i] = s
-			beta += v[i] * s
-		}
-		for i := k + 1; i < n; i++ {
-			p[i] -= beta * v[i] // q
-		}
-		for i := k + 1; i < n; i++ {
-			row := g[i*n:]
-			vi2, qi2 := 2*v[i], 2*p[i]
-			for j := k + 1; j <= i; j++ {
-				row[j] -= vi2*p[j] + qi2*v[j]
-			}
-		}
-		// Mirror the lower triangle (only the trailing block is read).
-		for i := k + 1; i < n; i++ {
-			for j := k + 1; j < i; j++ {
-				g[j*n+i] = g[i*n+j]
-			}
-		}
-		e[k] = alpha
-	}
-	if n >= 2 {
-		e[n-2] = g[(n-1)*n+n-2]
-	}
-	for i := 0; i < n; i++ {
-		d[i] = g[i*n+i]
-	}
-
-	// Sturm bisection for the smallest eigenvalue of the tridiagonal
-	// (d, e). countBelow(t) counts eigenvalues < t via the LDLᵀ sign
-	// recurrence.
-	countBelow := func(t float64) int {
-		cnt := 0
-		q := 1.0
-		for i := 0; i < n; i++ {
-			var esq float64
-			if i > 0 {
-				esq = e[i-1] * e[i-1]
-			}
-			q = d[i] - t - esq/q
-			if q < 0 {
-				cnt++
-			}
-			if q == 0 {
-				q = 1e-300
-			}
-		}
-		return cnt
-	}
-	lo, hi := d[0], d[0]
-	for i := 0; i < n; i++ {
-		r := 0.0
-		if i > 0 {
-			r += math.Abs(e[i-1])
-		}
-		if i < n-1 {
-			r += math.Abs(e[i])
-		}
-		if d[i]-r < lo {
-			lo = d[i] - r
-		}
-		if d[i] < hi {
-			hi = d[i] // λ_min never exceeds the smallest diagonal entry
-		}
-	}
-	if countBelow(hi) == 0 {
-		// λ_min equals the bracket top (constant diagonal edge case).
-		hi = hi + math.Abs(hi)*1e-15 + 1e-300
-	}
-	for iter := 0; iter < 200 && hi-lo > 1e-16*(1+math.Abs(hi)); iter++ {
-		mid := 0.5 * (lo + hi)
-		if countBelow(mid) >= 1 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	lambda := hi
-	if lambda < 0 {
-		lambda = 0
-	}
-	return math.Sqrt(lambda)
-}
-
-// growSlice grows a float scratch slice to length n, reusing capacity.
-func growSlice(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }

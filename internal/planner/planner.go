@@ -502,7 +502,7 @@ func (p *Planner) dropResult(key string, e *resultEntry) {
 // the bits any endpoint serves bumps it, so a cache directory written by
 // an older build reads as misses instead of serving the older pipeline's
 // bits next to the current ones.
-const pipelineVersion = "engine-3"
+const pipelineVersion = "engine-4"
 
 // diskKey extends the bitwise memo key with the case registry content
 // hash (a persistent entry computed against different embedded case data

@@ -9,9 +9,8 @@ import (
 // evaluator, the exact one: below grid.SparseThreshold buses it is dense
 // modified Gram-Schmidt and the full principal-angle machinery, the
 // historical bitwise float sequence; at or above it the rank-|S| update
-// kernel (UpdateEvaluator) answers from the changed branches, with the
-// multi-accumulator Gram-Schmidt as its fallback, under the
-// 1e-9-agreement contract. The names below survive as aliases of it,
+// kernel (UpdateEvaluator) answers from the changed branches, with that
+// same Gram-Schmidt as its fallback, under the 1e-9-agreement contract. The names below survive as aliases of it,
 // because requests and scenario specs still carry them.
 type GammaBackend int
 

@@ -51,18 +51,6 @@ func ComputeBasisT(at *mat.Dense, tol float64) *Basis {
 	return b
 }
 
-// ComputeBasisTFast is ComputeBasisT with the multi-accumulator large-case
-// kernels (mat.DotFast / mat.Norm2SqFast / mat.AxpyFast). The resulting
-// basis spans the same subspace but its vectors differ from ComputeBasisT
-// in the last bits (different summation order), so it must only be paired
-// with the fast evaluation path (Workspace.Fast = true); the sub-threshold
-// dense path keeps the bitwise-stable ComputeBasisT.
-func ComputeBasisTFast(at *mat.Dense, tol float64) *Basis {
-	b := &Basis{}
-	computeBasisTFast(b, at, tol)
-	return b
-}
-
 // computeBasisT runs the modified Gram-Schmidt of mat.OrthonormalBasis over
 // the rows of at, writing the accepted vectors into dst's backing array.
 // The candidate vector is staged in the next free row of the output buffer
@@ -110,65 +98,12 @@ func computeBasisT(dst *Basis, at *mat.Dense, tol float64) {
 	}
 }
 
-// computeBasisTFast is computeBasisT with the multi-accumulator kernels:
-// the projections use mat.DotFast/mat.AxpyFast and the norms the plain
-// (unscaled) fused sum of squares. The accepted-vector sequence and rank
-// decisions follow the same twice-applied modified Gram-Schmidt; only the
-// reduction orders differ.
-func computeBasisTFast(dst *Basis, at *mat.Dense, tol float64) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	cols, m := at.Rows(), at.Cols()
-	dst.ambient = m
-	dst.k = 0
-	if cap(dst.vecs) < cols*m {
-		dst.vecs = make([]float64, cols*m)
-	}
-	dst.vecs = dst.vecs[:cols*m]
-
-	var maxSq float64
-	for j := 0; j < cols; j++ {
-		if s := mat.Norm2SqFast(at.RowView(j)); s > maxSq {
-			maxSq = s
-		}
-	}
-	if maxSq == 0 {
-		return
-	}
-	thresh := tol * math.Sqrt(maxSq)
-	for j := 0; j < cols; j++ {
-		v := dst.vecs[dst.k*m : (dst.k+1)*m]
-		copy(v, at.RowView(j))
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < dst.k; i++ {
-				b := dst.vec(i)
-				mat.AxpyFast(-mat.DotFast(b, v), b, v)
-			}
-		}
-		if n := math.Sqrt(mat.Norm2SqFast(v)); n > thresh {
-			inv := 1 / n
-			for i := range v {
-				v[i] *= inv
-			}
-			dst.k++
-		}
-	}
-}
-
 // Workspace holds every scratch buffer of a cached principal-angle
 // evaluation: the candidate basis, the cross-Gram matrix and the SVD
 // workspace. The zero value is ready to use. A Workspace is not safe for
 // concurrent use; per-goroutine workspaces (e.g. via sync.Pool) make the
 // evaluation embarrassingly parallel.
-//
-// Fast selects the multi-accumulator/blocked large-case kernels for the
-// basis, cross-Gram and SVD stages. It changes summation orders, so it
-// must stay false on the sub-threshold dense path whose outputs are
-// bitwise contracts; the ≥ grid.SparseThreshold path sets it and carries a
-// 1e-9-agreement contract instead.
 type Workspace struct {
-	Fast   bool
 	basis  Basis
 	cross  *mat.Dense
 	svd    mat.SVDWorkspace
@@ -179,11 +114,7 @@ type Workspace struct {
 // layout (see ComputeBasisT) into the workspace and returns it. The result
 // is overwritten by the next BasisT call on the same workspace.
 func (ws *Workspace) BasisT(at *mat.Dense, tol float64) *Basis {
-	if ws.Fast {
-		computeBasisTFast(&ws.basis, at, tol)
-	} else {
-		computeBasisT(&ws.basis, at, tol)
-	}
+	computeBasisT(&ws.basis, at, tol)
 	return &ws.basis
 }
 
@@ -197,12 +128,7 @@ func (ws *Workspace) PrincipalAnglesBases(qa, qb *Basis) []float64 {
 		return nil
 	}
 	ws.buildCross(qa, qb)
-	var sv []float64
-	if ws.Fast {
-		sv = ws.svd.SingularValuesFast(ws.cross)
-	} else {
-		sv = ws.svd.SingularValues(ws.cross)
-	}
+	sv := ws.svd.SingularValues(ws.cross)
 	if cap(ws.angles) < len(sv) {
 		ws.angles = make([]float64, len(sv))
 	}
@@ -226,19 +152,10 @@ func (ws *Workspace) buildCross(qa, qb *Basis) {
 	if ws.cross == nil || ws.cross.Rows() != ra.Dim() || ws.cross.Cols() != rb.Dim() {
 		ws.cross = mat.NewDense(ra.Dim(), rb.Dim())
 	}
-	if ws.Fast {
-		for i := 0; i < ra.Dim(); i++ {
-			row := ws.cross.RowView(i)
-			for j := 0; j < rb.Dim(); j++ {
-				row[j] = mat.DotFast(ra.vec(i), rb.vec(j))
-			}
-		}
-	} else {
-		for i := 0; i < ra.Dim(); i++ {
-			row := ws.cross.RowView(i)
-			for j := 0; j < rb.Dim(); j++ {
-				row[j] = mat.Dot(ra.vec(i), rb.vec(j))
-			}
+	for i := 0; i < ra.Dim(); i++ {
+		row := ws.cross.RowView(i)
+		for j := 0; j < rb.Dim(); j++ {
+			row[j] = mat.Dot(ra.vec(i), rb.vec(j))
 		}
 	}
 }
@@ -254,29 +171,8 @@ func clampCos(s float64) float64 {
 }
 
 // GammaBases returns γ for two precomputed bases: the largest principal
-// angle between the spanned subspaces (0 for empty subspaces). The fast
-// path computes only the smallest singular value of the cross-Gram matrix
-// (the largest angle's cosine) via tridiagonal bisection instead of the
-// full Jacobi spectrum — the one number γ needs.
+// angle between the spanned subspaces (0 for empty subspaces).
 func (ws *Workspace) GammaBases(qa, qb *Basis) float64 {
-	if qa.Dim() == 0 || qb.Dim() == 0 {
-		return 0
-	}
-	if ws.Fast {
-		ws.buildCross(qa, qb)
-		s := ws.svd.SmallestSingularValueFast(ws.cross)
-		// The bisection works on the squared spectrum, so σ below ~1e-7
-		// carries only ~1e-8 absolute accuracy — and near σ = 0 the acos
-		// derivative is -1, which would leak that error straight into γ
-		// past the 1e-9 contract. Near-orthogonal subspaces are a sliver
-		// of the search space, so re-resolve them with the full-precision
-		// Jacobi sweep instead of weakening the contract.
-		if s < 1e-7 {
-			sv := ws.svd.SingularValuesFast(ws.cross)
-			s = sv[len(sv)-1]
-		}
-		return math.Acos(clampCos(s))
-	}
 	angles := ws.PrincipalAnglesBases(qa, qb)
 	if len(angles) == 0 {
 		return 0

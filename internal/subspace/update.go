@@ -8,8 +8,10 @@ import (
 )
 
 // The update kernel computes the exact γ of a candidate that differs from
-// the old configuration on few branches, without orthonormalizing either
-// side. In the reduced representation (see grid.GammaSketchOperands)
+// the old configuration on any set of branches, without orthonormalizing
+// either side. In the reduced representation [p; √2·f] of H's columns, which
+// has H's inner products and so H's principal angles (see
+// grid.GammaColumnFactor),
 //
 //	B(x) = Ĉ·D(x)·E,   D(x) = diag(d),  d_l = 1/x_l,
 //
@@ -40,10 +42,11 @@ import (
 // then R_S is recomputed. That gives V_S and R_S least-squares (QR-grade)
 // accuracy although H squares B_old's conditioning, and K is a sum of
 // squares of the residuals, so nothing cancels in it. The evaluator forms
-// the blocks over the D-FACTS set D once at construction, and a candidate
-// with S ⊆ D only gathers sub-blocks; any other S runs the same block
-// routine on the fly. A column of a block solve never mixes with another
-// column, so both routes give the same bits.
+// the blocks over a branch set once at construction (the caller's D ∪ F:
+// every line a candidate is expected to change), and a candidate whose S
+// lies inside it only gathers sub-blocks; any other S runs the same block
+// routine on the fly, whatever its size. A column of a block solve never
+// mixes with another column, so both routes give the same bits.
 //
 // Both s×s factors may be singular: K has a zero column when a changed
 // branch is a bridge (its column of Ĉ lies in Col(B_old)), and W_SS has
@@ -51,9 +54,8 @@ import (
 // factors K by a pivoted, rank-revealing Cholesky and never needs a
 // positive-definite factorization. The only matrix it inverts is T, which
 // is singular exactly when a candidate direction is orthogonal to
-// Col(B_old) (γ = π/2) or B_new loses rank; an ill-conditioned T, or more
-// changed branches than the kernel is cheaper for, reports ok=false and
-// the caller runs the Gram-Schmidt evaluation.
+// Col(B_old) (γ = π/2) or B_new loses rank; an ill-conditioned T reports
+// ok=false and the caller runs the Gram-Schmidt evaluation.
 
 // updateMaxCond bounds (1 + ‖N_SS·Δ‖₁)·‖T⁻¹‖₁, the factor by which
 // T = I + N_SS·Δ amplifies the rounding of its own entries (T's own norm
@@ -73,25 +75,25 @@ const updatePivotTol = 1e-14
 // described above. It is immutable after construction and safe for
 // concurrent use; per-goroutine scratch lives in UpdateWorkspace.
 type UpdateEvaluator struct {
-	k, l    int
-	maxRank int // most changed branches it takes: k/2, past which its s³ work rivals a Gram-Schmidt
-	dOld    []float64
-	c, et   *mat.CSC        // Ĉ ((N+L)×L) and Eᵀ ((N−1)×L)
-	cn2     []float64       // ‖ĉ_l‖², the diagonal of G = ĈᵀĈ
-	b       *mat.CSC        // B_old = Ĉ·D_old·E
-	h       *mat.SparseChol // H = B_oldᵀB_old
-	dPos    []int           // branch → its index in D, or −1
-	nd      int             // |D|
-	nD, wD  []float64       // N_DD and W_DD, |D|×|D| row-major
-	kD      []float64       // K over D
+	k, l   int
+	dOld   []float64
+	c, et  *mat.CSC        // Ĉ ((N+L)×L) and Eᵀ ((N−1)×L)
+	cn2    []float64       // ‖ĉ_l‖², the diagonal of G = ĈᵀĈ
+	b      *mat.CSC        // B_old = Ĉ·D_old·E
+	h      *mat.SparseChol // H = B_oldᵀB_old
+	dPos   []int           // branch → its index in the block set D, or −1
+	nd     int             // |D|
+	nD, wD []float64       // N_DD and W_DD, |D|×|D| row-major
+	kD     []float64       // K over D
 }
 
 // NewUpdateEvaluator prepares the update kernel for a fixed old side from
 // the topology operands c = Ĉ ((N+L)×L) and et = Eᵀ ((N−1)×L), the old
-// diagonal dOld (1/x_l) and the branch set dSet (the D-FACTS lines) whose
-// blocks it forms up front. It factors H = B_oldᵀB_old by sparse
-// Cholesky; an error means B_old fails the factorization's rank test (or
-// dOld is not positive and finite) and the kernel is unavailable.
+// diagonal dOld (1/x_l) and the branch set dSet whose blocks it forms up
+// front (the lines candidates are expected to change). It factors
+// H = B_oldᵀB_old by sparse Cholesky; an error means B_old fails the
+// factorization's rank test (or dOld is not positive and finite) and the
+// kernel is unavailable.
 func NewUpdateEvaluator(c, et *mat.CSC, dOld []float64, dSet []int) (*UpdateEvaluator, error) {
 	k, l := et.Rows(), c.Cols()
 	if et.Cols() != l || len(dOld) != l {
@@ -113,7 +115,7 @@ func NewUpdateEvaluator(c, et *mat.CSC, dOld []float64, dSet []int) (*UpdateEval
 		return nil, err
 	}
 	u := &UpdateEvaluator{
-		k: k, l: l, maxRank: k / 2,
+		k: k, l: l,
 		dOld: append([]float64(nil), dOld...),
 		c:    c, et: et, b: b,
 		cn2:  make([]float64, l),
@@ -281,7 +283,7 @@ type UpdateWorkspace struct {
 	lu                       mat.LU
 	diag, off, hv, hp        []float64    // tridiagonalization, length s
 	maxG                     float64      // largest diagonal entry of G_SS
-	bs                       blockScratch // blocks of an S outside D
+	bs                       blockScratch // blocks of an S outside the block set
 }
 
 func (ws *UpdateWorkspace) grow(s int) {
@@ -297,9 +299,9 @@ func (ws *UpdateWorkspace) grow(s int) {
 // prepare collects the changed branches S of the candidate diagonal d
 // into ws.idx/ws.delta and, when S is non-empty, forms the s×s blocks
 // both evaluations share: ws.tinv = T⁻¹, ws.gy = W_SS and ws.kk = K.
-// S ⊆ D gathers them from the blocks formed at construction; any other S
-// forms them on the fly. ok=false means the kernel declines (more changed
-// branches than it is cheaper for, or an ill-conditioned T).
+// S inside the block set D gathers them from the blocks formed at
+// construction; any other S forms them on the fly. ok=false means the
+// kernel declines (an ill-conditioned T).
 func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok bool) {
 	if len(d) != u.l {
 		panic("subspace: update diagonal length mismatch")
@@ -316,9 +318,6 @@ func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok b
 	s = len(ws.idx)
 	if s == 0 {
 		return 0, true
-	}
-	if s > u.maxRank {
-		return s, false
 	}
 	ws.grow(s)
 	idx, delta := ws.idx, ws.delta
@@ -372,9 +371,8 @@ func (u *UpdateEvaluator) prepare(ws *UpdateWorkspace, d []float64) (s int, ok b
 
 // Gamma returns γ(old, candidate) for the candidate diagonal d (1/x_l).
 // A candidate equal to the old side returns 0. ok=false means the kernel
-// cannot certify the value (too many changed branches, or an
-// ill-conditioned T near γ = π/2); the caller must evaluate through the
-// Gram-Schmidt path instead.
+// cannot certify the value (an ill-conditioned T near γ = π/2); the caller
+// must evaluate through the Gram-Schmidt path instead.
 func (u *UpdateEvaluator) Gamma(ws *UpdateWorkspace, d []float64) (gamma float64, ok bool) {
 	s, ok := u.prepare(ws, d)
 	if s == 0 || !ok {
