@@ -119,7 +119,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8642", "listen address")
 		backend     = flag.String("backend", "auto", "linear-algebra backend: auto, dense or sparse")
-		parallel    = flag.Int("parallel", 0, "per-request search parallelism (0 = all cores); results are identical for any setting")
+		parallel    = flag.Int("parallel", 0, "cap GOMAXPROCS at this many (0 = all cores); every fan-out inside a request uses GOMAXPROCS workers, and results are identical for any setting")
 		maxCases    = flag.Int("cases", 8, "case LRU capacity ((case, load-scale) entries)")
 		maxResults  = flag.Int("results", 256, "response memo capacity")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request deadline (0 disables it)")
@@ -174,7 +174,6 @@ func main() {
 		Backend:     b,
 		MaxCases:    *maxCases,
 		MaxResults:  *maxResults,
-		Parallelism: *parallel,
 		MaxInflight: *maxInflight,
 		QueueDepth:  *queueDepth,
 		Disk:        disk,

@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		caseName = fs.String("case", "", "run case-generic experiments on this registered case ('list' prints the registry)")
 		quick    = fs.Bool("quick", false, "use reduced sampling budgets")
 		out      = fs.String("out", "", "also write the output to this file")
-		parallel = fs.Int("parallel", 0, "worker parallelism for the multi-start searches and η' sweeps (0 = all cores, 1 = serial); results are identical for any setting")
+		parallel = fs.Int("parallel", 0, "cap GOMAXPROCS at this many (0 = all cores, 1 = serial); every fan-out (multi-start searches, η' sweeps) uses GOMAXPROCS workers, and results are identical for any setting")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
 		verbose  = fs.Bool("v", false, "append the process-wide dispatch-LP solver counters after the run")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -65,9 +65,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *parallel > 0 {
-		// The engine parallelism knobs default to GOMAXPROCS, so capping
-		// it caps every parallel path at once. Outputs do not depend on
-		// the setting (see optimize.MSConfig.Parallelism).
+		// Every fan-out runs on GOMAXPROCS workers (internal/par), so
+		// capping it caps every parallel path at once. Outputs do not
+		// depend on the setting.
 		runtime.GOMAXPROCS(*parallel)
 	}
 	if *cpuprof != "" {

@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) error {
 		starts   = fs.Int("starts", 6, "multi-start budget per selection")
 		maxEvals = fs.Int("maxevals", 0, "objective evaluations per local search (0 = solver default; lower it for quick large-case scans)")
 		seed     = fs.Int64("seed", 1, "random seed")
-		parallel = fs.Int("parallel", 0, "worker parallelism for the selection searches (0 = all cores, 1 = serial); results are identical for any setting")
+		parallel = fs.Int("parallel", 0, "cap GOMAXPROCS at this many (0 = all cores, 1 = serial); every fan-out of the selection searches uses GOMAXPROCS workers, and results are identical for any setting")
 		backend  = fs.String("backend", "auto", "linear-algebra backend: auto, dense or sparse ('list' describes them)")
 		csvPath  = fs.String("csv", "", "also write the frontier to this CSV file")
 	)
@@ -63,10 +63,10 @@ func run(args []string, w io.Writer) error {
 		return errors.New("invalid gamma sweep range")
 	}
 	if *parallel > 0 {
-		// The engine parallelism knobs default to GOMAXPROCS, so capping it
-		// caps every parallel path at once; outputs are identical for any
-		// setting (the CI serial-vs-parallel diff re-checks this on a
-		// sparse-path case).
+		// Every fan-out runs on GOMAXPROCS workers (internal/par), so
+		// capping it caps every parallel path at once; outputs are
+		// identical for any setting (the CI serial-vs-parallel diff
+		// re-checks this on a sparse-path case).
 		runtime.GOMAXPROCS(*parallel)
 	}
 

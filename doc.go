@@ -50,7 +50,8 @@
 //
 // The experiments, the example programs and cmd/mtdscan all run on this
 // layer (dense-path outputs are bitwise identical to the historical
-// bespoke loops, and identical for every worker count). Long-running
+// bespoke loops). Every parallel loop runs on GOMAXPROCS workers, and
+// every output is identical at any GOMAXPROCS. Long-running
 // deployments use the Planner — an LRU of factorized cases plus a memo
 // of finished responses — either in-process (NewPlanner) or over HTTP
 // via the cmd/gridmtdd daemon (select / γ / day-sweep / placement

@@ -469,8 +469,8 @@ func RunScenario(s Scenario) (*ScenarioResult, error) { return scenario.NewRunne
 // serves one over HTTP.
 type Planner = planner.Planner
 
-// PlannerConfig tunes a Planner's backend, cache capacities and
-// per-request parallelism.
+// PlannerConfig tunes a Planner's backend, cache capacities and admission
+// control. Each request's fan-outs run on GOMAXPROCS workers.
 type PlannerConfig = planner.Config
 
 // PlannerStats counts a Planner's cache traffic.

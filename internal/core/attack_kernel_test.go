@@ -263,13 +263,13 @@ func TestCarriedWarmStartDeterminism(t *testing.T) {
 	var ref *Selection
 	for run := 0; run < 2; run++ {
 		for _, par := range []int{1, 4} {
+			withProcs(t, par)
 			sel, err := SelectMTDWith(NewEnginesShared(NewGammaEvaluator(n, xOld), de), n, xOld, SelectConfig{
 				GammaThreshold: 0.05,
 				Starts:         2,
 				MaxEvals:       30,
 				Seed:           5,
 				BaselineCost:   1,
-				Parallelism:    par,
 			})
 			if err != nil {
 				t.Fatalf("run %d parallelism %d: %v", run, par, err)

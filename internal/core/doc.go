@@ -63,9 +63,10 @@
 // first and fix a bar, and each random restart earns its Nelder-Mead
 // budget only by beating that bar at its start point, cutting a cold
 // ieee300 selection from 179 to 90 full dispatch solves (PERF.md).
-// The bar is fixed at a stage barrier, so outcomes are identical for
-// every worker count. Dense engines build no memo and dense call sites
-// never screen; the golden suite is byte-identical by construction.
+// The bar is fixed at a stage barrier, so outcomes are identical at
+// any GOMAXPROCS (the worker count of every fan-out). Dense engines
+// build no memo and dense call sites never screen; the golden suite is
+// byte-identical by construction.
 //
 // A selection runs on one dispatch engine. The operating measurements
 // z_old that scale the attacks come from the engine the baseline OPF ran

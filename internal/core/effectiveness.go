@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"gridmtd/internal/attack"
@@ -14,6 +13,7 @@ import (
 	"gridmtd/internal/mat"
 	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
+	"gridmtd/internal/par"
 	"gridmtd/internal/se"
 	"gridmtd/internal/stat"
 	"gridmtd/internal/subspace"
@@ -59,11 +59,6 @@ type EffectivenessConfig struct {
 	// probabilities, so reporting them costs extra; sweeps that only need
 	// η' leave this false. Monte Carlo always reports them.
 	ReportProbs bool
-	// Parallelism bounds the number of workers the analytic per-attack
-	// loop fans out over (0 = GOMAXPROCS, 1 = serial). Results are
-	// identical for every setting. The Monte Carlo path is inherently
-	// sequential (one noise stream) and ignores it.
-	Parallelism int
 	// GammaBackend is accepted for compatibility and ignored: every γ
 	// backend name is an alias of the exact evaluator (see GammaBackend).
 	GammaBackend GammaBackend
@@ -222,8 +217,8 @@ func (s *AttackSet) Gamma() *GammaEvaluator { return s.gamma }
 
 // EvaluateAttacks computes the effectiveness of the perturbation xNew
 // against a pre-crafted attack set. The analytic path scores the attacks
-// in parallel chunks (cfg.Parallelism workers); every number it produces
-// is identical for every worker count.
+// on GOMAXPROCS workers; every number it produces is identical for every
+// worker count. The Monte Carlo path is sequential (one noise stream).
 //
 // On a fast set the analytic path without per-attack probabilities scores
 // each attack a = H_old·c exactly from the rank-|S| kernel of the set's γ
@@ -308,29 +303,36 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 			probs = make([]float64, numAtt)
 		}
 		if resid != nil {
-			undetectable, err = set.kernelResiduals(n, resid, raThresh, ras, cfg.Parallelism, ensureEst)
+			undetectable, err = set.kernelResiduals(n, resid, raThresh, ras, ensureEst)
 		} else {
-			undetectable, err = forEachAttackChunk(numAtt, cfg.Parallelism, func(from, to int) (int, error) {
+			undet := make([]bool, numAtt)
+			var errs []error
+			if probs != nil {
+				errs = make([]error, numAtt)
+			}
+			par.For(numAtt, func() func(int) {
 				var ws se.ResidualWorkspace
-				undet := 0
-				for k := from; k < to; k++ {
+				return func(k int) {
 					a := set.Batch.A(k)
 					ra := est.ResidualWS(&ws, a)
 					ras[k] = ra
-					if ra <= 1e-8*mat.Norm2(a) {
-						undet++
-					}
+					undet[k] = ra <= 1e-8*mat.Norm2(a)
 					if probs != nil {
 						lambda := (ra / bdd.Sigma) * (ra / bdd.Sigma)
 						pd, err := stat.NoncentralChiSquareSF(dof, lambda, x)
 						if err != nil {
-							return undet, fmt.Errorf("core: detection probability: %w", err)
+							errs[k] = fmt.Errorf("core: detection probability: %w", err)
 						}
 						probs[k] = pd
 					}
 				}
-				return undet, nil
 			})
+			for _, err := range errs {
+				if err != nil {
+					return nil, err
+				}
+			}
+			undetectable = countTrue(undet)
 		}
 		if err != nil {
 			return nil, err
@@ -387,32 +389,29 @@ const recheckBand = 1e-9
 // candidate of resid and returns the number of undetectable attacks. An
 // attack within recheckBand of a threshold in raThresh or of its
 // undetectability cutoff 1e-8·‖a‖ is re-scored with the estimator.
-func (s *AttackSet) kernelResiduals(n *grid.Network, resid *subspace.ResidualMap, raThresh, ras []float64, parallelism int, ensureEst func() (*se.Estimator, error)) (int, error) {
+func (s *AttackSet) kernelResiduals(n *grid.Network, resid *subspace.ResidualMap, raThresh, ras []float64, ensureEst func() (*se.Estimator, error)) (int, error) {
 	numAtt := s.Len()
 	branches := resid.Branches()
 	recheck := make([]bool, numAtt)
-	undet, _ := forEachAttackChunk(numAtt, parallelism, func(from, to int) (int, error) {
+	undet := make([]bool, numAtt)
+	par.For(numAtt, func() func(int) {
 		b := make([]float64, len(branches))
-		undet := 0
-		for k := from; k < to; k++ {
+		return func(k int) {
 			ra := resid.Norm(n.BranchAngleDiffsInto(b, branches, s.Batch.C(k)))
 			ras[k] = ra
 			cut := 1e-8 * mat.Norm2(s.Batch.A(k))
 			if math.Abs(ra-cut) <= recheckBand*cut {
 				recheck[k] = true
-				continue
+				return
 			}
 			for _, th := range raThresh {
 				if !math.IsInf(th, 1) && math.Abs(ra-th) <= recheckBand*th {
 					recheck[k] = true
-					break
+					return
 				}
 			}
-			if !recheck[k] && ra <= cut {
-				undet++
-			}
+			undet[k] = ra <= cut
 		}
-		return undet, nil
 	})
 	var ws se.ResidualWorkspace
 	for k, again := range recheck {
@@ -425,11 +424,20 @@ func (s *AttackSet) kernelResiduals(n *grid.Network, resid *subspace.ResidualMap
 		}
 		a := s.Batch.A(k)
 		ras[k] = est.ResidualWS(&ws, a)
-		if ras[k] <= 1e-8*mat.Norm2(a) {
-			undet++
+		undet[k] = ras[k] <= 1e-8*mat.Norm2(a)
+	}
+	return countTrue(undet), nil
+}
+
+// countTrue returns the number of set flags.
+func countTrue(flags []bool) int {
+	cnt := 0
+	for _, f := range flags {
+		if f {
+			cnt++
 		}
 	}
-	return undet, nil
+	return cnt
 }
 
 // lambdaKey identifies one noncentrality inversion.
@@ -454,54 +462,6 @@ func lambdaForSFCached(dof, x, delta float64) (float64, error) {
 	}
 	lambdaCache.Store(key, lambda)
 	return lambda, nil
-}
-
-// forEachAttackChunk splits [0, n) into contiguous chunks, runs fn on each
-// (concurrently when parallelism allows), and returns the summed int
-// results plus the error of the lowest-indexed failing chunk. With
-// contiguous ascending chunks and per-index output slots the combined
-// result is independent of the worker count.
-func forEachAttackChunk(n, parallelism int, fn func(from, to int) (int, error)) (int, error) {
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return fn(0, n)
-	}
-	counts := make([]int, workers)
-	errs := make([]error, workers)
-	per := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		from := w * per
-		to := from + per
-		if to > n {
-			to = n
-		}
-		if from >= to {
-			continue
-		}
-		wg.Add(1)
-		go func(w, from, to int) {
-			defer wg.Done()
-			counts[w], errs[w] = fn(from, to)
-		}(w, from, to)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	for _, err := range errs {
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // Effectiveness evaluates the MTD that changes the reactances from xOld

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -87,18 +88,26 @@ func TestGammaEvaluatorConcurrent(t *testing.T) {
 	}
 }
 
+// withProcs sets GOMAXPROCS, and with it the worker count of every
+// fan-out, for the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSelectMTDParallelismInvariant verifies the headline determinism
-// contract: the identical Selection comes back for any Parallelism.
+// contract: the identical Selection comes back at any GOMAXPROCS.
 func TestSelectMTDParallelismInvariant(t *testing.T) {
 	n, xt, _, cost := setup14(t)
 	var results []*Selection
 	for _, par := range []int{1, 4} {
+		withProcs(t, par)
 		sel, err := SelectMTD(n, xt, SelectConfig{
 			GammaThreshold: 0.2,
 			Starts:         3,
 			Seed:           21,
 			BaselineCost:   cost,
-			Parallelism:    par,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -121,56 +130,79 @@ func TestSelectMTDParallelismInvariant(t *testing.T) {
 func TestMaxGammaParallelismInvariant(t *testing.T) {
 	n, xt, _, cost := setup14(t)
 	var sels []*Selection
-	for _, par := range []int{1, 3} {
-		sel, err := MaxGamma(n, xt, MaxGammaConfig{Starts: 2, Seed: 5, BaselineCost: cost, Parallelism: par})
+	for _, par := range []int{1, 3, 8} {
+		withProcs(t, par)
+		sel, err := MaxGamma(n, xt, MaxGammaConfig{Starts: 2, Seed: 5, BaselineCost: cost})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		sels = append(sels, sel)
 	}
-	if sels[0].Gamma != sels[1].Gamma {
-		t.Fatalf("max γ differs across parallelism: %v vs %v", sels[0].Gamma, sels[1].Gamma)
-	}
-	for i := range sels[0].Reactances {
-		if sels[0].Reactances[i] != sels[1].Reactances[i] {
-			t.Fatalf("reactance %d differs across parallelism", i)
+	for _, sel := range sels[1:] {
+		if sel.Gamma != sels[0].Gamma {
+			t.Fatalf("max γ differs across parallelism: %v vs %v", sels[0].Gamma, sel.Gamma)
+		}
+		for i := range sels[0].Reactances {
+			if sels[0].Reactances[i] != sel.Reactances[i] {
+				t.Fatalf("reactance %d differs across parallelism", i)
+			}
 		}
 	}
 }
 
-// TestEvaluateAttacksParallelismInvariant checks the chunked η′ loop:
-// every reported number must be identical for any worker count.
+// TestEvaluateAttacksParallelismInvariant checks the per-attack η′ loop
+// on both of its paths — the estimator on ieee14 with per-attack
+// probabilities, the rank-|S| residual kernel on ieee57 — where every
+// reported number must be identical at any worker count.
 func TestEvaluateAttacksParallelismInvariant(t *testing.T) {
-	n, xt, zt, _ := setup14(t)
-	cfg := EffectivenessConfig{NumAttacks: 200, Seed: 9, ReportProbs: true}
-	set, err := SampleAttacks(n, xt, zt, cfg)
+	n14, xt, zt, _ := setup14(t)
+	n57, err := grid.CaseByName("ieee57")
 	if err != nil {
 		t.Fatal(err)
 	}
-	xNew := n.ExpandDFACTS(mustMaxCorner(t, n))
-	var results []*EffectivenessResult
-	for _, par := range []int{1, 4, 7} {
-		c := cfg
-		c.Parallelism = par
-		eff, err := EvaluateAttacks(n, set, xNew, c)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		results = append(results, eff)
+	z57, err := OperatingMeasurements(n57, n57.Reactances())
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := results[0]
-	for ri, r := range results[1:] {
-		if r.Gamma != base.Gamma || r.UndetectableFraction != base.UndetectableFraction {
-			t.Fatalf("result %d: γ/undetectable differ across parallelism", ri+1)
+	for _, tc := range []struct {
+		n      *grid.Network
+		xOld   []float64
+		zOld   []float64
+		report bool
+	}{
+		{n14, xt, zt, true},
+		{n57, n57.Reactances(), z57, false},
+	} {
+		n := tc.n
+		cfg := EffectivenessConfig{NumAttacks: 200, Seed: 9, ReportProbs: tc.report}
+		set, err := SampleAttacks(n, tc.xOld, tc.zOld, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range base.Eta {
-			if r.Eta[i] != base.Eta[i] {
-				t.Fatalf("result %d: η'[%d] differs: %v vs %v", ri+1, i, r.Eta[i], base.Eta[i])
+		xNew := n.ExpandDFACTS(mustMaxCorner(t, n))
+		var results []*EffectivenessResult
+		for _, par := range []int{1, 4, 7} {
+			withProcs(t, par)
+			eff, err := EvaluateAttacks(n, set, xNew, cfg)
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", n.Name, par, err)
 			}
+			results = append(results, eff)
 		}
-		for i := range base.DetectionProbs {
-			if r.DetectionProbs[i] != base.DetectionProbs[i] {
-				t.Fatalf("result %d: prob[%d] differs", ri+1, i)
+		base := results[0]
+		for ri, r := range results[1:] {
+			if r.Gamma != base.Gamma || r.UndetectableFraction != base.UndetectableFraction {
+				t.Fatalf("%s result %d: γ/undetectable differ across parallelism", n.Name, ri+1)
+			}
+			for i := range base.Eta {
+				if r.Eta[i] != base.Eta[i] {
+					t.Fatalf("%s result %d: η'[%d] differs: %v vs %v", n.Name, ri+1, i, r.Eta[i], base.Eta[i])
+				}
+			}
+			for i := range base.DetectionProbs {
+				if r.DetectionProbs[i] != base.DetectionProbs[i] {
+					t.Fatalf("%s result %d: prob[%d] differs", n.Name, ri+1, i)
+				}
 			}
 		}
 	}

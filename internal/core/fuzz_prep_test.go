@@ -127,7 +127,7 @@ func checkResidualDecisions(t *testing.T, n *grid.Network, set *AttackSet, x []f
 		t.Fatal(err)
 	}
 	ras := make([]float64, set.Len())
-	undet, err := set.kernelResiduals(n, resid, thresh, ras, 1, func() (*se.Estimator, error) { return est, nil })
+	undet, err := set.kernelResiduals(n, resid, thresh, ras, func() (*se.Estimator, error) { return est, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func FuzzKernelResidualDecisions(f *testing.F) {
 			t.Fatal(err)
 		}
 		ras := make([]float64, set.Len())
-		undet, err := set.kernelResiduals(n, resid, thresh, ras, 1, func() (*se.Estimator, error) { return est, nil })
+		undet, err := set.kernelResiduals(n, resid, thresh, ras, func() (*se.Estimator, error) { return est, nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,13 +99,13 @@ func TestSketchWorkerCountInvariant(t *testing.T) {
 	}
 	var sels []*Selection
 	for _, par := range []int{1, 4} {
+		withProcs(t, par)
 		eng := NewEnginesSharedBackend(n, xOld, de, SketchGamma)
 		sel, err := MaxGammaWith(eng, n, xOld, MaxGammaConfig{
 			Starts:       2,
 			MaxEvals:     30,
 			Seed:         5,
 			BaselineCost: 1,
-			Parallelism:  par,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"gridmtd/internal/grid"
+	"gridmtd/internal/lp"
 	"gridmtd/internal/mat"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/subspace"
@@ -54,6 +56,24 @@ func TestGammaLargeCasesAgree(t *testing.T) {
 	}
 }
 
+// TestSelectMTDUnreachableAngleSolvesNothing pins that a γ threshold past
+// π/2, which no angle can meet, is rejected before the baseline OPF and
+// the problem-(4) search: not one dispatch LP is solved.
+func TestSelectMTDUnreachableAngleSolvesNothing(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lp.GlobalRevisedStats().Solves
+	_, err = SelectMTD(n, n.Reactances(), SelectConfig{GammaThreshold: math.Pi/2 + 1, Starts: 1, MaxEvals: 10})
+	if !errors.Is(err, ErrConstraintUnreachable) {
+		t.Fatalf("err = %v, want ErrConstraintUnreachable", err)
+	}
+	if d := lp.GlobalRevisedStats().Solves - before; d != 0 {
+		t.Errorf("unreachable threshold ran %d dispatch solves, want 0", d)
+	}
+}
+
 // TestSelectMTDParallelismInvariantSparse verifies the determinism
 // contract on the warm-started sparse path: the warm LP basis lives in
 // per-worker sessions and is reset at every local search, so the identical
@@ -70,13 +90,13 @@ func TestSelectMTDParallelismInvariantSparse(t *testing.T) {
 	xOld := n.Reactances()
 	var sels []*Selection
 	for _, par := range []int{1, 4} {
+		withProcs(t, par)
 		sel, err := SelectMTD(n, xOld, SelectConfig{
 			GammaThreshold: 0.05,
 			Starts:         1,
 			MaxEvals:       25,
 			Seed:           3,
 			BaselineCost:   1,
-			Parallelism:    par,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/optimize"
+	"gridmtd/internal/par"
 )
 
 // ErrNoDFACTS is returned when a selection routine runs on a network
@@ -63,10 +62,6 @@ type SelectConfig struct {
 	// WarmStarts are additional D-FACTS starting points for the search
 	// (e.g. the previous γ-threshold's solution during a sweep).
 	WarmStarts [][]float64
-	// Parallelism bounds the number of concurrent local searches (0 =
-	// GOMAXPROCS, 1 = serial). The selected MTD is identical for every
-	// setting; see optimize.MSConfig.Parallelism.
-	Parallelism int
 }
 
 func (c SelectConfig) withDefaults(dim int) SelectConfig {
@@ -157,6 +152,11 @@ func SelectMTDWith(eng *Engines, n *grid.Network, xOld []float64, cfg SelectConf
 		return nil, ErrNoDFACTS
 	}
 	cfg = cfg.withDefaults(len(idx))
+	// γ is an angle in [0, π/2], so the final check below rejects every
+	// result at such a threshold; skip the baseline solve and the search.
+	if cfg.GammaThreshold-cfg.GammaTol > math.Pi/2 {
+		return nil, fmt.Errorf("%w: threshold %.4f exceeds π/2", ErrConstraintUnreachable, cfg.GammaThreshold)
+	}
 
 	baselineCost := cfg.BaselineCost
 	if baselineCost <= 0 {
@@ -230,7 +230,6 @@ func SelectMTDWith(eng *Engines, n *grid.Network, xOld []float64, cfg SelectConf
 		Starts:        cfg.Starts,
 		Seed:          cfg.Seed,
 		InitialPoints: initials,
-		Parallelism:   cfg.Parallelism,
 		// Sparse path: a random restart is admitted only if its start
 		// point already beats the best initial-point optimum — every
 		// skipped restart saves a full Nelder-Mead budget of dispatch
@@ -273,10 +272,6 @@ type MaxGammaConfig struct {
 	// BaselineCost, when positive, is the no-MTD reference cost (see
 	// SelectConfig.BaselineCost).
 	BaselineCost float64
-	// Parallelism bounds the number of concurrent workers for the corner
-	// enumeration and the local searches (0 = GOMAXPROCS, 1 = serial).
-	// The result is identical for every setting.
-	Parallelism int
 }
 
 // MaxGamma finds the D-FACTS setting that maximizes γ(H(xOld), H(x'))
@@ -325,7 +320,7 @@ func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaCon
 	bestX := box.Sample(rand.New(rand.NewSource(cfg.Seed)))
 	bestG := gammaOf(bestX)
 	if d := len(idx); d <= 12 {
-		cornerG, cornerMask := bestCorner(newGammaOf, lo, hi, d, cfg.Parallelism)
+		cornerG, cornerMask := bestCorner(newGammaOf, lo, hi, d)
 		if cornerG > bestG {
 			bestG = cornerG
 			for i := 0; i < d; i++ {
@@ -350,7 +345,6 @@ func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaCon
 		Starts:             cfg.Starts,
 		Seed:               cfg.Seed,
 		InitialPoints:      [][]float64{bestX},
-		Parallelism:        cfg.Parallelism,
 		NewWorkerObjective: newWorker,
 	})
 	if err != nil {
@@ -380,7 +374,6 @@ func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaCon
 				MaxEvals:       cfg.MaxEvals,
 				Seed:           cfg.Seed,
 				BaselineCost:   baselineCost,
-				Parallelism:    cfg.Parallelism,
 			})
 			if serr == nil {
 				return sel, nil
@@ -400,29 +393,17 @@ func MaxGammaWith(eng *Engines, n *grid.Network, xOld []float64, cfg MaxGammaCon
 	}, nil
 }
 
-// bestCorner evaluates γ at all 2^d corners of the D-FACTS box, splitting
-// the masks across workers, and returns the best value with the lowest
-// achieving mask. newGammaOf builds one γ evaluator per worker chunk
-// (engine affinity); γ evaluation is stateless, so the winner is
-// independent of the worker count.
-func bestCorner(newGammaOf func() func([]float64) float64, lo, hi []float64, d, parallelism int) (float64, int) {
-	total := 1 << d
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	type chunkBest struct {
-		g    float64
-		mask int
-	}
-	evalRange := func(fromMask, toMask int) chunkBest {
+// bestCorner evaluates γ at all 2^d corners of the D-FACTS box, one slot
+// per mask, and returns the best value with the lowest achieving mask.
+// newGammaOf builds one γ evaluator per worker (engine affinity); γ
+// evaluation is stateless, so the winner is independent of the worker
+// count.
+func bestCorner(newGammaOf func() func([]float64) float64, lo, hi []float64, d int) (float64, int) {
+	gammas := make([]float64, 1<<d)
+	par.For(len(gammas), func() func(int) {
 		gammaOf := newGammaOf()
 		xd := make([]float64, d)
-		best := chunkBest{g: math.Inf(-1), mask: -1}
-		for mask := fromMask; mask < toMask; mask++ {
+		return func(mask int) {
 			for i := 0; i < d; i++ {
 				if mask&(1<<i) != 0 {
 					xd[i] = hi[i]
@@ -430,46 +411,17 @@ func bestCorner(newGammaOf func() func([]float64) float64, lo, hi []float64, d, 
 					xd[i] = lo[i]
 				}
 			}
-			if g := gammaOf(xd); g > best.g {
-				best = chunkBest{g: g, mask: mask}
-			}
+			gammas[mask] = gammaOf(xd)
 		}
-		return best
-	}
-	var bests []chunkBest
-	if workers <= 1 {
-		bests = []chunkBest{evalRange(0, total)}
-	} else {
-		bests = make([]chunkBest, workers)
-		var wg sync.WaitGroup
-		per := (total + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			from := w * per
-			to := from + per
-			if to > total {
-				to = total
-			}
-			if from >= to {
-				bests[w] = chunkBest{g: math.Inf(-1), mask: -1}
-				continue
-			}
-			wg.Add(1)
-			go func(w, from, to int) {
-				defer wg.Done()
-				bests[w] = evalRange(from, to)
-			}(w, from, to)
-		}
-		wg.Wait()
-	}
-	best := bests[0]
-	for _, cb := range bests[1:] {
-		// Chunks cover ascending mask ranges, so strict improvement keeps
-		// the lowest winning mask.
-		if cb.g > best.g {
-			best = cb
+	})
+	// Strict improvement in ascending mask order keeps the lowest winner.
+	bestG, bestMask := math.Inf(-1), -1
+	for mask, g := range gammas {
+		if g > bestG {
+			bestG, bestMask = g, mask
 		}
 	}
-	return best.g, best.mask
+	return bestG, bestMask
 }
 
 // RandomKeyWithinCost implements the random-keyspace MTD of prior work

@@ -94,7 +94,6 @@ func TuneGammaThresholdWith(dispatch *opf.DispatchEngine, n *grid.Network, xOld,
 		Starts:       cfg.Select.Starts,
 		Seed:         cfg.Select.Seed,
 		BaselineCost: cfg.Select.BaselineCost,
-		Parallelism:  cfg.Select.Parallelism,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: probing max gamma: %w", err)

@@ -13,22 +13,6 @@ import (
 // warm error surfaced to callers is a certified ErrInfeasible.
 var errWarmFallback = errors.New("lp: warm solve abandoned")
 
-// WarmSolver is a Problem solver that can reuse the optimal basis of the
-// previous solve to start the next one. The MTD selection search solves
-// long runs of near-identical dispatch LPs (one Nelder-Mead walk perturbs
-// a handful of PTDF coefficients per step), where re-solving from the
-// previous optimal basis takes a few pivots instead of a full two-phase
-// tableau pass. Invalidate drops the warm state; callers that need results
-// independent of the solve history (e.g. the deterministic parallel
-// multi-start driver) must call it at their determinism boundaries — the
-// dispatch engine resets at the start of every local search.
-type WarmSolver interface {
-	// Solve solves the problem with the package-level Solve error contract.
-	Solve(p *Problem) (*Solution, error)
-	// Invalidate drops the warm basis; the next Solve starts cold.
-	Invalidate()
-}
-
 // RevisedStats counts what the revised solver actually did — tests assert
 // the warm path is exercised and PERF.md reports pivot counts from it.
 // The JSON tags and field order are the /v1/stats "lp" block's.
@@ -242,7 +226,10 @@ func (s *RevisedSolver) Stats() RevisedStats { return s.stats }
 
 // Invalidate drops the warm basis; the next Solve starts from scratch —
 // a pure function of the problem (crash-basis warm route, flat tableau
-// when that fails) with no memory of previous solves.
+// when that fails) with no memory of previous solves. Callers that need
+// results independent of the solve history call it at their determinism
+// boundaries: the dispatch engine resets at the start of every local
+// search.
 func (s *RevisedSolver) Invalidate() { s.hasBasis = false }
 
 // DropRays empties the Farkas-ray index. Stored rays never change a

@@ -2,8 +2,8 @@ package mat
 
 import (
 	"math"
-	"runtime"
-	"sync"
+
+	"gridmtd/internal/par"
 )
 
 // QR holds the thin QR factorization of an m×n matrix A with m >= n:
@@ -40,28 +40,17 @@ func qrApplyReflector(v []float64, beta float64, data []float64, m, n, k, jlo, j
 // large ones (the 1100×299 ieee300 estimator build) fan the columns out.
 const qrParallelFlops = 1 << 15
 
-// qrApply routes one reflector application, splitting the columns across
-// workers when the block is large enough to amortize the barrier.
-func qrApply(v []float64, beta float64, data []float64, m, n, k, jlo, jhi, workers int) {
-	cols := jhi - jlo
-	if workers <= 1 || cols < 2*workers || (m-k)*cols < qrParallelFlops {
+// qrApply applies one reflector to columns [jlo, jhi), one column per
+// index on GOMAXPROCS workers when the block is large enough to amortize
+// the barrier.
+func qrApply(v []float64, beta float64, data []float64, m, n, k, jlo, jhi int) {
+	if (m-k)*(jhi-jlo) < qrParallelFlops {
 		qrApplyReflector(v, beta, data, m, n, k, jlo, jhi)
 		return
 	}
-	chunk := (cols + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := jlo; lo < jhi; lo += chunk {
-		hi := lo + chunk
-		if hi > jhi {
-			hi = jhi
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			qrApplyReflector(v, beta, data, m, n, k, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For(jhi-jlo, func() func(int) {
+		return func(j int) { qrApplyReflector(v, beta, data, m, n, k, jlo+j, jlo+j+1) }
+	})
 }
 
 // ComputeQR computes the thin QR factorization of a using Householder
@@ -69,16 +58,6 @@ func qrApply(v []float64, beta float64, data []float64, m, n, k, jlo, jhi, worke
 // across columns on large inputs; outputs are bitwise independent of the
 // worker count (see qrApplyReflector).
 func ComputeQR(a *Dense) *QR {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	return computeQRWorkers(a, workers)
-}
-
-// computeQRWorkers is ComputeQR with an explicit worker count — the seam
-// the bitwise worker-invariance test drives directly.
-func computeQRWorkers(a *Dense, workers int) *QR {
 	m, n := a.rows, a.cols
 	if m < n {
 		panic("mat: ComputeQR requires rows >= cols")
@@ -114,7 +93,7 @@ func computeQRWorkers(a *Dense, workers int) *QR {
 
 		if beta != 0 {
 			// Apply the reflector to the trailing block r[k:m, k:n].
-			qrApply(v, beta, r.data, m, n, k, k, n, workers)
+			qrApply(v, beta, r.data, m, n, k, k, n)
 		}
 	}
 
@@ -136,7 +115,7 @@ func computeQRWorkers(a *Dense, workers int) *QR {
 		if beta == 0 {
 			continue
 		}
-		qrApply(v, beta, q.data, m, n, k, 0, n, workers)
+		qrApply(v, beta, q.data, m, n, k, 0, n)
 	}
 	return &QR{Q: q, R: rr}
 }

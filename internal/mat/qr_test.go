@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -34,15 +35,17 @@ func TestComputeQRReconstruction(t *testing.T) {
 }
 
 // TestComputeQRWorkerInvariance pins the parallel reflector application
-// to the sequential arithmetic: Q and R must be bitwise identical for any
-// worker count, on shapes big enough to cross the fan-out threshold.
+// to the sequential arithmetic: Q and R must be bitwise identical at any
+// GOMAXPROCS, on shapes big enough to cross the fan-out threshold.
 func TestComputeQRWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][2]int{{300, 80}, {1123, 299}} {
 		a := randomDense(rng, shape[0], shape[1])
-		ref := computeQRWorkers(a, 1)
+		withProcs(t, 1)
+		ref := ComputeQR(a)
 		for _, workers := range []int{2, 3, 8} {
-			got := computeQRWorkers(a, workers)
+			withProcs(t, workers)
+			got := ComputeQR(a)
 			for i := range ref.Q.data {
 				if got.Q.data[i] != ref.Q.data[i] {
 					t.Fatalf("%dx%d workers=%d: Q differs at flat index %d",
@@ -57,6 +60,14 @@ func TestComputeQRWorkerInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withProcs sets GOMAXPROCS, and with it the worker count, for the rest
+// of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestComputeQRPanicsForWide(t *testing.T) {

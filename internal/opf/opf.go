@@ -57,9 +57,6 @@ type DFACTSConfig struct {
 	// MaxEvals bounds objective evaluations per local search (default
 	// 60 × #D-FACTS branches).
 	MaxEvals int
-	// Parallelism bounds the number of concurrent local searches (0 =
-	// GOMAXPROCS). The result is identical for any setting.
-	Parallelism int
 	// Initial, when non-nil, is the full reactance vector whose D-FACTS
 	// setting seeds the search instead of the network's nominal reactances
 	// (day-sweep loops that keep yesterday's devices installed pass the
@@ -129,7 +126,6 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 		Starts:        cfg.Starts,
 		Seed:          cfg.Seed,
 		InitialPoints: [][]float64{n.DFACTSSetting(initial)},
-		Parallelism:   cfg.Parallelism,
 		// On the sparse path every evaluation is a full dispatch LP, so a
 		// random restart must beat the incumbent initial-point optimum at
 		// its start point to earn a Nelder-Mead budget. The dense path

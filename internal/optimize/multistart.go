@@ -4,8 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"gridmtd/internal/par"
 )
 
 // Bounds is a per-dimension box used to draw multi-start points.
@@ -78,16 +78,8 @@ type MSConfig struct {
 	// InitialPoints are deterministic starting points tried before random
 	// ones (e.g. the current operating point).
 	InitialPoints [][]float64
-	// Parallelism bounds the number of concurrent local searches. 0 (or
-	// negative) uses GOMAXPROCS; 1 forces a serial run. The objective and
-	// local solver must be safe for concurrent calls whenever the effective
-	// parallelism exceeds 1. The returned Result is identical for every
-	// setting: all start points are drawn up front from one deterministic
-	// sequence, and the reduction picks the same winner a serial loop
-	// would.
-	Parallelism int
-	// NewWorkerObjective, when non-nil, gives every worker goroutine its
-	// own objective (engine affinity: one cached engine session per worker
+	// NewWorkerObjective, when non-nil, gives every worker its own
+	// objective (engine affinity: one cached engine session per worker
 	// instead of sync.Pool churn on every evaluation). It returns the
 	// worker's objective and a reset hook the driver calls before each
 	// local search; the hook scopes any cross-evaluation state the
@@ -121,13 +113,15 @@ type MSConfig struct {
 // clamped to the box before each local run, and returned points are clamped
 // too, so the result always lies inside the box.
 //
-// Local searches run on up to cfg.Parallelism goroutines. Determinism is
-// preserved by construction rather than by per-start reseeding: every start
-// point is pre-drawn from the single Seed-keyed sequence (bitwise the
-// points a serial run would draw), the local searches are independent, and
-// the best result is selected by (objective value, start index) — the exact
-// winner of the historical serial loop — so any worker count, including 1,
-// returns the same Result.
+// Local searches run on GOMAXPROCS workers (par.For), so the objective and
+// local solver must be safe for concurrent calls whenever GOMAXPROCS
+// exceeds 1. Determinism is preserved by construction rather than by
+// per-start reseeding: every start point is pre-drawn from the single
+// Seed-keyed sequence (bitwise the points a serial run would draw), the
+// local searches are independent, and the best result is selected by
+// (objective value, start index) — the exact winner of the historical
+// serial loop — so any worker count, including 1, returns the same Result.
+// When a local search fails, the lowest-index error is returned.
 func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, error) {
 	if err := box.Validate(); err != nil {
 		return nil, err
@@ -213,45 +207,12 @@ func MultiStart(f Objective, box Bounds, local Local, cfg MSConfig) (*Result, er
 		outs[i] = outcome{res: res, evals: evals}
 	}
 
-	// runRange dispatches starts [lo, hi) across up to cfg.Parallelism
-	// workers and fails fast on the earliest-index error, exactly like the
-	// historical serial loop.
+	// runRange runs starts [lo, hi) and returns the lowest-index error.
 	runRange := func(lo, hi int) error {
-		workers := cfg.Parallelism
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > hi-lo {
-			workers = hi - lo
-		}
-		if workers <= 1 {
+		par.For(hi-lo, func() func(int) {
 			obj, reset := workerObjective()
-			for i := lo; i < hi; i++ {
-				runStart(i, obj, reset)
-				if outs[i].err != nil {
-					// Fail fast like the serial loop: later starts never run.
-					return outs[i].err
-				}
-			}
-			return nil
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obj, reset := workerObjective()
-				for i := range next {
-					runStart(i, obj, reset)
-				}
-			}()
-		}
-		for i := lo; i < hi; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+			return func(i int) { runStart(lo+i, obj, reset) }
+		})
 		for i := lo; i < hi; i++ {
 			if outs[i].err != nil {
 				return outs[i].err

@@ -10,6 +10,14 @@ import (
 	"testing/quick"
 )
 
+// withProcs sets GOMAXPROCS, and with it the driver's worker count, for
+// the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func sphere(x []float64) float64 {
 	var s float64
 	for _, v := range x {
@@ -79,38 +87,6 @@ func TestNelderMeadRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestPatternSearchSphere(t *testing.T) {
-	res, err := PatternSearch(sphere, []float64{2, -3}, PSConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.F > 1e-10 {
-		t.Fatalf("F = %v, want ~0", res.F)
-	}
-}
-
-func TestPatternSearchQuadraticShifted(t *testing.T) {
-	f := func(x []float64) float64 {
-		return (x[0]-3)*(x[0]-3) + (x[1]+1)*(x[1]+1) + 7
-	}
-	res, err := PatternSearch(f, []float64{0, 0}, PSConfig{InitialStep: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-3) > 1e-5 || math.Abs(res.X[1]+1) > 1e-5 {
-		t.Fatalf("X = %v, want [3 -1]", res.X)
-	}
-	if math.Abs(res.F-7) > 1e-9 {
-		t.Fatalf("F = %v, want 7", res.F)
-	}
-}
-
-func TestPatternSearchEmptyInput(t *testing.T) {
-	if _, err := PatternSearch(sphere, nil, PSConfig{}); err == nil {
-		t.Fatal("expected error for empty x0")
-	}
-}
-
 func TestBoundsValidate(t *testing.T) {
 	if err := (Bounds{Lower: []float64{0}, Upper: []float64{1}}).Validate(); err != nil {
 		t.Errorf("valid box rejected: %v", err)
@@ -174,11 +150,11 @@ func TestMultiStartUsesInitialPoints(t *testing.T) {
 		starts = append(starts, append([]float64(nil), x0...))
 		return &Result{X: x0, F: f(x0)}, nil
 	}
+	withProcs(t, 1)
 	box := Bounds{Lower: []float64{0}, Upper: []float64{1}}
 	_, err := MultiStart(sphere, box, local, MSConfig{
 		Starts:        3,
 		InitialPoints: [][]float64{{0.25}},
-		Parallelism:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,37 +210,6 @@ func TestPenalized(t *testing.T) {
 	}
 }
 
-func TestMaxViolationAndFeasible(t *testing.T) {
-	cons := []Constraint{
-		func(x []float64) float64 { return x[0] - 1 },  // x <= 1
-		func(x []float64) float64 { return -x[0] - 1 }, // x >= -1
-	}
-	if got := MaxViolation(cons, []float64{3}); got != 2 {
-		t.Errorf("MaxViolation = %v, want 2", got)
-	}
-	if got := MaxViolation(cons, []float64{0}); got != 0 {
-		t.Errorf("MaxViolation = %v, want 0", got)
-	}
-	if !Feasible(cons, []float64{0.5}, 0) {
-		t.Error("0.5 should be feasible")
-	}
-	if Feasible(cons, []float64{1.5}, 0.1) {
-		t.Error("1.5 should be infeasible")
-	}
-}
-
-func TestSoftMax(t *testing.T) {
-	if got := SoftMax(math.NaN(), 0); got != InfeasibleObjective {
-		t.Errorf("SoftMax(NaN) = %v", got)
-	}
-	if got := SoftMax(-5, 0); got != 0 {
-		t.Errorf("SoftMax(-5, 0) = %v, want 0", got)
-	}
-	if got := SoftMax(5, 0); got != 5 {
-		t.Errorf("SoftMax(5, 0) = %v, want 5", got)
-	}
-}
-
 // Property: Nelder-Mead never returns a worse point than its start on
 // convex quadratics.
 func TestQuickNelderMeadImproves(t *testing.T) {
@@ -296,37 +241,6 @@ func TestQuickNelderMeadImproves(t *testing.T) {
 	}
 }
 
-// Property: pattern search on separable convex quadratics converges to the
-// optimum from any start.
-func TestQuickPatternSearchConverges(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(4)
-		center := make([]float64, n)
-		x0 := make([]float64, n)
-		for i := range center {
-			center[i] = r.NormFloat64() * 2
-			x0[i] = r.NormFloat64() * 2
-		}
-		obj := func(x []float64) float64 {
-			var s float64
-			for i := range x {
-				d := x[i] - center[i]
-				s += d * d
-			}
-			return s
-		}
-		res, err := PatternSearch(obj, x0, PSConfig{InitialStep: 1, MaxEvals: 20000})
-		if err != nil {
-			return false
-		}
-		return res.F < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // multimodal is a deliberately nasty objective with many local minima.
 func multimodal(x []float64) float64 {
 	s := 0.0
@@ -338,20 +252,20 @@ func multimodal(x []float64) float64 {
 
 // TestMultiStartParallelismInvariant is the determinism contract of the
 // parallel driver: identical Result (point, value, eval count) for any
-// Parallelism setting, including values above GOMAXPROCS.
+// GOMAXPROCS, including values above the number of CPUs.
 func TestMultiStartParallelismInvariant(t *testing.T) {
 	box := Bounds{Lower: []float64{-3, -3, -3}, Upper: []float64{3, 3, 3}}
 	local := func(f Objective, x0 []float64) (*Result, error) {
 		return NelderMead(f, x0, NMConfig{MaxEvals: 300})
 	}
-	settings := []int{1, 4, runtime.GOMAXPROCS(0), 16}
+	settings := []int{1, 4, runtime.NumCPU(), 16}
 	var results []*Result
 	for _, par := range settings {
+		withProcs(t, par)
 		res, err := MultiStart(multimodal, box, local, MSConfig{
 			Starts:        12,
 			Seed:          99,
 			InitialPoints: [][]float64{{1, 1, 1}},
-			Parallelism:   par,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -385,6 +299,7 @@ func TestMultiStartWorkerObjectiveInvariant(t *testing.T) {
 		return NelderMead(f, x0, NMConfig{MaxEvals: 200})
 	}
 	run := func(par int) (*Result, int64) {
+		withProcs(t, par)
 		var resets int64
 		factory := func() (Objective, func()) {
 			evals := 0 // per-worker state, reset at every start
@@ -405,7 +320,6 @@ func TestMultiStartWorkerObjectiveInvariant(t *testing.T) {
 			Starts:             9,
 			Seed:               17,
 			InitialPoints:      [][]float64{{1, 1, 1}},
-			Parallelism:        par,
 			NewWorkerObjective: factory,
 		})
 		if err != nil {
@@ -443,11 +357,11 @@ func TestMultiStartParallelErrorIsFirstByIndex(t *testing.T) {
 		}
 		return &Result{X: x0, F: f(x0), Evals: 1}, nil
 	}
+	withProcs(t, 4)
 	_, err := MultiStart(func(x []float64) float64 { return x[0] }, box, local, MSConfig{
 		Starts:        6,
 		Seed:          1,
 		InitialPoints: [][]float64{{1}},
-		Parallelism:   4,
 	})
 	if err == nil || err.Error() != "boom-first" {
 		t.Fatalf("err = %v, want boom-first", err)

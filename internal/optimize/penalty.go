@@ -1,7 +1,5 @@
 package optimize
 
-import "math"
-
 // Constraint represents an inequality constraint g(x) <= 0.
 type Constraint func(x []float64) float64
 
@@ -22,33 +20,7 @@ func Penalized(f Objective, cons []Constraint, mu float64) Objective {
 	}
 }
 
-// MaxViolation returns the largest constraint violation at x (0 if all
-// constraints hold).
-func MaxViolation(cons []Constraint, x []float64) float64 {
-	var worst float64
-	for _, g := range cons {
-		if v := g(x); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// Feasible reports whether all constraints hold at x within tol.
-func Feasible(cons []Constraint, x []float64, tol float64) bool {
-	return MaxViolation(cons, x) <= tol
-}
-
 // InfeasibleObjective is a large sentinel value local solvers can use for
 // points where the objective itself is undefined (e.g. the inner OPF is
 // infeasible). It is finite so simplex arithmetic stays well-behaved.
 const InfeasibleObjective = 1e12
-
-// SoftMax returns max(v, floor), useful to keep penalized objectives away
-// from -Inf/NaN propagation.
-func SoftMax(v, floor float64) float64 {
-	if math.IsNaN(v) {
-		return InfeasibleObjective
-	}
-	return math.Max(v, floor)
-}

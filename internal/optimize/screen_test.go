@@ -104,11 +104,11 @@ func TestMultiStartScreenWorkerInvariance(t *testing.T) {
 	}
 	var ref *Result
 	for _, par := range []int{1, 2, 4} {
+		withProcs(t, par)
 		res, err := MultiStart(obj, box, local, MSConfig{
 			Starts:         8,
 			Seed:           7,
 			InitialPoints:  [][]float64{{1.5, 0.5}, {2, -1}},
-			Parallelism:    par,
 			ScreenRestarts: true,
 		})
 		if err != nil {

@@ -170,9 +170,6 @@ type Config struct {
 	MaxCases int
 	// MaxResults bounds the response memo LRU (default 256).
 	MaxResults int
-	// Parallelism bounds each request's internal search parallelism
-	// (0 = GOMAXPROCS). Results are identical for any setting.
-	Parallelism int
 	// MaxInflight bounds how many requests may compute concurrently
 	// (0 = unbounded, admission control off). Memo, coalesced and disk
 	// hits never consume a slot.
@@ -659,7 +656,6 @@ func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 		OPFMaxEvals:     req.MaxEvals,
 		OPFSeed:         req.Seed,
 		Effectiveness:   effCfg,
-		Parallelism:     p.cfg.Parallelism,
 	}
 	if req.MaxGamma && req.GammaThreshold <= 0 {
 		// A pure max-γ request: an unreachable sentinel threshold forces
@@ -733,7 +729,7 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg 
 		return nil, err
 	}
 	baseline, err := opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
-		Starts: req.Starts, MaxEvals: req.MaxEvals, Seed: req.Seed, Parallelism: p.cfg.Parallelism,
+		Starts: req.Starts, MaxEvals: req.MaxEvals, Seed: req.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -747,24 +743,28 @@ func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg 
 		return nil, err
 	}
 	engines := core.NewEnginesShared(attacks.Gamma(), eng)
-	selCfg := core.SelectConfig{
-		GammaThreshold: req.GammaThreshold,
-		Starts:         req.Starts,
-		MaxEvals:       req.MaxEvals,
-		Seed:           req.Seed,
-		BaselineCost:   baseline.CostPerHour,
-		Parallelism:    p.cfg.Parallelism,
-	}
-	sel, err := core.SelectMTDWith(engines, n, req.XOld, selCfg)
+	// A pure max-γ request (γ_th ≤ 0) skips problem (4): its answer is
+	// MaxGamma's, and it reports no fallback.
+	pure := req.MaxGamma && req.GammaThreshold <= 0
+	var sel *core.Selection
 	fellBack := false
-	if errors.Is(err, core.ErrConstraintUnreachable) || (req.MaxGamma && req.GammaThreshold <= 0) {
-		if !req.MaxGamma {
+	if !pure {
+		sel, err = core.SelectMTDWith(engines, n, req.XOld, core.SelectConfig{
+			GammaThreshold: req.GammaThreshold,
+			Starts:         req.Starts,
+			MaxEvals:       req.MaxEvals,
+			Seed:           req.Seed,
+			BaselineCost:   baseline.CostPerHour,
+		})
+		if errors.Is(err, core.ErrConstraintUnreachable) && !req.MaxGamma {
 			return nil, fmt.Errorf("%w: γ_th=%g on %s", ErrUnreachable, req.GammaThreshold, req.Case)
 		}
-		fellBack = err != nil
+		fellBack = errors.Is(err, core.ErrConstraintUnreachable)
+	}
+	if pure || fellBack {
 		sel, err = core.MaxGammaWith(engines, n, req.XOld, core.MaxGammaConfig{
 			Starts: req.Starts, MaxEvals: req.MaxEvals, Seed: req.Seed,
-			BaselineCost: baseline.CostPerHour, Parallelism: p.cfg.Parallelism,
+			BaselineCost: baseline.CostPerHour,
 		})
 	}
 	if err != nil {
@@ -952,11 +952,10 @@ func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 				Effectiveness: core.EffectivenessConfig{
 					NumAttacks: req.Attacks,
 				},
-				Select: core.SelectConfig{Starts: req.Starts, Parallelism: p.cfg.Parallelism},
+				Select: core.SelectConfig{Starts: req.Starts},
 			},
-			OPFStarts:   req.OPFStarts,
-			Seed:        req.Seed,
-			Parallelism: p.cfg.Parallelism,
+			OPFStarts: req.OPFStarts,
+			Seed:      req.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -1038,7 +1037,6 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 			Placement: scenario.PlacementSpec{
 				Devices: req.Devices, Pool: req.Pool, AllBranches: req.AllBranches,
 			},
-			Parallelism: p.cfg.Parallelism,
 		})
 		if err != nil {
 			return nil, err

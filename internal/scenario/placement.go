@@ -3,11 +3,10 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"gridmtd/internal/core"
+	"gridmtd/internal/par"
 )
 
 // The placement study answers "where should the D-FACTS devices go":
@@ -24,7 +23,7 @@ import (
 //
 // The greedy ranking is deterministic: candidates are scored in pool
 // order, ties keep the earliest candidate, and the corner poll keeps the
-// lowest achieving corner mask — independent of Parallelism.
+// lowest achieving corner mask — independent of the worker count.
 
 // placementState carries the study's shared engines and greedy chain.
 type placementState struct {
@@ -146,45 +145,17 @@ func (st *execState) placementRound(round int) error {
 		mask  int
 	}
 	probes := make([]probe, len(candidates))
-	workers := st.spec.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	evalRange := func(from, to int) {
+	par.For(len(candidates), func() func(int) {
 		sess := pl.eval.NewSession()
 		x := make([]float64, len(pl.xNominal))
 		subset := make([]int, len(pl.chosen)+1)
 		copy(subset, pl.chosen)
-		for i := from; i < to; i++ {
+		return func(i int) {
 			subset[len(pl.chosen)] = candidates[i]
 			g, mask := pl.subsetScore(sess, subset, x)
 			probes[i] = probe{gamma: g, mask: mask}
 		}
-	}
-	if workers <= 1 {
-		evalRange(0, len(candidates))
-	} else {
-		var wg sync.WaitGroup
-		per := (len(candidates) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			from, to := w*per, (w+1)*per
-			if to > len(candidates) {
-				to = len(candidates)
-			}
-			if from >= to {
-				continue
-			}
-			wg.Add(1)
-			go func(from, to int) {
-				defer wg.Done()
-				evalRange(from, to)
-			}(from, to)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Deterministic reduction: strict improvement in candidate (pool)
 	// order keeps the earliest winner — the serial scan's choice.

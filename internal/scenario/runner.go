@@ -203,7 +203,6 @@ func (st *execState) setupGammaSweep() error {
 			st.setScaledLoads(base, factors[spec.Hour-1])
 			prev, err := opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
 				Starts: st.opfStarts(), MaxEvals: spec.OPFMaxEvals, Seed: spec.OPFSeed,
-				Parallelism: spec.Parallelism,
 			})
 			if err != nil {
 				return fmt.Errorf("scenario: previous-hour OPF: %w", err)
@@ -218,7 +217,6 @@ func (st *execState) setupGammaSweep() error {
 		st.setScaledLoads(base, factors[spec.Hour])
 		st.pre, err = opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
 			Starts: st.opfStarts(), MaxEvals: spec.OPFMaxEvals, Seed: seedNow,
-			Parallelism: spec.Parallelism,
 		})
 		if err != nil {
 			return fmt.Errorf("scenario: operating-point OPF: %w", err)
@@ -230,7 +228,6 @@ func (st *execState) setupGammaSweep() error {
 		}
 		st.pre, err = opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
 			Starts: st.opfStarts(), MaxEvals: spec.OPFMaxEvals, Seed: spec.OPFSeed,
-			Parallelism: spec.Parallelism,
 		})
 		if err != nil {
 			return fmt.Errorf("scenario: pre-perturbation OPF: %w", err)
@@ -268,7 +265,6 @@ func (st *execState) sweepPoint(gth float64) error {
 		Seed:           st.spec.Seed,
 		BaselineCost:   st.pre.CostPerHour,
 		WarmStarts:     st.warm,
-		Parallelism:    st.spec.Parallelism,
 	})
 	if errors.Is(err, core.ErrConstraintUnreachable) {
 		st.res.Exhausted = true
@@ -295,7 +291,6 @@ func (st *execState) sweepCap() error {
 		Starts:       st.spec.SelectStarts,
 		Seed:         st.spec.Seed,
 		BaselineCost: st.pre.CostPerHour,
-		Parallelism:  st.spec.Parallelism,
 	})
 	if errors.Is(err, opf.ErrInfeasible) {
 		return nil
@@ -397,7 +392,6 @@ func (st *execState) setupRandomKeys() error {
 	}
 	st.pre, err = opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
 		Starts: st.opfStarts(), MaxEvals: spec.OPFMaxEvals, Seed: spec.OPFSeed,
-		Parallelism: spec.Parallelism,
 	})
 	if err != nil {
 		return fmt.Errorf("scenario: pre-perturbation OPF: %w", err)
@@ -470,7 +464,6 @@ func (st *execState) learnProbe() error {
 		Starts:       st.spec.ProbeStarts,
 		Seed:         st.spec.ProbeSeed,
 		BaselineCost: st.spec.ProbeBaselineCost,
-		Parallelism:  st.spec.Parallelism,
 	})
 	if err != nil {
 		return err

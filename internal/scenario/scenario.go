@@ -157,9 +157,6 @@ type Spec struct {
 	Effectiveness core.EffectivenessConfig
 	// Tune configures a DaySweep's hourly γ-threshold tuning.
 	Tune core.TuneConfig
-	// Parallelism bounds the concurrent local searches / placement probes
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical for any setting.
-	Parallelism int
 
 	// Trials is the number of RandomKeys draws; CostBudget their relative
 	// OPF-cost allowance (the paper reads prior work as 0.02).

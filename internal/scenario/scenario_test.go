@@ -2,13 +2,22 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
 )
 
-func sweepSpec(caseName string, parallelism int) Spec {
+// withProcs sets GOMAXPROCS, and with it the worker count of every
+// fan-out, for the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func sweepSpec(caseName string) Spec {
 	return Spec{
 		Kind:          GammaSweep,
 		Case:          caseName,
@@ -20,7 +29,6 @@ func sweepSpec(caseName string, parallelism int) Spec {
 		OPFMaxEvals:   30,
 		OPFSeed:       1,
 		Effectiveness: core.EffectivenessConfig{NumAttacks: 30, Seed: 1},
-		Parallelism:   parallelism,
 	}
 }
 
@@ -32,14 +40,15 @@ func sweepSpec(caseName string, parallelism int) Spec {
 func TestGammaSweepDeterministic(t *testing.T) {
 	for _, caseName := range []string{"ieee14", "ieee57"} {
 		t.Run(caseName, func(t *testing.T) {
-			serial, err := NewRunner().Run(sweepSpec(caseName, 1))
+			withProcs(t, 1)
+			serial, err := NewRunner().Run(sweepSpec(caseName))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(serial.Rows) != 2 {
 				t.Fatalf("got %d rows, want 2", len(serial.Rows))
 			}
-			again, err := NewRunner().Run(sweepSpec(caseName, 1))
+			again, err := NewRunner().Run(sweepSpec(caseName))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +56,8 @@ func TestGammaSweepDeterministic(t *testing.T) {
 				t.Error("same Spec + seed produced different rows across runs")
 			}
 			for _, workers := range []int{2, 4} {
-				par, err := NewRunner().Run(sweepSpec(caseName, workers))
+				withProcs(t, workers)
+				par, err := NewRunner().Run(sweepSpec(caseName))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,8 +70,8 @@ func TestGammaSweepDeterministic(t *testing.T) {
 }
 
 // TestPlacementDeterministic pins the placement study's worker-count
-// invariance: the greedy choice and its γ are identical for any
-// parallelism, on both backend paths.
+// invariance: the greedy choice and its γ are identical at any
+// GOMAXPROCS, on both backend paths.
 func TestPlacementDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement probes are expensive")
@@ -69,7 +79,7 @@ func TestPlacementDeterministic(t *testing.T) {
 	for _, caseName := range []string{"ieee14", "ieee57"} {
 		t.Run(caseName, func(t *testing.T) {
 			spec := Spec{Kind: Placement, Case: caseName, Placement: PlacementSpec{Devices: 3}}
-			spec.Parallelism = 1
+			withProcs(t, 1)
 			serial, err := NewRunner().Run(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -77,13 +87,15 @@ func TestPlacementDeterministic(t *testing.T) {
 			if len(serial.Rows) != 3 {
 				t.Fatalf("got %d rounds, want 3", len(serial.Rows))
 			}
-			spec.Parallelism = 4
-			par, err := NewRunner().Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial.Rows, par.Rows) {
-				t.Errorf("parallel placement differs from serial:\nserial %+v\npar    %+v", serial.Rows, par.Rows)
+			for _, workers := range []int{3, 4} {
+				withProcs(t, workers)
+				par, err := NewRunner().Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serial.Rows, par.Rows) {
+					t.Errorf("placement at %d workers differs from serial:\nserial %+v\npar    %+v", workers, serial.Rows, par.Rows)
+				}
 			}
 			// Greedy γ must be monotone in the deployment size.
 			for i := 1; i < len(serial.Rows); i++ {
@@ -192,7 +204,7 @@ func TestSpecValidate(t *testing.T) {
 // TestCompileUnits pins the compiled batch shape: setup + one unit per
 // sweep point (+ the cap), labeled.
 func TestCompileUnits(t *testing.T) {
-	spec := sweepSpec("ieee14", 0)
+	spec := sweepSpec("ieee14")
 	spec.CapWithMaxGamma = true
 	b, err := spec.Compile()
 	if err != nil {
@@ -225,7 +237,7 @@ func TestRunnerEngineReuse(t *testing.T) {
 	if e1 != e2 {
 		t.Error("runner rebuilt the dispatch engine for the same network pointer")
 	}
-	spec := sweepSpec("", 1)
+	spec := sweepSpec("")
 	spec.Case = ""
 	spec.Net = n
 	if _, err := r.Run(spec); err != nil {
@@ -250,7 +262,7 @@ func TestGammaSweepSharesAttackEvaluator(t *testing.T) {
 		hour  int
 		stale bool
 	}{{"ieee14", 0, false}, {"ieee57", 0, false}, {"ieee14", 3, true}} {
-		spec := sweepSpec(tc.name, 1)
+		spec := sweepSpec(tc.name)
 		spec.Hour, spec.StaleAttacker = tc.hour, tc.stale
 		n, owned, err := spec.network()
 		if err != nil {

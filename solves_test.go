@@ -2,6 +2,7 @@ package gridmtd_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gridmtd/internal/core"
@@ -32,21 +33,20 @@ const coldSelect300SolveCeiling = 88
 // ceiling keeps 3 solves of headroom.
 const coldSelect118SolveCeiling = 68
 
-// coldSelect runs req on a fresh planner with the given search
-// parallelism (0 = GOMAXPROCS) and returns its response and the
+// coldSelect runs req on a fresh planner and returns its response and the
 // per-request delta of the process-global solve counters
 // (lp.RevisedStats.Delta — root-package tests run sequentially, so no
 // other selection contributes to the window). It fails the test if the
 // selection built a post-MTD estimator or an x_old Gram-Schmidt basis:
 // the rank-|S| kernel, prepared from blocked sparse solves, answers every
 // γ and scores every attack of both pinned requests.
-func coldSelect(t *testing.T, req planner.SelectRequest, parallelism int) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
+func coldSelect(t *testing.T, req planner.SelectRequest) (*planner.SelectResponse, lp.RevisedStats, opf.SolveCacheStats) {
 	t.Helper()
 	lpBefore := lp.GlobalRevisedStats()
 	scBefore := opf.GlobalSolveCacheStats()
 	estBefore := core.GlobalEstimatorCacheStats()
 	basesBefore := core.GammaBasisBuilds()
-	p := planner.New(planner.Config{Parallelism: parallelism})
+	p := planner.New(planner.Config{})
 	resp, err := p.Select(req)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestColdSelect300SolveBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping solve-budget assertion in -short mode")
 	}
-	resp, d, sc := coldSelect(t, coldSelect300Request, 0)
+	resp, d, sc := coldSelect(t, coldSelect300Request)
 	t.Logf("cold ieee300 selection: %d solves (%d prescreen hits, cache %d hits / %d misses)",
 		d.Solves, d.PrescreenHits, sc.Hits, sc.Misses)
 	if d.Solves > coldSelect300SolveCeiling {
@@ -108,7 +108,7 @@ func TestColdSelect118SolveBudget(t *testing.T) {
 		Case: "ieee118", GammaThreshold: 0.05,
 		Starts: 1, MaxEvals: 30, Seed: 1, Attacks: 20,
 		GammaBackend: "sketch",
-	}, 0)
+	})
 	t.Logf("cold ieee118 selection: %d solves (%d prescreen hits)", d.Solves, d.PrescreenHits)
 	if d.Solves > coldSelect118SolveCeiling {
 		t.Errorf("cold ieee118 selection ran %d full dispatch solves, ceiling %d",
@@ -119,15 +119,27 @@ func TestColdSelect118SolveBudget(t *testing.T) {
 
 // TestColdSelect300SolvesIndependentOfWorkers pins that the pinned
 // ieee300 selection runs the same full solves and pre-screen hits whether
-// its local searches share one worker or run on four.
+// its local searches share one worker or run on two or four.
 func TestColdSelect300SolvesIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two ieee300 selections")
+		t.Skip("runs three ieee300 selections")
 	}
-	_, serial, _ := coldSelect(t, coldSelect300Request, 1)
-	_, parallel, _ := coldSelect(t, coldSelect300Request, 4)
-	if serial.Solves != parallel.Solves || serial.PrescreenHits != parallel.PrescreenHits {
-		t.Errorf("1 worker: %d solves (%d pre-screen hits); 4 workers: %d solves (%d pre-screen hits)",
-			serial.Solves, serial.PrescreenHits, parallel.Solves, parallel.PrescreenHits)
+	withProcs(t, 1)
+	_, serial, _ := coldSelect(t, coldSelect300Request)
+	for _, workers := range []int{2, 4} {
+		withProcs(t, workers)
+		_, parallel, _ := coldSelect(t, coldSelect300Request)
+		if serial.Solves != parallel.Solves || serial.PrescreenHits != parallel.PrescreenHits {
+			t.Errorf("1 worker: %d solves (%d pre-screen hits); %d workers: %d solves (%d pre-screen hits)",
+				serial.Solves, serial.PrescreenHits, workers, parallel.Solves, parallel.PrescreenHits)
+		}
 	}
+}
+
+// withProcs sets GOMAXPROCS, and with it the worker count of every
+// fan-out, for the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
