@@ -106,20 +106,20 @@
 // resulting cold-selection latencies (~60 ms at 118 buses, sub-second
 // at 300).
 //
-// On the sparse path the search also avoids repeating work it has
-// already done: dispatch engines memoize full solves under a bitwise
-// (loads, x) key — a hit returns bitwise what a fresh solve computes,
-// deterministic infeasibility errors included — the LP solver recycles
+// The search also avoids repeating work it has already done: dispatch
+// engines on both paths memoize full solves under a bitwise (loads, x)
+// key — a hit returns bitwise what a fresh solve computes, deterministic
+// infeasibility errors included. On the sparse path the LP solver recycles
 // Farkas infeasibility certificates to reject doomed candidates before
 // pivoting (every screened rejection revalidates the certificate
 // exactly against the candidate's data), and multi-start restarts are
 // screened against the deterministic trajectories' optimum so a losing
 // restart costs one evaluation instead of a local-search budget.
 // Every dispatch LP the search does evaluate is an exact solve through
-// the memo. All of these are invisible to the dense/golden path and
-// their traffic is reported by GlobalSolveCacheStats, the lp counters
-// and /v1/stats (which supports ?mark=/?since= named snapshots for
-// per-request deltas). Each counter set is declared once, as the
+// the memo. The screens do not run on the dense/golden path, and the
+// traffic of all three is reported by GlobalSolveCacheStats, the lp
+// counters and /v1/stats (which supports ?mark=/?since= named snapshots
+// for per-request deltas). Each counter set is declared once, as the
 // JSON-tagged struct /v1/stats serves (lp.RevisedStats is the "lp"
 // block itself); internal/metrics differences and sums any of them field
 // by field, so adding a counter touches its field, its increment and the

@@ -207,7 +207,7 @@ type OPFResult = opf.Result
 type DispatchEngine = opf.DispatchEngine
 
 // DispatchSession is a single-goroutine view of a DispatchEngine with a
-// private workspace and, on the sparse path, the warm LP basis.
+// private workspace and, on the sparse path, its own Farkas-ray index.
 type DispatchSession = opf.DispatchSession
 
 // NewDispatchEngine builds a dispatch-OPF engine with the automatic

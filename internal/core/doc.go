@@ -54,8 +54,7 @@
 // # Solve memoization and restart screening
 //
 // The same bitwise-keying discipline governs the dispatch LP underneath
-// the selection search. Sparse-backend opf engines memoize full solves
-// per (loads, x) — the search revisits candidate points (initial-point
+// the selection search. opf engines memoize full solves per (loads, x) — the search revisits candidate points (initial-point
 // trajectories, penalty re-evaluations), and a memo hit returns bitwise
 // what the miss computed, so the hit/miss pattern cannot alter a
 // result. On top of that, SelectMTD's multi-start runs with screened
@@ -64,9 +63,9 @@
 // budget only by beating that bar at its start point, cutting a cold
 // ieee300 selection from 179 to 90 full dispatch solves (PERF.md).
 // The bar is fixed at a stage barrier, so outcomes are identical at
-// any GOMAXPROCS (the worker count of every fan-out). Dense engines
-// build no memo and dense call sites never screen; the golden suite is
-// byte-identical by construction.
+// any GOMAXPROCS (the worker count of every fan-out). Dense call sites
+// never screen, and a dense memo hit is bitwise the solve it replaces,
+// so the golden suite is byte-identical by construction.
 //
 // A selection runs on one dispatch engine. The operating measurements
 // z_old that scale the attacks come from the engine the baseline OPF ran

@@ -348,7 +348,7 @@ func EvaluateAttacks(n *grid.Network, set *AttackSet, xNew []float64, cfg Effect
 		}
 	}
 
-	gamma := set.gamma.GammaExact(xNew)
+	gamma := set.gamma.Gamma(xNew)
 
 	return &EffectivenessResult{
 		Gamma:                gamma,

@@ -128,12 +128,6 @@ func (e *GammaEvaluator) basis() *subspace.Basis {
 	return e.qOld
 }
 
-// NewGammaEvaluatorBackend is NewGammaEvaluator for callers that carry a
-// γ-backend name: every name is an alias of the exact evaluator.
-func NewGammaEvaluatorBackend(n *grid.Network, xOld []float64, _ GammaBackend) *GammaEvaluator {
-	return NewGammaEvaluator(n, xOld)
-}
-
 // invInto fills d with 1/x.
 func invInto(d, x []float64) []float64 {
 	for i, v := range x {
@@ -161,13 +155,6 @@ func (e *GammaEvaluator) GammaDFACTS(xd []float64) float64 {
 	e.pool.Put(w)
 	return g
 }
-
-// GammaExact is Gamma, named for callers that stress the value is the
-// exact evaluator's.
-func (e *GammaEvaluator) GammaExact(x []float64) float64 { return e.Gamma(x) }
-
-// GammaDFACTSExact is GammaDFACTS, named like GammaExact.
-func (e *GammaEvaluator) GammaDFACTSExact(xd []float64) float64 { return e.GammaDFACTS(xd) }
 
 // gamma is the candidate evaluation: the rank-|S| update kernel when the
 // evaluator has one and it accepts the candidate, the Gram-Schmidt path

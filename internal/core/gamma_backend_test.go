@@ -47,9 +47,10 @@ func backendTestPoints(n *grid.Network) [][]float64 {
 	return append(pts, xd)
 }
 
-// checkAliasIsExact pins that an evaluator built under the alias gb is the
-// exact evaluator: bitwise-equal γ at every test point, pooled and through
-// a session.
+// checkAliasIsExact pins that a request under the alias gb is served by
+// the exact evaluator: every γ-backend name builds its evaluator with
+// NewGammaEvaluator, and a second evaluator so built gives bitwise-equal γ
+// at every test point, pooled and through a session.
 func checkAliasIsExact(t *testing.T, gb GammaBackend) {
 	t.Helper()
 	for _, name := range backendTestCases(t) {
@@ -59,7 +60,7 @@ func checkAliasIsExact(t *testing.T, gb GammaBackend) {
 		}
 		xOld := n.Reactances()
 		exact := NewGammaEvaluator(n, xOld)
-		alias := NewGammaEvaluatorBackend(n, xOld, gb)
+		alias := NewGammaEvaluator(n, xOld)
 		for pi, xd := range backendTestPoints(n) {
 			x := n.ExpandDFACTS(xd)
 			ge := exact.Gamma(x)

@@ -72,7 +72,7 @@ func TestGammaUpdateAgreesWithReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		xOld := n.Reactances()
-		ev := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
+		ev := NewGammaEvaluator(n, xOld)
 		pts, random := backendTestPoints(n), randomDFACTS(n, 1, 32)
 		if name == "ieee300" && raceEnabled {
 			pts, random = pts[:2], random[:4]
@@ -82,7 +82,7 @@ func TestGammaUpdateAgreesWithReference(t *testing.T) {
 			if !servedByUpdate(ev, x) {
 				t.Errorf("%s point %d: update kernel declined a D-FACTS setting", name, i)
 			}
-			checkGammaAgrees(t, name, ev.GammaDFACTSExact(xd), referenceGamma(n, xOld, x))
+			checkGammaAgrees(t, name, ev.GammaDFACTS(xd), referenceGamma(n, xOld, x))
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestGammaUpdateExplicitXOld(t *testing.T) {
 	for _, l := range perm[:40] {
 		xOld[l] *= 0.7 + 0.6*rng.Float64()
 	}
-	ev := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
+	ev := NewGammaEvaluator(n, xOld)
 	for trial := 0; trial < 4; trial++ {
 		x := append([]float64(nil), xOld...)
 		for _, l := range rng.Perm(n.L())[:40] {
@@ -120,7 +120,7 @@ func TestGammaUpdateExplicitXOld(t *testing.T) {
 		if !servedByUpdate(ev, x) {
 			t.Errorf("trial %d: update kernel declined 40 changed branches", trial)
 		}
-		checkGammaAgrees(t, "explicit x_old", ev.GammaExact(x), referenceGamma(n, xOld, x))
+		checkGammaAgrees(t, "explicit x_old", ev.Gamma(x), referenceGamma(n, xOld, x))
 	}
 
 	for _, name := range []string{"ieee57", "ieee118", "ieee300"} {
@@ -229,7 +229,7 @@ func TestGammaUpdateForcedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	xOld := n.Reactances()
-	ev := NewGammaEvaluatorBackend(n, xOld, ExactGamma)
+	ev := NewGammaEvaluator(n, xOld)
 	x := n.ExpandDFACTS(randomDFACTS(n, 2, 1)[0])
 	x[bridgeLine(t, n)] *= 1e6
 	if servedByUpdate(ev, x) {
@@ -237,14 +237,14 @@ func TestGammaUpdateForcedFallback(t *testing.T) {
 	}
 	w := ev.pool.New().(*gammaWorkspace)
 	want := ev.gramSchmidtGamma(w, x)
-	if got := ev.GammaExact(x); math.Float64bits(got) != math.Float64bits(want) {
+	if got := ev.Gamma(x); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("fallback γ %v, Gram-Schmidt %v (not bitwise)", got, want)
 	}
 	checkGammaAgrees(t, "fallback", want, referenceGamma(n, xOld, x))
 }
 
 // TestGammaUpdateZeroAllocs pins the steady state of the search's exact
-// evaluation on ieee118: no allocation per GammaDFACTSExact.
+// evaluation on ieee118: no allocation per GammaDFACTS.
 func TestGammaUpdateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop workspaces at random")
@@ -253,11 +253,11 @@ func TestGammaUpdateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewGammaEvaluatorBackend(n, n.Reactances(), ExactGamma)
+	ev := NewGammaEvaluator(n, n.Reactances())
 	xd := randomDFACTS(n, 3, 1)[0]
-	ev.GammaDFACTSExact(xd)
-	if allocs := testing.AllocsPerRun(50, func() { ev.GammaDFACTSExact(xd) }); allocs != 0 {
-		t.Fatalf("GammaDFACTSExact allocates %v times per call", allocs)
+	ev.GammaDFACTS(xd)
+	if allocs := testing.AllocsPerRun(50, func() { ev.GammaDFACTS(xd) }); allocs != 0 {
+		t.Fatalf("GammaDFACTS allocates %v times per call", allocs)
 	}
 }
 
@@ -270,11 +270,11 @@ func TestGammaUpdateConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewGammaEvaluatorBackend(n, n.Reactances(), ExactGamma)
+	ev := NewGammaEvaluator(n, n.Reactances())
 	pts := randomDFACTS(n, 5, 8)
 	want := make([]float64, len(pts))
 	for i, xd := range pts {
-		want[i] = ev.GammaDFACTSExact(xd)
+		want[i] = ev.GammaDFACTS(xd)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -283,7 +283,7 @@ func TestGammaUpdateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range pts {
 				i := (g + k) % len(pts)
-				if got := ev.GammaDFACTSExact(pts[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+				if got := ev.GammaDFACTS(pts[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
 					t.Errorf("goroutine %d point %d: γ %v, serial %v", g, i, got, want[i])
 				}
 			}

@@ -168,11 +168,11 @@ func SelectMTDWith(eng *Engines, n *grid.Network, xOld []float64, cfg SelectConf
 	}
 
 	// Each multi-start worker gets its own engine sessions (no pool churn
-	// per evaluation) and, on the sparse path, its own warm LP basis. The
-	// reset hook scopes the warm basis to one local search, so the
-	// selected MTD is identical for every worker count. The driver-level
-	// objective is built by the same factory, so there is exactly one
-	// definition.
+	// per evaluation) and, on the sparse path, its own Farkas-ray index.
+	// The reset hook scopes the rays to one local search, so the solve
+	// counts, like the selected MTD, are identical for every worker count.
+	// The driver-level objective is built by the same factory, so there is
+	// exactly one definition.
 	newWorker := func() (optimize.Objective, func()) {
 		gs := eng.gamma.NewSession()
 		ds := eng.dispatch.NewSession()
@@ -456,8 +456,7 @@ func RandomKeyWithinCostEngine(rng *rand.Rand, n *grid.Network, engine *opf.Disp
 		maxDraws = 1000
 	}
 	// The rejection loop is sequential, so a single session is safe and
-	// deterministic; on the sparse path its warm LP basis carries across
-	// draws and cuts the per-draw simplex work.
+	// deterministic.
 	sess := engine.NewSession()
 	lo, hi := n.DFACTSBounds()
 	box := optimize.Bounds{Lower: lo, Upper: hi}

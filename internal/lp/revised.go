@@ -238,10 +238,6 @@ func (s *RevisedSolver) Invalidate() { s.hasBasis = false }
 // drop the index at the same boundaries as the warm basis.
 func (s *RevisedSolver) DropRays() { s.rays = s.rays[:0] }
 
-// HasBasis reports whether a warm basis is loaded (from a previous solve
-// or InstallBasis).
-func (s *RevisedSolver) HasBasis() bool { return s.hasBasis }
-
 // WarmBasis is a portable snapshot of a solver's optimal basis: the
 // per-variable statuses (structural then inequality slacks) plus the
 // problem signature they belong to. It is immutable once captured, so one

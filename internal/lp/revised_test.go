@@ -286,7 +286,7 @@ func TestRevisedInvalidate(t *testing.T) {
 		t.Fatalf("re-solving with the kept basis paid %d pivots", d)
 	}
 	rs.Invalidate()
-	if rs.HasBasis() {
+	if rs.hasBasis {
 		t.Fatal("Invalidate left the basis loaded")
 	}
 	got, err := rs.Solve(p)

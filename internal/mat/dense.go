@@ -133,14 +133,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i. len(v) must equal Cols.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(ErrShape)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // SetCol copies v into column j. len(v) must equal Rows.
 func (m *Dense) SetCol(j int, v []float64) {
 	if len(v) != m.rows {
@@ -250,30 +242,6 @@ func ScaleMat(s float64, a *Dense) *Dense {
 	for i := range out.data {
 		out.data[i] *= s
 	}
-	return out
-}
-
-// HStack returns the horizontal concatenation [a b].
-func HStack(a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(ErrShape)
-	}
-	out := NewDense(a.rows, a.cols+b.cols)
-	for i := 0; i < a.rows; i++ {
-		copy(out.data[i*out.cols:], a.data[i*a.cols:(i+1)*a.cols])
-		copy(out.data[i*out.cols+a.cols:], b.data[i*b.cols:(i+1)*b.cols])
-	}
-	return out
-}
-
-// VStack returns the vertical concatenation [a; b].
-func VStack(a, b *Dense) *Dense {
-	if a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := NewDense(a.rows+b.rows, a.cols)
-	copy(out.data, a.data)
-	copy(out.data[a.rows*a.cols:], b.data)
 	return out
 }
 

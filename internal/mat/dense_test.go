@@ -156,10 +156,6 @@ func TestRowColAccessors(t *testing.T) {
 	if got := m.Col(2); !VecEqual(got, []float64{3, 6}, 0) {
 		t.Errorf("Col(2) = %v", got)
 	}
-	m.SetRow(0, []float64{9, 9, 9})
-	if got := m.Row(0); !VecEqual(got, []float64{9, 9, 9}, 0) {
-		t.Errorf("SetRow failed: %v", got)
-	}
 	m.SetCol(0, []float64{7, 8})
 	if m.At(0, 0) != 7 || m.At(1, 0) != 8 {
 		t.Error("SetCol failed")
@@ -174,16 +170,6 @@ func TestRowColAccessors(t *testing.T) {
 
 func TestStacking(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseFrom(2, 1, []float64{5, 6})
-	h := HStack(a, b)
-	if h.Rows() != 2 || h.Cols() != 3 || h.At(0, 2) != 5 || h.At(1, 2) != 6 {
-		t.Errorf("HStack wrong: %v", h)
-	}
-	c := NewDenseFrom(1, 2, []float64{7, 8})
-	v := VStack(a, c)
-	if v.Rows() != 3 || v.At(2, 0) != 7 || v.At(2, 1) != 8 {
-		t.Errorf("VStack wrong: %v", v)
-	}
 	hv := HStackVec(a, []float64{9, 10})
 	if hv.Cols() != 3 || hv.At(0, 2) != 9 || hv.At(1, 2) != 10 {
 		t.Errorf("HStackVec wrong: %v", hv)
@@ -306,12 +292,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	for i, v := range MulVec(a, x5) {
 		if gotV[i] != v {
 			t.Fatal("MulVecInto differs from MulVec")
-		}
-	}
-	gotT := MulVecTInto(make([]float64, 5), a, x7)
-	for i, v := range MulVecT(a, x7) {
-		if gotT[i] != v {
-			t.Fatal("MulVecTInto differs from MulVecT")
 		}
 	}
 	if got := TransposeInto(NewDense(5, 7), a); !Equal(got, a.T(), 0) {

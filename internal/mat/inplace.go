@@ -101,31 +101,6 @@ func MulVecInto(dst []float64, a *Dense, x []float64) []float64 {
 	return dst
 }
 
-// MulVecTInto computes aᵀ*x into dst (length a.Cols()) without forming the
-// transpose, and returns dst.
-func MulVecTInto(dst []float64, a *Dense, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic(ErrShape)
-	}
-	if len(dst) != a.cols {
-		panic(ErrShape)
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range row {
-			dst[j] += v * xi
-		}
-	}
-	return dst
-}
-
 // TransposeInto writes aᵀ into dst (which must be a.Cols()×a.Rows()) and
 // returns dst.
 func TransposeInto(dst, a *Dense) *Dense {

@@ -117,15 +117,6 @@ func Ones(n int) []float64 {
 	return out
 }
 
-// Constant returns a vector of n copies of v.
-func Constant(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 // MaxVec returns the maximum element of x; it panics on an empty slice.
 func MaxVec(x []float64) float64 {
 	if len(x) == 0 {

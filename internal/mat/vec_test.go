@@ -78,9 +78,6 @@ func TestConstructors(t *testing.T) {
 	if got := Ones(2); !VecEqual(got, []float64{1, 1}, 0) {
 		t.Errorf("Ones = %v", got)
 	}
-	if got := Constant(2, 7); !VecEqual(got, []float64{7, 7}, 0) {
-		t.Errorf("Constant = %v", got)
-	}
 }
 
 func TestMinMaxSum(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
 	"gridmtd/internal/mat"
+	"gridmtd/internal/memo"
 )
 
 // DispatchEngine solves the dispatch-only OPF for many reactance vectors
@@ -33,22 +34,19 @@ import (
 //
 // On the sparse-backend path (grid.EffectiveBackend resolves to
 // SparseBackend, i.e. ≥ grid.SparseThreshold buses under AutoBackend) the
-// dispatch LP is solved by the warm-started revised simplex
-// (lp.RevisedSolver): each workspace keeps the previous solve's optimal
-// basis and re-solves the near-identical LPs of one local search from it,
-// with dual-simplex recovery and a verified cold fallback. Warm solves
-// agree with the flat tableau solver to well under 1e-9 on the objective
-// but not bitwise, and the result of a sequence of solves depends on the
-// sequence (the basis carries over) — deterministic parallel drivers must
-// therefore scope a workspace per worker via NewSession and reset it at
-// their determinism boundaries (optimize.MultiStart does this per local
-// search). The dense path keeps the historical flat tableau solver and
-// stays bitwise identical to SolveDispatch.
+// dispatch LP is solved by the revised simplex (lp.RevisedSolver), started
+// on every solve from the engine's seed basis, with dual-simplex recovery
+// and a verified cold fallback. Its objectives agree with the flat tableau
+// solver to well under 1e-9 but not bitwise. The dense path keeps the
+// historical flat tableau solver and stays bitwise identical to
+// SolveDispatch. No solve carries an LP basis from an earlier one, so on
+// both paths every solve is a pure function of (loads, x), and the engine
+// memoizes it (see lookup).
 type DispatchEngine struct {
 	n       *grid.Network
 	backend grid.Backend
 	bAn     *grid.BAnalysis // B_r's symbolic analysis, shared by every workspace's factorizer
-	warm    bool            // sparse path: warm-started revised simplex
+	warm    bool            // sparse path: seeded revised simplex
 	nG      int
 	redIdx  []int    // reduced state column per generator bus, -1 at slack
 	uCols   []int    // distinct non-slack entries of redIdx, first-seen order
@@ -63,22 +61,15 @@ type DispatchEngine struct {
 
 	// Engine-level seed basis (sparse path): the optimal basis of the
 	// dispatch LP at the network's reference reactances, computed once on
-	// first demand. Solvers with no warm basis of their own start from it
-	// instead of a cold tableau solve — the dominant cost of a cold
-	// selection (every pooled Cost call and every post-reset session solve
-	// used to pay a full two-phase dense-tableau solve). The seed is a pure
-	// function of the network, so seeded solves remain pure functions of
-	// (loads, x): scheduling, worker count and pool order cannot influence
-	// results, which is the determinism contract pooled solves rely on.
+	// first demand. Every solve starts from it instead of a cold two-phase
+	// tableau solve, which would dominate a cold selection. The seed is a
+	// pure function of the network, so seeded solves remain pure functions
+	// of (loads, x): scheduling, worker count and pool order cannot
+	// influence results.
 	seedOnce sync.Once
 	seed     *lp.WarmBasis
 
-	// Dispatch-solve memo (sparse path only): because every fast-path
-	// solve is a pure from-seed function of (loads, x), a cache hit is
-	// bitwise indistinguishable from recomputing — see SolveCache. nil on
-	// the dense path, which keeps its historical bitwise behavior and
-	// never consults the cache.
-	cache *SolveCache
+	cache *memo.LRU[string, solved] // dispatch-solve memo, see lookup
 }
 
 type dispatchWorkspace struct {
@@ -93,7 +84,7 @@ type dispatchWorkspace struct {
 	aub     *mat.Dense
 	bub     []float64
 	solver  *lp.Solver        // dense path: historical flat tableau
-	rsolver *lp.RevisedSolver // sparse path: warm-started revised simplex
+	rsolver *lp.RevisedSolver // sparse path: seeded revised simplex
 	// Full-solve extras (power-flow verification).
 	inj      []float64
 	pRed     []float64
@@ -127,6 +118,7 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 		bAn:     bAn,
 		warm:    eff == grid.SparseBackend,
 		nG:      len(n.Gens),
+		cache:   memo.New[string, solved](solveCacheCap, nil),
 	}
 	e.redIdx = make([]int, e.nG)
 	e.giCol = make([]int, e.nG)
@@ -189,9 +181,6 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 		}
 		return w
 	}
-	if e.warm {
-		e.cache = newSolveCache(0)
-	}
 	return e, nil
 }
 
@@ -203,10 +192,12 @@ func (e *DispatchEngine) Network() *grid.Network { return e.n }
 
 // prepare builds the dispatch LP for reactances x into the workspace and
 // solves it. It mirrors SolveDispatch step for step on the dense path; the
-// sparse path routes the identical LP through the warm-started revised
-// simplex.
+// sparse path routes the identical LP through the revised simplex, started
+// from the engine's seed basis (cold when there is none) whatever the
+// workspace solved before.
 func (e *DispatchEngine) prepare(w *dispatchWorkspace, x []float64) (*lp.Solution, error) {
-	if e.warm && !w.rsolver.HasBasis() {
+	if e.warm {
+		w.rsolver.Invalidate()
 		w.rsolver.InstallBasis(e.seedBasis())
 	}
 	return e.prepareUnseeded(w, x)
@@ -337,27 +328,9 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 // Cost returns the optimal generation cost ($/h) for reactances x without
 // materializing flows and angles — the form the selection search's inner
 // loop wants. The value is bitwise identical to Solve(x).CostPerHour.
-//
-// Pooled solves never reuse another solve's warm basis: sync.Pool hands
-// out workspaces in a scheduling- and GC-dependent order, so any warm
-// state carried across pooled calls would make results depend on that
-// order. Each pooled solve instead starts from the engine's fixed seed
-// basis (see seedBasis) — a pure function of the network — which keeps
-// every engine-level solve a pure function of (loads, x) while skipping
-// the cold tableau solve. Per-candidate warm chaining stays with the
-// explicitly scoped per-worker sessions.
 func (e *DispatchEngine) Cost(x []float64) (float64, error) {
-	if e.cache != nil {
-		return e.cachedCost(nil, x)
-	}
-	w := e.pool.Get().(*dispatchWorkspace)
-	w.dropWarmStart()
-	sol, err := e.prepare(w, x)
-	e.pool.Put(w)
-	if err != nil {
-		return 0, err
-	}
-	return sol.Objective, nil
+	r, _, err := e.lookup(nil, x)
+	return r.obj, err
 }
 
 // CostUpperBound returns an upper bound on Cost over every reactance
@@ -373,102 +346,48 @@ func (e *DispatchEngine) CostUpperBound() float64 {
 }
 
 // Solve returns the full OPF result for reactances x, including the
-// verifying DC power flow, exactly as SolveDispatch does. Like Cost, a
-// pooled solve starts from the engine's fixed seed basis, never another
-// solve's warm state.
+// verifying DC power flow, exactly as SolveDispatch does.
 func (e *DispatchEngine) Solve(x []float64) (*Result, error) {
-	w := e.pool.Get().(*dispatchWorkspace)
+	w := e.pooled()
 	defer e.pool.Put(w)
-	if e.cache != nil {
-		return e.cachedSolve(w, x)
-	}
-	w.dropWarmStart()
-	return e.solve(w, x)
+	return e.solveOn(w, x)
 }
 
-// cachedCost returns the memoized LP objective for the current (loads, x),
-// computing it on the caller's workspace (or a pooled one when w is nil)
-// on a miss. See SolveCache for why a hit is bitwise equivalent to a
-// fresh solve.
-func (e *DispatchEngine) cachedCost(w *dispatchWorkspace, x []float64) (float64, error) {
-	ent, ok := e.cache.entry(e.solveKey(x))
-	first := e.computeEntry(ent, w, x)
-	countSolveLookup(first, ok)
-	if ent.err != nil {
-		return 0, ent.err
+// solveOn is Solve on workspace w: the LP comes from the memo; only the
+// verifying DC power flow — which needs w's factorization at x — runs per
+// call.
+func (e *DispatchEngine) solveOn(w *dispatchWorkspace, x []float64) (*Result, error) {
+	r, computed, err := e.lookup(w, x)
+	if err != nil {
+		return nil, err
 	}
-	return ent.obj, nil
-}
-
-// cachedSolve is Solve through the memo: the LP comes from the cache (or
-// one shared computation on a miss); only the verifying DC power flow —
-// which needs this workspace's factorization at x — runs per call.
-func (e *DispatchEngine) cachedSolve(w *dispatchWorkspace, x []float64) (*Result, error) {
-	ent, ok := e.cache.entry(e.solveKey(x))
-	first := e.computeEntry(ent, w, x)
-	countSolveLookup(first, ok)
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	if !first {
+	if !computed {
 		// The LP ran in some earlier call: w.bf does not hold x's
 		// factorization, which the verifying power flow below needs.
 		if err := w.bf.Reset(x); err != nil {
 			return nil, fmt.Errorf("opf: PTDF: %w", err)
 		}
 	}
-	return e.verifiedResult(w, x, append([]float64(nil), ent.x...), ent.obj)
+	return e.verifiedResult(w, x, append([]float64(nil), r.x...), r.obj)
 }
 
-// computeEntry runs the entry's single LP solve if nobody has yet: a pure
-// from-seed solve of (loads, x) on the caller's workspace, or on a pooled
-// workspace when w is nil. It reports whether this call did the work (in
-// which case w's factorizer holds x when w was supplied).
-func (e *DispatchEngine) computeEntry(ent *solveEntry, w *dispatchWorkspace, x []float64) (first bool) {
-	ent.once.Do(func() {
-		first = true
-		ws := w
-		if ws == nil {
-			ws = e.pool.Get().(*dispatchWorkspace)
-			defer e.pool.Put(ws)
-		}
-		ws.dropWarmStart()
-		sol, err := e.prepare(ws, x)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		ent.obj = sol.Objective
-		ent.x = append([]float64(nil), sol.X...)
-	})
-	return first
-}
-
-// countSolveLookup attributes one cache lookup to the process-wide
-// counters: a lookup that found a computed entry is a hit, anything else
-// (created the entry, or did/shared the computation) is a miss.
-func countSolveLookup(first, existed bool) {
-	if first || !existed {
-		solveGlobal.Add(SolveCacheStats{Misses: 1})
-	} else {
-		solveGlobal.Add(SolveCacheStats{Hits: 1})
-	}
-}
-
-// dropWarmStart discards the workspace's warm LP basis (no-op on the
-// dense path).
-func (w *dispatchWorkspace) dropWarmStart() {
+// pooled takes a workspace from the pool with an empty Farkas-ray index:
+// sync.Pool hands workspaces out in a scheduling- and GC-dependent order,
+// so rays recycled from another caller's solves would make the pre-screen
+// work depend on that order.
+func (e *DispatchEngine) pooled() *dispatchWorkspace {
+	w := e.pool.Get().(*dispatchWorkspace)
 	if w.rsolver != nil {
-		w.rsolver.Invalidate()
+		w.rsolver.DropRays()
 	}
+	return w
 }
 
 // seedBasis returns the engine-level seed basis, computing it on first
 // demand: one cold solve of the dispatch LP at the network's reference
-// reactances on a private workspace, whose optimal basis every subsequent
-// basis-less solve starts from. Returns nil on the dense path or when the
-// reference LP cannot be solved (each later solve then runs cold exactly
-// as before).
+// reactances on a private workspace, whose optimal basis every later
+// solve starts from. Returns nil on the dense path or when the reference
+// LP cannot be solved (each later solve then runs cold).
 func (e *DispatchEngine) seedBasis() *lp.WarmBasis {
 	if !e.warm {
 		return nil
@@ -478,24 +397,14 @@ func (e *DispatchEngine) seedBasis() *lp.WarmBasis {
 		if _, err := e.prepareUnseeded(w, e.n.Reactances()); err == nil {
 			e.seed = w.rsolver.CaptureBasis()
 		}
-		w.dropWarmStart()
 		e.pool.Put(w)
 	})
 	return e.seed
 }
 
-// solve is Solve against an explicit workspace.
-func (e *DispatchEngine) solve(w *dispatchWorkspace, x []float64) (*Result, error) {
-	sol, err := e.prepare(w, x)
-	if err != nil {
-		return nil, err
-	}
-	return e.verifiedResult(w, x, sol.X, sol.Objective)
-}
-
 // verifiedResult runs the verifying DC power flow for an already-solved
 // dispatch and assembles the Result. w.bf must hold the factorization of
-// x (buildProblem leaves it there; the cache-hit path re-resets it).
+// x (buildProblem leaves it there; solveOn re-resets it on a memo hit).
 func (e *DispatchEngine) verifiedResult(w *dispatchWorkspace, x, dispatch []float64, obj float64) (*Result, error) {
 	n := e.n
 
@@ -534,11 +443,12 @@ func (e *DispatchEngine) verifiedResult(w *dispatchWorkspace, x, dispatch []floa
 
 // DispatchSession is a single-goroutine view of a DispatchEngine: it owns
 // one workspace outright instead of borrowing from the pool per call. The
-// parallel multi-start driver holds one session per worker (no pool churn)
-// and, on the sparse path, the session is where the warm LP basis lives —
-// ResetWarmStart scopes it to one local search so results stay independent
-// of how starts are distributed across workers. A DispatchSession is not
-// safe for concurrent use.
+// parallel multi-start driver holds one session per worker (no pool churn),
+// and on the sparse path the session's Farkas-ray index is what carries
+// across its solves — ResetWarmStart scopes it to one local search. A
+// session carries no LP basis: like a pooled solve, each of its solves
+// starts from the engine's seed basis and is served through the engine's
+// memo. A DispatchSession is not safe for concurrent use.
 type DispatchSession struct {
 	e *DispatchEngine
 	w *dispatchWorkspace
@@ -549,27 +459,16 @@ func (e *DispatchEngine) NewSession() *DispatchSession {
 	return &DispatchSession{e: e, w: e.pool.New().(*dispatchWorkspace)}
 }
 
-// Cost is DispatchEngine.Cost on the session's private workspace. On the
-// sparse path it serves from the engine's shared SolveCache: every miss
-// is a pure from-seed solve of (loads, x), so hits are bitwise equivalent
-// and session results no longer depend on the session's solve history.
+// Cost is DispatchEngine.Cost, solving a memo miss on the session's
+// private workspace.
 func (s *DispatchSession) Cost(x []float64) (float64, error) {
-	if s.e.cache != nil {
-		return s.e.cachedCost(s.w, x)
-	}
-	sol, err := s.e.prepare(s.w, x)
-	if err != nil {
-		return 0, err
-	}
-	return sol.Objective, nil
+	r, _, err := s.e.lookup(s.w, x)
+	return r.obj, err
 }
 
 // Solve is DispatchEngine.Solve on the session's private workspace.
 func (s *DispatchSession) Solve(x []float64) (*Result, error) {
-	if s.e.cache != nil {
-		return s.e.cachedSolve(s.w, x)
-	}
-	return s.e.solve(s.w, x)
+	return s.e.solveOn(s.w, x)
 }
 
 // BuildProblem assembles the dispatch LP for reactances x on the
@@ -580,17 +479,14 @@ func (s *DispatchSession) BuildProblem(x []float64) (*lp.Problem, error) {
 	return s.e.buildProblem(s.w, x)
 }
 
-// ResetWarmStart drops the session's warm LP basis and its Farkas-ray
-// index (a no-op on the dense path): the next solve starts from the
-// engine's fixed seed basis (cold when the engine has none) with no
-// recycled certificates. Deterministic drivers call it at their
-// reproducibility boundaries — one local search per warm scope; because
-// the seed is a pure function of the network, the post-reset state, and
-// with it the search's solve and pre-screen counts, are identical however
-// starts are distributed across workers.
+// ResetWarmStart drops the session's Farkas-ray index (a no-op on the
+// dense path), the only solver state a session carries from one solve to
+// the next: the next solve recycles no certificates. Deterministic drivers
+// call it at their reproducibility boundaries — one local search per
+// scope — so the search's solve and pre-screen counts are identical
+// however starts are distributed across workers.
 func (s *DispatchSession) ResetWarmStart() {
 	if s.w.rsolver != nil {
-		s.w.rsolver.Invalidate()
 		s.w.rsolver.DropRays()
 	}
 }

@@ -101,8 +101,8 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 	box := optimize.Bounds{Lower: lo, Upper: hi}
 
 	// Per-worker engine sessions: no pool churn per evaluation, and on the
-	// sparse path the warm LP basis is scoped to one local search so the
-	// result is identical for every worker count. The driver-level
+	// sparse path the Farkas-ray index is scoped to one local search so the
+	// solve counts are identical for every worker count. The driver-level
 	// objective comes from the same factory — one definition.
 	newWorker := func() (optimize.Objective, func()) {
 		s := engine.NewSession()

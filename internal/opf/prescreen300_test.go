@@ -10,8 +10,9 @@ import (
 )
 
 // TestPrescreen300ProbesConfirmedByFreshSolve drives the Farkas screen on
-// the case it was built for: random D-FACTS probes on ieee300, re-probed
-// with tiny perturbations so recycled rays actually fire, and every
+// the case it was built for: random D-FACTS probes on ieee300 through one
+// session (pooled solves start with an empty ray index), re-probed with
+// tiny perturbations so recycled rays actually fire, and every
 // infeasible verdict — screened or fully solved — re-checked on a fresh
 // engine whose solver holds no rays and no cache entry for the candidate.
 // This is the end-to-end face of the lp package's screen-rejection
@@ -28,6 +29,7 @@ func TestPrescreen300ProbesConfirmedByFreshSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := eng.NewSession()
 	lo, hi := n.DFACTSBounds()
 	rng := rand.New(rand.NewSource(9))
 	before := lp.GlobalRevisedStats()
@@ -43,7 +45,7 @@ func TestPrescreen300ProbesConfirmedByFreshSolve(t *testing.T) {
 			xd[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 		}
 		x := n.ExpandDFACTS(xd)
-		_, err := eng.Solve(x)
+		_, err := sess.Solve(x)
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("probe %d: unexpected error: %v", i, err)
 		}
@@ -54,7 +56,7 @@ func TestPrescreen300ProbesConfirmedByFreshSolve(t *testing.T) {
 			xd2 := append([]float64(nil), xd...)
 			xd2[0] *= 1 + 1e-9
 			x2 := n.ExpandDFACTS(xd2)
-			_, err2 := eng.Solve(x2)
+			_, err2 := sess.Solve(x2)
 			probes = append(probes, verdict{x: x2, infeasible: err2 != nil})
 		}
 	}

@@ -1,32 +1,31 @@
 package opf
 
 import (
-	"container/list"
 	"math"
-	"sync"
 
+	"gridmtd/internal/memo"
 	"gridmtd/internal/metrics"
 )
 
-// defaultSolveCacheCap bounds a SolveCache's LRU. Each entry holds the
-// objective, the dispatch vector (nG floats) and the packed key
+// solveCacheCap bounds each engine's dispatch-solve memo. Each entry holds
+// the objective, the dispatch vector (nG floats) and the packed key
 // (N + L floats), about 6 KB at ieee300 scale — a thousand entries cover
 // a cold selection's distinct candidates several times over for a few MB
 // per network.
-const defaultSolveCacheCap = 1024
+const solveCacheCap = 1024
 
-// solveGlobal aggregates dispatch-solve-cache traffic process-wide, like
+// solveGlobal aggregates dispatch-solve-memo traffic process-wide, like
 // the lp package's global revised-simplex counters: one snapshot for
 // /v1/stats and mtdexp -v.
 var solveGlobal metrics.Sum[SolveCacheStats]
 
-// SolveCacheStats is a snapshot of the process-wide dispatch-solve-cache
+// SolveCacheStats is a snapshot of the process-wide dispatch-solve-memo
 // counters.
 type SolveCacheStats struct {
-	// Hits / Misses count cache lookups by outcome. A hit returns the
-	// memoized LP result without running the simplex; a miss pays one
-	// full dispatch solve (counted in the lp Solves/PrescreenHits
-	// telemetry as usual).
+	// Hits / Misses count memo lookups by outcome. A miss created the
+	// entry and paid one full dispatch solve (counted in the lp
+	// Solves/PrescreenHits telemetry as usual); a hit joined or read
+	// another lookup's solve.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 }
@@ -35,57 +34,53 @@ type SolveCacheStats struct {
 // per-request assertions against the cumulative process-wide counters.
 func (s SolveCacheStats) Delta(since SolveCacheStats) SolveCacheStats { return metrics.Delta(s, since) }
 
-// GlobalSolveCacheStats returns the process-wide cache counters.
+// GlobalSolveCacheStats returns the process-wide memo counters.
 func GlobalSolveCacheStats() SolveCacheStats { return solveGlobal.Load() }
 
-// SolveCache memoizes dispatch-LP results per (bus loads, reactance
-// vector) for one engine. The key is the exact bit pattern of both, so a
-// hit returns the result of a bitwise-identical LP — no tolerance is
-// involved in reuse. It exists because every fast-path solve is a pure
-// from-seed function of (loads, x) (see DispatchEngine.Cost): a hit is
-// bitwise indistinguishable from recomputing, so the hit/miss pattern —
-// and with it scheduling, worker count and pool order — cannot influence
-// any observable result. The selection search re-evaluates bitwise-
-// identical candidates constantly (multi-start re-evaluation at the
-// clamped optimum, γ-ladder backoffs re-walking earlier simplices, corner
-// polls sharing corners), and every one of those repeats collapses into a
-// map lookup.
-//
-// Entries are immutable once computed (callers receive copies of the
-// dispatch vector), so one entry may serve concurrent readers; concurrent
-// misses on one key share a single solve. Deterministic errors
-// (infeasibility, PTDF build failures — all pure functions of the input)
-// are cached like results.
-//
-// A SolveCache is safe for concurrent use. A nil cache is valid and means
-// every solve runs fresh (the dense path, which keeps its historical
-// bitwise behavior).
-type SolveCache struct {
-	cap int
-
-	mu      sync.Mutex
-	entries map[string]*solveEntry
-	lru     *list.List // front = most recent; values are keys
+// solved is one memoized dispatch LP: the objective and the optimal
+// dispatch (MW). Entries are immutable once computed; callers that hand
+// the dispatch out copy it.
+type solved struct {
+	obj float64
+	x   []float64
 }
 
-type solveEntry struct {
-	once sync.Once
-	obj  float64
-	x    []float64 // optimal dispatch (MW), nil on error
-	err  error
-	elem *list.Element
-}
-
-// newSolveCache builds a cache; capacity <= 0 selects the default.
-func newSolveCache(capacity int) *SolveCache {
-	if capacity <= 0 {
-		capacity = defaultSolveCacheCap
+// lookup returns the dispatch LP of the current (loads, x) from the
+// engine's memo. The key is the exact bit pattern of both, so a hit
+// returns the result of a bitwise-identical LP — no tolerance is involved
+// in reuse. Every solve is a pure from-seed function of (loads, x) (see
+// prepare), so a hit is bitwise indistinguishable from recomputing and
+// the hit/miss pattern — and with it scheduling, worker count and pool
+// order — cannot influence any observable result. The selection search
+// re-evaluates bitwise-identical candidates constantly (multi-start
+// re-evaluation at the clamped optimum, γ-ladder backoffs re-walking
+// earlier simplices, corner polls sharing corners), and every one of those
+// repeats collapses into a map lookup. Deterministic errors (infeasibility,
+// PTDF build failures — all pure functions of the input) are kept like
+// results.
+//
+// The lookup that creates the entry solves it on w, or on a pooled
+// workspace when w is nil; computed reports that case, in which w's
+// factorizer holds x afterwards.
+func (e *DispatchEngine) lookup(w *dispatchWorkspace, x []float64) (r solved, computed bool, err error) {
+	r, o, err := e.cache.Do(e.solveKey(x), func() (solved, error) {
+		ws := w
+		if ws == nil {
+			ws = e.pooled()
+			defer e.pool.Put(ws)
+		}
+		sol, err := e.prepare(ws, x)
+		if err != nil {
+			return solved{}, err
+		}
+		return solved{sol.Objective, append([]float64(nil), sol.X...)}, nil
+	})
+	if o == memo.Created {
+		solveGlobal.Add(SolveCacheStats{Misses: 1})
+	} else {
+		solveGlobal.Add(SolveCacheStats{Hits: 1})
 	}
-	return &SolveCache{
-		cap:     capacity,
-		entries: map[string]*solveEntry{},
-		lru:     list.New(),
-	}
+	return r, o == memo.Created, err
 }
 
 // solveKey packs the bit patterns of the network's current bus loads and
@@ -110,25 +105,4 @@ func (e *DispatchEngine) solveKey(x []float64) string {
 		put(v)
 	}
 	return string(b)
-}
-
-// entry returns the cache slot for key, creating (and LRU-evicting) as
-// needed. ok reports whether the slot already existed.
-func (c *SolveCache) entry(key string) (e *solveEntry, ok bool) {
-	c.mu.Lock()
-	e, ok = c.entries[key]
-	if ok {
-		c.lru.MoveToFront(e.elem)
-	} else {
-		e = &solveEntry{}
-		e.elem = c.lru.PushFront(key)
-		c.entries[key] = e
-		for c.lru.Len() > c.cap {
-			old := c.lru.Back()
-			c.lru.Remove(old)
-			delete(c.entries, old.Value.(string))
-		}
-	}
-	c.mu.Unlock()
-	return e, ok
 }

@@ -7,51 +7,27 @@ import (
 	"gridmtd/internal/grid"
 )
 
-// TestSolveCacheLRU unit-tests the entry store: capacity bounds the map,
-// the least recently used key is evicted first, and a re-touched key
-// survives.
-func TestSolveCacheLRU(t *testing.T) {
-	c := newSolveCache(2)
-	if _, ok := c.entry("a"); ok {
-		t.Fatal("fresh key reported as existing")
-	}
-	if _, ok := c.entry("b"); ok {
-		t.Fatal("fresh key reported as existing")
-	}
-	if _, ok := c.entry("a"); !ok {
-		t.Fatal("cached key not found")
-	}
-	// "b" is now the LRU entry; inserting "c" must evict it, not "a".
-	c.entry("c")
-	if _, ok := c.entry("a"); !ok {
-		t.Fatal("recently used key was evicted")
-	}
-	// That lookup refreshed "a"; "c" fell behind and the next insert
-	// evicts it.
-	c.entry("d")
-	if _, ok := c.entry("c"); ok {
-		t.Fatal("LRU key survived eviction")
-	}
-	if len(c.entries) > 2 || c.lru.Len() > 2 {
-		t.Fatalf("cache grew past capacity: %d entries", len(c.entries))
+// TestSolveCacheHitReturnsBitwiseResult is the memo's transparency
+// contract on both tiers: a cache hit returns bitwise what a fresh engine
+// computes for the same (loads, x) — objective, dispatch, flows and
+// angles — and the process-wide counters record the traffic.
+func TestSolveCacheHitReturnsBitwiseResult(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		backend grid.Backend
+	}{{"ieee57", grid.SparseBackend}, {"case14", grid.DenseBackend}} {
+		t.Run(tc.name, func(t *testing.T) { checkHitBitwise(t, tc.name, tc.backend) })
 	}
 }
 
-// TestSolveCacheHitReturnsBitwiseResult is the memo's transparency
-// contract: a cache hit returns bitwise what a fresh engine computes for
-// the same (loads, x) — objective, dispatch, flows and angles — and the
-// process-wide counters record the traffic.
-func TestSolveCacheHitReturnsBitwiseResult(t *testing.T) {
-	n, err := grid.CaseByName("ieee57")
+func checkHitBitwise(t *testing.T, name string, backend grid.Backend) {
+	n, err := grid.CaseByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewDispatchEngineBackend(n, grid.SparseBackend)
+	eng, err := NewDispatchEngineBackend(n, backend)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.cache == nil {
-		t.Fatal("sparse engine has no solve cache")
 	}
 	x := n.Reactances()
 	x[0] *= 1.01
@@ -74,7 +50,7 @@ func TestSolveCacheHitReturnsBitwiseResult(t *testing.T) {
 	}
 
 	// Fresh engine = guaranteed miss: the hit must match it bitwise.
-	fresh, err := NewDispatchEngineBackend(n, grid.SparseBackend)
+	fresh, err := NewDispatchEngineBackend(n, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,33 +131,6 @@ func TestSolveCacheCachesDeterministicErrors(t *testing.T) {
 	s := eng.NewSession()
 	if _, err2 := s.Cost(infeasible); err2 == nil || err2.Error() != err1.Error() {
 		t.Fatalf("cached error differs: %v vs %v", err1, err2)
-	}
-}
-
-// TestDenseEngineHasNoSolveCache pins the golden-path guarantee: the
-// dense backend never consults the memo, so its bitwise history cannot
-// depend on cache state.
-func TestDenseEngineHasNoSolveCache(t *testing.T) {
-	n, err := grid.CaseByName("case14")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewDispatchEngineBackend(n, grid.DenseBackend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.cache != nil {
-		t.Fatal("dense engine built a solve cache")
-	}
-	before := GlobalSolveCacheStats()
-	if _, err := eng.Solve(n.Reactances()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Solve(n.Reactances()); err != nil {
-		t.Fatal(err)
-	}
-	if d := GlobalSolveCacheStats().Delta(before); d.Hits != 0 || d.Misses != 0 {
-		t.Fatalf("dense solves touched the cache counters: %+v", d)
 	}
 }
 

@@ -210,10 +210,10 @@ func TestWarmSessionMatchesDense(t *testing.T) {
 }
 
 // TestResetWarmStartRestoresSeedState checks the determinism boundary:
-// after a reset the session must not carry its accumulated basis — the
-// next solve starts from the engine's fixed seed basis, bitwise identical
-// to a fresh session's first solve of the same candidate (the property
-// that makes results independent of how starts land on workers).
+// after earlier solves and a reset, the session's next solve starts from
+// the engine's fixed seed basis, bitwise identical to a fresh session's
+// first solve of the same candidate (the property that makes results
+// independent of how starts land on workers).
 func TestResetWarmStartRestoresSeedState(t *testing.T) {
 	n, err := grid.CaseByName("ieee57")
 	if err != nil {
@@ -295,5 +295,37 @@ func TestSeedBasisPurity(t *testing.T) {
 	}
 	if first != again {
 		t.Fatalf("pooled Cost drifted after interleaved warm solves: %.17g vs %.17g", first, again)
+	}
+}
+
+// TestPooledSolvesStartWithNoRays: a pooled solve recycles no Farkas ray
+// from an earlier, unrelated pooled solve. sync.Pool hands workspaces out
+// in a GC-dependent order, so a recycled ray would make the pre-screen
+// work, and with it the solve counts, depend on the GC.
+func TestPooledSolvesStartWithNoRays(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewDispatchEngineBackend(n, grid.SparseBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Σ load beyond Σ gmax: every candidate is infeasible for the same
+	// reason, so a ray certified by one solve proves the next infeasible.
+	for i := range n.Buses {
+		n.Buses[i].LoadMW *= 50
+	}
+	x := n.Reactances()
+	if _, err := eng.Cost(x); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("overloaded system: %v, want ErrInfeasible", err)
+	}
+	x[0] *= 1.01 // a new memo key: the second Cost solves too
+	before := lp.GlobalRevisedStats()
+	if _, err := eng.Cost(x); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("overloaded system: %v, want ErrInfeasible", err)
+	}
+	if d := lp.GlobalRevisedStats().Delta(before); d.PrescreenHits != 0 || d.Solves != 1 {
+		t.Fatalf("second pooled solve: %d pre-screen hits and %d solves, want 0 and 1", d.PrescreenHits, d.Solves)
 	}
 }

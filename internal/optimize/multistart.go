@@ -83,7 +83,7 @@ type MSConfig struct {
 	// instead of sync.Pool churn on every evaluation). It returns the
 	// worker's objective and a reset hook the driver calls before each
 	// local search; the hook scopes any cross-evaluation state the
-	// objective carries (the dispatch engine's warm LP basis) to a single
+	// objective carries (a dispatch session's Farkas-ray index) to a single
 	// start, so results do not depend on which worker ran which start. The
 	// returned objective must be pointwise identical to the f passed to
 	// MultiStart up to that per-start state; a nil reset is allowed for

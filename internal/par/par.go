@@ -6,8 +6,8 @@
 // For promises nothing about which worker runs which index. Callers keep
 // their results bitwise independent of the worker count by writing each
 // index's output to its own slot, reducing the slots in index order, and
-// scoping any state a worker carries across indices (a warm LP basis) to
-// one index.
+// scoping any state a worker carries across indices (a Farkas-ray index)
+// to one index.
 package par
 
 import (

@@ -40,7 +40,7 @@ func TestMemoSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _, source, err := p.memo("select|coalesce-test", func() (any, error) {
+			resp, _, source, err := memoCall(p, "select|coalesce-test", func() (response, error) {
 				computes.Add(1)
 				<-release
 				return want, nil
@@ -85,7 +85,7 @@ func TestMemoSingleFlightCoalescing(t *testing.T) {
 		t.Errorf("sources: %d computed / %d coalesced, want 1/%d", firsts, joins, n-1)
 	}
 	// A request after completion is a plain memo hit.
-	if _, _, source, err := p.memo("select|coalesce-test", func() (any, error) {
+	if _, _, source, err := memoCall(p, "select|coalesce-test", func() (response, error) {
 		t.Error("memo hit recomputed")
 		return nil, nil
 	}); err != nil || source != SourceMemo {
@@ -146,7 +146,7 @@ func TestMemoShedNotMemoized(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, err := p.memo("select|a", func() (any, error) {
+		_, _, _, err := memoCall(p, "select|a", func() (response, error) {
 			<-release
 			return &SelectResponse{Case: "a"}, nil
 		})
@@ -159,7 +159,7 @@ func TestMemoShedNotMemoized(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, err := p.memo("select|b", func() (any, error) {
+		_, _, _, err := memoCall(p, "select|b", func() (response, error) {
 			return &SelectResponse{Case: "b"}, nil
 		})
 		if err != nil {
@@ -172,7 +172,7 @@ func TestMemoShedNotMemoized(t *testing.T) {
 		return p.adm.waiting == 1
 	})
 	// Caller C sheds immediately.
-	_, _, _, err := p.memo("select|c", func() (any, error) {
+	_, _, _, err := memoCall(p, "select|c", func() (response, error) {
 		t.Error("shed request computed")
 		return nil, nil
 	})
@@ -182,16 +182,10 @@ func TestMemoShedNotMemoized(t *testing.T) {
 	if st := p.adm.stats(); st.Shed != 1 {
 		t.Errorf("shed counter = %d, want 1", st.Shed)
 	}
-	p.mu.Lock()
-	_, stillThere := p.results["select|c"]
-	p.mu.Unlock()
-	if stillThere {
-		t.Error("shed result left in the memo — a retry would replay the 429")
-	}
 	close(release)
 	wg.Wait()
 	// The retry computes (and reports the queue drain, not the shed).
-	resp, _, source, err := p.memo("select|c", func() (any, error) {
+	resp, _, source, err := memoCall(p, "select|c", func() (response, error) {
 		return &SelectResponse{Case: "c"}, nil
 	})
 	if err != nil || source != SourceComputed || resp.(*SelectResponse).Case != "c" {
@@ -212,7 +206,7 @@ func TestAdmissionQueueWaitCounted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.memo("select|hold", func() (any, error) {
+		memoCall(p, "select|hold", func() (response, error) {
 			<-release
 			return &SelectResponse{}, nil
 		})
@@ -223,7 +217,7 @@ func TestAdmissionQueueWaitCounted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, elapsed, _, err := p.memo("select|queued", func() (any, error) {
+		_, elapsed, _, err := memoCall(p, "select|queued", func() (response, error) {
 			return &SelectResponse{}, nil
 		})
 		if err != nil {
@@ -263,7 +257,7 @@ func TestMemoPanicNotMemoized(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], _, _, errs[i] = p.memo("gamma|panic-test", func() (any, error) {
+			resps[i], _, _, errs[i] = memoCall(p, "gamma|panic-test", func() (response, error) {
 				computes.Add(1)
 				<-release
 				panic("kernel blew up")
@@ -284,15 +278,16 @@ func TestMemoPanicNotMemoized(t *testing.T) {
 			t.Errorf("caller %d: resp=%v err=%v, want nil and ErrPanicked", i, resps[i], errs[i])
 		}
 	}
-	p.mu.Lock()
-	_, stillThere := p.results["gamma|panic-test"]
-	p.mu.Unlock()
-	if stillThere {
-		t.Error("panicked result left in the memo")
-	}
 	want := &GammaResponse{Case: "retry", Gamma: 0.25}
-	resp, _, source, err := p.memo("gamma|panic-test", func() (any, error) { return want, nil })
+	resp, _, source, err := memoCall(p, "gamma|panic-test", func() (response, error) { return want, nil })
 	if err != nil || source != SourceComputed || resp != any(want) {
 		t.Errorf("retry after panic: resp=%v source=%q err=%v, want a fresh computation", resp, source, err)
 	}
+}
+
+// memoCall runs compute through the response memo of a planner without a
+// disk cache and returns the response, its elapsed time and its source.
+func memoCall(p *Planner, key string, compute func() (response, error)) (response, time.Duration, string, error) {
+	st, err := p.memoized(key, nil, compute)
+	return st.resp, st.elapsed, st.source, err
 }

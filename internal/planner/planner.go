@@ -5,8 +5,8 @@
 //
 //   - an LRU of resolved cases (one immutable network per (case, load
 //     scale) pair), whose dispatch-OPF engines the scenario runner caches
-//     by network pointer — so the factorizer workspaces, LP skeletons and
-//     warm simplex bases survive from request to request;
+//     by network pointer — so the factorizer workspaces, LP skeletons,
+//     seed bases and dispatch-solve memos survive from request to request;
 //   - a memo LRU of finished responses keyed by the full request
 //     parameterization (case, setpoint, budgets, seeds), so a repeated
 //     request is a map lookup instead of a multi-start search.
@@ -23,7 +23,6 @@
 package planner
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +36,7 @@ import (
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/memo"
 	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/planner/diskcache"
@@ -246,24 +246,20 @@ func (s Stats) Delta(since Stats) Stats { return metrics.Delta(s, since) }
 
 // Planner is the long-running selection service. Safe for concurrent use.
 type Planner struct {
-	cfg    Config
-	runner *scenario.Runner
-	adm    *admission
-	disk   *diskcache.Cache
+	cfg     Config
+	runner  *scenario.Runner
+	adm     *admission
+	disk    *diskcache.Cache
+	cases   *memo.LRU[string, *caseEntry]
+	results *memo.LRU[string, stored]
 
-	mu      sync.Mutex
-	cases   map[string]*caseEntry
-	caseLRU *list.List // front = most recent; values are case keys
-	results map[string]*resultEntry
-	resLRU  *list.List
-	stats   Stats
+	mu    sync.Mutex
+	stats Stats // the γ-backend counters; Stats fills in the rest
 }
 
+// caseEntry is one resolved (case, load scale) pair of the case table.
 type caseEntry struct {
-	once sync.Once
-	net  *grid.Network
-	err  error
-	elem *list.Element
+	net *grid.Network
 
 	// gammaOnce builds gamma, the exact γ engine against the case's nominal
 	// reactances, on the first /v1/gamma request that omits x_old. It lives
@@ -281,28 +277,21 @@ func (e *caseEntry) nominalGamma() *core.GammaEvaluator {
 	return e.gamma
 }
 
-type resultEntry struct {
-	once    sync.Once
-	done    chan struct{} // closed when the computation (or disk load) finished
-	resp    any
-	err     error
-	elapsed time.Duration
-	source  string // sourceComputed or sourceDisk, set by the first caller
-	elem    *list.Element
-}
-
 // New builds a planner.
 func New(cfg Config) *Planner {
 	cfg = cfg.withDefaults()
 	return &Planner{
-		cfg:     cfg,
-		runner:  scenario.NewRunner(),
-		adm:     newAdmission(cfg.MaxInflight, cfg.QueueDepth),
-		disk:    cfg.Disk,
-		cases:   map[string]*caseEntry{},
-		caseLRU: list.New(),
-		results: map[string]*resultEntry{},
-		resLRU:  list.New(),
+		cfg:    cfg,
+		runner: scenario.NewRunner(),
+		adm:    newAdmission(cfg.MaxInflight, cfg.QueueDepth),
+		disk:   cfg.Disk,
+		cases:  memo.New[string, *caseEntry](cfg.MaxCases, nil),
+		// Shed and panicked computations are not kept: an identical retry
+		// re-enters the queue or computes afresh instead of replaying the
+		// failure from the memo.
+		results: memo.New[string, stored](cfg.MaxResults, func(err error) bool {
+			return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrPanicked)
+		}),
 	}
 }
 
@@ -312,6 +301,11 @@ func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	s := p.stats
 	p.mu.Unlock()
+	s.CaseMisses = p.cases.Count(memo.Created)
+	s.CaseHits = p.cases.Count(memo.InFlight) + p.cases.Count(memo.Done)
+	s.ResultMisses = p.results.Count(memo.Created)
+	s.ResultCoalesced = p.results.Count(memo.InFlight)
+	s.ResultHits = p.results.Count(memo.Done)
 	s.LP = lp.GlobalRevisedStats()
 	s.Estimators = core.GlobalEstimatorCacheStats()
 	s.SolveCache = opf.GlobalSolveCacheStats()
@@ -337,39 +331,17 @@ func (p *Planner) caseEntryFor(name string, scale float64) (*caseEntry, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	key := fmt.Sprintf("%s|%g", name, scale)
-	p.mu.Lock()
-	e, ok := p.cases[key]
-	if ok {
-		p.stats.CaseHits++
-		p.caseLRU.MoveToFront(e.elem)
-	} else {
-		p.stats.CaseMisses++
-		e = &caseEntry{}
-		e.elem = p.caseLRU.PushFront(key)
-		p.cases[key] = e
-		for p.caseLRU.Len() > p.cfg.MaxCases {
-			old := p.caseLRU.Back()
-			p.caseLRU.Remove(old)
-			delete(p.cases, old.Value.(string))
-		}
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
+	e, _, err := p.cases.Do(fmt.Sprintf("%s|%g", name, scale), func() (*caseEntry, error) {
 		n, err := grid.CaseByName(name)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		if scale != 1 {
 			n.ScaleLoads(scale)
 		}
-		e.net = n
+		return &caseEntry{net: n}, nil
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e, nil
+	return e, err
 }
 
 // The Source values a served response reports: where its payload came
@@ -388,92 +360,99 @@ const (
 	SourceDisk = "disk"
 )
 
-// memo runs compute under the response memo: the first request with a key
-// computes (after a disk-cache probe and, when configured, admission),
-// every later identical request returns the stored response — joining the
-// in-flight computation (coalesced) or reading the finished entry (memo
-// hit). The returned source labels which of the four paths served.
-func (p *Planner) memo(key string, compute func() (any, error)) (resp any, elapsed time.Duration, source string, err error) {
-	p.mu.Lock()
-	e, ok := p.results[key]
-	if ok {
-		select {
-		case <-e.done:
-			p.stats.ResultHits++
-			source = SourceMemo
-		default:
-			p.stats.ResultCoalesced++
-			source = SourceCoalesced
-		}
-		p.resLRU.MoveToFront(e.elem)
-	} else {
-		p.stats.ResultMisses++
-		e = &resultEntry{done: make(chan struct{})}
-		e.elem = p.resLRU.PushFront(key)
-		p.results[key] = e
-		for p.resLRU.Len() > p.cfg.MaxResults {
-			old := p.resLRU.Back()
-			p.resLRU.Remove(old)
-			delete(p.results, old.Value.(string))
-		}
+// Served reports how a response was served. Every response type embeds
+// it last, so its fields close the JSON object, and each caller's copy is
+// stamped with its own values.
+type Served struct {
+	// CacheHit reports whether any cache served (memo, coalesced in-flight
+	// computation, or disk); Source names which ("computed", "memo",
+	// "coalesced" or "disk").
+	CacheHit  bool    `json:"cache_hit"`
+	Source    string  `json:"source,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
+func (s *Served) served() *Served { return s }
+
+// response is one of the four endpoint response types.
+type response interface{ served() *Served }
+
+// stored is a response memo entry: the response as computed or loaded
+// from disk, how long that took, and where it came from.
+type stored struct {
+	resp    response
+	elapsed time.Duration
+	source  string
+}
+
+// serve answers one request through the response memo and returns the
+// caller's own copy of the response, stamped with how it was served. A
+// disk-cache payload decodes into the endpoint's response type R.
+func serve[R any, P interface {
+	*R
+	response
+}](p *Planner, key string, compute func() (P, error)) (P, error) {
+	st, err := p.memoized(key, func() response { return P(new(R)) }, func() (response, error) { return compute() })
+	if err != nil {
+		return nil, err
 	}
-	p.mu.Unlock()
-	first := false
-	e.once.Do(func() {
-		first = true
-		defer close(e.done)
+	out := *st.resp.(P)
+	s := P(&out).served()
+	s.CacheHit = st.source != SourceComputed
+	s.Source = st.source
+	s.ElapsedMS = float64(st.elapsed.Microseconds()) / 1e3
+	return &out, nil
+}
+
+// memoized runs compute under the response memo: the first request with a
+// key probes the disk cache (decoding a hit into fresh()), then computes
+// under admission control and writes the response through to disk; every
+// later identical request joins the in-flight computation (coalesced) or
+// reads the finished entry (memo hit). The returned entry's source labels
+// which of the four paths served.
+func (p *Planner) memoized(key string, fresh func() response, compute func() (response, error)) (stored, error) {
+	st, o, err := p.results.Do(key, func() (stored, error) {
 		start := time.Now()
-		e.source = SourceComputed
 		if data, hit := p.disk.Get(p.diskKey(key)); hit {
-			if r, derr := decodeResponse(key, data); derr == nil {
-				e.resp, e.source = r, SourceDisk
-				e.elapsed = time.Since(start)
-				return
+			r := fresh()
+			if decodeResponse(key, data, r) == nil {
+				return stored{r, time.Since(start), SourceDisk}, nil
 			}
 			// The envelope key verified but the payload didn't decode (a
 			// response-schema change) or names another case (a null or
 			// empty payload): fall through and recompute; the
 			// write-through below overwrites the stale entry.
 		}
-		if aerr := p.adm.acquire(); aerr != nil {
-			// Shed: report the error but never memoize it — the entry is
-			// evicted so a retry re-enters the queue instead of replaying
-			// the rejection from cache.
-			e.err = aerr
-			e.elapsed = time.Since(start)
-			p.dropResult(key, e)
-			return
+		if err := p.adm.acquire(); err != nil {
+			return stored{}, err
 		}
-		func() {
-			defer p.adm.release()
-			e.resp, e.err = runGuarded(compute)
-		}()
+		resp, err := runGuarded(compute)
+		p.adm.release()
+		if err != nil {
+			return stored{}, err
+		}
 		// elapsed includes the admission queue wait: it is the latency a
 		// client actually observed for the computed request.
-		e.elapsed = time.Since(start)
-		if errors.Is(e.err, ErrPanicked) {
-			// Like a shed: the leader and its coalesced joiners get the
-			// error, and the entry is evicted so the next identical request
-			// recomputes instead of replaying a nil response.
-			p.dropResult(key, e)
-			return
+		st := stored{resp, time.Since(start), SourceComputed}
+		if data, merr := json.Marshal(resp); merr == nil {
+			p.disk.Put(p.diskKey(key), data)
 		}
-		if e.err == nil {
-			if data, merr := json.Marshal(e.resp); merr == nil {
-				p.disk.Put(p.diskKey(key), data)
-			}
-		}
+		return st, nil
 	})
-	if first {
-		source = e.source
+	switch o {
+	case memo.InFlight:
+		st.source = SourceCoalesced
+	case memo.Done:
+		st.source = SourceMemo
 	}
-	return e.resp, e.elapsed, source, e.err
+	return st, err
 }
 
 // runGuarded runs compute, turning a panic into an ErrPanicked error so
-// the memo entry it fills never holds a nil response without an error.
-// The stack goes to the log: the error a client sees cannot carry it.
-func runGuarded(compute func() (any, error)) (resp any, err error) {
+// the leader and its coalesced joiners get an error instead of a nil
+// response. The stack goes to the log: the error a client sees cannot
+// carry it.
+func runGuarded(compute func() (response, error)) (resp response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("planner: computation panicked: %v\n%s", r, debug.Stack())
@@ -481,17 +460,6 @@ func runGuarded(compute func() (any, error)) (resp any, err error) {
 		}
 	}()
 	return compute()
-}
-
-// dropResult evicts e from the memo if it is still the entry stored under
-// key (shed results must not be replayed from cache).
-func (p *Planner) dropResult(key string, e *resultEntry) {
-	p.mu.Lock()
-	if cur, ok := p.results[key]; ok && cur == e {
-		delete(p.results, key)
-		p.resLRU.Remove(e.elem)
-	}
-	p.mu.Unlock()
 }
 
 // pipelineVersion versions the computation behind every persisted entry
@@ -508,33 +476,19 @@ func (p *Planner) diskKey(key string) string {
 	return key + "|registry:" + grid.RegistryHash() + "|pipeline:" + pipelineVersion
 }
 
-// decodeResponse unmarshals a disk-cache payload into the response type
-// its memo-key prefix names. A payload whose case is not the key's (a
-// null or empty payload decodes to case "") is rejected, so it is
-// recomputed instead of served.
-func decodeResponse(key string, data []byte) (any, error) {
-	var v any
-	switch {
-	case strings.HasPrefix(key, "select|"):
-		v = new(SelectResponse)
-	case strings.HasPrefix(key, "gamma|"):
-		v = new(GammaResponse)
-	case strings.HasPrefix(key, "day|"):
-		v = new(DaySweepResponse)
-	case strings.HasPrefix(key, "placement|"):
-		v = new(PlacementResponse)
-	default:
-		return nil, fmt.Errorf("planner: unknown response kind for key %q", key)
-	}
+// decodeResponse unmarshals a disk-cache payload into v. A payload whose
+// case is not the key's (a null or empty payload decodes to case "") is
+// rejected, so it is recomputed instead of served.
+func decodeResponse(key string, data []byte, v response) error {
 	if err := json.Unmarshal(data, v); err != nil {
-		return nil, err
+		return err
 	}
 	var got struct{ Case string }
 	_ = json.Unmarshal(data, &got) // cannot fail: data decoded into a struct above
 	if keyCase := strings.Split(key, "|")[1]; got.Case != keyCase {
-		return nil, fmt.Errorf("planner: cached payload is for case %q, key names %q", got.Case, keyCase)
+		return fmt.Errorf("planner: cached payload is for case %q, key names %q", got.Case, keyCase)
 	}
-	return v, nil
+	return nil
 }
 
 // ---- Select ----------------------------------------------------------------
@@ -581,12 +535,7 @@ type SelectResponse struct {
 	MaxGammaFallback bool      `json:"max_gamma_fallback,omitempty"`
 	// GammaBackend reports the γ evaluator that served: always "exact".
 	GammaBackend string `json:"gamma_backend"`
-	// CacheHit reports whether any cache served (memo, coalesced in-flight
-	// computation, or disk); Source names which ("computed", "memo",
-	// "coalesced" or "disk").
-	CacheHit  bool    `json:"cache_hit"`
-	Source    string  `json:"source,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	Served
 }
 
 func (r SelectRequest) key() string {
@@ -618,18 +567,14 @@ func (p *Planner) Select(req SelectRequest) (*SelectResponse, error) {
 		return nil, err
 	}
 	req = req.withDefaults()
-	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
+	out, err := serve(p, req.key(), func() (*SelectResponse, error) {
 		return p.computeSelect(req)
 	})
 	if err != nil {
 		return nil, err
 	}
 	p.countGammaServed(gb)
-	out := *(resp.(*SelectResponse))
-	out.CacheHit = source != SourceComputed
-	out.Source = source
-	out.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	return &out, nil
+	return out, nil
 }
 
 func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
@@ -809,11 +754,9 @@ type GammaRequest struct {
 
 // GammaResponse carries γ(H(x_old), H(x_new)).
 type GammaResponse struct {
-	Case      string  `json:"case"`
-	Gamma     float64 `json:"gamma"`
-	CacheHit  bool    `json:"cache_hit"`
-	Source    string  `json:"source,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	Case  string  `json:"case"`
+	Gamma float64 `json:"gamma"`
+	Served
 }
 
 func (r GammaRequest) key() string {
@@ -830,7 +773,7 @@ func (p *Planner) Gamma(req GammaRequest) (*GammaResponse, error) {
 	if err := checkReactances("x_new", req.XNew); err != nil {
 		return nil, err
 	}
-	resp, elapsed, source, err := p.memo(req.key(), func() (any, error) {
+	return serve(p, req.key(), func() (*GammaResponse, error) {
 		ce, err := p.caseEntryFor(req.Case, 1)
 		if err != nil {
 			return nil, err
@@ -841,20 +784,12 @@ func (p *Planner) Gamma(req GammaRequest) (*GammaResponse, error) {
 		}
 		var g float64
 		if len(req.XOld) == 0 {
-			g = ce.nominalGamma().GammaExact(req.XNew)
+			g = ce.nominalGamma().Gamma(req.XNew)
 		} else {
 			g = core.Gamma(n, req.XOld, req.XNew)
 		}
 		return &GammaResponse{Case: req.Case, Gamma: g}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := *(resp.(*GammaResponse))
-	out.CacheHit = source != SourceComputed
-	out.Source = source
-	out.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	return &out, nil
 }
 
 // ---- Day sweep -------------------------------------------------------------
@@ -888,11 +823,9 @@ type DaySweepHour struct {
 
 // DaySweepResponse is a served day sweep.
 type DaySweepResponse struct {
-	Case      string         `json:"case"`
-	Hours     []DaySweepHour `json:"hours"`
-	CacheHit  bool           `json:"cache_hit"`
-	Source    string         `json:"source,omitempty"`
-	ElapsedMS float64        `json:"elapsed_ms"`
+	Case  string         `json:"case"`
+	Hours []DaySweepHour `json:"hours"`
+	Served
 }
 
 func (r DaySweepRequest) withDefaults() DaySweepRequest {
@@ -933,7 +866,7 @@ func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 	key := fmt.Sprintf("day|%s|%v|%g|%g|%g|%d|%d|%d|%d|%d",
 		req.Case, req.Hours, req.PeakLoadMW, req.TargetDelta, req.TargetEta,
 		req.Iterations, req.Attacks, req.Starts, req.OPFStarts, req.Seed)
-	resp, elapsed, source, err := p.memo(key, func() (any, error) {
+	return serve(p, key, func() (*DaySweepResponse, error) {
 		n, err := p.caseFor(req.Case, 1)
 		if err != nil {
 			return nil, err
@@ -974,14 +907,6 @@ func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := *(resp.(*DaySweepResponse))
-	out.CacheHit = source != SourceComputed
-	out.Source = source
-	out.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	return &out, nil
 }
 
 // ---- Placement -------------------------------------------------------------
@@ -1008,11 +933,9 @@ type PlacementRound struct {
 
 // PlacementResponse is a served placement study.
 type PlacementResponse struct {
-	Case      string           `json:"case"`
-	Rounds    []PlacementRound `json:"rounds"`
-	CacheHit  bool             `json:"cache_hit"`
-	Source    string           `json:"source,omitempty"`
-	ElapsedMS float64          `json:"elapsed_ms"`
+	Case   string           `json:"case"`
+	Rounds []PlacementRound `json:"rounds"`
+	Served
 }
 
 // Placement serves one memoized placement study.
@@ -1025,7 +948,7 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 		return nil, err
 	}
 	key := fmt.Sprintf("placement|%s|%d|%v|%v|%s", req.Case, req.Devices, req.Pool, req.AllBranches, req.GammaBackend)
-	resp, elapsed, source, err := p.memo(key, func() (any, error) {
+	out, err := serve(p, key, func() (*PlacementResponse, error) {
 		n, err := p.caseFor(req.Case, 1)
 		if err != nil {
 			return nil, err
@@ -1057,9 +980,5 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 		return nil, err
 	}
 	p.countGammaServed(gb)
-	out := *(resp.(*PlacementResponse))
-	out.CacheHit = source != SourceComputed
-	out.Source = source
-	out.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	return &out, nil
+	return out, nil
 }

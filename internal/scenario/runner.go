@@ -4,64 +4,54 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/memo"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/sim"
 )
 
 // maxCachedEngines bounds the Runner's per-network dispatch-engine cache
-// (entries are evicted oldest-first; an evicted engine is simply rebuilt
-// on the next request for its network).
+// (least recently used first out; an evicted engine is simply rebuilt on
+// the next request for its network).
 const maxCachedEngines = 16
 
-// Runner executes compiled Specs. It owns the shared per-case engine
-// state: one dispatch-OPF engine per caller-provided network (keyed by the
+// Runner executes Specs. It owns the shared per-case engine state: one
+// dispatch-OPF engine per caller-provided network (keyed by the
 // *grid.Network pointer, so a long-running service whose case table hands
-// out stable networks amortizes the engine across every request), with the
-// per-worker DispatchSession/GammaSession affinity inside each unit coming
-// from the engines themselves. A Runner is safe for concurrent use; the
-// networks passed via Spec.Net are never mutated (load-changing workloads
-// run on private clones).
-//
-// The zero value is ready to use.
+// out stable networks amortizes the engine across every request), with
+// the per-worker DispatchSession/GammaSession affinity inside each step
+// coming from the engines themselves. A Runner is safe for concurrent use;
+// the networks passed via Spec.Net are never mutated (load-changing
+// workloads run on private clones), and concurrent requests for one
+// network's engine share one build.
 type Runner struct {
-	mu      sync.Mutex
-	engines map[*grid.Network]*opf.DispatchEngine
-	order   []*grid.Network
+	engines *memo.LRU[*grid.Network, *opf.DispatchEngine]
 }
 
 // NewRunner returns an empty Runner.
-func NewRunner() *Runner { return &Runner{} }
-
-// Run compiles and executes the Spec.
-func (r *Runner) Run(spec Spec) (*Result, error) {
-	b, err := spec.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return r.RunBatch(b)
+func NewRunner() *Runner {
+	return &Runner{engines: memo.New[*grid.Network, *opf.DispatchEngine](maxCachedEngines, nil)}
 }
 
-// RunBatch executes a compiled batch: the units run in order against one
-// shared execution state (resolved network, shared engines, warm-start
-// chain), exactly as the historical bespoke loops did.
-func (r *Runner) RunBatch(b *Batch) (*Result, error) {
-	n, owned, err := b.Spec.network()
+// Run executes the Spec: its steps run in order against one shared
+// execution state (resolved network, shared engines, warm-start chain).
+func (r *Runner) Run(spec Spec) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	n, owned, err := spec.network()
 	if err != nil {
 		return nil, err
 	}
-	st := &execState{spec: b.Spec, r: r, n: n, owned: owned, res: &Result{}}
-	if s := b.Spec.LoadScale; s != 0 && s != 1 {
+	st := &execState{spec: spec, r: r, n: n, owned: owned, res: &Result{}}
+	if s := spec.LoadScale; s != 0 && s != 1 {
 		st.ensureOwned()
 		st.n.ScaleLoads(s)
 	}
-	for _, u := range b.Units {
-		if err := u.run(st); err != nil {
-			return nil, err
-		}
+	if err := st.run(); err != nil {
+		return nil, err
 	}
 	st.res.Net = st.n
 	st.res.Baseline = st.pre
@@ -71,48 +61,16 @@ func (r *Runner) RunBatch(b *Batch) (*Result, error) {
 // DispatchEngine returns the runner's shared dispatch-OPF engine for the
 // caller-owned network n (built on first use, cached by pointer). Services
 // that run selection primitives outside a full Spec — the planner's
-// explicit-x_old requests — use this to stay on the same warm engines the
+// explicit-x_old requests — use this to stay on the same engines the
 // runner's scenarios use.
 func (r *Runner) DispatchEngine(n *grid.Network, backend grid.Backend) (*opf.DispatchEngine, error) {
-	return r.dispatchEngine(n, backend, true)
+	e, _, err := r.engines.Do(n, func() (*opf.DispatchEngine, error) {
+		return opf.NewDispatchEngineBackend(n, backend)
+	})
+	return e, err
 }
 
-// dispatchEngine returns the engine for n, from the cache when cacheable
-// (caller-owned long-lived networks) or freshly built otherwise.
-func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend, cacheable bool) (*opf.DispatchEngine, error) {
-	if cacheable {
-		r.mu.Lock()
-		e, ok := r.engines[n]
-		r.mu.Unlock()
-		if ok {
-			return e, nil
-		}
-	}
-	e, err := opf.NewDispatchEngineBackend(n, backend)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if existing, ok := r.engines[n]; ok {
-			// A concurrent request built it first; keep one.
-			return existing, nil
-		}
-		if r.engines == nil {
-			r.engines = make(map[*grid.Network]*opf.DispatchEngine)
-		}
-		if len(r.order) >= maxCachedEngines {
-			delete(r.engines, r.order[0])
-			r.order = r.order[1:]
-		}
-		r.engines[n] = e
-		r.order = append(r.order, n)
-	}
-	return e, nil
-}
-
-// execState is the shared state a batch's units thread through: the
+// execState is the shared state a Spec's steps thread through: the
 // network (private clone when mutated), the shared engines, the attacker's
 // knowledge, the warm-start chain and the accumulating result.
 type execState struct {
@@ -144,13 +102,73 @@ func (st *execState) ensureOwned() {
 	}
 }
 
+// run calls the steps of the Spec's Kind in order: sweeps chain warm
+// starts and day loops carry the attacker's staleness, so a run is
+// deterministic by construction rather than by isolation.
+func (st *execState) run() error {
+	spec := st.spec
+	switch spec.Kind {
+	case GammaSweep:
+		if err := st.setupGammaSweep(); err != nil {
+			return err
+		}
+		for _, gth := range spec.GammaGrid {
+			if err := st.sweepPoint(gth); err != nil {
+				return err
+			}
+		}
+		if spec.CapWithMaxGamma {
+			return st.sweepCap()
+		}
+	case DaySweep:
+		return st.runDay()
+	case RandomKeys:
+		if err := st.setupRandomKeys(); err != nil {
+			return err
+		}
+		for t := 1; t <= max(spec.Trials, 1); t++ {
+			if err := st.randomKey(t); err != nil {
+				return err
+			}
+		}
+	case Learning:
+		for _, k := range spec.SampleGrid {
+			if err := st.learnPoint(k); err != nil {
+				return err
+			}
+		}
+		return st.learnProbe()
+	case Placement:
+		devices := spec.Placement.Devices
+		if devices <= 0 {
+			devices = 6
+		}
+		devices = min(devices, 12) // the documented cap: keeps every probe's corner poll exact
+		if err := st.setupPlacement(); err != nil {
+			return err
+		}
+		for round := 1; round <= devices; round++ {
+			if err := st.placementRound(round); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // engineFor resolves the state's dispatch engine (cached across Runs only
 // for caller-provided, never-mutated networks).
 func (st *execState) engineFor() (*opf.DispatchEngine, error) {
 	if st.eng != nil {
 		return st.eng, nil
 	}
-	e, err := st.r.dispatchEngine(st.n, st.spec.Backend, !st.owned)
+	var e *opf.DispatchEngine
+	var err error
+	if st.owned {
+		e, err = opf.NewDispatchEngineBackend(st.n, st.spec.Backend)
+	} else {
+		e, err = st.r.DispatchEngine(st.n, st.spec.Backend)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: dispatch engine: %w", err)
 	}
@@ -452,7 +470,7 @@ func (st *execState) learnPoint(samples int) error {
 
 // learnProbe applies one max-γ MTD and records how stale the attacker's
 // best estimate becomes. The probe runs on the runner's shared dispatch
-// engine, like every other unit.
+// engine, like every other step.
 func (st *execState) learnProbe() error {
 	eng, err := st.engineFor()
 	if err != nil {

@@ -1,14 +1,14 @@
 // Package scenario is the planning layer every repeated-evaluation
 // workload of the reproduction runs on. A Spec declaratively describes one
 // study — which case, how it is loaded, what the attacker knows, which
-// sweep is performed, at what budgets and seeds — and compiles into a
-// deterministic batch of evaluation units. A Runner executes the batch
-// against shared per-case engines: the dispatch-OPF engine (with its
-// cached LP skeleton, factorizer workspaces and, on the sparse path, warm
-// simplex bases) is built once per case and serves every unit, and the
-// γ-evaluation engine is rebuilt only when the attacker's knowledge moves.
-// Per-worker DispatchSession/GammaSession affinity inside each unit comes
-// from the core/opf engines themselves (optimize.MSConfig.NewWorkerObjective).
+// sweep is performed, at what budgets and seeds. A Runner executes its
+// steps in a fixed order against shared per-case engines: the dispatch-OPF
+// engine (with its cached LP skeleton, factorizer workspaces, seed basis
+// and dispatch-solve memo) is built once per case and serves every step,
+// and the γ-evaluation engine is rebuilt only when the attacker's
+// knowledge moves. Per-worker DispatchSession/GammaSession affinity inside
+// each step comes from the core/opf engines themselves
+// (optimize.MSConfig.NewWorkerObjective).
 //
 // The experiments package, the example programs, cmd/mtdscan and the
 // gridmtdd planner service all build Specs instead of hand-rolling their
@@ -177,7 +177,7 @@ type Spec struct {
 	Placement PlacementSpec
 }
 
-// Row is one evaluation unit's outcome. Only the fields of the Spec's Kind
+// Row is one evaluation step's outcome. Only the fields of the Spec's Kind
 // are populated; everything else stays zero.
 type Row struct {
 	// GammaTarget is the requested γ_th of a sweep point (0 marks the
@@ -240,7 +240,7 @@ type Result struct {
 	// Baseline is the pre-perturbation problem-(1) solution (nil for kinds
 	// without one).
 	Baseline *opf.Result
-	// Rows are the evaluation units' outcomes, in unit order.
+	// Rows are the evaluation steps' outcomes, in step order.
 	Rows []Row
 	// Exhausted reports that a GammaSweep hit an unreachable threshold;
 	// ExhaustedAt is that threshold.
@@ -309,84 +309,4 @@ func (s Spec) profileFactors(n *grid.Network) ([]float64, error) {
 		peak = 0.85 * n.TotalLoadMW()
 	}
 	return loadprofile.ScaleToPeak(loadprofile.NYWinterWeekday(), n.TotalLoadMW(), peak)
-}
-
-// Unit is one schedulable step of a compiled Spec. Units run in order:
-// sweeps chain warm starts and day loops carry the attacker's staleness,
-// so the batch is deterministic by construction rather than by isolation.
-type Unit struct {
-	// Label names the unit for logs and progress displays.
-	Label string
-	run   func(*execState) error
-}
-
-// Batch is a compiled Spec: the resolved deterministic unit sequence.
-type Batch struct {
-	Spec  Spec
-	Units []Unit
-}
-
-// Compile resolves the Spec into its evaluation units. Compilation is
-// cheap and performs no numerical work; it exists so callers can inspect
-// and label the work before running it.
-func (s Spec) Compile() (*Batch, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	b := &Batch{Spec: s}
-	switch s.Kind {
-	case GammaSweep:
-		b.Units = append(b.Units, Unit{Label: "operating-point", run: (*execState).setupGammaSweep})
-		for _, gth := range s.GammaGrid {
-			gth := gth
-			b.Units = append(b.Units, Unit{
-				Label: fmt.Sprintf("gamma=%.3g", gth),
-				run:   func(st *execState) error { return st.sweepPoint(gth) },
-			})
-		}
-		if s.CapWithMaxGamma {
-			b.Units = append(b.Units, Unit{Label: "max-gamma-cap", run: (*execState).sweepCap})
-		}
-	case DaySweep:
-		b.Units = append(b.Units, Unit{Label: "day", run: (*execState).runDay})
-	case RandomKeys:
-		b.Units = append(b.Units, Unit{Label: "operating-point", run: (*execState).setupRandomKeys})
-		trials := s.Trials
-		if trials <= 0 {
-			trials = 1
-		}
-		for t := 1; t <= trials; t++ {
-			t := t
-			b.Units = append(b.Units, Unit{
-				Label: fmt.Sprintf("key-%d", t),
-				run:   func(st *execState) error { return st.randomKey(t) },
-			})
-		}
-	case Learning:
-		for _, k := range s.SampleGrid {
-			k := k
-			b.Units = append(b.Units, Unit{
-				Label: fmt.Sprintf("samples-%d", k),
-				run:   func(st *execState) error { return st.learnPoint(k) },
-			})
-		}
-		b.Units = append(b.Units, Unit{Label: "staleness-probe", run: (*execState).learnProbe})
-	case Placement:
-		devices := s.Placement.Devices
-		if devices <= 0 {
-			devices = 6
-		}
-		if devices > 12 {
-			devices = 12 // the documented cap: keeps every probe's corner poll exact
-		}
-		b.Units = append(b.Units, Unit{Label: "placement-setup", run: (*execState).setupPlacement})
-		for round := 1; round <= devices; round++ {
-			round := round
-			b.Units = append(b.Units, Unit{
-				Label: fmt.Sprintf("round-%d", round),
-				run:   func(st *execState) error { return st.placementRound(round) },
-			})
-		}
-	}
-	return b, nil
 }

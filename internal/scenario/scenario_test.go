@@ -35,8 +35,8 @@ func sweepSpec(caseName string) Spec {
 // TestGammaSweepDeterministic pins the scenario determinism contract on
 // both backend paths: the same Spec and seed produce identical rows
 // across runs and across worker counts (dense = the historical bitwise
-// path; sparse = the warm-simplex path whose per-worker sessions are
-// reset at every local search).
+// path; sparse = the seeded revised-simplex path whose per-worker
+// sessions drop their Farkas rays at every local search).
 func TestGammaSweepDeterministic(t *testing.T) {
 	for _, caseName := range []string{"ieee14", "ieee57"} {
 		t.Run(caseName, func(t *testing.T) {
@@ -198,23 +198,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{Kind: DaySweep, Case: "ieee14"}).Validate(); err != nil {
 		t.Errorf("valid day sweep rejected: %v", err)
-	}
-}
-
-// TestCompileUnits pins the compiled batch shape: setup + one unit per
-// sweep point (+ the cap), labeled.
-func TestCompileUnits(t *testing.T) {
-	spec := sweepSpec("ieee14")
-	spec.CapWithMaxGamma = true
-	b, err := spec.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Units) != 1+len(spec.GammaGrid)+1 {
-		t.Fatalf("got %d units, want setup + %d points + cap", len(b.Units), len(spec.GammaGrid))
-	}
-	if b.Units[0].Label != "operating-point" || b.Units[len(b.Units)-1].Label != "max-gamma-cap" {
-		t.Errorf("unexpected unit labels: %v, %v", b.Units[0].Label, b.Units[len(b.Units)-1].Label)
 	}
 }
 

@@ -95,7 +95,7 @@ type DayConfig struct {
 // exactly the arithmetic the historical per-hour engine construction
 // performed — on the dense path the hourly records are bitwise identical —
 // while the LP skeleton, the factorizer workspaces and (on the sparse
-// path) the warm simplex bases are built once per day instead of once per
+// path) the seed simplex basis are built once per day instead of once per
 // hour. Only the γ engine is rebuilt hourly, because it is keyed by the
 // attacker's (hourly-moving) knowledge x_t.
 func RunDay(cfg DayConfig) ([]HourResult, error) {

@@ -6,18 +6,6 @@ import (
 	"math"
 )
 
-// ChiSquareCDF returns P(X <= x) for a chi-square random variable with k
-// degrees of freedom. k may be fractional (k > 0).
-func ChiSquareCDF(k, x float64) (float64, error) {
-	if k <= 0 {
-		return 0, ErrDomain
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return GammaIncLower(k/2, x/2)
-}
-
 // ChiSquareSF returns the survival function P(X > x) for a chi-square random
 // variable with k degrees of freedom.
 func ChiSquareSF(k, x float64) (float64, error) {

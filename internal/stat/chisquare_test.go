@@ -7,40 +7,38 @@ import (
 	"testing/quick"
 )
 
+// TestChiSquareCDFKnown checks 1 − SF against closed-form chi-square CDFs.
 func TestChiSquareCDFKnown(t *testing.T) {
 	// chi2(2) is Exp(1/2): CDF(x) = 1 - e^{-x/2}.
 	for _, x := range []float64{0.5, 1, 3, 10} {
-		got, err := ChiSquareCDF(2, x)
+		sf, err := ChiSquareSF(2, x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := 1 - math.Exp(-x/2)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("ChiSquareCDF(2, %v) = %v, want %v", x, got, want)
+		if got := 1 - sf; math.Abs(got-want) > 1e-12 {
+			t.Errorf("1 - ChiSquareSF(2, %v) = %v, want %v", x, got, want)
 		}
 	}
 	// chi2(1): CDF(x) = erf(sqrt(x/2)).
-	got, err := ChiSquareCDF(1, 1)
+	sf, err := ChiSquareSF(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Erf(math.Sqrt(0.5))
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("ChiSquareCDF(1, 1) = %v, want %v", got, want)
+	if got := 1 - sf; math.Abs(got-want) > 1e-12 {
+		t.Errorf("1 - ChiSquareSF(1, 1) = %v, want %v", got, want)
 	}
 }
 
 func TestChiSquareEdgeCases(t *testing.T) {
-	if got, _ := ChiSquareCDF(3, 0); got != 0 {
-		t.Errorf("CDF at 0 = %v, want 0", got)
-	}
 	if got, _ := ChiSquareSF(3, 0); got != 1 {
 		t.Errorf("SF at 0 = %v, want 1", got)
 	}
 	if got, _ := ChiSquareSF(3, -5); got != 1 {
 		t.Errorf("SF at negative = %v, want 1", got)
 	}
-	if _, err := ChiSquareCDF(0, 1); err == nil {
+	if _, err := ChiSquareSF(0, 1); err == nil {
 		t.Error("expected domain error for k=0")
 	}
 }

@@ -43,9 +43,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x)-1)
 }
 
-// StdDev returns the sample standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // Quantile returns the q-th empirical quantile (0 <= q <= 1) of x using
 // linear interpolation between order statistics. It panics on an empty
 // slice.
@@ -73,21 +70,6 @@ func Quantile(x []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// FractionAbove returns the fraction of entries in x strictly greater than
-// threshold.
-func FractionAbove(x []float64, threshold float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range x {
-		if v > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(x))
 }
 
 // FractionAtLeast returns the fraction of entries in x greater than or
