@@ -65,21 +65,9 @@ func FuzzServeGammaRequest(f *testing.F) {
 	}
 	h := newHandler(planner.New(planner.Config{}), time.Minute)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/gamma", bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK:
-			var resp planner.GammaResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("body %q: 200 with undecodable payload %q: %v", body, rec.Body.Bytes(), err)
-			}
-			if g := resp.Gamma; math.IsNaN(g) || g < 0 || g > math.Pi/2 {
-				t.Fatalf("body %q: 200 with γ = %v", body, g)
-			}
-		case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity,
-			http.StatusTooManyRequests, http.StatusInternalServerError:
-		default:
-			t.Fatalf("body %q: status %d (%q)", body, rec.Code, rec.Body.Bytes())
+		var resp planner.GammaResponse
+		if fuzzPost(t, h, "/v1/gamma", body, &resp) {
+			checkAngle(t, body, resp.Gamma)
 		}
 	})
 }
@@ -149,25 +137,162 @@ func FuzzServeSelectRequest(f *testing.F) {
 				t.Skip("work budget too large for a fuzz execution")
 			}
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK:
-			var resp planner.SelectResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("body %q: 200 with undecodable payload %q: %v", body, rec.Body.Bytes(), err)
-			}
-			finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-			if !finite(resp.CostIncrease) || !finite(resp.BaselineCost) {
-				t.Fatalf("body %q: 200 with cost_increase %v, baseline_cost %v", body, resp.CostIncrease, resp.BaselineCost)
-			}
-			if g := resp.Gamma; math.IsNaN(g) || g < 0 || g > math.Pi/2 {
-				t.Fatalf("body %q: 200 with γ = %v", body, g)
-			}
-		case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity,
-			http.StatusTooManyRequests, http.StatusInternalServerError:
-		default:
-			t.Fatalf("body %q: status %d (%q)", body, rec.Code, rec.Body.Bytes())
+		var resp planner.SelectResponse
+		if fuzzPost(t, h, "/v1/select", body, &resp) {
+			checkFinite(t, body, "cost_increase", resp.CostIncrease)
+			checkFinite(t, body, "baseline_cost", resp.BaselineCost)
+			checkAngle(t, body, resp.Gamma)
 		}
 	})
+}
+
+// FuzzServePlacementRequest posts arbitrary bodies to /v1/placement.
+// Whatever the body, the handler must not panic, must answer with one of
+// the statuses the daemon maps its outcomes to, and every 200 must carry,
+// in every round, a finite cost_increase and a γ and probe γ in [0, π/2].
+// To keep an execution cheap the harness skips bodies naming a case above
+// 14 buses or a pool of more than 20 branches (the daemon caps a
+// deployment at 12 devices itself).
+func FuzzServePlacementRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"case":"ieee14"}`,
+		`{"case":"ieee14","devices":3}`,
+		`{"case":"ieee14","devices":2,"pool":[1,2,3,4,5]}`,
+		`{"case":"ieee14","devices":2,"all_branches":true}`,
+		`{"case":"ieee14","devices":13,"pool":[1,2,3]}`,
+		`{"case":"ieee14","devices":2,"gamma_backend":"sketch"}`,
+		// Out-of-range pool branches, a negative deployment and an unknown
+		// γ backend (422).
+		`{"case":"ieee14","pool":[0]}`,
+		`{"case":"ieee14","pool":[99]}`,
+		`{"case":"ieee14","devices":-1}`,
+		`{"case":"ieee14","gamma_backend":"nope"}`,
+		// Decode errors (400) and an unknown case.
+		`{"case":"ieee14","devices":NaN}`,
+		`{"case":14}`,
+		`{"case":"nosuchcase"}`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	h := newHandler(planner.New(planner.Config{}), time.Minute)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req planner.PlacementRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
+			if c, err := gridmtd.CaseByName(req.Case); err == nil && c.N() > 14 {
+				t.Skip("case too large for a fuzz execution")
+			}
+			if len(req.Pool) > 20 {
+				t.Skip("pool too large for a fuzz execution")
+			}
+		}
+		var resp planner.PlacementResponse
+		if fuzzPost(t, h, "/v1/placement", body, &resp) {
+			for _, r := range resp.Rounds {
+				checkFinite(t, body, "cost_increase", r.CostIncrease)
+				checkAngle(t, body, r.Gamma)
+				checkAngle(t, body, r.ProbeGamma)
+			}
+		}
+	})
+}
+
+// FuzzServeDaySweepRequest posts arbitrary bodies to /v1/daysweep.
+// Whatever the body, the handler must not panic, must answer with one of
+// the statuses the daemon maps its outcomes to, and every 200 must carry,
+// in every hour, a finite baseline_cost, mtd_cost and cost_increase and a
+// γ in [0, π/2]. To keep an execution cheap the harness skips bodies the
+// daemon would accept with a large work budget: a case above 14 buses,
+// more than 3 hours, or iterations, starts, opf_starts or attacks past
+// small caps (attacks 0 included, since it asks for the default of 100);
+// budgets past the daemon's own bounds are rejected before any work and
+// still run.
+func FuzzServeDaySweepRequest(f *testing.F) {
+	const budget = `"iterations":1,"attacks":20,"starts":1,"opf_starts":1,"seed":1`
+	for _, body := range []string{
+		`{"case":"ieee14","hours":[2],` + budget + `}`,
+		`{"case":"ieee14","hours":[8,17],` + budget + `}`,
+		`{"case":"ieee14","hours":[17],"peak_load_mw":300,` + budget + `}`,
+		`{"case":"ieee14","hours":[2],"target_delta":0.5,"target_eta":0.99,` + budget + `}`,
+		// Out-of-range hours, a negative load, negative and oversized
+		// budgets (422).
+		`{"case":"ieee14","hours":[24],` + budget + `}`,
+		`{"case":"ieee14","hours":[-1],` + budget + `}`,
+		`{"case":"ieee14","hours":[2],"peak_load_mw":-5,` + budget + `}`,
+		`{"case":"ieee14","hours":[2],"iterations":-1,"attacks":20}`,
+		`{"case":"ieee14","hours":[2],"iterations":101,"attacks":20}`,
+		`{"case":"ieee14","hours":[2],"iterations":1,"attacks":10001}`,
+		`{"case":"ieee14","hours":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,0],` + budget + `}`,
+		// Decode errors (400) and an unknown case.
+		`{"case":"ieee14","peak_load_mw":NaN}`,
+		`{"case":14}`,
+		`{"case":"nosuchcase",` + budget + `}`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	h := newHandler(planner.New(planner.Config{}), time.Minute)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req planner.DaySweepRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
+			if c, err := gridmtd.CaseByName(req.Case); err == nil && c.N() > 14 {
+				t.Skip("case too large for a fuzz execution")
+			}
+			// 0 asks for the default, which is cheap for every field but
+			// attacks.
+			expensive := func(v, limit, bound int) bool { return v > limit && v <= bound }
+			if expensive(len(req.Hours), 3, planner.MaxHours) || expensive(req.Iterations, 2, planner.MaxIterations) ||
+				expensive(req.Starts, 2, planner.MaxStarts) || expensive(req.OPFStarts, 3, planner.MaxStarts) ||
+				req.Attacks == 0 || expensive(req.Attacks, 50, planner.MaxAttacks) {
+				t.Skip("work budget too large for a fuzz execution")
+			}
+		}
+		var resp planner.DaySweepResponse
+		if fuzzPost(t, h, "/v1/daysweep", body, &resp) {
+			for _, hr := range resp.Hours {
+				checkFinite(t, body, "baseline_cost", hr.BaselineCost)
+				checkFinite(t, body, "mtd_cost", hr.MTDCost)
+				checkFinite(t, body, "cost_increase", hr.CostIncrease)
+				checkAngle(t, body, hr.Gamma)
+			}
+		}
+	})
+}
+
+// fuzzPost posts body to path on h. It fails the test on a status the
+// daemon does not map an outcome to, and on a 200 whose payload does not
+// decode into resp; it reports whether the answer was a 200.
+func fuzzPost(t *testing.T, h http.Handler, path string, body []byte, resp any) bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	switch rec.Code {
+	case http.StatusOK:
+		if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+			t.Fatalf("body %q: 200 with undecodable payload %q: %v", body, rec.Body.Bytes(), err)
+		}
+		return true
+	case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity,
+		http.StatusTooManyRequests, http.StatusInternalServerError:
+		return false
+	}
+	t.Fatalf("body %q: status %d (%q)", body, rec.Code, rec.Body.Bytes())
+	return false
+}
+
+// checkFinite fails the test when a served number is NaN or infinite.
+func checkFinite(t *testing.T, body []byte, name string, v float64) {
+	t.Helper()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		t.Fatalf("body %q: 200 with %s %v", body, name, v)
+	}
+}
+
+// checkAngle fails the test when a served γ lies outside [0, π/2], the
+// range of the largest principal angle between two column spaces.
+func checkAngle(t *testing.T, body []byte, g float64) {
+	t.Helper()
+	if math.IsNaN(g) || g < 0 || g > math.Pi/2 {
+		t.Fatalf("body %q: 200 with γ = %v", body, g)
+	}
 }

@@ -99,12 +99,13 @@
 // "auto", "exact", "sparse" and "sketch", all as names of this one path.
 //
 // Underneath, the dispatch LP runs a bounded-variable revised simplex
-// with product-form (eta-file) factorization updates, a deterministic
-// crash basis when no warm basis exists, and certified dual-simplex
-// infeasibility detection; lp.GlobalRevisedStats counters surface
-// through the daemon's /v1/stats and mtdexp -v. PERF.md records the
-// resulting cold-selection latencies (~60 ms at 118 buses, sub-second
-// at 300).
+// with product-form (eta-file) factorization updates and certified
+// dual-simplex infeasibility detection. Every solve starts from the
+// engine's seed basis, the optimum at the case's reactances, which is
+// itself solved from a deterministic crash basis. lp.GlobalRevisedStats
+// counters surface through the daemon's /v1/stats and mtdexp -v. PERF.md
+// records the resulting cold-selection latencies (~60 ms at 118 buses,
+// sub-second at 300).
 //
 // The search also avoids repeating work it has already done: dispatch
 // engines on both paths memoize full solves under a bitwise (loads, x)

@@ -186,7 +186,7 @@ func SelectMTDWith(eng *Engines, n *grid.Network, xOld []float64, cfg SelectConf
 		cons := []optimize.Constraint{
 			func(xd []float64) float64 { return cfg.GammaThreshold - gs.GammaDFACTS(xd) },
 		}
-		reset := ds.ResetWarmStart
+		reset := ds.DropRays
 		if eng.dispatch.Backend() == grid.SparseBackend {
 			// Lazy-penalty skip (sparse path only): evaluate the γ
 			// constraint first and skip the dispatch solve entirely at

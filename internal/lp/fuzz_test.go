@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gridmtd/internal/mat"
@@ -88,34 +89,107 @@ func lpStatus(err error) Status {
 }
 
 // FuzzRevisedAgreesWithTableau decodes a small bounded LP and perturbed
-// right-hand sides of it. One RevisedSolver warm-solves the base problem
-// and then each variant in turn; every answer must carry the flat
-// tableau Solver's status and, when optimal, its objective to 1e-9
-// relative, and every Farkas pre-screen hit must be an infeasibility the
-// tableau confirms. Run it with
+// right-hand sides of it, and drives one RevisedSolver through the
+// dispatch engine's start pattern: the base problem from the crash basis,
+// whose final basis is captured, then every variant both from that basis
+// and from the crash basis. Every answer must carry the flat tableau
+// Solver's status and, when optimal, its objective to 1e-9 relative, and
+// every Farkas pre-screen hit must be an infeasibility the tableau
+// confirms. Finally the last variant is solved from the captured basis
+// again after another solve in between, and must give bitwise the same
+// answer. Run it with
 //
 //	go test -fuzz FuzzRevisedAgreesWithTableau -fuzztime 20s ./internal/lp
 func FuzzRevisedAgreesWithTableau(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzLP{data: data}
-		rs, flat := NewRevisedSolver(), NewSolver()
-		for i, p := range d.decode() {
-			hits := rs.Stats().PrescreenHits
-			got, gotErr := rs.Solve(p)
-			want, wantErr := flat.Solve(p)
-			ws := lpStatus(wantErr)
-			if ws == 0 {
-				t.Skipf("problem %d: tableau solver: %v", i, wantErr)
+		probs := d.decode()
+		flat := NewSolver()
+		want := make([]*Solution, len(probs))
+		wantStatus := make([]Status, len(probs))
+		for i, p := range probs {
+			sol, err := flat.Solve(p)
+			if wantStatus[i] = lpStatus(err); wantStatus[i] == 0 {
+				t.Skipf("problem %d: tableau solver: %v", i, err)
 			}
+			want[i] = sol
+		}
+		rs := NewRevisedSolver()
+		solve := func(i int, start *WarmBasis) *Solution {
+			hits := rs.Stats().PrescreenHits
+			got, gotErr := rs.Solve(probs[i], start)
+			ws := wantStatus[i]
 			if rs.Stats().PrescreenHits > hits && ws != StatusInfeasible {
 				t.Fatalf("problem %d: pre-screen rejected a problem the tableau reports %v", i, ws)
 			}
 			if gs := lpStatus(gotErr); gs != ws {
-				t.Fatalf("problem %d: revised %v (%v), tableau %v", i, gs, gotErr, ws)
+				t.Fatalf("problem %d (start %v): revised %v (%v), tableau %v", i, start != nil, gs, gotErr, ws)
 			}
-			if ws == StatusOptimal && math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-				t.Fatalf("problem %d: revised objective %.17g, tableau %.17g", i, got.Objective, want.Objective)
+			if ws == StatusOptimal && math.Abs(got.Objective-want[i].Objective) > 1e-9*(1+math.Abs(want[i].Objective)) {
+				t.Fatalf("problem %d (start %v): revised objective %.17g, tableau %.17g", i, start != nil, got.Objective, want[i].Objective)
+			}
+			return got
+		}
+		solve(0, nil)
+		start := rs.CaptureBasis()
+		for i := 1; i < len(probs); i++ {
+			solve(i, start)
+			solve(i, nil)
+		}
+		last := len(probs) - 1
+		first := solve(last, start)
+		solve(0, nil)
+		again := solve(last, start)
+		if first == nil {
+			return
+		}
+		if again.Objective != first.Objective {
+			t.Fatalf("problem %d re-solved from the same start: objective %.17g, then %.17g", last, first.Objective, again.Objective)
+		}
+		for j := range first.X {
+			if again.X[j] != first.X[j] {
+				t.Fatalf("problem %d re-solved from the same start: x[%d] = %.17g, then %.17g", last, j, first.X[j], again.X[j])
 			}
 		}
 	})
+}
+
+// TestRevisedIgnoresMismatchedStart checks the WarmBasis contract: a start
+// whose signature does not match the problem is ignored, so the solve runs
+// exactly as it does from the crash basis.
+func TestRevisedIgnoresMismatchedStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := randomBoundedLP(rng, 5, 4)
+	if _, err := Solve(p); err != nil {
+		t.Skip("random LP infeasible under this seed")
+	}
+	rs := NewRevisedSolver()
+	if _, err := rs.Solve(randomBoundedLP(rng, 4, 4), nil); err != nil {
+		t.Skip("foreign LP infeasible under this seed")
+	}
+	foreign := rs.CaptureBasis()
+	if foreign == nil {
+		t.Fatal("no basis captured from a revised-path solve")
+	}
+	ref := NewRevisedSolver()
+	want, err := ref.Solve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rs.Stats()
+	got, err := rs.Solve(p, foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rs.Stats().Delta(before); d != ref.Stats() {
+		t.Fatalf("solve from a mismatched start counted %+v, from the crash basis %+v", d, ref.Stats())
+	}
+	if got.Objective != want.Objective {
+		t.Fatalf("objective %.17g from a mismatched start, %.17g from the crash basis", got.Objective, want.Objective)
+	}
+	for j := range want.X {
+		if got.X[j] != want.X[j] {
+			t.Fatalf("x[%d] = %.17g from a mismatched start, %.17g from the crash basis", j, got.X[j], want.X[j])
+		}
+	}
 }

@@ -30,8 +30,8 @@ func cloneProblem(p *Problem) *Problem {
 
 // TestPrescreenRejectionsMatchExactSolves is the Farkas-screen safety
 // property: every candidate the ray ring screen-rejects must be certified
-// infeasible by a full exact solve on a fresh solver (no rays, no warm
-// state). By contraposition the same assertion proves no feasible
+// infeasible by a full exact solve on a fresh solver (no rays, crash
+// start). By contraposition the same assertion proves no feasible
 // candidate is ever screen-rejected. The candidates are randomized
 // perturbations — right-hand-side jitter and constraint-matrix noise —
 // around captured-infeasible probes, so the rays are tested against data
@@ -43,8 +43,8 @@ func TestPrescreenRejectionsMatchExactSolves(t *testing.T) {
 		n, nUb := 3+rng.Intn(6), 1+rng.Intn(6)
 		base := randomBoundedLP(rng, n, nUb)
 		rs := NewRevisedSolver()
-		if _, err := rs.Solve(base); err != nil {
-			continue // want a solver with warm state, like the search has
+		if _, err := rs.Solve(base, nil); err != nil {
+			continue // want a basis to start the probe from
 		}
 
 		// Infeasible probe: demand more on the budget row than the box
@@ -55,7 +55,7 @@ func TestPrescreenRejectionsMatchExactSolves(t *testing.T) {
 		}
 		probe := cloneProblem(base)
 		probe.Beq[0] = total * (1.05 + rng.Float64())
-		if _, err := rs.Solve(probe); !errors.Is(err, ErrInfeasible) {
+		if _, err := rs.Solve(probe, rs.CaptureBasis()); !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("trial %d: infeasible probe not detected: %v", trial, err)
 		}
 
@@ -75,7 +75,7 @@ func TestPrescreenRejectionsMatchExactSolves(t *testing.T) {
 			if rs.prescreen(cand, n, 1, nUb) {
 				screened++
 				fresh := NewRevisedSolver()
-				if _, err := fresh.Solve(cand); !errors.Is(err, ErrInfeasible) {
+				if _, err := fresh.Solve(cand, nil); !errors.Is(err, ErrInfeasible) {
 					t.Fatalf("trial %d/%d: prescreen rejected a candidate the exact solver did not certify infeasible (err=%v)",
 						trial, k, err)
 				}
@@ -108,10 +108,10 @@ func TestPrescreenCountsSeparately(t *testing.T) {
 		}
 	}
 	rs := NewRevisedSolver()
-	if _, err := rs.Solve(mk(1)); err != nil {
+	if _, err := rs.Solve(mk(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Solve(mk(5)); !errors.Is(err, ErrInfeasible) {
+	if _, err := rs.Solve(mk(5), rs.CaptureBasis()); !errors.Is(err, ErrInfeasible) {
 		t.Fatal("want ErrInfeasible from the full solve")
 	}
 	s := rs.Stats()
@@ -120,7 +120,7 @@ func TestPrescreenCountsSeparately(t *testing.T) {
 	}
 	// A near-identical re-probe is answered by the recycled ray: no new
 	// Solve, one PrescreenHits.
-	if _, err := rs.Solve(mk(5.1)); !errors.Is(err, ErrInfeasible) {
+	if _, err := rs.Solve(mk(5.1), rs.CaptureBasis()); !errors.Is(err, ErrInfeasible) {
 		t.Fatal("want ErrInfeasible from the screen")
 	}
 	s = rs.Stats()
@@ -128,7 +128,7 @@ func TestPrescreenCountsSeparately(t *testing.T) {
 		t.Fatalf("after screened re-probe: %+v", s)
 	}
 	// And a feasible problem still gets through.
-	if _, err := rs.Solve(mk(1.5)); err != nil {
+	if _, err := rs.Solve(mk(1.5), rs.CaptureBasis()); err != nil {
 		t.Fatalf("feasible problem after screening: %v", err)
 	}
 }
@@ -148,12 +148,12 @@ func TestFarkasIndexRetainsDistinctCauses(t *testing.T) {
 		}
 	}
 	rs := NewRevisedSolver()
-	if _, err := rs.Solve(mk(1)); err != nil {
+	if _, err := rs.Solve(mk(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same structural cause certified at two RHS levels: the index keeps
 	// one ray for it, refreshed in place.
-	if _, err := rs.Solve(mk(5)); err != ErrInfeasible {
+	if _, err := rs.Solve(mk(5), rs.CaptureBasis()); err != ErrInfeasible {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 	if len(rs.rays) != 1 {
@@ -163,7 +163,7 @@ func TestFarkasIndexRetainsDistinctCauses(t *testing.T) {
 	// A screened re-probe is answered from the index (prescreen runs
 	// before Solves counts it) and counts its probe.
 	before := rs.Stats()
-	if _, err := rs.Solve(mk(6)); err != ErrInfeasible {
+	if _, err := rs.Solve(mk(6), rs.CaptureBasis()); err != ErrInfeasible {
 		t.Fatalf("want screened ErrInfeasible, got %v", err)
 	}
 	d := rs.Stats().Delta(before)

@@ -10,7 +10,8 @@ import (
 // bounded LPs: steepest-edge and Bland dual pricing pick different
 // pivot sequences but must land on the same optimum as the flat tableau
 // solver (1e-9), with identical feasibility verdicts. The warm re-solve
-// after each cold one keeps every rule exercising the eta-update path.
+// of each problem from its captured basis keeps every rule exercising the
+// eta-update path.
 func TestPricingRulesAgreeRandom(t *testing.T) {
 	rules := []struct {
 		name string
@@ -30,7 +31,7 @@ func TestPricingRulesAgreeRandom(t *testing.T) {
 		p := randomBoundedLP(rng, 3+rng.Intn(8), 1+rng.Intn(10))
 		ref, refErr := Solve(p)
 		for i, r := range rules {
-			got, gotErr := solvers[i].Solve(p)
+			got, gotErr := solvers[i].Solve(p, nil)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("trial %d (%s): flat err %v, revised err %v", trial, r.name, refErr, gotErr)
 			}
@@ -38,9 +39,9 @@ func TestPricingRulesAgreeRandom(t *testing.T) {
 				continue
 			}
 			objectivesAgree(t, r.name, ref.Objective, got.Objective)
-			// Warm re-solve under the same rule: the optimal basis is
-			// current, so the answer must be identical again.
-			again, err := solvers[i].Solve(p)
+			// Warm re-solve under the same rule from the optimal basis
+			// just captured: the answer must agree again.
+			again, err := solvers[i].Solve(p, solvers[i].CaptureBasis())
 			if err != nil {
 				t.Fatalf("trial %d (%s) warm: %v", trial, r.name, err)
 			}
@@ -86,7 +87,7 @@ func TestGlobalStatsUnderParallelSolves(t *testing.T) {
 			rs.SetPricing(PricingRule(w % 2)) // mix SE/Bland across workers
 			for trial := 0; trial < perWorker; trial++ {
 				p := randomBoundedLP(rng, 3+rng.Intn(6), 1+rng.Intn(8))
-				_, _ = rs.Solve(p)
+				_, _ = rs.Solve(p, rs.CaptureBasis())
 				// Interleave snapshot reads with the writes.
 				_ = GlobalRevisedStats()
 			}

@@ -21,11 +21,14 @@ type RevisedStats struct {
 	Solves int `json:"solves"`
 	// WarmSolves counts solves completed by the revised warm path.
 	WarmSolves int `json:"warm_solves"`
-	// ColdSolves counts solves delegated to the flat tableau solver
-	// (first solve, structural change, or fallback).
+	// ColdSolves counts solves delegated to the flat tableau solver: a
+	// problem outside the revised model, or one that neither its start
+	// nor the crash basis solved.
 	ColdSolves int `json:"cold_solves"`
-	// Fallbacks counts warm attempts abandoned mid-flight (singular or
-	// stalled basis, failed verification) that then re-solved cold.
+	// Fallbacks counts attempts from a given start basis abandoned
+	// mid-flight (singular or stalled basis, failed verification), which
+	// then retried from the crash basis and, failing that, on the flat
+	// tableau.
 	Fallbacks int `json:"fallbacks"`
 	// PrimalPivots and DualPivots count warm-path simplex pivots.
 	PrimalPivots int `json:"primal_pivots"`
@@ -121,31 +124,31 @@ const (
 	singularRel = 1e-12
 )
 
-// RevisedSolver is a bounded-variable revised-simplex solver with
-// cross-solve basis warm-starting. It works on the row geometry of the
-// Problem directly (equality rows plus slack-extended inequality rows,
-// structural variables kept inside their bounds) instead of the flat
-// solver's standard form, and it never materializes a tableau: it factors
-// only the small "working matrix" — active rows × basic structural
-// columns, at most n×n however many inequality rows the problem has —
-// because the basic slack columns are unit vectors. Between
+// RevisedSolver is a bounded-variable revised-simplex solver that solves
+// each problem from a start basis its caller supplies. It works on the row
+// geometry of the Problem directly (equality rows plus slack-extended
+// inequality rows, structural variables kept inside their bounds) instead
+// of the flat solver's standard form, and it never materializes a tableau:
+// it factors only the small "working matrix" — active rows × basic
+// structural columns, at most n×n however many inequality rows the
+// problem has — because the basic slack columns are unit vectors. Between
 // refactorizations, basis exchanges are absorbed by bounded product-form
 // eta updates (Forrest–Tomlin-style pivot monitoring with refactor
-// fallback; see primalLoop/pivotUpdate), so a typical warm re-solve
-// factors the working matrix once and pivots through rank-one updates.
+// fallback; see primalLoop/pivotUpdate), so a typical warm solve factors
+// the working matrix once and pivots through rank-one updates.
 //
-// The first solve (and any solve after Invalidate, a structural change, or
-// a warm failure) delegates to the embedded flat tableau Solver — the
-// historical reference implementation — and crashes a warm basis out of
-// its optimal tableau. Subsequent solves restart from the previous optimal
-// basis: if the perturbed problem leaves it primal feasible the primal
-// simplex finishes in a few pivots; if the perturbation makes it primal
-// infeasible but it is still dual feasible, the dual simplex recovers
+// Each Solve starts from the given basis (a CaptureBasis snapshot) or,
+// without one, from a deterministic crash basis. If the problem leaves the
+// start primal feasible the primal simplex finishes in a few pivots; if it
+// is primal infeasible but dual feasible, the dual simplex recovers
 // feasibility first. Every warm result is verified against the original
 // problem (primal feasibility, bound satisfaction, and the reduced-cost
 // optimality certificate); any doubt — singular working matrix, stalled
-// loop, failed check — falls back to an exact cold solve, so the solver
-// never returns an unverified warm answer.
+// loop, failed check — falls back to the embedded flat tableau Solver,
+// the historical reference implementation, so the solver never returns an
+// unverified warm answer. No basis is kept from one Solve to the next:
+// between calls the solver holds only its Farkas-ray index (see
+// prescreen.go) and scratch buffers.
 //
 // A RevisedSolver is not safe for concurrent use; use one per goroutine.
 type RevisedSolver struct {
@@ -153,11 +156,13 @@ type RevisedSolver struct {
 	stats   RevisedStats
 	flushed RevisedStats // portion of stats already added to the globals
 
-	// Warm state: statuses per variable (structural then slacks) for the
-	// problem signature below.
-	hasBasis           bool
+	// Statuses per variable (structural then slacks) and the dimensions of
+	// the problem being solved. ended records that the last full solve
+	// finished on the revised path, so status holds its final basis for
+	// CaptureBasis; Solve never reads it.
 	status             []int8
 	sigN, sigEq, sigUb int
+	ended              bool
 
 	// Per-solve model arrays, length nTot = n + nUb.
 	lo, up, c []float64
@@ -194,19 +199,16 @@ type RevisedSolver struct {
 	dw      []float64
 	cands   []dualCand
 	flips   []int
-	flipCol []float64
-	fcol    []float64
 	// Farkas-ray pre-screen state (see prescreen.go): an MRU index of
 	// infeasibility certificates keyed by structural cause, plus scratch.
-	// The index survives Invalidate on purpose — rays are never trusted
-	// from storage, only after exact revalidation against the current
-	// problem's data, so dropping the warm basis has no bearing on their
-	// validity. DropRays empties it.
+	// Rays are never trusted from storage, only after exact revalidation
+	// against the current problem's data. DropRays empties the index.
 	rays                []farkasRay
 	rayScratch, rayCand []float64
-	// Scratch vectors sized to the working dimension k, m or nTot.
+	// Scratch vectors sized to the working dimension k, m or nTot; rowVec
+	// is the stacked-row input of ftranRows and fcol its output.
 	rhs, sol, yAct, colAct, alpha []float64
-	col, posv, pi                 []float64
+	posv, pi, rowVec, fcol        []float64
 	// Tolerances, refreshed per solve from the problem scale.
 	ptol, dtol float64
 }
@@ -224,33 +226,26 @@ func NewRevisedSolver() *RevisedSolver { return &RevisedSolver{} }
 // Stats returns the cumulative solve counters.
 func (s *RevisedSolver) Stats() RevisedStats { return s.stats }
 
-// Invalidate drops the warm basis; the next Solve starts from scratch —
-// a pure function of the problem (crash-basis warm route, flat tableau
-// when that fails) with no memory of previous solves. Callers that need
-// results independent of the solve history call it at their determinism
-// boundaries: the dispatch engine resets at the start of every local
-// search.
-func (s *RevisedSolver) Invalidate() { s.hasBasis = false }
-
 // DropRays empties the Farkas-ray index. Stored rays never change a
 // verdict, only how many solves it takes to reach one, so drivers that
 // need solve counts independent of how their work is split across solvers
-// drop the index at the same boundaries as the warm basis.
+// drop the index at their reproducibility boundaries.
 func (s *RevisedSolver) DropRays() { s.rays = s.rays[:0] }
 
-// WarmBasis is a portable snapshot of a solver's optimal basis: the
+// WarmBasis is a portable snapshot of the basis a solve ended on: the
 // per-variable statuses (structural then inequality slacks) plus the
-// problem signature they belong to. It is immutable once captured, so one
-// snapshot may seed any number of solvers concurrently.
+// problem signature they belong to. It is immutable once captured, so one snapshot may start
+// any number of solves on any number of solvers concurrently.
 type WarmBasis struct {
 	status    []int8
 	n, eq, ub int
 }
 
-// CaptureBasis snapshots the current warm basis, or returns nil when the
-// solver has none.
+// CaptureBasis snapshots the basis the last full solve ended on, or
+// returns nil when that solve did not finish on the revised path (flat
+// tableau solves leave no basis).
 func (s *RevisedSolver) CaptureBasis() *WarmBasis {
-	if !s.hasBasis {
+	if !s.ended {
 		return nil
 	}
 	nTot := s.sigN + s.sigUb
@@ -258,21 +253,6 @@ func (s *RevisedSolver) CaptureBasis() *WarmBasis {
 		status: append([]int8(nil), s.status[:nTot]...),
 		n:      s.sigN, eq: s.sigEq, ub: s.sigUb,
 	}
-}
-
-// InstallBasis seeds the solver's warm state from a snapshot: the next
-// Solve of a signature-compatible problem starts from it exactly as it
-// would from its own previous optimal basis (with the same verification
-// and cold fallback). Solving a problem with a different signature simply
-// drops the seed. A nil snapshot is a no-op.
-func (s *RevisedSolver) InstallBasis(b *WarmBasis) {
-	if b == nil {
-		return
-	}
-	s.status = growI8(s.status, len(b.status))
-	copy(s.status, b.status)
-	s.sigN, s.sigEq, s.sigUb = b.n, b.eq, b.ub
-	s.hasBasis = true
 }
 
 // SetMaxUpdates bounds the product-form eta updates accumulated between
@@ -295,10 +275,14 @@ func (s *RevisedSolver) effMaxUpdates() int {
 // SetPricing selects the dual pricing rule (default PriceSteepestEdge).
 func (s *RevisedSolver) SetPricing(r PricingRule) { s.pricing = r }
 
-// Solve solves the problem, warm-starting from the previous optimal basis
-// when one is available and structurally compatible. The error contract is
-// that of the package-level Solve.
-func (s *RevisedSolver) Solve(p *Problem) (*Solution, error) {
+// Solve solves the problem from start, a basis captured from an earlier
+// solve, or from the deterministic crash basis when start is nil. A start
+// whose signature (variable, equality and inequality counts) does not
+// match the problem is ignored. The answer depends only on the problem
+// and the start; the Farkas-ray index can only prove an infeasible problem
+// infeasible sooner. The error contract is that of the package-level
+// Solve.
+func (s *RevisedSolver) Solve(p *Problem, start *WarmBasis) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -313,36 +297,32 @@ func (s *RevisedSolver) Solve(p *Problem) (*Solution, error) {
 	}
 	// Farkas-ray pre-screen: if a recycled certificate, revalidated against
 	// this problem's exact data, proves infeasibility, that IS the answer —
-	// no simplex run, no warm-state change, not counted in Solves.
+	// no simplex run, not counted in Solves.
 	if len(s.rays) > 0 && s.prescreen(p, n, nEq, nUb) {
 		s.stats.PrescreenHits++
 		return nil, ErrInfeasible
 	}
 	s.stats.Solves++
-	if s.hasBasis && (n != s.sigN || nEq != s.sigEq || nUb != s.sigUb) {
-		s.hasBasis = false
-	}
 	s.sigN, s.sigEq, s.sigUb = n, nEq, nUb
+	s.ended = false
 
 	if nEq+nUb == 0 || !s.warmEligible(p) {
 		// Unconstrained problems never touch the tableau basis, and free
 		// variables have no bound to park a nonbasic status at; both stay
-		// on the flat path with no warm state.
-		s.hasBasis = false
+		// on the flat path.
 		s.stats.ColdSolves++
 		return s.countInfeasible(s.cold.Solve(p))
 	}
 
-	if s.hasBasis {
-		sol, err := s.warmSolve(p)
-		if err == nil || errors.Is(err, ErrInfeasible) {
-			s.stats.WarmSolves++
+	if start != nil && start.n == n && start.eq == nEq && start.ub == nUb {
+		s.status = growI8(s.status, n+nUb)
+		copy(s.status, start.status)
+		if sol, err := s.warmSolve(p); s.warmFinal(err) {
 			return s.countInfeasible(sol, err)
 		}
 		s.stats.Fallbacks++
-		s.hasBasis = false
 	}
-	// No usable basis. Before paying for the flat two-phase tableau solve,
+	// No usable start. Before paying for the flat two-phase tableau solve,
 	// try the revised machinery from a deterministic crash basis (all
 	// slacks basic, one max-coefficient structural per equality row): the
 	// flip repair makes it dual feasible and the dual simplex walks to the
@@ -350,16 +330,26 @@ func (s *RevisedSolver) Solve(p *Problem) (*Solution, error) {
 	// tableau's dense Gauss-Jordan passes. The result passes the same
 	// verification as any warm solve; any doubt still lands on the exact
 	// cold path. The crash basis is a pure function of the problem, so
-	// first-solve answers stay deterministic and scheduling-independent.
+	// these answers stay deterministic and scheduling-independent.
 	if s.crashBasis(p) {
-		sol, err := s.warmSolve(p)
-		if err == nil || errors.Is(err, ErrInfeasible) {
-			s.stats.WarmSolves++
+		if sol, err := s.warmSolve(p); s.warmFinal(err) {
 			return s.countInfeasible(sol, err)
 		}
-		s.hasBasis = false
 	}
-	return s.countInfeasible(s.coldSolve(p))
+	s.stats.ColdSolves++
+	return s.countInfeasible(s.cold.Solve(p))
+}
+
+// warmFinal reports whether a warmSolve outcome is final — an optimum or a
+// certified infeasibility — and counts it as a warm solve. Any other
+// outcome abandons the attempt.
+func (s *RevisedSolver) warmFinal(err error) bool {
+	if err != nil && !errors.Is(err, ErrInfeasible) {
+		return false
+	}
+	s.stats.WarmSolves++
+	s.ended = true
+	return true
 }
 
 // countInfeasible attributes a full solve's infeasible outcome to the
@@ -405,21 +395,7 @@ func (s *RevisedSolver) crashBasis(p *Problem) bool {
 		}
 		s.status[best] = stBasic
 	}
-	s.hasBasis = true
 	return true
-}
-
-// coldSolve delegates to the flat tableau solver and crashes a warm basis
-// from its optimal tableau.
-func (s *RevisedSolver) coldSolve(p *Problem) (*Solution, error) {
-	s.stats.ColdSolves++
-	sol, err := s.cold.Solve(p)
-	if err != nil {
-		s.hasBasis = false
-		return nil, err
-	}
-	s.hasBasis = s.crashFromCold(p)
-	return sol, nil
 }
 
 // warmEligible reports whether every variable has at least one finite
@@ -434,79 +410,11 @@ func (s *RevisedSolver) warmEligible(p *Problem) bool {
 	return true
 }
 
-// crashFromCold derives bounded-form variable statuses from the flat
-// solver's final basis. Returns false when no clean basis exists (an
-// artificial column is still basic — a redundant row — or the status
-// count does not form a basis).
-func (s *RevisedSolver) crashFromCold(p *Problem) bool {
-	c := &s.cold
-	n, nEq, nUb := s.sigN, s.sigEq, s.sigUb
-	nUp := len(c.upperCol)
-	stdN := c.n
-	cols := stdN - nUb - nUp
-
-	// Membership of the final tableau basis over standard-form columns.
-	inBasis := make([]bool, stdN)
-	for _, b := range c.basis {
-		if b >= stdN {
-			return false // artificial stuck in basis: redundant row
-		}
-		inBasis[b] = true
-	}
-	// Upper-bound row index per standard-form column.
-	upOf := make([]int, cols)
-	for i := range upOf {
-		upOf[i] = -1
-	}
-	for i, col := range c.upperCol {
-		upOf[col] = i
-	}
-
-	nTot := n + nUb
-	s.status = growI8(s.status, nTot)
-	count := 0
-	for j := 0; j < n; j++ {
-		vm := c.vmap[j]
-		switch vm.kind {
-		case 0: // x = lo + y
-			switch {
-			case !inBasis[vm.col]:
-				s.status[j] = stLower
-			case upOf[vm.col] >= 0 && !inBasis[cols+nUb+upOf[vm.col]]:
-				// y basic at its upper-row RHS: the variable sits at its
-				// upper bound, nonbasic in the bounded form.
-				s.status[j] = stUpper
-			default:
-				s.status[j] = stBasic
-				count++
-			}
-		case 1: // x = up - y
-			if inBasis[vm.col] {
-				s.status[j] = stBasic
-				count++
-			} else {
-				s.status[j] = stUpper
-			}
-		default: // free split: warmEligible filtered these out
-			return false
-		}
-	}
-	for i := 0; i < nUb; i++ {
-		if inBasis[cols+i] {
-			s.status[n+i] = stBasic
-			count++
-		} else {
-			s.status[n+i] = stLower
-		}
-	}
-	return count == nEq+nUb
-}
-
 // ---- Warm path ------------------------------------------------------------
 
-// warmSolve re-solves p from the stored statuses. ok=false means "fall
-// back to a cold solve" for any reason, including warm-detected
-// infeasibility (the cold path re-derives and reports it exactly).
+// warmSolve solves p from the start basis in s.status. It returns
+// errWarmFallback for any reason to abandon the attempt; the only other
+// error is a certified ErrInfeasible.
 func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	n := s.sigN
 	s.setupModel(p)
@@ -670,8 +578,8 @@ func (s *RevisedSolver) factorBasis(p *Problem) error {
 	// positions 0..k-1 hold the basic structural columns, positions
 	// k..m-1 the basic slacks in row order.
 	m := nEq + nUb
-	s.varAt = growInt(s.varAt, m)
-	s.posOf = growInt(s.posOf, n+nUb)
+	s.varAt = growI(s.varAt, m)
+	s.posOf = growI(s.posOf, n+nUb)
 	for j := range s.posOf {
 		s.posOf[j] = -1
 	}
@@ -834,7 +742,7 @@ func (s *RevisedSolver) computeDualsAndReducedCosts(p *Problem) {
 // factorization and the reduced costs stay exact). Returns false when a
 // wrong-signed variable has no finite opposite bound to flip to; statuses
 // may then be partially flipped, which is fine — every failure path
-// discards the warm state and re-derives it cold.
+// abandons the attempt.
 func (s *RevisedSolver) flipToDualFeasible() bool {
 	for j, st := range s.status[:s.sigN+s.sigUb] {
 		if s.up[j] <= s.lo[j] {
@@ -892,62 +800,24 @@ func (s *RevisedSolver) dualFeasible() bool {
 	return true
 }
 
-// ftran computes w = B⁻¹·a_q over basis positions for column q. The frozen
-// factorization handles the B₀ part — the LU solves the active rows and the
-// frozen-basic slack positions are row residuals — and the eta file is then
-// applied in pivot order (E_i⁻¹ touches only its pivot position's multiple
-// of the stored column).
+// ftran computes w = B⁻¹·a_q over basis positions for column q: it
+// gathers the column into a stacked-row vector (a slack column is the unit
+// vector on its row) and applies ftranRows.
 func (s *RevisedSolver) ftran(p *Problem, q int) []float64 {
-	n, nEq := s.sigN, s.sigEq
-	k := len(s.activeRows)
+	n := s.sigN
 	m := s.sigEq + s.sigUb
-	s.colAct = growF(s.colAct, k)
-	s.sol = growF(s.sol, k)
+	s.rowVec = growF(s.rowVec, m)
 	if q < n {
-		for a, r := range s.activeRows {
-			s.colAct[a] = s.rowView(p, r)[q]
+		for r := range s.rowVec {
+			s.rowVec[r] = s.rowView(p, r)[q]
 		}
 	} else {
-		// Slack column: unit vector on its row.
-		row := nEq + (q - n)
-		for a := range s.colAct {
-			s.colAct[a] = 0
+		for r := range s.rowVec {
+			s.rowVec[r] = 0
 		}
-		for a, r := range s.activeRows {
-			if r == row {
-				s.colAct[a] = 1
-				break
-			}
-		}
+		s.rowVec[s.sigEq+(q-n)] = 1
 	}
-	if k > 0 {
-		s.lu.SolveInto(s.sol, s.colAct)
-	}
-	s.col = growF(s.col, m)
-	copy(s.col, s.sol[:k])
-	for t, r := range s.inactiveRows {
-		var v float64
-		if q < n {
-			v = s.rowView(p, r)[q]
-		} else if r == nEq+(q-n) {
-			v = 1
-		}
-		v -= mat.Dot(s.abasic[t*k:(t+1)*k], s.sol[:k])
-		s.col[k+t] = v
-	}
-	for t, pp := range s.etaPos {
-		e := s.etaBuf[t*m : (t+1)*m]
-		wp := s.col[pp] / e[pp]
-		if wp != 0 {
-			for i := 0; i < m; i++ {
-				if i != pp {
-					s.col[i] -= e[i] * wp
-				}
-			}
-		}
-		s.col[pp] = wp
-	}
-	return s.col
+	return s.ftranRows(s.rowVec)
 }
 
 // btranUnit computes π = B⁻ᵀ·e_pos over the stacked rows: the eta file's
@@ -1233,13 +1103,13 @@ func (s *RevisedSolver) primalLoop(p *Problem) error {
 }
 
 // dualLoop runs bounded-variable dual simplex pivots from a dual-feasible
-// basis until primal feasibility — the recovery path when a perturbed
-// candidate makes the previous optimal basis primal infeasible. Exchanges
-// go through the same eta-update machinery as the primal loop (the uniform
-// π = B⁻ᵀ·e_pos row direction replaces the old active-row special-casing),
-// and feasibility — like primal optimality — is only accepted on freshly
-// re-derived numbers: a nil return means s.x is primal feasible for the
-// current statuses, exactly recomputed.
+// basis until primal feasibility — the recovery path when the problem
+// makes its start basis primal infeasible. Exchanges go through the same
+// eta-update machinery as the primal loop (the uniform π = B⁻ᵀ·e_pos row
+// direction replaces the old active-row special-casing), and feasibility
+// — like primal optimality — is only accepted on freshly re-derived
+// numbers: a nil return means s.x is primal feasible for the current
+// statuses, exactly recomputed.
 func (s *RevisedSolver) dualLoop(p *Problem) error {
 	nTot := s.sigN + s.sigUb
 	m := s.sigEq + s.sigUb
@@ -1488,9 +1358,9 @@ func (s *RevisedSolver) devexUpdate(w []float64, pos, m int) {
 func (s *RevisedSolver) applyFlips(p *Problem) {
 	n, nEq := s.sigN, s.sigEq
 	m := s.sigEq + s.sigUb
-	s.flipCol = growF(s.flipCol, m)
-	for i := range s.flipCol {
-		s.flipCol[i] = 0
+	s.rowVec = growF(s.rowVec, m)
+	for i := range s.rowVec {
+		s.rowVec[i] = 0
 	}
 	for _, j := range s.flips {
 		var dx float64
@@ -1506,15 +1376,15 @@ func (s *RevisedSolver) applyFlips(p *Problem) {
 		if j < n {
 			for r := 0; r < m; r++ {
 				if v := s.rowView(p, r)[j]; v != 0 {
-					s.flipCol[r] += dx * v
+					s.rowVec[r] += dx * v
 				}
 			}
 		} else {
-			s.flipCol[nEq+(j-n)] += dx
+			s.rowVec[nEq+(j-n)] += dx
 		}
 	}
 	s.stats.BoundFlips += len(s.flips)
-	wf := s.ftranRows(p, s.flipCol)
+	wf := s.ftranRows(s.rowVec)
 	for b := 0; b < m; b++ {
 		if v := wf[b]; v != 0 {
 			s.x[s.varAt[b]] -= v
@@ -1523,12 +1393,14 @@ func (s *RevisedSolver) applyFlips(p *Problem) {
 	s.fresh = false
 }
 
-// ftranRows is ftran for an arbitrary stacked-row vector instead of a
-// single constraint column: it computes B⁻¹·col over basis positions
-// through the frozen factorization and the eta file. Used by the
-// bound-flipping ratio test to repair the basic values after a batch of
-// flips with one solve.
-func (s *RevisedSolver) ftranRows(p *Problem, col []float64) []float64 {
+// ftranRows computes B⁻¹·col over basis positions for a stacked-row
+// vector col. The frozen factorization handles the B₀ part — the LU solves
+// the active rows and the frozen-basic slack positions are row residuals —
+// and the eta file is then applied in pivot order (E_i⁻¹ touches only its
+// pivot position's multiple of the stored column). It is the one routine
+// that applies B⁻¹: ftran feeds it one constraint column, applyFlips the
+// combined column of a batch of bound flips.
+func (s *RevisedSolver) ftranRows(col []float64) []float64 {
 	k := len(s.activeRows)
 	m := s.sigEq + s.sigUb
 	s.colAct = growF(s.colAct, k)
@@ -1602,14 +1474,6 @@ func (s *RevisedSolver) verify(p *Problem) bool {
 func growI8(buf []int8, n int) []int8 {
 	if cap(buf) < n {
 		return make([]int8, n)
-	}
-	return buf[:n]
-}
-
-// growInt is growF for index slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
 	}
 	return buf[:n]
 }

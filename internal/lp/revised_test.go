@@ -49,7 +49,7 @@ func objectivesAgree(t *testing.T, tag string, a, b float64) {
 
 // TestRevisedMatchesFlatRandom cross-checks the revised solver against the
 // flat tableau solver on random LPs, including the warm re-solve of each
-// problem (second call reuses the crashed basis).
+// problem from the basis the first solve ended on.
 func TestRevisedMatchesFlatRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rs := NewRevisedSolver()
@@ -57,7 +57,7 @@ func TestRevisedMatchesFlatRandom(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		p := randomBoundedLP(rng, 3+rng.Intn(6), 1+rng.Intn(8))
 		ref, refErr := Solve(p)
-		got, gotErr := rs.Solve(p)
+		got, gotErr := rs.Solve(p, nil)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: flat err %v, revised err %v", trial, refErr, gotErr)
 		}
@@ -66,10 +66,10 @@ func TestRevisedMatchesFlatRandom(t *testing.T) {
 		}
 		solved++
 		objectivesAgree(t, "cold", ref.Objective, got.Objective)
-		// Re-solve warm: the crashed basis is already optimal, so this
-		// must finish on the warm path with zero pivots.
+		// Re-solve warm: the captured basis is already optimal, so this
+		// must finish on the warm path.
 		before := rs.Stats()
-		again, err := rs.Solve(p)
+		again, err := rs.Solve(p, rs.CaptureBasis())
 		if err != nil {
 			t.Fatalf("trial %d warm re-solve: %v", trial, err)
 		}
@@ -84,8 +84,8 @@ func TestRevisedMatchesFlatRandom(t *testing.T) {
 }
 
 // TestRevisedWarmAcrossPerturbations drives one solver through a walk of
-// slightly perturbed LPs — the dispatch-engine access pattern — and
-// cross-checks every solve against a fresh flat solve.
+// slightly perturbed LPs, each started from the basis the previous solve
+// ended on, and cross-checks every solve against a fresh flat solve.
 func TestRevisedWarmAcrossPerturbations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var base *Problem
@@ -119,7 +119,7 @@ func TestRevisedWarmAcrossPerturbations(t *testing.T) {
 		}
 		ref, refErr := Solve(p)
 		before := rs.Stats()
-		got, gotErr := rs.Solve(p)
+		got, gotErr := rs.Solve(p, rs.CaptureBasis())
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("step %d: flat err %v, revised err %v", step, refErr, gotErr)
 		}
@@ -154,11 +154,11 @@ func TestRevisedDualRecovery(t *testing.T) {
 		}
 	}
 	rs := NewRevisedSolver()
-	if _, err := rs.Solve(mk(1.5)); err != nil {
+	if _, err := rs.Solve(mk(1.5), nil); err != nil {
 		t.Fatal(err)
 	}
 	before := rs.Stats()
-	got, err := rs.Solve(mk(0.8))
+	got, err := rs.Solve(mk(0.8), rs.CaptureBasis())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestRevisedDegenerateBasis(t *testing.T) {
 		Upper: []float64{2, 2},
 	}
 	rs := NewRevisedSolver()
-	first, err := rs.Solve(p)
+	first, err := rs.Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := rs.Solve(p)
+	second, err := rs.Solve(p, rs.CaptureBasis())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,14 @@ func TestRevisedInfeasibleAfterWarm(t *testing.T) {
 		}
 	}
 	rs := NewRevisedSolver()
-	if _, err := rs.Solve(mk(2)); err != nil {
+	if _, err := rs.Solve(mk(2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Solve(mk(0.5)); !errors.Is(err, ErrInfeasible) {
+	if _, err := rs.Solve(mk(0.5), rs.CaptureBasis()); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 	// And the solver recovers once the problem is feasible again.
-	sol, err := rs.Solve(mk(2))
+	sol, err := rs.Solve(mk(2), rs.CaptureBasis())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRevisedFreeVariableFallsBack(t *testing.T) {
 		Bub: []float64{1},
 	}
 	rs := NewRevisedSolver()
-	got, err := rs.Solve(p)
+	got, err := rs.Solve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,41 +262,52 @@ func TestRevisedFreeVariableFallsBack(t *testing.T) {
 	}
 }
 
-// TestRevisedInvalidate forces a from-scratch restart and checks the
-// solver still agrees with the flat path afterwards, without reusing the
-// dropped basis: a repeated solve with the basis kept is a zero-pivot
-// basis hit, so the post-Invalidate solve must pay pivots again.
-func TestRevisedInvalidate(t *testing.T) {
+// TestRevisedSolvePure checks that a solve depends only on its problem
+// and its start: solving the same problem from the same start gives
+// bitwise the same X and objective, and runs the same pivots, whatever the
+// solver solved in between.
+func TestRevisedSolvePure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomBoundedLP(rng, 5, 6)
-	ref, err := Solve(p)
-	if err != nil {
+	if _, err := Solve(p); err != nil {
 		t.Skip("random LP infeasible under this seed")
 	}
-	rs := NewRevisedSolver()
-	if _, err := rs.Solve(p); err != nil {
+	// other reverses p's costs: same feasible region, another optimal
+	// vertex.
+	other := *p
+	other.C = make([]float64, len(p.C))
+	for j, c := range p.C {
+		other.C[len(p.C)-1-j] = c
+	}
+	ref := NewRevisedSolver()
+	if _, err := ref.Solve(&other, nil); err != nil {
 		t.Fatal(err)
 	}
-	first := rs.Stats()
-	if _, err := rs.Solve(p); err != nil {
-		t.Fatal(err)
-	}
-	kept := rs.Stats()
-	if d := (kept.PrimalPivots + kept.DualPivots) - (first.PrimalPivots + first.DualPivots); d != 0 {
-		t.Fatalf("re-solving with the kept basis paid %d pivots", d)
-	}
-	rs.Invalidate()
-	if rs.hasBasis {
-		t.Fatal("Invalidate left the basis loaded")
-	}
-	got, err := rs.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objectivesAgree(t, "post-invalidate", ref.Objective, got.Objective)
-	st := rs.Stats()
-	if st.ColdSolves == 0 &&
-		(st.PrimalPivots+st.DualPivots) == (kept.PrimalPivots+kept.DualPivots) {
-		t.Fatalf("post-Invalidate solve reused the dropped basis: %+v", st)
+	for _, start := range []*WarmBasis{nil, ref.CaptureBasis()} {
+		rs := NewRevisedSolver()
+		solve := func() (*Solution, RevisedStats) {
+			before := rs.Stats()
+			sol, err := rs.Solve(p, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sol, rs.Stats().Delta(before)
+		}
+		first, firstStats := solve()
+		if _, err := rs.Solve(&other, rs.CaptureBasis()); err != nil {
+			t.Fatal(err)
+		}
+		again, againStats := solve()
+		if againStats != firstStats {
+			t.Fatalf("start %v: counters %+v, first solve %+v", start != nil, againStats, firstStats)
+		}
+		if again.Objective != first.Objective {
+			t.Fatalf("start %v: objective %.17g, first solve %.17g", start != nil, again.Objective, first.Objective)
+		}
+		for j := range first.X {
+			if again.X[j] != first.X[j] {
+				t.Fatalf("start %v: x[%d] = %.17g, first solve %.17g", start != nil, j, again.X[j], first.X[j])
+			}
+		}
 	}
 }

@@ -61,11 +61,11 @@ type DispatchEngine struct {
 
 	// Engine-level seed basis (sparse path): the optimal basis of the
 	// dispatch LP at the network's reference reactances, computed once on
-	// first demand. Every solve starts from it instead of a cold two-phase
-	// tableau solve, which would dominate a cold selection. The seed is a
-	// pure function of the network, so seeded solves remain pure functions
-	// of (loads, x): scheduling, worker count and pool order cannot
-	// influence results.
+	// first demand. Every solve starts from it instead of the crash basis,
+	// which takes more dual pivots to reach the optimum (the pinned ieee118
+	// selection: 160 instead of 97). The seed is a pure function of the
+	// network, so seeded solves remain pure functions of (loads, x):
+	// scheduling, worker count and pool order cannot influence results.
 	seedOnce sync.Once
 	seed     *lp.WarmBasis
 
@@ -193,26 +193,16 @@ func (e *DispatchEngine) Network() *grid.Network { return e.n }
 // prepare builds the dispatch LP for reactances x into the workspace and
 // solves it. It mirrors SolveDispatch step for step on the dense path; the
 // sparse path routes the identical LP through the revised simplex, started
-// from the engine's seed basis (cold when there is none) whatever the
-// workspace solved before.
-func (e *DispatchEngine) prepare(w *dispatchWorkspace, x []float64) (*lp.Solution, error) {
-	if e.warm {
-		w.rsolver.Invalidate()
-		w.rsolver.InstallBasis(e.seedBasis())
-	}
-	return e.prepareUnseeded(w, x)
-}
-
-// prepareUnseeded is prepare without the seed-basis installation — the
-// path the seed computation itself runs on.
-func (e *DispatchEngine) prepareUnseeded(w *dispatchWorkspace, x []float64) (*lp.Solution, error) {
+// from start (the engine's seed basis, or nil for the seed LP itself)
+// whatever the workspace solved before.
+func (e *DispatchEngine) prepare(w *dispatchWorkspace, x []float64, start *lp.WarmBasis) (*lp.Solution, error) {
 	prob, err := e.buildProblem(w, x)
 	if err != nil {
 		return nil, err
 	}
 	var sol *lp.Solution
 	if e.warm {
-		sol, err = w.rsolver.Solve(prob)
+		sol, err = w.rsolver.Solve(prob, start)
 	} else {
 		sol, err = w.solver.Solve(prob)
 	}
@@ -384,17 +374,18 @@ func (e *DispatchEngine) pooled() *dispatchWorkspace {
 }
 
 // seedBasis returns the engine-level seed basis, computing it on first
-// demand: one cold solve of the dispatch LP at the network's reference
-// reactances on a private workspace, whose optimal basis every later
-// solve starts from. Returns nil on the dense path or when the reference
-// LP cannot be solved (each later solve then runs cold).
+// demand: one solve of the dispatch LP at the network's reference
+// reactances from the crash basis on a private workspace, whose optimal
+// basis every later solve starts from. Returns nil on the dense path, when
+// the reference LP cannot be solved, or when it was solved on the flat
+// tableau (each later solve then starts from the crash basis).
 func (e *DispatchEngine) seedBasis() *lp.WarmBasis {
 	if !e.warm {
 		return nil
 	}
 	e.seedOnce.Do(func() {
 		w := e.pool.New().(*dispatchWorkspace)
-		if _, err := e.prepareUnseeded(w, e.n.Reactances()); err == nil {
+		if _, err := e.prepare(w, e.n.Reactances(), nil); err == nil {
 			e.seed = w.rsolver.CaptureBasis()
 		}
 		e.pool.Put(w)
@@ -445,10 +436,10 @@ func (e *DispatchEngine) verifiedResult(w *dispatchWorkspace, x, dispatch []floa
 // one workspace outright instead of borrowing from the pool per call. The
 // parallel multi-start driver holds one session per worker (no pool churn),
 // and on the sparse path the session's Farkas-ray index is what carries
-// across its solves — ResetWarmStart scopes it to one local search. A
-// session carries no LP basis: like a pooled solve, each of its solves
-// starts from the engine's seed basis and is served through the engine's
-// memo. A DispatchSession is not safe for concurrent use.
+// across its solves — DropRays scopes it to one local search. A session
+// carries no LP basis: like a pooled solve, each of its solves starts from
+// the engine's seed basis and is served through the engine's memo. A
+// DispatchSession is not safe for concurrent use.
 type DispatchSession struct {
 	e *DispatchEngine
 	w *dispatchWorkspace
@@ -479,13 +470,13 @@ func (s *DispatchSession) BuildProblem(x []float64) (*lp.Problem, error) {
 	return s.e.buildProblem(s.w, x)
 }
 
-// ResetWarmStart drops the session's Farkas-ray index (a no-op on the
-// dense path), the only solver state a session carries from one solve to
-// the next: the next solve recycles no certificates. Deterministic drivers
+// DropRays drops the session's Farkas-ray index (a no-op on the dense
+// path), the only solver state a session carries from one solve to the
+// next: the next solve recycles no certificates. Deterministic drivers
 // call it at their reproducibility boundaries — one local search per
 // scope — so the search's solve and pre-screen counts are identical
 // however starts are distributed across workers.
-func (s *DispatchSession) ResetWarmStart() {
+func (s *DispatchSession) DropRays() {
 	if s.w.rsolver != nil {
 		s.w.rsolver.DropRays()
 	}

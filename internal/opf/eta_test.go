@@ -53,13 +53,13 @@ func etaVsRefactorCase(t *testing.T, caseName string, count int, step float64) {
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
 		}
-		etaSol, etaErr := etaW.rsolver.Solve(etaProb)
+		etaSol, etaErr := etaW.rsolver.Solve(etaProb, etaW.rsolver.CaptureBasis())
 
 		refProb, err := eng.buildProblem(refW, x)
 		if err != nil {
 			t.Fatalf("trial %d: build (ref): %v", trial, err)
 		}
-		refSol, refErr := refW.rsolver.Solve(refProb)
+		refSol, refErr := refW.rsolver.Solve(refProb, refW.rsolver.CaptureBasis())
 
 		if (etaErr == nil) != (refErr == nil) {
 			t.Fatalf("trial %d: eta err %v, refactor err %v", trial, etaErr, refErr)

@@ -112,7 +112,7 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 				return optimize.InfeasibleObjective
 			}
 			return cost
-		}, s.ResetWarmStart
+		}, s.DropRays
 	}
 	obj, _ := newWorker()
 	local := func(f optimize.Objective, x0 []float64) (*optimize.Result, error) {

@@ -55,7 +55,7 @@ func pricingAgreeCase(t *testing.T, caseName string, count int, step float64) (s
 			if err != nil {
 				t.Fatalf("trial %d: build: %v", trial, err)
 			}
-			sol, err := w.rsolver.Solve(prob)
+			sol, err := w.rsolver.Solve(prob, w.rsolver.CaptureBasis())
 			if err != nil {
 				return 0, err
 			}
@@ -151,7 +151,7 @@ func TestPricingInfeasibleCertificateIEEE300(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		sol, err := w.rsolver.Solve(prob)
+		sol, err := w.rsolver.Solve(prob, w.rsolver.CaptureBasis())
 		if err != nil {
 			return 0, err
 		}

@@ -69,7 +69,7 @@ func (e *DispatchEngine) lookup(w *dispatchWorkspace, x []float64) (r solved, co
 			ws = e.pooled()
 			defer e.pool.Put(ws)
 		}
-		sol, err := e.prepare(ws, x)
+		sol, err := e.prepare(ws, x, e.seedBasis())
 		if err != nil {
 			return solved{}, err
 		}

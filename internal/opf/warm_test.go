@@ -11,9 +11,9 @@ import (
 )
 
 // warmVsColdCase drives one warm RevisedSolver through count
-// perturbed-reactance dispatch LPs of a registered case and cross-checks
-// every objective against a fresh flat-tableau solve of the identical
-// problem. This is the warm-start correctness property the sparse path
+// perturbed-reactance dispatch LPs of a registered case, each started from
+// the basis the previous solve ended on, and cross-checks every objective
+// against a fresh flat-tableau solve of the identical problem. This is the warm-start correctness property the sparse path
 // relies on: 1e-9 objective agreement across a realistic LP walk.
 func warmVsColdCase(t *testing.T, caseName string, count int, step float64) lp.RevisedStats {
 	t.Helper()
@@ -57,7 +57,7 @@ func warmVsColdCase(t *testing.T, caseName string, count int, step float64) lp.R
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
 		}
-		warmSol, warmErr := warmW.rsolver.Solve(warmProb)
+		warmSol, warmErr := warmW.rsolver.Solve(warmProb, warmW.rsolver.CaptureBasis())
 
 		coldProb, err := eng.buildProblem(coldW, x)
 		if err != nil {
@@ -209,12 +209,12 @@ func TestWarmSessionMatchesDense(t *testing.T) {
 	}
 }
 
-// TestResetWarmStartRestoresSeedState checks the determinism boundary:
-// after earlier solves and a reset, the session's next solve starts from
+// TestDropRaysRestoresSeedState checks the determinism boundary: after
+// earlier solves and DropRays, the session's next solve starts from
 // the engine's fixed seed basis, bitwise identical to a fresh session's
 // first solve of the same candidate (the property that makes results
 // independent of how starts land on workers).
-func TestResetWarmStartRestoresSeedState(t *testing.T) {
+func TestDropRaysRestoresSeedState(t *testing.T) {
 	n, err := grid.CaseByName("ieee57")
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestResetWarmStartRestoresSeedState(t *testing.T) {
 		}
 		return n.ExpandDFACTS(xd)
 	}
-	// Walk the session's basis away from the seed, then reset.
+	// Solve other candidates on the session first, then drop its rays.
 	if _, err := sess.Cost(n.Reactances()); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestResetWarmStartRestoresSeedState(t *testing.T) {
 	if st.WarmSolves != st.Solves {
 		t.Fatalf("seeded session ran a cold solve: %+v", st)
 	}
-	sess.ResetWarmStart()
+	sess.DropRays()
 	got, err := sess.Cost(point(0.6))
 	if err != nil {
 		t.Fatal(err)
