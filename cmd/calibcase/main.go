@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -41,13 +42,14 @@ func main() {
 		corners  = flag.Bool("corners", false, "include the D-FACTS box corners in the flow envelope (looser ratings: MTD perturbations stay free)")
 	)
 	flag.Parse()
-	if err := run(*caseName, *headroom, *floor, *corners); err != nil {
+	if err := run(os.Stdout, *caseName, *headroom, *floor, *corners); err != nil {
 		fmt.Fprintln(os.Stderr, "calibcase:", err)
 		os.Exit(1)
 	}
 }
 
-func run(caseName string, headroom, floor float64, corners bool) error {
+// run writes the rating array literal of the named case to w.
+func run(w io.Writer, caseName string, headroom, floor float64, corners bool) error {
 	n, err := grid.CaseByName(caseName)
 	if err != nil {
 		return err
@@ -80,9 +82,9 @@ func run(caseName string, headroom, floor float64, corners bool) error {
 	if corners {
 		span = "nominal reactances and both D-FACTS box corners"
 	}
-	fmt.Printf("// %s ratings: headroom %.2f, floor %.0f MW, envelope over %s\n", caseName, headroom, floor, span)
-	fmt.Printf("// (generated by cmd/calibcase).\n")
-	fmt.Printf("var caseLimit%d = [%d]float64{\n", free.N(), free.L())
+	fmt.Fprintf(w, "// %s ratings: headroom %.2f, floor %.0f MW, envelope over %s\n", caseName, headroom, floor, span)
+	fmt.Fprintf(w, "// (generated by cmd/calibcase).\n")
+	fmt.Fprintf(w, "var caseLimit%d = [%d]float64{\n", free.N(), free.L())
 	for l := range env {
 		limit := headroom * env[l]
 		if limit < floor {
@@ -94,10 +96,10 @@ func run(caseName string, headroom, floor float64, corners bool) error {
 			sep = ",\n"
 		}
 		if l%10 == 0 {
-			fmt.Printf("\t")
+			fmt.Fprintf(w, "\t")
 		}
-		fmt.Printf("%g%s", limit, sep)
+		fmt.Fprintf(w, "%g%s", limit, sep)
 	}
-	fmt.Printf("}\n")
+	fmt.Fprintf(w, "}\n")
 	return nil
 }

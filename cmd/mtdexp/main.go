@@ -131,7 +131,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown experiment %q (use -list)", id)
 		}
 		start := time.Now()
-		fmt.Fprintf(w, "=== %s: %s (quality: %s)\n", e.ID, e.Title, opts.Quality)
+		fmt.Fprintf(w, "=== %s: %s (quality: %s)\n", e.ID, e.TitleFor(*caseName), opts.Quality)
 		if err := experiments.RunOne(e, w, opts); err != nil {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"gridmtd"
+	"gridmtd/internal/experiments"
 )
 
 func TestListFlag(t *testing.T) {
@@ -122,5 +124,46 @@ func TestQuickFlag(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "quality: quick") {
 		t.Error("quick quality not reported")
+	}
+}
+
+// TestCaseOverrideHeadersNameTheCase checks that under -case every
+// experiment header names the case the run is on, not the paper's grid.
+func TestCaseOverrideHeadersNameTheCase(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "all", "-case", "ieee14", "-quick"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	headers := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "=== ") {
+			continue
+		}
+		headers++
+		if !strings.Contains(line, "case ieee14") || strings.Contains(line, "IEEE") {
+			t.Errorf("header does not name case ieee14: %q", line)
+		}
+	}
+	if want := len(experiments.CaseGenericIDs()); headers != want {
+		t.Fatalf("%d headers, want one per case-generic experiment (%d)", headers, want)
+	}
+}
+
+// TestSparseDaySweepSolvesOnRevisedPath pins the dispatch-LP route of a
+// sparse-tier day sweep and tradeoff (fig10 and fig9 on ieee57): every LP
+// is solved by the revised simplex from the start basis it is given, with
+// no abandoned attempt and no flat-tableau solve. It reads the
+// process-wide counters, so it must not run in parallel with other tests.
+func TestSparseDaySweepSolvesOnRevisedPath(t *testing.T) {
+	before := gridmtd.GlobalLPStats()
+	if err := run([]string{"-exp", "fig10,fig9", "-case", "ieee57", "-quick"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	d := gridmtd.GlobalLPStats().Delta(before)
+	if d.Solves == 0 {
+		t.Fatal("no dispatch LP solved")
+	}
+	if d.ColdSolves != 0 || d.Fallbacks != 0 {
+		t.Fatalf("%d solves: %d cold, %d fallbacks; want 0 and 0", d.Solves, d.ColdSolves, d.Fallbacks)
 	}
 }

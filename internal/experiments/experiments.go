@@ -55,8 +55,21 @@ type Experiment struct {
 	// CaseGeneric marks experiments whose protocol runs on any registered
 	// case via Options.Case.
 	CaseGeneric bool
+	// System is the paper's grid as Title names it ("IEEE 14-bus"); a run
+	// on another case names that case in its place (see TitleFor).
+	System string
 	// Run executes the experiment and writes its table(s) to w.
 	Run func(w io.Writer, opts Options) error
+}
+
+// TitleFor returns the title of a run on the named case: a case-generic
+// experiment names the case in place of its paper grid, and an empty
+// name keeps Title.
+func (e Experiment) TitleFor(caseName string) string {
+	if caseName == "" || !e.CaseGeneric {
+		return e.Title
+	}
+	return strings.Replace(e.Title, e.System, "case "+caseName, 1)
 }
 
 // RunOne executes the experiment with the options, enforcing the

@@ -196,6 +196,7 @@ func init() {
 		ID:          "learning",
 		Title:       "Extension (Sec. IV-A): attacker subspace learning vs MTD staleness (IEEE 14-bus)",
 		CaseGeneric: true,
+		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
 			gridSamples := []int{15, 30, 60, 120, 250, 500, 1000}
 			if opts.Quality == Quick {

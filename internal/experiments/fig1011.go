@@ -138,6 +138,7 @@ func init() {
 		ID:          "fig10",
 		Title:       "Fig. 10: MTD operational cost over a day (IEEE 14-bus, NY-shaped trace)",
 		CaseGeneric: true,
+		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
 			cfg := DefaultDailyConfig()
 			if opts.Quality == Quick {
@@ -160,6 +161,7 @@ func init() {
 		ID:          "fig11",
 		Title:       "Fig. 11: principal angles over a day (IEEE 14-bus, NY-shaped trace)",
 		CaseGeneric: true,
+		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
 			cfg := DefaultDailyConfig()
 			if opts.Quality == Quick {

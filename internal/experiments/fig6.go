@@ -157,6 +157,7 @@ func init() {
 		ID:          "fig6a",
 		Title:       "Fig. 6a: MTD effectiveness η'(δ) vs γ (IEEE 14-bus)",
 		CaseGeneric: true,
+		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
 			cfg := DefaultFig6aConfig()
 			if opts.Quality == Quick {
@@ -180,6 +181,7 @@ func init() {
 		ID:          "fig6b",
 		Title:       "Fig. 6b: MTD effectiveness η'(δ) vs γ (IEEE 30-bus)",
 		CaseGeneric: true,
+		System:      "IEEE 30-bus",
 		Run: func(w io.Writer, opts Options) error {
 			cfg := DefaultFig6bConfig()
 			if opts.Quality == Quick {

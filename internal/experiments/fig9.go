@@ -134,6 +134,7 @@ func init() {
 		ID:          "fig9",
 		Title:       "Fig. 9: effectiveness vs operational cost tradeoff at 6 PM (IEEE 14-bus)",
 		CaseGeneric: true,
+		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
 			cfg := DefaultFig9Config()
 			if opts.Quality == Quick {

@@ -5,14 +5,9 @@
 // shape with the same structure (overnight trough ~64% of peak, morning
 // ramp, evening peak at 6 PM) — the properties Figs. 9-11 actually depend
 // on (temporal correlation and a load level that modulates congestion).
-// Synthetic generators (sinusoid, random walk) support further testing.
 package loadprofile
 
-import (
-	"errors"
-	"math"
-	"math/rand"
-)
+import "errors"
 
 // NYWinterWeekday returns 24 hourly load factors normalized to peak = 1,
 // index 0 = 1 AM through index 23 = midnight, shaped like a New York
@@ -68,41 +63,4 @@ func ScaleToPeak(shape []float64, baseTotalMW, peakTotalMW float64) ([]float64, 
 		out[i] = v * k
 	}
 	return out, nil
-}
-
-// Sinusoid returns an hours-long profile mean + amplitude·cos centered so
-// the maximum lands at peakHour (0-based).
-func Sinusoid(hours int, mean, amplitude float64, peakHour int) []float64 {
-	out := make([]float64, hours)
-	for h := 0; h < hours; h++ {
-		phase := 2 * math.Pi * float64(h-peakHour) / float64(hours)
-		out[h] = mean + amplitude*math.Cos(phase)
-	}
-	return out
-}
-
-// RandomWalk returns an hours-long profile following a reflected random
-// walk with the given step size, clamped to [lo, hi]. It models slowly
-// varying, temporally correlated demand for robustness tests.
-func RandomWalk(rng *rand.Rand, hours int, start, step, lo, hi float64) []float64 {
-	out := make([]float64, hours)
-	v := start
-	for h := 0; h < hours; h++ {
-		v += (2*rng.Float64() - 1) * step
-		if v < lo {
-			v = 2*lo - v
-		}
-		if v > hi {
-			v = 2*hi - v
-		}
-		// Double reflection can still escape for huge steps; clamp.
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		out[h] = v
-	}
-	return out
 }

@@ -2,9 +2,7 @@ package loadprofile
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNYWinterWeekdayShape(t *testing.T) {
@@ -83,47 +81,5 @@ func TestScaleToPeakErrors(t *testing.T) {
 	}
 	if _, err := ScaleToPeak([]float64{1, -1}, 100, 100); err == nil {
 		t.Error("expected error for negative factor")
-	}
-}
-
-func TestSinusoid(t *testing.T) {
-	p := Sinusoid(24, 0.8, 0.2, 18)
-	if len(p) != 24 {
-		t.Fatalf("len = %d", len(p))
-	}
-	if math.Abs(p[18]-1.0) > 1e-12 {
-		t.Errorf("peak value %v at peak hour, want 1.0", p[18])
-	}
-	// Trough is diametrically opposite.
-	if math.Abs(p[6]-0.6) > 1e-12 {
-		t.Errorf("trough %v, want 0.6", p[6])
-	}
-}
-
-func TestRandomWalkStaysInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p := RandomWalk(rng, 1000, 0.8, 0.1, 0.6, 1.0)
-	for i, v := range p {
-		if v < 0.6 || v > 1.0 {
-			t.Fatalf("walk[%d] = %v escaped [0.6, 1]", i, v)
-		}
-	}
-}
-
-// Property: RandomWalk respects its bounds for arbitrary seeds and steps.
-func TestQuickRandomWalkBounds(t *testing.T) {
-	f := func(seed int64, stepRaw float64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		step := math.Abs(math.Mod(stepRaw, 1))
-		p := RandomWalk(rng, 100, 0.8, step, 0.5, 1.2)
-		for _, v := range p {
-			if v < 0.5 || v > 1.2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

@@ -12,7 +12,10 @@ import (
 // fuzzLP decodes a small bounded LP and a few right-hand-side
 // perturbations of it from fuzz bytes: at most 6 variables and 6 rows,
 // coefficients in [-8, 8) on a 1/16 grid, every variable boxed in a finite
-// interval. Bytes past the end read as 0.
+// interval. A trailing byte scales the equality rows (coefficients and
+// right-hand sides) by 10^(byte mod 4), so a balance row's scale can
+// dwarf the inequality rows' as the dispatch LP's total load dwarfs its
+// flow limits. Bytes past the end read as 0.
 type fuzzLP struct {
 	data []byte
 }
@@ -70,6 +73,12 @@ func (d *fuzzLP) decode() []*Problem {
 			q.Bub[i] += d.coef()
 		}
 		probs = append(probs, &q)
+	}
+	if scale := math.Pow10(int(d.next() % 4)); scale != 1 && nEq > 0 {
+		aeq := mat.ScaleMat(scale, base.Aeq)
+		for _, q := range probs {
+			q.Aeq, q.Beq = aeq, mat.ScaleVec(scale, q.Beq)
+		}
 	}
 	return probs
 }

@@ -8,9 +8,10 @@ import (
 	"gridmtd/internal/mat"
 )
 
-// errWarmFallback is warmSolve's internal "abandon this attempt and
-// re-solve on the flat tableau" signal. It never escapes Solve: the only
-// warm error surfaced to callers is a certified ErrInfeasible.
+// errWarmFallback is warmSolve's internal "abandon this attempt" signal:
+// Solve then tries the crash basis and, failing that, the flat tableau.
+// It never escapes Solve: the only warm error surfaced to callers is a
+// certified ErrInfeasible.
 var errWarmFallback = errors.New("lp: warm solve abandoned")
 
 // RevisedStats counts what the revised solver actually did — tests assert
@@ -144,11 +145,12 @@ const (
 // feasibility first. Every warm result is verified against the original
 // problem (primal feasibility, bound satisfaction, and the reduced-cost
 // optimality certificate); any doubt — singular working matrix, stalled
-// loop, failed check — falls back to the embedded flat tableau Solver,
-// the historical reference implementation, so the solver never returns an
-// unverified warm answer. No basis is kept from one Solve to the next:
-// between calls the solver holds only its Farkas-ray index (see
-// prescreen.go) and scratch buffers.
+// loop, failed check — abandons the attempt. A solve abandoned from its
+// start retries from the crash basis, and one abandoned there falls back
+// to the embedded flat tableau Solver, the historical reference
+// implementation, so the solver never returns an unverified warm answer.
+// No basis is kept from one Solve to the next: between calls the solver
+// holds only its Farkas-ray index (see prescreen.go) and scratch buffers.
 //
 // A RevisedSolver is not safe for concurrent use; use one per goroutine.
 type RevisedSolver struct {
@@ -209,7 +211,10 @@ type RevisedSolver struct {
 	// is the stacked-row input of ftranRows and fcol its output.
 	rhs, sol, yAct, colAct, alpha []float64
 	posv, pi, rowVec, fcol        []float64
-	// Tolerances, refreshed per solve from the problem scale.
+	// Tolerances, refreshed per solve from the problem scale: ftol is each
+	// variable's feasibility tolerance (see setupModel), ptol the largest
+	// of them, dtol the reduced-cost tolerance.
+	ftol       []float64
 	ptol, dtol float64
 }
 
@@ -461,9 +466,9 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 		// where the same sign is the right one. Only variables with both
 		// bounds finite can flip; a wrong-signed variable without a finite
 		// opposite bound (a slack) keeps the repair impossible and the
-		// solve goes cold. After the flips the factorization and reduced
-		// costs are still exact, only the primal values moved, so one
-		// computeX refresh feeds the ordinary dual→primal recovery.
+		// attempt is abandoned. After the flips the factorization and
+		// reduced costs are still exact, only the primal values moved, so
+		// one computeX refresh feeds the ordinary dual→primal recovery.
 		if !s.flipToDualFeasible() {
 			return nil, errWarmFallback
 		}
@@ -484,7 +489,11 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 }
 
 // setupModel fills the per-variable bound and cost arrays and the
-// scale-aware tolerances.
+// scale-aware tolerances. A structural variable's feasibility tolerance is
+// ptol, the one verify applies to its bounds. The slack of inequality row
+// i gets feasTol·(1+|Bub_i|), never looser than verify's test of that row
+// (which also counts Σ|a_ij·x_j|), so a basis the loops accept as primal
+// feasible is one verify accepts.
 func (s *RevisedSolver) setupModel(p *Problem) {
 	n, nUb := s.sigN, s.sigUb
 	nTot := n + nUb
@@ -493,6 +502,7 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 	s.c = growF(s.c, nTot)
 	s.x = growF(s.x, nTot)
 	s.d = growF(s.d, nTot)
+	s.ftol = growF(s.ftol, nTot)
 	var cScale float64
 	for j := 0; j < n; j++ {
 		s.lo[j], s.up[j] = p.bound(j)
@@ -526,6 +536,25 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 	}
 	s.ptol = feasTol * (1 + bScale)
 	s.dtol = feasTol * (1 + cScale)
+	for j := 0; j < n; j++ {
+		s.ftol[j] = s.ptol
+	}
+	for i, b := range p.Bub {
+		s.ftol[n+i] = feasTol * (1 + math.Abs(b))
+	}
+}
+
+// violation returns how far variable j lies outside its bounds, or 0 when
+// it is within its feasibility tolerance of them, and whether it is below
+// its lower bound. It is the one primal feasibility rule of the solver.
+func (s *RevisedSolver) violation(j int) (v float64, below bool) {
+	switch {
+	case s.x[j] < s.lo[j]-s.ftol[j]:
+		return s.lo[j] - s.x[j], true
+	case s.x[j] > s.up[j]+s.ftol[j]:
+		return s.x[j] - s.up[j], false
+	}
+	return 0, false
 }
 
 // rowView returns row r of the stacked [Aeq; Aub] constraint matrix.
@@ -547,7 +576,7 @@ func (s *RevisedSolver) rowRHS(p *Problem, r int) float64 {
 // factorBasis rebuilds the active-row and basic-column lists from the
 // statuses and factors the working matrix W = A[active rows, basic
 // structural columns]. Any structural defect (cardinality mismatch,
-// singular W) is an error that sends the caller cold.
+// singular W) is an error that abandons the attempt.
 func (s *RevisedSolver) factorBasis(p *Problem) error {
 	n, nEq, nUb := s.sigN, s.sigEq, s.sigUb
 	s.activeRows = s.activeRows[:0]
@@ -772,10 +801,7 @@ func (s *RevisedSolver) flipToDualFeasible() bool {
 // bounds (nonbasic variables sit on a bound by construction).
 func (s *RevisedSolver) primalFeasible() bool {
 	for j, st := range s.status[:s.sigN+s.sigUb] {
-		if st != stBasic {
-			continue
-		}
-		if s.x[j] < s.lo[j]-s.ptol || s.x[j] > s.up[j]+s.ptol {
+		if v, _ := s.violation(j); st == stBasic && v > 0 {
 			return false
 		}
 	}
@@ -1128,15 +1154,8 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 			// Historical rule: smallest-index basic variable outside its
 			// bounds (Bland-style anti-cycling for the dual method).
 			for j := 0; j < nTot; j++ {
-				if s.status[j] != stBasic {
-					continue
-				}
-				if s.x[j] < s.lo[j]-s.ptol {
-					leave, belowLower, viol = j, true, s.lo[j]-s.x[j]
-					break
-				}
-				if s.x[j] > s.up[j]+s.ptol {
-					leave, belowLower, viol = j, false, s.x[j]-s.up[j]
+				if v, bl := s.violation(j); s.status[j] == stBasic && v > 0 {
+					leave, belowLower, viol = j, bl, v
 					break
 				}
 			}
@@ -1146,14 +1165,8 @@ func (s *RevisedSolver) dualLoop(p *Problem) error {
 			best := 0.0
 			for b := 0; b < m; b++ {
 				j := s.varAt[b]
-				var v float64
-				var bl bool
-				switch {
-				case s.x[j] < s.lo[j]-s.ptol:
-					v, bl = s.lo[j]-s.x[j], true
-				case s.x[j] > s.up[j]+s.ptol:
-					v, bl = s.x[j]-s.up[j], false
-				default:
+				v, bl := s.violation(j)
+				if v == 0 {
 					continue
 				}
 				score := v * v / s.dw[b]
@@ -1435,11 +1448,11 @@ func (s *RevisedSolver) ftranRows(col []float64) []float64 {
 // rows within the scale-aware primal tolerance, and the reduced-cost
 // optimality certificate within the dual tolerance. It is the exact
 // feasibility/optimality cross-check gating every warm answer; failure
-// sends the solve to the flat tableau solver.
+// abandons the attempt, and Solve then tries the crash basis.
 func (s *RevisedSolver) verify(p *Problem) bool {
 	n, nEq, nUb := s.sigN, s.sigEq, s.sigUb
 	for j := 0; j < n; j++ {
-		if s.x[j] < s.lo[j]-s.ptol || s.x[j] > s.up[j]+s.ptol {
+		if v, _ := s.violation(j); v > 0 {
 			return false
 		}
 	}

@@ -311,3 +311,51 @@ func TestRevisedSolvePure(t *testing.T) {
 		}
 	}
 }
+
+// dispatchShapedLP is a two-generator dispatch LP in the shape of the
+// sparse tier's: a power balance whose rhs (3600 MW) is thousands of
+// times the flow limits, and two mirrored flow rows per line. Line a
+// (limit 10) is the most violated row at the crash basis; once it binds,
+// line b (limit 0.99999, 0.1 % of generator 1's output) is over its limit
+// by 1e-5, far inside the balance row's scale (about 3.6e-4) but far
+// outside line b's own (about 2e-7). Line b binds at the optimum.
+func dispatchShapedLP(limitA float64) *Problem {
+	return &Problem{
+		C:     []float64{1, 2},
+		Aeq:   mat.NewDenseFrom(1, 2, []float64{1, 1}),
+		Beq:   []float64{3600},
+		Aub:   mat.NewDenseFrom(4, 2, []float64{1e-2, 0, -1e-2, 0, 1e-3, 0, -1e-3, 0}),
+		Bub:   []float64{limitA, limitA, 0.99999, 0.99999},
+		Lower: []float64{0, 0},
+		Upper: []float64{4000, 4000},
+	}
+}
+
+// TestRevisedSmallFlowRowLargeBalance checks that the revised loops accept
+// a flow row as feasible only where verify does: the dispatch-shaped LP
+// solves on the revised path, from the crash basis and from a start whose
+// limits did not bind, with no abandoned attempt and no flat-tableau
+// solve, and agrees with the flat Solver.
+func TestRevisedSmallFlowRowLargeBalance(t *testing.T) {
+	p := dispatchShapedLP(10)
+	ref, err := NewSolver().Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewRevisedSolver()
+	if _, err := rs.Solve(dispatchShapedLP(100), nil); err != nil {
+		t.Fatal(err)
+	}
+	loose := rs.CaptureBasis()
+	for _, start := range []*WarmBasis{nil, loose} {
+		before := rs.Stats()
+		got, err := rs.Solve(p, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objectivesAgree(t, "dispatch-shaped", ref.Objective, got.Objective)
+		if d := rs.Stats().Delta(before); d.Fallbacks != 0 || d.ColdSolves != 0 {
+			t.Fatalf("start %v: %d fallbacks, %d cold solves; want 0 and 0", start != nil, d.Fallbacks, d.ColdSolves)
+		}
+	}
+}

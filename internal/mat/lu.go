@@ -5,10 +5,9 @@ import "math"
 // LU holds an LU factorization with partial pivoting of a square matrix:
 // P*A = L*U. It supports repeated solves against the same matrix.
 type LU struct {
-	lu   *Dense    // combined L (unit lower) and U factors
-	piv  []int     // row permutation
-	sign int       // permutation parity (for determinants)
-	tsc  []float64 // transpose-solve scratch
+	lu  *Dense    // combined L (unit lower) and U factors
+	piv []int     // row permutation
+	tsc []float64 // transpose-solve scratch
 }
 
 // ComputeLU factors the square matrix a. It returns ErrSingular when a
@@ -47,7 +46,6 @@ func (f *LU) Reset(a *Dense) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: find the largest entry in column k at/below row k.
 		p := k
@@ -66,7 +64,6 @@ func (f *LU) Reset(a *Dense) error {
 				lu.data[k*n+j], lu.data[p*n+j] = lu.data[p*n+j], lu.data[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -80,7 +77,7 @@ func (f *LU) Reset(a *Dense) error {
 			}
 		}
 	}
-	f.lu, f.piv, f.sign = lu, piv, sign
+	f.lu, f.piv = lu, piv
 	return nil
 }
 
@@ -162,16 +159,6 @@ func (f *LU) SolveTransposeInto(dst, b []float64) []float64 {
 		dst[f.piv[i]] = t[i]
 	}
 	return dst
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
 }
 
 // MinAbsPivot returns the smallest |U_kk| of the factorization (+Inf for

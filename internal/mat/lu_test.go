@@ -2,7 +2,6 @@ package mat
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,26 +36,6 @@ func TestLUNeedsPivoting(t *testing.T) {
 	}
 	if !VecEqual(x, []float64{3, 2}, 1e-14) {
 		t.Fatalf("Solve = %v, want [3 2]", x)
-	}
-}
-
-func TestDet(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	f, err := ComputeLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got+2) > 1e-12 {
-		t.Fatalf("Det = %v, want -2", got)
-	}
-	// Determinant of a permutation-needing matrix.
-	b := NewDenseFrom(2, 2, []float64{0, 1, 1, 0})
-	fb, err := ComputeLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.Det(); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("Det(swap) = %v, want -1", got)
 	}
 }
 
@@ -119,27 +98,6 @@ func TestQuickSolveResidual(t *testing.T) {
 		}
 		res := SubVec(MulVec(a, x), b)
 		return Norm2(res) < 1e-10*(1+Norm2(b))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: det(AB) = det(A)det(B).
-func TestQuickDetProduct(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(5)
-		a := randomDense(r, n, n)
-		b := randomDense(r, n, n)
-		fa, errA := ComputeLU(a)
-		fb, errB := ComputeLU(b)
-		fab, errAB := ComputeLU(Mul(a, b))
-		if errA != nil || errB != nil || errAB != nil {
-			return true // singular draws are skipped
-		}
-		da, db, dab := fa.Det(), fb.Det(), fab.Det()
-		return math.Abs(dab-da*db) < 1e-8*(1+math.Abs(da*db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"math"
-
-	"gridmtd/internal/par"
-)
+import "gridmtd/internal/par"
 
 // QR holds the thin QR factorization of an m×n matrix A with m >= n:
 // A = Q*R where Q is m×n with orthonormal columns and R is n×n upper
@@ -195,30 +191,4 @@ func Rank(a *Dense, tol float64) int {
 		}
 	}
 	return r
-}
-
-// Cond2 returns the 2-norm condition number of a (ratio of extreme singular
-// values). It returns +Inf for a rank-deficient matrix.
-func Cond2(a *Dense) float64 {
-	work := a
-	if a.rows < a.cols {
-		work = a.T()
-	}
-	sv := SingularValues(work)
-	if len(sv) == 0 {
-		return 0
-	}
-	mx, mn := sv[0], sv[0]
-	for _, s := range sv {
-		if s > mx {
-			mx = s
-		}
-		if s < mn {
-			mn = s
-		}
-	}
-	if mn == 0 {
-		return math.Inf(1)
-	}
-	return mx / mn
 }

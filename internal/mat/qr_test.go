@@ -142,19 +142,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestCond2(t *testing.T) {
-	d := Diagonal([]float64{10, 1, 0.1})
-	if got := Cond2(d); math.Abs(got-100) > 1e-8 {
-		t.Errorf("Cond2 = %v, want 100", got)
-	}
-	if got := Cond2(Identity(4)); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cond2(I) = %v, want 1", got)
-	}
-	if got := Cond2(NewDense(3, 2)); !math.IsInf(got, 1) {
-		t.Errorf("Cond2(0) = %v, want +Inf", got)
-	}
-}
-
 // Property: QR of a random tall matrix always satisfies A = QR and QᵀQ = I.
 func TestQuickQR(t *testing.T) {
 	f := func(seed int64) bool {
