@@ -95,8 +95,8 @@
 // re-checking with one only the attacks within 1e-9 of a detection
 // threshold. The x_old side is prepared once per selection: the search
 // borrows the attack set's γ evaluator instead of building its own. A
-// planner request's gamma_backend and Scenario.GammaBackend still accept
-// "auto", "exact", "sparse" and "sketch", all as names of this one path.
+// planner request's gamma_backend still accepts "auto", "exact", "sparse"
+// and "sketch", all as names of this one path.
 //
 // Underneath, the dispatch LP runs a bounded-variable revised simplex
 // with product-form (eta-file) factorization updates and certified

@@ -39,7 +39,8 @@ func main() {
 	// Search budgets: the paper-sized cases afford the full multi-start
 	// protocol; on the ≥57-bus cases a γ evaluation costs milliseconds
 	// rather than microseconds, so the demo trims the budget (results stay
-	// deterministic, just less exhaustively optimized).
+	// deterministic, just less exhaustively optimized). The trimmed budget
+	// bounds the max-γ fallback's searches too.
 	starts, maxEvals := 6, 0
 	if probe.N() >= 50 {
 		starts, maxEvals = 2, 30*len(probe.DFACTSIndices())

@@ -57,11 +57,6 @@ type DFACTSConfig struct {
 	// MaxEvals bounds objective evaluations per local search (default
 	// 60 × #D-FACTS branches).
 	MaxEvals int
-	// Initial, when non-nil, is the full reactance vector whose D-FACTS
-	// setting seeds the search instead of the network's nominal reactances
-	// (day-sweep loops that keep yesterday's devices installed pass the
-	// installed vector here).
-	Initial []float64
 }
 
 func (c DFACTSConfig) withDefaults(dim int) DFACTSConfig {
@@ -118,14 +113,10 @@ func SolveDFACTSEngine(engine *DispatchEngine, cfg DFACTSConfig) (*Result, error
 	local := func(f optimize.Objective, x0 []float64) (*optimize.Result, error) {
 		return optimize.NelderMead(f, x0, optimize.NMConfig{MaxEvals: cfg.MaxEvals})
 	}
-	initial := cfg.Initial
-	if initial == nil {
-		initial = n.Reactances()
-	}
 	best, err := optimize.MultiStart(obj, box, local, optimize.MSConfig{
 		Starts:        cfg.Starts,
 		Seed:          cfg.Seed,
-		InitialPoints: [][]float64{n.DFACTSSetting(initial)},
+		InitialPoints: [][]float64{n.DFACTSSetting(n.Reactances())},
 		// On the sparse path every evaluation is a full dispatch LP, so a
 		// random restart must beat the incumbent initial-point optimum at
 		// its start point to earn a Nelder-Mead budget. The dense path

@@ -19,10 +19,9 @@ const explicitPureMaxGammaLookups = 155
 
 // TestPureMaxGammaSkipsSearch pins that a pure max-γ select (max_gamma
 // set, γ_th ≤ 0) serves the bytes in testdata on both the nominal and the
-// explicit x_old path, and that the explicit path no longer asks for the
-// dispatch LPs of a discarded search. (The nominal path's discarded search
-// ran at an unreachable threshold, where the lazy penalty already skipped
-// every dispatch LP.)
+// explicit x_old path, and that neither path asks for the dispatch LPs of
+// a discarded problem-(4) search: both run the scenario sweep with an
+// empty γ grid, so the max-γ cap is the only search.
 func TestPureMaxGammaSkipsSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ieee57 max-γ selections")
@@ -57,7 +56,7 @@ func TestPureMaxGammaSkipsSearch(t *testing.T) {
 			if string(got) != string(want) {
 				t.Errorf("response drifted:\n got %s\nwant %s", got, want)
 			}
-			if lookups := d.Hits + d.Misses; tc.xOld != nil && lookups >= explicitPureMaxGammaLookups {
+			if lookups := d.Hits + d.Misses; lookups >= explicitPureMaxGammaLookups {
 				t.Errorf("%d dispatch LP lookups, want fewer than %d", lookups, explicitPureMaxGammaLookups)
 			}
 		})

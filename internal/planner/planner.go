@@ -467,7 +467,7 @@ func runGuarded(compute func() (response, error)) (resp response, err error) {
 // the bits any endpoint serves bumps it, so a cache directory written by
 // an older build reads as misses instead of serving the older pipeline's
 // bits next to the current ones.
-const pipelineVersion = "engine-4"
+const pipelineVersion = "engine-5"
 
 // diskKey extends the bitwise memo key with the case registry content
 // hash (a persistent entry computed against different embedded case data
@@ -494,26 +494,33 @@ func decodeResponse(key string, data []byte, v response) error {
 // ---- Select ----------------------------------------------------------------
 
 // SelectRequest asks for one problem-(4) selection, parameterized exactly
-// like one mtdscan sweep point: the attacker's knowledge defaults to the
-// case's problem-(1) solution at the requested loads (XOld overrides it),
-// and the response carries the achieved γ, the η'(δ) curve against the
-// request's attack model, and the operational cost.
+// like one mtdscan sweep point: every request runs as one scenario γ sweep.
+// The attacker's knowledge defaults to the case's problem-(1) solution at
+// the requested loads (XOld overrides it), and the response carries the
+// achieved γ, the η'(δ) curve against the request's attack model, and the
+// operational cost.
 type SelectRequest struct {
 	Case           string  `json:"case"`
 	GammaThreshold float64 `json:"gamma_threshold"`
 	// MaxGamma falls back to the hardware's best design when the threshold
-	// is unreachable (or is the request itself when GammaThreshold is 0).
+	// is unreachable. With GammaThreshold ≤ 0 that design is the request
+	// itself (a pure max-γ request), and no problem-(4) search runs.
 	MaxGamma  bool    `json:"max_gamma,omitempty"`
 	LoadScale float64 `json:"load_scale,omitempty"`
-	// XOld optionally fixes the attacker-known reactance vector; every
-	// entry must be positive and finite (ErrInvalidReactance otherwise).
-	XOld     []float64 `json:"x_old,omitempty"`
-	Starts   int       `json:"starts,omitempty"`
-	MaxEvals int       `json:"max_evals,omitempty"`
-	Seed     int64     `json:"seed,omitempty"`
-	Attacks  int       `json:"attacks,omitempty"`
-	Sigma    float64   `json:"sigma,omitempty"`
-	Alpha    float64   `json:"alpha,omitempty"`
+	// XOld optionally fixes the attacker-known reactance vector in place of
+	// the problem-(1) reactances. It needs one entry per branch, each
+	// positive and finite (ErrInvalidReactance otherwise); a wrong length is
+	// rejected before any dispatch LP runs.
+	XOld   []float64 `json:"x_old,omitempty"`
+	Starts int       `json:"starts,omitempty"`
+	// MaxEvals bounds the evaluations of each local search: the
+	// problem-(1) and problem-(4) searches and the max-γ search alike
+	// (0 keeps each search's default).
+	MaxEvals int     `json:"max_evals,omitempty"`
+	Seed     int64   `json:"seed,omitempty"`
+	Attacks  int     `json:"attacks,omitempty"`
+	Sigma    float64 `json:"sigma,omitempty"`
+	Alpha    float64 `json:"alpha,omitempty"`
 	// GammaBackend names a γ backend ("auto", "exact", "sparse" or
 	// "sketch"; empty = auto). Every name is an alias of the exact
 	// evaluator; an unknown name is rejected.
@@ -522,17 +529,20 @@ type SelectRequest struct {
 
 // SelectResponse is a served selection.
 type SelectResponse struct {
-	Case             string    `json:"case"`
-	GammaThreshold   float64   `json:"gamma_threshold"`
-	Gamma            float64   `json:"gamma"`
-	Deltas           []float64 `json:"deltas"`
-	Eta              []float64 `json:"eta"`
-	CostIncrease     float64   `json:"cost_increase"`
-	BaselineCost     float64   `json:"baseline_cost"`
-	CostPerHour      float64   `json:"cost_per_hour"`
-	Undetectable     float64   `json:"undetectable"`
-	Reactances       []float64 `json:"reactances"`
-	MaxGammaFallback bool      `json:"max_gamma_fallback,omitempty"`
+	Case           string    `json:"case"`
+	GammaThreshold float64   `json:"gamma_threshold"`
+	Gamma          float64   `json:"gamma"`
+	Deltas         []float64 `json:"deltas"`
+	Eta            []float64 `json:"eta"`
+	CostIncrease   float64   `json:"cost_increase"`
+	BaselineCost   float64   `json:"baseline_cost"`
+	CostPerHour    float64   `json:"cost_per_hour"`
+	Undetectable   float64   `json:"undetectable"`
+	Reactances     []float64 `json:"reactances"`
+	// MaxGammaFallback reports that a positive GammaThreshold was out of
+	// reach and the max-γ design served instead. A pure max-γ request
+	// (GammaThreshold ≤ 0) never sets it.
+	MaxGammaFallback bool `json:"max_gamma_fallback,omitempty"`
 	// GammaBackend reports the γ evaluator that served: always "exact".
 	GammaBackend string `json:"gamma_backend"`
 	Served
@@ -582,17 +592,19 @@ func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	effCfg := core.EffectivenessConfig{
-		NumAttacks: req.Attacks, Sigma: req.Sigma, Alpha: req.Alpha, Seed: req.Seed,
+	// A pure max-γ request (γ_th ≤ 0) skips problem (4): its grid is empty
+	// and the max-γ cap is its one row.
+	pure := req.MaxGamma && req.GammaThreshold <= 0
+	gammaGrid := []float64{req.GammaThreshold}
+	if pure {
+		gammaGrid = nil
 	}
-	if len(req.XOld) > 0 {
-		return p.selectExplicitXOld(req, n, effCfg)
-	}
-	spec := scenario.Spec{
+	res, err := p.runner.Run(scenario.Spec{
 		Kind:            scenario.GammaSweep,
 		Net:             n,
 		Backend:         p.cfg.Backend,
-		GammaGrid:       []float64{req.GammaThreshold},
+		XOld:            req.XOld,
+		GammaGrid:       gammaGrid,
 		CapWithMaxGamma: req.MaxGamma,
 		SelectStarts:    req.Starts,
 		MaxEvals:        req.MaxEvals,
@@ -600,14 +612,10 @@ func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 		OPFStarts:       req.Starts,
 		OPFMaxEvals:     req.MaxEvals,
 		OPFSeed:         req.Seed,
-		Effectiveness:   effCfg,
-	}
-	if req.MaxGamma && req.GammaThreshold <= 0 {
-		// A pure max-γ request: an unreachable sentinel threshold forces
-		// the sweep straight into its max-γ cap.
-		spec.GammaGrid = []float64{1e9}
-	}
-	res, err := p.runner.Run(spec)
+		Effectiveness: core.EffectivenessConfig{
+			NumAttacks: req.Attacks, Sigma: req.Sigma, Alpha: req.Alpha, Seed: req.Seed,
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -629,7 +637,7 @@ func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 		CostPerHour:      row.MTDCost,
 		Undetectable:     row.Undetectable,
 		Reactances:       row.Reactances,
-		MaxGammaFallback: req.MaxGamma && row.GammaTarget == 0,
+		MaxGammaFallback: req.MaxGamma && !pure && row.GammaTarget == 0,
 		GammaBackend:     core.ExactGamma.String(),
 	}, nil
 }
@@ -658,81 +666,6 @@ func (p *Planner) countGammaServed(gb core.GammaBackend) {
 	default:
 		p.stats.GammaExactServed++
 	}
-}
-
-// selectExplicitXOld serves a request whose attacker knowledge is given:
-// the planner samples the attacks against x_old first and the search
-// shares their γ evaluator, so x_old is prepared once; the dispatch engine
-// comes from the runner's cache. The attack sampler is seeded from the
-// request alone, so sampling before the search changes no result.
-func (p *Planner) selectExplicitXOld(req SelectRequest, n *grid.Network, effCfg core.EffectivenessConfig) (*SelectResponse, error) {
-	if len(req.XOld) != n.L() {
-		return nil, fmt.Errorf("planner: x_old has %d entries, case %s has %d branches", len(req.XOld), req.Case, n.L())
-	}
-	eng, err := p.runner.DispatchEngine(n, p.cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{
-		Starts: req.Starts, MaxEvals: req.MaxEvals, Seed: req.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	zOld, err := core.OperatingMeasurementsWith(eng, req.XOld)
-	if err != nil {
-		return nil, err
-	}
-	attacks, err := core.SampleAttacks(n, req.XOld, zOld, effCfg)
-	if err != nil {
-		return nil, err
-	}
-	engines := core.NewEnginesShared(attacks.Gamma(), eng)
-	// A pure max-γ request (γ_th ≤ 0) skips problem (4): its answer is
-	// MaxGamma's, and it reports no fallback.
-	pure := req.MaxGamma && req.GammaThreshold <= 0
-	var sel *core.Selection
-	fellBack := false
-	if !pure {
-		sel, err = core.SelectMTDWith(engines, n, req.XOld, core.SelectConfig{
-			GammaThreshold: req.GammaThreshold,
-			Starts:         req.Starts,
-			MaxEvals:       req.MaxEvals,
-			Seed:           req.Seed,
-			BaselineCost:   baseline.CostPerHour,
-		})
-		if errors.Is(err, core.ErrConstraintUnreachable) && !req.MaxGamma {
-			return nil, fmt.Errorf("%w: γ_th=%g on %s", ErrUnreachable, req.GammaThreshold, req.Case)
-		}
-		fellBack = errors.Is(err, core.ErrConstraintUnreachable)
-	}
-	if pure || fellBack {
-		sel, err = core.MaxGammaWith(engines, n, req.XOld, core.MaxGammaConfig{
-			Starts: req.Starts, MaxEvals: req.MaxEvals, Seed: req.Seed,
-			BaselineCost: baseline.CostPerHour,
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	eff, err := core.EvaluateAttacks(n, attacks, sel.Reactances, effCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SelectResponse{
-		Case:             req.Case,
-		GammaThreshold:   req.GammaThreshold,
-		Gamma:            eff.Gamma,
-		Deltas:           eff.Deltas,
-		Eta:              eff.Eta,
-		CostIncrease:     sel.CostIncrease,
-		BaselineCost:     sel.BaselineCost,
-		CostPerHour:      sel.OPF.CostPerHour,
-		Undetectable:     eff.UndetectableFraction,
-		Reactances:       sel.Reactances,
-		MaxGammaFallback: fellBack,
-		GammaBackend:     core.ExactGamma.String(),
-	}, nil
 }
 
 // ---- Gamma -----------------------------------------------------------------

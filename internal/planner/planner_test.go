@@ -10,6 +10,7 @@ import (
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/opf"
 	"gridmtd/internal/scenario"
 )
 
@@ -117,36 +118,45 @@ func TestSelectGammaBackendNormalizedAndReported(t *testing.T) {
 
 // TestSelectMatchesScenarioSweep pins request/CLI parity: a selection
 // request is exactly one mtdscan sweep point (both run the same
-// scenario), so the served numbers must match the sweep's row.
+// scenario), so the served numbers must match the sweep's row, with the
+// nominal and with an explicit attacker knowledge.
 func TestSelectMatchesScenarioSweep(t *testing.T) {
-	req := quickSelect(0.1)
-	p := New(Config{})
-	resp, err := p.Select(req)
+	n, err := grid.CaseByName("ieee14")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scenario.NewRunner().Run(scenario.Spec{
-		Kind:         scenario.GammaSweep,
-		Case:         req.Case,
-		GammaGrid:    []float64{req.GammaThreshold},
-		SelectStarts: req.Starts,
-		Seed:         req.Seed,
-		OPFStarts:    req.Starts,
-		OPFSeed:      req.Seed,
-		Effectiveness: core.EffectivenessConfig{
-			NumAttacks: req.Attacks, Seed: req.Seed,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	if resp.Gamma != row.Gamma || resp.CostIncrease != row.CostIncrease {
-		t.Errorf("served (γ=%v, cost=%v) != sweep row (γ=%v, cost=%v)",
-			resp.Gamma, resp.CostIncrease, row.Gamma, row.CostIncrease)
-	}
-	if !reflect.DeepEqual(resp.Eta, row.Eta) {
-		t.Errorf("served η' %v != sweep row %v", resp.Eta, row.Eta)
+	explicit := quickSelect(0.1)
+	explicit.XOld = n.Reactances()
+	for _, req := range []SelectRequest{quickSelect(0.1), explicit} {
+		resp, err := New(Config{}).Select(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := scenario.NewRunner().Run(scenario.Spec{
+			Kind:         scenario.GammaSweep,
+			Case:         req.Case,
+			XOld:         req.XOld,
+			GammaGrid:    []float64{req.GammaThreshold},
+			SelectStarts: req.Starts,
+			Seed:         req.Seed,
+			OPFStarts:    req.Starts,
+			OPFSeed:      req.Seed,
+			Effectiveness: core.EffectivenessConfig{
+				NumAttacks: req.Attacks, Seed: req.Seed,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := res.Rows[0]
+		if resp.Gamma != row.Gamma || resp.CostIncrease != row.CostIncrease {
+			t.Errorf("x_old %v: served (γ=%v, cost=%v) != sweep row (γ=%v, cost=%v)",
+				req.XOld != nil, resp.Gamma, resp.CostIncrease, row.Gamma, row.CostIncrease)
+		}
+		if !reflect.DeepEqual(resp.Eta, row.Eta) || !reflect.DeepEqual(resp.Reactances, row.Reactances) {
+			t.Errorf("x_old %v: served (η' %v, x %v) != sweep row (η' %v, x %v)",
+				req.XOld != nil, resp.Eta, resp.Reactances, row.Eta, row.Reactances)
+		}
 	}
 }
 
@@ -224,18 +234,48 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := p.Select(quickSelect(5.0)); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("unreachable threshold returned %v, want ErrUnreachable", err)
 	}
-	// With the fallback the same threshold serves the max-γ design.
-	req := quickSelect(5.0)
-	req.MaxGamma = true
-	resp, err := p.Select(req)
+	// A wrong-length x_old fails before any dispatch LP is asked for.
+	before := opf.GlobalSolveCacheStats()
+	if _, err := p.Select(SelectRequest{Case: "ieee14", GammaThreshold: 0.1, XOld: []float64{1}}); err == nil {
+		t.Error("bad x_old length accepted")
+	}
+	if d := opf.GlobalSolveCacheStats().Delta(before); d.Hits+d.Misses != 0 {
+		t.Errorf("bad x_old length asked for %d dispatch LPs, want 0", d.Hits+d.Misses)
+	}
+}
+
+// TestMaxGammaFallbackFlag pins max_gamma_fallback on the nominal and the
+// explicit x_old path alike: with max_gamma every request serves a design,
+// and the flag is set only when a positive γ_th was out of reach and the
+// max-γ design served instead.
+func TestMaxGammaFallbackFlag(t *testing.T) {
+	n, err := grid.CaseByName("ieee14")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.MaxGammaFallback || resp.Gamma <= 0 {
-		t.Errorf("fallback response %+v, want max-γ design", resp)
-	}
-	if _, err := p.Select(SelectRequest{Case: "ieee14", GammaThreshold: 0.1, XOld: []float64{1}}); err == nil {
-		t.Error("bad x_old length accepted")
+	p := New(Config{})
+	for _, path := range []struct {
+		name string
+		xOld []float64
+	}{{"nominal", nil}, {"explicit", n.Reactances()}} {
+		for _, tc := range []struct {
+			name string
+			th   float64
+			want bool
+		}{{"pure max-γ", 0, false}, {"unreachable", 5.0, true}, {"reachable", 0.1, false}} {
+			req := quickSelect(tc.th)
+			req.MaxGamma, req.XOld = true, path.xOld
+			resp, err := p.Select(req)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", path.name, tc.name, err)
+			}
+			if resp.Gamma <= 0 {
+				t.Errorf("%s, %s: γ = %v, want a design", path.name, tc.name, resp.Gamma)
+			}
+			if resp.MaxGammaFallback != tc.want {
+				t.Errorf("%s, %s: max_gamma_fallback = %v, want %v", path.name, tc.name, resp.MaxGammaFallback, tc.want)
+			}
+		}
 	}
 }
 

@@ -58,12 +58,9 @@ func (r *Runner) Run(spec Spec) (*Result, error) {
 	return st.res, nil
 }
 
-// DispatchEngine returns the runner's shared dispatch-OPF engine for the
-// caller-owned network n (built on first use, cached by pointer). Services
-// that run selection primitives outside a full Spec — the planner's
-// explicit-x_old requests — use this to stay on the same engines the
-// runner's scenarios use.
-func (r *Runner) DispatchEngine(n *grid.Network, backend grid.Backend) (*opf.DispatchEngine, error) {
+// dispatchEngine returns the runner's shared dispatch-OPF engine for the
+// caller-owned network n (built on first use, cached by pointer).
+func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend) (*opf.DispatchEngine, error) {
 	e, _, err := r.engines.Do(n, func() (*opf.DispatchEngine, error) {
 		return opf.NewDispatchEngineBackend(n, backend)
 	})
@@ -167,7 +164,7 @@ func (st *execState) engineFor() (*opf.DispatchEngine, error) {
 	if st.owned {
 		e, err = opf.NewDispatchEngineBackend(st.n, st.spec.Backend)
 	} else {
-		e, err = st.r.DispatchEngine(st.n, st.spec.Backend)
+		e, err = st.r.dispatchEngine(st.n, st.spec.Backend)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: dispatch engine: %w", err)
@@ -198,9 +195,13 @@ func (st *execState) setScaledLoads(base []float64, factor float64) {
 
 // setupGammaSweep establishes the operating point and attacker knowledge:
 // either the base-load problem-(1) solution (Fig. 6, mtdscan) or a profile
-// hour with optionally one-hour-stale attacker knowledge (Fig. 9).
+// hour with optionally one-hour-stale attacker knowledge (Fig. 9). A set
+// Spec.XOld replaces the problem-(1) reactances as the knowledge.
 func (st *execState) setupGammaSweep() error {
 	spec := st.spec
+	if len(spec.XOld) > 0 && len(spec.XOld) != st.n.L() {
+		return fmt.Errorf("scenario: XOld has %d entries, the network has %d branches", len(spec.XOld), st.n.L())
+	}
 	if spec.Hour > 0 {
 		st.ensureOwned()
 		eng, err := st.engineFor()
@@ -254,6 +255,9 @@ func (st *execState) setupGammaSweep() error {
 	if st.xOld == nil {
 		var err error
 		st.xOld = st.pre.Reactances
+		if len(spec.XOld) > 0 {
+			st.xOld = spec.XOld
+		}
 		st.zOld, err = core.OperatingMeasurementsWith(st.eng, st.xOld)
 		if err != nil {
 			return err
@@ -296,17 +300,16 @@ func (st *execState) sweepPoint(gth float64) error {
 }
 
 // sweepCap appends the hardware's best (max-γ) design after an exhausted
-// sweep. On calibrated large cases the max-γ corner can be operationally
-// infeasible; the sweep then simply ends at the last reachable threshold.
+// sweep, or as the only row of a sweep with an empty grid. On calibrated
+// large cases the max-γ corner can be operationally infeasible; the sweep
+// then simply ends at the last reachable threshold.
 func (st *execState) sweepCap() error {
-	if !st.res.Exhausted {
+	if !st.res.Exhausted && len(st.spec.GammaGrid) > 0 {
 		return nil
 	}
-	// The cap runs at the solver's default evaluation budget (not
-	// Spec.MaxEvals): it is the sweep's one-off "best the hardware can do"
-	// probe, and every historical caller budgeted it that way.
 	sel, err := core.MaxGammaWith(st.engines, st.n, st.xOld, core.MaxGammaConfig{
 		Starts:       st.spec.SelectStarts,
+		MaxEvals:     st.spec.MaxEvals,
 		Seed:         st.spec.Seed,
 		BaselineCost: st.pre.CostPerHour,
 	})
@@ -370,13 +373,12 @@ func (st *execState) runDay() error {
 		}
 	}
 	results, err := sim.RunDay(sim.DayConfig{
-		Net:               st.n,
-		LoadFactors:       selected,
-		Tune:              spec.Tune,
-		OPFStarts:         spec.OPFStarts,
-		Warmup:            spec.Warmup,
-		PersistReactances: spec.PersistReactances,
-		Seed:              spec.Seed,
+		Net:         st.n,
+		LoadFactors: selected,
+		Tune:        spec.Tune,
+		OPFStarts:   spec.OPFStarts,
+		Warmup:      spec.Warmup,
+		Seed:        spec.Seed,
 	})
 	if err != nil {
 		return err

@@ -112,10 +112,6 @@ type Spec struct {
 	// (grid.SetDefaultBackend), which the commands configure from -backend.
 	Backend grid.Backend
 
-	// GammaBackend is accepted and ignored: every γ-backend name is an
-	// alias of the exact evaluator (see core.GammaBackend).
-	GammaBackend core.GammaBackend
-
 	// LoadScale, when set (≠ 0 and ≠ 1), multiplies every bus load before
 	// anything runs (mtdscan -scale, the tradeoff example's 6 PM point).
 	LoadScale float64
@@ -129,13 +125,14 @@ type Spec struct {
 	// Hour−1's no-MTD configuration instead of the current one (Fig. 9's
 	// one-hour-stale protocol; requires Hour > 0).
 	StaleAttacker bool
+	// XOld, when set, is the GammaSweep attacker's knowledge in place of
+	// the problem-(1) reactances (a served request's x_old). It must have
+	// one entry per branch and excludes StaleAttacker.
+	XOld []float64
 	// Hours restricts a DaySweep to these profile indices (nil = all 24).
 	Hours []int
 	// Warmup runs a DaySweep's first hour once, unrecorded (sim.DayConfig).
 	Warmup bool
-	// PersistReactances keeps a DaySweep's devices where the previous hour
-	// left them (sim.DayConfig).
-	PersistReactances bool
 
 	// OPFStarts, OPFMaxEvals and OPFSeed budget the problem-(1) solves
 	// (the pre-perturbation operating points).
@@ -144,12 +141,15 @@ type Spec struct {
 	OPFSeed     int64
 
 	// GammaGrid are the γ_th values of a GammaSweep (constraint (4b)).
+	// It may be empty only with CapWithMaxGamma: the max-γ cap is then the
+	// sweep's one row.
 	GammaGrid []float64
 	// CapWithMaxGamma appends the hardware's best (max-γ) design when the
 	// sweep exhausts the reachable thresholds (Figs. 6 and 9). Sweeps
 	// without it simply end at the last reachable threshold.
 	CapWithMaxGamma bool
-	// SelectStarts, MaxEvals and Seed budget the problem-(4) searches.
+	// SelectStarts, MaxEvals and Seed budget the problem-(4) searches and
+	// the max-γ cap; MaxEvals 0 keeps each search's default budget.
 	SelectStarts int
 	MaxEvals     int
 	Seed         int64
@@ -271,11 +271,14 @@ func (s Spec) Validate() error {
 	}
 	switch s.Kind {
 	case GammaSweep:
-		if len(s.GammaGrid) == 0 {
-			return errors.New("scenario: GammaSweep needs a non-empty GammaGrid")
+		if len(s.GammaGrid) == 0 && !s.CapWithMaxGamma {
+			return errors.New("scenario: GammaSweep needs a non-empty GammaGrid or CapWithMaxGamma")
 		}
 		if s.StaleAttacker && s.Hour <= 0 {
 			return errors.New("scenario: StaleAttacker needs Hour > 0")
+		}
+		if s.StaleAttacker && len(s.XOld) > 0 {
+			return errors.New("scenario: StaleAttacker and XOld both set the attacker's knowledge")
 		}
 	case DaySweep, RandomKeys, Learning, Placement:
 		// Budgets default inside the runner / solvers.

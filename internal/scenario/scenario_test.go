@@ -7,6 +7,7 @@ import (
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/opf"
 )
 
 // withProcs sets GOMAXPROCS, and with it the worker count of every
@@ -196,6 +197,13 @@ func TestSpecValidate(t *testing.T) {
 	if err := (Spec{Kind: GammaSweep, Case: "ieee14", GammaGrid: []float64{0.1}, StaleAttacker: true}).Validate(); err == nil {
 		t.Error("StaleAttacker without Hour accepted")
 	}
+	if err := (Spec{Kind: GammaSweep, Case: "ieee14", GammaGrid: []float64{0.1}, Hour: 3, StaleAttacker: true,
+		XOld: make([]float64, 20)}).Validate(); err == nil {
+		t.Error("StaleAttacker together with XOld accepted")
+	}
+	if err := (Spec{Kind: GammaSweep, Case: "ieee14", CapWithMaxGamma: true}).Validate(); err != nil {
+		t.Errorf("empty GammaGrid with CapWithMaxGamma rejected: %v", err)
+	}
 	if err := (Spec{Kind: DaySweep, Case: "ieee14"}).Validate(); err != nil {
 		t.Errorf("valid day sweep rejected: %v", err)
 	}
@@ -209,11 +217,11 @@ func TestRunnerEngineReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	e1, err := r.DispatchEngine(n, 0)
+	e1, err := r.dispatchEngine(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := r.DispatchEngine(n, 0)
+	e2, err := r.dispatchEngine(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +234,7 @@ func TestRunnerEngineReuse(t *testing.T) {
 	if _, err := r.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := r.DispatchEngine(n, 0)
+	e3, err := r.dispatchEngine(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,5 +267,66 @@ func TestGammaSweepSharesAttackEvaluator(t *testing.T) {
 			t.Errorf("%s hour %d: search evaluator %p, attack set's %p; want one shared evaluator",
 				tc.name, tc.hour, st.engines.Gamma(), g)
 		}
+	}
+}
+
+// TestGammaSweepXOldLength pins that an XOld whose length is not the
+// network's branch count is an error.
+func TestGammaSweepXOldLength(t *testing.T) {
+	spec := sweepSpec("ieee14")
+	spec.XOld = []float64{0.1, 0.2}
+	if _, err := NewRunner().Run(spec); err == nil {
+		t.Error("XOld with 2 entries accepted on ieee14")
+	}
+}
+
+// TestGammaSweepMaxGammaOnly pins the pure max-γ sweep: an empty grid
+// with CapWithMaxGamma gives exactly one row, the cap (GammaTarget 0),
+// and it is core.MaxGammaWith's design at the Spec's Starts, MaxEvals
+// and Seed, for the nominal and an explicit attacker knowledge. On ieee57
+// the cap's design depends on its evaluation budget.
+func TestGammaSweepMaxGammaOnly(t *testing.T) {
+	n, err := grid.CaseByName("ieee57")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xExplicit := n.Reactances()
+	for _, idx := range n.DFACTSIndices()[:2] {
+		xExplicit[idx] *= 1.2
+	}
+	for _, tc := range []struct {
+		name string
+		xOld []float64
+	}{{"nominal", nil}, {"explicit", xExplicit}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := sweepSpec("ieee57")
+			spec.GammaGrid, spec.CapWithMaxGamma, spec.XOld = nil, true, tc.xOld
+			res, err := NewRunner().Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0].GammaTarget != 0 {
+				t.Fatalf("got %d rows (%+v), want one max-γ row", len(res.Rows), res.Rows)
+			}
+			xOld := tc.xOld
+			if xOld == nil {
+				xOld = res.Baseline.Reactances
+			}
+			eng, err := opf.NewDispatchEngine(res.Net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.MaxGammaWith(core.NewEnginesShared(core.NewGammaEvaluator(res.Net, xOld), eng), res.Net, xOld,
+				core.MaxGammaConfig{Starts: spec.SelectStarts, MaxEvals: spec.MaxEvals, Seed: spec.Seed,
+					BaselineCost: res.Baseline.CostPerHour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := res.Rows[0]
+			if !reflect.DeepEqual(row.Reactances, want.Reactances) || row.CostIncrease != want.CostIncrease {
+				t.Errorf("cap row (cost %v, x %v) != MaxGammaWith (cost %v, x %v)",
+					row.CostIncrease, row.Reactances, want.CostIncrease, want.Reactances)
+			}
+		})
 	}
 }

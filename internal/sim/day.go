@@ -58,20 +58,11 @@ type DayConfig struct {
 	// OPFStarts is the multi-start budget of the hourly no-MTD OPF
 	// (default 8).
 	OPFStarts int
-	// Warmup runs the first profile hour once, unrecorded, before the
-	// simulated day so hour 0 starts from a realistic installed
-	// configuration and stale attacker knowledge (the trace begins
-	// mid-operation, not at commissioning).
+	// Warmup solves the first profile hour's no-MTD OPF once, unrecorded,
+	// before the simulated day, so hour 0's attacker knowledge is stale
+	// like every other hour's (the trace begins mid-operation, not at
+	// commissioning). The warm-up hour selects no MTD.
 	Warmup bool
-	// PersistReactances starts each hour's no-MTD OPF from the previously
-	// installed (MTD-perturbed) reactances instead of the case defaults.
-	// Physically realistic — the D-FACTS devices stay where they were —
-	// and it roughly doubles the reachable γ around the clock, but it
-	// makes consecutive no-MTD configurations alternate between device
-	// corners, so the natural drift γ(H_t, H_t') is no longer ≈ 0 as the
-	// paper's Fig. 11 shows. Off by default (the paper's apparent
-	// protocol); see EXPERIMENTS.md for the ablation.
-	PersistReactances bool
 	// Seed seeds the hourly solvers.
 	Seed int64
 }
@@ -85,19 +76,18 @@ type DayConfig struct {
 //     solves problem (4);
 //  4. records costs and the three principal angles of Fig. 11.
 //
-// Hour 0 uses its own configuration as the attacker knowledge (γ = 0
-// drift), matching the paper's first sample.
+// Without Warmup, hour 0 uses its own configuration as the attacker
+// knowledge (γ = 0 drift), matching the paper's first sample.
 //
 // One work network and one dispatch-OPF engine serve the whole day: the
 // engine reads loads fresh on every solve and takes the reactances as an
-// explicit argument, so mutating the work network's loads (and, under
-// PersistReactances, its installed reactances) hour by hour performs
-// exactly the arithmetic the historical per-hour engine construction
-// performed — on the dense path the hourly records are bitwise identical —
-// while the LP skeleton, the factorizer workspaces and (on the sparse
-// path) the seed simplex basis are built once per day instead of once per
-// hour. Only the γ engine is rebuilt hourly, because it is keyed by the
-// attacker's (hourly-moving) knowledge x_t.
+// explicit argument, so mutating the work network's loads hour by hour
+// performs exactly the arithmetic the historical per-hour engine
+// construction performed — on the dense path the hourly records are
+// bitwise identical — while the LP skeleton, the factorizer workspaces
+// and (on the sparse path) the seed simplex basis are built once per day
+// instead of once per hour. Only the γ engine is rebuilt hourly, because
+// it is keyed by the attacker's (hourly-moving) knowledge x_t.
 func RunDay(cfg DayConfig) ([]HourResult, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("sim: nil network")
@@ -110,13 +100,12 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 	}
 	baseLoads := cfg.Net.LoadsMW()
 
-	// Hour h-1 state: the attacker's knowledge (no-MTD configuration) and
-	// the physical reactance setting the devices were left at (the MTD
-	// perturbation stays in effect until the next update, so each hour's
-	// OPF re-optimizes from there rather than from the case defaults).
+	// Hour h-1 state: the attacker's knowledge, hour h-1's no-MTD
+	// configuration and its measurements. Each hour's OPF searches from the
+	// case's nominal reactances, not from where the last MTD left the
+	// devices.
 	var prevX []float64
 	var prevZ []float64
-	var installedX []float64
 
 	factors := cfg.LoadFactors
 	firstRecorded := 0
@@ -138,14 +127,9 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 			loads[i] = l * factor
 		}
 		net.SetLoadsMW(loads)
-		startX := []float64(nil) // nominal reactances
-		if cfg.PersistReactances && installedX != nil {
-			net.SetReactances(installedX)
-			startX = installedX
-		}
 
 		// Step 1: no-MTD OPF (problem (1)).
-		noMTD, err := opf.SolveDFACTSEngine(engine, opf.DFACTSConfig{Starts: cfg.OPFStarts, Seed: cfg.Seed + int64(h), Initial: startX})
+		noMTD, err := opf.SolveDFACTSEngine(engine, opf.DFACTSConfig{Starts: cfg.OPFStarts, Seed: cfg.Seed + int64(h)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: hour %d no-MTD OPF: %w", h, err)
 		}
@@ -154,8 +138,13 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 			return nil, fmt.Errorf("sim: hour %d operating point: %w", h, err)
 		}
 
-		// Step 2: attacker knowledge = previous hour's configuration.
+		// Step 2: attacker knowledge = previous hour's configuration. A
+		// warm-up hour only sets it for the next hour: it selects no MTD.
 		xOld, zOld := prevX, prevZ
+		prevX, prevZ = noMTD.Reactances, zNow
+		if h < firstRecorded {
+			continue
+		}
 		if xOld == nil {
 			xOld, zOld = noMTD.Reactances, zNow
 		}
@@ -170,12 +159,7 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 			return nil, fmt.Errorf("sim: hour %d MTD selection: %w", h, err)
 		}
 
-		// Step 4: metrics (warm-up hours advance state but go unrecorded).
-		if h < firstRecorded {
-			prevX, prevZ = noMTD.Reactances, zNow
-			installedX = sel.Reactances
-			continue
-		}
+		// Step 4: metrics.
 		hOld := net.MeasurementMatrix(xOld)
 		hNow := net.MeasurementMatrix(noMTD.Reactances)
 		hMTD := net.MeasurementMatrix(sel.Reactances)
@@ -191,9 +175,6 @@ func RunDay(cfg DayConfig) ([]HourResult, error) {
 			GammaNewMTD:    subspace.Gamma(hNow, hMTD),
 			Eta:            eff.Eta[0],
 		})
-
-		prevX, prevZ = noMTD.Reactances, zNow
-		installedX = sel.Reactances
 	}
 	return results, nil
 }
