@@ -14,7 +14,8 @@ import (
 //
 // Each benchmark regenerates its artifact end to end at Quick quality
 // (reduced sampling budgets, same code paths); run cmd/mtdexp for the
-// paper-fidelity outputs recorded in EXPERIMENTS.md.
+// paper-fidelity outputs. The quick-mode bytes are pinned by
+// internal/experiments/testdata/golden_quick_all.txt (golden_test.go).
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -146,21 +147,6 @@ func BenchmarkEstimator(b *testing.B) {
 		if _, err := gridmtd.NewEstimator(s.n, s.xt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStateEstimate measures one WLS estimate + residual.
-func BenchmarkStateEstimate(b *testing.B) {
-	s := setupBench(b)
-	est, err := gridmtd.NewEstimator(s.n, s.xt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		est.Estimate(s.zt)
-		est.Residual(s.zt)
 	}
 }
 

@@ -17,8 +17,9 @@
 // budgets (useful for smoke tests); the default budgets follow the paper's
 // protocol. The -case flag reruns a case-generic experiment's protocol on
 // any registered grid (-case list shows them); with -exp all it runs every
-// case-generic experiment on that grid. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// case-generic experiment on that grid. The quick-mode output of -exp all
+// is pinned byte for byte by internal/experiments/testdata/golden_quick_all.txt
+// (TestGoldenQuickOutputs).
 package main
 
 import (

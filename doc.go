@@ -129,7 +129,8 @@
 // The runnable programs under examples/ walk through the full defender
 // workflow, the cost-effectiveness tradeoff, a 24-hour operating day and
 // the attacker's learning process; cmd/mtdexp regenerates every table and
-// figure of the paper (see EXPERIMENTS.md for the comparison).
+// figure of the paper, and TestGoldenQuickOutputs pins its quick-mode
+// output byte for byte (internal/experiments/testdata/golden_quick_all.txt).
 //
 // # Architecture
 //

@@ -139,13 +139,3 @@ func IsUndetectable(hNew *mat.Dense, a []float64, tol float64) bool {
 	aug := mat.Rank(mat.HStackVec(hNew, a), tol)
 	return aug == base
 }
-
-// MagnitudeRatio returns ‖a‖₁/‖z‖₁, the attack sizing metric used in the
-// paper's simulations.
-func MagnitudeRatio(a, z []float64) float64 {
-	zn := mat.Norm1(z)
-	if zn == 0 {
-		return 0
-	}
-	return mat.Norm1(a) / zn
-}

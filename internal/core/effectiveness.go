@@ -28,8 +28,8 @@ var DefaultDeltas = []float64{0.5, 0.8, 0.9, 0.95}
 // ‖a‖₁/‖z‖₁ ≈ 0.08, false-positive rate 5×10⁻⁴, and the analytic
 // detection probability. The paper does not state its noise level; the
 // default σ = 0.0015 p.u. (0.15 MW on the 100 MVA base) was calibrated so
-// the η'(δ) curves land in the paper's Fig.-6 operating range (see
-// EXPERIMENTS.md).
+// the η'(δ) curves land in the paper's Fig.-6 operating range (the quick
+// Fig. 6 curves are pinned in internal/experiments/testdata/golden_quick_all.txt).
 type EffectivenessConfig struct {
 	// NumAttacks is the number of random stealthy attacks (default 1000).
 	NumAttacks int

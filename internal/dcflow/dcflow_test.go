@@ -141,11 +141,13 @@ func TestQuickSuperposition(t *testing.T) {
 		p1, p2 := mk(), mk()
 		r1, err1 := Solve(n, x, p1)
 		r2, err2 := Solve(n, x, p2)
-		r12, err3 := Solve(n, x, mat.AddVec(p1, p2))
+		p12 := mat.CopyVec(p1)
+		mat.AxpyVec(1, p2, p12)
+		r12, err3 := Solve(n, x, p12)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
-		return mat.VecEqual(mat.AddVec(r1.FlowsMW, r2.FlowsMW), r12.FlowsMW, 1e-6)
+		return mat.VecEqual(mat.SubVec(r12.FlowsMW, r1.FlowsMW), r2.FlowsMW, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

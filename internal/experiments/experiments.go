@@ -3,7 +3,8 @@
 // paper's parameters as defaults, a Run function returning structured rows,
 // and a text formatter that prints the same rows/series the paper reports.
 // The cmd/mtdexp binary and the repository benchmarks are thin wrappers
-// around this package; EXPERIMENTS.md records paper-vs-measured values.
+// around this package; testdata/golden_quick_all.txt pins the quick-mode
+// output of every experiment (golden_test.go).
 package experiments
 
 import (

@@ -43,7 +43,7 @@ func DefaultFig6aConfig() Fig6Config {
 // the 14-bus system: σ = 0.0005 p.u. puts the 30-bus η'(δ) curves in the
 // paper's operating range (the 30-bus D-FACTS placement is not specified
 // by the paper, so exact levels are not reproducible — the monotone trend
-// is; see EXPERIMENTS.md).
+// is; the quick-mode curves are pinned in testdata/golden_quick_all.txt).
 func DefaultFig6bConfig() Fig6Config {
 	grid30 := func() *grid.Network { return grid.CaseIEEE30() }
 	return Fig6Config{

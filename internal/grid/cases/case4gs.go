@@ -17,7 +17,8 @@ const (
 // Table III's "1.595e4" for Δx2 is a typo for 1.1595e4), generator 1
 // capacity 350 MW gives the pre-perturbation dispatch (350, 150), and the
 // flow limits on branches 1 and 2 are calibrated so the post-perturbation
-// dispatches match Table III (see EXPERIMENTS.md). All four branches carry
+// dispatches match Table III (pinned by TestCase4GSPerturbedTableIII in
+// internal/opf/opf_test.go). All four branches carry
 // D-FACTS with a ±50% range so the example's ±20% perturbations stay in
 // range.
 func init() {

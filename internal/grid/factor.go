@@ -314,7 +314,7 @@ func (f *denseBFactorizer) PTDFInto(dst *mat.Dense) error {
 		f.icol = make([]float64, nb1)
 	}
 	// Invert B_r column by column, then multiply — exactly the historical
-	// sequence (mat.Inverse followed by mat.Mul), so dense PTDFs are
+	// sequence (explicit inverse, then the product), so dense PTDFs are
 	// bitwise identical to the pre-factorizer code.
 	for j := 0; j < nb1; j++ {
 		for i := range f.ecol {

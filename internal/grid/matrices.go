@@ -2,30 +2,6 @@ package grid
 
 import "gridmtd/internal/mat"
 
-// Incidence returns the N×L branch-bus incidence matrix A with
-// A[i][l] = +1 if branch l starts at bus i+1, -1 if it ends there.
-func (n *Network) Incidence() *mat.Dense {
-	a := mat.NewDense(n.N(), n.L())
-	for l, br := range n.Branches {
-		a.Set(br.From-1, l, 1)
-		a.Set(br.To-1, l, -1)
-	}
-	return a
-}
-
-// SusceptanceDiag returns the L×L diagonal matrix D = diag(1/x_l) for the
-// given reactance vector (per-unit).
-func (n *Network) SusceptanceDiag(x []float64) *mat.Dense {
-	if len(x) != n.L() {
-		panic("grid: reactance vector length mismatch")
-	}
-	d := make([]float64, len(x))
-	for i, v := range x {
-		d[i] = 1 / v
-	}
-	return mat.Diagonal(d)
-}
-
 // BMatrix returns the N×N nodal susceptance matrix B = A·D·Aᵀ for the
 // given reactance vector.
 func (n *Network) BMatrix(x []float64) *mat.Dense {

@@ -253,19 +253,6 @@ func (n *Network) WithReactances(x []float64) *Network {
 	return out
 }
 
-// SetReactances replaces the full branch reactance vector in place (the
-// mutable counterpart of WithReactances, used by day-sweep loops that keep
-// one work network alive across hours). It panics if the length does not
-// match.
-func (n *Network) SetReactances(x []float64) {
-	if len(x) != len(n.Branches) {
-		panic("grid: reactance vector length mismatch")
-	}
-	for i := range n.Branches {
-		n.Branches[i].X = x[i]
-	}
-}
-
 // LoadsMW returns the bus load vector in MW.
 func (n *Network) LoadsMW() []float64 {
 	l := make([]float64, len(n.Buses))

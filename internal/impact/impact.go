@@ -89,13 +89,6 @@ type Result struct {
 	CostIncrease float64
 }
 
-// Evaluate computes the realized impact of the stealthy attack with state
-// bias c against the network operating at reactances x.
-func Evaluate(n *grid.Network, x []float64, c []float64) (*Result, error) {
-	cfg := Config{}.withDefaults()
-	return evaluate(n, x, c, cfg)
-}
-
 func evaluate(n *grid.Network, x []float64, c []float64, cfg Config) (*Result, error) {
 	if len(c) != n.N()-1 {
 		return nil, errors.New("impact: state bias has wrong length")

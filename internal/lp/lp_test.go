@@ -255,7 +255,7 @@ func TestQuickDispatchOptimality(t *testing.T) {
 			C:     c,
 			Aeq:   mat.NewDenseFrom(1, n, mat.Ones(n)),
 			Beq:   []float64{demand},
-			Lower: mat.Zeros(n),
+			Lower: make([]float64, n),
 			Upper: up,
 		}
 		s, err := Solve(p)

@@ -212,30 +212,6 @@ func MulVecT(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// AddMat returns a+b.
-func AddMat(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
-}
-
-// SubMat returns a-b.
-func SubMat(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
 // ScaleMat returns s*a.
 func ScaleMat(s float64, a *Dense) *Dense {
 	out := a.Clone()
@@ -268,41 +244,6 @@ func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 		copy(out.data[(i-r0)*out.cols:], m.data[i*m.cols+c0:i*m.cols+c1])
 	}
 	return out
-}
-
-// DropCol returns a copy of m with column j removed.
-func (m *Dense) DropCol(j int) *Dense {
-	if j < 0 || j >= m.cols {
-		panic("mat: column index out of range")
-	}
-	out := NewDense(m.rows, m.cols-1)
-	for i := 0; i < m.rows; i++ {
-		src := m.data[i*m.cols : (i+1)*m.cols]
-		dst := out.data[i*out.cols : (i+1)*out.cols]
-		copy(dst, src[:j])
-		copy(dst[j:], src[j+1:])
-	}
-	return out
-}
-
-// FrobNorm returns the Frobenius norm of m.
-func (m *Dense) FrobNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equal reports whether a and b have the same shape and all entries agree

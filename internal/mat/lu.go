@@ -182,26 +182,3 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b), nil
 }
-
-// SolveMat returns X with a*X = B for square a, factoring a once and
-// solving column by column.
-func SolveMat(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows {
-		panic(ErrShape)
-	}
-	f, err := ComputeLU(a)
-	if err != nil {
-		return nil, err
-	}
-	out := NewDense(a.rows, b.cols)
-	for j := 0; j < b.cols; j++ {
-		x := f.Solve(b.Col(j))
-		out.SetCol(j, x)
-	}
-	return out, nil
-}
-
-// Inverse returns the inverse of square a.
-func Inverse(a *Dense) (*Dense, error) {
-	return SolveMat(a, Identity(a.rows))
-}

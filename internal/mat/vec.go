@@ -44,29 +44,6 @@ func Norm1(x []float64) float64 {
 	return s
 }
 
-// NormInf returns the largest absolute value in x.
-func NormInf(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// AddVec returns x+y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
 // SubVec returns x-y as a new slice.
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -105,9 +82,6 @@ func CopyVec(x []float64) []float64 {
 	return out
 }
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Ones returns a vector of n ones.
 func Ones(n int) []float64 {
 	out := make([]float64, n)
@@ -115,34 +89,6 @@ func Ones(n int) []float64 {
 		out[i] = 1
 	}
 	return out
-}
-
-// MaxVec returns the maximum element of x; it panics on an empty slice.
-func MaxVec(x []float64) float64 {
-	if len(x) == 0 {
-		panic("mat: MaxVec of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MinVec returns the minimum element of x; it panics on an empty slice.
-func MinVec(x []float64) float64 {
-	if len(x) == 0 {
-		panic("mat: MinVec of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // SumVec returns the sum of the elements of x.

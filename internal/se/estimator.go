@@ -45,9 +45,6 @@ func NewEstimator(h *mat.Dense) (*Estimator, error) {
 	return &Estimator{h: h, q: qr.Q, qt: qt, r: qr.R, lu: lu}, nil
 }
 
-// H returns the measurement matrix the estimator was built for.
-func (e *Estimator) H() *mat.Dense { return e.h }
-
 // NumMeasurements returns M.
 func (e *Estimator) NumMeasurements() int { return e.h.Rows() }
 
@@ -56,17 +53,6 @@ func (e *Estimator) NumStates() int { return e.h.Cols() }
 
 // DOF returns the residual degrees of freedom M − (N−1).
 func (e *Estimator) DOF() int { return e.h.Rows() - e.h.Cols() }
-
-// Estimate returns the least-squares state estimate θ̂ for measurement
-// vector z (length M). With homoskedastic noise the weight matrix cancels,
-// so θ̂ = R⁻¹Qᵀz.
-func (e *Estimator) Estimate(z []float64) []float64 {
-	if len(z) != e.h.Rows() {
-		panic("se: measurement vector length mismatch")
-	}
-	qtz := mat.MulVecT(e.q, z)
-	return e.lu.Solve(qtz)
-}
 
 // ResidualVector returns z − Hθ̂ = (I − Γ)z without forming the projector.
 func (e *Estimator) ResidualVector(z []float64) []float64 {

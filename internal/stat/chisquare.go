@@ -85,7 +85,6 @@ func NoncentralChiSquareSF(k, lambda, x float64) (float64, error) {
 	w0 := math.Exp(logW0)
 
 	sum := 0.0
-	accum := 0.0 // total Poisson mass consumed
 
 	// Upward pass from j0.
 	w := w0
@@ -95,7 +94,6 @@ func NoncentralChiSquareSF(k, lambda, x float64) (float64, error) {
 			return 0, err
 		}
 		sum += w * sf
-		accum += w
 		wNext := w * half / float64(j+1)
 		if wNext < 1e-16 && float64(j) > half {
 			break
@@ -114,14 +112,12 @@ func NoncentralChiSquareSF(k, lambda, x float64) (float64, error) {
 			return 0, err
 		}
 		sum += w * sf
-		accum += w
 		if w < 1e-16 {
 			break
 		}
 	}
 	// Any truncated Poisson mass contributes at most its weight; SF <= 1, so
 	// clamping covers it.
-	_ = accum
 	if sum > 1 {
 		sum = 1
 	}
@@ -129,16 +125,6 @@ func NoncentralChiSquareSF(k, lambda, x float64) (float64, error) {
 		sum = 0
 	}
 	return sum, nil
-}
-
-// NoncentralChiSquareCDF returns P(X <= x) for a noncentral chi-square
-// variable with k degrees of freedom and noncentrality lambda.
-func NoncentralChiSquareCDF(k, lambda, x float64) (float64, error) {
-	sf, err := NoncentralChiSquareSF(k, lambda, x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - sf, nil
 }
 
 func lgammaInt(n int) float64 {

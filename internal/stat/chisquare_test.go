@@ -164,20 +164,6 @@ func TestNoncentralChiSquareDomain(t *testing.T) {
 	}
 }
 
-func TestNoncentralChiSquareCDFComplement(t *testing.T) {
-	cdf, err := NoncentralChiSquareCDF(7, 9, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := NoncentralChiSquareSF(7, 9, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cdf+sf-1) > 1e-12 {
-		t.Errorf("CDF+SF = %v, want 1", cdf+sf)
-	}
-}
-
 // Property: SF is monotone increasing in the noncentrality parameter
 // (this is the fact Theorem 1's proof relies on).
 func TestQuickNoncentralMonotoneInLambda(t *testing.T) {

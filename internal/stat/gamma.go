@@ -1,7 +1,7 @@
 // Package stat implements the probability distributions and statistical
 // helpers needed by the bad data detector and the Monte-Carlo evaluation:
 // the regularized incomplete gamma function, central and noncentral
-// chi-square distributions, Gaussian sampling and summary statistics.
+// chi-square distributions, and summary statistics.
 package stat
 
 import (
@@ -17,26 +17,6 @@ const (
 	gammaFPMin  = 1e-300
 	gammaMaxIts = 500
 )
-
-// GammaIncLower returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a) for a > 0, x >= 0.
-func GammaIncLower(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return 0, ErrDomain
-	}
-	if x == 0 {
-		return 0, nil
-	}
-	if x < a+1 {
-		// Series representation converges quickly here.
-		return gammaSeries(a, x)
-	}
-	q, err := gammaContinuedFraction(a, x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - q, nil
-}
 
 // GammaIncUpper returns the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x).

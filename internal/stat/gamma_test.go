@@ -7,7 +7,8 @@ import (
 )
 
 func TestGammaIncLowerKnownValues(t *testing.T) {
-	// P(1, x) = 1 - e^{-x} (exponential distribution CDF).
+	// P(1, x) = 1 - e^{-x} (exponential distribution CDF), read as
+	// P = 1 - Q.
 	cases := []struct {
 		a, x, want float64
 	}{
@@ -18,48 +19,32 @@ func TestGammaIncLowerKnownValues(t *testing.T) {
 		{2, 2, 1 - 3*math.Exp(-2)},     // Erlang(2) CDF at 2
 	}
 	for _, c := range cases {
-		got, err := GammaIncLower(c.a, c.x)
+		q, err := GammaIncUpper(c.a, c.x)
 		if err != nil {
-			t.Fatalf("GammaIncLower(%v, %v): %v", c.a, c.x, err)
+			t.Fatalf("GammaIncUpper(%v, %v): %v", c.a, c.x, err)
 		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("GammaIncLower(%v, %v) = %.15f, want %.15f", c.a, c.x, got, c.want)
+		if got := 1 - q; math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("1 - GammaIncUpper(%v, %v) = %.15f, want %.15f", c.a, c.x, got, c.want)
 		}
 	}
 }
 
 func TestGammaIncDomainErrors(t *testing.T) {
-	if _, err := GammaIncLower(0, 1); err == nil {
+	if _, err := GammaIncUpper(0, 1); err == nil {
 		t.Error("expected error for a=0")
 	}
-	if _, err := GammaIncLower(1, -1); err == nil {
+	if _, err := GammaIncUpper(1, -1); err == nil {
 		t.Error("expected error for x<0")
 	}
 	if _, err := GammaIncUpper(-1, 1); err == nil {
 		t.Error("expected error for a<0")
 	}
-	if _, err := GammaIncLower(math.NaN(), 1); err == nil {
+	if _, err := GammaIncUpper(math.NaN(), 1); err == nil {
 		t.Error("expected error for NaN a")
 	}
 }
 
-func TestGammaIncComplementary(t *testing.T) {
-	// P + Q = 1 over a range of arguments spanning both branches.
-	for _, a := range []float64{0.5, 1, 2.5, 10, 41, 100} {
-		for _, x := range []float64{0.1, 1, 5, 20, 60, 150} {
-			p, err1 := GammaIncLower(a, x)
-			q, err2 := GammaIncUpper(a, x)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("a=%v x=%v: %v %v", a, x, err1, err2)
-			}
-			if math.Abs(p+q-1) > 1e-12 {
-				t.Errorf("P+Q = %v for a=%v x=%v, want 1", p+q, a, x)
-			}
-		}
-	}
-}
-
-// Property: P(a, x) is monotone nondecreasing in x.
+// Property: P(a, x) = 1 - Q(a, x) is monotone nondecreasing in x.
 func TestQuickGammaIncMonotone(t *testing.T) {
 	f := func(aRaw, x1Raw, x2Raw float64) bool {
 		a := 0.1 + math.Abs(math.Mod(aRaw, 50))
@@ -68,12 +53,12 @@ func TestQuickGammaIncMonotone(t *testing.T) {
 		if x1 > x2 {
 			x1, x2 = x2, x1
 		}
-		p1, err1 := GammaIncLower(a, x1)
-		p2, err2 := GammaIncLower(a, x2)
+		q1, err1 := GammaIncUpper(a, x1)
+		q2, err2 := GammaIncUpper(a, x2)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return p1 <= p2+1e-12
+		return 1-q1 <= 1-q2+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -39,17 +39,6 @@ func PrincipalAngles(a, b *mat.Dense) []float64 {
 	return out
 }
 
-// SmallestAngle returns the smallest principal angle between the column
-// spaces of a and b (0 when the spaces share a direction). Returns 0 for
-// empty subspaces.
-func SmallestAngle(a, b *mat.Dense) float64 {
-	angles := PrincipalAngles(a, b)
-	if len(angles) == 0 {
-		return 0
-	}
-	return angles[0]
-}
-
 // LargestAngle returns the largest principal angle between the column
 // spaces of a and b. This is what MATLAB's subspace() computes and what the
 // reproduced paper's γ(H, H') evaluates to in its experiments. Returns 0
