@@ -66,7 +66,7 @@ func BenchmarkOPF118SparseBackend(b *testing.B) { benchEngineCost(b, "ieee118", 
 // benchEngineCostPerturbed walks the candidate through a pre-drawn cycle
 // of nearby D-FACTS settings — the Nelder-Mead access pattern the warm
 // start is built for: every solve sees a slightly different PTDF, so the
-// sparse path pays real dual/primal pivots instead of a pure basis hit.
+// sparse path pays real dual pivots instead of a pure basis hit.
 func benchEngineCostPerturbed(b *testing.B, caseName string, backend grid.Backend) {
 	n := benchCase(b, caseName)
 	eng, err := opf.NewDispatchEngineBackend(n, backend)

@@ -22,17 +22,6 @@ var keptExports = map[string]string{
 	"lp.RevisedSolver.SetMaxUpdates":   "opf tests force refactorizations on the dispatch LP",
 }
 
-// pendingExports are test-only exports whose deletion, with the tests
-// that exercise only them, is left to a later change so that no one
-// change deletes more than about ten tests (ROADMAP.md, item 7).
-var pendingExports = map[string]string{
-	"mat.Mul":              "reference product of the mat tests",
-	"mat.ScaleMat":         "TestAddSubScale and the scaling tests of attack, lp and subspace",
-	"mat.OrthonormalBasis": "the three TestOrthonormalBasis tests and two rank checks",
-	"mat.Diagonal":         "TestDiagonal and the SVD tests",
-	"stat.Mean":            "TestMeanVariance",
-}
-
 // TestNoUnusedInternalExports fails on any exported function or method
 // under internal/ whose name no non-test Go file of the repository uses
 // outside its own declaration. Such a helper is test-only code: move it
@@ -98,7 +87,7 @@ func TestNoUnusedInternalExports(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range decls {
 		seen[d.key] = true
-		if uses[d.ident.Name] == 0 && keptExports[d.key] == "" && pendingExports[d.key] == "" {
+		if uses[d.ident.Name] == 0 && keptExports[d.key] == "" {
 			unused = append(unused, d.key+" ("+fset.Position(d.ident.Pos()).String()+")")
 		}
 	}
@@ -106,11 +95,9 @@ func TestNoUnusedInternalExports(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("exported but used only by tests: %s", u)
 	}
-	for _, allow := range []map[string]string{keptExports, pendingExports} {
-		for k := range allow {
-			if !seen[k] {
-				t.Errorf("allowlist names %s, which is no longer declared", k)
-			}
+	for k := range keptExports {
+		if !seen[k] {
+			t.Errorf("keptExports names %s, which is no longer declared", k)
 		}
 	}
 }

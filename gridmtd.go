@@ -176,8 +176,8 @@ func GlobalLPStats() LPStats { return lp.GlobalRevisedStats() }
 func FormatLPStats(w io.Writer, s LPStats) {
 	fmt.Fprintf(w, "dispatch LP: %d solves (%d warm, %d cold, %d fallbacks)\n",
 		s.Solves, s.WarmSolves, s.ColdSolves, s.Fallbacks)
-	fmt.Fprintf(w, "  warm pivots: %d primal, %d dual (%d steepest-edge, %d bound flips); basis exchanges: %d eta updates, %d refactorizations\n",
-		s.PrimalPivots, s.DualPivots, s.SEPivots, s.BoundFlips, s.EtaUpdates, s.Refactorizations)
+	fmt.Fprintf(w, "  warm pivots: %d dual (%d steepest-edge, %d bound flips); basis exchanges: %d eta updates, %d refactorizations\n",
+		s.DualPivots, s.SEPivots, s.BoundFlips, s.EtaUpdates, s.Refactorizations)
 	fmt.Fprintf(w, "  pricing-weight resets: %d\n", s.WeightResets)
 	fmt.Fprintf(w, "  infeasibility: %d certified by full solves, %d pre-screened by recycled Farkas rays (%d ray probes)\n",
 		s.InfeasibleSolves, s.PrescreenHits, s.PrescreenProbes)

@@ -30,7 +30,7 @@ func TestCraft(t *testing.T) {
 	c := make([]float64, h.Cols())
 	c[0] = 1
 	v := Craft(h, c)
-	if !mat.VecEqual(v.A, h.Col(0), 1e-14) {
+	if !mat.VecEqual(v.A, h.T().Row(0), 1e-14) {
 		t.Fatal("Craft(e1) must return the first column of H")
 	}
 	// C must be a copy, not an alias.
@@ -146,7 +146,7 @@ func TestQuickScalingKeepsStealth(t *testing.T) {
 			c[j] = rng.NormFloat64()
 		}
 		v := Craft(h, c)
-		scaled := mat.ScaleMat(1+rng.Float64(), h)
+		scaled := mat.NewDenseFrom(h.Rows(), h.Cols(), mat.ScaleVec(1+rng.Float64(), h.RawData()))
 		return IsUndetectable(scaled, v.A, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -15,7 +15,12 @@ import (
 // interval. A trailing byte scales the equality rows (coefficients and
 // right-hand sides) by 10^(byte mod 4), so a balance row's scale can
 // dwarf the inequality rows' as the dispatch LP's total load dwarfs its
-// flow limits. Bytes past the end read as 0.
+// flow limits. Then one byte per variant tilts one of its inequality rows,
+// the way a reactance change moves a PTDF row: a nonzero byte b adds
+// (j+1)/n · int8(b)/32 to coefficient j of row b mod nUb. A right-hand
+// side change leaves the base's optimal basis dual feasible; a tilted row
+// can make it dual infeasible. Bytes past the end read as 0, and a zero
+// byte changes nothing.
 type fuzzLP struct {
 	data []byte
 }
@@ -75,9 +80,25 @@ func (d *fuzzLP) decode() []*Problem {
 		probs = append(probs, &q)
 	}
 	if scale := math.Pow10(int(d.next() % 4)); scale != 1 && nEq > 0 {
-		aeq := mat.ScaleMat(scale, base.Aeq)
+		// Every variant shares the base's Aeq, so scaling it in place
+		// scales them all.
+		aeq := base.Aeq.RawData()
+		for i := range aeq {
+			aeq[i] *= scale
+		}
 		for _, q := range probs {
-			q.Aeq, q.Beq = aeq, mat.ScaleVec(scale, q.Beq)
+			q.Beq = mat.ScaleVec(scale, q.Beq)
+		}
+	}
+	for _, q := range probs[1:] {
+		b := d.next()
+		if b == 0 || nUb == 0 {
+			continue
+		}
+		q.Aub = base.Aub.Clone()
+		r := int(b) % nUb
+		for j := range n {
+			q.Aub.Set(r, j, q.Aub.At(r, j)+float64(j+1)/float64(n)*float64(int8(b))/32)
 		}
 	}
 	return probs
@@ -97,16 +118,16 @@ func lpStatus(err error) Status {
 	return 0
 }
 
-// FuzzRevisedAgreesWithTableau decodes a small bounded LP and perturbed
-// right-hand sides of it, and drives one RevisedSolver through the
-// dispatch engine's start pattern: the base problem from the crash basis,
-// whose final basis is captured, then every variant both from that basis
-// and from the crash basis. Every answer must carry the flat tableau
-// Solver's status and, when optimal, its objective to 1e-9 relative, and
-// every Farkas pre-screen hit must be an infeasibility the tableau
-// confirms. Finally the last variant is solved from the captured basis
-// again after another solve in between, and must give bitwise the same
-// answer. Run it with
+// FuzzRevisedAgreesWithTableau decodes a small bounded LP and variants of
+// it with perturbed right-hand sides and tilted inequality rows, and
+// drives one RevisedSolver through the dispatch engine's start pattern:
+// the base problem from the crash basis, whose final basis is captured,
+// then every variant both from that basis and from the crash basis.
+// Every answer must carry the flat tableau Solver's status and, when
+// optimal, its objective to 1e-9 relative, and every Farkas pre-screen hit
+// must be an infeasibility the tableau confirms. Finally the last variant
+// is solved from the captured basis again after another solve in between,
+// and must give bitwise the same answer. Run it with
 //
 //	go test -fuzz FuzzRevisedAgreesWithTableau -fuzztime 20s ./internal/lp
 func FuzzRevisedAgreesWithTableau(f *testing.F) {

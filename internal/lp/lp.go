@@ -12,12 +12,13 @@
 // rule, explicit infeasible/unbounded detection) and performs the
 // historical floating-point operations bit for bit — it anchors the
 // bitwise-reproducible dense path. For the rating-heavy large cases the
-// package also provides a bounded-variable revised simplex that solves
-// each LP from a start basis its caller supplies (RevisedSolver; see
-// revised.go): started from one optimal basis, the near-identical LPs of
-// a local search solve in a few pivots. It cross-checks every warm answer
-// against a feasibility/optimality certificate, falling back to the flat
-// solver on any doubt.
+// package also provides a bounded-variable revised dual simplex that
+// solves each LP from a start basis its caller supplies (RevisedSolver;
+// see revised.go): bound flips make the start dual feasible, and started
+// from one optimal basis, the near-identical LPs of a local search solve
+// in a few dual pivots. It cross-checks every warm answer against a
+// feasibility/optimality certificate, falling back to the flat solver on
+// any doubt.
 //
 // The revised solver can also answer one question about an LP without
 // solving it. Recycled Farkas rays (prescreen.go) certify infeasibility

@@ -31,9 +31,12 @@ type RevisedStats struct {
 	// then retried from the crash basis and, failing that, on the flat
 	// tableau.
 	Fallbacks int `json:"fallbacks"`
-	// PrimalPivots and DualPivots count warm-path simplex pivots.
+	// PrimalPivots is always 0: the revised path runs only the dual
+	// simplex. It is kept so that the /v1/stats "lp" block keeps its
+	// shape.
 	PrimalPivots int `json:"primal_pivots"`
-	DualPivots   int `json:"dual_pivots"`
+	// DualPivots counts warm-path dual simplex pivots.
+	DualPivots int `json:"dual_pivots"`
 	// SEPivots counts the dual pivots whose leaving row was chosen by the
 	// Devex-weighted steepest-edge rule (as opposed to Bland scans, either
 	// because the rule was configured or as the anti-cycling fallback).
@@ -125,32 +128,34 @@ const (
 	singularRel = 1e-12
 )
 
-// RevisedSolver is a bounded-variable revised-simplex solver that solves
-// each problem from a start basis its caller supplies. It works on the row
-// geometry of the Problem directly (equality rows plus slack-extended
-// inequality rows, structural variables kept inside their bounds) instead
-// of the flat solver's standard form, and it never materializes a tableau:
-// it factors only the small "working matrix" — active rows × basic
-// structural columns, at most n×n however many inequality rows the
-// problem has — because the basic slack columns are unit vectors. Between
-// refactorizations, basis exchanges are absorbed by bounded product-form
-// eta updates (Forrest–Tomlin-style pivot monitoring with refactor
-// fallback; see primalLoop/pivotUpdate), so a typical warm solve factors
-// the working matrix once and pivots through rank-one updates.
+// RevisedSolver is a bounded-variable revised dual simplex solver that
+// solves each problem from a start basis its caller supplies. It works on
+// the row geometry of the Problem directly (equality rows plus
+// slack-extended inequality rows, structural variables kept inside their
+// bounds) instead of the flat solver's standard form, and it never
+// materializes a tableau: it factors only the small "working matrix" —
+// active rows × basic structural columns, at most n×n however many
+// inequality rows the problem has — because the basic slack columns are
+// unit vectors. Between refactorizations, basis exchanges are absorbed by
+// bounded product-form eta updates (Forrest–Tomlin-style pivot monitoring
+// with refactor fallback; see dualLoop/pivotUpdate), so a typical warm
+// solve factors the working matrix once and pivots through rank-one
+// updates.
 //
 // Each Solve starts from the given basis (a CaptureBasis snapshot) or,
-// without one, from a deterministic crash basis. If the problem leaves the
-// start primal feasible the primal simplex finishes in a few pivots; if it
-// is primal infeasible but dual feasible, the dual simplex recovers
-// feasibility first. Every warm result is verified against the original
-// problem (primal feasibility, bound satisfaction, and the reduced-cost
-// optimality certificate); any doubt — singular working matrix, stalled
-// loop, failed check — abandons the attempt. A solve abandoned from its
-// start retries from the crash basis, and one abandoned there falls back
-// to the embedded flat tableau Solver, the historical reference
-// implementation, so the solver never returns an unverified warm answer.
-// No basis is kept from one Solve to the next: between calls the solver
-// holds only its Farkas-ray index (see prescreen.go) and scratch buffers.
+// without one, from a deterministic crash basis. Bound flips make the
+// start dual feasible, and the dual simplex then walks it to primal
+// feasibility, which is the optimum; a start that cannot be made dual
+// feasible by flips is abandoned. Every warm result is verified against
+// the original problem (primal feasibility, bound satisfaction, and the
+// reduced-cost optimality certificate); any doubt — singular working
+// matrix, stalled loop, failed check — abandons the attempt. A solve
+// abandoned from its start retries from the crash basis, and one
+// abandoned there falls back to the embedded flat tableau Solver, the
+// historical reference implementation, so the solver never returns an
+// unverified warm answer. No basis is kept from one Solve to the next:
+// between calls the solver holds only its Farkas-ray index (see
+// prescreen.go) and scratch buffers.
 //
 // A RevisedSolver is not safe for concurrent use; use one per goroutine.
 type RevisedSolver struct {
@@ -417,68 +422,43 @@ func (s *RevisedSolver) warmEligible(p *Problem) bool {
 
 // ---- Warm path ------------------------------------------------------------
 
-// warmSolve solves p from the start basis in s.status. It returns
-// errWarmFallback for any reason to abandon the attempt; the only other
-// error is a certified ErrInfeasible.
+// warmSolve solves p from the start basis in s.status with the dual
+// simplex. It returns errWarmFallback for any reason to abandon the
+// attempt; the only other error is a certified ErrInfeasible.
 func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	n := s.sigN
 	s.setupModel(p)
 	if s.refresh(p) != nil {
 		return nil, errWarmFallback
 	}
-
-	// dualStep wraps a dualLoop run: a certified infeasibility verdict —
-	// issued only on a fresh factorization with no entering column for a
-	// violated row, the Farkas certificate — is a final answer the caller
-	// must not re-derive on the flat tableau (on large cases an infeasible
-	// candidate costs seconds there, and the selection search probes many);
-	// every other failure stays a fallback.
-	dualStep := func() error {
-		switch err := s.dualLoop(p); {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrInfeasible):
-			return ErrInfeasible
-		}
-		return errWarmFallback
-	}
-
-	pf := s.primalFeasible()
-	df := s.dualFeasible()
-	switch {
-	case pf:
-		if s.primalLoop(p) != nil {
-			return nil, errWarmFallback
-		}
-	case df:
-		if err := dualStep(); err != nil {
-			return nil, err
-		}
-		if s.primalLoop(p) != nil {
-			return nil, errWarmFallback
-		}
-	default:
-		// Neither feasible — the usual fate of a basis seeded from a
-		// different problem instance (engine seed basis, crash basis, large
-		// candidate jumps). Bound flipping restores dual feasibility without
-		// touching the basis matrix: a nonbasic variable whose reduced cost
-		// has the wrong sign for its bound moves to the opposite bound,
-		// where the same sign is the right one. Only variables with both
-		// bounds finite can flip; a wrong-signed variable without a finite
-		// opposite bound (a slack) keeps the repair impossible and the
-		// attempt is abandoned. After the flips the factorization and
-		// reduced costs are still exact, only the primal values moved, so
-		// one computeX refresh feeds the ordinary dual→primal recovery.
+	// A start seeded from another problem instance (the engine's seed
+	// basis, the crash basis) is usually neither primal nor dual feasible
+	// here. Bound flipping restores dual feasibility without touching the
+	// basis matrix: a nonbasic variable whose reduced cost has the wrong
+	// sign for its bound moves to the opposite bound, where the same sign
+	// is the right one. Only variables with both bounds finite can flip; a
+	// wrong-signed variable without a finite opposite bound (a slack) keeps
+	// the repair impossible and the attempt is abandoned. After the flips
+	// the factorization and reduced costs are still exact, only the primal
+	// values moved, so one computeX refresh feeds the dual simplex.
+	if !s.dualFeasible() {
 		if !s.flipToDualFeasible() {
 			return nil, errWarmFallback
 		}
 		s.computeX(p)
-		if err := dualStep(); err != nil {
-			return nil, err
-		}
-		if s.primalLoop(p) != nil {
-			return nil, errWarmFallback
-		}
+	}
+	// A certified infeasibility verdict — issued only on a fresh
+	// factorization with no entering column for a violated row, the Farkas
+	// certificate — is a final answer the caller must not re-derive on the
+	// flat tableau (on large cases an infeasible candidate costs seconds
+	// there, and the selection search probes many); every other failure
+	// stays a fallback. A start that is already primal feasible leaves
+	// dualLoop at once on the fresh numbers above.
+	switch err := s.dualLoop(p); {
+	case errors.Is(err, ErrInfeasible):
+		return nil, ErrInfeasible
+	case err != nil:
+		return nil, errWarmFallback
 	}
 	if !s.verify(p) {
 		return nil, errWarmFallback
@@ -492,8 +472,8 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 // scale-aware tolerances. A structural variable's feasibility tolerance is
 // ptol, the one verify applies to its bounds. The slack of inequality row
 // i gets feasTol·(1+|Bub_i|), never looser than verify's test of that row
-// (which also counts Σ|a_ij·x_j|), so a basis the loops accept as primal
-// feasible is one verify accepts.
+// (which also counts Σ|a_ij·x_j|), so a basis the dual simplex accepts as
+// primal feasible is one verify accepts.
 func (s *RevisedSolver) setupModel(p *Problem) {
 	n, nUb := s.sigN, s.sigUb
 	nTot := n + nUb
@@ -546,7 +526,8 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 
 // violation returns how far variable j lies outside its bounds, or 0 when
 // it is within its feasibility tolerance of them, and whether it is below
-// its lower bound. It is the one primal feasibility rule of the solver.
+// its lower bound. It is the one primal feasibility rule of the solver:
+// both leaving-row rules of dualLoop and verify's bound loop apply it.
 func (s *RevisedSolver) violation(j int) (v float64, below bool) {
 	switch {
 	case s.x[j] < s.lo[j]-s.ftol[j]:
@@ -797,17 +778,6 @@ func (s *RevisedSolver) flipToDualFeasible() bool {
 	return true
 }
 
-// primalFeasible reports whether every basic variable is inside its
-// bounds (nonbasic variables sit on a bound by construction).
-func (s *RevisedSolver) primalFeasible() bool {
-	for j, st := range s.status[:s.sigN+s.sigUb] {
-		if v, _ := s.violation(j); st == stBasic && v > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // dualFeasible reports whether the reduced costs certify the current
 // basis: nonnegative at lower bounds, nonpositive at upper bounds.
 func (s *RevisedSolver) dualFeasible() bool {
@@ -993,149 +963,14 @@ func (s *RevisedSolver) pivotUpdate(p *Problem, enter, leave, pos int, w []float
 	return nil
 }
 
-// primalLoop runs bounded-variable primal simplex pivots (Bland's rule)
-// from a primal-feasible basis until optimality. Basis exchanges are
-// absorbed by product-form eta updates (pivotUpdate) instead of per-pivot
-// refactorizations; the working matrix refactors only when the eta cap or
-// the spike monitor demands it, and always once more before optimality is
-// accepted, so a nil return means the statuses describe an optimal basis
-// with s.x/s.d freshly re-derived for it — eta drift can steer the pivot
-// path, never the answer.
-func (s *RevisedSolver) primalLoop(p *Problem) error {
-	nTot := s.sigN + s.sigUb
-	m := s.sigEq + s.sigUb
-	for iter := 0; iter < warmMaxIter; iter++ {
-		// Entering variable: Bland's smallest index with an improving
-		// reduced cost. Fixed variables (lo == up) cannot move.
-		enter := -1
-		var sigma float64
-		for j := 0; j < nTot; j++ {
-			switch s.status[j] {
-			case stLower:
-				if s.d[j] < -s.dtol && s.up[j] > s.lo[j] {
-					enter, sigma = j, 1
-				}
-			case stUpper:
-				if s.d[j] > s.dtol && s.up[j] > s.lo[j] {
-					enter, sigma = j, -1
-				}
-			}
-			if enter >= 0 {
-				break
-			}
-		}
-		if enter < 0 {
-			if s.fresh {
-				return nil // optimal, on exactly re-derived numbers
-			}
-			if err := s.refresh(p); err != nil {
-				return err
-			}
-			continue
-		}
-		w := s.ftran(p, enter)
-
-		// Ratio test: the entering variable moves by t >= 0 toward its
-		// opposite bound; basic variables move at rate -sigma * w.
-		tBest := s.up[enter] - s.lo[enter] // own-range bound flip, may be +Inf
-		leave, leaveAtUpper := -1, false
-		consider := func(j int, rate float64) {
-			var ratio float64
-			var hitsUpper bool
-			switch {
-			case rate < -pivotTol:
-				if math.IsInf(s.lo[j], -1) {
-					return
-				}
-				ratio = (s.x[j] - s.lo[j]) / -rate
-			case rate > pivotTol:
-				if math.IsInf(s.up[j], 1) {
-					return
-				}
-				ratio = (s.up[j] - s.x[j]) / rate
-				hitsUpper = true
-			default:
-				return
-			}
-			if ratio < 0 {
-				ratio = 0 // degenerate overshoot from roundoff
-			}
-			if ratio < tBest-ratioTie || (ratio <= tBest+ratioTie && (leave == -1 || j < leave)) {
-				tBest = ratio
-				leave = j
-				leaveAtUpper = hitsUpper
-			}
-		}
-		for b := 0; b < m; b++ {
-			consider(s.varAt[b], -sigma*w[b])
-		}
-		if math.IsInf(tBest, 1) {
-			return ErrUnbounded
-		}
-		if leave < 0 {
-			// Bound flip: the entering variable crosses its own range
-			// before any basic variable blocks. No basis change — the
-			// primal values just shift along w.
-			s.stats.PrimalPivots++
-			for b := 0; b < m; b++ {
-				if v := w[b]; v != 0 {
-					s.x[s.varAt[b]] -= sigma * tBest * v
-				}
-			}
-			if s.status[enter] == stLower {
-				s.status[enter] = stUpper
-				s.x[enter] = s.up[enter]
-			} else {
-				s.status[enter] = stLower
-				s.x[enter] = s.lo[enter]
-			}
-			s.fresh = false
-			continue
-		}
-		pos := s.posOf[leave]
-		if pos < 0 {
-			return ErrMaxIterations
-		}
-		if s.effMaxUpdates() == 0 || etaSpike(w, pos) {
-			if len(s.etaPos) > 0 {
-				// Spike under an accumulated eta file: retry the iteration
-				// on a fresh factorization before committing to anything —
-				// most spikes are artifacts of update drift.
-				if err := s.refresh(p); err != nil {
-					return err
-				}
-				continue
-			}
-			// Fresh-basis spike (or updates disabled): exchange, then
-			// refactor — the reference per-pivot path.
-			s.stats.PrimalPivots++
-			s.status[enter] = stBasic
-			if leaveAtUpper {
-				s.status[leave] = stUpper
-			} else {
-				s.status[leave] = stLower
-			}
-			if err := s.refresh(p); err != nil {
-				return err
-			}
-			continue
-		}
-		s.stats.PrimalPivots++
-		if err := s.pivotUpdate(p, enter, leave, pos, w, sigma*tBest, leaveAtUpper); err != nil {
-			return err
-		}
-	}
-	return ErrMaxIterations
-}
-
 // dualLoop runs bounded-variable dual simplex pivots from a dual-feasible
-// basis until primal feasibility — the recovery path when the problem
-// makes its start basis primal infeasible. Exchanges go through the same
-// eta-update machinery as the primal loop (the uniform π = B⁻ᵀ·e_pos row
-// direction replaces the old active-row special-casing), and feasibility
-// — like primal optimality — is only accepted on freshly re-derived
-// numbers: a nil return means s.x is primal feasible for the current
-// statuses, exactly recomputed.
+// basis until primal feasibility, which for a dual-feasible basis is
+// optimality. Basis exchanges are absorbed by product-form eta updates
+// (pivotUpdate) instead of per-pivot refactorizations; the working matrix
+// refactors only when the eta cap or the spike monitor demands it, and
+// always once more before feasibility is accepted, so a nil return means
+// s.x is primal feasible for the current statuses, exactly recomputed —
+// eta drift can steer the pivot path, never the answer.
 func (s *RevisedSolver) dualLoop(p *Problem) error {
 	nTot := s.sigN + s.sigUb
 	m := s.sigEq + s.sigUb

@@ -359,3 +359,67 @@ func TestRevisedSmallFlowRowLargeBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestRevisedDualInfeasibleStart pins the warm route from a start that is
+// primal feasible but dual infeasible: the captured optimum of one cost
+// vector started on another over the same constraints.
+//   - Wrong-signed reduced costs only on boxed variables: bound flips make
+//     the start dual feasible, and the dual simplex solves it with no
+//     abandoned attempt (its long-step ratio test flips two of the three
+//     variables back).
+//   - A wrong-signed reduced cost on an inequality slack, which has no
+//     finite upper bound to flip to: the attempt is abandoned once, and
+//     the crash basis solves it.
+//
+// Both agree with the flat Solver to 1e-9, and neither runs a primal
+// pivot.
+func TestRevisedDualInfeasibleStart(t *testing.T) {
+	// min cᵀx over the unit box with Σx ≤ bub.
+	mk := func(bub float64, c ...float64) *Problem {
+		n := len(c)
+		ones := make([]float64, n)
+		lo, up := make([]float64, n), make([]float64, n)
+		for j := range ones {
+			ones[j], up[j] = 1, 1
+		}
+		return &Problem{C: c, Aub: mat.NewDenseFrom(1, n, ones), Bub: []float64{bub}, Lower: lo, Upper: up}
+	}
+	for _, tc := range []struct {
+		name       string
+		from, to   *Problem
+		fallbacks  int
+		boundFlips bool
+	}{
+		// The start has every variable at its lower bound and the slack
+		// basic; all three reduced costs are wrong-signed there.
+		{"boxed", mk(0.5, 1, 1, 1), mk(0.5, -1, -1, -2), 0, true},
+		// The start has x basic at the active row's bound; under +x the
+		// row's slack prices at -1 from its lower bound.
+		{"slack", mk(0.5, -1), mk(0.5, 1), 1, false},
+	} {
+		ref, err := NewSolver().Solve(tc.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := NewRevisedSolver()
+		if _, err := rs.Solve(tc.from, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := rs.Stats()
+		got, err := rs.Solve(tc.to, rs.CaptureBasis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		objectivesAgree(t, tc.name, ref.Objective, got.Objective)
+		d := rs.Stats().Delta(before)
+		if d.WarmSolves != 1 || d.ColdSolves != 0 || d.Fallbacks != tc.fallbacks {
+			t.Errorf("%s: %d warm, %d cold, %d fallbacks; want 1, 0, %d", tc.name, d.WarmSolves, d.ColdSolves, d.Fallbacks, tc.fallbacks)
+		}
+		if tc.boundFlips && d.BoundFlips == 0 {
+			t.Errorf("%s: no bound flips: %+v", tc.name, d)
+		}
+		if d.PrimalPivots != 0 {
+			t.Errorf("%s: %d primal pivots", tc.name, d.PrimalPivots)
+		}
+	}
+}

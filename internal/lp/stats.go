@@ -7,7 +7,7 @@ import "gridmtd/internal/metrics"
 // sessions, so production observability (the gridmtdd /v1/stats endpoint,
 // mtdexp -v) cannot reach the per-solver RevisedStats; instead every
 // RevisedSolver adds its per-Solve counter delta here, one batch per
-// Solve call, so the hot pivot loops never touch shared memory.
+// Solve call, so the hot pivot loop never touches shared memory.
 var global metrics.Sum[RevisedStats]
 
 // GlobalRevisedStats returns the process-wide revised-simplex counters

@@ -66,16 +66,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diagonal returns a square matrix with d on its diagonal.
-func Diagonal(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -121,18 +111,6 @@ func (m *Dense) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic("mat: column index out of range")
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // SetCol copies v into column j. len(v) must equal Rows.
 func (m *Dense) SetCol(j int, v []float64) {
 	if len(v) != m.rows {
@@ -152,28 +130,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return t
-}
-
-// Mul returns the matrix product a*b.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(ErrShape)
-	}
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
 }
 
 // MulVec returns the matrix-vector product a*x.
@@ -208,15 +164,6 @@ func MulVecT(a *Dense, x []float64) []float64 {
 		for j, v := range row {
 			out[j] += v * xi
 		}
-	}
-	return out
-}
-
-// ScaleMat returns s*a.
-func ScaleMat(s float64, a *Dense) *Dense {
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] *= s
 	}
 	return out
 }

@@ -54,10 +54,10 @@ func TestInverse(t *testing.T) {
 		inv.SetCol(j, f.Solve(e))
 		e[j] = 0
 	}
-	if !Equal(Mul(a, inv), Identity(5), 1e-9) {
+	if !Equal(mul(a, inv), Identity(5), 1e-9) {
 		t.Error("A * A^-1 != I")
 	}
-	if !Equal(Mul(inv, a), Identity(5), 1e-9) {
+	if !Equal(mul(inv, a), Identity(5), 1e-9) {
 		t.Error("A^-1 * A != I")
 	}
 }

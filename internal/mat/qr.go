@@ -116,50 +116,6 @@ func ComputeQR(a *Dense) *QR {
 	return &QR{Q: q, R: rr}
 }
 
-// OrthonormalBasis returns an orthonormal basis for the column space of a,
-// as the columns of the returned matrix. Columns of a whose residual after
-// projection is below tol times the largest column norm are dropped, so the
-// result has exactly rank(a) columns. If tol <= 0 a default of 1e-12 is
-// used.
-func OrthonormalBasis(a *Dense, tol float64) *Dense {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	m := a.rows
-	var basis [][]float64
-	// Scale detection threshold by the largest column norm.
-	var maxNorm float64
-	for j := 0; j < a.cols; j++ {
-		if n := Norm2(a.Col(j)); n > maxNorm {
-			maxNorm = n
-		}
-	}
-	if maxNorm == 0 {
-		return NewDense(m, 0)
-	}
-	thresh := tol * maxNorm
-	for j := 0; j < a.cols; j++ {
-		v := a.Col(j)
-		// Twice-applied modified Gram-Schmidt for robustness.
-		for pass := 0; pass < 2; pass++ {
-			for _, b := range basis {
-				AxpyVec(-Dot(b, v), b, v)
-			}
-		}
-		if n := Norm2(v); n > thresh {
-			for i := range v {
-				v[i] /= n
-			}
-			basis = append(basis, v)
-		}
-	}
-	out := NewDense(m, len(basis))
-	for j, b := range basis {
-		out.SetCol(j, b)
-	}
-	return out
-}
-
 // Rank returns the numerical rank of a: the number of singular values
 // exceeding tol times the largest singular value. If tol <= 0 a default of
 // 1e-10 is used.

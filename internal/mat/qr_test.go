@@ -13,12 +13,12 @@ func TestComputeQRReconstruction(t *testing.T) {
 	for _, shape := range [][2]int{{3, 3}, {5, 3}, {10, 4}, {54, 13}, {1, 1}} {
 		a := randomDense(rng, shape[0], shape[1])
 		qr := ComputeQR(a)
-		back := Mul(qr.Q, qr.R)
+		back := mul(qr.Q, qr.R)
 		if !Equal(back, a, 1e-10) {
 			t.Errorf("QR reconstruction failed for %dx%d", shape[0], shape[1])
 		}
 		// Q must have orthonormal columns.
-		qtq := Mul(qr.Q.T(), qr.Q)
+		qtq := mul(qr.Q.T(), qr.Q)
 		if !Equal(qtq, Identity(shape[1]), 1e-10) {
 			t.Errorf("QᵀQ != I for %dx%d", shape[0], shape[1])
 		}
@@ -78,47 +78,6 @@ func TestComputeQRPanicsForWide(t *testing.T) {
 	ComputeQR(NewDense(2, 3))
 }
 
-func TestOrthonormalBasisFullRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomDense(rng, 8, 3)
-	q := OrthonormalBasis(a, 0)
-	if q.Cols() != 3 {
-		t.Fatalf("basis has %d columns, want 3", q.Cols())
-	}
-	if !Equal(Mul(q.T(), q), Identity(3), 1e-10) {
-		t.Error("basis not orthonormal")
-	}
-	// Every column of a must be reproducible from the basis: a = Q Qᵀ a.
-	proj := Mul(q, Mul(q.T(), a))
-	if !Equal(proj, a, 1e-10) {
-		t.Error("basis does not span Col(a)")
-	}
-}
-
-func TestOrthonormalBasisRankDeficient(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	// Build a 6x4 matrix of rank 2: two independent columns duplicated.
-	base := randomDense(rng, 6, 2)
-	a := NewDense(6, 4)
-	for i := 0; i < 6; i++ {
-		a.Set(i, 0, base.At(i, 0))
-		a.Set(i, 1, base.At(i, 1))
-		a.Set(i, 2, base.At(i, 0)+base.At(i, 1))
-		a.Set(i, 3, 2*base.At(i, 0)-base.At(i, 1))
-	}
-	q := OrthonormalBasis(a, 0)
-	if q.Cols() != 2 {
-		t.Fatalf("basis has %d columns, want 2", q.Cols())
-	}
-}
-
-func TestOrthonormalBasisZeroMatrix(t *testing.T) {
-	q := OrthonormalBasis(NewDense(4, 3), 0)
-	if q.Cols() != 0 {
-		t.Fatalf("zero matrix should have empty basis, got %d columns", q.Cols())
-	}
-}
-
 func TestRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randomDense(rng, 6, 4)
@@ -149,8 +108,8 @@ func TestQuickQR(t *testing.T) {
 		m := n + r.Intn(10)
 		a := randomDense(r, m, n)
 		qr := ComputeQR(a)
-		return Equal(Mul(qr.Q, qr.R), a, 1e-9) &&
-			Equal(Mul(qr.Q.T(), qr.Q), Identity(n), 1e-9)
+		return Equal(mul(qr.Q, qr.R), a, 1e-9) &&
+			Equal(mul(qr.Q.T(), qr.Q), Identity(n), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -94,9 +94,10 @@ func TestEstimateColumnSpaceExact(t *testing.T) {
 	n := grid.CaseIEEE14()
 	x := n.Reactances()
 	h := n.MeasurementMatrix(x)
+	ht := h.T()
 	samples := make([][]float64, 0, h.Cols())
 	for j := 0; j < h.Cols(); j++ {
-		samples = append(samples, h.Col(j))
+		samples = append(samples, ht.Row(j))
 	}
 	basis, err := EstimateColumnSpace(samples, h.Cols())
 	if err != nil {
@@ -134,7 +135,7 @@ func TestEstimateColumnSpaceMoreSamplesThanSensors(t *testing.T) {
 	}
 	// All samples are multiples of (1, 2, 0)/√5.
 	want := []float64{1 / math.Sqrt(5), 2 / math.Sqrt(5), 0}
-	got := basis.Col(0)
+	got := basis.T().Row(0)
 	if math.Abs(math.Abs(mat.Dot(got, want))-1) > 1e-9 {
 		t.Errorf("basis = %v, want ±%v", got, want)
 	}

@@ -74,7 +74,7 @@ func TestScalingInvariance(t *testing.T) {
 			h.Set(i, j, rng.NormFloat64())
 		}
 	}
-	scaled := mat.ScaleMat(1.2, h)
+	scaled := mat.NewDenseFrom(h.Rows(), h.Cols(), mat.ScaleVec(1.2, h.RawData()))
 	if g := Gamma(h, scaled); g > 1e-7 {
 		t.Errorf("Gamma(H, 1.2H) = %v, want 0", g)
 	}
