@@ -155,8 +155,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The process default drives the γ-kernel seam; the planner config
-	// drives the dispatch engines. One daemon = one backend contract.
+	// The process default drives every engine the planner builds: the γ
+	// kernels and the dispatch engines. One daemon = one backend contract.
 	gridmtd.SetDefaultBackend(b)
 	if *parallel > 0 {
 		runtime.GOMAXPROCS(*parallel)
@@ -171,7 +171,6 @@ func main() {
 		log.Printf("persistent response cache at %s (%d entries resident, cap %d MiB)", *diskDir, disk.Stats().Entries, *diskMB)
 	}
 	p := planner.New(planner.Config{
-		Backend:     b,
 		MaxCases:    *maxCases,
 		MaxResults:  *maxResults,
 		MaxInflight: *maxInflight,

@@ -142,7 +142,9 @@
 // flow (internal/dcflow), state estimation and BDD (internal/se), FDI
 // attacks (internal/attack), principal angles (internal/subspace), DC
 // OPF (internal/opf), the MTD algorithms (internal/core), load profiles
-// (internal/loadprofile), the daily/learning simulations (internal/sim),
-// the scenario layer (internal/scenario) and the planner service
-// (internal/planner, served by cmd/gridmtdd).
+// (internal/loadprofile), the attacker's subspace-learning model
+// (internal/sim), the scenario layer that runs every sweep, operating day,
+// keyspace, learning curve and placement study (internal/scenario), the
+// paper's tables and figures built on it (internal/experiments) and the
+// planner service (internal/planner, served by cmd/gridmtdd).
 package gridmtd

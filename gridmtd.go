@@ -273,9 +273,16 @@ func RandomAttack(rng *rand.Rand, n *Network, x, z []float64, ratio float64) (*A
 
 // IsUndetectable applies the paper's Proposition 1: does attack vector a
 // (crafted on an older matrix) still lie in the column space of the
-// measurement matrix at reactances xNew?
+// measurement matrix at reactances xNew? It is the estimator's residual
+// test: one QR of H(xNew), with a stealthy iff its residual component
+// vanishes relative to ‖a‖. It panics if H(xNew) is rank deficient, which
+// a validated network at positive finite reactances never is.
 func IsUndetectable(n *Network, xNew, a []float64) bool {
-	return attack.IsUndetectable(n.MeasurementMatrix(xNew), a, 0)
+	est, err := se.NewEstimator(n.MeasurementMatrix(xNew))
+	if err != nil {
+		panic("gridmtd: " + err.Error())
+	}
+	return est.IsStealthy(a, 0)
 }
 
 // ---- MTD ------------------------------------------------------------------
@@ -497,15 +504,6 @@ var ErrGammaUnreachableRequest = planner.ErrUnreachable
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 
 // ---- Simulations -----------------------------------------------------------
-
-// HourResult is one hour of the daily MTD simulation.
-type HourResult = sim.HourResult
-
-// DayConfig configures the daily simulation.
-type DayConfig = sim.DayConfig
-
-// RunDay executes the paper's day-long hourly MTD loop (Figs. 10-11).
-func RunDay(cfg DayConfig) ([]HourResult, error) { return sim.RunDay(cfg) }
 
 // LearningConfig configures the attacker's subspace-learning simulation.
 type LearningConfig = sim.LearningConfig

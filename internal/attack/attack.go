@@ -3,9 +3,9 @@
 // the state estimator injects a = H·c into the sensor measurements; such
 // attacks are undetectable by the residual BDD (Liu, Ning & Reiter 2009).
 // The package crafts structured attacks from chosen or random state
-// perturbations c, applies the paper's ‖a‖₁/‖z‖₁ magnitude scaling, and
-// implements Proposition 1's rank test for whether an attack remains
-// stealthy after an MTD changes the matrix to H'.
+// perturbations c and applies the paper's ‖a‖₁/‖z‖₁ magnitude scaling.
+// Whether an attack remains stealthy after an MTD changes the matrix to H'
+// (Proposition 1) is the estimator's residual test, se.Estimator.IsStealthy.
 package attack
 
 import (
@@ -122,20 +122,4 @@ func (b *Batch) A(i int) []float64 { return b.a.RowView(i) }
 // At materializes attack i as a standalone Vector (copies).
 func (b *Batch) At(i int) *Vector {
 	return &Vector{C: mat.CopyVec(b.C(i)), A: mat.CopyVec(b.A(i))}
-}
-
-// IsUndetectable implements the paper's Proposition 1: attack a (crafted
-// from the old H) stays undetectable under the new measurement matrix
-// hNew iff rank([hNew a]) = rank(hNew), i.e. a lies in Col(hNew). tol is
-// the relative rank tolerance (<= 0 selects the default).
-func IsUndetectable(hNew *mat.Dense, a []float64, tol float64) bool {
-	if len(a) != hNew.Rows() {
-		panic("attack: attack vector length mismatch")
-	}
-	if mat.Norm2(a) == 0 {
-		return true
-	}
-	base := mat.Rank(hNew, tol)
-	aug := mat.Rank(mat.HStackVec(hNew, a), tol)
-	return aug == base
 }

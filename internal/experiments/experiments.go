@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section VII). Each experiment has a typed config with the
-// paper's parameters as defaults, a Run function returning structured rows,
-// and a text formatter that prints the same rows/series the paper reports.
+// evaluation (Section VII). Each figure is a scenario.Spec carrying the
+// paper's protocol (its quick and case-override variants included) whose
+// rows a text formatter prints as the series the paper reports; the tables
+// and the Section VII-D extension compute their few rows directly.
 // The cmd/mtdexp binary and the repository benchmarks are thin wrappers
 // around this package; testdata/golden_quick_all.txt pins the quick-mode
 // output of every experiment (golden_test.go).
@@ -12,8 +13,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"gridmtd/internal/grid"
 )
 
 // Quality selects the evaluation budget.
@@ -95,25 +94,6 @@ func CaseGenericIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// resolveCase turns an Options.Case override into a network constructor,
-// or returns nil when no override is requested. The name is validated
-// eagerly so a typo fails before any computation starts.
-func resolveCase(name string) (func() *grid.Network, error) {
-	if name == "" {
-		return nil, nil
-	}
-	if _, err := grid.CaseByName(name); err != nil {
-		return nil, err
-	}
-	return func() *grid.Network {
-		n, err := grid.CaseByName(name)
-		if err != nil {
-			panic(err) // validated above; registry is immutable
-		}
-		return n
-	}, nil
 }
 
 // registry holds all experiments keyed by ID.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"gridmtd/internal/scenario"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -121,11 +123,11 @@ func TestFig6QuickMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive")
 	}
-	cfg := quickFig6(DefaultFig6aConfig())
-	rows, err := RunFig6(cfg)
+	res, err := scenario.NewRunner().Run(sweepSpec(Options{Quality: Quick}, "ieee14", gammaGrid(0.05, 0.45, 0.05), 8, 61))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) < 2 {
 		t.Fatalf("got %d sweep points", len(rows))
 	}
@@ -153,13 +155,14 @@ func TestFig7Variability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive")
 	}
-	cfg := DefaultFig7Config()
-	cfg.Effectiveness.NumAttacks = 150
-	cfg.OPFStarts = 3
-	rows, err := RunFig7(cfg)
+	spec := keyspaceSpec(Options{Quality: Full}, 5, 71)
+	spec.Effectiveness.NumAttacks = 150
+	spec.OPFStarts = 3
+	res, err := scenario.NewRunner().Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 5 {
 		t.Fatalf("got %d trials", len(rows))
 	}
@@ -191,22 +194,21 @@ func TestFig8SmallFractions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("keyspace sweep is expensive")
 	}
-	cfg := DefaultFig8Config()
-	cfg.Keys = 100
-	cfg.Fig7.Effectiveness.NumAttacks = 150
-	cfg.Fig7.OPFStarts = 3
-	rows, err := RunFig8(cfg)
+	spec := keyspaceSpec(Options{Quality: Full}, 100, 81)
+	spec.Effectiveness.NumAttacks = 150
+	spec.OPFStarts = 3
+	res, err := scenario.NewRunner().Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The paper's point: less than ~10% of random keys achieve
 	// η'(0.9) >= 0.9.
-	for _, r := range rows {
-		if r.Delta >= 0.9 && r.Fraction > 0.1 {
-			t.Errorf("fraction at δ=%v is %v, expected <= 0.1", r.Delta, r.Fraction)
+	for i, f := range keyFractions(res.Rows, 0.9) {
+		if d := res.Rows[0].Deltas[i]; d >= 0.9 && f > 0.1 {
+			t.Errorf("fraction at δ=%v is %v, expected <= 0.1", d, f)
 		}
-		if r.Fraction < 0 || r.Fraction > 1 {
-			t.Errorf("fraction %v out of range", r.Fraction)
+		if f < 0 || f > 1 {
+			t.Errorf("fraction %v out of range", f)
 		}
 	}
 }
@@ -247,13 +249,13 @@ func TestFormattersProduceOutput(t *testing.T) {
 
 func TestFormatEmptySweeps(t *testing.T) {
 	var buf bytes.Buffer
-	if err := FormatFig6(&buf, "Fig. 6a", nil); err != nil {
+	if err := FormatSweep(&buf, "Fig. 6a title", "C_MTD", "Fig. 6a", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := FormatFig9(&buf, "", nil); err != nil {
+	if err := FormatSweep(&buf, "Fig. 9 title", "OPF cost increase", "Fig. 9", nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "no feasible sweep points") {
-		t.Error("empty-sweep message missing")
+	if got, want := buf.String(), "Fig. 6a: no feasible sweep points\nFig. 9: no feasible sweep points\n"; got != want {
+		t.Errorf("empty sweeps printed %q, want %q", got, want)
 	}
 }

@@ -114,56 +114,52 @@ func FormatImpact(w io.Writer, r *ImpactResult) error {
 		[]string{"quantity", "value"}, rows)
 }
 
-// LearningRow is one point of the attacker-learning curve.
-type LearningRow struct {
-	Samples       int
-	SubspaceError float64
-}
-
-// RunLearning reproduces the Section IV-A argument on the given network:
-// the attacker's subspace-estimation error vs number of eavesdropped
-// measurements, and the staleness induced by one max-γ MTD perturbation.
-// A nil network runs the paper's IEEE 14-bus protocol. The curve and the
-// staleness probe form one Learning scenario.
-func RunLearning(n *grid.Network, seed int64, sampleGrid []int) ([]LearningRow, float64, error) {
-	build := func() *grid.Network { return grid.CaseIEEE14() }
-	if n != nil {
-		build = func() *grid.Network { return n }
+// learningSpec is the Section IV-A argument: the attacker's
+// subspace-estimation error vs the number of eavesdropped measurements on
+// the IEEE 14-bus system (or an override case), then the staleness one
+// max-γ MTD perturbation induces in the best estimate.
+func learningSpec(opts Options) (scenario.Spec, error) {
+	samples := []int{15, 30, 60, 120, 250, 500, 1000}
+	if opts.Quality == Quick {
+		samples = []int{15, 60, 250}
 	}
-	res, err := scenario.NewRunner().Run(scenario.Spec{
+	spec := scenario.Spec{
 		Kind:              scenario.Learning,
-		Network:           build,
-		SampleGrid:        sampleGrid,
+		Case:              "ieee14",
+		SampleGrid:        samples,
 		LearnSigma:        0.0015,
 		LearnJitterMW:     2,
-		Seed:              seed,
+		Seed:              131,
 		ProbeStarts:       4,
-		ProbeSeed:         seed,
+		ProbeSeed:         131,
 		ProbeBaselineCost: 1,
-	})
-	if err != nil {
-		return nil, 0, err
 	}
-	rows := make([]LearningRow, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, LearningRow{Samples: r.Samples, SubspaceError: r.SubspaceError})
+	if opts.Case != "" {
+		n, err := grid.CaseByName(opts.Case)
+		if err != nil {
+			return spec, err
+		}
+		// The subspace method needs at least N-1 samples; rebuild the grid
+		// starting just above the case's state dimension and doubling, as
+		// the paper's 14-bus grid does.
+		spec.Case, spec.SampleGrid = opts.Case, nil
+		for k, i := (n.N()-1)+(n.N()-1)/5+1, 0; i < len(samples); k, i = 2*k, i+1 {
+			spec.SampleGrid = append(spec.SampleGrid, k)
+		}
 	}
-	stale := 0.0
-	if res.Learning != nil {
-		stale = res.Learning.Stale
-	}
-	return rows, stale, nil
+	return spec, nil
 }
 
-// FormatLearning renders the learning curve. caseLabel overrides the
-// system named in the title ("" keeps the paper's IEEE 14-bus label).
-func FormatLearning(w io.Writer, caseLabel string, rows []LearningRow, stale float64) error {
+// FormatLearning renders the learning curve and the staleness probe.
+// caseLabel overrides the system named in the title ("" keeps the paper's
+// IEEE 14-bus label).
+func FormatLearning(w io.Writer, caseLabel string, res *scenario.Result) error {
 	label := "IEEE 14-bus"
 	if caseLabel != "" {
 		label = "case " + caseLabel
 	}
-	out := make([][]string, 0, len(rows)+1)
-	for _, r := range rows {
+	out := make([][]string, 0, len(res.Rows))
+	for _, r := range res.Rows {
 		out = append(out, []string{fmt.Sprintf("%d", r.Samples), f4(r.SubspaceError)})
 	}
 	if err := renderTable(w,
@@ -171,7 +167,7 @@ func FormatLearning(w io.Writer, caseLabel string, rows []LearningRow, stale flo
 		[]string{"samples", "γ(estimate, true H)"}, out); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "after one max-γ MTD perturbation the learned model is stale: γ(estimate, new H) = %.3f\n\n", stale)
+	_, err := fmt.Fprintf(w, "after one max-γ MTD perturbation the learned model is stale: γ(estimate, new H) = %.3f\n\n", res.Learning.Stale)
 	return err
 }
 
@@ -198,29 +194,15 @@ func init() {
 		CaseGeneric: true,
 		System:      "IEEE 14-bus",
 		Run: func(w io.Writer, opts Options) error {
-			gridSamples := []int{15, 30, 60, 120, 250, 500, 1000}
-			if opts.Quality == Quick {
-				gridSamples = []int{15, 60, 250}
-			}
-			var n *grid.Network
-			if net, err := resolveCase(opts.Case); err != nil {
-				return err
-			} else if net != nil {
-				n = net()
-				// The subspace method needs at least N-1 samples; rebuild
-				// the grid starting just above the case's state dimension
-				// and doubling, as the paper's 14-bus grid does.
-				steps := len(gridSamples)
-				gridSamples = gridSamples[:0]
-				for k, i := (n.N()-1)+(n.N()-1)/5+1, 0; i < steps; k, i = 2*k, i+1 {
-					gridSamples = append(gridSamples, k)
-				}
-			}
-			rows, stale, err := RunLearning(n, 131, gridSamples)
+			spec, err := learningSpec(opts)
 			if err != nil {
 				return err
 			}
-			return FormatLearning(w, opts.Case, rows, stale)
+			res, err := scenario.NewRunner().Run(spec)
+			if err != nil {
+				return err
+			}
+			return FormatLearning(w, opts.Case, res)
 		},
 	})
 }

@@ -5,93 +5,47 @@ import (
 	"io"
 
 	"gridmtd/internal/core"
-	"gridmtd/internal/grid"
 	"gridmtd/internal/loadprofile"
 	"gridmtd/internal/scenario"
-	"gridmtd/internal/sim"
 )
 
-// DailyConfig controls the 24-hour simulation behind Figs. 10 and 11.
-type DailyConfig struct {
-	// Network builds the test case; nil runs the paper's IEEE 14-bus
-	// protocol.
-	Network func() *grid.Network
-	// PeakLoadMW scales the NY-shaped profile (paper: ~220 MW peak on the
-	// 14-bus system); 0 picks 85% of the case's base load.
-	PeakLoadMW float64
-	// Hours restricts the simulation to a subset of profile indices (nil =
-	// all 24).
-	Hours []int
-	// Tune configures the per-hour γ_th tuning; the paper targets
-	// η'(0.9) ≥ 0.9.
-	Tune core.TuneConfig
-	// OPFStarts is the hourly problem-(1) budget.
-	OPFStarts int
-	// Seed seeds the solvers.
-	Seed int64
-}
-
-// DefaultDailyConfig returns the paper's Section VII-C protocol.
-func DefaultDailyConfig() DailyConfig {
-	return DailyConfig{
+// daySpec is the paper's Section VII-C operating day behind Figs. 10 and
+// 11: the IEEE 14-bus system follows the NY-shaped trace up to a ~220 MW
+// peak (85% of an override case's base load), and every hour the γ
+// threshold is tuned for η'(0.9) ≥ 0.9 against one-hour-stale attacker
+// knowledge. Quick mode samples the trough, shoulder and peak hours (3 AM,
+// 9 AM, 6 PM) at smaller budgets.
+func daySpec(opts Options) scenario.Spec {
+	spec := scenario.Spec{
+		Kind:       scenario.DaySweep,
+		Case:       "ieee14",
 		PeakLoadMW: 220,
+		Warmup:     true,
 		Tune: core.TuneConfig{
-			TargetDelta: 0.9,
-			TargetEta:   0.9,
-			Iterations:  5,
-			Effectiveness: core.EffectivenessConfig{
-				NumAttacks: 500,
-			},
-			Select: core.SelectConfig{Starts: 4},
+			TargetDelta:   0.9,
+			TargetEta:     0.9,
+			Iterations:    5,
+			Effectiveness: core.EffectivenessConfig{NumAttacks: 500},
+			Select:        core.SelectConfig{Starts: 4},
 		},
 		OPFStarts: 6,
 		Seed:      101,
 	}
-}
-
-// RunDaily executes the day-long loop and returns the hourly records that
-// Figs. 10 and 11 plot. The day is a scenario.Spec: the runner (through
-// sim.RunDay) builds the dispatch-OPF engine once for the whole sweep
-// instead of once per hour, with records identical to the historical
-// per-hour construction (bitwise on the dense backend).
-func RunDaily(cfg DailyConfig) ([]sim.HourResult, error) {
-	build := cfg.Network
-	if build == nil {
-		build = grid.CaseIEEE14
+	if opts.Quality == Quick {
+		spec.Hours = []int{2, 8, 17}
+		spec.Tune.Iterations = 2
+		spec.Tune.Effectiveness.NumAttacks = 100
+		spec.Tune.Select.Starts = 2
+		spec.OPFStarts = 3
 	}
-	res, err := scenario.NewRunner().Run(scenario.Spec{
-		Kind:       scenario.DaySweep,
-		Network:    build,
-		PeakLoadMW: cfg.PeakLoadMW,
-		Hours:      cfg.Hours,
-		Warmup:     true,
-		Tune:       cfg.Tune,
-		OPFStarts:  cfg.OPFStarts,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: daily: %w", err)
+	if opts.Case != "" {
+		spec.Case, spec.PeakLoadMW = opts.Case, 0
 	}
-	results := make([]sim.HourResult, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		results = append(results, sim.HourResult{
-			Hour:           r.Hour,
-			TotalLoadMW:    r.TotalLoadMW,
-			BaselineCost:   r.BaselineCost,
-			MTDCost:        r.MTDCost,
-			CostIncrease:   r.CostIncrease,
-			GammaThreshold: r.GammaThreshold,
-			GammaOldMTD:    r.Gamma,
-			GammaOldNew:    r.GammaOldNew,
-			GammaNewMTD:    r.GammaNewMTD,
-			Eta:            r.Eta[0],
-		})
-	}
-	return results, nil
+	return spec
 }
 
 // FormatFig10 renders the daily load and MTD operational cost (Fig. 10).
-func FormatFig10(w io.Writer, rows []sim.HourResult) error {
+func FormatFig10(w io.Writer, rows []scenario.Row) error {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, []string{
@@ -100,7 +54,7 @@ func FormatFig10(w io.Writer, rows []sim.HourResult) error {
 			fmt.Sprintf("%.0f", r.BaselineCost),
 			fmt.Sprintf("%.0f", r.MTDCost),
 			fmt.Sprintf("%.2f%%", 100*r.CostIncrease),
-			f3(r.Eta),
+			f3(r.Eta[0]),
 		})
 	}
 	return renderTable(w,
@@ -109,13 +63,13 @@ func FormatFig10(w io.Writer, rows []sim.HourResult) error {
 }
 
 // FormatFig11 renders the three principal-angle series (Fig. 11).
-func FormatFig11(w io.Writer, rows []sim.HourResult) error {
+func FormatFig11(w io.Writer, rows []scenario.Row) error {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, []string{
 			loadprofile.HourLabel(r.Hour),
 			f4(r.GammaOldNew),
-			f4(r.GammaOldMTD),
+			f4(r.Gamma),
 			f4(r.GammaNewMTD),
 		})
 	}
@@ -124,60 +78,26 @@ func FormatFig11(w io.Writer, rows []sim.HourResult) error {
 		[]string{"hour", "γ(Ht,Ht')", "γ(Ht,H't')", "γ(Ht',H't')"}, out)
 }
 
-func quickDaily(cfg DailyConfig) DailyConfig {
-	cfg.Hours = []int{2, 8, 17} // trough, shoulder, peak
-	cfg.Tune.Iterations = 2
-	cfg.Tune.Effectiveness.NumAttacks = 100
-	cfg.Tune.Select.Starts = 2
-	cfg.OPFStarts = 3
-	return cfg
-}
-
 func init() {
-	register(Experiment{
-		ID:          "fig10",
-		Title:       "Fig. 10: MTD operational cost over a day (IEEE 14-bus, NY-shaped trace)",
-		CaseGeneric: true,
-		System:      "IEEE 14-bus",
-		Run: func(w io.Writer, opts Options) error {
-			cfg := DefaultDailyConfig()
-			if opts.Quality == Quick {
-				cfg = quickDaily(cfg)
-			}
-			if net, err := resolveCase(opts.Case); err != nil {
-				return err
-			} else if net != nil {
-				cfg.Network = net
-				cfg.PeakLoadMW = 0
-			}
-			rows, err := RunDaily(cfg)
-			if err != nil {
-				return err
-			}
-			return FormatFig10(w, rows)
-		},
-	})
-	register(Experiment{
-		ID:          "fig11",
-		Title:       "Fig. 11: principal angles over a day (IEEE 14-bus, NY-shaped trace)",
-		CaseGeneric: true,
-		System:      "IEEE 14-bus",
-		Run: func(w io.Writer, opts Options) error {
-			cfg := DefaultDailyConfig()
-			if opts.Quality == Quick {
-				cfg = quickDaily(cfg)
-			}
-			if net, err := resolveCase(opts.Case); err != nil {
-				return err
-			} else if net != nil {
-				cfg.Network = net
-				cfg.PeakLoadMW = 0
-			}
-			rows, err := RunDaily(cfg)
-			if err != nil {
-				return err
-			}
-			return FormatFig11(w, rows)
-		},
-	})
+	for _, fig := range []struct {
+		id, title string
+		format    func(io.Writer, []scenario.Row) error
+	}{
+		{"fig10", "Fig. 10: MTD operational cost over a day (IEEE 14-bus, NY-shaped trace)", FormatFig10},
+		{"fig11", "Fig. 11: principal angles over a day (IEEE 14-bus, NY-shaped trace)", FormatFig11},
+	} {
+		register(Experiment{
+			ID:          fig.id,
+			Title:       fig.title,
+			CaseGeneric: true,
+			System:      "IEEE 14-bus",
+			Run: func(w io.Writer, opts Options) error {
+				res, err := scenario.NewRunner().Run(daySpec(opts))
+				if err != nil {
+					return err
+				}
+				return fig.format(w, res.Rows)
+			},
+		})
+	}
 }

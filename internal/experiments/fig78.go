@@ -5,87 +5,42 @@ import (
 	"io"
 
 	"gridmtd/internal/core"
-	"gridmtd/internal/grid"
 	"gridmtd/internal/scenario"
 )
 
-// Fig7Config controls the random-perturbation baseline comparison.
-type Fig7Config struct {
-	// Trials is the number of random perturbations plotted (paper: 5).
-	Trials int
-	// CostBudget is the keyspace's relative OPF-cost allowance (paper:
-	// perturbations "within 2% of the optimal value", i.e. 0.02).
-	CostBudget float64
-	// DeltaGrid is the δ axis.
-	DeltaGrid []float64
-	// Effectiveness configures the η' evaluation.
-	Effectiveness core.EffectivenessConfig
-	// Seed seeds the key sampler.
-	Seed int64
-	// OPFStarts is the pre-perturbation problem-(1) budget.
-	OPFStarts int
-}
-
-// DefaultFig7Config returns the paper's Fig. 7 protocol.
-func DefaultFig7Config() Fig7Config {
-	return Fig7Config{
-		Trials:     5,
-		CostBudget: 0.02,
-		DeltaGrid:  gammaGrid(0.05, 0.95, 0.05),
-		Seed:       71,
-		OPFStarts:  8,
-	}
-}
-
-// Fig7Row is one random trial's η'(δ) curve.
-type Fig7Row struct {
-	Trial int
-	Gamma float64
-	Eta   []float64 // aligned with the configured DeltaGrid
-}
-
-// fig7Spec translates a Fig7Config into the RandomKeys scenario the runner
-// executes: one shared dispatch engine serves the pre-perturbation OPF and
-// every keyspace draw, one attack set serves every evaluation.
-func fig7Spec(cfg Fig7Config, trials int) scenario.Spec {
-	effCfg := cfg.Effectiveness
-	effCfg.Deltas = cfg.DeltaGrid
-	effCfg.Seed = cfg.Seed
-	return scenario.Spec{
+// keyspaceSpec is the prior-work baseline of Figs. 7 and 8 on the IEEE
+// 14-bus system: trials random D-FACTS settings whose OPF cost stays
+// within 2% of the optimum (the paper reads "within 2% of the optimal
+// value" as a 0.02 budget), each evaluated on one shared attack set over
+// δ ∈ {0.05, ..., 0.95}. Quick mode keeps 100 attacks, three problem-(1)
+// starts and δ ∈ {0.1, 0.3, ..., 0.9}.
+func keyspaceSpec(opts Options, trials int, seed int64) scenario.Spec {
+	spec := scenario.Spec{
 		Kind:          scenario.RandomKeys,
-		Network:       func() *grid.Network { return grid.CaseIEEE14() },
+		Case:          "ieee14",
 		Trials:        trials,
-		CostBudget:    cfg.CostBudget,
-		OPFStarts:     cfg.OPFStarts,
-		OPFSeed:       cfg.Seed,
-		Seed:          cfg.Seed,
-		Effectiveness: effCfg,
+		CostBudget:    0.02,
+		OPFStarts:     8,
+		OPFSeed:       seed,
+		Seed:          seed,
+		Effectiveness: core.EffectivenessConfig{Deltas: gammaGrid(0.05, 0.95, 0.05), Seed: seed},
 	}
+	if opts.Quality == Quick {
+		spec.Effectiveness.NumAttacks = 100
+		spec.OPFStarts = 3
+		spec.Effectiveness.Deltas = gammaGrid(0.1, 0.9, 0.2)
+	}
+	return spec
 }
 
-// RunFig7 reproduces Fig. 7: η'(δ) for a handful of random keyspace
-// perturbations (prior work's MTD — random D-FACTS settings whose OPF cost
-// stays within 2% of the optimum), showing high across-trial variability.
-func RunFig7(cfg Fig7Config) ([]Fig7Row, error) {
-	res, err := scenario.NewRunner().Run(fig7Spec(cfg, cfg.Trials))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig7: %w", err)
-	}
-	rows := make([]Fig7Row, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, Fig7Row{Trial: r.Trial, Gamma: r.Gamma, Eta: r.Eta})
-	}
-	return rows, nil
-}
-
-// FormatFig7 renders the per-trial curves.
-func FormatFig7(w io.Writer, cfg Fig7Config, rows []Fig7Row) error {
+// FormatFig7 renders each random trial's η'(δ) curve as one column.
+func FormatFig7(w io.Writer, rows []scenario.Row) error {
 	headers := []string{"δ"}
 	for _, r := range rows {
 		headers = append(headers, fmt.Sprintf("trial %d (γ=%.3f)", r.Trial, r.Gamma))
 	}
-	out := make([][]string, 0, len(cfg.DeltaGrid))
-	for i, d := range cfg.DeltaGrid {
+	out := make([][]string, 0, len(rows[0].Deltas))
+	for i, d := range rows[0].Deltas {
 		cells := []string{f2(d)}
 		for _, r := range rows {
 			cells = append(cells, f3(r.Eta[i]))
@@ -97,61 +52,33 @@ func FormatFig7(w io.Writer, cfg Fig7Config, rows []Fig7Row) error {
 		headers, out)
 }
 
-// Fig8Config controls the keyspace experiment.
-type Fig8Config struct {
-	// Keys is the keyspace size (paper: 500 random perturbations).
-	Keys int
-	// EtaTarget is the effectiveness bar (paper: η'(δ) >= 0.9).
-	EtaTarget float64
-	Fig7      Fig7Config
-}
-
-// DefaultFig8Config returns the paper's Fig. 8 protocol.
-func DefaultFig8Config() Fig8Config {
-	cfg := DefaultFig7Config()
-	cfg.Seed = 81
-	return Fig8Config{Keys: 500, EtaTarget: 0.9, Fig7: cfg}
-}
-
-// Fig8Row is one δ point: the fraction of random keys that meet the bar.
-type Fig8Row struct {
-	Delta    float64
-	Fraction float64
-}
-
-// RunFig8 reproduces Fig. 8: the fraction of the random-perturbation
-// keyspace achieving η'(δ) ≥ 0.9, as a function of δ — the same RandomKeys
-// scenario as Fig. 7 at keyspace scale, aggregated per δ.
-func RunFig8(cfg Fig8Config) ([]Fig8Row, error) {
-	f7 := cfg.Fig7
-	res, err := scenario.NewRunner().Run(fig7Spec(f7, cfg.Keys))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig8: %w", err)
-	}
-	counts := make([]int, len(f7.DeltaGrid))
-	for _, r := range res.Rows {
-		for i := range f7.DeltaGrid {
-			if r.Eta[i] >= cfg.EtaTarget {
+// keyFractions returns, per δ of the keyspace rows, the fraction of keys
+// with η'(δ) ≥ etaTarget.
+func keyFractions(rows []scenario.Row, etaTarget float64) []float64 {
+	counts := make([]int, len(rows[0].Deltas))
+	for _, r := range rows {
+		for i, e := range r.Eta {
+			if e >= etaTarget {
 				counts[i]++
 			}
 		}
 	}
-	rows := make([]Fig8Row, len(f7.DeltaGrid))
-	for i, d := range f7.DeltaGrid {
-		rows[i] = Fig8Row{Delta: d, Fraction: float64(counts[i]) / float64(cfg.Keys)}
+	fractions := make([]float64, len(counts))
+	for i, c := range counts {
+		fractions[i] = float64(c) / float64(len(rows))
 	}
-	return rows, nil
+	return fractions
 }
 
-// FormatFig8 renders the keyspace fractions.
-func FormatFig8(w io.Writer, cfg Fig8Config, rows []Fig8Row) error {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{f2(r.Delta), f3(r.Fraction)})
+// FormatFig8 renders the fraction of the keyspace meeting the η' bar per δ.
+func FormatFig8(w io.Writer, rows []scenario.Row, etaTarget float64) error {
+	out := make([][]string, 0, len(rows[0].Deltas))
+	for i, f := range keyFractions(rows, etaTarget) {
+		out = append(out, []string{f2(rows[0].Deltas[i]), f3(f)})
 	}
 	return renderTable(w,
 		fmt.Sprintf("Fig. 8: fraction of %d random keyspace perturbations (2%% cost budget) with η'(δ) ≥ %.1f, IEEE 14-bus",
-			cfg.Keys, cfg.EtaTarget),
+			len(rows), etaTarget),
 		[]string{"δ", "fraction of keys"}, out)
 }
 
@@ -160,35 +87,26 @@ func init() {
 		ID:    "fig7",
 		Title: "Fig. 7: η'(δ) under five random MTD perturbations (IEEE 14-bus)",
 		Run: func(w io.Writer, opts Options) error {
-			cfg := DefaultFig7Config()
-			if opts.Quality == Quick {
-				cfg.Effectiveness.NumAttacks = 100
-				cfg.OPFStarts = 3
-				cfg.DeltaGrid = gammaGrid(0.1, 0.9, 0.2)
-			}
-			rows, err := RunFig7(cfg)
+			res, err := scenario.NewRunner().Run(keyspaceSpec(opts, 5, 71))
 			if err != nil {
 				return err
 			}
-			return FormatFig7(w, cfg, rows)
+			return FormatFig7(w, res.Rows)
 		},
 	})
 	register(Experiment{
 		ID:    "fig8",
 		Title: "Fig. 8: fraction of random keyspace achieving η'(δ) ≥ 0.9 (IEEE 14-bus)",
 		Run: func(w io.Writer, opts Options) error {
-			cfg := DefaultFig8Config()
+			keys := 500 // the paper's keyspace
 			if opts.Quality == Quick {
-				cfg.Keys = 50
-				cfg.Fig7.Effectiveness.NumAttacks = 100
-				cfg.Fig7.OPFStarts = 3
-				cfg.Fig7.DeltaGrid = gammaGrid(0.1, 0.9, 0.2)
+				keys = 50
 			}
-			rows, err := RunFig8(cfg)
+			res, err := scenario.NewRunner().Run(keyspaceSpec(opts, keys, 81))
 			if err != nil {
 				return err
 			}
-			return FormatFig8(w, cfg, rows)
+			return FormatFig8(w, res.Rows, 0.9)
 		},
 	})
 }

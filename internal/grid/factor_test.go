@@ -234,25 +234,30 @@ func TestAutoBackendSelection(t *testing.T) {
 	}
 }
 
+// qrRank returns the numerical column rank of h as the unpivoted QR sees
+// it: a column's residual after projection onto the columns before it is
+// |R_jj|, so it counts the columns whose residual does not vanish.
+func qrRank(h *mat.Dense) int {
+	r := mat.ComputeQR(h).R
+	var rmax float64
+	for j := 0; j < r.Cols(); j++ {
+		rmax = math.Max(rmax, math.Abs(r.At(j, j)))
+	}
+	got := 0
+	for j := 0; j < r.Cols(); j++ {
+		if math.Abs(r.At(j, j)) > 1e-12*rmax {
+			got++
+		}
+	}
+	return got
+}
+
 // TestMeasurementMatrixFullRankAllCases checks the estimator's full-rank
 // assumption on every registered case: the slack-reduced H must have rank
 // N-1 at nominal reactances.
 func TestMeasurementMatrixFullRankAllCases(t *testing.T) {
 	for _, n := range allCases(t) {
-		h := n.MeasurementMatrix(n.Reactances())
-		// A column's residual after projection onto the columns before it
-		// is |R_jj|: count the columns whose residual does not vanish.
-		r := mat.ComputeQR(h).R
-		var rmax float64
-		for j := 0; j < r.Cols(); j++ {
-			rmax = math.Max(rmax, math.Abs(r.At(j, j)))
-		}
-		got := 0
-		for j := 0; j < r.Cols(); j++ {
-			if math.Abs(r.At(j, j)) > 1e-12*rmax {
-				got++
-			}
-		}
+		got := qrRank(n.MeasurementMatrix(n.Reactances()))
 		if got != n.N()-1 {
 			t.Errorf("%s: rank(H) = %d, want %d", n.Name, got, n.N()-1)
 		}

@@ -10,12 +10,13 @@
 //
 // Test systems live as pure data in the internal/grid/cases subpackage and
 // are served through Cases, CaseNames and CaseByName (plus the historical
-// Case4GS/CaseIEEE14/... constructors). Five cases are embedded: the
+// Case4GS/CaseIEEE14/... constructors). Six cases are embedded: the
 // MATPOWER 4-bus case (case4gs) of the paper's motivating example, the
 // IEEE 14-bus case with the paper's Table-IV economics, the IEEE 30-bus
 // case of the scalability experiment, and — beyond the paper's own sizes —
 // the IEEE 57- and 118-bus systems with calibrated line ratings (see
-// cmd/calibcase).
+// cmd/calibcase) and a 300-bus three-area system reconstructed at IEEE-300
+// scale (ieee300, generated by cmd/gencase300).
 //
 // # Factorization backends
 //

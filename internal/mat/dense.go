@@ -168,19 +168,6 @@ func MulVecT(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// HStackVec returns [a v] where v is appended as one extra column.
-func HStackVec(a *Dense, v []float64) *Dense {
-	if a.rows != len(v) {
-		panic(ErrShape)
-	}
-	out := NewDense(a.rows, a.cols+1)
-	for i := 0; i < a.rows; i++ {
-		copy(out.data[i*out.cols:], a.data[i*a.cols:(i+1)*a.cols])
-		out.data[i*out.cols+a.cols] = v[i]
-	}
-	return out
-}
-
 // Submatrix returns the block of m with rows [r0, r1) and columns [c0, c1).
 func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {

@@ -145,14 +145,6 @@ func TestRowColAccessors(t *testing.T) {
 	}
 }
 
-func TestStacking(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	hv := HStackVec(a, []float64{9, 10})
-	if hv.Cols() != 3 || hv.At(0, 2) != 9 || hv.At(1, 2) != 10 {
-		t.Errorf("HStackVec wrong: %v", hv)
-	}
-}
-
 func TestSubmatrixAndDropCol(t *testing.T) {
 	m := NewDenseFrom(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	s := m.Submatrix(1, 3, 0, 2)

@@ -115,36 +115,3 @@ func ComputeQR(a *Dense) *QR {
 	}
 	return &QR{Q: q, R: rr}
 }
-
-// Rank returns the numerical rank of a: the number of singular values
-// exceeding tol times the largest singular value. If tol <= 0 a default of
-// 1e-10 is used.
-func Rank(a *Dense, tol float64) int {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	work := a
-	if a.rows < a.cols {
-		work = a.T()
-	}
-	sv := SingularValues(work)
-	if len(sv) == 0 {
-		return 0
-	}
-	smax := sv[0]
-	for _, s := range sv[1:] {
-		if s > smax {
-			smax = s
-		}
-	}
-	if smax == 0 {
-		return 0
-	}
-	r := 0
-	for _, s := range sv {
-		if s > tol*smax {
-			r++
-		}
-	}
-	return r
-}

@@ -110,15 +110,6 @@ func ComputeSVD(a *Dense) *SVD {
 	return &SVD{U: outU, S: s, V: outV}
 }
 
-// SingularValues returns the singular values of a (rows >= cols required)
-// in descending order.
-func SingularValues(a *Dense) []float64 {
-	if a.cols == 0 {
-		return nil
-	}
-	return ComputeSVD(a).S
-}
-
 // SVDWorkspace holds the scratch buffers for repeated singular-value-only
 // computations. The zero value is ready to use; buffers grow on demand and
 // are reused across calls, so steady-state calls allocate nothing.

@@ -11,7 +11,7 @@ import (
 func TestComputeSVDKnown(t *testing.T) {
 	// diag(1, 3, 2) has singular values 3, 2, 1.
 	a := NewDenseFrom(3, 3, []float64{1, 0, 0, 0, 3, 0, 0, 0, 2})
-	sv := SingularValues(a)
+	sv := new(SVDWorkspace).SingularValues(a)
 	want := []float64{3, 2, 1}
 	if !VecEqual(sv, want, 1e-12) {
 		t.Fatalf("singular values = %v, want %v", sv, want)
@@ -62,7 +62,7 @@ func TestSVDRankDeficient(t *testing.T) {
 		a.Set(i, 1, base.At(i, 1))
 		a.Set(i, 2, base.At(i, 0)-base.At(i, 1))
 	}
-	sv := SingularValues(a)
+	sv := new(SVDWorkspace).SingularValues(a)
 	if sv[2] > 1e-10*sv[0] {
 		t.Errorf("expected third singular value ~0, got %v (largest %v)", sv[2], sv[0])
 	}
@@ -71,14 +71,14 @@ func TestSVDRankDeficient(t *testing.T) {
 func TestSVDSingularValuesMatchEigenvalues(t *testing.T) {
 	// For A = [[2, 0], [0, -5]], singular values are 5 and 2.
 	a := NewDenseFrom(2, 2, []float64{2, 0, 0, -5})
-	sv := SingularValues(a)
+	sv := new(SVDWorkspace).SingularValues(a)
 	if !VecEqual(sv, []float64{5, 2}, 1e-12) {
 		t.Fatalf("singular values = %v, want [5 2]", sv)
 	}
 }
 
 func TestSingularValuesEmpty(t *testing.T) {
-	if sv := SingularValues(NewDense(3, 0)); len(sv) != 0 {
+	if sv := new(SVDWorkspace).SingularValues(NewDense(3, 0)); len(sv) != 0 {
 		t.Fatalf("expected no singular values, got %v", sv)
 	}
 }
@@ -99,7 +99,7 @@ func TestQuickSVDFrobenius(t *testing.T) {
 		n := 1 + r.Intn(5)
 		m := n + r.Intn(8)
 		a := randomDense(r, m, n)
-		sv := SingularValues(a)
+		sv := new(SVDWorkspace).SingularValues(a)
 		var ss float64
 		for _, s := range sv {
 			ss += s * s
@@ -122,8 +122,8 @@ func TestQuickSVDRotationInvariance(t *testing.T) {
 		theta := r.Float64() * 2 * math.Pi
 		c, s := math.Cos(theta), math.Sin(theta)
 		rot := NewDenseFrom(2, 2, []float64{c, -s, s, c})
-		sv1 := SingularValues(a)
-		sv2 := SingularValues(mul(a, rot))
+		sv1 := new(SVDWorkspace).SingularValues(a)
+		sv2 := new(SVDWorkspace).SingularValues(mul(a, rot))
 		return VecEqual(sv1, sv2, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

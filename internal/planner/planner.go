@@ -163,9 +163,6 @@ func checkStatistics(sigma, alpha float64) error {
 
 // Config tunes a Planner.
 type Config struct {
-	// Backend forces the dispatch engines' linear-algebra backend
-	// (AutoBackend picks by case size).
-	Backend grid.Backend
 	// MaxCases bounds the case LRU (default 8 (case, scale) entries).
 	MaxCases int
 	// MaxResults bounds the response memo LRU (default 256).
@@ -602,7 +599,6 @@ func (p *Planner) computeSelect(req SelectRequest) (*SelectResponse, error) {
 	res, err := p.runner.Run(scenario.Spec{
 		Kind:            scenario.GammaSweep,
 		Net:             n,
-		Backend:         p.cfg.Backend,
 		XOld:            req.XOld,
 		GammaGrid:       gammaGrid,
 		CapWithMaxGamma: req.MaxGamma,
@@ -807,7 +803,6 @@ func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 		res, err := p.runner.Run(scenario.Spec{
 			Kind:       scenario.DaySweep,
 			Net:        n,
-			Backend:    p.cfg.Backend,
 			Hours:      req.Hours,
 			PeakLoadMW: req.PeakLoadMW,
 			Warmup:     true,
@@ -887,9 +882,8 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 			return nil, err
 		}
 		res, err := p.runner.Run(scenario.Spec{
-			Kind:    scenario.Placement,
-			Net:     n,
-			Backend: p.cfg.Backend,
+			Kind: scenario.Placement,
+			Net:  n,
 			Placement: scenario.PlacementSpec{
 				Devices: req.Devices, Pool: req.Pool, AllBranches: req.AllBranches,
 			},

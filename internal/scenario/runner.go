@@ -10,6 +10,7 @@ import (
 	"gridmtd/internal/memo"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/sim"
+	"gridmtd/internal/subspace"
 )
 
 // maxCachedEngines bounds the Runner's per-network dispatch-engine cache
@@ -60,9 +61,9 @@ func (r *Runner) Run(spec Spec) (*Result, error) {
 
 // dispatchEngine returns the runner's shared dispatch-OPF engine for the
 // caller-owned network n (built on first use, cached by pointer).
-func (r *Runner) dispatchEngine(n *grid.Network, backend grid.Backend) (*opf.DispatchEngine, error) {
+func (r *Runner) dispatchEngine(n *grid.Network) (*opf.DispatchEngine, error) {
 	e, _, err := r.engines.Do(n, func() (*opf.DispatchEngine, error) {
-		return opf.NewDispatchEngineBackend(n, backend)
+		return opf.NewDispatchEngine(n)
 	})
 	return e, err
 }
@@ -162,9 +163,9 @@ func (st *execState) engineFor() (*opf.DispatchEngine, error) {
 	var e *opf.DispatchEngine
 	var err error
 	if st.owned {
-		e, err = opf.NewDispatchEngineBackend(st.n, st.spec.Backend)
+		e, err = opf.NewDispatchEngine(st.n)
 	} else {
-		e, err = st.r.dispatchEngine(st.n, st.spec.Backend)
+		e, err = st.r.dispatchEngine(st.n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: dispatch engine: %w", err)
@@ -347,54 +348,109 @@ func (st *execState) appendSelection(sel *core.Selection, target float64) error 
 
 // ---- DaySweep -------------------------------------------------------------
 
-// runDay executes the Section VII-C day loop (sim.RunDay builds one
-// dispatch engine for the whole day) and maps the hourly records to rows
-// labeled with their profile indices.
+// runDay executes the Section VII-C day loop. For each selected hour it:
+//  1. scales the loads and solves problem (1) for the no-MTD reactances
+//     x_t' and reference cost C_OPF,t';
+//  2. takes the attacker's knowledge H_t from the previous hour's no-MTD
+//     configuration (one-hour-stale knowledge, Section VII-C);
+//  3. tunes γ_th so the selected MTD achieves the target effectiveness and
+//     solves problem (4);
+//  4. records costs and the three principal angles of Fig. 11.
+//
+// Warmup first solves the first selected hour's no-MTD OPF once,
+// unrecorded, so hour 0's attacker knowledge is stale like every other
+// hour's (the trace begins mid-operation, not at commissioning); without
+// it the first hour's own configuration is the attacker's knowledge
+// (γ = 0 drift), matching the paper's first sample. Step h of the loop,
+// warm-up included, seeds its solvers with Seed + h.
+//
+// One private clone of the network and one dispatch engine serve the whole
+// day: the engine reads loads fresh on every solve and takes the reactances
+// as an explicit argument, so the LP skeleton, the factorizer workspaces
+// and (on the sparse path) the seed simplex basis are built once per day
+// instead of once per hour. Only the γ engine is rebuilt hourly, because
+// it is keyed by the attacker's (hourly-moving) knowledge x_t.
 func (st *execState) runDay() error {
 	spec := st.spec
 	factors, err := spec.profileFactors(st.n)
 	if err != nil {
 		return err
 	}
-	hourIdx := spec.Hours
-	selected := factors
-	if len(hourIdx) > 0 {
-		selected = make([]float64, 0, len(hourIdx))
-		for _, h := range hourIdx {
-			if h < 0 || h >= len(factors) {
-				return fmt.Errorf("scenario: hour index %d out of range", h)
-			}
-			selected = append(selected, factors[h])
-		}
-	} else {
-		hourIdx = make([]int, len(factors))
+	hours := spec.Hours
+	if len(hours) == 0 {
+		hours = make([]int, len(factors))
 		for i := range factors {
-			hourIdx[i] = i
+			hours[i] = i
 		}
 	}
-	results, err := sim.RunDay(sim.DayConfig{
-		Net:         st.n,
-		LoadFactors: selected,
-		Tune:        spec.Tune,
-		OPFStarts:   spec.OPFStarts,
-		Warmup:      spec.Warmup,
-		Seed:        spec.Seed,
-	})
+	for _, h := range hours {
+		if h < 0 || h >= len(factors) {
+			return fmt.Errorf("scenario: hour index %d out of range", h)
+		}
+	}
+	steps := hours
+	if spec.Warmup {
+		steps = append([]int{hours[0]}, hours...)
+	}
+	opfStarts := spec.OPFStarts
+	if opfStarts <= 0 {
+		opfStarts = 8
+	}
+	st.ensureOwned()
+	eng, err := st.engineFor()
 	if err != nil {
 		return err
 	}
-	for i, r := range results {
+	base := st.n.LoadsMW()
+
+	// The previous step's no-MTD configuration and its measurements: the
+	// attacker's knowledge. Each hour's OPF searches from the case's
+	// nominal reactances, not from where the last MTD left the devices.
+	var prevX, prevZ []float64
+	for h, hour := range steps {
+		st.setScaledLoads(base, factors[hour])
+		seed := spec.Seed + int64(h)
+
+		noMTD, err := opf.SolveDFACTSEngine(eng, opf.DFACTSConfig{Starts: opfStarts, Seed: seed})
+		if err != nil {
+			return fmt.Errorf("scenario: hour %d no-MTD OPF: %w", hour, err)
+		}
+		zNow, err := core.OperatingMeasurementsWith(eng, noMTD.Reactances)
+		if err != nil {
+			return fmt.Errorf("scenario: hour %d operating point: %w", hour, err)
+		}
+		xOld, zOld := prevX, prevZ
+		prevX, prevZ = noMTD.Reactances, zNow
+		if spec.Warmup && h == 0 {
+			continue // the warm-up hour only sets the next hour's knowledge
+		}
+		if xOld == nil {
+			xOld, zOld = noMTD.Reactances, zNow
+		}
+
+		tune := spec.Tune
+		tune.Select.BaselineCost = noMTD.CostPerHour
+		tune.Select.Seed = seed
+		tune.Effectiveness.Seed = seed
+		sel, eff, err := core.TuneGammaThresholdWith(eng, st.n, xOld, zOld, tune)
+		if err != nil {
+			return fmt.Errorf("scenario: hour %d MTD selection: %w", hour, err)
+		}
+
+		hOld := st.n.MeasurementMatrix(xOld)
+		hNow := st.n.MeasurementMatrix(noMTD.Reactances)
+		hMTD := st.n.MeasurementMatrix(sel.Reactances)
 		st.res.Rows = append(st.res.Rows, Row{
-			Hour:           hourIdx[i],
-			TotalLoadMW:    r.TotalLoadMW,
-			BaselineCost:   r.BaselineCost,
-			MTDCost:        r.MTDCost,
-			CostIncrease:   r.CostIncrease,
-			GammaThreshold: r.GammaThreshold,
-			Gamma:          r.GammaOldMTD,
-			GammaOldNew:    r.GammaOldNew,
-			GammaNewMTD:    r.GammaNewMTD,
-			Eta:            []float64{r.Eta},
+			Hour:           hour,
+			TotalLoadMW:    st.n.TotalLoadMW(),
+			BaselineCost:   noMTD.CostPerHour,
+			MTDCost:        sel.OPF.CostPerHour,
+			CostIncrease:   core.OperationalCost(noMTD.CostPerHour, sel.OPF.CostPerHour),
+			GammaThreshold: sel.Gamma,
+			Gamma:          subspace.Gamma(hOld, hMTD),
+			GammaOldNew:    subspace.Gamma(hOld, hNow),
+			GammaNewMTD:    subspace.Gamma(hNow, hMTD),
+			Eta:            []float64{eff.Eta[0]},
 		})
 	}
 	return nil

@@ -89,28 +89,22 @@ type PlacementSpec struct {
 	EtaMax float64
 }
 
-// Spec declaratively describes one study. Exactly one of Case, Network or
-// Net selects the grid; the remaining fields parameterize the workload of
-// the chosen Kind (fields of other kinds are ignored). The zero budget
-// values inherit the solvers' defaults, exactly as the historical bespoke
-// loops did.
+// Spec declaratively describes one study. Exactly one of Case or Net
+// selects the grid; the remaining fields parameterize the workload of the
+// chosen Kind (fields of other kinds are ignored). The zero budget values
+// inherit the solvers' defaults, exactly as the historical bespoke loops
+// did. Every engine follows the process-wide linear-algebra backend
+// (grid.SetDefaultBackend), which the commands configure from -backend.
 type Spec struct {
 	Kind Kind
 
 	// Case names a registered case (resolved via grid.CaseByName).
 	Case string
-	// Network builds the grid explicitly (the experiments' case overrides).
-	Network func() *grid.Network
 	// Net is a pre-built network owned by the caller (the planner service's
 	// LRU entries). The runner never mutates it: load-changing workloads
 	// run on a private clone, and engine reuse across Runs is keyed on this
 	// pointer.
 	Net *grid.Network
-
-	// Backend optionally forces the dispatch engine's linear-algebra
-	// backend. The γ kernels follow the process-wide default
-	// (grid.SetDefaultBackend), which the commands configure from -backend.
-	Backend grid.Backend
 
 	// LoadScale, when set (≠ 0 and ≠ 1), multiplies every bus load before
 	// anything runs (mtdscan -scale, the tradeoff example's 6 PM point).
@@ -131,11 +125,13 @@ type Spec struct {
 	XOld []float64
 	// Hours restricts a DaySweep to these profile indices (nil = all 24).
 	Hours []int
-	// Warmup runs a DaySweep's first hour once, unrecorded (sim.DayConfig).
+	// Warmup runs a DaySweep's first hour once, unrecorded, so the first
+	// recorded hour's attacker knowledge is stale like every other hour's.
 	Warmup bool
 
 	// OPFStarts, OPFMaxEvals and OPFSeed budget the problem-(1) solves
-	// (the pre-perturbation operating points).
+	// (the pre-perturbation operating points). A DaySweep's hourly solves
+	// read only OPFStarts (default 8) and seed each hour from Seed.
 	OPFStarts   int
 	OPFMaxEvals int
 	OPFSeed     int64
@@ -194,7 +190,15 @@ type Row struct {
 	// Reactances is the full post-MTD reactance vector (sweep points, keys).
 	Reactances []float64
 
-	// Hour and the daily metrics mirror sim.HourResult (DaySweep).
+	// Hour is a DaySweep row's profile index (0 = 1 AM ... 23 = 12 AM) and
+	// TotalLoadMW the system demand that hour. BaselineCost is the no-MTD
+	// problem-(1) cost C_OPF,t' and MTDCost the cost C'_OPF,t' under the
+	// selected perturbation (sweep points carry both too). GammaThreshold
+	// is the hour's tuned γ_th. On a DaySweep row, Gamma is γ(H_t, H'_t')
+	// (attacker knowledge vs applied MTD), GammaOldNew is γ(H_t, H_t') (the
+	// natural hour-over-hour drift, ≈ 0 in Fig. 11), GammaNewMTD is
+	// γ(H_t', H'_t') (tracks Gamma, the paper's approximation), and Eta
+	// holds the achieved η'(δ*) alone.
 	Hour           int
 	TotalLoadMW    float64
 	BaselineCost   float64
@@ -235,7 +239,8 @@ type LearningInfo struct {
 // Result is one executed Spec.
 type Result struct {
 	// Net is the network the study ran on (with any LoadScale / profile
-	// hour applied) — callers render labels and totals from it.
+	// hour applied; a DaySweep leaves its last hour's loads) — callers
+	// render labels and totals from it.
 	Net *grid.Network
 	// Baseline is the pre-perturbation problem-(1) solution (nil for kinds
 	// without one).
@@ -260,14 +265,11 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	if s.Network != nil {
-		selectors++
-	}
 	if s.Net != nil {
 		selectors++
 	}
 	if selectors != 1 {
-		return errors.New("scenario: exactly one of Case, Network or Net must select the grid")
+		return errors.New("scenario: exactly one of Case or Net must select the grid")
 	}
 	switch s.Kind {
 	case GammaSweep:
@@ -291,15 +293,11 @@ func (s Spec) Validate() error {
 // network resolves the Spec's grid. owned reports whether the runner may
 // mutate it (fresh constructions are owned; a caller-provided Net is not).
 func (s Spec) network() (n *grid.Network, owned bool, err error) {
-	switch {
-	case s.Case != "":
+	if s.Case != "" {
 		n, err = grid.CaseByName(s.Case)
 		return n, true, err
-	case s.Network != nil:
-		return s.Network(), true, nil
-	default:
-		return s.Net, false, nil
 	}
+	return s.Net, false, nil
 }
 
 // profileFactors returns the Spec's hourly load factors: the embedded NY

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -217,11 +218,11 @@ func TestRunnerEngineReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	e1, err := r.dispatchEngine(n, 0)
+	e1, err := r.dispatchEngine(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := r.dispatchEngine(n, 0)
+	e2, err := r.dispatchEngine(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestRunnerEngineReuse(t *testing.T) {
 	if _, err := r.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := r.dispatchEngine(n, 0)
+	e3, err := r.dispatchEngine(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,5 +329,136 @@ func TestGammaSweepMaxGammaOnly(t *testing.T) {
 					row.CostIncrease, row.Reactances, want.CostIncrease, want.Reactances)
 			}
 		})
+	}
+}
+
+// fastTune returns a reduced-budget tuning config that keeps the day loop
+// tests affordable while exercising every code path.
+func fastTune() core.TuneConfig {
+	return core.TuneConfig{
+		TargetDelta:   0.9,
+		TargetEta:     0.9,
+		Iterations:    2,
+		Effectiveness: core.EffectivenessConfig{NumAttacks: 80},
+		Select:        core.SelectConfig{Starts: 2},
+	}
+}
+
+// TestDaySweepShortHorizon runs three representative hours of the ieee14
+// day at a 220 MW peak — trough (3 AM), shoulder (9 AM) and peak (6 PM) —
+// and checks each hour's costs, effectiveness and principal angles.
+func TestDaySweepShortHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daily loop is expensive")
+	}
+	hours := []int{2, 8, 17}
+	res, err := NewRunner().Run(Spec{
+		Kind:       DaySweep,
+		Case:       "ieee14",
+		PeakLoadMW: 220,
+		Hours:      hours,
+		Tune:       fastTune(),
+		OPFStarts:  4,
+		Seed:       21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Rows
+	if len(rows) != 3 {
+		t.Fatalf("got %d hourly rows", len(rows))
+	}
+	for i, r := range rows {
+		if r.Hour != hours[i] {
+			t.Errorf("hour %d mislabelled as %d", hours[i], r.Hour)
+		}
+		if r.MTDCost < r.BaselineCost-1e-6 {
+			t.Errorf("hour %d: MTD cost %v below baseline %v", r.Hour, r.MTDCost, r.BaselineCost)
+		}
+		if r.CostIncrease < 0 {
+			t.Errorf("hour %d: negative cost increase", r.Hour)
+		}
+		if r.Eta[0] <= 0 || r.Eta[0] > 1 {
+			t.Errorf("hour %d: eta = %v out of range", r.Hour, r.Eta[0])
+		}
+		if r.Gamma <= 0 && i > 0 {
+			t.Errorf("hour %d: no subspace separation achieved", r.Hour)
+		}
+		// Fig. 11's approximation: γ(H_t, H'_t') ≈ γ(H_t', H'_t') whenever
+		// the natural drift γ(H_t, H_t') is small.
+		if i > 0 && r.GammaOldNew < 0.02 {
+			if math.Abs(r.Gamma-r.GammaNewMTD) > 0.1 {
+				t.Errorf("hour %d: approximation gap %v too large (γOldNew=%v)",
+					r.Hour, math.Abs(r.Gamma-r.GammaNewMTD), r.GammaOldNew)
+			}
+		}
+	}
+	// Load ordering carried through.
+	if !(rows[0].TotalLoadMW < rows[1].TotalLoadMW && rows[1].TotalLoadMW < rows[2].TotalLoadMW) {
+		t.Error("load factors not applied in order")
+	}
+}
+
+// TestDaySweepValidation pins the day sweep's error surface: a Spec
+// without a grid and profile indices outside the 24-hour trace.
+func TestDaySweepValidation(t *testing.T) {
+	if _, err := NewRunner().Run(Spec{Kind: DaySweep}); err == nil {
+		t.Error("day sweep without a grid accepted")
+	}
+	for _, h := range []int{-1, 24} {
+		if _, err := NewRunner().Run(Spec{Kind: DaySweep, Case: "ieee14", Hours: []int{2, h}}); err == nil {
+			t.Errorf("hour index %d accepted", h)
+		}
+	}
+}
+
+// TestDaySweepLeavesCallerNetAlone pins the day loop's private clone: a
+// DaySweep on a caller-owned network gives bitwise the rows of the same
+// Spec run by case name, leaves the network's loads untouched, and leaves
+// the runner's cached engine for it serving the same GammaSweep as a fresh
+// runner's.
+func TestDaySweepLeavesCallerNetAlone(t *testing.T) {
+	day := Spec{
+		Kind:      DaySweep,
+		Case:      "ieee14",
+		Hours:     []int{8, 17},
+		Warmup:    true,
+		Tune:      fastTune(),
+		OPFStarts: 2,
+		Seed:      5,
+	}
+	byCase, err := NewRunner().Run(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := grid.CaseByName("ieee14")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := n.LoadsMW()
+	r := NewRunner()
+	day.Case, day.Net = "", n
+	byNet, err := r.Run(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byNet.Rows, byCase.Rows) {
+		t.Errorf("day sweep on a caller-owned network differs from the case-name run:\nnet  %+v\ncase %+v", byNet.Rows, byCase.Rows)
+	}
+	if got := n.LoadsMW(); !reflect.DeepEqual(got, loads) {
+		t.Errorf("day sweep changed the caller's loads: %v, want %v", got, loads)
+	}
+	sweep := sweepSpec("")
+	sweep.Case, sweep.Net = "", n
+	same, err := r.Run(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRunner().Run(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(same.Rows, fresh.Rows) {
+		t.Error("a GammaSweep after the day sweep differs from the same sweep on a fresh runner")
 	}
 }

@@ -1,3 +1,9 @@
+// Package sim models the attacker's side of the paper's Section IV-A
+// argument: subspace learning of Col(H) from eavesdropped measurements
+// (Kim, Tong & Thomas), which needs many load-diverse samples, and the
+// staleness one MTD perturbation induces in the learned model. The
+// scenario runner's Learning workload drives it; the Section VII-C
+// operating day lives in the runner's DaySweep.
 package sim
 
 import (

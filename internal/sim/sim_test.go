@@ -4,90 +4,10 @@ import (
 	"math"
 	"testing"
 
-	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
-	"gridmtd/internal/loadprofile"
 	"gridmtd/internal/mat"
 	"gridmtd/internal/subspace"
 )
-
-// fastTune returns a reduced-budget tuning config that keeps the day loop
-// test affordable while exercising every code path.
-func fastTune() core.TuneConfig {
-	return core.TuneConfig{
-		TargetDelta: 0.9,
-		TargetEta:   0.9,
-		Iterations:  2,
-		Effectiveness: core.EffectivenessConfig{
-			NumAttacks: 80,
-		},
-		Select: core.SelectConfig{Starts: 2},
-	}
-}
-
-func TestRunDayShortHorizon(t *testing.T) {
-	if testing.Short() {
-		t.Skip("daily loop is expensive")
-	}
-	n := grid.CaseIEEE14()
-	factors, err := loadprofile.ScaleToPeak(loadprofile.NYWinterWeekday(), n.TotalLoadMW(), 220)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three representative hours: trough (3 AM), shoulder (9 AM), peak (6 PM).
-	sel := []float64{factors[2], factors[8], factors[17]}
-	results, err := RunDay(DayConfig{
-		Net:         n,
-		LoadFactors: sel,
-		Tune:        fastTune(),
-		OPFStarts:   4,
-		Seed:        21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d hourly results", len(results))
-	}
-	for i, r := range results {
-		if r.Hour != i {
-			t.Errorf("hour %d mislabelled as %d", i, r.Hour)
-		}
-		if r.MTDCost < r.BaselineCost-1e-6 {
-			t.Errorf("hour %d: MTD cost %v below baseline %v", i, r.MTDCost, r.BaselineCost)
-		}
-		if r.CostIncrease < 0 {
-			t.Errorf("hour %d: negative cost increase", i)
-		}
-		if r.Eta <= 0 || r.Eta > 1 {
-			t.Errorf("hour %d: eta = %v out of range", i, r.Eta)
-		}
-		if r.GammaOldMTD <= 0 && i > 0 {
-			t.Errorf("hour %d: no subspace separation achieved", i)
-		}
-		// Fig. 11's approximation: γ(H_t, H'_t') ≈ γ(H_t', H'_t') whenever
-		// the natural drift γ(H_t, H_t') is small.
-		if i > 0 && r.GammaOldNew < 0.02 {
-			if math.Abs(r.GammaOldMTD-r.GammaNewMTD) > 0.1 {
-				t.Errorf("hour %d: approximation gap %v too large (γOldNew=%v)",
-					i, math.Abs(r.GammaOldMTD-r.GammaNewMTD), r.GammaOldNew)
-			}
-		}
-	}
-	// Load ordering carried through.
-	if !(results[0].TotalLoadMW < results[1].TotalLoadMW && results[1].TotalLoadMW < results[2].TotalLoadMW) {
-		t.Error("load factors not applied in order")
-	}
-}
-
-func TestRunDayValidation(t *testing.T) {
-	if _, err := RunDay(DayConfig{}); err == nil {
-		t.Error("expected error for nil network")
-	}
-	if _, err := RunDay(DayConfig{Net: grid.CaseIEEE14()}); err == nil {
-		t.Error("expected error for empty profile")
-	}
-}
 
 func TestEstimateColumnSpaceExact(t *testing.T) {
 	// Noise-free samples spanning the space recover it exactly.
