@@ -167,3 +167,23 @@ func TestSparseDaySweepSolvesOnRevisedPath(t *testing.T) {
 		t.Fatalf("%d solves: %d cold, %d fallbacks; want 0 and 0", d.Solves, d.ColdSolves, d.Fallbacks)
 	}
 }
+
+// TestSparseTradeoff118HasNoFallbacks pins the same route on ieee118's
+// fig9 tradeoff, whose seeded starts most often need a flow-limit slack
+// flipped between its bounds: every LP solves on the revised path from
+// the start it is given, with no abandoned attempt and no flat-tableau
+// solve. It reads the process-wide counters, so it must not run in
+// parallel with other tests.
+func TestSparseTradeoff118HasNoFallbacks(t *testing.T) {
+	before := gridmtd.GlobalLPStats()
+	if err := run([]string{"-exp", "fig9", "-case", "ieee118", "-quick"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	d := gridmtd.GlobalLPStats().Delta(before)
+	if d.Solves == 0 {
+		t.Fatal("no dispatch LP solved")
+	}
+	if d.ColdSolves != 0 || d.Fallbacks != 0 {
+		t.Fatalf("%d solves: %d cold, %d fallbacks; want 0 and 0", d.Solves, d.ColdSolves, d.Fallbacks)
+	}
+}

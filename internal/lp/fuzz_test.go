@@ -19,8 +19,11 @@ import (
 // the way a reactance change moves a PTDF row: a nonzero byte b adds
 // (j+1)/n · int8(b)/32 to coefficient j of row b mod nUb. A right-hand
 // side change leaves the base's optimal basis dual feasible; a tilted row
-// can make it dual infeasible. Bytes past the end read as 0, and a zero
-// byte changes nothing.
+// can make it dual infeasible. Last, one byte per inequality row makes it
+// ranged in every problem: a nonzero byte b gives the row the lower bound
+// Lub = Bub − ((b−1) mod 8)/2 (so b = 1 gives Lub = Bub), and a ranged
+// row's slack can flip between its bounds where a one-sided row's cannot.
+// Bytes past the end read as 0, and a zero byte changes nothing.
 type fuzzLP struct {
 	data []byte
 }
@@ -101,6 +104,21 @@ func (d *fuzzLP) decode() []*Problem {
 			q.Aub.Set(r, j, q.Aub.At(r, j)+float64(j+1)/float64(n)*float64(int8(b))/32)
 		}
 	}
+	for i := range nUb {
+		b := d.next()
+		if b == 0 {
+			continue
+		}
+		for _, q := range probs {
+			if q.Lub == nil {
+				q.Lub = make([]float64, nUb)
+				for r := range q.Lub {
+					q.Lub[r] = math.Inf(-1)
+				}
+			}
+			q.Lub[i] = q.Bub[i] - float64((b-1)%8)/2
+		}
+	}
 	return probs
 }
 
@@ -119,11 +137,11 @@ func lpStatus(err error) Status {
 }
 
 // FuzzRevisedAgreesWithTableau decodes a small bounded LP and variants of
-// it with perturbed right-hand sides and tilted inequality rows, and
-// drives one RevisedSolver through the dispatch engine's start pattern:
-// the base problem from the crash basis, whose final basis is captured,
-// then every variant both from that basis and from the crash basis.
-// Every answer must carry the flat tableau Solver's status and, when
+// it with perturbed right-hand sides, tilted inequality rows and ranged
+// rows, and drives one RevisedSolver through the dispatch engine's start
+// pattern: the base problem from the crash basis, whose final basis is
+// captured, then every variant both from that basis and from the crash
+// basis. Every answer must carry the flat tableau Solver's status and, when
 // optimal, its objective to 1e-9 relative, and every Farkas pre-screen hit
 // must be an infeasibility the tableau confirms. Finally the last variant
 // is solved from the captured basis again after another solve in between,

@@ -3,7 +3,7 @@
 //
 //	min  cᵀx
 //	s.t. Aeq·x  = beq
-//	     Aub·x <= bub
+//	     lub <= Aub·x <= bub
 //	     lower <= x <= upper
 //
 // It is the workhorse behind the DC optimal power flow: with linear
@@ -75,14 +75,19 @@ var ErrUnbounded = errors.New("lp: problem is unbounded")
 var ErrMaxIterations = errors.New("lp: iteration limit exceeded")
 
 // Problem is an LP in the general form documented at the package level.
-// Aeq/Beq and Aub/Bub may be nil (no constraints of that kind). Lower and
-// Upper may be nil (interpreted as -Inf/+Inf) or contain ±Inf entries.
+// Aeq/Beq and Aub/Bub may be nil (no constraints of that kind). Lub holds
+// the row lower bounds of Aub: nil makes every Aub row one-sided, and a
+// -Inf entry makes that row one-sided. A ranged row (finite Lub) is one
+// row with a boxed slack on the revised path; the flat Solver expands it
+// into the pair Aub_i·x <= Bub_i, −Aub_i·x <= −Lub_i. Lower and Upper may
+// be nil (interpreted as -Inf/+Inf) or contain ±Inf entries.
 type Problem struct {
 	C     []float64
 	Aeq   *mat.Dense
 	Beq   []float64
 	Aub   *mat.Dense
 	Bub   []float64
+	Lub   []float64
 	Lower []float64
 	Upper []float64
 }
@@ -120,6 +125,19 @@ func (p *Problem) Validate() error {
 	} else if len(p.Bub) != 0 {
 		return errors.New("lp: Bub without Aub")
 	}
+	if p.Lub != nil {
+		if p.Aub == nil {
+			return errors.New("lp: Lub without Aub")
+		}
+		if len(p.Lub) != p.Aub.Rows() {
+			return fmt.Errorf("lp: Lub has length %d, want %d", len(p.Lub), p.Aub.Rows())
+		}
+		for i, l := range p.Lub {
+			if l > p.Bub[i] {
+				return fmt.Errorf("lp: row %d has lower bound %g > upper bound %g", i, l, p.Bub[i])
+			}
+		}
+	}
 	if p.Lower != nil && len(p.Lower) != n {
 		return fmt.Errorf("lp: Lower has length %d, want %d", len(p.Lower), n)
 	}
@@ -144,6 +162,15 @@ func (p *Problem) bound(j int) (lo, up float64) {
 		up = p.Upper[j]
 	}
 	return lo, up
+}
+
+// rowLower returns the lower bound of Aub row i, -Inf when the row is
+// one-sided.
+func (p *Problem) rowLower(i int) float64 {
+	if p.Lub == nil {
+		return math.Inf(-1)
+	}
+	return p.Lub[i]
 }
 
 // Solve solves the problem. On success Status is StatusOptimal; otherwise

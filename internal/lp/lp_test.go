@@ -180,13 +180,16 @@ func TestValidateErrors(t *testing.T) {
 		{},                                   // empty objective
 		{C: []float64{1}, Beq: []float64{1}}, // Beq without Aeq
 		{C: []float64{1}, Bub: []float64{1}}, // Bub without Aub
-		{C: []float64{1}, Aeq: mat.NewDense(1, 2), Beq: []float64{0}},       // Aeq shape
-		{C: []float64{1}, Aeq: mat.NewDense(2, 1), Beq: []float64{0}},       // Beq length
-		{C: []float64{1}, Lower: []float64{1, 2}},                           // Lower length
-		{C: []float64{1}, Upper: []float64{1, 2}},                           // Upper length
-		{C: []float64{1}, Lower: []float64{2}, Upper: []float64{1}},         // crossed bounds
-		{C: []float64{1, 2}, Aub: mat.NewDense(1, 2), Bub: []float64{0, 1}}, // Bub length
-		{C: []float64{1, 2}, Aub: mat.NewDense(1, 3), Bub: []float64{0}},    // Aub shape
+		{C: []float64{1}, Aeq: mat.NewDense(1, 2), Beq: []float64{0}},                          // Aeq shape
+		{C: []float64{1}, Aeq: mat.NewDense(2, 1), Beq: []float64{0}},                          // Beq length
+		{C: []float64{1}, Lower: []float64{1, 2}},                                              // Lower length
+		{C: []float64{1}, Upper: []float64{1, 2}},                                              // Upper length
+		{C: []float64{1}, Lower: []float64{2}, Upper: []float64{1}},                            // crossed bounds
+		{C: []float64{1, 2}, Aub: mat.NewDense(1, 2), Bub: []float64{0, 1}},                    // Bub length
+		{C: []float64{1, 2}, Aub: mat.NewDense(1, 3), Bub: []float64{0}},                       // Aub shape
+		{C: []float64{1, 2}, Aub: mat.NewDense(1, 2), Bub: []float64{0}, Lub: []float64{0, 0}}, // Lub length
+		{C: []float64{1}, Lub: []float64{0}},                                                   // Lub without Aub
+		{C: []float64{1, 2}, Aub: mat.NewDense(1, 2), Bub: []float64{0}, Lub: []float64{1}},    // Lub > Bub
 	}
 	for i, p := range cases {
 		if _, err := Solve(p); err == nil {

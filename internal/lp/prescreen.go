@@ -8,9 +8,11 @@ import (
 
 // Farkas-ray recycling: when the dual simplex certifies a problem
 // infeasible it does so by exhibiting a row-multiplier vector y (the dual
-// ray at the violated row) with y ≥ 0 on the inequality rows such that the
-// implied valid inequality (yᵀA)·x ≤ yᵀb cannot be met by any x inside the
-// variable bounds. That certificate is a property of (A, b, lo, up) alone,
+// ray at the violated row) such that the implied valid inequality
+// (yᵀA)·x ≤ yᵀb cannot be met by any x inside the variable bounds. On an
+// inequality row, y_r ≥ 0 pairs with the row's upper side Bub_r, and a
+// ranged row may also carry y_r < 0, which pairs with its lower side
+// Lub_r. That certificate is a property of (A, b, lo, up) alone,
 // not of the pivot path that found it — so a ray captured from one
 // infeasible candidate can be re-tested, exactly, against the next
 // candidate's data in O(m·n) and, when it still certifies, IS the answer.
@@ -59,9 +61,9 @@ type farkasCause struct {
 }
 
 // farkasRay is one stored infeasibility certificate: the stacked-row
-// multipliers (equality rows first, then inequality rows — the latter
-// clamped nonnegative), the problem signature they apply to, and the
-// structural cause they were captured at.
+// multipliers (equality rows first, then inequality rows — negative only
+// on rows with a finite lower bound), the problem signature they apply
+// to, and the structural cause they were captured at.
 type farkasRay struct {
 	y           []float64
 	n, nEq, nUb int
@@ -104,9 +106,10 @@ func (s *RevisedSolver) promoteRay(i int) {
 
 // rayCertifies recomputes c = yᵀA and yᵀb for the candidate problem and
 // reports whether min_{lo≤x≤up} cᵀx > yᵀb by more than a scale-aware
-// tolerance — the exact Farkas infeasibility condition. Any infinite bound
-// the minimization would need makes the ray inconclusive (never a wrong
-// verdict, just no screen).
+// tolerance — the exact Farkas infeasibility condition. A negative
+// multiplier on an inequality row reads the row's lower bound Lub. Any
+// infinite bound the ray or the minimization would need makes the ray
+// inconclusive (never a wrong verdict, just no screen).
 func (s *RevisedSolver) rayCertifies(p *Problem, y []float64, n, nEq, nUb int) bool {
 	s.rayScratch = growF(s.rayScratch, n)
 	c := s.rayScratch[:n]
@@ -125,6 +128,11 @@ func (s *RevisedSolver) rayCertifies(p *Problem, y []float64, n, nEq, nUb int) b
 			row, b = p.Aeq.RowView(r), p.Beq[r]
 		} else {
 			row, b = p.Aub.RowView(r-nEq), p.Bub[r-nEq]
+			if yr < 0 {
+				if b = p.rowLower(r - nEq); math.IsInf(b, -1) {
+					return false
+				}
+			}
 		}
 		mat.AxpyVec(yr, row, c)
 		rhs += yr * b
@@ -158,10 +166,12 @@ func (s *RevisedSolver) rayCertifies(p *Problem, y []float64, n, nEq, nUb int) b
 // captureRay is called at the dual loop's certified-infeasible exit, while
 // s.pi still holds the dual ray B⁻ᵀe_pos of the violated row; cause names
 // the basic variable (and direction) whose violation proved irreparable.
-// It clamps the inequality-row components nonnegative in both orientations
-// and stores whichever one certifies the current (known-infeasible)
-// problem — self-validating, so a capture that would not have screened its
-// own problem is simply dropped.
+// In both orientations it clamps to 0 the negative components on
+// inequality rows without a finite lower bound (a ranged row keeps its
+// negative multiplier, which pairs with Lub) and stores whichever one
+// certifies the current (known-infeasible) problem — self-validating, so
+// a capture that would not have screened its own problem is simply
+// dropped.
 func (s *RevisedSolver) captureRay(p *Problem, cause farkasCause) {
 	n, nEq, nUb := s.sigN, s.sigEq, s.sigUb
 	m := nEq + nUb
@@ -174,7 +184,7 @@ func (s *RevisedSolver) captureRay(p *Problem, cause farkasCause) {
 		maxAbs := 0.0
 		for r := 0; r < m; r++ {
 			v := sgn * s.pi[r]
-			if r >= nEq && v < 0 {
+			if r >= nEq && v < 0 && math.IsInf(p.rowLower(r-nEq), -1) {
 				v = 0
 			}
 			y[r] = v

@@ -97,8 +97,10 @@ const (
 )
 
 // Variable statuses of the bounded-variable revised simplex. Slack
-// variables (one per inequality row, bounds [0, +Inf)) follow the
-// structural variables in the status array.
+// variables (one per inequality row: s_i = Bub_i − Aub_i·x, bounds
+// [0, Bub_i − Lub_i], so [0, +Inf) on a one-sided row) follow the
+// structural variables in the status array. A slack at its upper bound
+// holds its row at Lub_i.
 const (
 	stLower int8 = iota // nonbasic at lower bound
 	stUpper             // nonbasic at upper bound
@@ -428,6 +430,18 @@ func (s *RevisedSolver) warmEligible(p *Problem) bool {
 func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	n := s.sigN
 	s.setupModel(p)
+	// A start captured on another problem of the same signature may park a
+	// nonbasic variable at a bound that is infinite here (a slack at the
+	// upper bound of a row that is ranged there and one-sided here); it
+	// starts from its finite bound instead.
+	for j, st := range s.status[:n+s.sigUb] {
+		switch {
+		case st == stUpper && math.IsInf(s.up[j], 1):
+			s.status[j] = stLower
+		case st == stLower && math.IsInf(s.lo[j], -1):
+			s.status[j] = stUpper
+		}
+	}
 	if s.refresh(p) != nil {
 		return nil, errWarmFallback
 	}
@@ -436,11 +450,13 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 	// here. Bound flipping restores dual feasibility without touching the
 	// basis matrix: a nonbasic variable whose reduced cost has the wrong
 	// sign for its bound moves to the opposite bound, where the same sign
-	// is the right one. Only variables with both bounds finite can flip; a
-	// wrong-signed variable without a finite opposite bound (a slack) keeps
-	// the repair impossible and the attempt is abandoned. After the flips
-	// the factorization and reduced costs are still exact, only the primal
-	// values moved, so one computeX refresh feeds the dual simplex.
+	// is the right one. Only variables with both bounds finite can flip —
+	// the structurals and the slacks of ranged rows; a wrong-signed
+	// variable without a finite opposite bound (the slack of a one-sided
+	// row) keeps the repair impossible and the attempt is abandoned. After
+	// the flips the factorization and reduced costs are still exact, only
+	// the primal values moved, so one computeX refresh feeds the dual
+	// simplex.
 	if !s.dualFeasible() {
 		if !s.flipToDualFeasible() {
 			return nil, errWarmFallback
@@ -471,9 +487,11 @@ func (s *RevisedSolver) warmSolve(p *Problem) (*Solution, error) {
 // setupModel fills the per-variable bound and cost arrays and the
 // scale-aware tolerances. A structural variable's feasibility tolerance is
 // ptol, the one verify applies to its bounds. The slack of inequality row
-// i gets feasTol·(1+|Bub_i|), never looser than verify's test of that row
-// (which also counts Σ|a_ij·x_j|), so a basis the dual simplex accepts as
-// primal feasible is one verify accepts.
+// i has the bounds [0, Bub_i − Lub_i] and the tolerance
+// feasTol·(1+min(|Bub_i|, |Lub_i|)) (feasTol·(1+|Bub_i|) on a one-sided
+// row), never looser than verify's test of either side of that row (which
+// also counts Σ|a_ij·x_j|), so a basis the dual simplex accepts as primal
+// feasible is one verify accepts.
 func (s *RevisedSolver) setupModel(p *Problem) {
 	n, nUb := s.sigN, s.sigUb
 	nTot := n + nUb
@@ -493,6 +511,9 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 	}
 	for i := 0; i < nUb; i++ {
 		s.lo[n+i], s.up[n+i] = 0, math.Inf(1)
+		if l := p.rowLower(i); !math.IsInf(l, -1) {
+			s.up[n+i] = p.Bub[i] - l
+		}
 		s.c[n+i] = 0
 	}
 	var bScale float64
@@ -503,6 +524,11 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 	}
 	for _, v := range p.Bub {
 		if a := math.Abs(v); a > bScale {
+			bScale = a
+		}
+	}
+	for _, v := range p.Lub {
+		if a := math.Abs(v); a > bScale && !math.IsInf(a, 1) {
 			bScale = a
 		}
 	}
@@ -520,7 +546,7 @@ func (s *RevisedSolver) setupModel(p *Problem) {
 		s.ftol[j] = s.ptol
 	}
 	for i, b := range p.Bub {
-		s.ftol[n+i] = feasTol * (1 + math.Abs(b))
+		s.ftol[n+i] = feasTol * (1 + math.Min(math.Abs(b), math.Abs(p.rowLower(i))))
 	}
 }
 
@@ -546,12 +572,19 @@ func (s *RevisedSolver) rowView(p *Problem, r int) []float64 {
 	return p.Aub.RowView(r - s.sigEq)
 }
 
-// rowRHS returns the right-hand side of stacked row r.
+// rowRHS returns the value an active stacked row r holds: Beq, or for an
+// inequality row Bub when its slack is at 0 and Lub itself when the slack
+// is at its upper bound Bub − Lub (not Bub − (Bub − Lub), which need not
+// round back to Lub).
 func (s *RevisedSolver) rowRHS(p *Problem, r int) float64 {
 	if r < s.sigEq {
 		return p.Beq[r]
 	}
-	return p.Bub[r-s.sigEq]
+	i := r - s.sigEq
+	if s.status[s.sigN+i] == stUpper {
+		return p.Lub[i]
+	}
+	return p.Bub[i]
 }
 
 // factorBasis rebuilds the active-row and basic-column lists from the
@@ -749,10 +782,11 @@ func (s *RevisedSolver) computeDualsAndReducedCosts(p *Problem) {
 // flipToDualFeasible flips nonbasic variables with wrong-signed reduced
 // costs to their opposite bound, making the basis dual feasible without
 // changing the basis matrix (flips only move nonbasic values, so the
-// factorization and the reduced costs stay exact). Returns false when a
-// wrong-signed variable has no finite opposite bound to flip to; statuses
-// may then be partially flipped, which is fine — every failure path
-// abandons the attempt.
+// factorization and the reduced costs stay exact). A ranged row's slack
+// flips like a boxed structural, moving its row from Bub to Lub. Returns
+// false when a wrong-signed variable has no finite opposite bound to flip
+// to (the slack of a one-sided row); statuses may then be partially
+// flipped, which is fine — every failure path abandons the attempt.
 func (s *RevisedSolver) flipToDualFeasible() bool {
 	for j, st := range s.status[:s.sigN+s.sigUb] {
 		if s.up[j] <= s.lo[j] {
@@ -1280,10 +1314,10 @@ func (s *RevisedSolver) ftranRows(col []float64) []float64 {
 }
 
 // verify checks the warm result against the original problem: bounds and
-// rows within the scale-aware primal tolerance, and the reduced-cost
-// optimality certificate within the dual tolerance. It is the exact
-// feasibility/optimality cross-check gating every warm answer; failure
-// abandons the attempt, and Solve then tries the crash basis.
+// both sides of every row within the scale-aware primal tolerance, and the
+// reduced-cost optimality certificate within the dual tolerance. It is the
+// exact feasibility/optimality cross-check gating every warm answer;
+// failure abandons the attempt, and Solve then tries the crash basis.
 func (s *RevisedSolver) verify(p *Problem) bool {
 	n, nEq, nUb := s.sigN, s.sigEq, s.sigUb
 	for j := 0; j < n; j++ {
@@ -1312,6 +1346,9 @@ func (s *RevisedSolver) verify(p *Problem) bool {
 			scale += math.Abs(v)
 		}
 		if sum > p.Bub[r]+feasTol*(1+scale+math.Abs(p.Bub[r])) {
+			return false
+		}
+		if l := p.rowLower(r); sum < l-feasTol*(1+scale+math.Abs(l)) {
 			return false
 		}
 	}

@@ -314,7 +314,7 @@ func TestRevisedSolvePure(t *testing.T) {
 
 // dispatchShapedLP is a two-generator dispatch LP in the shape of the
 // sparse tier's: a power balance whose rhs (3600 MW) is thousands of
-// times the flow limits, and two mirrored flow rows per line. Line a
+// times the flow limits, and one ranged flow row per line. Line a
 // (limit 10) is the most violated row at the crash basis; once it binds,
 // line b (limit 0.99999, 0.1 % of generator 1's output) is over its limit
 // by 1e-5, far inside the balance row's scale (about 3.6e-4) but far
@@ -324,8 +324,9 @@ func dispatchShapedLP(limitA float64) *Problem {
 		C:     []float64{1, 2},
 		Aeq:   mat.NewDenseFrom(1, 2, []float64{1, 1}),
 		Beq:   []float64{3600},
-		Aub:   mat.NewDenseFrom(4, 2, []float64{1e-2, 0, -1e-2, 0, 1e-3, 0, -1e-3, 0}),
-		Bub:   []float64{limitA, limitA, 0.99999, 0.99999},
+		Aub:   mat.NewDenseFrom(2, 2, []float64{1e-2, 0, 1e-3, 0}),
+		Bub:   []float64{limitA, 0.99999},
+		Lub:   []float64{-limitA, -0.99999},
 		Lower: []float64{0, 0},
 		Upper: []float64{4000, 4000},
 	}
@@ -367,9 +368,10 @@ func TestRevisedSmallFlowRowLargeBalance(t *testing.T) {
 //     the start dual feasible, and the dual simplex solves it with no
 //     abandoned attempt (its long-step ratio test flips two of the three
 //     variables back).
-//   - A wrong-signed reduced cost on an inequality slack, which has no
-//     finite upper bound to flip to: the attempt is abandoned once, and
-//     the crash basis solves it.
+//   - A wrong-signed reduced cost on a one-sided inequality row's slack,
+//     which has no finite upper bound to flip to: the attempt is abandoned
+//     once, and the crash basis solves it (a ranged row's slack flips; see
+//     TestRangedSlackFlipsToUpperBound).
 //
 // Both agree with the flat Solver to 1e-9, and neither runs a primal
 // pivot.

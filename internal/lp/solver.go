@@ -21,6 +21,7 @@ type Solver struct {
 	vmap     []varMap
 	upperCol []int
 	upperRhs []float64
+	lowRows  []int     // Aub rows with a finite lower bound, in row order
 	a        []float64 // m×n, flat row-major
 	b        []float64
 	c        []float64
@@ -108,9 +109,16 @@ func (s *Solver) toStandardForm(p *Problem) {
 	if p.Aub != nil {
 		nUb = p.Aub.Rows()
 	}
+	s.lowRows = s.lowRows[:0]
+	for i := 0; i < nUb; i++ {
+		if !math.IsInf(p.rowLower(i), -1) {
+			s.lowRows = append(s.lowRows, i)
+		}
+	}
+	nLow := len(s.lowRows)
 	nUp := len(s.upperCol)
-	mRows := nEq + nUb + nUp
-	nCols := cols + nUb + nUp // slacks for <= rows and upper-bound rows
+	mRows := nEq + nUb + nLow + nUp
+	nCols := cols + nUb + nLow + nUp // slacks for <= rows, row lower bounds and upper-bound rows
 	s.m, s.n = mRows, nCols
 
 	s.a = growF(s.a, mRows*nCols)
@@ -176,10 +184,20 @@ func (s *Solver) toStandardForm(p *Problem) {
 		row[cols+i] = 1 // slack
 		r++
 	}
+	// A ranged row's lower side is the mirrored row −Aub_i·x <= −Lub_i,
+	// appended after every Aub row in row order, so a problem of ranged
+	// rows gives bit for bit the tableau of its hand-written [A; −A] pairs.
+	for t, i := range s.lowRows {
+		row := s.a[r*nCols : (r+1)*nCols]
+		adj := setRow(row, func(j int) float64 { return -p.Aub.At(i, j) })
+		s.b[r] = -p.Lub[i] - adj
+		row[cols+nUb+t] = 1 // slack
+		r++
+	}
 	for i := 0; i < nUp; i++ {
 		row := s.a[r*nCols : (r+1)*nCols]
 		row[s.upperCol[i]] = 1
-		row[cols+nUb+i] = 1 // slack
+		row[cols+nUb+nLow+i] = 1 // slack
 		s.b[r] = s.upperRhs[i]
 		r++
 	}

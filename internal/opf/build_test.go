@@ -13,8 +13,9 @@ import (
 // perColumnInputs is the dispatch LP's inequality block built the way the
 // sparse path built it before it solved in blocks: one SolveInto for the
 // load flow and one per distinct generator bus, each turned into a full
-// length-L PTDF column, then gathered into Aub and Bub.
-func perColumnInputs(t *testing.T, e *DispatchEngine, x []float64) (aub *mat.Dense, bub []float64) {
+// length-L PTDF column, then gathered into one ranged row per limited
+// branch: Aub, Bub and Lub.
+func perColumnInputs(t *testing.T, e *DispatchEngine, x []float64) (aub *mat.Dense, bub, lub []float64) {
 	t.Helper()
 	n := e.n
 	bf := grid.NewBFactorizerBackend(n, grid.SparseBackend)
@@ -54,8 +55,9 @@ func perColumnInputs(t *testing.T, e *DispatchEngine, x []float64) (aub *mat.Den
 		pg[i] = column(unit)
 	}
 	nR := len(e.limRow)
-	aub = mat.NewDense(2*nR, e.nG)
-	bub = make([]float64, 2*nR)
+	aub = mat.NewDense(nR, e.nG)
+	bub = make([]float64, nR)
+	lub = make([]float64, nR)
 	for k, l := range e.limRow {
 		for gi := 0; gi < e.nG; gi++ {
 			v := 0.0
@@ -63,19 +65,21 @@ func perColumnInputs(t *testing.T, e *DispatchEngine, x []float64) (aub *mat.Den
 				v = pg[r][l]
 			}
 			aub.Set(k, gi, v)
-			aub.Set(nR+k, gi, -v)
 		}
 		bub[k] = n.Branches[l].LimitMW + f0[l]
-		bub[nR+k] = n.Branches[l].LimitMW - f0[l]
+		lub[k] = f0[l] - n.Branches[l].LimitMW
 	}
-	return aub, bub
+	return aub, bub, lub
 }
 
 // TestBlockBuildMatchesPerColumn pins the dispatch LP's inputs on the
 // sparse path to the per-column build, bitwise, on ieee57, ieee118 and
 // ieee300 at seeded random D-FACTS settings: the blocked solve gives each
 // column SolveInto's bits and the rows are formed by the same operations.
+// It also pins one ranged row per limited branch: 179 on ieee118, 411 on
+// ieee300.
 func TestBlockBuildMatchesPerColumn(t *testing.T) {
+	wantRows := map[string]int{"ieee118": 179, "ieee300": 411}
 	for _, name := range []string{"ieee57", "ieee118", "ieee300"} {
 		n, err := grid.CaseByName(name)
 		if err != nil {
@@ -98,9 +102,12 @@ func TestBlockBuildMatchesPerColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			aub, bub := perColumnInputs(t, e, x)
+			aub, bub, lub := perColumnInputs(t, e, x)
 			if prob.Aub == nil || prob.Aub.Rows() != aub.Rows() || prob.Aub.Cols() != aub.Cols() {
 				t.Fatalf("%s: Aub shape differs from the per-column build", name)
+			}
+			if want, ok := wantRows[name]; ok && aub.Rows() != want {
+				t.Fatalf("%s: Aub has %d rows, want %d", name, aub.Rows(), want)
 			}
 			for i := 0; i < aub.Rows(); i++ {
 				for j, v := range aub.RowView(i) {
@@ -112,6 +119,14 @@ func TestBlockBuildMatchesPerColumn(t *testing.T) {
 			for i, v := range bub {
 				if got := prob.Bub[i]; math.Float64bits(got) != math.Float64bits(v) {
 					t.Fatalf("%s trial %d: Bub[%d] = %v, per-column %v", name, trial, i, got, v)
+				}
+			}
+			if len(prob.Lub) != len(lub) {
+				t.Fatalf("%s: Lub has length %d, per-column %d", name, len(prob.Lub), len(lub))
+			}
+			for i, v := range lub {
+				if got := prob.Lub[i]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("%s trial %d: Lub[%d] = %v, per-column %v", name, trial, i, got, v)
 				}
 			}
 		}
@@ -127,9 +142,9 @@ func TestBlockBuildMatchesPerColumn(t *testing.T) {
 func TestSharedAnalysisConcurrentBuilds(t *testing.T) {
 	const workers, trials = 8, 2
 	type ref struct {
-		x   []float64
-		aub *mat.Dense
-		bub []float64
+		x        []float64
+		aub      *mat.Dense
+		bub, lub []float64
 	}
 	var engines []*DispatchEngine
 	var refs [][][]ref // engine × worker × trial
@@ -153,8 +168,8 @@ func TestSharedAnalysisConcurrentBuilds(t *testing.T) {
 					xd[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 				}
 				x := n.ExpandDFACTS(xd)
-				aub, bub := perColumnInputs(t, e, x)
-				perWorker[w] = append(perWorker[w], ref{x, aub, bub})
+				aub, bub, lub := perColumnInputs(t, e, x)
+				perWorker[w] = append(perWorker[w], ref{x, aub, bub, lub})
 			}
 		}
 		refs = append(refs, perWorker)
@@ -172,7 +187,7 @@ func TestSharedAnalysisConcurrentBuilds(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if !equalBits(prob.Aub, r.aub) || !equalBitsVec(prob.Bub, r.bub) {
+					if !equalBits(prob.Aub, r.aub) || !equalBitsVec(prob.Bub, r.bub) || !equalBitsVec(prob.Lub, r.lub) {
 						t.Errorf("%s worker %d trial %d: build differs from a fresh factorizer's",
 							e.n.Name, w, trial)
 					}

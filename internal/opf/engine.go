@@ -83,6 +83,7 @@ type dispatchWorkspace struct {
 	redLoad []float64  // slack-reduced loads
 	aub     *mat.Dense
 	bub     []float64
+	lub     []float64
 	solver  *lp.Solver        // dense path: historical flat tableau
 	rsolver *lp.RevisedSolver // sparse path: seeded revised simplex
 	// Full-solve extras (power-flow verification).
@@ -156,7 +157,8 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 			bf:       bAn.NewFactorizer(),
 			loads:    make([]float64, nb),
 			redLoad:  make([]float64, nb-1),
-			bub:      make([]float64, 2*len(e.limRow)),
+			bub:      make([]float64, len(e.limRow)),
+			lub:      make([]float64, len(e.limRow)),
 			inj:      make([]float64, nb),
 			pRed:     make([]float64, nb-1),
 			thetaRed: make([]float64, nb-1),
@@ -177,7 +179,7 @@ func NewDispatchEngineBackend(n *grid.Network, backend grid.Backend) (*DispatchE
 			w.solver = lp.NewSolver()
 		}
 		if len(e.limRow) > 0 {
-			w.aub = mat.NewDense(2*len(e.limRow), e.nG)
+			w.aub = mat.NewDense(len(e.limRow), e.nG)
 		}
 		return w
 	}
@@ -260,18 +262,18 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 		mat.MulVecInto(w.f0, w.ptdf, w.redLoad)
 	}
 
-	// Inequalities: S·g − f0 <= fmax and −S·g + f0 <= fmax, skipping
-	// unlimited branches. S maps dispatch to flows — column g is the PTDF
+	// Inequalities: one ranged row f0 − fmax <= S·g <= fmax + f0 per
+	// limited branch, skipping unlimited branches; the flat tableau
+	// expands it into the historical pair S·g − f0 <= fmax and
+	// −S·g + f0 <= fmax. S maps dispatch to flows — column g is the PTDF
 	// column of the generator's reduced bus index (zero if it sits at
 	// slack), identical to applying the PTDF to the unit injection — and
 	// its rows land straight in Aub without a dense intermediate. On the
 	// block path branch l's flows over the solved block X are one pass
 	// (1/x_l)·(X[ri] − X[rj]): the generators gather their columns and
 	// the loads' column gives f0.
-	nR := len(e.limRow)
 	for k, l := range e.limRow {
 		pos := w.aub.RowView(k)
-		neg := w.aub.RowView(nR + k)
 		var f0 float64
 		if fast {
 			row := w.blkRow
@@ -282,7 +284,6 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 					v = row[c]
 				}
 				pos[gi] = v
-				neg[gi] = -v
 			}
 			f0 = row[u]
 		} else {
@@ -293,12 +294,11 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 					v = pr[ri]
 				}
 				pos[gi] = v
-				neg[gi] = -v
 			}
 			f0 = w.f0[l]
 		}
 		w.bub[k] = n.Branches[l].LimitMW + f0
-		w.bub[nR+k] = n.Branches[l].LimitMW - f0
+		w.lub[k] = f0 - n.Branches[l].LimitMW
 	}
 
 	prob := &lp.Problem{
@@ -308,9 +308,10 @@ func (e *DispatchEngine) buildProblem(w *dispatchWorkspace, x []float64) (*lp.Pr
 		Lower: e.genLo,
 		Upper: e.genHi,
 	}
-	if nR > 0 {
+	if len(e.limRow) > 0 {
 		prob.Aub = w.aub
 		prob.Bub = w.bub
+		prob.Lub = w.lub
 	}
 	return prob, nil
 }
