@@ -1,6 +1,7 @@
 package gridmtd_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -299,6 +300,51 @@ func benchColdSelect(b *testing.B, caseName string) {
 
 func BenchmarkColdSelect118(b *testing.B) { benchColdSelect(b, "ieee118") }
 func BenchmarkColdSelect300(b *testing.B) { benchColdSelect(b, "ieee300") }
+
+// BenchmarkGammaRequest118 measures the request path of one /v1/gamma
+// call on the 118-bus system without the HTTP hop: decode a pre-marshaled
+// body for a new D-FACTS setting, then planner.Gamma (checks, memo key,
+// memo miss and the exact γ against the nominal x_old). The bodies cycle
+// through more settings than the response memo holds, so every iteration
+// computes.
+func BenchmarkGammaRequest118(b *testing.B) {
+	n := benchCase(b, "ieee118")
+	lo, hi := n.DFACTSBounds()
+	rng := rand.New(rand.NewSource(5))
+	bodies := make([][]byte, 512) // twice the default memo capacity
+	for i := range bodies {
+		xd := make([]float64, len(lo))
+		for j := range xd {
+			xd[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+		}
+		var err error
+		if bodies[i], err = json.Marshal(planner.GammaRequest{Case: "ieee118", XNew: n.ExpandDFACTS(xd)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p := planner.New(planner.Config{})
+	serve := func(body []byte) {
+		var req planner.GammaRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := p.Gamma(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Source != planner.SourceComputed {
+			b.Fatalf("γ request served from %q, want a computation", resp.Source)
+		}
+	}
+	for _, body := range bodies { // builds the case and its γ evaluator
+		serve(body)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
+	}
+}
 
 // BenchmarkAttackEval118 measures one η'(δ) evaluation of a 200-attack set
 // on the 118-bus system through the rank-|S| residual kernel (estimator

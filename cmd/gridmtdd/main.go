@@ -53,10 +53,12 @@
 // Persistent response cache (-disk-cache DIR [-disk-cache-mb M]): computed
 // responses are written through to a directory of content-addressed JSON
 // entries (atomic write-rename, LRU byte cap, corrupt entries skipped not
-// fatal), keyed on the bitwise memo key plus the case registry content
-// hash. A restarted daemon serves previously computed selections from
-// disk in microseconds ("source":"disk") instead of re-running sub-second
-// searches; stale entries from a different registry build can never serve.
+// fatal), keyed on the request's memo key (kind|case|fields, every float
+// as the 16 hex digits of its IEEE-754 bits, so one ulp is a new key) plus
+// the case registry content hash. A restarted daemon serves previously
+// computed selections from disk in microseconds ("source":"disk") instead
+// of re-running sub-second searches; stale entries from a different
+// registry build can never serve.
 //
 // Router mode (-route shard1:port,shard2:port,...): the daemon becomes a
 // thin router — no planner of its own — that rendezvous-hashes each

@@ -65,7 +65,8 @@
 // computations pass a bounded admission queue (-max-inflight /
 // -queue-depth; past the queue the daemon sheds 429 + Retry-After rather
 // than collapsing), and finished responses persist to a content-addressed
-// disk cache (-disk-cache) keyed on the request's bitwise memo key plus
+// disk cache (-disk-cache) keyed on the request's memo key (kind|case|
+// fields, every float as the 16 hex digits of its IEEE-754 bits) plus
 // the case-registry hash, so a restarted daemon serves previously
 // computed selections in microseconds instead of re-solving. A
 // -route shard1:port,shard2:port front rendezvous-hashes (case, scale)

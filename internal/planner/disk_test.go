@@ -2,6 +2,8 @@ package planner
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,6 +134,27 @@ func TestDiskCacheGammaAndPlacementDecode(t *testing.T) {
 	}
 	if g2.Source != SourceDisk || g2.Gamma != g1.Gamma {
 		t.Errorf("gamma disk round-trip: source=%q γ=%v, want disk-served %v", g2.Source, g2.Gamma, g1.Gamma)
+	}
+
+	// An ieee118 request with both vectors: its key holds 372 hex-encoded
+	// reactances, which must survive the envelope's JSON string.
+	n, err := grid.CaseByName("ieee118")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	big := GammaRequest{Case: "ieee118", XOld: randomSetting(n, rng), XNew: randomSetting(n, rng)}
+	b1, err := p1.Gamma(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := New(Config{Disk: openDisk(t, dir)}).Gamma(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.Source != SourceComputed || b2.Source != SourceDisk || math.Float64bits(b2.Gamma) != math.Float64bits(b1.Gamma) {
+		t.Errorf("ieee118 gamma disk round-trip: sources %q then %q, γ %v then %v; want computed, then the same bits from disk",
+			b1.Source, b2.Source, b1.Gamma, b2.Gamma)
 	}
 }
 

@@ -6,8 +6,9 @@
 // Design constraints, in order:
 //
 //   - Correctness across versions: an entry's filename is the SHA-256 of
-//     its full logical key (the planner's bitwise memo key + the case
-//     registry content hash), and the key is stored inside the entry and
+//     its full logical key (the planner's memo key, kind|case|fields with
+//     every float as the 16 hex digits of its bits, + the case registry
+//     content hash), and the key is stored inside the entry and
 //     re-verified on every read — a hash collision or a stale file from a
 //     different registry build reads as a miss, never as a wrong answer.
 //   - Crash safety: entries are written to a temp file in the cache

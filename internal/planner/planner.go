@@ -29,6 +29,8 @@ import (
 	"log"
 	"math"
 	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -178,7 +180,8 @@ type Config struct {
 	// Disk attaches a persistent response cache: computed responses are
 	// written through, and a fresh process serves previously computed
 	// requests from disk without re-solving. Entries are keyed on the
-	// bitwise memo key plus the case registry content hash, so stale
+	// memo key (requestKey: kind|case|fields, every float as the 16 hex
+	// digits of its bits) plus the case registry content hash, so stale
 	// caches from a different registry build read as misses.
 	Disk *diskcache.Cache
 }
@@ -410,7 +413,11 @@ func serve[R any, P interface {
 func (p *Planner) memoized(key string, fresh func() response, compute func() (response, error)) (stored, error) {
 	st, o, err := p.results.Do(key, func() (stored, error) {
 		start := time.Now()
-		if data, hit := p.disk.Get(p.diskKey(key)); hit {
+		var dk string // the disk key, built only when a disk cache is attached
+		if p.disk != nil {
+			dk = p.diskKey(key)
+		}
+		if data, hit := p.disk.Get(dk); hit {
 			r := fresh()
 			if decodeResponse(key, data, r) == nil {
 				return stored{r, time.Since(start), SourceDisk}, nil
@@ -431,8 +438,10 @@ func (p *Planner) memoized(key string, fresh func() response, compute func() (re
 		// elapsed includes the admission queue wait: it is the latency a
 		// client actually observed for the computed request.
 		st := stored{resp, time.Since(start), SourceComputed}
-		if data, merr := json.Marshal(resp); merr == nil {
-			p.disk.Put(p.diskKey(key), data)
+		if p.disk != nil {
+			if data, merr := json.Marshal(resp); merr == nil {
+				p.disk.Put(dk, data)
+			}
 		}
 		return st, nil
 	})
@@ -466,11 +475,62 @@ func runGuarded(compute func() (response, error)) (resp response, err error) {
 // bits next to the current ones.
 const pipelineVersion = "engine-5"
 
-// diskKey extends the bitwise memo key with the case registry content
-// hash (a persistent entry computed against different embedded case data
-// can never serve) and the pipeline version.
+// diskKey extends the memo key (requestKey: kind|case|fields, every float
+// as the 16 hex digits of its bits) with the case registry content hash (a
+// persistent entry computed against different embedded case data can
+// never serve) and the pipeline version.
 func (p *Planner) diskKey(key string) string {
 	return key + "|registry:" + grid.RegistryHash() + "|pipeline:" + pipelineVersion
+}
+
+// requestKey is the memo key of one request: its kind and fields joined by
+// '|', so field 1 is the case (decodeResponse reads it there). A float is
+// the 16 hex digits of its IEEE-754 bits and a float slice those digits
+// back to back, so two requests share a key exactly when every field is
+// bitwise equal, and a nil slice keys like an empty one. Strings, bools,
+// ints and int slices (each int closed by ',') are appended as text. Hex,
+// not raw bits, keeps the key valid UTF-8 for the disk envelope's JSON
+// string.
+func requestKey(kind string, fields ...any) string {
+	b := append(make([]byte, 0, 64), kind...)
+	for _, f := range fields {
+		b = append(b, '|')
+		switch v := f.(type) {
+		case string:
+			b = append(b, v...)
+		case bool:
+			b = strconv.AppendBool(b, v)
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		case int64:
+			b = strconv.AppendInt(b, v, 10)
+		case float64:
+			b = appendBits(b, v)
+		case []float64:
+			b = appendBits(slices.Grow(b, 16*len(v)), v...)
+		case []int:
+			for _, x := range v {
+				b = append(strconv.AppendInt(b, int64(x), 10), ',')
+			}
+		default:
+			panic("planner: requestKey field of unsupported type")
+		}
+	}
+	return string(b)
+}
+
+// appendBits appends the IEEE-754 bits of each x as 16 lower-case hex
+// digits.
+func appendBits(b []byte, xs ...float64) []byte {
+	for _, x := range xs {
+		var digits [16]byte
+		u := math.Float64bits(x)
+		for i := 15; i >= 0; i, u = i-1, u>>4 {
+			digits[i] = "0123456789abcdef"[u&0xf]
+		}
+		b = append(b, digits[:]...)
+	}
+	return b
 }
 
 // decodeResponse unmarshals a disk-cache payload into v. A payload whose
@@ -546,8 +606,7 @@ type SelectResponse struct {
 }
 
 func (r SelectRequest) key() string {
-	return fmt.Sprintf("select|%s|%g|%v|%g|%v|%d|%d|%d|%d|%g|%g|%s",
-		r.Case, r.GammaThreshold, r.MaxGamma, r.LoadScale, r.XOld,
+	return requestKey("select", r.Case, r.GammaThreshold, r.MaxGamma, r.LoadScale, r.XOld,
 		r.Starts, r.MaxEvals, r.Seed, r.Attacks, r.Sigma, r.Alpha, r.GammaBackend)
 }
 
@@ -688,9 +747,7 @@ type GammaResponse struct {
 	Served
 }
 
-func (r GammaRequest) key() string {
-	return fmt.Sprintf("gamma|%s|%v|%v", r.Case, r.XOld, r.XNew)
-}
+func (r GammaRequest) key() string { return requestKey("gamma", r.Case, r.XOld, r.XNew) }
 
 // Gamma serves one memoized γ evaluation. Reactances that are not
 // positive and finite are rejected with ErrInvalidReactance before the
@@ -782,6 +839,11 @@ func (r DaySweepRequest) withDefaults() DaySweepRequest {
 	return r
 }
 
+func (r DaySweepRequest) key() string {
+	return requestKey("day", r.Case, r.Hours, r.PeakLoadMW, r.TargetDelta, r.TargetEta,
+		r.Iterations, r.Attacks, r.Starts, r.OPFStarts, r.Seed)
+}
+
 // DaySweep serves one memoized day sweep.
 func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 	if err := errors.Join(checkAttacks(req.Attacks), checkLoad("peak_load_mw", req.PeakLoadMW),
@@ -792,10 +854,7 @@ func (p *Planner) DaySweep(req DaySweepRequest) (*DaySweepResponse, error) {
 		return nil, err
 	}
 	req = req.withDefaults()
-	key := fmt.Sprintf("day|%s|%v|%g|%g|%g|%d|%d|%d|%d|%d",
-		req.Case, req.Hours, req.PeakLoadMW, req.TargetDelta, req.TargetEta,
-		req.Iterations, req.Attacks, req.Starts, req.OPFStarts, req.Seed)
-	return serve(p, key, func() (*DaySweepResponse, error) {
+	return serve(p, req.key(), func() (*DaySweepResponse, error) {
 		n, err := p.caseFor(req.Case, 1)
 		if err != nil {
 			return nil, err
@@ -866,6 +925,10 @@ type PlacementResponse struct {
 	Served
 }
 
+func (r PlacementRequest) key() string {
+	return requestKey("placement", r.Case, r.Devices, r.Pool, r.AllBranches, r.GammaBackend)
+}
+
 // Placement serves one memoized placement study.
 func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 	gb, err := parseGammaAlias(&req.GammaBackend)
@@ -875,8 +938,7 @@ func (p *Planner) Placement(req PlacementRequest) (*PlacementResponse, error) {
 	if err := checkCount("devices", req.Devices); err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("placement|%s|%d|%v|%v|%s", req.Case, req.Devices, req.Pool, req.AllBranches, req.GammaBackend)
-	out, err := serve(p, key, func() (*PlacementResponse, error) {
+	out, err := serve(p, req.key(), func() (*PlacementResponse, error) {
 		n, err := p.caseFor(req.Case, 1)
 		if err != nil {
 			return nil, err
