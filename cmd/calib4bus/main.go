@@ -4,7 +4,7 @@
 // omit the flow limits that make the post-perturbation dispatch deviate
 // from (350, 150) MW. This sweep finds the limits on branches 1 and 2 that
 // best reproduce the published Table III dispatch; the winning values are
-// hard-coded as grid.Case4GSLine1LimitMW / Case4GSLine2LimitMW.
+// hard-coded as cases.Case4GSLine1LimitMW / Case4GSLine2LimitMW.
 package main
 
 import (

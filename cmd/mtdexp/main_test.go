@@ -10,6 +10,7 @@ import (
 
 	"gridmtd"
 	"gridmtd/internal/experiments"
+	"gridmtd/internal/metrics"
 )
 
 func TestListFlag(t *testing.T) {
@@ -159,7 +160,7 @@ func TestSparseDaySweepSolvesOnRevisedPath(t *testing.T) {
 	if err := run([]string{"-exp", "fig10,fig9", "-case", "ieee57", "-quick"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	d := gridmtd.GlobalLPStats().Delta(before)
+	d := metrics.Delta(gridmtd.GlobalLPStats(), before)
 	if d.Solves == 0 {
 		t.Fatal("no dispatch LP solved")
 	}
@@ -179,7 +180,7 @@ func TestSparseTradeoff118HasNoFallbacks(t *testing.T) {
 	if err := run([]string{"-exp", "fig9", "-case", "ieee118", "-quick"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	d := gridmtd.GlobalLPStats().Delta(before)
+	d := metrics.Delta(gridmtd.GlobalLPStats(), before)
 	if d.Solves == 0 {
 		t.Fatal("no dispatch LP solved")
 	}

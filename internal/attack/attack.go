@@ -118,8 +118,3 @@ func (b *Batch) C(i int) []float64 { return b.c.RowView(i) }
 // A returns attack i's measurement injection a = H·c as a view into the
 // batch.
 func (b *Batch) A(i int) []float64 { return b.a.RowView(i) }
-
-// At materializes attack i as a standalone Vector (copies).
-func (b *Batch) At(i int) *Vector {
-	return &Vector{C: mat.CopyVec(b.C(i)), A: mat.CopyVec(b.A(i))}
-}

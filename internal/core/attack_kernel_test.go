@@ -8,6 +8,7 @@ import (
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/se"
 )
@@ -151,7 +152,7 @@ func TestSketchedAttackEvalAgreement(t *testing.T) {
 func estStatsDelta(fn func()) EstimatorCacheStats {
 	before := GlobalEstimatorCacheStats()
 	fn()
-	return GlobalEstimatorCacheStats().Delta(before)
+	return metrics.Delta(GlobalEstimatorCacheStats(), before)
 }
 
 // TestEvaluateAttacksWithEstimatorCache pins that EffectivenessConfig's

@@ -109,12 +109,6 @@ type EstimatorCacheStats struct {
 	FullQRs int `json:"full_qrs"`
 }
 
-// Delta returns the field-wise counter increments s − since, for
-// per-request assertions against the cumulative process-wide counters.
-func (s EstimatorCacheStats) Delta(since EstimatorCacheStats) EstimatorCacheStats {
-	return metrics.Delta(s, since)
-}
-
 // GlobalEstimatorCacheStats returns the process-wide estimator counters.
 func GlobalEstimatorCacheStats() EstimatorCacheStats { return estStats.Load() }
 
@@ -183,9 +177,6 @@ func (s *AttackSet) Len() int {
 	}
 	return s.Batch.Len()
 }
-
-// At materializes attack i as a standalone vector (copies).
-func (s *AttackSet) At(i int) *attack.Vector { return s.Batch.At(i) }
 
 // SampleAttacks draws cfg.NumAttacks random stealthy attacks against the
 // configuration xOld with operating measurements zOld.

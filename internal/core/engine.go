@@ -18,7 +18,6 @@ type GammaBackend = subspace.GammaBackend
 
 // γ-backend names, all served by the exact evaluator.
 const (
-	AutoGamma   = subspace.AutoGamma
 	ExactGamma  = subspace.ExactGamma
 	SparseGamma = subspace.SparseGamma
 	SketchGamma = subspace.SketchGamma

@@ -170,7 +170,7 @@ func TestGammaBackendParseAndResolve(t *testing.T) {
 		in   string
 		want GammaBackend
 	}{
-		{"auto", AutoGamma}, {"", AutoGamma},
+		{"auto", subspace.AutoGamma}, {"", subspace.AutoGamma},
 		{"exact", ExactGamma}, {"Exact", ExactGamma},
 		{"sparse", SparseGamma}, {"sketch", SketchGamma},
 	} {

@@ -127,7 +127,7 @@ func TestSelectMTDIEEE118SparseSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := grid.NewBFactorizer(n).Backend(); got != grid.SparseBackend {
+	if got := grid.AnalyzeB(n, grid.AutoBackend).Backend(); got != grid.SparseBackend {
 		t.Fatalf("auto backend on ieee118 = %v, want sparse", got)
 	}
 	xOld := n.Reactances()
@@ -181,7 +181,7 @@ func TestIEEE300SparseSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := grid.NewBFactorizer(n).Backend(); got != grid.SparseBackend {
+	if got := grid.AnalyzeB(n, grid.AutoBackend).Backend(); got != grid.SparseBackend {
 		t.Fatalf("auto backend on ieee300 = %v, want sparse", got)
 	}
 	engine, err := opf.NewDispatchEngine(n)

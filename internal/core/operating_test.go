@@ -6,6 +6,7 @@ import (
 
 	"gridmtd/internal/dcflow"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 )
 
@@ -59,7 +60,7 @@ func TestOperatingMeasurementsWithMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			misses := opf.GlobalSolveCacheStats().Delta(before).Misses
+			misses := metrics.Delta(opf.GlobalSolveCacheStats(), before).Misses
 			if tc.label == "baseline optimum" && eng.Backend() == grid.SparseBackend && misses != 0 {
 				t.Errorf("%s %s: %d dispatch solves, want a memo hit", name, tc.label, misses)
 			}

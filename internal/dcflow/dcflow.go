@@ -62,12 +62,6 @@ func Solve(n *grid.Network, x []float64, injectionsMW []float64) (*Result, error
 	return &Result{ThetaRad: theta, FlowsMW: flows}, nil
 }
 
-// SolveDispatch computes the DC power flow for a generator dispatch
-// (ordered as n.Gens, in MW) against the network's current loads.
-func SolveDispatch(n *grid.Network, x []float64, dispatchMW []float64) (*Result, error) {
-	return Solve(n, x, n.InjectionsMW(dispatchMW))
-}
-
 // Violations returns the indices of branches whose |flow| exceeds the
 // network limit by more than tolMW.
 func Violations(n *grid.Network, flowsMW []float64, tolMW float64) []int {

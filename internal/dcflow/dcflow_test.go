@@ -16,7 +16,7 @@ import (
 // (126.56, 173.44, -43.44, -26.56) MW.
 func TestCase4GSPaperFlows(t *testing.T) {
 	n := grid.Case4GS()
-	res, err := SolveDispatch(n, n.Reactances(), []float64{350, 150})
+	res, err := Solve(n, n.Reactances(), n.InjectionsMW([]float64{350, 150}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFlowConservation(t *testing.T) {
 	// Net flow into each bus must equal its net injection.
 	n := grid.CaseIEEE14()
 	dispatch := []float64{220, 10, 9, 10, 10} // sums to 259 = total load
-	res, err := SolveDispatch(n, n.Reactances(), dispatch)
+	res, err := Solve(n, n.Reactances(), n.InjectionsMW(dispatch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,8 @@ func TestQuickFlowScaleInvariance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		scale := 0.5 + rng.Float64()*1.5
 		dispatch := []float64{220, 10, 9, 10, 10}
-		r1, err1 := SolveDispatch(n, n.Reactances(), dispatch)
-		r2, err2 := SolveDispatch(n, mat.ScaleVec(scale, n.Reactances()), dispatch)
+		r1, err1 := Solve(n, n.Reactances(), n.InjectionsMW(dispatch))
+		r2, err2 := Solve(n, mat.ScaleVec(scale, n.Reactances()), n.InjectionsMW(dispatch))
 		if err1 != nil || err2 != nil {
 			return false
 		}

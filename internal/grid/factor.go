@@ -109,12 +109,11 @@ func EffectiveBackend(n *Network, b Backend) Backend {
 // the grid model and the linear-algebra backends: the dense implementation
 // performs exactly the historical operations (ReducedBInto + LU), the
 // sparse one assembles B_r in CSC form and runs a fill-reducing sparse
-// Cholesky. A BFactorizer owns per-instance scratch and is NOT safe for
-// concurrent use — engines keep one per worker.
+// Cholesky. Which one a network gets is BAnalysis.Backend, or
+// EffectiveBackend for a choice that may be Auto. A BFactorizer owns
+// per-instance scratch and is NOT safe for concurrent use — engines keep
+// one per worker.
 type BFactorizer interface {
-	// Backend reports which implementation this is (DenseBackend or
-	// SparseBackend).
-	Backend() Backend
 	// Reset (re)factors B_r at the reactance vector x (full length L).
 	// After an error the factorizer must not be used for solves.
 	Reset(x []float64) error
@@ -285,8 +284,6 @@ func newDenseBFactorizer(n *Network) *denseBFactorizer {
 	}
 }
 
-func (f *denseBFactorizer) Backend() Backend { return DenseBackend }
-
 func (f *denseBFactorizer) Reset(x []float64) error {
 	copy(f.x, x)
 	f.n.ReducedBInto(x, f.br)
@@ -351,8 +348,6 @@ func newSparseBFactorizer(a *BAnalysis) *sparseBFactorizer {
 		chol: a.sym.NewFactor(),
 	}
 }
-
-func (f *sparseBFactorizer) Backend() Backend { return SparseBackend }
 
 func (f *sparseBFactorizer) Reset(x []float64) error {
 	if len(x) != f.a.n.L() {

@@ -204,7 +204,7 @@ func TestDensePTDFMatchesNetworkPTDF(t *testing.T) {
 		if err := f.PTDFInto(got); err != nil {
 			t.Fatal(err)
 		}
-		if !mat.Equal(got, want, 0) {
+		if !mat.VecEqual(got.RawData(), want.RawData(), 0) {
 			t.Fatalf("%s: dense factorizer PTDF differs from Network.PTDF", name)
 		}
 	}
@@ -228,7 +228,7 @@ func TestAutoBackendSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := NewBFactorizer(n).Backend(); got != tc.want {
+		if got := AnalyzeB(n, AutoBackend).Backend(); got != tc.want {
 			t.Errorf("%s: auto backend = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -7,6 +7,18 @@ import (
 	"gridmtd/internal/mat"
 )
 
+// cscDense materializes a sparse matrix as a dense one.
+func cscDense(m *mat.CSC) *mat.Dense {
+	out := mat.NewDense(m.Rows(), m.Cols())
+	cp, ri, v := m.ColPtr(), m.RowIdx(), m.Values()
+	for j := 0; j < m.Cols(); j++ {
+		for p := cp[j]; p < cp[j+1]; p++ {
+			out.Set(ri[p], j, v[p])
+		}
+	}
+	return out
+}
+
 // TestGammaSketchOperandsIdentity verifies the structural factorization the
 // rank-|S| γ kernel rests on: for any two reactance vectors, the sparse
 // quadratic form Eᵀ·D₁·G·D₂·E must reproduce the Gram matrix of the
@@ -43,8 +55,8 @@ func TestGammaSketchOperandsIdentity(t *testing.T) {
 		for i := 0; i < l; i++ {
 			d1[i], d2[i] = 1/x1[i], 1/x2[i]
 		}
-		gd := g.Dense()
-		etd := et.Dense()
+		gd := cscDense(g)
+		etd := cscDense(et)
 		// M[r][c] = Σ_{l,m} E[l][r]·d1[l]·G[l][m]·d2[m]·E[m][c]
 		for r := 0; r < k; r++ {
 			for c := 0; c < k; c++ {
@@ -86,9 +98,9 @@ func TestGammaColumnFactor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := n.GammaColumnFactor().Dense()
+		c := cscDense(n.GammaColumnFactor())
 		et, g := n.GammaSketchOperands()
-		e := et.Dense()
+		e := cscDense(et)
 		x := n.Reactances()
 		ht := n.MeasurementMatrixTGammaInto(x, mat.NewDense(n.N()-1, n.GammaAmbient()))
 		for col := 0; col < n.N()-1; col++ {
@@ -104,7 +116,7 @@ func TestGammaColumnFactor(t *testing.T) {
 				}
 			}
 		}
-		gd := g.Dense()
+		gd := cscDense(g)
 		for a := 0; a < n.L(); a++ {
 			for b := 0; b < n.L(); b++ {
 				var v float64

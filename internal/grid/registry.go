@@ -10,13 +10,6 @@ import (
 	"gridmtd/internal/grid/cases"
 )
 
-// Calibrated flow limits for the 4-bus example (see Case4GS), re-exported
-// from the case data for the calibration tooling.
-const (
-	Case4GSLine1LimitMW = cases.Case4GSLine1LimitMW
-	Case4GSLine2LimitMW = cases.Case4GSLine2LimitMW
-)
-
 // FromSpec converts an embedded case description into a live Network. The
 // conversion performs exactly the arithmetic the historical hand-written
 // constructors performed — in particular XMin/XMax = (1 ∓ EtaMax)·X for

@@ -28,20 +28,22 @@ import (
 	"gridmtd/internal/opf"
 )
 
+const (
+	// attackRatio is the attacker's ‖a‖₁/‖z‖₁ magnitude budget, the
+	// paper's attack scaling.
+	attackRatio = 0.08
+	// sheddingCostPerMWh is the value of lost load used to price
+	// emergency load shedding, in $/MWh.
+	sheddingCostPerMWh = 1000
+	// rampFrac bounds the corrective UP-ramp per generator as a fraction
+	// of its capacity: the attack's damage comes from the window in which
+	// generators cannot raise output far beyond the misinformed dispatch.
+	// Down-ramping (curtailment) is unrestricted, as in practice.
+	rampFrac = 0.1
+)
+
 // Config parameterizes the attack-impact evaluation.
 type Config struct {
-	// AttackRatio is the attacker's ‖a‖₁/‖z‖₁ magnitude budget (default
-	// 0.08, the paper's attack scaling).
-	AttackRatio float64
-	// SheddingCostPerMWh is the value of lost load used to price emergency
-	// load shedding (default 1000 $/MWh).
-	SheddingCostPerMWh float64
-	// RampFrac bounds the corrective UP-ramp per generator as a fraction
-	// of its capacity (default 0.1): the attack's damage comes from the
-	// window in which generators cannot raise output far beyond the
-	// misinformed dispatch. Down-ramping (curtailment) is unrestricted, as
-	// in practice.
-	RampFrac float64
 	// Candidates is the number of random attack directions the heuristic
 	// worst-case search evaluates (default 200).
 	Candidates int
@@ -50,15 +52,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.AttackRatio <= 0 {
-		c.AttackRatio = 0.08
-	}
-	if c.SheddingCostPerMWh <= 0 {
-		c.SheddingCostPerMWh = 1000
-	}
-	if c.RampFrac <= 0 {
-		c.RampFrac = 0.1
-	}
 	if c.Candidates <= 0 {
 		c.Candidates = 200
 	}
@@ -89,7 +82,7 @@ type Result struct {
 	CostIncrease float64
 }
 
-func evaluate(n *grid.Network, x []float64, c []float64, cfg Config) (*Result, error) {
+func evaluate(n *grid.Network, x []float64, c []float64) (*Result, error) {
 	if len(c) != n.N()-1 {
 		return nil, errors.New("impact: state bias has wrong length")
 	}
@@ -136,7 +129,7 @@ func evaluate(n *grid.Network, x []float64, c []float64, cfg Config) (*Result, e
 	}
 	overloads := dcflow.Violations(n, trueFlow.FlowsMW, 1e-6)
 
-	realized, shed, err := correctiveCost(n, x, misinformed.DispatchMW, cfg)
+	realized, shed, err := correctiveCost(n, x, misinformed.DispatchMW)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +165,7 @@ func balancedInjections(n *grid.Network, dispatch []float64) []float64 {
 //	min  c·g + VOLL·Σs
 //	s.t. Σg = Σ(l − s), |PTDF·(inj)| <= fmax,
 //	     gmin <= g <= min(gmax, g'+ramp), 0 <= s <= l.
-func correctiveCost(n *grid.Network, x []float64, gPrime []float64, cfg Config) (cost, shedMW float64, err error) {
+func correctiveCost(n *grid.Network, x []float64, gPrime []float64) (cost, shedMW float64, err error) {
 	nG := len(n.Gens)
 	nb := n.N()
 	nv := nG + nb
@@ -185,14 +178,14 @@ func correctiveCost(n *grid.Network, x []float64, gPrime []float64, cfg Config) 
 	cVec := make([]float64, nv)
 	copy(cVec, n.GenCosts())
 	for j := nG; j < nv; j++ {
-		cVec[j] = cfg.SheddingCostPerMWh
+		cVec[j] = sheddingCostPerMWh
 	}
 
 	lo := make([]float64, nv)
 	hi := make([]float64, nv)
 	gLo, gHi := n.GenBounds()
 	for i, g := range n.Gens {
-		ramp := cfg.RampFrac * g.MaxMW
+		ramp := rampFrac * g.MaxMW
 		lo[i] = gLo[i]
 		hi[i] = math.Min(gHi[i], gPrime[i]+ramp)
 		if hi[i] < lo[i] { // numerical guard
@@ -291,8 +284,8 @@ func WorstCase(n *grid.Network, x, z []float64, cfg Config) (*Result, error) {
 		if an == 0 {
 			continue
 		}
-		scale := cfg.AttackRatio * zNorm / an
-		res, err := evaluate(n, x, mat.ScaleVec(scale, c), cfg)
+		scale := attackRatio * zNorm / an
+		res, err := evaluate(n, x, mat.ScaleVec(scale, c))
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 func TestZeroAttackNoImpact(t *testing.T) {
 	n := grid.CaseIEEE14()
 	x := n.Reactances()
-	res, err := evaluate(n, x, make([]float64, n.N()-1), Config{}.withDefaults())
+	res, err := evaluate(n, x, make([]float64, n.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestZeroAttackNoImpact(t *testing.T) {
 
 func TestEvaluateRejectsBadLength(t *testing.T) {
 	n := grid.CaseIEEE14()
-	if _, err := evaluate(n, n.Reactances(), []float64{1}, Config{}.withDefaults()); err == nil {
+	if _, err := evaluate(n, n.Reactances(), []float64{1}); err == nil {
 		t.Fatal("expected length error")
 	}
 }
@@ -56,7 +56,7 @@ func TestFalseLoadsBalanced(t *testing.T) {
 	if s := mat.SumVec(deltaP); math.Abs(s) > 1e-9 {
 		t.Fatalf("B·c sums to %v, want 0", s)
 	}
-	res, err := evaluate(n, x, c, Config{}.withDefaults())
+	res, err := evaluate(n, x, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestQuickRealizedCostAtLeastBaseline(t *testing.T) {
 		for i := range c {
 			c[i] = rng.NormFloat64() * 0.01
 		}
-		res, err := evaluate(n, x, c, Config{}.withDefaults())
+		res, err := evaluate(n, x, c)
 		if err != nil {
 			return false
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 )
 
 // fuzzLP decodes a small bounded LP and a few right-hand-side
@@ -229,7 +230,7 @@ func TestRevisedIgnoresMismatchedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := rs.Stats().Delta(before); d != ref.Stats() {
+	if d := metrics.Delta(rs.Stats(), before); d != ref.Stats() {
 		t.Fatalf("solve from a mismatched start counted %+v, from the crash basis %+v", d, ref.Stats())
 	}
 	if got.Objective != want.Objective {

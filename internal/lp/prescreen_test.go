@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 )
 
 // cloneProblem deep-copies the parts of a Problem the prescreen tests
@@ -166,7 +167,7 @@ func TestFarkasIndexRetainsDistinctCauses(t *testing.T) {
 	if _, err := rs.Solve(mk(6), rs.CaptureBasis()); err != ErrInfeasible {
 		t.Fatalf("want screened ErrInfeasible, got %v", err)
 	}
-	d := rs.Stats().Delta(before)
+	d := metrics.Delta(rs.Stats(), before)
 	if d.PrescreenHits != 1 || d.PrescreenProbes != 1 || d.Solves != 0 {
 		t.Fatalf("screened probe delta: %+v", d)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 )
 
 // pairedForm writes every ranged row of p out as the pair
@@ -114,7 +115,7 @@ func TestRangedSlackFlipsToUpperBound(t *testing.T) {
 		if got.X[0] != 0.2 {
 			t.Errorf("%s: x = %.17g, want 0.2", tc.name, got.X[0])
 		}
-		d := rs.Stats().Delta(before)
+		d := metrics.Delta(rs.Stats(), before)
 		if d.WarmSolves != 1 || d.ColdSolves != 0 || d.Fallbacks != tc.fallbacks {
 			t.Errorf("%s: %d warm, %d cold, %d fallbacks; want 1, 0, %d", tc.name, d.WarmSolves, d.ColdSolves, d.Fallbacks, tc.fallbacks)
 		}
@@ -158,7 +159,7 @@ func TestRangedInfeasibleRayPrescreens(t *testing.T) {
 	if _, err := rs.Solve(cand, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
-	if d := rs.Stats().Delta(before); d.PrescreenHits != 1 || d.Solves != 0 {
+	if d := metrics.Delta(rs.Stats(), before); d.PrescreenHits != 1 || d.Solves != 0 {
 		t.Fatalf("perturbed copy not pre-screened: %+v", d)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/mat"
+	"gridmtd/internal/metrics"
 )
 
 // randomBoundedLP builds a random feasible-looking LP with one equality
@@ -291,7 +292,7 @@ func TestRevisedSolvePure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sol, rs.Stats().Delta(before)
+			return sol, metrics.Delta(rs.Stats(), before)
 		}
 		first, firstStats := solve()
 		if _, err := rs.Solve(&other, rs.CaptureBasis()); err != nil {
@@ -355,7 +356,7 @@ func TestRevisedSmallFlowRowLargeBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		objectivesAgree(t, "dispatch-shaped", ref.Objective, got.Objective)
-		if d := rs.Stats().Delta(before); d.Fallbacks != 0 || d.ColdSolves != 0 {
+		if d := metrics.Delta(rs.Stats(), before); d.Fallbacks != 0 || d.ColdSolves != 0 {
 			t.Fatalf("start %v: %d fallbacks, %d cold solves; want 0 and 0", start != nil, d.Fallbacks, d.ColdSolves)
 		}
 	}
@@ -413,7 +414,7 @@ func TestRevisedDualInfeasibleStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		objectivesAgree(t, tc.name, ref.Objective, got.Objective)
-		d := rs.Stats().Delta(before)
+		d := metrics.Delta(rs.Stats(), before)
 		if d.WarmSolves != 1 || d.ColdSolves != 0 || d.Fallbacks != tc.fallbacks {
 			t.Errorf("%s: %d warm, %d cold, %d fallbacks; want 1, 0, %d", tc.name, d.WarmSolves, d.ColdSolves, d.Fallbacks, tc.fallbacks)
 		}

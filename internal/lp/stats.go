@@ -14,16 +14,6 @@ var global metrics.Sum[RevisedStats]
 // accumulated since process start, across every RevisedSolver instance.
 func GlobalRevisedStats() RevisedStats { return global.Load() }
 
-// Delta returns the counter increments between an earlier snapshot of the
-// cumulative stats and this one (field-wise s − since). Tests and CI
-// compare per-request deltas with it instead of racing absolute
-// process-global values:
-//
-//	before := lp.GlobalRevisedStats()
-//	... run one request ...
-//	d := lp.GlobalRevisedStats().Delta(before)
-func (s RevisedStats) Delta(since RevisedStats) RevisedStats { return metrics.Delta(s, since) }
-
 // flushStats adds the counters accumulated since the previous flush to the
 // process-wide aggregate.
 func (s *RevisedSolver) flushStats() {

@@ -17,7 +17,6 @@ package mat
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -101,16 +100,6 @@ func (m *Dense) Clone() *Dense {
 	return NewDenseFrom(m.rows, m.cols, m.data)
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic("mat: row index out of range")
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // SetCol copies v into column j. len(v) must equal Rows.
 func (m *Dense) SetCol(j int, v []float64) {
 	if len(v) != m.rows {
@@ -178,20 +167,6 @@ func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 		copy(out.data[(i-r0)*out.cols:], m.data[i*m.cols+c0:i*m.cols+c1])
 	}
 	return out
-}
-
-// Equal reports whether a and b have the same shape and all entries agree
-// within tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

@@ -84,7 +84,7 @@ func TestTranspose(t *testing.T) {
 	m := NewDenseFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	mt := m.T()
 	want := NewDenseFrom(3, 2, []float64{1, 4, 2, 5, 3, 6})
-	if !Equal(mt, want, 0) {
+	if !equal(mt, want, 0) {
 		t.Fatalf("T = %v, want %v", mt, want)
 	}
 }
@@ -94,13 +94,19 @@ func TestMul(t *testing.T) {
 	b := NewDenseFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	got := MulInto(NewDense(2, 2), a, b)
 	want := NewDenseFrom(2, 2, []float64{58, 64, 139, 154})
-	if !Equal(got, want, 1e-14) {
+	if !equal(got, want, 1e-14) {
 		t.Fatalf("MulInto = %v, want %v", got, want)
 	}
 }
 
 // mul returns the product a·b: the reference product of the mat tests.
 func mul(a, b *Dense) *Dense { return MulInto(NewDense(a.Rows(), b.Cols()), a, b) }
+
+// equal reports whether a and b have the same shape and all entries agree
+// within tol.
+func equal(a, b *Dense, tol float64) bool {
+	return a.rows == b.rows && a.cols == b.cols && VecEqual(a.data, b.data, tol)
+}
 
 func TestMulShapePanic(t *testing.T) {
 	defer func() {
@@ -130,18 +136,17 @@ func TestMulVecT(t *testing.T) {
 
 func TestRowColAccessors(t *testing.T) {
 	m := NewDenseFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if got := m.Row(1); !VecEqual(got, []float64{4, 5, 6}, 0) {
-		t.Errorf("Row(1) = %v", got)
+	if got := m.RowView(1); !VecEqual(got, []float64{4, 5, 6}, 0) {
+		t.Errorf("RowView(1) = %v", got)
 	}
 	m.SetCol(0, []float64{7, 8})
 	if m.At(0, 0) != 7 || m.At(1, 0) != 8 {
 		t.Error("SetCol failed")
 	}
-	// Row returns a copy, not an alias.
-	r := m.Row(0)
-	r[0] = -1
-	if m.At(0, 0) == -1 {
-		t.Error("Row aliases the matrix")
+	// RowView is a view: a write through it lands in the matrix.
+	m.RowView(0)[1] = -1
+	if m.At(0, 1) != -1 {
+		t.Error("RowView does not alias the matrix")
 	}
 }
 
@@ -149,13 +154,13 @@ func TestSubmatrixAndDropCol(t *testing.T) {
 	m := NewDenseFrom(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	s := m.Submatrix(1, 3, 0, 2)
 	want := NewDenseFrom(2, 2, []float64{4, 5, 7, 8})
-	if !Equal(s, want, 0) {
+	if !equal(s, want, 0) {
 		t.Errorf("Submatrix = %v, want %v", s, want)
 	}
 }
 
 func TestEqualShapes(t *testing.T) {
-	if Equal(NewDense(2, 2), NewDense(2, 3), 1) {
+	if equal(NewDense(2, 2), NewDense(2, 3), 1) {
 		t.Error("Equal must be false for different shapes")
 	}
 }
@@ -189,7 +194,7 @@ func TestQuickTransposeProduct(t *testing.T) {
 		b := randomDense(rng, k, n)
 		left := mul(a, b).T()
 		right := mul(b.T(), a.T())
-		return Equal(left, right, 1e-12)
+		return equal(left, right, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -210,7 +215,7 @@ func TestQuickDistributive(t *testing.T) {
 		left := mul(a, bc)
 		right := mul(a, b)
 		AxpyVec(1, mul(a, c).RawData(), right.RawData())
-		return Equal(left, right, 1e-10)
+		return equal(left, right, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -248,7 +253,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	dst.Set(3, 2, 1)
 	got, bt := MulInto(dst, a, b).T(), b.T()
 	for j := 0; j < 6; j++ {
-		if !VecEqual(got.Row(j), MulVec(a, bt.Row(j)), 0) {
+		if !VecEqual(got.RowView(j), MulVec(a, bt.RowView(j)), 0) {
 			t.Fatalf("MulInto column %d differs from MulVec", j)
 		}
 	}
@@ -258,7 +263,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 			t.Fatal("MulVecInto differs from MulVec")
 		}
 	}
-	if got := TransposeInto(NewDense(5, 7), a); !Equal(got, a.T(), 0) {
+	if got := TransposeInto(NewDense(5, 7), a); !equal(got, a.T(), 0) {
 		t.Fatal("TransposeInto differs from T")
 	}
 

@@ -173,12 +173,3 @@ func (f *LU) MinAbsPivot() float64 {
 	}
 	return m
 }
-
-// Solve returns x with a*x = b for square a, factoring a once.
-func Solve(a *Dense, b []float64) ([]float64, error) {
-	f, err := ComputeLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}

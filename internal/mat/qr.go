@@ -1,7 +1,5 @@
 package mat
 
-import "gridmtd/internal/par"
-
 // QR holds the thin QR factorization of an m×n matrix A with m >= n:
 // A = Q*R where Q is m×n with orthonormal columns and R is n×n upper
 // triangular.
@@ -12,10 +10,7 @@ type QR struct {
 
 // qrApplyReflector applies the Householder reflector (v, beta) rooted at
 // row k to columns [jlo, jhi) of the m×n row-major block data: for each
-// column, s = β·vᵀcol followed by col -= s·v. Column updates touch only
-// their own column, so disjoint ranges may run concurrently with results
-// bitwise identical to a single sequential sweep — each column sees
-// exactly the same ascending-index accumulation either way.
+// column, s = β·vᵀcol followed by col -= s·v.
 func qrApplyReflector(v []float64, beta float64, data []float64, m, n, k, jlo, jhi int) {
 	for j := jlo; j < jhi; j++ {
 		var s float64
@@ -29,30 +24,8 @@ func qrApplyReflector(v []float64, beta float64, data []float64, m, n, k, jlo, j
 	}
 }
 
-// qrParallelFlops is the per-reflector work (rows × cols of the trailing
-// block) below which the application stays on the calling goroutine. Small
-// factorizations — everything the bitwise dense path touches — never pay
-// goroutine overhead and keep their historical single-threaded execution;
-// large ones (the 1100×299 ieee300 estimator build) fan the columns out.
-const qrParallelFlops = 1 << 15
-
-// qrApply applies one reflector to columns [jlo, jhi), one column per
-// index on GOMAXPROCS workers when the block is large enough to amortize
-// the barrier.
-func qrApply(v []float64, beta float64, data []float64, m, n, k, jlo, jhi int) {
-	if (m-k)*(jhi-jlo) < qrParallelFlops {
-		qrApplyReflector(v, beta, data, m, n, k, jlo, jhi)
-		return
-	}
-	par.For(jhi-jlo, func() func(int) {
-		return func(j int) { qrApplyReflector(v, beta, data, m, n, k, jlo+j, jlo+j+1) }
-	})
-}
-
 // ComputeQR computes the thin QR factorization of a using Householder
-// reflections. It requires Rows >= Cols. Reflector applications fan out
-// across columns on large inputs; outputs are bitwise independent of the
-// worker count (see qrApplyReflector).
+// reflections, on the calling goroutine. It requires Rows >= Cols.
 func ComputeQR(a *Dense) *QR {
 	m, n := a.rows, a.cols
 	if m < n {
@@ -89,7 +62,7 @@ func ComputeQR(a *Dense) *QR {
 
 		if beta != 0 {
 			// Apply the reflector to the trailing block r[k:m, k:n].
-			qrApply(v, beta, r.data, m, n, k, k, n)
+			qrApplyReflector(v, beta, r.data, m, n, k, k, n)
 		}
 	}
 
@@ -111,7 +84,7 @@ func ComputeQR(a *Dense) *QR {
 		if beta == 0 {
 			continue
 		}
-		qrApply(v, beta, q.data, m, n, k, 0, n)
+		qrApplyReflector(v, beta, q.data, m, n, k, 0, n)
 	}
 	return &QR{Q: q, R: rr}
 }

@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -14,12 +13,12 @@ func TestComputeQRReconstruction(t *testing.T) {
 		a := randomDense(rng, shape[0], shape[1])
 		qr := ComputeQR(a)
 		back := mul(qr.Q, qr.R)
-		if !Equal(back, a, 1e-10) {
+		if !equal(back, a, 1e-10) {
 			t.Errorf("QR reconstruction failed for %dx%d", shape[0], shape[1])
 		}
 		// Q must have orthonormal columns.
 		qtq := mul(qr.Q.T(), qr.Q)
-		if !Equal(qtq, Identity(shape[1]), 1e-10) {
+		if !equal(qtq, Identity(shape[1]), 1e-10) {
 			t.Errorf("QᵀQ != I for %dx%d", shape[0], shape[1])
 		}
 		// R must be upper triangular.
@@ -31,42 +30,6 @@ func TestComputeQRReconstruction(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestComputeQRWorkerInvariance pins the parallel reflector application
-// to the sequential arithmetic: Q and R must be bitwise identical at any
-// GOMAXPROCS, on shapes big enough to cross the fan-out threshold.
-func TestComputeQRWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, shape := range [][2]int{{300, 80}, {1123, 299}} {
-		a := randomDense(rng, shape[0], shape[1])
-		withProcs(t, 1)
-		ref := ComputeQR(a)
-		for _, workers := range []int{2, 3, 8} {
-			withProcs(t, workers)
-			got := ComputeQR(a)
-			for i := range ref.Q.data {
-				if got.Q.data[i] != ref.Q.data[i] {
-					t.Fatalf("%dx%d workers=%d: Q differs at flat index %d",
-						shape[0], shape[1], workers, i)
-				}
-			}
-			for i := range ref.R.data {
-				if got.R.data[i] != ref.R.data[i] {
-					t.Fatalf("%dx%d workers=%d: R differs at flat index %d",
-						shape[0], shape[1], workers, i)
-				}
-			}
-		}
-	}
-}
-
-// withProcs sets GOMAXPROCS, and with it the worker count, for the rest
-// of the test.
-func withProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestComputeQRPanicsForWide(t *testing.T) {
@@ -126,8 +89,8 @@ func TestQuickQR(t *testing.T) {
 		m := n + r.Intn(10)
 		a := randomDense(r, m, n)
 		qr := ComputeQR(a)
-		return Equal(mul(qr.Q, qr.R), a, 1e-9) &&
-			Equal(mul(qr.Q.T(), qr.Q), Identity(n), 1e-9)
+		return equal(mul(qr.Q, qr.R), a, 1e-9) &&
+			equal(mul(qr.Q.T(), qr.Q), Identity(n), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -242,17 +242,6 @@ func (m *CSC) MulVecInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// Dense materializes m as a dense matrix (tests and debugging).
-func (m *CSC) Dense() *Dense {
-	out := NewDense(m.rows, m.cols)
-	for j := 0; j < m.cols; j++ {
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			out.Set(m.rowIdx[p], j, m.values[p])
-		}
-	}
-	return out
-}
-
 // MinDegreeOrder returns a fill-reducing elimination order for a symmetric
 // sparsity pattern given as an adjacency structure: adj[i] lists the
 // neighbors of vertex i (self-loops and duplicates are tolerated). It runs

@@ -31,14 +31,14 @@ func TestComputeSVDReconstruction(t *testing.T) {
 			}
 		}
 		back := mul(us, svd.V.T())
-		if !Equal(back, a, 1e-9) {
+		if !equal(back, a, 1e-9) {
 			t.Errorf("SVD reconstruction failed for %dx%d", shape[0], shape[1])
 		}
 		// Orthonormality.
-		if !Equal(mul(svd.U.T(), svd.U), Identity(shape[1]), 1e-9) {
+		if !equal(mul(svd.U.T(), svd.U), Identity(shape[1]), 1e-9) {
 			t.Errorf("UᵀU != I for %dx%d", shape[0], shape[1])
 		}
-		if !Equal(mul(svd.V.T(), svd.V), Identity(shape[1]), 1e-9) {
+		if !equal(mul(svd.V.T(), svd.V), Identity(shape[1]), 1e-9) {
 			t.Errorf("VᵀV != I for %dx%d", shape[0], shape[1])
 		}
 		// Descending order, nonnegative.

@@ -400,8 +400,8 @@ func (e *DispatchEngine) seedBasis() *lp.WarmBasis {
 func (e *DispatchEngine) verifiedResult(w *dispatchWorkspace, x, dispatch []float64, obj float64) (*Result, error) {
 	n := e.n
 
-	// Verifying power flow (dcflow.SolveDispatch, reusing the factors of
-	// the same reduced susceptance matrix).
+	// Verifying power flow (dcflow.Solve at the dispatch's injections,
+	// reusing the factors of the same reduced susceptance matrix).
 	for i, b := range n.Buses {
 		w.inj[i] = -b.LoadMW
 	}
@@ -437,8 +437,8 @@ func (e *DispatchEngine) verifiedResult(w *dispatchWorkspace, x, dispatch []floa
 // one workspace outright instead of borrowing from the pool per call. The
 // parallel multi-start driver holds one session per worker (no pool churn),
 // and on the sparse path the session's Farkas-ray index is what carries
-// across its solves — DropRays scopes it to one local search. A session
-// carries no LP basis: like a pooled solve, each of its solves starts from
+// across its Cost calls — DropRays scopes it to one local search. A
+// session carries no LP basis: like a pooled solve, each Cost starts from
 // the engine's seed basis and is served through the engine's memo. A
 // DispatchSession is not safe for concurrent use.
 type DispatchSession struct {
@@ -456,11 +456,6 @@ func (e *DispatchEngine) NewSession() *DispatchSession {
 func (s *DispatchSession) Cost(x []float64) (float64, error) {
 	r, _, err := s.e.lookup(s.w, x)
 	return r.obj, err
-}
-
-// Solve is DispatchEngine.Solve on the session's private workspace.
-func (s *DispatchSession) Solve(x []float64) (*Result, error) {
-	return s.e.solveOn(s.w, x)
 }
 
 // BuildProblem assembles the dispatch LP for reactances x on the
@@ -481,15 +476,6 @@ func (s *DispatchSession) DropRays() {
 	if s.w.rsolver != nil {
 		s.w.rsolver.DropRays()
 	}
-}
-
-// LPStats reports the session's revised-simplex counters (zero value on
-// the dense path).
-func (s *DispatchSession) LPStats() lp.RevisedStats {
-	if s.w.rsolver == nil {
-		return lp.RevisedStats{}
-	}
-	return s.w.rsolver.Stats()
 }
 
 // branchFlowsInto writes y·(X[ri] − X[rj]) into dst: the flows on a branch

@@ -7,6 +7,7 @@ import (
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/metrics"
 )
 
 // TestPrescreen300ProbesConfirmedByFreshSolve drives the Farkas screen on
@@ -45,7 +46,7 @@ func TestPrescreen300ProbesConfirmedByFreshSolve(t *testing.T) {
 			xd[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 		}
 		x := n.ExpandDFACTS(xd)
-		_, err := sess.Solve(x)
+		_, err := sess.Cost(x)
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("probe %d: unexpected error: %v", i, err)
 		}
@@ -56,11 +57,11 @@ func TestPrescreen300ProbesConfirmedByFreshSolve(t *testing.T) {
 			xd2 := append([]float64(nil), xd...)
 			xd2[0] *= 1 + 1e-9
 			x2 := n.ExpandDFACTS(xd2)
-			_, err2 := sess.Solve(x2)
+			_, err2 := sess.Cost(x2)
 			probes = append(probes, verdict{x: x2, infeasible: err2 != nil})
 		}
 	}
-	d := lp.GlobalRevisedStats().Delta(before)
+	d := metrics.Delta(lp.GlobalRevisedStats(), before)
 	if d.InfeasibleSolves == 0 {
 		t.Fatal("probe sequence produced no infeasible candidates; widen the sampling")
 	}

@@ -30,10 +30,6 @@ type SolveCacheStats struct {
 	Misses int `json:"misses"`
 }
 
-// Delta returns the field-wise counter increments s − since, for
-// per-request assertions against the cumulative process-wide counters.
-func (s SolveCacheStats) Delta(since SolveCacheStats) SolveCacheStats { return metrics.Delta(s, since) }
-
 // GlobalSolveCacheStats returns the process-wide memo counters.
 func GlobalSolveCacheStats() SolveCacheStats { return solveGlobal.Load() }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/grid"
+	"gridmtd/internal/metrics"
 )
 
 // TestSolveCacheHitReturnsBitwiseResult is the memo's transparency
@@ -38,14 +39,14 @@ func checkHitBitwise(t *testing.T, name string, backend grid.Backend) {
 		t.Fatal(err)
 	}
 	mid := GlobalSolveCacheStats()
-	if d := mid.Delta(before); d.Misses != 1 || d.Hits != 0 {
+	if d := metrics.Delta(mid, before); d.Misses != 1 || d.Hits != 0 {
 		t.Fatalf("first solve: %+v, want exactly one miss", d)
 	}
 	second, err := eng.Solve(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := GlobalSolveCacheStats().Delta(mid); d.Hits != 1 || d.Misses != 0 {
+	if d := metrics.Delta(GlobalSolveCacheStats(), mid); d.Hits != 1 || d.Misses != 0 {
 		t.Fatalf("second solve: %+v, want exactly one hit", d)
 	}
 
@@ -85,7 +86,7 @@ func checkHitBitwise(t *testing.T, name string, backend grid.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := GlobalSolveCacheStats().Delta(preHit); d.Hits != 1 || d.Misses != 0 {
+	if d := metrics.Delta(GlobalSolveCacheStats(), preHit); d.Hits != 1 || d.Misses != 0 {
 		t.Fatalf("session Cost after Solve: %+v, want a hit", d)
 	}
 	if cost != first.CostPerHour {
@@ -125,7 +126,7 @@ func TestSolveCacheCachesDeterministicErrors(t *testing.T) {
 	if err1 == nil {
 		t.Fatal("expected cached error")
 	}
-	if d := GlobalSolveCacheStats().Delta(before); d.Hits != 1 {
+	if d := metrics.Delta(GlobalSolveCacheStats(), before); d.Hits != 1 {
 		t.Fatalf("repeat infeasible probe: %+v, want a hit", d)
 	}
 	s := eng.NewSession()

@@ -8,6 +8,7 @@ import (
 
 	"gridmtd/internal/grid"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/metrics"
 )
 
 // warmVsColdCase drives one warm RevisedSolver through count
@@ -150,7 +151,7 @@ func TestWarmRecoveryAfterCornerJump(t *testing.T) {
 	if math.Abs(warmCost-coldCost) > 1e-9*scale {
 		t.Fatalf("corner jump: warm %.15g vs cold %.15g", warmCost, coldCost)
 	}
-	st := sess.LPStats()
+	st := sess.w.rsolver.Stats()
 	if st.Solves != 2 {
 		t.Fatalf("expected 2 solves, got %+v", st)
 	}
@@ -239,7 +240,7 @@ func TestDropRaysRestoresSeedState(t *testing.T) {
 	if _, err := sess.Cost(point(0.35)); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.LPStats()
+	st := sess.w.rsolver.Stats()
 	if st.WarmSolves != st.Solves {
 		t.Fatalf("seeded session ran a cold solve: %+v", st)
 	}
@@ -325,7 +326,7 @@ func TestPooledSolvesStartWithNoRays(t *testing.T) {
 	if _, err := eng.Cost(x); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("overloaded system: %v, want ErrInfeasible", err)
 	}
-	if d := lp.GlobalRevisedStats().Delta(before); d.PrescreenHits != 0 || d.Solves != 1 {
+	if d := metrics.Delta(lp.GlobalRevisedStats(), before); d.PrescreenHits != 0 || d.Solves != 1 {
 		t.Fatalf("second pooled solve: %d pre-screen hits and %d solves, want 0 and 1", d.PrescreenHits, d.Solves)
 	}
 }

@@ -14,9 +14,6 @@ type Bounds struct {
 	Upper []float64
 }
 
-// Dim returns the dimensionality of the box.
-func (b Bounds) Dim() int { return len(b.Lower) }
-
 // Validate checks the box for consistency.
 func (b Bounds) Validate() error {
 	if len(b.Lower) == 0 || len(b.Lower) != len(b.Upper) {
@@ -50,19 +47,6 @@ func (b Bounds) Clamp(x []float64) []float64 {
 		}
 	}
 	return x
-}
-
-// Contains reports whether x lies inside the box (within tol).
-func (b Bounds) Contains(x []float64, tol float64) bool {
-	if len(x) != len(b.Lower) {
-		return false
-	}
-	for i := range x {
-		if x[i] < b.Lower[i]-tol || x[i] > b.Upper[i]+tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Local is a local minimizer signature usable with MultiStart.

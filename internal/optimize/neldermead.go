@@ -23,31 +23,26 @@ type Result struct {
 	Converged bool      // whether the tolerance criterion was met
 }
 
+const (
+	// nmInitialStep sizes the initial simplex around x0: coordinate i
+	// moves by nmInitialStep·(1 + |x0_i|).
+	nmInitialStep = 0.05
+	// nmTolF stops the search when the simplex function-value spread
+	// falls below it (and the diameter below nmTolX).
+	nmTolF = 1e-10
+	// nmTolX stops the search when the simplex diameter falls below it
+	// (and the spread below nmTolF).
+	nmTolX = 1e-10
+)
+
 // NMConfig configures Nelder-Mead. The zero value selects sensible
 // defaults.
 type NMConfig struct {
-	// InitialStep is the size of the initial simplex around x0 per
-	// coordinate (default 0.05 + 5% of |x0_i|).
-	InitialStep float64
-	// TolF stops when the simplex function-value spread falls below it
-	// (default 1e-10).
-	TolF float64
-	// TolX stops when the simplex diameter falls below it (default 1e-10).
-	TolX float64
 	// MaxEvals bounds objective evaluations (default 200 * dim).
 	MaxEvals int
 }
 
 func (c NMConfig) withDefaults(dim int) NMConfig {
-	if c.InitialStep <= 0 {
-		c.InitialStep = 0.05
-	}
-	if c.TolF <= 0 {
-		c.TolF = 1e-10
-	}
-	if c.TolX <= 0 {
-		c.TolX = 1e-10
-	}
 	if c.MaxEvals <= 0 {
 		c.MaxEvals = 200 * dim
 	}
@@ -80,7 +75,7 @@ func NelderMead(f Objective, x0 []float64, cfg NMConfig) (*Result, error) {
 	simplex[0].f = eval(simplex[0].x)
 	for i := 0; i < n; i++ {
 		x := append([]float64(nil), x0...)
-		step := cfg.InitialStep * (1 + math.Abs(x[i]))
+		step := nmInitialStep * (1 + math.Abs(x[i]))
 		x[i] += step
 		simplex[i+1] = vertex{x: x, f: eval(x)}
 	}
@@ -103,7 +98,7 @@ func NelderMead(f Objective, x0 []float64, cfg NMConfig) (*Result, error) {
 				}
 			}
 		}
-		if spread < cfg.TolF && diam < cfg.TolX {
+		if spread < nmTolF && diam < nmTolX {
 			return &Result{X: best.x, F: best.f, Evals: evals, Converged: true}, nil
 		}
 

@@ -1,7 +1,7 @@
 // Package par is the one worker pool of the reproduction: multi-start
-// local searches, the max-γ corner poll, placement probes, the per-attack
-// η′ loop and Householder column updates all run through For, which takes
-// its worker count from GOMAXPROCS.
+// local searches, the max-γ corner poll, placement probes and the
+// per-attack η′ loop all run through For, which takes its worker count
+// from GOMAXPROCS.
 //
 // For promises nothing about which worker runs which index. Callers keep
 // their results bitwise independent of the worker count by writing each

@@ -23,9 +23,6 @@ type AdmissionStats struct {
 	QueueWaitMicros int64 `json:"queue_wait_micros"`
 }
 
-// Delta returns the field-wise counter increments s − since.
-func (s AdmissionStats) Delta(since AdmissionStats) AdmissionStats { return metrics.Delta(s, since) }
-
 // admission is the planner's bounded work queue: a counting semaphore of
 // worker slots plus a cap on how many computations may wait for one.
 // Memo and disk hits never pass through it — only the requests that are

@@ -75,11 +75,6 @@ type Stats struct {
 	Bytes   int64 `json:"bytes" metrics:"gauge"`
 }
 
-// Delta returns the counter increments between an earlier snapshot and
-// this one (field-wise s − since). The gauge fields (Entries, Bytes) are
-// copied from the newer snapshot rather than differenced.
-func (s Stats) Delta(since Stats) Stats { return metrics.Delta(s, since) }
-
 // envelope is the on-disk entry format: the full logical key for
 // post-hash verification plus the cached JSON payload.
 type envelope struct {

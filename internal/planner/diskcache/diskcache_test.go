@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gridmtd/internal/metrics"
 )
 
 func open(t *testing.T, dir string, maxBytes int64) *Cache {
@@ -180,7 +182,7 @@ func TestNilCacheIsNoOp(t *testing.T) {
 func TestStatsDelta(t *testing.T) {
 	a := Stats{Hits: 2, Misses: 3, Writes: 4, Evictions: 1, Corrupt: 1, Errors: 0, Entries: 7, Bytes: 700}
 	b := Stats{Hits: 5, Misses: 4, Writes: 6, Evictions: 2, Corrupt: 1, Errors: 1, Entries: 9, Bytes: 900}
-	d := b.Delta(a)
+	d := metrics.Delta(b, a)
 	want := Stats{Hits: 3, Misses: 1, Writes: 2, Evictions: 1, Corrupt: 0, Errors: 1, Entries: 9, Bytes: 900}
 	if d != want {
 		t.Errorf("Delta = %+v, want %+v", d, want)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridmtd/internal/grid"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 )
 
@@ -43,7 +44,7 @@ func TestPureMaxGammaSkipsSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := opf.GlobalSolveCacheStats().Delta(before)
+			d := metrics.Delta(opf.GlobalSolveCacheStats(), before)
 			resp.CacheHit, resp.Source, resp.ElapsedMS = false, "", 0
 			got, err := json.Marshal(resp)
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/grid"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/scenario"
 )
@@ -239,7 +240,7 @@ func TestSelectErrors(t *testing.T) {
 	if _, err := p.Select(SelectRequest{Case: "ieee14", GammaThreshold: 0.1, XOld: []float64{1}}); err == nil {
 		t.Error("bad x_old length accepted")
 	}
-	if d := opf.GlobalSolveCacheStats().Delta(before); d.Hits+d.Misses != 0 {
+	if d := metrics.Delta(opf.GlobalSolveCacheStats(), before); d.Hits+d.Misses != 0 {
 		t.Errorf("bad x_old length asked for %d dispatch LPs, want 0", d.Hits+d.Misses)
 	}
 }

@@ -17,7 +17,7 @@ func TestEstimateColumnSpaceExact(t *testing.T) {
 	ht := h.T()
 	samples := make([][]float64, 0, h.Cols())
 	for j := 0; j < h.Cols(); j++ {
-		samples = append(samples, ht.Row(j))
+		samples = append(samples, ht.RowView(j))
 	}
 	basis, err := EstimateColumnSpace(samples, h.Cols())
 	if err != nil {
@@ -55,7 +55,7 @@ func TestEstimateColumnSpaceMoreSamplesThanSensors(t *testing.T) {
 	}
 	// All samples are multiples of (1, 2, 0)/√5.
 	want := []float64{1 / math.Sqrt(5), 2 / math.Sqrt(5), 0}
-	got := basis.T().Row(0)
+	got := basis.T().RowView(0)
 	if math.Abs(math.Abs(mat.Dot(got, want))-1) > 1e-9 {
 		t.Errorf("basis = %v, want ±%v", got, want)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"gridmtd/internal/core"
 	"gridmtd/internal/lp"
+	"gridmtd/internal/metrics"
 	"gridmtd/internal/opf"
 	"gridmtd/internal/planner"
 )
@@ -58,7 +59,7 @@ func coldSelect(t *testing.T, req planner.SelectRequest) (*planner.SelectRespons
 		t.Errorf("%s selection built estimators: %d fast builds, %d full QRs",
 			req.Case, est.FastBuilds-estBefore.FastBuilds, est.FullQRs-estBefore.FullQRs)
 	}
-	return resp, lp.GlobalRevisedStats().Delta(lpBefore), opf.GlobalSolveCacheStats().Delta(scBefore)
+	return resp, metrics.Delta(lp.GlobalRevisedStats(), lpBefore), metrics.Delta(opf.GlobalSolveCacheStats(), scBefore)
 }
 
 // checkPinned asserts the selection's reported cost and γ at the
